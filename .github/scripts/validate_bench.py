@@ -190,54 +190,14 @@ def main():
         f"= {trace_speedup:.2f}x (informational)"
     )
 
-    # Bloom-probe gate: the split-block bloom filter in front of the hash
-    # probe must never make the highly selective equi join slower. The two
-    # sides are the same workload measured in the same process with the
-    # filter toggled, so a no-regression bound (<= 1.10x) holds regardless
-    # of core count; the byte-identity of the matches is asserted inside the
-    # bench itself.
-    for case in ("bloom_join/filtered", "bloom_join/unfiltered"):
-        assert case in join, f"join group lacks {case}: {sorted(join)}"
-    bloom_ms = join["bloom_join/filtered"]["min_ms"]
-    nobloom_ms = join["bloom_join/unfiltered"]["min_ms"]
-    bloom_ratio = bloom_ms / nobloom_ms if nobloom_ms > 0 else float("inf")
-    print(
-        f"bloom_join: {bloom_ms:.3f} ms filtered / {nobloom_ms:.3f} ms unfiltered "
-        f"= {bloom_ratio:.3f}x"
-    )
-    assert bloom_ratio <= 1.10, (
-        f"bloom_join: filtered probe costs {bloom_ratio:.3f}x of the "
-        f"unfiltered probe (> 1.10x) on a highly selective join"
-    )
-
-    # Pipeline fusion gate: the morsel-driven fused select→select→project
-    # chain must beat the operator-at-a-time path on multi-core runners
-    # (fusion pays through parallelism over chunks; on one core it is
-    # roughly a wash). Byte-identity of the fused and materialized answers
-    # and traces is asserted inside the bench itself on every machine; the
-    # DBLP D4 whole-plan pair is reported for information.
+    # Pipeline pair: the tracer's fused replay of 1:1 operator runs against
+    # its operator-at-a-time replay on the DBLP D4 whole-plan trace.
+    # Byte-identity of the two traces is asserted inside the bench itself;
+    # the speedup is reported for information, and both cases sit in the
+    # 2x regression gate below.
     pipeline = cases("pipeline")
-    for case in (
-        "chain/fused",
-        "chain/materialized",
-        "dblp_d4/fused",
-        "dblp_d4/materialized",
-    ):
+    for case in ("dblp_d4/fused", "dblp_d4/materialized"):
         assert case in pipeline, f"pipeline group lacks {case}: {sorted(pipeline)}"
-    fused_ms = pipeline["chain/fused"]["min_ms"]
-    mat_ms = pipeline["chain/materialized"]["min_ms"]
-    fused_speedup = mat_ms / fused_ms if fused_ms > 0 else float("inf")
-    print(
-        f"pipeline chain: {mat_ms:.3f} ms materialized / {fused_ms:.3f} ms fused "
-        f"= {fused_speedup:.2f}x (cpus={cpus})"
-    )
-    if cpus >= 4:
-        assert fused_speedup >= 1.3, (
-            f"pipeline chain: expected >= 1.3x from fusion on a "
-            f"{cpus}-cpu runner, got {fused_speedup:.2f}x"
-        )
-    else:
-        print(f"NOTICE: pipeline fusion gate skipped on a {cpus}-cpu runner (< 4)")
     d4_fused = pipeline["dblp_d4/fused"]["min_ms"]
     d4_mat = pipeline["dblp_d4/materialized"]["min_ms"]
     d4_speedup = d4_mat / d4_fused if d4_fused > 0 else float("inf")

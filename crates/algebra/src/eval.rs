@@ -34,19 +34,8 @@ pub fn evaluate(plan: &QueryPlan, db: &Database) -> AlgebraResult<Arc<Bag>> {
         .unwrap_or_else(|trip| Err(AlgebraError::Resource(trip)))
 }
 
-/// Evaluates a single plan node over a database.
-///
-/// When pipelining is enabled and this node tops a fusable
-/// select→select→project chain, the chain executes as one morsel-driven pass
-/// over its source ([`crate::pipeline`]); the result is byte-identical to
-/// the operator-at-a-time path below.
+/// Evaluates a single plan node over a database, operator at a time.
 pub fn evaluate_node(node: &OpNode, db: &Database) -> AlgebraResult<Arc<Bag>> {
-    if crate::pipeline::pipelining_enabled() {
-        if let Some(chain) = crate::pipeline::collect_chain(node) {
-            let source = evaluate_node(chain.source, db)?;
-            return crate::pipeline::eval_chain(&chain, source);
-        }
-    }
     let inputs: Vec<Arc<Bag>> =
         node.inputs.iter().map(|i| evaluate_node(i, db)).collect::<AlgebraResult<_>>()?;
     apply_operator(node, &inputs, db)

@@ -67,24 +67,10 @@ use crate::expr::{CmpOp, Expr};
 /// construction).
 pub const JOIN_PARTITIONS: usize = 16;
 
-/// Minimum number of present build keys before a probe bloom filter is worth
-/// its construction: below this, the per-probe filter check costs more than
-/// the hash-map misses it avoids.
-const BLOOM_MIN_BUILD_ROWS: usize = 256;
-
-/// Bloom bits budgeted per build key (~2 set bits per key in one 64-byte
-/// block ⇒ a false-positive rate of a few percent — plenty, since a false
-/// positive only falls through to the ordinary bucket lookup).
-const BLOOM_BITS_PER_KEY: usize = 10;
-
 thread_local! {
     /// Thread-local hash-join enable flag (default: enabled). See
     /// [`with_hash_join`].
     static HASH_JOIN_ENABLED: Cell<bool> = const { Cell::new(true) };
-
-    /// Thread-local bloom-filter enable flag (default: enabled). See
-    /// [`with_bloom_filter`].
-    static BLOOM_FILTER_ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
 /// Whether the partitioned hash join is enabled on the current thread.
@@ -112,37 +98,6 @@ pub fn with_hash_join<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
         }
     }
     let _restore = Restore { previous: HASH_JOIN_ENABLED.with(|c| c.replace(enabled)) };
-    f()
-}
-
-/// Whether probe-side bloom filtering is enabled on the current thread.
-pub fn bloom_filter_enabled() -> bool {
-    BLOOM_FILTER_ENABLED.with(Cell::get)
-}
-
-/// Runs `f` with probe-side bloom filtering enabled or disabled on the
-/// current thread, restoring the previous setting afterwards (also on
-/// panic).
-///
-/// When enabled (the default) and the build side has at least
-/// `BLOOM_MIN_BUILD_ROWS` present keys, [`JoinBuild`] adds a small split-block
-/// bloom filter over the build keys and the probe skips the bucket lookup on
-/// definite misses. The filter has no false negatives, so the matches are
-/// byte-identical either way — this knob exists for the `join` bench group to
-/// measure the filter, exactly like [`with_hash_join`] exists for the hash
-/// path. Like that flag, the *decision* is made where the build is
-/// constructed; parallel workers only probe an already-built filter.
-pub fn with_bloom_filter<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore {
-        previous: bool,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let previous = self.previous;
-            BLOOM_FILTER_ENABLED.with(|c| c.set(previous));
-        }
-    }
-    let _restore = Restore { previous: BLOOM_FILTER_ENABLED.with(|c| c.replace(enabled)) };
     f()
 }
 
@@ -411,51 +366,13 @@ fn extract_keys(side: &JoinSide<'_>, paths: &[AttrPath]) -> Vec<Option<JoinKey>>
 }
 
 /// The deterministic 64-bit hash of a key: `DefaultHasher` is keyed with a
-/// fixed state. One hash drives everything derived from a key — the
-/// partition (`h % JOIN_PARTITIONS`, low bits) and the bloom-filter slots
-/// (higher bits) — so build and probe can never disagree, and partition
+/// fixed state. The hash picks the key's partition (`h % JOIN_PARTITIONS`)
+/// on both build and probe, so they can never disagree, and partition
 /// assignment never influences the matches anyway (see the module docs).
 fn key_hash(key: &JoinKey) -> u64 {
     let mut hasher = DefaultHasher::new();
     key.hash(&mut hasher);
     hasher.finish()
-}
-
-/// A split-block bloom filter over the build keys: one cache-line (64-byte)
-/// block per key group, two bits per key inside one word of the block, all
-/// derived from the key's single 64-bit hash. No false negatives — a probe
-/// key whose bits are not all set definitely has no bucket, and the hash
-/// lookup is skipped; false positives simply fall through to the ordinary
-/// bucket lookup, so filtering never changes the matches.
-struct BlockedBloom {
-    /// 64-byte blocks; length is a power of two for mask indexing.
-    blocks: Vec<[u64; 8]>,
-}
-
-impl BlockedBloom {
-    fn with_keys(keys: usize) -> Self {
-        let blocks = (keys * BLOOM_BITS_PER_KEY).div_ceil(512).next_power_of_two();
-        BlockedBloom { blocks: vec![[0u64; 8]; blocks] }
-    }
-
-    /// The (block, word, bit-mask) slots of a key hash. Block selection uses
-    /// high bits so it stays independent of the partition number (low bits).
-    fn slots(&self, h: u64) -> (usize, usize, u64) {
-        let block = (h >> 32) as usize & (self.blocks.len() - 1);
-        let word = ((h >> 29) & 7) as usize;
-        let mask = (1u64 << ((h >> 17) & 63)) | (1u64 << ((h >> 23) & 63));
-        (block, word, mask)
-    }
-
-    fn insert(&mut self, h: u64) {
-        let (block, word, mask) = self.slots(h);
-        self.blocks[block][word] |= mask;
-    }
-
-    fn may_contain(&self, h: u64) -> bool {
-        let (block, word, mask) = self.slots(h);
-        self.blocks[block][word] & mask == mask
-    }
 }
 
 type Buckets = HashMap<JoinKey, Vec<usize>, BuildHasherDefault<DefaultHasher>>;
@@ -466,18 +383,13 @@ type Buckets = HashMap<JoinKey, Vec<usize>, BuildHasherDefault<DefaultHasher>>;
 /// and probes it many times.
 ///
 /// Owns its canonicalized keys and per-partition buckets (candidate lists in
-/// ascending row order, independent of thread count) plus, for large builds,
-/// a `BlockedBloom` over the keys that lets highly selective probes skip
-/// the bucket lookup on definite misses.
+/// ascending row order, independent of thread count).
 pub struct JoinBuild {
     buckets: Vec<Buckets>,
-    bloom: Option<BlockedBloom>,
 }
 
 impl JoinBuild {
-    /// Builds the hash table (and, when worthwhile, the bloom filter) over
-    /// the right side's `key_paths`. The bloom decision reads
-    /// [`bloom_filter_enabled`] on the calling thread.
+    /// Builds the hash table over the right side's `key_paths`.
     pub fn build(right: &JoinSide<'_>, key_paths: &[AttrPath]) -> JoinBuild {
         // Build: canonicalized keys, then a parallel scatter of row indices
         // into partitions (per chunk), then one map per partition assembled
@@ -516,16 +428,7 @@ impl JoinBuild {
             }
             map
         });
-        let present = hashes.iter().flatten().count();
-        let bloom = (bloom_filter_enabled() && present >= BLOOM_MIN_BUILD_ROWS).then(|| {
-            whynot_obs::add("join.bloom", 1);
-            let mut bloom = BlockedBloom::with_keys(present);
-            for h in hashes.iter().flatten() {
-                bloom.insert(*h);
-            }
-            bloom
-        });
-        JoinBuild { buckets, bloom }
+        JoinBuild { buckets }
     }
 }
 
@@ -542,10 +445,9 @@ fn hash_matches(
 }
 
 /// Probes a prebuilt hash table with every left row: each visits exactly its
-/// key's bucket (unless the bloom filter rules the key out first) and
-/// evaluates only the residual conjuncts (none, for a pure equi join) on the
-/// candidates. The concatenation check is kept — the nested loop skips
-/// pairs whose attribute names collide, and so must we.
+/// key's bucket and evaluates only the residual conjuncts (none, for a pure
+/// equi join) on the candidates. The concatenation check is kept — the
+/// nested loop skips pairs whose attribute names collide, and so must we.
 fn probe_matches(
     left: &JoinSide<'_>,
     right: &JoinSide<'_>,
@@ -562,11 +464,6 @@ fn probe_matches(
         let Some(lt) = left.rows[li] else { return Vec::new() };
         let Some(key) = &left_keys[li] else { return Vec::new() };
         let h = key_hash(key);
-        if let Some(bloom) = &build.bloom {
-            if !bloom.may_contain(h) {
-                return Vec::new();
-            }
-        }
         let Some(candidates) = build.buckets[h as usize % JOIN_PARTITIONS].get(key) else {
             return Vec::new();
         };
@@ -767,45 +664,25 @@ mod tests {
         assert!(hash_join_enabled());
     }
 
+    /// A 600-key build with a mostly-miss probe side (only every 7th probe
+    /// key has a bucket): the hash path, and a probe of a prebuilt
+    /// [`JoinBuild`] (the tracer's shared-build path), must find exactly the
+    /// nested loop's pairs.
     #[test]
-    fn with_bloom_filter_toggles_and_restores() {
-        assert!(bloom_filter_enabled());
-        with_bloom_filter(false, || {
-            assert!(!bloom_filter_enabled());
-            with_bloom_filter(true, || assert!(bloom_filter_enabled()));
-            assert!(!bloom_filter_enabled());
-        });
-        assert!(bloom_filter_enabled());
-    }
-
-    /// A build large enough to cross the bloom threshold with a mostly-miss
-    /// probe side: filtered, unfiltered, and nested-loop paths must produce
-    /// identical matches (the filter has no false negatives), and the filter
-    /// must actually engage.
-    #[test]
-    fn bloom_filtered_probes_match_all_paths() {
+    fn selective_probes_match_the_nested_loop() {
         let (ls, rs) = schemas();
         let eq = Expr::cmp(Expr::attr("a"), CmpOp::Eq, Expr::attr("b"));
-        // 600 build keys (≥ BLOOM_MIN_BUILD_ROWS), probes hit only every 7th.
         let right: Vec<Tuple> = (0..600).map(|i| right_row(Value::int(i), i)).collect();
         let left: Vec<Tuple> = (0..900)
             .map(|i| left_row(Value::int(if i % 7 == 0 { i } else { i + 10_000 }), i))
             .collect();
+        let pairs = assert_paths_agree(&left, &right, &eq);
+        assert_eq!(pairs.len(), 86, "left keys 0, 7, .., 595 find their bucket");
         let left_side = JoinSide::new(left.iter().map(Some).collect());
         let right_side = JoinSide::new(right.iter().map(Some).collect());
         let equi = split_equi_join(&eq, &ls, &rs).expect("pure equi join");
-        let filtered = JoinBuild::build(&right_side, &equi.right_keys);
-        assert!(filtered.bloom.is_some(), "a 600-key build crosses the bloom threshold");
-        let unfiltered =
-            with_bloom_filter(false, || JoinBuild::build(&right_side, &equi.right_keys));
-        assert!(unfiltered.bloom.is_none());
-        let with_bloom = join_matches_probe(&left_side, &right_side, &equi, &filtered);
-        let without = join_matches_probe(&left_side, &right_side, &equi, &unfiltered);
-        let looped = join_matches_with(&left_side, &right_side, &eq, &ls, &rs, false);
-        assert_eq!(pairs_of(&with_bloom), pairs_of(&without));
-        assert_eq!(pairs_of(&with_bloom), pairs_of(&looped));
-        assert_eq!(with_bloom.left_matched, looped.left_matched);
-        assert_eq!(with_bloom.right_matched, looped.right_matched);
-        assert!(!pairs_of(&with_bloom).is_empty());
+        let build = JoinBuild::build(&right_side, &equi.right_keys);
+        let probed = join_matches_probe(&left_side, &right_side, &equi, &build);
+        assert_eq!(pairs_of(&probed), pairs);
     }
 }

@@ -14,10 +14,6 @@
 //! * [`join`] — the shared physical join core (partitioned hash join with a
 //!   parallel nested-loop fallback), used by the evaluator and by the
 //!   provenance tracer's generalized join.
-//! * [`pipeline`] — morsel-driven pipelined execution: maximal
-//!   select→select→project/rename chains fuse into per-chunk passes that are
-//!   byte-identical to the operator-at-a-time path ([`with_pipelining`] is
-//!   the escape hatch).
 //! * [`params`] — operator parameters, the admissible parameter changes of
 //!   Table 2, and reparameterizations (Definitions 6 and 7).
 //! * [`database`] — named input relations with their schemas.
@@ -36,7 +32,6 @@ pub mod expr;
 pub mod join;
 pub mod operator;
 pub mod params;
-pub mod pipeline;
 pub mod plan;
 pub mod schema;
 
@@ -46,8 +41,7 @@ pub use database::Database;
 pub use error::{AlgebraError, AlgebraResult};
 pub use eval::evaluate;
 pub use expr::{CmpOp, Expr};
-pub use join::{with_bloom_filter, with_hash_join, JoinMatches, JoinSide};
+pub use join::{with_hash_join, JoinMatches, JoinSide};
 pub use operator::{AggSpec, FlattenKind, JoinKind, Operator, ProjColumn, RenamePair};
 pub use params::{OperatorParams, ParamChange, Reparameterization};
-pub use pipeline::{fused_chains, with_pipelining};
 pub use plan::{OpId, OpNode, QueryPlan};

@@ -1,7 +1,6 @@
-//! `pipeline` microbenchmarks: morsel-driven fused execution vs. the
-//! operator-at-a-time path, through evaluation (select→select→project above
-//! a join) and whole-plan DBLP D4 tracing (with built-in byte-identity
-//! assertions between the two paths).
+//! `pipeline` microbenchmarks: the tracer's fused replay vs. its
+//! operator-at-a-time replay on the whole-plan DBLP D4 generalized trace
+//! (with a built-in byte-identity assertion between the two paths).
 
 fn main() {
     whynot_bench::pipeline_group();

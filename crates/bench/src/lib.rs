@@ -571,86 +571,26 @@ pub fn join_group() {
         trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("hash trace")
     });
 
-    // The highly selective probe the bloom filter exists for: 12000 fact
-    // rows whose keys span 0..9600, joined against 600 dim keys — 15 of 16
-    // probes miss, and with the filter they skip the bucket lookup
-    // entirely. Byte-identity first, as for every other knob.
-    let selective_db = join_db(12_000, 600, 9_600);
-    let filtered = evaluate(&equi_plan, &selective_db).expect("filtered eval");
-    let unfiltered = nrab_algebra::with_bloom_filter(false, || {
-        evaluate(&equi_plan, &selective_db).expect("unfiltered eval")
-    });
-    assert!(
-        filtered == unfiltered,
-        "bloom-filtered probes must be byte-identical to unfiltered ones"
-    );
-    assert!(!filtered.is_empty(), "the selective join must still produce rows");
-    group.bench("bloom_join/filtered", || evaluate(&equi_plan, &selective_db).expect("filtered"));
-    group.bench("bloom_join/unfiltered", || {
-        nrab_algebra::with_bloom_filter(false, || {
-            evaluate(&equi_plan, &selective_db).expect("unfiltered")
-        })
-    });
-
     group.finish();
 }
 
-/// The `pipeline` microbench group: morsel-driven pipelined execution
-/// against the operator-at-a-time path it fuses, on both engines that
-/// pipeline — the evaluator (select→select→project chains over typed column
-/// chunks) and the tracer (fused structural replay).
+/// The `pipeline` microbench group: the tracer's fused replay against the
+/// operator-at-a-time replay it replaces.
 ///
-/// * `chain/*` — a select→select→project chain above an equi join over two
-///   wide flat relations: the chain fuses into one per-morsel pass over the
-///   join output instead of materializing two intermediate canonical bags.
 /// * `dblp_d4/*` — the whole-plan generalized trace of DBLP D4 (multi-SA),
 ///   whose flatten→project and select→select→project runs dominate the
 ///   trace; the fused replay eliminates the per-tuple singleton-bag
 ///   evaluation.
 ///
-/// Before measuring, the group *asserts* byte-identity: the fused answer and
-/// trace must equal the `with_pipelining(false)` ones — pipelining is a pure
-/// performance knob, like threads, the columnar layout, and the hash join.
+/// Before measuring, the group *asserts* byte-identity: the fused trace must
+/// equal the `with_pipelining(false)` one — pipelining is a pure performance
+/// knob, like threads, the columnar layout, and the hash join.
 pub fn pipeline_group() {
-    use nrab_algebra::expr::{CmpOp, Expr};
-    use nrab_algebra::{with_pipelining, JoinKind, PlanBuilder, ProjColumn};
+    use nrab_provenance::with_pipelining;
     use whynot_core::alternatives::enumerate_schema_alternatives;
     use whynot_core::backtrace::schema_backtrace;
 
     let mut group = BenchGroup::new("pipeline");
-
-    // σ→σ→π above an equi join: the join breaks the pipeline, the chain
-    // above it fuses. 20000 join rows flow through the chain.
-    let chain_db = join_db(20_000, 400, 400);
-    let chain_plan = PlanBuilder::table("fact")
-        .join(PlanBuilder::table("dim"), JoinKind::Inner, equi_join_predicate())
-        .select(Expr::attr_cmp("fqty", CmpOp::Lt, 40i64))
-        .select(Expr::attr_cmp("dprio", CmpOp::Ge, 1i64))
-        .project(vec![
-            ProjColumn::passthrough("fname"),
-            ProjColumn::computed(
-                "total",
-                Expr::arith(
-                    Expr::attr("famount"),
-                    nrab_algebra::expr::ArithOp::Add,
-                    Expr::attr("dscale"),
-                ),
-            ),
-        ])
-        .build()
-        .expect("chain plan builds");
-    let fused = evaluate(&chain_plan, &chain_db).expect("fused eval");
-    let materialized =
-        with_pipelining(false, || evaluate(&chain_plan, &chain_db).expect("materialized eval"));
-    assert!(
-        fused == materialized,
-        "the fused chain must be byte-identical to the operator-at-a-time path"
-    );
-    assert!(!fused.is_empty(), "the chain benchmark must produce rows");
-    group.bench("chain/fused", || evaluate(&chain_plan, &chain_db).expect("fused"));
-    group.bench("chain/materialized", || {
-        with_pipelining(false, || evaluate(&chain_plan, &chain_db).expect("materialized"))
-    });
 
     // The whole-plan DBLP D4 generalized trace — the workload behind the
     // committed `value_layer` and `parallel` baselines.
@@ -732,7 +672,7 @@ pub fn obs_group() {
 
     // Equivalence before measuring: profiling is a pure observer (the full
     // contract — answers, traces, wire reports, thread counts — is asserted
-    // by `tests/obs_equivalence.rs`; this is the bench-local smoke check).
+    // by `tests/differential.rs`; this is the bench-local smoke check).
     let plain = evaluate(&select_plan, &db).expect("select evaluates");
     let (profiled, report) =
         whynot_obs::profile(|| evaluate(&select_plan, &db).expect("select evaluates"));

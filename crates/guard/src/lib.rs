@@ -444,8 +444,17 @@ pub fn guard_stats() -> GuardStats {
 mod tests {
     use super::*;
 
+    /// The armed count is process-global; tests that arm a guard, or assert
+    /// that none is armed, must not interleave.
+    static ARM_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn locked() -> std::sync::MutexGuard<'static, ()> {
+        ARM_TEST_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn unarmed_checks_are_free_and_ok() {
+        let _serial = locked();
         assert!(!armed());
         assert!(current().is_none());
         assert!(checkpoint().is_ok());
@@ -456,6 +465,7 @@ mod tests {
 
     #[test]
     fn zero_timeout_trips_at_first_checkpoint() {
+        let _serial = locked();
         let guard = Guard::new(Some(0), None, None);
         assert!(guard.is_limited());
         let _scope = arm(&guard);
@@ -468,6 +478,7 @@ mod tests {
 
     #[test]
     fn trace_budget_trips_once_consumed() {
+        let _serial = locked();
         let guard = Guard::new(None, Some(10), None);
         let _scope = arm(&guard);
         assert!(consume_trace_tuples(6).is_ok());
@@ -478,6 +489,7 @@ mod tests {
 
     #[test]
     fn eval_budget_trips_once_consumed() {
+        let _serial = locked();
         let guard = Guard::new(None, None, Some(5));
         let _scope = arm(&guard);
         assert!(consume_eval_rows(5).is_ok());
@@ -488,6 +500,7 @@ mod tests {
 
     #[test]
     fn cancel_trips_every_clone() {
+        let _serial = locked();
         let guard = Guard::new(None, None, None);
         let clone = guard.clone();
         let _scope = arm(&clone);
@@ -497,6 +510,7 @@ mod tests {
 
     #[test]
     fn arm_scopes_nest_and_restore() {
+        let _serial = locked();
         let outer = Guard::new(None, Some(1), None);
         let inner = Guard::new(None, Some(2), None);
         {
@@ -516,6 +530,7 @@ mod tests {
 
     #[test]
     fn rearm_shares_budgets_across_threads() {
+        let _serial = locked();
         let guard = Guard::new(None, Some(10), None);
         let _scope = arm(&guard);
         let carried = current().expect("armed");
@@ -531,6 +546,7 @@ mod tests {
 
     #[test]
     fn enforce_panics_with_the_error_and_catch_trip_recovers_it() {
+        let _serial = locked();
         let guard = Guard::new(None, None, None);
         guard.cancel();
         let result: Result<(), ResourceError> = catch_trip(|| {
@@ -547,6 +563,7 @@ mod tests {
 
     #[test]
     fn trips_are_counted_once_per_guard() {
+        let _serial = locked();
         let before = guard_stats();
         let guard = Guard::new(None, Some(0), None);
         let _scope = arm(&guard);

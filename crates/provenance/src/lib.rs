@@ -30,7 +30,7 @@ pub mod trace;
 
 pub use alternative::{OpSubstitution, SchemaAlternative};
 pub use annotate::{GeneralizedTrace, OpTrace, SaFlags, TraceResult, TracedTuple};
-pub use trace::{annotate_consistency, trace_plan, trace_plan_generalized};
+pub use trace::{annotate_consistency, trace_plan, trace_plan_generalized, with_pipelining};
 
 /// A stable textual signature of the substitution sets of a slice of schema
 /// alternatives, in order. Questions whose alternatives share this signature

@@ -24,6 +24,7 @@
 //! to the serial one at any `WHYNOT_THREADS` (the cross-crate determinism
 //! tests enforce this).
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -36,7 +37,6 @@ use nrab_algebra::join::{
     hash_join_enabled, join_matches_probe, join_matches_with, split_equi_join, EquiJoin, JoinBuild,
     JoinMatches, JoinSide,
 };
-use nrab_algebra::pipeline::pipelining_enabled;
 use nrab_algebra::schema::output_type;
 use nrab_algebra::{AggFunc, ProjColumn};
 use nrab_algebra::{
@@ -46,6 +46,41 @@ use whynot_exec::{par_map, par_map_range};
 
 use crate::alternative::SchemaAlternative;
 use crate::annotate::{GeneralizedTrace, OpTrace, SaFlags, TraceResult, TracedTuple};
+
+thread_local! {
+    /// Thread-local fused-replay enable flag (default: enabled). See
+    /// [`with_pipelining`].
+    static PIPELINING_ENABLED: Cell<bool> = const { Cell::new(true) };
+}
+
+/// Whether the tracer's fused replay is enabled on the current thread.
+fn pipelining_enabled() -> bool {
+    PIPELINING_ENABLED.with(Cell::get)
+}
+
+/// Runs `f` with the tracer's fused replay of 1:1 operator chains enabled or
+/// disabled on the current thread, restoring the previous setting afterwards
+/// (also on panic).
+///
+/// Disabling forces every operator back onto the operator-at-a-time replay —
+/// the knob the differential tests and the `pipeline` bench group use to
+/// compare the two replays on identical plans. Like
+/// [`nrab_algebra::with_hash_join`], the flag governs where the *decision* is
+/// made: the tracer reads it on the calling thread before any fan-out; pool
+/// workers only execute morsels of an already-compiled chain.
+pub fn with_pipelining<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
+    struct Restore {
+        previous: bool,
+    }
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let previous = self.previous;
+            PIPELINING_ENABLED.with(|c| c.set(previous));
+        }
+    }
+    let _restore = Restore { previous: PIPELINING_ENABLED.with(|c| c.replace(enabled)) };
+    f()
+}
 
 /// Traces a plan over a database under the given schema alternatives.
 ///

@@ -78,7 +78,10 @@ fn batched_service_answers_match_direct_engine_calls_and_hit_the_cache() {
             .with_alternatives(alternatives())
         })
         .collect();
-    let responses = service.explain_batch(&requests);
+    // One thread answers the batch in order, so the miss falls on the first
+    // question; which concurrent request traces first is up to the scheduler
+    // (the concurrent batch is covered by `tests/parallel_batch.rs`).
+    let responses = whynot_exec::with_threads(1, || service.explain_batch(&requests));
     assert_eq!(responses.len(), 3);
 
     // Same answers as the direct engine, question by question.

@@ -1,115 +1,37 @@
 //! The columnar ↔ row-oriented equivalence contract, end to end: for every
-//! evaluation scenario and every thread count, query answers, generalized
-//! traces, and rendered wire reports must be **bit-identical** whether the
-//! wide-flat scans take the columnar path or the row-oriented path. This is
-//! the property that makes the columnar layout a pure performance knob,
-//! exactly like `WHYNOT_THREADS`.
+//! case of the shared harness and every thread count, query answers,
+//! generalized traces, and rendered wire reports must be **bit-identical**
+//! whether the wide-flat scans take the columnar path or the row-oriented
+//! path. This is the property that makes the columnar layout a pure
+//! performance knob, exactly like `WHYNOT_THREADS`.
 
-use nested_data::{with_columnar, ColumnarBag};
-use nrab_algebra::evaluate;
-use nrab_provenance::trace_plan_generalized;
-use whynot_core::alternatives::enumerate_schema_alternatives;
-use whynot_core::backtrace::schema_backtrace;
-use whynot_core::WhyNotEngine;
-use whynot_exec::with_threads;
-use whynot_scenarios::{crime, dblp, running, tpch, twitter, Scenario};
+mod harness;
 
-/// Reduced-scale scenario set covering every dataset family and operator mix
-/// (mirrors the parallel-determinism suite). The flat TPC-H scenarios are the
-/// ones whose `flatlineitem` scans actually take the columnar path; the rest
-/// pin down that ineligible (nested, narrow) relations are unaffected.
-fn scenarios() -> Vec<Scenario> {
-    let mut scenarios = vec![running::running_example()];
-    scenarios.extend(dblp::all_dblp(40));
-    scenarios.extend(twitter::all_twitter(40));
-    scenarios.extend(tpch::all_tpch(15));
-    scenarios.extend(crime::all_crime());
-    scenarios
-}
+use harness::{Aspect, Cases, Config, Suite, REFERENCE};
+use nested_data::ColumnarBag;
+use whynot_scenarios::{dblp, tpch};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+static COLUMNAR: Suite = Suite::new(|| {
+    [1, 2, 8].map(|threads| Config { columnar: true, threads, ..REFERENCE }).to_vec()
+});
 
 #[test]
 fn query_answers_match_the_row_oriented_path() {
-    for scenario in scenarios() {
-        let reference = with_columnar(false, || {
-            evaluate(&scenario.plan, &scenario.db)
-                .unwrap_or_else(|e| panic!("{}: row evaluation failed: {e}", scenario.name))
-        });
-        for threads in THREAD_COUNTS {
-            let answer = with_threads(threads, || {
-                evaluate(&scenario.plan, &scenario.db).unwrap_or_else(|e| {
-                    panic!("{}: columnar evaluation failed: {e}", scenario.name)
-                })
-            });
-            assert!(
-                *answer == *reference,
-                "{}: columnar answer differs at {threads} thread(s)",
-                scenario.name
-            );
-        }
-    }
+    COLUMNAR.assert_clean(Aspect::Answer, Cases::All);
 }
 
 #[test]
 fn generalized_traces_match_the_row_oriented_path() {
-    for scenario in scenarios() {
-        let backtrace = schema_backtrace(&scenario.plan, &scenario.db, &scenario.why_not)
-            .unwrap_or_else(|e| panic!("{}: backtrace failed: {e}", scenario.name));
-        let sas = enumerate_schema_alternatives(
-            &scenario.plan,
-            &scenario.db,
-            &scenario.why_not,
-            &backtrace,
-            &scenario.alternatives,
-            64,
-        )
-        .unwrap_or_else(|e| panic!("{}: alternatives failed: {e}", scenario.name));
-        let reference = with_columnar(false, || {
-            trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                .unwrap_or_else(|e| panic!("{}: row trace failed: {e}", scenario.name))
-        });
-        for threads in THREAD_COUNTS {
-            let traced = with_threads(threads, || {
-                trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                    .unwrap_or_else(|e| panic!("{}: columnar trace failed: {e}", scenario.name))
-            });
-            assert!(
-                traced == reference,
-                "{}: columnar generalized trace differs at {threads} thread(s)",
-                scenario.name
-            );
-        }
-    }
+    COLUMNAR.assert_clean(Aspect::Trace, Cases::All);
 }
 
 #[test]
 fn wire_reports_match_the_row_oriented_path() {
-    use whynot_service::report::ExplanationReport;
-
-    for scenario in scenarios() {
-        let question = scenario.question();
-        let render = || {
-            let answer = WhyNotEngine::rp()
-                .explain(&question, &scenario.alternatives)
-                .unwrap_or_else(|e| panic!("{}: explain failed: {e}", scenario.name));
-            ExplanationReport::from_answer(&answer).to_json().to_compact()
-        };
-        let reference = with_columnar(false, render);
-        for threads in THREAD_COUNTS {
-            assert_eq!(
-                with_threads(threads, render),
-                reference,
-                "{}: columnar wire report differs at {threads} thread(s)",
-                scenario.name
-            );
-        }
-    }
+    COLUMNAR.assert_clean(Aspect::Report, Cases::All);
 }
 
-/// The flat TPC-H base relation is the workload the columnar layout targets:
-/// assert it actually takes the columnar path, and that every nested relation
-/// in the scenario set never does.
+/// The flat TPC-H base relation takes the columnar path; nested and narrow
+/// relations never do.
 #[test]
 fn only_wide_flat_relations_take_the_columnar_path() {
     let flat = tpch::q6(15, true);
@@ -120,17 +42,12 @@ fn only_wide_flat_relations_take_the_columnar_path() {
 
     let nested = tpch::q6(15, false);
     let orders = nested.db.relation("nestedOrders").expect("nestedOrders exists");
-    assert!(
-        orders.columnar().is_none(),
-        "nested orders hold a nested relation attribute and must stay row-oriented"
-    );
+    assert!(orders.columnar().is_none(), "nested orders must stay row-oriented");
     assert!(ColumnarBag::from_flat_bag(orders).is_none());
 
-    let d1 = dblp::all_dblp(40).remove(0);
+    let d1 = dblp::d1(40);
     for name in d1.db.relation_names() {
-        assert!(
-            d1.db.relation(name).unwrap().columnar().is_none(),
-            "DBLP relation {name} is nested/narrow and must stay row-oriented"
-        );
+        let relation = d1.db.relation(name).unwrap();
+        assert!(relation.columnar().is_none(), "DBLP relation {name} must stay row-oriented");
     }
 }

@@ -1,0 +1,372 @@
+//! The differential harness shared by the equivalence suites.
+//!
+//! For every case in [`scenarios`], the query answer `⟦Q⟧_D`, the generalized
+//! trace, and the compact wire report must be **byte-identical** under a
+//! physical configuration — the columnar layout (`with_columnar`), the
+//! partitioned hash join (`with_hash_join`), the tracer's fused replay
+//! (`with_pipelining`), `WHYNOT_THREADS`, and profiling — to the reference
+//! run with all three toggles off at one thread, unprofiled. Each suite is a
+//! [`Suite`]: a list of configurations run once per test binary, whose
+//! findings its tests assert on by aspect and case kind.
+
+#![allow(dead_code)]
+
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+
+use nested_data::{with_columnar, Bag, NestedType, PrimitiveType, TupleType, Value};
+use nrab_algebra::{
+    evaluate, with_hash_join, CmpOp, Database, Expr, JoinKind, OpId, PlanBuilder, QueryPlan,
+};
+use nrab_provenance::{
+    trace_plan_generalized, with_pipelining, GeneralizedTrace, OpSubstitution, SchemaAlternative,
+};
+use whynot_core::{AttributeAlternative, TraceProvider, WhyNotEngine, WhyNotError, WhyNotQuestion};
+use whynot_exec::with_threads;
+use whynot_obs::ProfileReport;
+use whynot_scenarios::{crime, dblp, running, tpch, twitter, Scenario};
+use whynot_service::ExplanationReport;
+
+/// One differential case: a why-not question over a paper scenario (whose
+/// wire report is compared too), or a plan traced under fixed schema
+/// alternatives.
+pub enum Case {
+    WhyNot { name: String, question: WhyNotQuestion, alternatives: Vec<AttributeAlternative> },
+    Traced { name: String, db: Database, plan: QueryPlan, sas: Vec<SchemaAlternative> },
+}
+
+impl Case {
+    pub fn name(&self) -> &str {
+        match self {
+            Case::WhyNot { name, .. } | Case::Traced { name, .. } => name,
+        }
+    }
+}
+
+/// Every case the harness runs: reduced-scale paper scenarios from every
+/// dataset family (DBLP and crime run multi-way joins, TPC-H the wide flat
+/// relations that take the columnar path, Twitter and the running example
+/// flatten-heavy plans), plus every join kind × predicate shape under two
+/// schema alternatives.
+pub fn scenarios() -> Vec<Case> {
+    let mut paper = vec![running::running_example()];
+    paper.extend(dblp::all_dblp(40));
+    paper.extend(twitter::all_twitter(40));
+    paper.extend(tpch::all_tpch(15));
+    paper.extend(crime::all_crime());
+    let mut cases: Vec<Case> = paper.into_iter().map(scenario_case).collect();
+    cases.extend(join_cases());
+    cases
+}
+
+pub fn scenario_case(s: Scenario) -> Case {
+    Case::WhyNot { question: s.question(), name: s.name, alternatives: s.alternatives }
+}
+
+/// Every join kind × predicate shape over the wide flat fact/dim relations,
+/// under the original query and an alternative that substitutes the
+/// fact-side key (so the per-SA joins extract different key columns).
+pub fn join_cases() -> Vec<Case> {
+    let db = join_database();
+    let shapes = [
+        // Pure equi: fk (Int column) = pk (Real column).
+        ("equi", Expr::cmp(Expr::attr("fk"), CmpOp::Eq, Expr::attr("pk"))),
+        // Equi plus a residual range conjunct on other typed columns.
+        (
+            "mixed",
+            Expr::and(
+                Expr::cmp(Expr::attr("fk"), CmpOp::Eq, Expr::attr("pk")),
+                Expr::cmp(Expr::attr("fseq"), CmpOp::Lt, Expr::attr("dcap")),
+            ),
+        ),
+        // Pure non-equi: no hash structure, both paths take the loop.
+        ("nonequi", Expr::cmp(Expr::attr("famount"), CmpOp::Le, Expr::attr("dscale"))),
+    ];
+    let mut cases = Vec::new();
+    for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Right, JoinKind::Full] {
+        for (shape, predicate) in &shapes {
+            let (plan, join_op) = join_plan(kind, predicate.clone());
+            let sas = vec![
+                SchemaAlternative::original(BTreeMap::new()),
+                SchemaAlternative::new(
+                    1,
+                    vec![OpSubstitution::new(join_op, "fk", "fseq")],
+                    BTreeMap::new(),
+                ),
+            ];
+            let name = format!("join {kind:?}/{shape}");
+            cases.push(Case::Traced { name, db: db.clone(), plan, sas });
+        }
+    }
+    cases
+}
+
+/// Wide flat fact/dim relations whose equi keys cross the `Int` ↔ `Real`
+/// boundary (fact keys are `Int` columns, dimension keys `Real` columns).
+/// Both clear the columnar eligibility bar (≥ 6 scalar attributes, ≥ 32
+/// rows), so equi keys are extracted from dense columns.
+pub fn join_database() -> Database {
+    let flag = || NestedType::Prim(PrimitiveType::Bool);
+    let fact_ty = TupleType::new([
+        ("fk", NestedType::int()),
+        ("fseq", NestedType::int()),
+        ("fname", NestedType::str()),
+        ("fflag", flag()),
+        ("famount", NestedType::float()),
+        ("ftag", NestedType::str()),
+    ])
+    .unwrap();
+    let dim_ty = TupleType::new([
+        ("pk", NestedType::float()),
+        ("dcap", NestedType::int()),
+        ("dname", NestedType::str()),
+        ("dflag", flag()),
+        ("dscale", NestedType::float()),
+        ("dtag", NestedType::str()),
+    ])
+    .unwrap();
+    let fact = Bag::from_values((0..64i64).map(|i| {
+        Value::tuple([
+            // Some keys match, some dangle (key domain 0..24 vs 0..16).
+            ("fk", Value::int(i % 24)),
+            ("fseq", Value::int(i)),
+            ("fname", Value::str(format!("fact-{i}"))),
+            ("fflag", Value::bool(i % 2 == 0)),
+            ("famount", Value::float(i as f64 / 4.0)),
+            ("ftag", Value::str(if i % 3 == 0 { "hot" } else { "cold" })),
+        ])
+    }));
+    let dim = Bag::from_values((0..40i64).map(|j| {
+        Value::tuple([
+            ("pk", Value::float((j % 16) as f64)),
+            ("dcap", Value::int(j * 2)),
+            ("dname", Value::str(format!("dim-{j}"))),
+            ("dflag", Value::bool(j % 2 == 1)),
+            ("dscale", Value::float(j as f64 / 8.0)),
+            ("dtag", Value::str(if j % 2 == 0 { "even" } else { "odd" })),
+        ])
+    }));
+    let mut db = Database::new();
+    db.add_relation("fact", fact_ty, fact);
+    db.add_relation("dim", dim_ty, dim);
+    db
+}
+
+/// `fact ⋈ dim` plus the join's operator id (for the per-SA substitution).
+pub fn join_plan(kind: JoinKind, predicate: Expr) -> (QueryPlan, OpId) {
+    let builder = PlanBuilder::table("fact").join(PlanBuilder::table("dim"), kind, predicate);
+    let join_op = builder.current_id();
+    (builder.build().expect("join plan builds"), join_op)
+}
+
+/// One physical configuration.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Config {
+    pub columnar: bool,
+    pub hash_join: bool,
+    pub pipelining: bool,
+    pub threads: usize,
+    pub profiled: bool,
+}
+
+pub const REFERENCE: Config =
+    Config { columnar: false, hash_join: false, pipelining: false, threads: 1, profiled: false };
+
+/// What a case produces under one configuration.
+pub struct Output {
+    pub answer: Arc<Bag>,
+    pub trace: Arc<GeneralizedTrace>,
+    pub report: Option<String>,
+}
+
+/// A trace provider that keeps the generalized trace the engine asked for.
+#[derive(Default)]
+struct Recorder(Option<Arc<GeneralizedTrace>>);
+
+impl TraceProvider for Recorder {
+    fn generalized_trace(
+        &mut self,
+        plan: &QueryPlan,
+        db: &Database,
+        sas: &[SchemaAlternative],
+    ) -> nrab_algebra::AlgebraResult<Arc<GeneralizedTrace>> {
+        let trace = Arc::new(trace_plan_generalized(plan, db, sas)?);
+        self.0 = Some(Arc::clone(&trace));
+        Ok(trace)
+    }
+}
+
+/// Computes a case's answer, generalized trace, and wire report under
+/// `config`, with the profile report when the configuration is profiled. A
+/// why-not case evaluates and traces once: question validation returns
+/// `⟦Q⟧_D`, and the engine's trace is recorded on its way to the report.
+pub fn run(case: &Case, config: Config) -> (Output, Option<ProfileReport>) {
+    let compute = || {
+        let fail = |e: &dyn std::fmt::Display| -> ! {
+            panic!("{}: failed under {config:?}: {e}", case.name())
+        };
+        match case {
+            Case::WhyNot { question, alternatives, .. } => {
+                let explain = || -> Result<Output, WhyNotError> {
+                    let answer = question.validate()?;
+                    let mut recorder = Recorder::default();
+                    let explained = WhyNotEngine::rp().explain_with_tracer(
+                        question,
+                        alternatives,
+                        answer.total(),
+                        &mut recorder,
+                    )?;
+                    let report = ExplanationReport::from_answer(&explained).to_json().to_compact();
+                    let trace = recorder.0.expect("the engine traces");
+                    Ok(Output { answer, trace, report: Some(report) })
+                };
+                explain().unwrap_or_else(|e| fail(&e))
+            }
+            Case::Traced { db, plan, sas, .. } => Output {
+                answer: evaluate(plan, db).unwrap_or_else(|e| fail(&e)),
+                trace: Arc::new(trace_plan_generalized(plan, db, sas).unwrap_or_else(|e| fail(&e))),
+                report: None,
+            },
+        }
+    };
+    with_threads(config.threads, || {
+        with_columnar(config.columnar, || {
+            with_hash_join(config.hash_join, || {
+                with_pipelining(config.pipelining, || {
+                    if config.profiled {
+                        let (output, profile) = whynot_obs::profile(compute);
+                        (output, Some(profile))
+                    } else {
+                        (compute(), None)
+                    }
+                })
+            })
+        })
+    })
+}
+
+/// What a comparison checks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Aspect {
+    /// The query answer `⟦Q⟧_D`.
+    Answer,
+    /// The generalized trace, and under profiling the trace-size counter.
+    Trace,
+    /// The compact wire report of a why-not case.
+    Report,
+    /// The profile signature, identical across a suite's profiled runs.
+    Profile,
+}
+
+/// Which cases an assertion covers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cases {
+    /// Every case.
+    All,
+    /// The why-not questions over the paper scenarios.
+    Scenarios,
+    /// The join kind × predicate matrix.
+    Joins,
+}
+
+/// One difference from the reference.
+#[derive(Debug)]
+struct Finding {
+    aspect: Aspect,
+    scenario: bool,
+    message: String,
+}
+
+/// A list of configurations checked against the reference over every case,
+/// once per test binary however many tests assert on the findings.
+pub struct Suite {
+    configs: fn() -> Vec<Config>,
+    findings: OnceLock<Vec<Finding>>,
+}
+
+impl Suite {
+    pub const fn new(configs: fn() -> Vec<Config>) -> Self {
+        Suite { configs, findings: OnceLock::new() }
+    }
+
+    /// Asserts that no case in `cases` differs from the reference in
+    /// `aspect` under any of the suite's configurations.
+    pub fn assert_clean(&self, aspect: Aspect, cases: Cases) {
+        let findings = self.findings.get_or_init(|| differences(&(self.configs)()));
+        let failures: Vec<&str> = findings
+            .iter()
+            .filter(|f| f.aspect == aspect)
+            .filter(|f| match cases {
+                Cases::All => true,
+                Cases::Scenarios => f.scenario,
+                Cases::Joins => !f.scenario,
+            })
+            .map(|f| f.message.as_str())
+            .collect();
+        assert!(failures.is_empty(), "{aspect:?} differs:\n{}", failures.join("\n"));
+    }
+}
+
+/// Every difference from the reference under `configs`, over every case.
+/// Cases are independent: they are spread over the machine's cores (every
+/// toggle is thread-local, so concurrent cases cannot see each other's).
+fn differences(configs: &[Config]) -> Vec<Finding> {
+    let cases = scenarios();
+    let next = AtomicUsize::new(0);
+    let findings = Mutex::new(Vec::new());
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                while let Some(case) = cases.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let found = compare(case, configs);
+                    findings.lock().unwrap().extend(found);
+                }
+            });
+        }
+    });
+    let mut findings = findings.into_inner().unwrap();
+    findings.sort_by(|a, b| a.message.cmp(&b.message));
+    findings
+}
+
+/// One case's differences from the reference under `configs`.
+fn compare(case: &Case, configs: &[Config]) -> Vec<Finding> {
+    let name = case.name();
+    let scenario = matches!(case, Case::WhyNot { .. });
+    let mut found = Vec::new();
+    let mut differ = |aspect: Aspect, message: String| {
+        found.push(Finding { aspect, scenario, message: format!("{name}: {message}") })
+    };
+    let (reference, _) = run(case, REFERENCE);
+    let mut first_signature: Option<String> = None;
+    for &config in configs {
+        let (output, profile) = run(case, config);
+        if *output.answer != *reference.answer {
+            differ(Aspect::Answer, format!("answer differs under {config:?}"));
+        }
+        if output.trace != reference.trace {
+            differ(Aspect::Trace, format!("trace differs under {config:?}"));
+        }
+        if output.report != reference.report {
+            differ(Aspect::Report, format!("report differs under {config:?}"));
+        }
+        let Some(profile) = profile else { continue };
+        // Profiling only observes: the trace-size counter sees exactly the
+        // tuples the (one) trace holds, and the deterministic part of the
+        // profile is identical at every thread count.
+        let counted = profile.root.counter_total("trace.total_tuples");
+        if counted != output.trace.tuple_count() as u64 {
+            differ(Aspect::Trace, format!("trace-size counter is {counted} under {config:?}"));
+        }
+        if profile.root.span_nodes() == 0 {
+            differ(Aspect::Profile, format!("no spans recorded under {config:?}"));
+        }
+        let signature = profile.signature();
+        if *first_signature.get_or_insert_with(|| signature.clone()) != signature {
+            differ(Aspect::Profile, format!("profile signature differs under {config:?}"));
+        }
+    }
+    found
+}

@@ -1,259 +1,50 @@
 //! The hash-join ↔ nested-loop equivalence contract, end to end: for every
-//! scenario family, every join kind, and every thread count, query answers,
-//! generalized traces, and rendered wire reports must be **bit-identical**
-//! whether joins run through the partitioned hash join or the forced nested
-//! loop (`with_hash_join(false, ..)`), and whether the scans underneath take
-//! the columnar or the row-oriented path (`with_columnar(false, ..)`). This
-//! is what makes the shared join core of `nrab_algebra::join` a pure
-//! physical-operator choice, exactly like `WHYNOT_THREADS` and the columnar
-//! layout.
+//! case of the shared harness, every thread count, and either scan layout,
+//! query answers, generalized traces, and rendered wire reports must be
+//! **bit-identical** whether equi joins take the partitioned hash join or the
+//! nested loop. The join cases cover every join kind × predicate shape under
+//! two schema alternatives, with keys crossing the `Int` ↔ `Real` boundary.
 
-use std::collections::BTreeMap;
+mod harness;
 
-use nested_data::{with_columnar, Bag, NestedType, TupleType, Value};
-use nrab_algebra::{
-    evaluate, with_hash_join, CmpOp, Database, Expr, JoinKind, PlanBuilder, QueryPlan,
-};
-use nrab_provenance::{trace_plan_generalized, OpSubstitution, SchemaAlternative};
-use whynot_core::WhyNotEngine;
-use whynot_exec::with_threads;
-use whynot_scenarios::{crime, dblp, running, tpch, twitter, Scenario};
+use harness::{join_database, join_plan, Aspect, Cases, Config, Suite, REFERENCE};
+use nested_data::Value;
+use nrab_algebra::{evaluate, with_hash_join, CmpOp, Expr, JoinKind};
 
-/// Reduced-scale scenario set covering every dataset family and operator mix
-/// (mirrors the columnar-equivalence suite): DBLP and crime run multi-way
-/// inner joins, TPC-H joins the wide flat relations whose keys come from
-/// typed columns, Twitter and the running example exercise flatten-heavy
-/// plans around them.
-fn scenarios() -> Vec<Scenario> {
-    let mut scenarios = vec![running::running_example()];
-    scenarios.extend(dblp::all_dblp(40));
-    scenarios.extend(twitter::all_twitter(40));
-    scenarios.extend(tpch::all_tpch(15));
-    scenarios.extend(crime::all_crime());
-    scenarios
-}
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+static HASH_JOIN: Suite = Suite::new(|| {
+    let mut configs = Vec::new();
+    for threads in [1, 2, 8] {
+        for columnar in [false, true] {
+            configs.push(Config { hash_join: true, columnar, threads, ..REFERENCE });
+        }
+    }
+    configs
+});
 
 #[test]
 fn scenario_answers_match_the_nested_loop() {
-    for scenario in scenarios() {
-        let reference = with_hash_join(false, || {
-            with_columnar(false, || {
-                evaluate(&scenario.plan, &scenario.db)
-                    .unwrap_or_else(|e| panic!("{}: nested-loop eval failed: {e}", scenario.name))
-            })
-        });
-        for threads in THREAD_COUNTS {
-            for columnar in [false, true] {
-                let answer = with_threads(threads, || {
-                    with_columnar(columnar, || {
-                        evaluate(&scenario.plan, &scenario.db).unwrap_or_else(|e| {
-                            panic!("{}: hash-join eval failed: {e}", scenario.name)
-                        })
-                    })
-                });
-                assert!(
-                    *answer == *reference,
-                    "{}: hash-join answer differs at {threads} thread(s), columnar={columnar}",
-                    scenario.name
-                );
-            }
-        }
-    }
+    HASH_JOIN.assert_clean(Aspect::Answer, Cases::Scenarios);
 }
 
 #[test]
 fn scenario_traces_match_the_nested_loop() {
-    use whynot_core::alternatives::enumerate_schema_alternatives;
-    use whynot_core::backtrace::schema_backtrace;
-
-    for scenario in scenarios() {
-        let backtrace = schema_backtrace(&scenario.plan, &scenario.db, &scenario.why_not)
-            .unwrap_or_else(|e| panic!("{}: backtrace failed: {e}", scenario.name));
-        let sas = enumerate_schema_alternatives(
-            &scenario.plan,
-            &scenario.db,
-            &scenario.why_not,
-            &backtrace,
-            &scenario.alternatives,
-            64,
-        )
-        .unwrap_or_else(|e| panic!("{}: alternatives failed: {e}", scenario.name));
-        let reference = with_hash_join(false, || {
-            trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                .unwrap_or_else(|e| panic!("{}: nested-loop trace failed: {e}", scenario.name))
-        });
-        for threads in THREAD_COUNTS {
-            let traced = with_threads(threads, || {
-                trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                    .unwrap_or_else(|e| panic!("{}: hash-join trace failed: {e}", scenario.name))
-            });
-            assert!(
-                traced == reference,
-                "{}: hash-join generalized trace differs at {threads} thread(s)",
-                scenario.name
-            );
-        }
-    }
+    HASH_JOIN.assert_clean(Aspect::Trace, Cases::Scenarios);
 }
 
 #[test]
 fn scenario_wire_reports_match_the_nested_loop() {
-    use whynot_service::report::ExplanationReport;
-
-    for scenario in scenarios() {
-        let question = scenario.question();
-        let render = || {
-            let answer = WhyNotEngine::rp()
-                .explain(&question, &scenario.alternatives)
-                .unwrap_or_else(|e| panic!("{}: explain failed: {e}", scenario.name));
-            ExplanationReport::from_answer(&answer).to_json().to_compact()
-        };
-        let reference = with_hash_join(false, render);
-        for threads in THREAD_COUNTS {
-            assert_eq!(
-                with_threads(threads, render),
-                reference,
-                "{}: hash-join wire report differs at {threads} thread(s)",
-                scenario.name
-            );
-        }
-    }
+    HASH_JOIN.assert_clean(Aspect::Report, Cases::Scenarios);
 }
 
-/// Wide flat fact/dim relations whose equi keys cross the `Int` ↔ `Real`
-/// boundary: the fact keys are typed `Int` columns, the dimension keys typed
-/// `Real` columns, so bucket canonicalization must widen exactly like `=`
-/// does on the row path. Both relations clear the columnar eligibility bar
-/// (≥ 6 scalar attributes, ≥ 32 rows), so equi keys are extracted from dense
-/// columns.
-fn join_database() -> Database {
-    let fact_ty = TupleType::new([
-        ("fk", NestedType::int()),
-        ("fseq", NestedType::int()),
-        ("fname", NestedType::str()),
-        ("fflag", NestedType::Prim(nested_data::PrimitiveType::Bool)),
-        ("famount", NestedType::float()),
-        ("ftag", NestedType::str()),
-    ])
-    .unwrap();
-    let dim_ty = TupleType::new([
-        ("pk", NestedType::float()),
-        ("dcap", NestedType::int()),
-        ("dname", NestedType::str()),
-        ("dflag", NestedType::Prim(nested_data::PrimitiveType::Bool)),
-        ("dscale", NestedType::float()),
-        ("dtag", NestedType::str()),
-    ])
-    .unwrap();
-    let fact = Bag::from_values((0..64i64).map(|i| {
-        Value::tuple([
-            // Some keys match, some dangle (key domain 0..24 vs 0..16).
-            ("fk", Value::int(i % 24)),
-            ("fseq", Value::int(i)),
-            ("fname", Value::str(format!("fact-{i}"))),
-            ("fflag", Value::bool(i % 2 == 0)),
-            ("famount", Value::float(i as f64 / 4.0)),
-            ("ftag", Value::str(if i % 3 == 0 { "hot" } else { "cold" })),
-        ])
-    }));
-    let dim = Bag::from_values((0..40i64).map(|j| {
-        Value::tuple([
-            ("pk", Value::float((j % 16) as f64)),
-            ("dcap", Value::int(j * 2)),
-            ("dname", Value::str(format!("dim-{j}"))),
-            ("dflag", Value::bool(j % 2 == 1)),
-            ("dscale", Value::float(j as f64 / 8.0)),
-            ("dtag", Value::str(if j % 2 == 0 { "even" } else { "odd" })),
-        ])
-    }));
-    let mut db = Database::new();
-    db.add_relation("fact", fact_ty, fact);
-    db.add_relation("dim", dim_ty, dim);
-    db
-}
-
-/// The join plan under test plus the operator id of its join node (for the
-/// per-SA predicate substitution).
-fn join_plan(kind: JoinKind, predicate: Expr) -> (QueryPlan, nrab_algebra::OpId) {
-    let builder = PlanBuilder::table("fact").join(PlanBuilder::table("dim"), kind, predicate);
-    let join_op = builder.current_id();
-    (builder.build().expect("join plan builds"), join_op)
-}
-
-fn join_predicates() -> Vec<(&'static str, Expr)> {
-    vec![
-        // Pure equi: fk (Int column) = pk (Real column).
-        ("equi", Expr::cmp(Expr::attr("fk"), CmpOp::Eq, Expr::attr("pk"))),
-        // Equi plus a residual range conjunct on other typed columns.
-        (
-            "mixed",
-            Expr::and(
-                Expr::cmp(Expr::attr("fk"), CmpOp::Eq, Expr::attr("pk")),
-                Expr::cmp(Expr::attr("fseq"), CmpOp::Lt, Expr::attr("dcap")),
-            ),
-        ),
-        // Pure non-equi: no hash structure, both paths must take the loop.
-        ("nonequi", Expr::cmp(Expr::attr("famount"), CmpOp::Le, Expr::attr("dscale"))),
-    ]
-}
-
-/// Every join kind × predicate shape: answers and generalized traces under
-/// two schema alternatives (the second substitutes the fact-side key, so the
-/// per-SA joins extract different key columns) are identical between the
-/// hash join and the forced nested loop at every thread count.
 #[test]
 fn join_kind_matrix_is_physical_only() {
-    let db = join_database();
-    for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Right, JoinKind::Full] {
-        for (shape, predicate) in join_predicates() {
-            let (plan, join_op) = join_plan(kind, predicate);
-            let sas = vec![
-                SchemaAlternative::original(BTreeMap::new()),
-                SchemaAlternative::new(
-                    1,
-                    vec![OpSubstitution::new(join_op, "fk", "fseq")],
-                    BTreeMap::new(),
-                ),
-            ];
-            let reference_answer = with_hash_join(false, || {
-                with_columnar(false, || evaluate(&plan, &db).expect("nested-loop eval"))
-            });
-            let reference_trace = with_hash_join(false, || {
-                with_columnar(false, || {
-                    trace_plan_generalized(&plan, &db, &sas).expect("nested-loop trace")
-                })
-            });
-            for threads in THREAD_COUNTS {
-                for columnar in [false, true] {
-                    let (answer, trace) = with_threads(threads, || {
-                        with_columnar(columnar, || {
-                            (
-                                evaluate(&plan, &db).expect("hash eval"),
-                                trace_plan_generalized(&plan, &db, &sas).expect("hash trace"),
-                            )
-                        })
-                    });
-                    assert!(
-                        *answer == *reference_answer,
-                        "{kind:?}/{shape}: answer differs at {threads} thread(s), \
-                         columnar={columnar}"
-                    );
-                    assert!(
-                        trace == reference_trace,
-                        "{kind:?}/{shape}: trace differs at {threads} thread(s), \
-                         columnar={columnar}"
-                    );
-                }
-            }
-        }
-    }
+    HASH_JOIN.assert_clean(Aspect::Answer, Cases::Joins);
+    HASH_JOIN.assert_clean(Aspect::Trace, Cases::Joins);
 }
 
-/// Pin the coercion contract on a whole-plan result: joining an `Int` key
-/// column against a `Real` key column finds exactly the pairs the row path
-/// finds, and the dangling keys pad identically under a full outer join.
+/// Joining an `Int` key column against a `Real` one finds exactly the pairs
+/// the nested loop finds, and dangling keys pad identically under a full
+/// outer join.
 #[test]
 fn mixed_int_real_keys_join_identically() {
     let db = join_database();
@@ -262,15 +53,15 @@ fn mixed_int_real_keys_join_identically() {
     let hashed = evaluate(&plan, &db).expect("hash eval");
     let looped = with_hash_join(false, || evaluate(&plan, &db).expect("loop eval"));
     assert!(*hashed == *looped);
-    // Sanity: the join actually matched across the Int/Real boundary (fk in
-    // 0..16 finds a dim row), and dangling fact keys (16..24) padded.
-    assert!(hashed.iter().any(|(v, _)| {
-        let t = v.as_tuple().unwrap();
-        t.get("fk").map(|k| k == &Value::int(3)).unwrap_or(false) && t.get("dname").is_some()
-    }));
-    assert!(hashed.iter().any(|(v, _)| {
-        let t = v.as_tuple().unwrap();
-        t.get("fk").map(|k| k == &Value::int(20)).unwrap_or(false)
-            && t.get("dname") == Some(&Value::Null)
-    }));
+    let has_row = |fk: i64, matched: bool| {
+        hashed.iter().any(|(v, _)| {
+            let t = v.as_tuple().unwrap();
+            t.get("fk") == Some(&Value::int(fk))
+                && t.get("dname").is_some_and(|d| (d != &Value::Null) == matched)
+        })
+    };
+    // fk in 0..16 finds a dim row across the Int/Real boundary; fk in 16..24
+    // dangles and pads.
+    assert!(has_row(3, true));
+    assert!(has_row(20, false));
 }

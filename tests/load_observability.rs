@@ -25,10 +25,16 @@ use whynot_service::{
     timeline_from_chrome_json, timeline_to_chrome_json, ExplainService, Json, METRICS_CAPACITY,
 };
 
-/// Timeline and profile sessions are process-global (one at a time); the
-/// tests that open one serialize on this lock so the default multi-threaded
-/// test runner cannot make two sessions overlap.
+/// Timeline and profile sessions are process-global: while one is open,
+/// every span in the process is recorded into it, so a span of a concurrent
+/// test could begin inside a session and end after it. Every test here
+/// serializes on this lock so the default multi-threaded test runner cannot
+/// make a session overlap other work.
 static SESSION_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SESSION_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A small but multi-scenario run: several distinct trace keys, several
 /// waves, a non-trivial warmup.
@@ -46,6 +52,7 @@ fn small_config() -> LoadgenConfig {
 
 #[test]
 fn loadgen_structure_is_identical_at_any_thread_count() {
+    let _session = serial();
     let config = small_config();
     let signatures: Vec<String> = [1usize, 2, 8]
         .iter()
@@ -73,6 +80,7 @@ fn loadgen_structure_is_identical_at_any_thread_count() {
 
 #[test]
 fn loadgen_seeds_change_the_schedule() {
+    let _session = serial();
     let base = small_config();
     let reseeded = LoadgenConfig { seed: 43, ..base.clone() };
     let a = run(&base).expect("load run succeeds");
@@ -82,7 +90,7 @@ fn loadgen_seeds_change_the_schedule() {
 
 #[test]
 fn chrome_trace_export_balances_and_round_trips() {
-    let _session = SESSION_LOCK.lock().unwrap();
+    let _session = serial();
     let config = LoadgenConfig { requests: 8, warmup: 2, ..small_config() };
     let (report, timeline) =
         whynot_obs::timeline::record(|| run(&config).expect("load run succeeds"));
@@ -116,7 +124,7 @@ fn chrome_trace_export_balances_and_round_trips() {
 
 #[test]
 fn folded_stacks_expose_the_service_span_paths() {
-    let _session = SESSION_LOCK.lock().unwrap();
+    let _session = serial();
     let config = LoadgenConfig { requests: 8, warmup: 2, ..small_config() };
     let (report, profile) = whynot_obs::profile(|| run(&config).expect("load run succeeds"));
     assert!(report.measured_requests > 0);
@@ -136,6 +144,7 @@ fn folded_stacks_expose_the_service_span_paths() {
 
 #[test]
 fn metrics_wire_op_serves_the_process_time_series() {
+    let _session = serial();
     let service = ExplainService::new();
     let request = Json::parse(r#"{"op": "metrics"}"#).unwrap();
     let response = service.handle_wire(&request).expect("metrics op answers");
@@ -166,6 +175,7 @@ fn metrics_wire_op_serves_the_process_time_series() {
 
 #[test]
 fn stats_wire_op_carries_the_new_observability_fields() {
+    let _session = serial();
     let service = ExplainService::new();
     let stats =
         service.handle_wire(&Json::parse(r#"{"op": "stats"}"#).unwrap()).expect("stats op answers");

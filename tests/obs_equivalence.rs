@@ -1,168 +1,49 @@
 //! The observability contract, end to end: profiling is a pure *observer*.
 //!
-//! Two properties over every evaluation scenario family (running example,
-//! DBLP, Twitter, TPC-H, crime):
-//!
 //! * **Determinism across thread counts** — the deterministic part of a
 //!   profile report ([`whynot_obs::ProfileReport::signature`]: span structure,
 //!   counts, counters; wall times and meta excluded) is byte-identical at
-//!   `WHYNOT_THREADS` 1, 2, and 8. Worker-side spans are merged in
-//!   participant order and aggregated by name, so chunk stealing cannot leak
-//!   into the report.
-//! * **Equivalence on/off** — query answers, generalized traces, and rendered
-//!   wire reports are bit-identical with profiling enabled vs disabled.
+//!   `WHYNOT_THREADS` 1, 2, and 8.
+//! * **Equivalence on/off** — query answers, generalized traces (and the
+//!   trace-size counter), and rendered wire reports are bit-identical with
+//!   profiling enabled vs disabled, over every case of the shared harness.
 
-use nrab_algebra::evaluate;
-use nrab_provenance::trace_plan_generalized;
-use whynot_core::alternatives::enumerate_schema_alternatives;
-use whynot_core::backtrace::schema_backtrace;
-use whynot_core::WhyNotEngine;
-use whynot_exec::with_threads;
-use whynot_scenarios::{crime, dblp, running, tpch, twitter, Scenario};
-use whynot_service::report::ExplanationReport;
-use whynot_service::service::{DbRef, ExplainRequest, PlanRef};
-use whynot_service::ExplainService;
+mod harness;
 
-/// Reduced-scale scenario set covering every dataset family and operator mix
-/// (mirrors the columnar and parallel-determinism suites).
-fn scenarios() -> Vec<Scenario> {
-    let mut scenarios = vec![running::running_example()];
-    scenarios.extend(dblp::all_dblp(40));
-    scenarios.extend(twitter::all_twitter(40));
-    scenarios.extend(tpch::all_tpch(15));
-    scenarios.extend(crime::all_crime());
-    scenarios
-}
+use harness::{run, scenario_case, Aspect, Cases, Config, Suite, REFERENCE};
+use whynot_scenarios::running;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// One full service-layer explanation under a fresh service (so the
-/// cache-hit/miss counters are deterministic: always one miss).
-fn profiled_request(scenario: &Scenario) -> whynot_obs::ProfileReport {
-    let mut service = ExplainService::new();
-    service.catalog_mut().register_database(scenario.name.clone(), scenario.db.clone());
-    service.catalog_mut().register_plan(scenario.name.clone(), scenario.plan.clone());
-    let request = ExplainRequest::new(
-        DbRef::Named(scenario.name.clone()),
-        PlanRef::Named(scenario.name.clone()),
-        scenario.why_not.clone(),
-    )
-    .with_alternatives(scenario.alternatives.clone());
-    let (response, report) = whynot_obs::profile(|| service.explain(&request));
-    response.unwrap_or_else(|e| panic!("{}: explain failed: {e}", scenario.name));
-    report
-}
+static PROFILED: Suite = Suite::new(|| {
+    [1, 2, 8].map(|threads| Config { profiled: true, threads, ..REFERENCE }).to_vec()
+});
 
 #[test]
 fn profile_signatures_are_identical_across_thread_counts() {
-    for scenario in scenarios() {
-        let reference = with_threads(1, || profiled_request(&scenario));
-        assert!(reference.root.span_nodes() > 0, "{}: profiling recorded no spans", scenario.name);
-        for threads in THREAD_COUNTS {
-            let report = with_threads(threads, || profiled_request(&scenario));
-            assert_eq!(
-                report.signature(),
-                reference.signature(),
-                "{}: profile signature differs at {threads} thread(s)",
-                scenario.name
-            );
-        }
-    }
+    PROFILED.assert_clean(Aspect::Profile, Cases::All);
 }
 
 #[test]
 fn query_answers_are_unchanged_by_profiling() {
-    for scenario in scenarios() {
-        let reference = evaluate(&scenario.plan, &scenario.db)
-            .unwrap_or_else(|e| panic!("{}: evaluation failed: {e}", scenario.name));
-        for threads in THREAD_COUNTS {
-            let (answer, _report) = with_threads(threads, || {
-                whynot_obs::profile(|| {
-                    evaluate(&scenario.plan, &scenario.db).unwrap_or_else(|e| {
-                        panic!("{}: profiled evaluation failed: {e}", scenario.name)
-                    })
-                })
-            });
-            assert!(
-                *answer == *reference,
-                "{}: profiled answer differs at {threads} thread(s)",
-                scenario.name
-            );
-        }
-    }
+    PROFILED.assert_clean(Aspect::Answer, Cases::All);
 }
 
 #[test]
 fn generalized_traces_are_unchanged_by_profiling() {
-    for scenario in scenarios() {
-        let backtrace = schema_backtrace(&scenario.plan, &scenario.db, &scenario.why_not)
-            .unwrap_or_else(|e| panic!("{}: backtrace failed: {e}", scenario.name));
-        let sas = enumerate_schema_alternatives(
-            &scenario.plan,
-            &scenario.db,
-            &scenario.why_not,
-            &backtrace,
-            &scenario.alternatives,
-            64,
-        )
-        .unwrap_or_else(|e| panic!("{}: alternatives failed: {e}", scenario.name));
-        let reference = trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-            .unwrap_or_else(|e| panic!("{}: trace failed: {e}", scenario.name));
-        for threads in THREAD_COUNTS {
-            let (traced, report) = with_threads(threads, || {
-                whynot_obs::profile(|| {
-                    trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                        .unwrap_or_else(|e| panic!("{}: profiled trace failed: {e}", scenario.name))
-                })
-            });
-            assert!(
-                traced == reference,
-                "{}: profiled generalized trace differs at {threads} thread(s)",
-                scenario.name
-            );
-            // The trace-size counter sees exactly the tuples the trace holds.
-            assert_eq!(
-                report.counter_total("trace.total_tuples"),
-                traced.tuple_count() as u64,
-                "{}: trace-size counter is wrong at {threads} thread(s)",
-                scenario.name
-            );
-        }
-    }
+    PROFILED.assert_clean(Aspect::Trace, Cases::All);
 }
 
 #[test]
 fn wire_reports_are_unchanged_by_profiling() {
-    for scenario in scenarios() {
-        let question = scenario.question();
-        let render = || {
-            let answer = WhyNotEngine::rp()
-                .explain(&question, &scenario.alternatives)
-                .unwrap_or_else(|e| panic!("{}: explain failed: {e}", scenario.name));
-            ExplanationReport::from_answer(&answer).to_json().to_compact()
-        };
-        let reference = render();
-        for threads in THREAD_COUNTS {
-            let (rendered, _report) = with_threads(threads, || whynot_obs::profile(render));
-            assert_eq!(
-                rendered, reference,
-                "{}: profiled wire report differs at {threads} thread(s)",
-                scenario.name
-            );
-        }
-    }
+    PROFILED.assert_clean(Aspect::Report, Cases::All);
 }
 
 /// Profiling sessions are scoped per thread: a fresh session right after a
-/// profiled request starts from an empty collector — nothing leaks across
-/// sessions. (The process-wide enabled flag itself is covered by the
-/// `whynot-obs` unit tests; it is not asserted here because sibling tests
-/// run their own sessions concurrently.)
+/// profiled request starts from an empty collector.
 #[test]
 fn sessions_do_not_leak_spans() {
-    let scenario = running::running_example();
-    let first = profiled_request(&scenario);
-    assert!(first.root.span_nodes() > 0);
+    let case = scenario_case(running::running_example());
+    let (_, profile) = run(&case, Config { profiled: true, ..REFERENCE });
+    assert!(profile.expect("profiled").root.span_nodes() > 0);
     let (_, empty) = whynot_obs::profile(|| ());
     assert_eq!(empty.root.span_nodes(), 0, "{}", empty.signature());
 }

@@ -1,143 +1,65 @@
 //! The determinism contract of the parallel execution subsystem, end to end:
-//! for every evaluation scenario and every thread count, the generalized
-//! trace, the full engine answer, and the rendered service report must be
+//! for every case of the shared harness and every thread count, the query
+//! answer, the generalized trace, and the rendered wire report must be
 //! **bit-identical** to the serial run. This is the property that makes
 //! `WHYNOT_THREADS` a pure performance knob.
 
-use nested_datagen::{dblp_database, twitter_database, DblpConfig, TwitterConfig};
-use nrab_provenance::trace_plan_generalized;
-use whynot_core::alternatives::enumerate_schema_alternatives;
-use whynot_core::backtrace::schema_backtrace;
-use whynot_core::WhyNotEngine;
+mod harness;
+
+use harness::{Aspect, Cases, Config, Suite, REFERENCE};
+use nested_datagen::{
+    dblp_database, tpch_nested_database, twitter_database, DblpConfig, TpchConfig, TwitterConfig,
+};
 use whynot_exec::with_threads;
-use whynot_scenarios::{crime, dblp, running, tpch, twitter, Scenario};
 
-/// Reduced-scale scenario set covering every dataset family and operator mix
-/// (full scales would make the suite needlessly slow).
-fn scenarios() -> Vec<Scenario> {
-    let mut scenarios = vec![running::running_example()];
-    scenarios.extend(dblp::all_dblp(40));
-    scenarios.extend(twitter::all_twitter(40));
-    scenarios.extend(tpch::all_tpch(15));
-    scenarios.extend(crime::all_crime());
-    scenarios
-}
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-#[test]
-fn generalized_traces_are_bit_identical_across_thread_counts() {
-    for scenario in scenarios() {
-        let backtrace = schema_backtrace(&scenario.plan, &scenario.db, &scenario.why_not)
-            .unwrap_or_else(|e| panic!("{}: backtrace failed: {e}", scenario.name));
-        let sas = enumerate_schema_alternatives(
-            &scenario.plan,
-            &scenario.db,
-            &scenario.why_not,
-            &backtrace,
-            &scenario.alternatives,
-            64,
-        )
-        .unwrap_or_else(|e| panic!("{}: alternatives failed: {e}", scenario.name));
-        let reference = with_threads(1, || {
-            trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                .unwrap_or_else(|e| panic!("{}: serial trace failed: {e}", scenario.name))
-        });
-        for threads in THREAD_COUNTS {
-            let traced = with_threads(threads, || {
-                trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                    .unwrap_or_else(|e| panic!("{}: parallel trace failed: {e}", scenario.name))
-            });
-            assert!(
-                traced == reference,
-                "{}: generalized trace differs at {threads} thread(s)",
-                scenario.name
-            );
-        }
-    }
-}
+static THREADS: Suite =
+    Suite::new(|| [2, 8].map(|threads| Config { threads, ..REFERENCE }).to_vec());
 
 #[test]
 fn engine_answers_are_identical_across_thread_counts() {
-    for scenario in scenarios() {
-        let question = scenario.question();
-        let reference = with_threads(1, || {
-            WhyNotEngine::rp()
-                .explain(&question, &scenario.alternatives)
-                .unwrap_or_else(|e| panic!("{}: serial explain failed: {e}", scenario.name))
-        });
-        for threads in THREAD_COUNTS {
-            let answer = with_threads(threads, || {
-                WhyNotEngine::rp()
-                    .explain(&question, &scenario.alternatives)
-                    .unwrap_or_else(|e| panic!("{}: parallel explain failed: {e}", scenario.name))
-            });
-            assert_eq!(
-                answer.explanations, reference.explanations,
-                "{}: explanations differ at {threads} thread(s)",
-                scenario.name
-            );
-            assert_eq!(answer.original_result_size, reference.original_result_size);
-        }
-    }
+    THREADS.assert_clean(Aspect::Answer, Cases::All);
+}
+
+#[test]
+fn generalized_traces_are_bit_identical_across_thread_counts() {
+    THREADS.assert_clean(Aspect::Trace, Cases::All);
 }
 
 #[test]
 fn service_reports_are_byte_identical_across_thread_counts() {
-    use whynot_service::report::ExplanationReport;
-
-    for scenario in scenarios() {
-        let question = scenario.question();
-        let render = |threads: usize| {
-            with_threads(threads, || {
-                let answer = WhyNotEngine::rp()
-                    .explain(&question, &scenario.alternatives)
-                    .unwrap_or_else(|e| panic!("{}: explain failed: {e}", scenario.name));
-                ExplanationReport::from_answer(&answer).to_json().to_compact()
-            })
-        };
-        let reference = render(1);
-        for threads in THREAD_COUNTS {
-            assert_eq!(
-                render(threads),
-                reference,
-                "{}: wire report differs at {threads} thread(s)",
-                scenario.name
-            );
-        }
-    }
+    THREADS.assert_clean(Aspect::Report, Cases::All);
 }
 
 #[test]
 fn parallel_data_generation_is_bit_identical_to_serial() {
-    let serial_dblp = with_threads(1, || dblp_database(DblpConfig { scale: 120, seed: 7 }));
-    let serial_twitter =
-        with_threads(1, || twitter_database(TwitterConfig { scale: 120, seed: 11 }));
-    let serial_tpch = with_threads(1, || {
-        nested_datagen::tpch_nested_database(nested_datagen::TpchConfig { customers: 40, seed: 42 })
-    });
+    let generate = |threads: usize| {
+        with_threads(threads, || {
+            (
+                dblp_database(DblpConfig { scale: 120, seed: 7 }),
+                twitter_database(TwitterConfig { scale: 120, seed: 11 }),
+                tpch_nested_database(TpchConfig { customers: 40, seed: 42 }),
+            )
+        })
+    };
+    let serial = generate(1);
     for threads in [2, 8] {
-        let dblp = with_threads(threads, || dblp_database(DblpConfig { scale: 120, seed: 7 }));
-        for relation in ["proceedings", "inproceedings", "authored", "records", "homepages"] {
+        let parallel = generate(threads);
+        let relations = [
+            (&parallel.0, &serial.0, "proceedings"),
+            (&parallel.0, &serial.0, "inproceedings"),
+            (&parallel.0, &serial.0, "authored"),
+            (&parallel.0, &serial.0, "records"),
+            (&parallel.0, &serial.0, "homepages"),
+            (&parallel.1, &serial.1, "tweets"),
+            (&parallel.2, &serial.2, "customer"),
+            (&parallel.2, &serial.2, "nestedOrders"),
+            (&parallel.2, &serial.2, "nation"),
+        ];
+        for (got, want, relation) in relations {
             assert_eq!(
-                dblp.relation(relation).unwrap(),
-                serial_dblp.relation(relation).unwrap(),
-                "dblp/{relation} differs at {threads} thread(s)"
-            );
-        }
-        let tw = with_threads(threads, || twitter_database(TwitterConfig { scale: 120, seed: 11 }));
-        assert_eq!(tw.relation("tweets").unwrap(), serial_twitter.relation("tweets").unwrap());
-        let tpch = with_threads(threads, || {
-            nested_datagen::tpch_nested_database(nested_datagen::TpchConfig {
-                customers: 40,
-                seed: 42,
-            })
-        });
-        for relation in ["customer", "nestedOrders", "nation"] {
-            assert_eq!(
-                tpch.relation(relation).unwrap(),
-                serial_tpch.relation(relation).unwrap(),
-                "tpch/{relation} differs at {threads} thread(s)"
+                got.relation(relation).unwrap(),
+                want.relation(relation).unwrap(),
+                "{relation} differs at {threads} thread(s)"
             );
         }
     }

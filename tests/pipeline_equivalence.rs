@@ -1,212 +1,164 @@
-//! The pipelined ↔ operator-at-a-time equivalence contract, end to end: for
-//! every evaluation scenario and every thread count, query answers,
-//! generalized traces, and rendered wire reports must be **bit-identical**
-//! whether fused morsel-driven pipelines execute select→project chains or
-//! every operator materializes its full result first. This is the property
-//! that makes pipelining a pure performance knob, exactly like
-//! `WHYNOT_THREADS`, the columnar layout, and the hash join.
+//! The fused ↔ operator-at-a-time equivalence contract of the tracer, end to
+//! end: for every case of the shared harness and every thread count, query
+//! answers, generalized traces, and rendered wire reports must be
+//! **bit-identical** whether the generalized trace replays maximal runs of
+//! 1:1 operators as fused morsel-driven passes or one operator at a time.
+//! This is the property that makes tracer pipelining a pure performance
+//! knob, exactly like `WHYNOT_THREADS`, the columnar layout, and the hash
+//! join.
 //!
-//! The fusion-boundary tests additionally pin the compiler's break rules:
-//! joins, cross products, flatten, nest, aggregation, union, difference, and
-//! dedup always end a pipeline.
+//! The fusion-boundary tests additionally pin the tracer's break rules
+//! through its `pipe:` profile spans: joins, nest, aggregation, union,
+//! difference, and flatten always end a fused run.
 
-use nrab_algebra::expr::{CmpOp, Expr};
-use nrab_algebra::{evaluate, fused_chains, with_pipelining, JoinKind, PlanBuilder};
-use nrab_provenance::trace_plan_generalized;
-use whynot_core::alternatives::enumerate_schema_alternatives;
-use whynot_core::backtrace::schema_backtrace;
-use whynot_core::WhyNotEngine;
-use whynot_exec::with_threads;
-use whynot_scenarios::{crime, dblp, running, tpch, twitter, Scenario};
+mod harness;
 
-/// Reduced-scale scenario set covering every dataset family and operator mix
-/// (mirrors the columnar and parallel-determinism suites). The DBLP plans are
-/// the ones with real select→select→project chains above the join; the rest
-/// pin down that plans with no fusable chain are unaffected.
-fn scenarios() -> Vec<Scenario> {
-    let mut scenarios = vec![running::running_example()];
-    scenarios.extend(dblp::all_dblp(40));
-    scenarios.extend(twitter::all_twitter(40));
-    scenarios.extend(tpch::all_tpch(15));
-    scenarios.extend(crime::all_crime());
-    scenarios
-}
+use std::collections::BTreeMap;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+use harness::{Aspect, Cases, Config, Suite, REFERENCE};
+use nested_data::{Bag, NestedType, TupleType, Value};
+use nrab_algebra::{
+    AggFunc, AggSpec, CmpOp, Database, Expr, JoinKind, OpId, PlanBuilder, QueryPlan,
+};
+use nrab_provenance::{trace_plan_generalized, SchemaAlternative};
+use whynot_obs::SpanReport;
+
+static PIPELINED: Suite = Suite::new(|| {
+    [1, 2, 8].map(|threads| Config { pipelining: true, threads, ..REFERENCE }).to_vec()
+});
 
 #[test]
 fn query_answers_match_the_materialized_path() {
-    for scenario in scenarios() {
-        let reference = with_pipelining(false, || {
-            evaluate(&scenario.plan, &scenario.db).unwrap_or_else(|e| {
-                panic!("{}: materialized evaluation failed: {e}", scenario.name)
-            })
-        });
-        for threads in THREAD_COUNTS {
-            let answer = with_threads(threads, || {
-                evaluate(&scenario.plan, &scenario.db).unwrap_or_else(|e| {
-                    panic!("{}: pipelined evaluation failed: {e}", scenario.name)
-                })
-            });
-            assert!(
-                answer == reference,
-                "{} @ {} threads: pipelined answer differs from the materialized answer",
-                scenario.name,
-                threads
-            );
-        }
-    }
+    PIPELINED.assert_clean(Aspect::Answer, Cases::All);
 }
 
 #[test]
 fn generalized_traces_match_the_materialized_path() {
-    for scenario in scenarios() {
-        let backtrace = schema_backtrace(&scenario.plan, &scenario.db, &scenario.why_not)
-            .unwrap_or_else(|e| panic!("{}: backtrace failed: {e}", scenario.name));
-        let sas = enumerate_schema_alternatives(
-            &scenario.plan,
-            &scenario.db,
-            &scenario.why_not,
-            &backtrace,
-            &scenario.alternatives,
-            64,
-        )
-        .unwrap_or_else(|e| panic!("{}: alternative enumeration failed: {e}", scenario.name));
-        let reference = with_pipelining(false, || {
-            trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                .unwrap_or_else(|e| panic!("{}: materialized trace failed: {e}", scenario.name))
-        });
-        for threads in THREAD_COUNTS {
-            let trace = with_threads(threads, || {
-                trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                    .unwrap_or_else(|e| panic!("{}: pipelined trace failed: {e}", scenario.name))
-            });
-            assert!(
-                trace == reference,
-                "{} @ {} threads: pipelined trace differs from the materialized trace",
-                scenario.name,
-                threads
-            );
-        }
-    }
+    PIPELINED.assert_clean(Aspect::Trace, Cases::All);
 }
 
 #[test]
 fn wire_reports_match_the_materialized_path() {
-    for scenario in scenarios() {
-        let question = scenario.question();
-        let reference = with_pipelining(false, || {
-            WhyNotEngine::rp()
-                .explain(&question, &scenario.alternatives)
-                .unwrap_or_else(|e| panic!("{}: materialized explain failed: {e}", scenario.name))
-        });
-        let reference_json = whynot_service::report::ExplanationReport::from_answer(&reference)
-            .to_json()
-            .to_compact();
-        for threads in THREAD_COUNTS {
-            let answer = with_threads(threads, || {
-                WhyNotEngine::rp()
-                    .explain(&question, &scenario.alternatives)
-                    .unwrap_or_else(|e| panic!("{}: pipelined explain failed: {e}", scenario.name))
-            });
-            let json = whynot_service::report::ExplanationReport::from_answer(&answer)
-                .to_json()
-                .to_compact();
-            assert_eq!(
-                json, reference_json,
-                "{} @ {} threads: pipelined wire report differs",
-                scenario.name, threads
+    PIPELINED.assert_clean(Aspect::Report, Cases::All);
+}
+
+/// The tracer fuses maximal runs of 1:1 operators into one
+/// `pipe:{first}#{id}..{last}#{id}` span. Joins, relation nest, grouping
+/// aggregation, difference, union, and relation flatten end a run; a lone
+/// 1:1 operator still replays as a one-operator run; dedup is 1:1 in the
+/// generalized trace (it annotates instead of merging), so it fuses.
+#[test]
+fn break_operators_always_end_pipelines() {
+    let db = fused_database();
+
+    // table#0 → σ#1 → σ#2, then the operator under test at #3 (unary) or
+    // above a right input (binary).
+    let chain = || {
+        PlanBuilder::table("fact")
+            .select(Expr::attr_cmp("fqty", CmpOp::Ge, 5i64))
+            .select(Expr::attr_cmp("fqty", CmpOp::Le, 40i64))
+    };
+    let count = AggSpec::new(AggFunc::Count, Expr::attr("fname"), "n");
+    let dim_side = PlanBuilder::table("dim").select(Expr::attr_cmp("dprio", CmpOp::Ge, 0i64));
+    let cases: Vec<(&str, PlanBuilder, &[&str])> = vec![
+        (
+            "join",
+            chain().join(
+                dim_side,
+                JoinKind::Inner,
+                Expr::cmp(Expr::attr("fk"), CmpOp::Eq, Expr::attr("pk")),
+            ),
+            &["pipe:σ#1..σ#2", "pipe:σ#4..σ#4"],
+        ),
+        ("nest", chain().relation_nest(vec!["fname"], "names"), &["pipe:σ#1..σ#2"]),
+        ("agg", chain().group_aggregate(vec!["fname"], vec![count]), &["pipe:σ#1..σ#2"]),
+        ("difference", chain().difference(PlanBuilder::table("fact")), &["pipe:σ#1..σ#2"]),
+        ("union", chain().union(PlanBuilder::table("fact")), &["pipe:σ#1..σ#2"]),
+        ("flatten", chain().inner_flatten("fitems", None), &["pipe:σ#1..σ#2"]),
+        ("dedup", chain().dedup(), &["pipe:σ#1..δ#3"]),
+    ];
+    for (name, builder, expected) in cases {
+        let plan = builder.build().unwrap_or_else(|e| panic!("{name}: plan fails: {e}"));
+        let pipes = traced_pipes(name, &plan, &db);
+        assert_eq!(pipes, expected, "{name}: fused runs");
+        if name == "dedup" {
+            continue;
+        }
+        let breaker = plan.root.id;
+        for pipe in &pipes {
+            let (first, last) = pipe["pipe:".len()..].split_once("..").expect("pipe span name");
+            let id = |end: &str| -> OpId { end.rsplit_once('#').unwrap().1.parse().unwrap() };
+            assert!(
+                !(id(first)..=id(last)).contains(&breaker),
+                "{name}: break operator #{breaker} inside {pipe}"
             );
         }
     }
 }
 
-/// σ→σ→π above a table access fuses into one chain; the chain ids are in
-/// source-to-sink order.
+/// A selection → selection → projection chain over a row-oriented relation
+/// replays as one fused run, source to sink.
 #[test]
 fn select_select_project_chains_fuse() {
-    let builder = PlanBuilder::table("person")
-        .select(Expr::attr_cmp("year", CmpOp::Ge, 2015i64))
-        .select(Expr::attr_cmp("year", CmpOp::Le, 2019i64))
-        .project_attrs(&["name"]);
-    let plan = builder.build().expect("plan builds");
-    let chains = fused_chains(&plan);
-    assert_eq!(chains.len(), 1, "one fused chain expected");
-    assert_eq!(chains[0].len(), 3, "σ, σ, and π all fuse");
-    assert!(chains[0].windows(2).all(|w| w[0] < w[1]), "chain ids run source-to-sink");
-}
-
-/// A single selection (or a lone projection) is not a pipeline: the
-/// specialized single-operator paths stay in charge.
-#[test]
-fn single_operators_do_not_fuse() {
-    let select_only =
-        PlanBuilder::table("person").select(Expr::attr_cmp("year", CmpOp::Ge, 2015i64));
-    assert!(fused_chains(&select_only.build().expect("plan builds")).is_empty());
-    let project_only = PlanBuilder::table("person").project_attrs(&["name"]);
-    assert!(fused_chains(&project_only.build().expect("plan builds")).is_empty());
-}
-
-/// Joins, nest, aggregation, and difference always break pipelines: no fused
-/// chain may contain them, and chains on either side of the boundary stay
-/// independent.
-#[test]
-fn break_operators_always_end_pipelines() {
-    let fused_side = || {
-        PlanBuilder::table("fact")
-            .select(Expr::attr_cmp("fqty", CmpOp::Ge, 1i64))
-            .select(Expr::attr_cmp("fqty", CmpOp::Le, 40i64))
-    };
-
-    // Join: both input chains fuse, the join (and anything directly above a
-    // non-selection) does not join them into one.
-    let join_plan = fused_side()
-        .join(
-            PlanBuilder::table("dim").select(Expr::attr_cmp("dprio", CmpOp::Ge, 0i64)),
-            JoinKind::Inner,
-            Expr::cmp(Expr::attr("fk"), CmpOp::Eq, Expr::attr("pk")),
-        )
+    let db = fused_database();
+    let plan = PlanBuilder::table("fact")
+        .select(Expr::attr_cmp("fqty", CmpOp::Ge, 5i64))
+        .select(Expr::attr_cmp("fqty", CmpOp::Le, 40i64))
+        .project_attrs(&["fname"])
         .build()
-        .expect("join plan builds");
-    let join_op = join_plan.root.id;
-    let chains = fused_chains(&join_plan);
-    assert_eq!(chains.len(), 1, "only the two-selection left side fuses");
-    assert!(
-        chains.iter().all(|c| !c.contains(&join_op)),
-        "the join id never appears inside a fused chain"
-    );
+        .expect("plan builds");
+    assert_eq!(traced_pipes("σσπ", &plan, &db), ["pipe:σ#1..π#3"]);
+}
 
-    // Nest, aggregation, dedup, difference, union, flatten: each caps the
-    // chain below it and never appears inside one.
-    let breakers: Vec<(&str, nrab_algebra::QueryPlan)> = vec![
-        ("nest", fused_side().relation_nest(vec!["fname"], "names").build().unwrap()),
-        (
-            "agg",
-            fused_side()
-                .group_aggregate(
-                    vec!["ftag"],
-                    vec![nrab_algebra::AggSpec::new(
-                        nrab_algebra::AggFunc::Count,
-                        Expr::attr("fname"),
-                        "n",
-                    )],
-                )
-                .build()
-                .unwrap(),
-        ),
-        ("dedup", fused_side().dedup().build().unwrap()),
-        ("difference", fused_side().difference(PlanBuilder::table("fact")).build().unwrap()),
-        ("union", fused_side().union(PlanBuilder::table("fact")).build().unwrap()),
-        ("flatten", fused_side().inner_flatten("fname", Some("n")).build().unwrap()),
-    ];
-    for (name, plan) in breakers {
-        let breaker_op = plan.root.id;
-        let chains = fused_chains(&plan);
-        assert_eq!(chains.len(), 1, "{name}: the selection chain below still fuses");
-        assert_eq!(chains[0].len(), 2, "{name}: exactly the two selections fuse");
-        assert!(
-            chains.iter().all(|c| !c.contains(&breaker_op)),
-            "{name}: the break operator never appears inside a fused chain"
-        );
+/// The sorted `pipe:` span names of the plan's generalized trace under the
+/// original schema alternative.
+fn traced_pipes(name: &str, plan: &QueryPlan, db: &Database) -> Vec<String> {
+    let sas = [SchemaAlternative::original(BTreeMap::new())];
+    let (trace, profile) = whynot_obs::profile(|| trace_plan_generalized(plan, db, &sas));
+    trace.unwrap_or_else(|e| panic!("{name}: trace failed: {e}"));
+    let mut pipes: Vec<String> = spans(&profile.root)
+        .into_iter()
+        .map(|span| span.name.clone())
+        .filter(|name| name.starts_with("pipe:"))
+        .collect();
+    pipes.sort_unstable();
+    pipes
+}
+
+/// A narrow (row-oriented) fact table with a nested `fitems` column, and a
+/// dimension table to join it with.
+fn fused_database() -> Database {
+    let items = TupleType::new([("item", NestedType::int())]).unwrap();
+    let fact_ty = TupleType::new([
+        ("fk", NestedType::int()),
+        ("fqty", NestedType::int()),
+        ("fname", NestedType::str()),
+        ("fitems", NestedType::Relation(items)),
+    ])
+    .unwrap();
+    let dim_ty = TupleType::new([("pk", NestedType::int()), ("dprio", NestedType::int())]).unwrap();
+    let fact = Bag::from_values((0..12i64).map(|i| {
+        Value::tuple([
+            ("fk", Value::int(i % 4)),
+            ("fqty", Value::int(i * 5)),
+            ("fname", Value::str(format!("f{}", i % 3))),
+            ("fitems", Value::bag([Value::tuple([("item", Value::int(i))])])),
+        ])
+    }));
+    let dim = Bag::from_values(
+        (0..4i64).map(|j| Value::tuple([("pk", Value::int(j)), ("dprio", Value::int(j))])),
+    );
+    let mut db = Database::new();
+    db.add_relation("fact", fact_ty, fact);
+    db.add_relation("dim", dim_ty, dim);
+    db
+}
+
+/// Every span of a profile tree, in pre-order.
+fn spans(root: &SpanReport) -> Vec<&SpanReport> {
+    let mut out = vec![root];
+    for child in &root.children {
+        out.extend(spans(child));
     }
+    out
 }
