@@ -636,8 +636,8 @@ pub fn pipeline_group() {
 /// `lineitem_workload` and `equi_trace_workload` constructors).
 ///
 /// Every `disabled` case runs with no profiling *or timeline* session
-/// active, so each instrumentation site costs one relaxed atomic load of the
-/// shared state bitset — the price every production run pays. CI gates these
+/// active on the bench thread, so each instrumentation site costs one load
+/// of the thread-local flags cell — the price every production run pays. CI gates these
 /// at ≤ 5% over the corresponding committed baseline case
 /// (`lineitem_select/columnar`, `lineitem_trace/columnar`,
 /// `equi_join/hash_columnar`, `equi_trace/hash`). The `profiled` twins run
@@ -755,8 +755,8 @@ pub fn obs_group() {
 /// group uses).
 ///
 /// Every `unguarded` case runs with no guard armed, so each check site costs
-/// one relaxed atomic load — the price every unlimited production request
-/// pays. CI gates these at ≤ 5% over the corresponding committed baseline
+/// one read of the thread's guard slot — the price every unlimited
+/// production request pays. CI gates these at ≤ 5% over the corresponding committed baseline
 /// case (`lineitem_select/columnar`, `lineitem_trace/columnar`,
 /// `equi_join/hash_columnar`, `equi_trace/hash`). The `guarded` twins run the
 /// same work under an armed guard with generous limits and are informational:

@@ -187,6 +187,27 @@ mod tests {
     }
 
     #[test]
+    fn a_guard_governs_its_own_thread_and_its_fan_out_only() {
+        let guard = whynot_guard::Guard::new(None, Some(100), None);
+        let _armed = whynot_guard::arm(&guard);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                assert!(!whynot_guard::armed());
+                assert!(whynot_guard::checkpoint().is_ok());
+                assert!(whynot_guard::consume_trace_tuples(1_000).is_ok());
+            });
+        });
+        // Every participant of this thread's region draws from its budget:
+        // 64 of the 100 tuples are used afterwards.
+        let items: Vec<usize> = (0..64).collect();
+        let consumed =
+            with_threads(4, || par_map(&items, |_| whynot_guard::consume_trace_tuples(1).is_ok()));
+        assert!(consumed.iter().all(|&ok| ok));
+        assert!(whynot_guard::consume_trace_tuples(36).is_ok());
+        assert!(whynot_guard::consume_trace_tuples(1).is_err());
+    }
+
+    #[test]
     fn nested_parallel_calls_run_serially() {
         with_threads(4, || {
             let items: Vec<usize> = (0..64).collect();

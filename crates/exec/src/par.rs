@@ -62,18 +62,18 @@ fn par_map_len<R: Send>(len: usize, produce: impl Fn(usize) -> R + Sync) -> Vec<
     let abort = AtomicBool::new(false);
     let next_participant = AtomicUsize::new(0);
     crate::stats::PAR_REGIONS.add(1);
-    // When profiling: one collector slot per participant, merged back (in
-    // participant order) into the span open at this call site, so the span
-    // tree is independent of which participant stole which chunk.
+    // The calling thread's capture and guard, installed in every participant
+    // (pool workers included). Profiled spans go to one slot per participant,
+    // merged back in participant order into the span open at this call site,
+    // so the span tree is independent of which participant stole which
+    // chunk; the guard's budgets and deadline span the fan-out.
     let collect = whynot_obs::ParCollect::new(threads);
-    // When a guard governs the submitting thread, every participant (pool
-    // workers included) re-arms it so budgets and deadlines span the fan-out.
     let guard = whynot_guard::current();
 
     let run = || {
         let home = next_participant.fetch_add(1, Ordering::Relaxed) % spans.len();
         let _observer = collect.as_ref().map(|c| c.participant(home));
-        let _guard = guard.clone().map(whynot_guard::rearm);
+        let _guard = guard.as_ref().map(whynot_guard::arm);
         // Chunk counters accumulate locally and flush once per participant.
         let mut claimed_chunks = 0u64;
         let mut stolen_chunks = 0u64;

@@ -68,8 +68,8 @@ struct JobState {
 struct JobEntry {
     run: *const (dyn Fn() + Sync),
     status: Arc<JobStatus>,
-    /// Submission time, taken only while profiling is enabled, so queue-wait
-    /// histograms cost nothing on the disabled path.
+    /// Submission time, taken only when the submitting thread profiles, so
+    /// queue-wait histograms cost nothing on the disabled path.
     enqueued: Option<std::time::Instant>,
 }
 

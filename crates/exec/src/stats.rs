@@ -5,8 +5,8 @@
 //! points only — per submitted job, per parallel region, once per
 //! participant with locally accumulated chunk counts — so they stay on even
 //! when profiling is disabled and the serial fast path stays untouched.
-//! Queue-wait timing is the one exception: taking timestamps costs a clock
-//! read per queue entry, so it is gated on [`whynot_obs::enabled`].
+//! Queue-wait timing is the one exception: a timestamp costs a clock read
+//! per queue entry, so only jobs of a profiling thread take one.
 
 use whynot_obs::{Counter, Histogram};
 
@@ -23,7 +23,7 @@ pub(crate) static CHUNKS_STOLEN: Counter = Counter::new();
 /// High-water mark of the job queue length at submission time.
 pub(crate) static MAX_QUEUE_DEPTH: Counter = Counter::new();
 /// Nanoseconds a queue entry waited before being popped by a worker
-/// (recorded only while profiling is enabled).
+/// (recorded only for jobs submitted by a profiling thread).
 pub(crate) static QUEUE_WAIT: Histogram = Histogram::new();
 
 /// A point-in-time snapshot of the pool's cumulative counters.
@@ -45,7 +45,7 @@ pub struct PoolStats {
     /// an idle pool — even after worker panics, since `run_scoped` withdraws
     /// every entry of its job before returning.
     pub queue_depth: u64,
-    /// Queue-wait observations (profiling-enabled periods only).
+    /// Queue-wait observations (jobs submitted by a profiling thread only).
     pub queue_waits: u64,
     /// Total queue-wait nanoseconds over those observations.
     pub queue_wait_ns: u64,

@@ -18,18 +18,20 @@
 //!
 //! ## Disabled-path cost
 //!
-//! Exactly like `whynot-obs`, every check site is inert behind one relaxed
-//! atomic load ([`armed`]) while no guard is armed anywhere in the process.
-//! The CI bench gate (`guard` group) pins the disabled-path overhead of the
-//! instrumented eval/trace paths at ≤ 5%.
+//! Every check site first reads the current thread's guard slot
+//! ([`armed`] / [`current`]); while no guard governs the thread, a check is
+//! that one thread-local read and a predictable branch. The CI bench gate
+//! (`guard` group) pins the disabled-path overhead of the instrumented
+//! eval/trace paths at ≤ 5%.
 //!
 //! ## Threading
 //!
-//! The current guard is carried in a thread-local. Parallel regions re-arm it
-//! on their workers: `whynot_exec::par_map` captures [`current`] on the
-//! calling thread and installs it via [`rearm`] inside every participant, so
-//! budget consumption is shared (the counters live behind an `Arc`) and a
-//! deadline trips on whichever worker notices first.
+//! A guard belongs to the thread that armed it: it lives in a thread-local,
+//! and a guard armed by one request never governs another request's thread.
+//! Parallel regions carry it to their participants: `whynot_exec::par_map`
+//! captures [`current`] on the calling thread and [`arm`]s it inside every
+//! participant, so budget consumption is shared (the counters live behind an
+//! `Arc`) and a deadline trips on whichever participant notices first.
 //!
 //! ## Trip channels
 //!
@@ -48,7 +50,7 @@ pub mod faults;
 use std::cell::RefCell;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -114,7 +116,7 @@ impl fmt::Display for ResourceError {
 impl std::error::Error for ResourceError {}
 
 /// The shared state behind a [`Guard`]. Budget counters are atomics so that
-/// parallel workers re-armed with a clone consume from one pool.
+/// parallel workers armed with a clone consume from one pool.
 #[derive(Debug)]
 struct GuardState {
     started: Instant,
@@ -227,11 +229,6 @@ impl Guard {
     }
 }
 
-/// Number of armed guards process-wide. The single relaxed load of this
-/// count is the only cost every check site pays while no request carries
-/// limits (the `whynot-obs` `ACTIVE_SESSIONS` pattern).
-static ARMED: AtomicUsize = AtomicUsize::new(0);
-
 /// Guard checks performed while armed (process-wide, for the `stats` op).
 static CHECKS: Counter = Counter::new();
 static TRIPS_DEADLINE: Counter = Counter::new();
@@ -244,30 +241,27 @@ thread_local! {
     static CURRENT: RefCell<Option<Guard>> = const { RefCell::new(None) };
 }
 
-/// Whether any guard is armed anywhere in the process. Check sites that need
-/// to *compute* their consumption (e.g. sum input sizes) branch on this
-/// first so the disabled path stays a single relaxed load.
+/// Whether a guard governs the current thread. Check sites that need to
+/// *compute* their consumption (e.g. sum input sizes) branch on this first
+/// so the disabled path stays a single thread-local read.
 #[inline]
 pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed) != 0
+    CURRENT.with(|current| current.borrow().is_some())
 }
 
-/// The guard governing the current thread, if one is armed. Returns `None`
-/// without touching the thread-local while nothing is armed process-wide.
+/// The guard governing the current thread, if one is armed.
 #[inline]
 pub fn current() -> Option<Guard> {
-    if !armed() {
-        return None;
-    }
     CURRENT.with(|current| current.borrow().clone())
 }
 
 /// Arms `guard` on the current thread for the scope of the returned token:
-/// installs it as [`current`] and bumps the process-wide armed count. Drop
-/// restores the previously installed guard (and the count), also on panic.
+/// installs it as [`current`]. Drop restores the previously installed guard,
+/// also on panic. `whynot_exec::par_map` arms the caller's guard inside
+/// every participant the same way, so fanned-out chunks keep consuming from
+/// the request's shared budgets.
 #[must_use = "the guard is disarmed when the scope token drops"]
 pub fn arm(guard: &Guard) -> ArmScope {
-    ARMED.fetch_add(1, Ordering::Relaxed);
     let previous = CURRENT.with(|current| current.borrow_mut().replace(guard.clone()));
     ArmScope { previous, _not_send: std::marker::PhantomData }
 }
@@ -281,32 +275,6 @@ pub struct ArmScope {
 }
 
 impl Drop for ArmScope {
-    fn drop(&mut self) {
-        let previous = self.previous.take();
-        CURRENT.with(|current| *current.borrow_mut() = previous);
-        ARMED.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Re-installs a guard on a parallel worker for the scope of the returned
-/// token, *without* touching the armed count (the arming request still owns
-/// it). `whynot_exec::par_map` calls this with the caller's [`current`]
-/// guard inside every participant, so fanned-out chunks keep consuming from
-/// the request's shared budgets.
-#[must_use = "the guard is uninstalled when the scope token drops"]
-pub fn rearm(guard: Guard) -> RearmScope {
-    let previous = CURRENT.with(|current| current.borrow_mut().replace(guard));
-    RearmScope { previous, _not_send: std::marker::PhantomData }
-}
-
-/// Scope token of [`rearm`]; restores the worker's previous guard on drop.
-#[derive(Debug)]
-pub struct RearmScope {
-    previous: Option<Guard>,
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for RearmScope {
     fn drop(&mut self) {
         let previous = self.previous.take();
         CURRENT.with(|current| *current.borrow_mut() = previous);
@@ -444,17 +412,8 @@ pub fn guard_stats() -> GuardStats {
 mod tests {
     use super::*;
 
-    /// The armed count is process-global; tests that arm a guard, or assert
-    /// that none is armed, must not interleave.
-    static ARM_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        ARM_TEST_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     #[test]
     fn unarmed_checks_are_free_and_ok() {
-        let _serial = locked();
         assert!(!armed());
         assert!(current().is_none());
         assert!(checkpoint().is_ok());
@@ -465,7 +424,6 @@ mod tests {
 
     #[test]
     fn zero_timeout_trips_at_first_checkpoint() {
-        let _serial = locked();
         let guard = Guard::new(Some(0), None, None);
         assert!(guard.is_limited());
         let _scope = arm(&guard);
@@ -478,7 +436,6 @@ mod tests {
 
     #[test]
     fn trace_budget_trips_once_consumed() {
-        let _serial = locked();
         let guard = Guard::new(None, Some(10), None);
         let _scope = arm(&guard);
         assert!(consume_trace_tuples(6).is_ok());
@@ -489,7 +446,6 @@ mod tests {
 
     #[test]
     fn eval_budget_trips_once_consumed() {
-        let _serial = locked();
         let guard = Guard::new(None, None, Some(5));
         let _scope = arm(&guard);
         assert!(consume_eval_rows(5).is_ok());
@@ -500,7 +456,6 @@ mod tests {
 
     #[test]
     fn cancel_trips_every_clone() {
-        let _serial = locked();
         let guard = Guard::new(None, None, None);
         let clone = guard.clone();
         let _scope = arm(&clone);
@@ -510,7 +465,6 @@ mod tests {
 
     #[test]
     fn arm_scopes_nest_and_restore() {
-        let _serial = locked();
         let outer = Guard::new(None, Some(1), None);
         let inner = Guard::new(None, Some(2), None);
         {
@@ -529,14 +483,13 @@ mod tests {
     }
 
     #[test]
-    fn rearm_shares_budgets_across_threads() {
-        let _serial = locked();
+    fn a_guard_carried_to_another_thread_shares_its_budgets() {
         let guard = Guard::new(None, Some(10), None);
         let _scope = arm(&guard);
         let carried = current().expect("armed");
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let _rearm = rearm(carried.clone());
+                let _armed = arm(&carried);
                 assert!(consume_trace_tuples(8).is_ok());
             });
         });
@@ -546,7 +499,6 @@ mod tests {
 
     #[test]
     fn enforce_panics_with_the_error_and_catch_trip_recovers_it() {
-        let _serial = locked();
         let guard = Guard::new(None, None, None);
         guard.cancel();
         let result: Result<(), ResourceError> = catch_trip(|| {
@@ -563,15 +515,24 @@ mod tests {
 
     #[test]
     fn trips_are_counted_once_per_guard() {
-        let _serial = locked();
         let before = guard_stats();
         let guard = Guard::new(None, Some(0), None);
-        let _scope = arm(&guard);
-        assert!(consume_trace_tuples(1).is_err());
-        assert!(consume_trace_tuples(1).is_err());
-        assert!(checkpoint().is_ok(), "deadline/cancel unaffected by budget trips");
-        let delta = guard_stats().trace_budget_trips - before.trace_budget_trips;
-        assert_eq!(delta, 1, "second observation of the same trip must not recount");
-        assert!(guard_stats().checks > before.checks);
+        // The profile sees only this thread's checks and trips; the
+        // process-wide counters also move with concurrently running tests.
+        let ((), report) = whynot_obs::profile(|| {
+            let _scope = arm(&guard);
+            assert!(consume_trace_tuples(1).is_err());
+            assert!(consume_trace_tuples(1).is_err());
+            assert!(checkpoint().is_ok(), "deadline/cancel unaffected by budget trips");
+        });
+        assert_eq!(
+            report.counter_total("guard.trips"),
+            1,
+            "second observation of the same trip must not recount"
+        );
+        assert_eq!(report.counter_total("guard.checks"), 3);
+        let after = guard_stats();
+        assert!(after.trace_budget_trips > before.trace_budget_trips);
+        assert!(after.checks >= before.checks + 3);
     }
 }

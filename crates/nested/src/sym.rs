@@ -395,18 +395,14 @@ mod tests {
     #[test]
     fn interned_count_grows_monotonically() {
         let before = Sym::interned_count();
-        Sym::intern("sym-test-count-probe");
+        let first = Sym::intern("sym-test-count-probe");
         let after = Sym::interned_count();
         assert!(after >= before);
-        // Re-interning a known name adds no symbol. Sibling tests intern
-        // concurrently, so the count is compared across a window in which no
-        // one else interned: retry until one is seen. A re-intern that did
-        // add a symbol would grow the count in every window.
-        let quiet_window = (0..1000).any(|_| {
-            let start = Sym::interned_count();
-            Sym::intern("sym-test-count-probe");
-            Sym::interned_count() == start
-        });
-        assert!(quiet_window, "re-interning a known name must not grow the count");
+        // Re-interning a known name adds no symbol. The count only grows on
+        // the path that calls `allocate`, which hands out a fresh id and a
+        // freshly leaked string.
+        let again = Sym::intern("sym-test-count-probe");
+        assert_eq!(again.id(), first.id());
+        assert!(std::ptr::eq(again.as_str(), first.as_str()));
     }
 }

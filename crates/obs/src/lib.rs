@@ -8,15 +8,18 @@
 //!
 //! ## Span model
 //!
-//! Profiling is scoped: [`profile`] installs a thread-local *collector* and
-//! flips a process-wide "enabled" flag for the duration of the closure. A
-//! [`span`] (or [`span_dyn`] for lazily formatted names) pushes a name onto
-//! the collector's stack and, when the guard drops, adds the elapsed time to
-//! the span node addressed by the full stack path. Nodes aggregate **by
-//! name**: two sibling spans with the same name become one node with
-//! `count == 2`, and children live in ordered maps, so the shape of the
-//! resulting tree is independent of arrival order. [`add`] attaches a
-//! monotonic counter to the innermost open span.
+//! Profiling is scoped to the thread that asks for it: [`profile`] installs
+//! a thread-local *collector* for the duration of the closure, and the
+//! participants of every parallel region the thread enters get their own
+//! (see below). Spans on any other thread — a concurrent request, another
+//! session — are never seen. A [`span`] (or [`span_dyn`] for lazily
+//! formatted names) pushes a name onto the collector's stack and, when the
+//! guard drops, adds the elapsed time to the span node addressed by the
+//! full stack path. Nodes aggregate **by name**: two sibling spans with the
+//! same name become one node with `count == 2`, and children live in
+//! ordered maps, so the shape of the resulting tree is independent of
+//! arrival order. [`add`] attaches a monotonic counter to the innermost open
+//! span.
 //!
 //! ## Merge determinism
 //!
@@ -32,12 +35,13 @@
 //!
 //! ## Disabled cost
 //!
-//! Every instrumentation site is gated on one relaxed atomic load
-//! ([`enabled`]); when no [`profile`] session is active, a span or counter
-//! call is a load and a predictable branch. The always-on primitives
-//! ([`Counter`], [`Histogram`]) are reserved for *cold-path*,
-//! request-granularity metrics (pool jobs, service requests) where a relaxed
-//! `fetch_add` is negligible by construction.
+//! Every instrumentation site is gated on one load of a thread-local flags
+//! cell (profiling on, timeline recording on); when the current thread
+//! neither profiles nor records, a span or counter call is that load and a
+//! predictable branch. The always-on primitives ([`Counter`], [`Histogram`])
+//! are reserved for *cold-path*, request-granularity metrics (pool jobs,
+//! service requests) where a relaxed `fetch_add` is negligible by
+//! construction.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,51 +54,47 @@ pub use metrics::{Counter, Histogram, HistogramSnapshot, SamplePoint, TimeSeries
 pub use report::{ProfileReport, SpanReport};
 pub use timeline::{Timeline, TimelineEvent, TimelinePhase};
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Bit set in [`STATE`] while at least one [`profile`] session is active.
-const STATE_PROFILE: u32 = 1;
-/// Bit set in [`STATE`] while a [`timeline::record`] session is active.
-const STATE_TIMELINE: u32 = 2;
-
-/// Process-wide recording state: a bitset of [`STATE_PROFILE`] and
-/// [`STATE_TIMELINE`]. Span sites gate on one relaxed load of this single
-/// atomic, so adding the timeline recorder did not add a second load to the
-/// disabled path.
-static STATE: AtomicU32 = AtomicU32::new(0);
-/// Number of live [`profile`] sessions (profiling may be entered from
-/// several threads, e.g. parallel tests).
-static ACTIVE_SESSIONS: AtomicUsize = AtomicUsize::new(0);
+/// Bit of [`FLAGS`] set while this thread profiles into a collector.
+const PROFILING: u8 = 1;
+/// Bit of [`FLAGS`] set while this thread records timeline events.
+const RECORDING: u8 = 2;
 
 thread_local! {
+    /// This thread's capture switches, a bitset of [`PROFILING`] and
+    /// [`RECORDING`]. Span sites gate on one load of this cell.
+    static FLAGS: Cell<u8> = const { Cell::new(0) };
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
 }
 
-/// Whether a profiling session is active anywhere in the process.
+#[inline]
+fn flags() -> u8 {
+    FLAGS.with(Cell::get)
+}
+
+fn set_flag(bit: u8, on: bool) {
+    FLAGS.with(|flags| flags.set(if on { flags.get() | bit } else { flags.get() & !bit }));
+}
+
+/// Installs `collector` as this thread's collector and returns the previous
+/// one; the [`PROFILING`] flag follows whether a collector is installed.
+fn swap_collector(collector: Option<Collector>) -> Option<Collector> {
+    set_flag(PROFILING, collector.is_some());
+    COLLECTOR.with(|c| std::mem::replace(&mut *c.borrow_mut(), collector))
+}
+
+/// Whether the current thread is profiling: inside a [`profile`] session, or
+/// a participant of a parallel region entered from one.
 ///
-/// This is the single relaxed load that every instrumentation site pays on
-/// the disabled path.
+/// This is the single thread-local load that every instrumentation site pays
+/// on the disabled path.
 #[inline]
 pub fn enabled() -> bool {
-    STATE.load(Ordering::Relaxed) & STATE_PROFILE != 0
-}
-
-/// Whether a [`timeline::record`] session is active anywhere in the process.
-#[inline]
-pub fn timeline_enabled() -> bool {
-    STATE.load(Ordering::Relaxed) & STATE_TIMELINE != 0
-}
-
-pub(crate) fn set_state_bit(bit: u32) {
-    STATE.fetch_or(bit, Ordering::SeqCst);
-}
-
-pub(crate) fn clear_state_bit(bit: u32) {
-    STATE.fetch_and(!bit, Ordering::SeqCst);
+    flags() & PROFILING != 0
 }
 
 /// Nanoseconds elapsed since a process-wide monotonic origin (established on
@@ -158,25 +158,15 @@ impl Collector {
 /// the [`ProfileReport`] collected on this thread (including spans merged
 /// back from parallel regions entered by `f`).
 ///
-/// Sessions nest and may run concurrently on several threads; the global
-/// [`enabled`] flag stays set until the last session ends. Each session only
-/// observes spans recorded on its own thread (workers hand their collectors
-/// back to the thread that entered the parallel region).
+/// Sessions nest and may run concurrently on several threads. Each session
+/// only observes spans recorded on its own thread and by the participants of
+/// the parallel regions it enters (they hand their collectors back to it).
 pub fn profile<R>(f: impl FnOnce() -> R) -> (R, ProfileReport) {
-    let previous = COLLECTOR.with(|c| c.borrow_mut().replace(Collector::default()));
-    ACTIVE_SESSIONS.fetch_add(1, Ordering::SeqCst);
-    set_state_bit(STATE_PROFILE);
-
+    let previous = swap_collector(Some(Collector::default()));
     let start = Instant::now();
     let result = f();
     let wall_ns = start.elapsed().as_nanos() as u64;
-
-    if ACTIVE_SESSIONS.fetch_sub(1, Ordering::SeqCst) == 1 {
-        clear_state_bit(STATE_PROFILE);
-    }
-    let collector = COLLECTOR
-        .with(|c| std::mem::replace(&mut *c.borrow_mut(), previous).map(|c| c.root))
-        .unwrap_or_default();
+    let collector = swap_collector(previous).map(|c| c.root).unwrap_or_default();
     (result, ProfileReport::from_root(collector, wall_ns))
 }
 
@@ -212,8 +202,8 @@ impl Drop for Span {
     }
 }
 
-fn open_span(name: String, state: u32) -> Span {
-    let armed = state & STATE_PROFILE != 0
+fn open_span(name: String, flags: u8) -> Span {
+    let profiled = flags & PROFILING != 0
         && COLLECTOR.with(|c| {
             if let Some(collector) = c.borrow_mut().as_mut() {
                 collector.path.push(name.clone());
@@ -222,33 +212,33 @@ fn open_span(name: String, state: u32) -> Span {
                 false
             }
         });
-    let timeline = (state & STATE_TIMELINE != 0).then(|| {
+    let timeline = (flags & RECORDING != 0).then(|| {
         timeline::record_event(name.clone(), TimelinePhase::Begin);
         name
     });
-    Span { start: armed.then(Instant::now), timeline }
+    Span { start: profiled.then(Instant::now), timeline }
 }
 
 /// Opens a span with a static name under the innermost open span.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    let state = STATE.load(Ordering::Relaxed);
-    if state == 0 {
+    let flags = flags();
+    if flags == 0 {
         return Span { start: None, timeline: None };
     }
-    open_span(name.to_string(), state)
+    open_span(name.to_string(), flags)
 }
 
-/// Opens a span whose name is built lazily — the closure only runs when a
-/// profiling or timeline session is active, so formatting costs nothing on
-/// the disabled path.
+/// Opens a span whose name is built lazily — the closure only runs when this
+/// thread is profiling or recording, so formatting costs nothing on the
+/// disabled path.
 #[inline]
 pub fn span_dyn(name: impl FnOnce() -> String) -> Span {
-    let state = STATE.load(Ordering::Relaxed);
-    if state == 0 {
+    let flags = flags();
+    if flags == 0 {
         return Span { start: None, timeline: None };
     }
-    open_span(name(), state)
+    open_span(name(), flags)
 }
 
 /// Adds `value` to the named counter on the innermost open span (or the
@@ -265,9 +255,11 @@ pub fn add(name: &'static str, value: u64) {
     });
 }
 
-/// Collects spans recorded by the participants of one parallel region and
-/// merges them back, in participant order, into the span that was open when
-/// the region started.
+/// Carries the calling thread's capture into the participants of one
+/// parallel region: spans recorded by the participants are merged back, in
+/// participant order, into the span that was open when the region started,
+/// and their timeline events go to the caller's [`timeline::record`]
+/// session.
 ///
 /// Used by `whynot_exec::par_map`: the caller creates the collector before
 /// fanning out, each participant wraps its work in [`ParCollect::participant`],
@@ -275,31 +267,45 @@ pub fn add(name: &'static str, value: u64) {
 /// has completed.
 #[derive(Debug)]
 pub struct ParCollect {
+    /// One slot per participant while the caller profiles, else empty.
     slots: Vec<Mutex<Option<SpanData>>>,
+    /// The caller's timeline session, while it records.
+    sink: Option<Arc<timeline::Sink>>,
 }
 
 impl ParCollect {
-    /// A collector with one slot per participant, or `None` when profiling
-    /// is disabled (the region then runs without any collection overhead).
+    /// A collector with one slot per participant, or `None` when the calling
+    /// thread neither profiles nor records (the region then runs without any
+    /// collection overhead).
     pub fn new(participants: usize) -> Option<ParCollect> {
-        if !enabled() || participants == 0 {
+        let flags = flags();
+        if flags == 0 || participants == 0 {
             return None;
         }
-        Some(ParCollect { slots: (0..participants).map(|_| Mutex::new(None)).collect() })
+        let slots = if flags & PROFILING != 0 { participants } else { 0 };
+        Some(ParCollect {
+            slots: (0..slots).map(|_| Mutex::new(None)).collect(),
+            sink: timeline::current_sink(),
+        })
     }
 
-    /// Installs a fresh collector on the current thread for participant
-    /// `index`; when the guard drops, the recorded spans are deposited into
-    /// that participant's slot and the thread's previous collector (if any)
-    /// is restored.
+    /// Installs the caller's capture on the current thread for participant
+    /// `index`: a fresh collector whose spans are deposited into that
+    /// participant's slot when the guard drops, and the caller's timeline
+    /// session. The thread's previous state is restored on drop.
     pub fn participant(&self, index: usize) -> Participant<'_> {
-        let previous = COLLECTOR.with(|c| c.borrow_mut().replace(Collector::default()));
-        Participant { slot: &self.slots[index % self.slots.len()], previous }
+        let slot = (!self.slots.is_empty()).then(|| &self.slots[index % self.slots.len()]);
+        Participant {
+            slot,
+            previous_collector: swap_collector(slot.map(|_| Collector::default())),
+            previous_recorder: timeline::swap_recorder(
+                self.sink.clone().map(timeline::Recorder::join),
+            ),
+        }
     }
 
     /// Merges all participant slots, in participant order, into the span
-    /// currently open on this thread. No-op when this thread has no
-    /// collector (e.g. the session that enabled profiling lives elsewhere).
+    /// currently open on this thread.
     pub fn merge_into_current(self) {
         COLLECTOR.with(|c| {
             if let Some(collector) = c.borrow_mut().as_mut() {
@@ -317,16 +323,17 @@ impl ParCollect {
 /// Scope guard for one participant of a [`ParCollect`] region.
 #[derive(Debug)]
 pub struct Participant<'a> {
-    slot: &'a Mutex<Option<SpanData>>,
-    previous: Option<Collector>,
+    slot: Option<&'a Mutex<Option<SpanData>>>,
+    previous_collector: Option<Collector>,
+    previous_recorder: Option<timeline::Recorder>,
 }
 
 impl Drop for Participant<'_> {
     fn drop(&mut self) {
-        let recorded =
-            COLLECTOR.with(|c| std::mem::replace(&mut *c.borrow_mut(), self.previous.take()));
-        if let Some(collector) = recorded {
-            let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+        timeline::swap_recorder(self.previous_recorder.take());
+        let recorded = swap_collector(self.previous_collector.take());
+        if let (Some(collector), Some(slot)) = (recorded, self.slot) {
+            let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
             match slot.as_mut() {
                 Some(existing) => existing.merge(collector.root),
                 None => *slot = Some(collector.root),

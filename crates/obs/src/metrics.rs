@@ -214,13 +214,16 @@ impl TimeSeries {
         self.capacity.max(1)
     }
 
-    /// Appends a point, evicting the oldest when full.
+    /// Adds a point in timestamp order, evicting the oldest when full.
+    /// Concurrent samplers stamp a point before they take the lock, so a
+    /// point can arrive after a newer one.
     pub fn push(&self, point: SamplePoint) {
         let mut points = self.points.lock().unwrap_or_else(|e| e.into_inner());
-        while points.len() >= self.capacity() {
+        let at = points.partition_point(|p| p.at_ns <= point.at_ns);
+        points.insert(at, point);
+        while points.len() > self.capacity() {
             points.pop_front();
         }
-        points.push_back(point);
     }
 
     /// The retained points, oldest first.
@@ -313,6 +316,16 @@ mod tests {
         assert_eq!(points.iter().map(|p| p.at_ns).collect::<Vec<_>>(), vec![2, 3, 4]);
         series.clear();
         assert!(series.is_empty());
+    }
+
+    #[test]
+    fn time_series_keeps_late_points_in_time_order() {
+        let series = TimeSeries::new(3);
+        for at_ns in [1u64, 4, 3, 2] {
+            series.push(SamplePoint { at_ns, ..SamplePoint::default() });
+        }
+        let points: Vec<u64> = series.snapshot().iter().map(|p| p.at_ns).collect();
+        assert_eq!(points, vec![2, 3, 4]);
     }
 
     #[test]

@@ -2,25 +2,25 @@
 //! thread" view that complements the aggregated span trees of
 //! [`ProfileReport`](crate::ProfileReport).
 //!
-//! A [`record`] session flips the timeline bit of the process-wide state
-//! word; while it is set, every [`span`](crate::span) open/close also appends
-//! a [`TimelineEvent`] to a per-thread buffer. Buffers are registered lazily
-//! with the session's sink on a thread's first event (one uncontended mutex
-//! each afterwards), so worker threads spawned by the exec pool join the
-//! timeline automatically. When the session ends the buffers are drained and
-//! merged into a single [`Timeline`], sorted by timestamp with per-thread
-//! event order preserved — the shape the service exports as Chrome
-//! trace-event JSON.
+//! A [`record`] session belongs to the thread that entered it. While it
+//! runs, every [`span`](crate::span) open/close on that thread appends a
+//! [`TimelineEvent`] to the session's sink, and so do the participants of
+//! every `whynot_exec::par_map` region the thread fans out to (the region's
+//! [`ParCollect`](crate::ParCollect) carries the sink handle). Spans on any
+//! other thread — a concurrent request, another session — never reach it.
+//! When the session ends the events are sorted into a single [`Timeline`] by
+//! timestamp, with per-thread event order preserved — the shape the service
+//! exports as Chrome trace-event JSON.
 //!
 //! Recording is wall-clock based and therefore not byte-deterministic; what
 //! *is* deterministic is the multiset of event names and the begin/end
 //! balance per thread, which is what the tests pin.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
-use crate::{clear_state_bit, monotonic_ns, set_state_bit, STATE_TIMELINE};
+use crate::{monotonic_ns, set_flag, RECORDING};
 
 /// Whether an event marks the open or the close of a span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,7 +34,8 @@ pub enum TimelinePhase {
 /// One begin/end mark on the timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineEvent {
-    /// Dense per-process thread id (assigned in first-event order).
+    /// Dense per-session thread index: 0 is the recording thread, the
+    /// region participants follow in the order they joined.
     pub thread: u64,
     /// The span name.
     pub name: String,
@@ -66,27 +67,22 @@ impl Timeline {
 
     /// Checks that every thread's events form a properly nested sequence of
     /// begin/end pairs with matching names; returns the offending event on
-    /// failure.
+    /// failure — an unmatched end, or else the innermost begin a thread
+    /// left open.
     pub fn check_balanced(&self) -> Result<(), &TimelineEvent> {
         for (_, events) in self.per_thread() {
-            let mut stack: Vec<&str> = Vec::new();
+            let mut open: Vec<&TimelineEvent> = Vec::new();
             for event in events {
                 match event.phase {
-                    TimelinePhase::Begin => stack.push(&event.name),
+                    TimelinePhase::Begin => open.push(event),
                     TimelinePhase::End => {
-                        if stack.pop() != Some(event.name.as_str()) {
+                        if open.pop().map(|begin| begin.name.as_str()) != Some(&event.name) {
                             return Err(event);
                         }
                     }
                 }
             }
-            if let Some(name) = stack.last() {
-                // Unclosed span: report its begin event.
-                let begin = self
-                    .events
-                    .iter()
-                    .find(|e| e.name == *name && e.phase == TimelinePhase::Begin)
-                    .expect("begin event for unclosed span");
+            if let Some(begin) = open.pop() {
                 return Err(begin);
             }
         }
@@ -94,111 +90,86 @@ impl Timeline {
     }
 }
 
-/// One thread's shared event buffer within a session.
-type EventBuffer = Arc<Mutex<Vec<TimelineEvent>>>;
-
-/// One session's event store: per-thread buffers registered on first use.
-struct Sink {
-    epoch: u64,
-    buffers: Mutex<Vec<EventBuffer>>,
+/// One session's event store, shared by the recording thread and the
+/// participants of the parallel regions it enters.
+#[derive(Debug, Default)]
+pub(crate) struct Sink {
+    /// The threads that joined, in join order; a thread's index is its id.
+    threads: Mutex<Vec<ThreadId>>,
+    events: Mutex<Vec<TimelineEvent>>,
 }
 
-/// The active session's sink, if any. Only one session records at a time;
-/// a nested/concurrent [`record`] call degrades to an empty timeline.
-static SINK: Mutex<Option<Arc<Sink>>> = Mutex::new(None);
-/// Bumped on every sink install *and* removal, so thread-cached buffer
-/// registrations from a previous session never leak events into (or after)
-/// the next one.
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-/// Dense thread ids, assigned on a thread's first timeline event.
-static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
+/// A thread's handle on a session: the sink plus the thread's index in it.
+#[derive(Debug)]
+pub(crate) struct Recorder {
+    sink: Arc<Sink>,
+    thread: u64,
+}
+
+impl Recorder {
+    /// Joins the current thread to `sink`.
+    pub(crate) fn join(sink: Arc<Sink>) -> Recorder {
+        let me = std::thread::current().id();
+        let mut threads = lock(&sink.threads);
+        let thread = threads.iter().position(|t| *t == me).unwrap_or_else(|| {
+            threads.push(me);
+            threads.len() - 1
+        }) as u64;
+        drop(threads);
+        Recorder { sink, thread }
+    }
+}
 
 thread_local! {
-    /// This thread's registration with the current sink: (epoch, buffer).
-    static BUFFER: RefCell<Option<(u64, EventBuffer)>> =
-        const { RefCell::new(None) };
-    static THREAD_ID: RefCell<Option<u64>> = const { RefCell::new(None) };
-}
-
-fn thread_id() -> u64 {
-    THREAD_ID.with(|cell| {
-        *cell.borrow_mut().get_or_insert_with(|| NEXT_THREAD.fetch_add(1, Ordering::Relaxed))
-    })
+    /// The session this thread records into, if any.
+    static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Registers this thread with the sink of the given epoch; `None` when no
-/// such sink is active (the session ended, or never was).
-fn register_thread(epoch: u64) -> Option<EventBuffer> {
-    let guard = lock(&SINK);
-    let sink = guard.as_ref()?;
-    if sink.epoch != epoch {
-        return None;
-    }
-    let buffer = Arc::new(Mutex::new(Vec::new()));
-    lock(&sink.buffers).push(Arc::clone(&buffer));
-    Some(buffer)
+/// Installs `recorder` on this thread and returns the previous one; the
+/// recording flag follows whether a recorder is installed.
+pub(crate) fn swap_recorder(recorder: Option<Recorder>) -> Option<Recorder> {
+    set_flag(RECORDING, recorder.is_some());
+    RECORDER.with(|r| std::mem::replace(&mut *r.borrow_mut(), recorder))
 }
 
-/// Appends one event to this thread's buffer of the active session. Called
-/// from span open/close only while the timeline state bit is set; a late
-/// call racing the session teardown is dropped (epoch mismatch).
+/// The sink of the session this thread records into, if any.
+pub(crate) fn current_sink() -> Option<Arc<Sink>> {
+    RECORDER.with(|r| r.borrow().as_ref().map(|r| Arc::clone(&r.sink)))
+}
+
+/// Appends one event to this thread's session. Called from span open/close
+/// only while this thread records.
 pub(crate) fn record_event(name: String, phase: TimelinePhase) {
     let at_ns = monotonic_ns();
-    let epoch = EPOCH.load(Ordering::Acquire);
-    BUFFER.with(|cell| {
-        let mut cached = cell.borrow_mut();
-        if !matches!(&*cached, Some((e, _)) if *e == epoch) {
-            *cached = register_thread(epoch).map(|buffer| (epoch, buffer));
-        }
-        if let Some((_, buffer)) = &*cached {
-            lock(buffer).push(TimelineEvent { thread: thread_id(), name, phase, at_ns });
+    RECORDER.with(|r| {
+        if let Some(recorder) = r.borrow().as_ref() {
+            let event = TimelineEvent { thread: recorder.thread, name, phase, at_ns };
+            lock(&recorder.sink.events).push(event);
         }
     });
 }
 
-/// Runs `f` with timeline recording active and returns its result together
-/// with the recorded [`Timeline`].
+/// Runs `f` with timeline recording active on this thread (and the parallel
+/// regions it enters) and returns its result together with the recorded
+/// [`Timeline`].
 ///
-/// Only one session records at a time: a nested or concurrent call still
-/// runs `f` but returns an empty timeline (its events go to the outer
-/// session). The recording sites are the existing [`span`](crate::span)
-/// instrumentation — no extra annotation is needed.
+/// Sessions on different threads are independent, each sees only its own
+/// spans. A nested session on the same thread takes over until it ends; its
+/// events are not also reported to the outer one. The recording sites are
+/// the existing [`span`](crate::span) instrumentation — no extra annotation
+/// is needed.
 pub fn record<R>(f: impl FnOnce() -> R) -> (R, Timeline) {
-    let sink = {
-        let mut guard = lock(&SINK);
-        if guard.is_some() {
-            None
-        } else {
-            let epoch = EPOCH.fetch_add(1, Ordering::AcqRel) + 1;
-            let sink = Arc::new(Sink { epoch, buffers: Mutex::new(Vec::new()) });
-            *guard = Some(Arc::clone(&sink));
-            Some(sink)
-        }
-    };
-    let Some(sink) = sink else {
-        // Another session owns the recorder; degrade gracefully.
-        return (f(), Timeline::default());
-    };
-
-    set_state_bit(STATE_TIMELINE);
+    let sink = Arc::new(Sink::default());
+    let previous = swap_recorder(Some(Recorder::join(Arc::clone(&sink))));
     let result = f();
-    clear_state_bit(STATE_TIMELINE);
-
-    {
-        let mut guard = lock(&SINK);
-        // Invalidate stale thread registrations before draining, so an End
-        // event from a span outliving the session cannot race the drain.
-        EPOCH.fetch_add(1, Ordering::AcqRel);
-        *guard = None;
-    }
-    let mut events = Vec::new();
-    for buffer in lock(&sink.buffers).drain(..) {
-        events.append(&mut lock(&buffer));
-    }
+    swap_recorder(previous);
+    // Each thread pushes in program order with non-decreasing timestamps, so
+    // a stable sort keeps per-thread order.
+    let mut events = std::mem::take(&mut *lock(&sink.events));
     events.sort_by_key(|e| e.at_ns);
     (result, Timeline { events })
 }
@@ -208,14 +179,12 @@ mod tests {
     use super::*;
     use crate::span;
 
-    /// Only one [`record`] session is live at a time (extras degrade to an
-    /// empty timeline), so tests that assert on recorded events take this
-    /// lock to avoid racing each other under the parallel test runner.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    fn event(thread: u64, name: &str, phase: TimelinePhase, at_ns: u64) -> TimelineEvent {
+        TimelineEvent { thread, name: name.into(), phase, at_ns }
+    }
 
     #[test]
     fn records_balanced_begin_end_pairs() {
-        let _serial = lock(&TEST_LOCK);
         let ((), timeline) = record(|| {
             let _outer = span("outer");
             {
@@ -242,25 +211,19 @@ mod tests {
 
     #[test]
     fn disabled_path_records_nothing() {
-        let _serial = lock(&TEST_LOCK);
         {
             let _s = span("outside_any_session");
         }
         let ((), timeline) = record(|| ());
-        assert!(timeline.events.iter().all(|e| e.name != "outside_any_session"));
+        assert!(timeline.events.is_empty());
     }
 
     #[test]
     fn check_balanced_flags_mismatched_pairs() {
         let timeline = Timeline {
             events: vec![
-                TimelineEvent {
-                    thread: 0,
-                    name: "a".into(),
-                    phase: TimelinePhase::Begin,
-                    at_ns: 1,
-                },
-                TimelineEvent { thread: 0, name: "b".into(), phase: TimelinePhase::End, at_ns: 2 },
+                event(0, "a", TimelinePhase::Begin, 1),
+                event(0, "b", TimelinePhase::End, 2),
             ],
         };
         let offending = timeline.check_balanced().expect_err("mismatch expected");
@@ -268,19 +231,41 @@ mod tests {
     }
 
     #[test]
+    fn check_balanced_reports_the_begin_left_open() {
+        // Thread 1 closes its `a` first; thread 0 closes one `a`, then opens
+        // a second one and never closes it.
+        let timeline = Timeline {
+            events: vec![
+                event(1, "a", TimelinePhase::Begin, 1),
+                event(0, "a", TimelinePhase::Begin, 2),
+                event(1, "a", TimelinePhase::End, 3),
+                event(0, "a", TimelinePhase::End, 4),
+                event(0, "a", TimelinePhase::Begin, 5),
+            ],
+        };
+        let offending = timeline.check_balanced().expect_err("unclosed span expected");
+        assert_eq!(offending, &event(0, "a", TimelinePhase::Begin, 5));
+    }
+
+    #[test]
     fn worker_threads_join_the_timeline() {
-        let _serial = lock(&TEST_LOCK);
+        // `par_map` carries the session into its participants through a
+        // `ParCollect`; a bare spawned thread does not join.
         let ((), timeline) = record(|| {
-            let handles: Vec<_> = (0..2)
-                .map(|i| {
-                    std::thread::spawn(move || {
+            let collect = crate::ParCollect::new(2).expect("recording");
+            std::thread::scope(|scope| {
+                for i in 0..2 {
+                    let collect = &collect;
+                    scope.spawn(move || {
+                        let _p = collect.participant(i);
                         let _s = crate::span_dyn(|| format!("worker_{i}"));
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().expect("worker");
-            }
+                    });
+                }
+                scope.spawn(|| {
+                    let _s = span("not_a_participant");
+                });
+            });
+            collect.merge_into_current();
         });
         assert!(timeline.check_balanced().is_ok());
         let mut names: Vec<&str> = timeline
@@ -291,7 +276,7 @@ mod tests {
             .collect();
         names.sort_unstable();
         assert_eq!(names, vec!["worker_0", "worker_1"]);
-        // The two workers are distinct threads.
+        // The two workers are distinct threads, neither the recording one.
         let workers: std::collections::BTreeSet<u64> = timeline
             .events
             .iter()
@@ -299,5 +284,36 @@ mod tests {
             .map(|e| e.thread)
             .collect();
         assert_eq!(workers.len(), 2);
+        assert!(!workers.contains(&0));
+    }
+
+    #[test]
+    fn concurrent_sessions_each_return_their_own_events() {
+        let barrier = std::sync::Barrier::new(2);
+        let timelines: Vec<Timeline> = std::thread::scope(|scope| {
+            let handles: Vec<_> = ["left", "right"]
+                .into_iter()
+                .map(|name| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        record(|| {
+                            // Both sessions are open before either records.
+                            barrier.wait();
+                            for _ in 0..3 {
+                                let _s = span(name);
+                            }
+                            barrier.wait();
+                        })
+                        .1
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("session thread")).collect()
+        });
+        for (timeline, name) in timelines.iter().zip(["left", "right"]) {
+            assert!(timeline.check_balanced().is_ok());
+            assert_eq!(timeline.events.len(), 6, "{name}: {timeline:?}");
+            assert!(timeline.events.iter().all(|e| e.name == name && e.thread == 0));
+        }
     }
 }

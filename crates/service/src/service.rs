@@ -347,7 +347,7 @@ impl ExplainService {
 
     /// Arms a per-request [`whynot_guard::Guard`] for limited requests;
     /// unlimited requests skip arming entirely, so they keep the unguarded
-    /// fast path (one relaxed load per check site).
+    /// fast path (one thread-local read per check site).
     fn explain_guarded(
         &self,
         request: &ExplainRequest,

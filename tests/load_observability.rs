@@ -9,7 +9,8 @@
 //! * **Timeline export** — a load run recorded under an
 //!   `obs::timeline` session yields balanced begin/end pairs, and the Chrome
 //!   trace-event JSON round-trips through the workspace's own JSON parser
-//!   with names, phases, and timestamps intact.
+//!   with names, phases, and timestamps intact. A session captures only its
+//!   own request, never one served concurrently on another thread.
 //! * **Flamegraph export** — the folded-stack lines derived from a profiled
 //!   run expose the service span paths (`batch;request`) with positive
 //!   self-time.
@@ -17,24 +18,14 @@
 //!   series, and the `stats` wire op carries the exact latency extremes,
 //!   the cache hit rate, and the guard trip breakdown by kind.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use whynot_exec::with_threads;
-use whynot_service::loadgen::{run, LoadgenConfig};
+use whynot_service::loadgen::{family_scenarios, run, LoadgenConfig};
+use whynot_service::service::{DbRef, ExplainRequest, PlanRef};
 use whynot_service::{
     timeline_from_chrome_json, timeline_to_chrome_json, ExplainService, Json, METRICS_CAPACITY,
 };
-
-/// Timeline and profile sessions are process-global: while one is open,
-/// every span in the process is recorded into it, so a span of a concurrent
-/// test could begin inside a session and end after it. Every test here
-/// serializes on this lock so the default multi-threaded test runner cannot
-/// make a session overlap other work.
-static SESSION_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SESSION_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// A small but multi-scenario run: several distinct trace keys, several
 /// waves, a non-trivial warmup.
@@ -52,7 +43,6 @@ fn small_config() -> LoadgenConfig {
 
 #[test]
 fn loadgen_structure_is_identical_at_any_thread_count() {
-    let _session = serial();
     let config = small_config();
     let signatures: Vec<String> = [1usize, 2, 8]
         .iter()
@@ -80,7 +70,6 @@ fn loadgen_structure_is_identical_at_any_thread_count() {
 
 #[test]
 fn loadgen_seeds_change_the_schedule() {
-    let _session = serial();
     let base = small_config();
     let reseeded = LoadgenConfig { seed: 43, ..base.clone() };
     let a = run(&base).expect("load run succeeds");
@@ -90,7 +79,6 @@ fn loadgen_seeds_change_the_schedule() {
 
 #[test]
 fn chrome_trace_export_balances_and_round_trips() {
-    let _session = serial();
     let config = LoadgenConfig { requests: 8, warmup: 2, ..small_config() };
     let (report, timeline) =
         whynot_obs::timeline::record(|| run(&config).expect("load run succeeds"));
@@ -124,7 +112,6 @@ fn chrome_trace_export_balances_and_round_trips() {
 
 #[test]
 fn folded_stacks_expose_the_service_span_paths() {
-    let _session = serial();
     let config = LoadgenConfig { requests: 8, warmup: 2, ..small_config() };
     let (report, profile) = whynot_obs::profile(|| run(&config).expect("load run succeeds"));
     assert!(report.measured_requests > 0);
@@ -144,7 +131,6 @@ fn folded_stacks_expose_the_service_span_paths() {
 
 #[test]
 fn metrics_wire_op_serves_the_process_time_series() {
-    let _session = serial();
     let service = ExplainService::new();
     let request = Json::parse(r#"{"op": "metrics"}"#).unwrap();
     let response = service.handle_wire(&request).expect("metrics op answers");
@@ -175,7 +161,6 @@ fn metrics_wire_op_serves_the_process_time_series() {
 
 #[test]
 fn stats_wire_op_carries_the_new_observability_fields() {
-    let _session = serial();
     let service = ExplainService::new();
     let stats =
         service.handle_wire(&Json::parse(r#"{"op": "stats"}"#).unwrap()).expect("stats op answers");
@@ -192,4 +177,49 @@ fn stats_wire_op_carries_the_new_observability_fields() {
     for kind in ["deadline", "trace_budget", "eval_budget", "cancelled"] {
         assert!(by_kind.get(kind).and_then(Json::as_i64).is_some(), "missing kind `{kind}`");
     }
+}
+
+#[test]
+fn a_timeline_session_captures_only_its_own_request() {
+    let scenario = family_scenarios("running", None).expect("running family").remove(0);
+    let mut service = ExplainService::new();
+    service.catalog_mut().register_database(scenario.name.clone(), scenario.db);
+    service.catalog_mut().register_plan(scenario.name.clone(), scenario.plan);
+    let request = ExplainRequest::new(
+        DbRef::Named(scenario.name.clone()),
+        PlanRef::Named(scenario.name),
+        scenario.why_not,
+    )
+    .with_alternatives(scenario.alternatives);
+
+    let stop = AtomicBool::new(false);
+    let served = AtomicUsize::new(0);
+    let timeline = std::thread::scope(|scope| {
+        // A second client explains on the same service the whole time.
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                service.explain(&request).expect("concurrent explain succeeds");
+                served.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let ((), timeline) = whynot_obs::timeline::record(|| {
+            let before = served.load(Ordering::Relaxed);
+            service.explain(&request).expect("recorded explain succeeds");
+            // Keep the session open until the other client ran a whole
+            // request inside it.
+            while served.load(Ordering::Relaxed) < before + 2 {
+                std::thread::yield_now();
+            }
+        });
+        stop.store(true, Ordering::Relaxed);
+        timeline
+    });
+    timeline.check_balanced().expect("begin/end events pair up per thread");
+    let requests: Vec<_> =
+        timeline.events.iter().filter(|e| e.name == "request").map(|e| e.phase).collect();
+    assert_eq!(
+        requests,
+        [whynot_obs::TimelinePhase::Begin, whynot_obs::TimelinePhase::End],
+        "{timeline:?}"
+    );
 }
