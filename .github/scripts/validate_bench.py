@@ -6,8 +6,8 @@ Usage: validate_bench.py [REPORT [BASELINE]] [--profile FILE]
 REPORT (default BENCH_figures.json) is the freshly measured report.
 BASELINE, when given, is the *committed* report snapshotted before the bench
 run; the perf-regression gate compares the re-measured `value_layer`,
-`columnar`, `join`, and `pipeline` groups against it and fails on a >2x
-slowdown of any case, and holds the `whynot-loadgen` `service` group to its
+`join`, and `pipeline` groups against it and fails on a >2x slowdown of any
+case, and holds the `whynot-loadgen` `service` group to its
 SLO figures
 (p95 latency <= 2x baseline, throughput >= half of baseline).
 
@@ -88,7 +88,6 @@ def main():
     for name in (
         "value_layer",
         "parallel",
-        "columnar",
         "join",
         "pipeline",
         "obs",
@@ -135,30 +134,6 @@ def main():
         else:
             print(f"NOTICE: parallel speedup gate skipped on a {cpus}-cpu runner (< 4)")
 
-    # Columnar speedup gate: the columnar wide-flat scan must beat the
-    # row-oriented scan. Both sides are measured serially in the same
-    # process, so this holds regardless of core count.
-    columnar = cases("columnar")
-    for case in (
-        "lineitem_select/rows",
-        "lineitem_select/columnar",
-        "lineitem_trace/rows",
-        "lineitem_trace/columnar",
-    ):
-        assert case in columnar, f"columnar group lacks {case}: {sorted(columnar)}"
-    rows = columnar["lineitem_select/rows"]["min_ms"]
-    cols = columnar["lineitem_select/columnar"]["min_ms"]
-    speedup = rows / cols if cols > 0 else float("inf")
-    print(f"lineitem_select: {rows:.3f} ms rows / {cols:.3f} ms columnar = {speedup:.2f}x")
-    assert speedup >= 1.5, f"columnar lineitem_select: expected >= 1.5x, got {speedup:.2f}x"
-    trace_rows = columnar["lineitem_trace/rows"]["min_ms"]
-    trace_cols = columnar["lineitem_trace/columnar"]["min_ms"]
-    trace_speedup = trace_rows / trace_cols if trace_cols > 0 else float("inf")
-    print(
-        f"lineitem_trace: {trace_rows:.3f} ms rows / {trace_cols:.3f} ms columnar "
-        f"= {trace_speedup:.2f}x (informational)"
-    )
-
     # Hash-join speedup gate: the partitioned hash join must beat the block
     # nested loop (the physical plan the evaluator ran before the shared join
     # core) on the equi-join case. Both sides are measured in the same
@@ -167,18 +142,16 @@ def main():
     join = cases("join")
     for case in (
         "equi_join/nested_loop",
-        "equi_join/hash_rows",
-        "equi_join/hash_columnar",
+        "equi_join/hash",
         "mixed_join/nested_loop",
-        "mixed_join/hash_columnar",
-        "nonequi_join/rows",
-        "nonequi_join/columnar",
+        "mixed_join/hash",
+        "nonequi_join/nested_loop",
         "equi_trace/nested_loop",
         "equi_trace/hash",
     ):
         assert case in join, f"join group lacks {case}: {sorted(join)}"
     loop_ms = join["equi_join/nested_loop"]["min_ms"]
-    hash_ms = join["equi_join/hash_columnar"]["min_ms"]
+    hash_ms = join["equi_join/hash"]["min_ms"]
     speedup = loop_ms / hash_ms if hash_ms > 0 else float("inf")
     print(f"equi_join: {loop_ms:.3f} ms nested loop / {hash_ms:.3f} ms hash = {speedup:.2f}x")
     assert speedup >= 1.5, f"equi_join: expected >= 1.5x over the nested loop, got {speedup:.2f}x"
@@ -206,18 +179,18 @@ def main():
         f"= {d4_speedup:.2f}x (informational)"
     )
 
-    # Instrumentation-overhead gate: the `obs` group re-measures the committed
-    # columnar/join workloads with the `whynot-obs` sites compiled in but no
-    # profiling session active (one relaxed atomic load per site). Each
-    # `disabled` case must stay within 5% of the same workload's case in the
-    # columnar/join groups re-measured in the same CI run. The comparison
-    # crosses bench processes, so it needs a quiet multi-core runner:
-    # enforced on >= 4 CPUs, notice otherwise.
+    # Instrumentation-overhead gate: the `obs` group re-measures the
+    # value_layer lineitem and join hash workloads with the `whynot-obs` sites
+    # compiled in but no profiling session active (one thread-local load per
+    # site). Each `disabled` case must stay within 5% of the same workload's
+    # case in the value_layer/join groups re-measured in the same CI run.
+    # The comparison crosses bench processes, so it needs a quiet multi-core
+    # runner: enforced on >= 4 CPUs, notice otherwise.
     obs = cases("obs")
     obs_gate = [
-        ("lineitem_select/disabled", "columnar", "lineitem_select/columnar"),
-        ("lineitem_trace/disabled", "columnar", "lineitem_trace/columnar"),
-        ("equi_join/disabled", "join", "equi_join/hash_columnar"),
+        ("lineitem_select/disabled", "value_layer", "lineitem_select"),
+        ("lineitem_trace/disabled", "value_layer", "lineitem_trace"),
+        ("equi_join/disabled", "join", "equi_join/hash"),
         ("equi_trace/disabled", "join", "equi_trace/hash"),
     ]
     for obs_case, _, _ in obs_gate:
@@ -262,18 +235,18 @@ def main():
     elif obs_failures:
         print(f"NOTICE: obs overhead gate skipped on a {cpus}-cpu runner (< 4)")
 
-    # Guard-overhead gate: the `guard` group re-measures the committed
-    # columnar/join workloads with the `whynot-guard` check sites compiled in
-    # but no guard armed (one relaxed atomic load per site — the price every
-    # unlimited request pays). Each `unguarded` case must stay within 5% of
-    # the same workload's case in the columnar/join groups re-measured in the
-    # same CI run; the `guarded` twins (armed, roomy limits) are
+    # Guard-overhead gate: the `guard` group re-measures the value_layer
+    # lineitem and join hash workloads with the `whynot-guard` check sites
+    # compiled in but no guard armed (one thread-local read per site — the
+    # price every unlimited request pays). Each `unguarded` case must stay
+    # within 5% of the same workload's case in the value_layer/join groups
+    # re-measured in the same CI run; the `guarded` twins (armed, roomy limits) are
     # informational. Cross-process comparison: enforced on >= 4 CPUs.
     guard = cases("guard")
     guard_gate = [
-        ("lineitem_select/unguarded", "columnar", "lineitem_select/columnar"),
-        ("lineitem_trace/unguarded", "columnar", "lineitem_trace/columnar"),
-        ("equi_join/unguarded", "join", "equi_join/hash_columnar"),
+        ("lineitem_select/unguarded", "value_layer", "lineitem_select"),
+        ("lineitem_trace/unguarded", "value_layer", "lineitem_trace"),
+        ("equi_join/unguarded", "join", "equi_join/hash"),
         ("equi_trace/unguarded", "join", "equi_trace/hash"),
     ]
     for guard_case, _, _ in guard_gate:
@@ -391,9 +364,8 @@ def main():
         )
     )
 
-    # Perf-regression gate: the re-measured value_layer, columnar, join, and
-    # pipeline groups must not be more than 2x slower than the committed
-    # baseline.
+    # Perf-regression gate: the re-measured value_layer, join, and pipeline
+    # groups must not be more than 2x slower than the committed baseline.
     # The service group joins the gate on its SLO figures: p95 latency may
     # not exceed 2x the committed baseline, throughput may not fall below
     # half of it. Absolute times only transfer between comparable machines,
@@ -406,7 +378,7 @@ def main():
         }
         if cpus >= 4:
             failures = []
-            for group_name in ("value_layer", "columnar", "join", "pipeline"):
+            for group_name in ("value_layer", "join", "pipeline"):
                 for case_name, case in cases(group_name).items():
                     base = baseline_cases.get(group_name, {}).get(case_name)
                     if base is None:

@@ -10,8 +10,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use nested_data::{Bag, BagBuilder, ColumnarBag, NestedType, Sym, Tuple, TupleType, Value};
-use whynot_exec::par_map;
+use nested_data::{Bag, BagBuilder, NestedType, Sym, Tuple, TupleType, Value};
 
 use crate::agg::AggFunc;
 use crate::database::Database;
@@ -141,40 +140,19 @@ fn apply_operator_impl(
     }
 }
 
-/// Rows per parallel chunk of a columnar scan. Chunks fan out over
-/// [`whynot_exec::par_map`] and are reassembled in input order, so the scan
-/// result is independent of the thread count.
-const COLUMNAR_CHUNK_ROWS: usize = 1024;
+/// Rows per morsel of a chunked parallel pass (the hash-join build, the
+/// tracer's fused morsel pass). Morsels fan out over
+/// [`whynot_exec::par_map`] and are reassembled in input order, so results
+/// are independent of the thread count.
+const MORSEL_ROWS: usize = 1024;
 
-/// Splits `rows` into contiguous `COLUMNAR_CHUNK_ROWS`-sized ranges.
-pub fn columnar_chunks(rows: usize) -> Vec<Range<usize>> {
-    (0..rows)
-        .step_by(COLUMNAR_CHUNK_ROWS)
-        .map(|start| start..(start + COLUMNAR_CHUNK_ROWS).min(rows))
-        .collect()
-}
-
-/// Evaluates a predicate over every row of a columnar bag, column-at-a-time
-/// in parallel chunks. `mask[r]` is the predicate value of row `r`, identical
-/// to evaluating the predicate on the row's tuple.
-pub fn columnar_mask(cols: &ColumnarBag, predicate: &Expr) -> Vec<bool> {
-    let chunks = columnar_chunks(cols.rows());
-    par_map(&chunks, |range| {
-        whynot_guard::enforce();
-        predicate.eval_columnar_mask(cols, range.clone())
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+/// Splits `rows` into contiguous `MORSEL_ROWS`-sized ranges.
+pub fn morsel_ranges(rows: usize) -> Vec<Range<usize>> {
+    (0..rows).step_by(MORSEL_ROWS).map(|start| start..(start + MORSEL_ROWS).min(rows)).collect()
 }
 
 fn eval_projection(input: &Bag, columns: &[ProjColumn]) -> Bag {
     let names: Vec<Sym> = columns.iter().map(|c| Sym::intern(&c.name)).collect();
-    if let Some(cols) = input.columnar() {
-        whynot_obs::add("path.columnar", 1);
-        return eval_projection_columnar(&cols, &names, columns);
-    }
-    whynot_obs::add("path.rows", 1);
     let mut out = BagBuilder::with_capacity(input.distinct());
     for (v, m) in input.iter() {
         let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
@@ -186,50 +164,7 @@ fn eval_projection(input: &Bag, columns: &[ProjColumn]) -> Bag {
     out.finish()
 }
 
-/// Columnar projection: evaluates each output column over per-chunk column
-/// slices, then reassembles rows in input order. The output tuples (and
-/// therefore the canonical result bag) are identical to the row-oriented
-/// path's, because both build `⟨name: expr(row)⟩` from the same expression
-/// semantics.
-fn eval_projection_columnar(cols: &ColumnarBag, names: &[Sym], columns: &[ProjColumn]) -> Bag {
-    let chunks = columnar_chunks(cols.rows());
-    let mults = cols.mults();
-    let per_chunk: Vec<Vec<(Value, u64)>> = par_map(&chunks, |range| {
-        whynot_guard::enforce();
-        let evaluated: Vec<Vec<Value>> =
-            columns.iter().map(|c| c.expr.eval_columnar(cols, range.clone())).collect();
-        (0..range.len())
-            .map(|i| {
-                let projected = Tuple::new(
-                    names.iter().zip(evaluated.iter()).map(|(name, col)| (*name, col[i].clone())),
-                );
-                (Value::from_tuple(projected), mults[range.start + i])
-            })
-            .collect()
-    });
-    let mut out = BagBuilder::with_capacity(cols.rows());
-    for chunk in per_chunk {
-        out.extend(chunk);
-    }
-    out.finish()
-}
-
 fn eval_selection(input: &Bag, predicate: &Expr) -> Bag {
-    if let Some(cols) = input.columnar() {
-        whynot_obs::add("path.columnar", 1);
-        // Column-at-a-time predicate evaluation; the surviving entries are
-        // gathered from the canonical input in order, so the result is the
-        // same bag `filter` builds.
-        let mask = columnar_mask(&cols, predicate);
-        let entries: Vec<(Value, u64)> = input
-            .iter()
-            .zip(mask)
-            .filter(|(_, keep)| *keep)
-            .map(|(entry, _)| entry.clone())
-            .collect();
-        return Bag::from_canonical_entries(entries);
-    }
-    whynot_obs::add("path.rows", 1);
     input.filter(|v| v.as_tuple().map(|t| predicate.eval_bool(t)).unwrap_or(false))
 }
 
@@ -242,18 +177,14 @@ fn eval_join(
     right_schema: &TupleType,
 ) -> Bag {
     // Materialize each side's row tuples once (non-tuple entries join as the
-    // empty tuple, as the nested loop always did), attach the bags' columnar
-    // forms for key extraction, and let the shared join core find the pairs.
+    // empty tuple, as the nested loop always did) and let the shared join
+    // core find the pairs.
     let left_tuples: Vec<Tuple> =
         left.iter().map(|(v, _)| v.as_tuple().cloned().unwrap_or_else(Tuple::empty)).collect();
     let right_tuples: Vec<Tuple> =
         right.iter().map(|(v, _)| v.as_tuple().cloned().unwrap_or_else(Tuple::empty)).collect();
-    let left_cols = left.columnar();
-    let right_cols = right.columnar();
-    let left_side =
-        JoinSide::new(left_tuples.iter().map(Some).collect()).with_columns(left_cols.as_deref());
-    let right_side =
-        JoinSide::new(right_tuples.iter().map(Some).collect()).with_columns(right_cols.as_deref());
+    let left_side = JoinSide::new(left_tuples.iter().map(Some).collect());
+    let right_side = JoinSide::new(right_tuples.iter().map(Some).collect());
     let matches = join_matches(&left_side, &right_side, predicate, left_schema, right_schema);
 
     let left_mults: Vec<u64> = left.iter().map(|(_, m)| *m).collect();

@@ -9,235 +9,25 @@
 //! tuple; attribute references are [`AttrPath`]s so they can reach into nested
 //! tuples.
 
+use std::cmp::Ordering;
 use std::fmt;
-use std::ops::Range;
 
-use nested_data::{AttrPath, Bag, Column, ColumnSlice, ColumnarBag, Tuple, Value};
+use nested_data::{AttrPath, Bag, Tuple, Value};
 
-/// A borrowable `⊥` for broadcast operands.
-static NULL_VALUE: Value = Value::Null;
-
-/// One side of a vectorized comparison/arithmetic step over a row range.
-enum ColOperand<'a> {
-    /// A borrowed typed column slice, already restricted to the row range.
-    Col(ColumnSlice<'a>),
-    /// A constant, broadcast to every row.
-    Const(&'a Value),
-    /// A materialized typed column (computed sub-expression).
-    Owned(Column),
-}
-
-impl ColOperand<'_> {
-    /// A typed view of the operand's per-row data, or `None` for broadcast
-    /// constants.
-    fn slice(&self) -> Option<ColumnSlice<'_>> {
-        match self {
-            ColOperand::Col(slice) => Some(*slice),
-            ColOperand::Const(_) => None,
-            ColOperand::Owned(column) => Some(column.slice(0..column.len())),
-        }
-    }
-
-    /// Calls `f` with the operand's value at row offset `i`, borrowing where
-    /// the representation allows it (constants and `Mixed` data) and
-    /// reconstructing the boxed value otherwise. This is the generic per-row
-    /// path; the typed kernels below bypass it entirely.
-    fn with_value<R>(&self, i: usize, f: impl FnOnce(&Value) -> R) -> R {
-        match self.slice() {
-            None => match self {
-                ColOperand::Const(v) => f(v),
-                _ => unreachable!("sliceless operands are constants"),
-            },
-            Some(ColumnSlice::Mixed(values)) => f(&values[i]),
-            Some(slice) => f(&slice.value(i)),
-        }
-    }
-}
-
-/// The typed payloads the monomorphic kernels dispatch on: a numeric slice or
-/// broadcast constant (everything comparable through `f64`, exactly like
-/// [`Value::as_float`]), or a string/boolean slice or constant. `None` means
-/// the operand needs the generic per-row path.
-enum NumOperand<'a> {
-    /// An unboxed integer column; each row coerces via `as f64`.
-    Ints(&'a [i64]),
-    /// An unboxed float column.
-    Reals(&'a [f64]),
-    /// A numeric constant, already coerced to `f64`.
-    Const(f64),
-}
-
-impl NumOperand<'_> {
-    /// The operand's numeric value at row `i`, widened to `f64` with the
-    /// exact coercion of [`Value::as_float`] (`Int` → `as f64`).
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
-        match self {
-            NumOperand::Ints(v) => v[i] as f64,
-            NumOperand::Reals(v) => v[i],
-            NumOperand::Const(k) => *k,
-        }
-    }
-}
-
-/// Resolves an operand to a numeric view, if **every** row is numeric (typed
-/// `Int`/`Real` columns, or an `Int`/`Float` constant).
-fn num_operand<'a>(op: &'a ColOperand<'_>) -> Option<NumOperand<'a>> {
-    match op {
-        ColOperand::Const(v) => match v {
-            Value::Int(i) => Some(NumOperand::Const(*i as f64)),
-            Value::Float(f) => Some(NumOperand::Const(*f)),
-            _ => None,
-        },
-        _ => match op.slice() {
-            Some(ColumnSlice::Int(v)) => Some(NumOperand::Ints(v)),
-            Some(ColumnSlice::Real(v)) => Some(NumOperand::Reals(v)),
-            _ => None,
-        },
-    }
-}
-
-/// A string slice or broadcast string constant.
-enum StrOperand<'a> {
-    /// An unboxed string column.
-    Strs(&'a [std::sync::Arc<str>]),
-    /// A string constant.
-    Const(&'a str),
-}
-
-impl StrOperand<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> &str {
-        match self {
-            StrOperand::Strs(v) => &v[i],
-            StrOperand::Const(s) => s,
-        }
-    }
-}
-
-fn str_operand<'a>(op: &'a ColOperand<'_>) -> Option<StrOperand<'a>> {
-    match op {
-        ColOperand::Const(Value::Str(s)) => Some(StrOperand::Const(s)),
-        ColOperand::Const(_) => None,
-        _ => match op.slice() {
-            Some(ColumnSlice::Str(v)) => Some(StrOperand::Strs(v)),
-            _ => None,
-        },
-    }
-}
-
-/// A boolean slice or broadcast boolean constant.
-enum BoolOperand<'a> {
-    /// An unboxed boolean column.
-    Bools(&'a [bool]),
-    /// A boolean constant.
-    Const(bool),
-}
-
-impl BoolOperand<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        match self {
-            BoolOperand::Bools(v) => v[i],
-            BoolOperand::Const(b) => *b,
-        }
-    }
-}
-
-fn bool_operand<'a>(op: &'a ColOperand<'_>) -> Option<BoolOperand<'a>> {
-    match op {
-        ColOperand::Const(Value::Bool(b)) => Some(BoolOperand::Const(*b)),
-        ColOperand::Const(_) => None,
-        _ => match op.slice() {
-            Some(ColumnSlice::Bool(v)) => Some(BoolOperand::Bools(v)),
-            _ => None,
-        },
-    }
-}
-
-/// Scalar truth kernel of [`Expr::Contains`], shared by the row-oriented and
-/// columnar evaluators.
-fn contains_bool(haystack: &Value, needle: &Value) -> bool {
-    match (haystack, needle) {
+/// Scalar kernel of [`Expr::Contains`]: substring for strings, membership
+/// for nested relations, false otherwise.
+fn scalar_contains(haystack: &Value, needle: &Value) -> Value {
+    Value::Bool(match (haystack, needle) {
         (Value::Str(h), Value::Str(n)) => h.contains(&**n),
         (Value::Bag(b), v) => b.contains(v),
         _ => false,
-    }
+    })
 }
 
-/// Scalar kernel of [`Expr::Contains`].
-fn scalar_contains(haystack: &Value, needle: &Value) -> Value {
-    Value::Bool(contains_bool(haystack, needle))
-}
-
-/// Scalar truth kernel of [`Expr::IsNull`]: `⊥` and empty nested relations
-/// count as null.
-fn is_null_bool(v: &Value) -> bool {
-    v.is_null() || matches!(v, Value::Bag(b) if b.is_empty())
-}
-
-/// Scalar kernel of [`Expr::IsNull`].
+/// Scalar kernel of [`Expr::IsNull`]: `⊥` and empty nested relations count
+/// as null.
 fn scalar_is_null(v: &Value) -> Value {
-    Value::Bool(is_null_bool(v))
-}
-
-/// Chunk kernel of [`Expr::Cmp`]: picks one monomorphic loop for the whole
-/// row range based on the operand column types, falling back to the generic
-/// per-row [`CmpOp::apply`] for `Mixed` columns and cross-kind comparisons.
-/// Every specialized loop decides exactly like [`CmpOp::apply`] does on the
-/// reconstructed values (numeric pairs through the `as f64` widening of
-/// [`Value::as_float`], strings and booleans through their `Ord`), so the
-/// mask is identical to evaluating the comparison row by row.
-fn cmp_mask(a: &ColOperand<'_>, op: CmpOp, b: &ColOperand<'_>, len: usize) -> Vec<bool> {
-    if let (Some(x), Some(y)) = (num_operand(a), num_operand(b)) {
-        return (0..len).map(|i| op.apply_f64(x.get(i), y.get(i))).collect();
-    }
-    if let (Some(x), Some(y)) = (str_operand(a), str_operand(b)) {
-        return (0..len).map(|i| op.apply_ord(x.get(i).cmp(y.get(i)))).collect();
-    }
-    if let (Some(x), Some(y)) = (bool_operand(a), bool_operand(b)) {
-        return (0..len).map(|i| op.apply_ord(x.get(i).cmp(&y.get(i)))).collect();
-    }
-    (0..len).map(|i| a.with_value(i, |av| b.with_value(i, |bv| op.apply(av, bv)))).collect()
-}
-
-/// Chunk kernel of [`Expr::Arith`]: when both operands are numeric (typed
-/// `Int`/`Real` columns or numeric constants) the whole range is computed
-/// over unboxed `f64`s into a typed `Real` column — except divisions with a
-/// zero divisor anywhere in the range, which keep the per-row boxed form so
-/// `⊥` rows survive exactly. Non-numeric operands fall back to
-/// [`scalar_arith`] per row.
-fn arith_column(a: &ColOperand<'_>, op: ArithOp, b: &ColOperand<'_>, len: usize) -> Column {
-    if let (Some(x), Some(y)) = (num_operand(a), num_operand(b)) {
-        return match op {
-            ArithOp::Add => Column::Real((0..len).map(|i| x.get(i) + y.get(i)).collect()),
-            ArithOp::Sub => Column::Real((0..len).map(|i| x.get(i) - y.get(i)).collect()),
-            ArithOp::Mul => Column::Real((0..len).map(|i| x.get(i) * y.get(i)).collect()),
-            ArithOp::Div => {
-                if (0..len).any(|i| y.get(i) == 0.0) {
-                    Column::Mixed(
-                        (0..len)
-                            .map(|i| {
-                                let divisor = y.get(i);
-                                if divisor == 0.0 {
-                                    Value::Null
-                                } else {
-                                    Value::Float(x.get(i) / divisor)
-                                }
-                            })
-                            .collect(),
-                    )
-                } else {
-                    Column::Real((0..len).map(|i| x.get(i) / y.get(i)).collect())
-                }
-            }
-        };
-    }
-    Column::Mixed(
-        (0..len)
-            .map(|i| a.with_value(i, |av| b.with_value(i, |bv| scalar_arith(av, op, bv))))
-            .collect(),
-    )
+    Value::Bool(v.is_null() || matches!(v, Value::Bag(b) if b.is_empty()))
 }
 
 /// Scalar kernel of [`Expr::Arith`]; non-numeric operands and division by
@@ -301,39 +91,22 @@ impl CmpOp {
         if left.is_null() || right.is_null() {
             return false;
         }
-        match (left.as_float(), right.as_float()) {
-            (Some(a), Some(b)) => self.apply_f64(a, b),
-            _ => self.apply_ord(left.cmp(right)),
-        }
-    }
-
-    /// Maps an ordering to this operator's truth value. Shared by
-    /// [`CmpOp::apply`] and the typed columnar kernels, so both decide
-    /// identically.
-    #[inline]
-    pub fn apply_ord(self, ord: std::cmp::Ordering) -> bool {
+        // Numeric pairs compare through the `as f64` widening of
+        // `Value::as_float`; incomparable (NaN) pairs are false.
+        let ord = match (left.as_float(), right.as_float()) {
+            (Some(a), Some(b)) => match a.partial_cmp(&b) {
+                Some(ord) => ord,
+                None => return false,
+            },
+            _ => left.cmp(right),
+        };
         match self {
-            CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-            CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-            CmpOp::Lt => ord == std::cmp::Ordering::Less,
-            CmpOp::Le => ord != std::cmp::Ordering::Greater,
-            CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-            CmpOp::Ge => ord != std::cmp::Ordering::Less,
-        }
-    }
-
-    /// The numeric kernel step: compares two `f64`s exactly like
-    /// [`CmpOp::apply`] compares two non-null numeric values — `partial_cmp`,
-    /// with incomparable (NaN) pairs evaluating to false. Integer operands
-    /// must be widened with `as f64` first (the [`Value::as_float`] coercion),
-    /// so that e.g. two distinct `i64`s beyond 2⁵³ that collapse to the same
-    /// `f64` compare *equal* on the typed path exactly as they do on the row
-    /// path.
-    #[inline]
-    pub fn apply_f64(self, a: f64, b: f64) -> bool {
-        match a.partial_cmp(&b) {
-            Some(ord) => self.apply_ord(ord),
-            None => false,
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::Ne => ord != Ordering::Equal,
+            CmpOp::Lt => ord == Ordering::Less,
+            CmpOp::Le => ord != Ordering::Greater,
+            CmpOp::Gt => ord == Ordering::Greater,
+            CmpOp::Ge => ord != Ordering::Less,
         }
     }
 }
@@ -500,142 +273,6 @@ impl Expr {
     /// count as false.
     pub fn eval_bool(&self, tuple: &Tuple) -> bool {
         self.eval(tuple).as_bool().unwrap_or(false)
-    }
-
-    /// Evaluates the expression for every row in `range` of a columnar bag,
-    /// one column at a time.
-    ///
-    /// Attribute references resolve to a column **once per call** instead of
-    /// scanning the fields of every row tuple, which is where the columnar
-    /// scan wins. The per-row semantics are exactly those of [`Expr::eval`]
-    /// on the reconstructed row tuple — both paths share the same scalar
-    /// kernels — so row-oriented and columnar scans are interchangeable
-    /// (the workspace equivalence tests compare them bit for bit).
-    pub fn eval_columnar(&self, cols: &ColumnarBag, range: Range<usize>) -> Vec<Value> {
-        self.eval_column(cols, range).into_values()
-    }
-
-    /// Column-typed twin of [`Expr::eval_columnar`]: evaluates the expression
-    /// over `range` to a typed [`Column`], so chained kernels (a comparison
-    /// over an arithmetic result, a projection of a computed column) keep
-    /// working on unboxed data. Reconstructing the column's values yields
-    /// exactly what [`Expr::eval`] produces per row.
-    pub fn eval_column(&self, cols: &ColumnarBag, range: Range<usize>) -> Column {
-        let len = range.len();
-        match self {
-            Expr::Attr(path) => {
-                if path.is_empty() {
-                    // An empty path denotes the whole row.
-                    return Column::Mixed(
-                        range.map(|r| Value::from_tuple(cols.row_tuple(r))).collect(),
-                    );
-                }
-                if path.len() == 1 {
-                    if let Some(column) = cols.column(path.head().expect("non-empty path")) {
-                        return column.slice(range).to_column();
-                    }
-                }
-                // A missing attribute evaluates to ⊥; so does any longer
-                // path, because every column of a flat bag holds scalars
-                // (and ⊥ navigates to ⊥).
-                Column::Mixed(vec![Value::Null; len])
-            }
-            Expr::Const(v) => Column::Mixed(vec![v.clone(); len]),
-            // Comparisons and connectives are the mask kernels; wrapping the
-            // mask as a boolean column reconstructs the `Value::Bool` rows of
-            // the scalar evaluator exactly.
-            Expr::Cmp(_, _, _) | Expr::And(_, _) | Expr::Or(_, _) | Expr::Not(_) => {
-                Column::Bool(self.eval_columnar_mask(cols, range))
-            }
-            Expr::Contains(h, n) => {
-                let (a, b) = (h.operand(cols, &range), n.operand(cols, &range));
-                let mask = match (str_operand(&a), str_operand(&b)) {
-                    // Typed substring kernel: both sides are unboxed strings.
-                    (Some(x), Some(y)) => (0..len).map(|i| x.get(i).contains(y.get(i))).collect(),
-                    _ => (0..len)
-                        .map(|i| a.with_value(i, |av| b.with_value(i, |bv| contains_bool(av, bv))))
-                        .collect(),
-                };
-                Column::Bool(mask)
-            }
-            Expr::IsNull(e) => {
-                let a = e.operand(cols, &range);
-                let mask = match a.slice() {
-                    // Typed columns hold neither ⊥ nor nested relations, so
-                    // every row is non-null.
-                    Some(
-                        ColumnSlice::Int(_)
-                        | ColumnSlice::Real(_)
-                        | ColumnSlice::Bool(_)
-                        | ColumnSlice::Str(_),
-                    ) => vec![false; len],
-                    _ => (0..len).map(|i| a.with_value(i, is_null_bool)).collect(),
-                };
-                Column::Bool(mask)
-            }
-            Expr::Arith(l, op, r) => {
-                let (a, b) = (l.operand(cols, &range), r.operand(cols, &range));
-                arith_column(&a, *op, &b, len)
-            }
-            Expr::Size(e) => {
-                let a = e.operand(cols, &range);
-                Column::Mixed((0..len).map(|i| a.with_value(i, scalar_size)).collect())
-            }
-        }
-    }
-
-    /// Evaluates the expression as a predicate for every row in `range` of a
-    /// columnar bag: the vectorized [`Expr::eval_bool`]. Comparisons dispatch
-    /// **once per chunk** to a monomorphic kernel chosen from the operand
-    /// column types (numeric, string, boolean); connectives combine masks;
-    /// `Mixed` columns and cross-kind comparisons fall back to the same
-    /// scalar kernels the row path uses — byte-identical either way.
-    pub fn eval_columnar_mask(&self, cols: &ColumnarBag, range: Range<usize>) -> Vec<bool> {
-        let len = range.len();
-        match self {
-            Expr::Cmp(l, op, r) => {
-                let (a, b) = (l.operand(cols, &range), r.operand(cols, &range));
-                cmp_mask(&a, *op, &b, len)
-            }
-            Expr::And(l, r) => {
-                let a = l.eval_columnar_mask(cols, range.clone());
-                let b = r.eval_columnar_mask(cols, range);
-                a.into_iter().zip(b).map(|(x, y)| x && y).collect()
-            }
-            Expr::Or(l, r) => {
-                let a = l.eval_columnar_mask(cols, range.clone());
-                let b = r.eval_columnar_mask(cols, range);
-                a.into_iter().zip(b).map(|(x, y)| x || y).collect()
-            }
-            Expr::Not(e) => e.eval_columnar_mask(cols, range).into_iter().map(|x| !x).collect(),
-            other => match other.eval_column(cols, range) {
-                Column::Bool(mask) => mask,
-                Column::Mixed(values) => {
-                    values.iter().map(|v| v.as_bool().unwrap_or(false)).collect()
-                }
-                // Non-boolean typed columns are never true as predicates.
-                column => vec![false; column.len()],
-            },
-        }
-    }
-
-    /// Resolves this expression to a per-row operand over `range`: a borrowed
-    /// typed column slice, a broadcast constant, or a materialized column for
-    /// computed sub-expressions.
-    fn operand<'a>(&'a self, cols: &'a ColumnarBag, range: &Range<usize>) -> ColOperand<'a> {
-        match self {
-            Expr::Const(v) => ColOperand::Const(v),
-            Expr::Attr(path) if path.len() == 1 => {
-                match cols.column(path.head().expect("non-empty path")) {
-                    Some(column) => ColOperand::Col(column.slice(range.clone())),
-                    None => ColOperand::Const(&NULL_VALUE),
-                }
-            }
-            // Longer paths over a flat bag always evaluate to ⊥ (see
-            // `eval_column`); empty paths and computed shapes materialize.
-            Expr::Attr(path) if path.len() > 1 => ColOperand::Const(&NULL_VALUE),
-            _ => ColOperand::Owned(self.eval_column(cols, range.clone())),
-        }
     }
 
     /// All attribute paths referenced by this expression.
@@ -865,6 +502,25 @@ mod tests {
         assert!(CmpOp::Lt.apply(&Value::float(1.5), &Value::int(2)));
         assert!(CmpOp::Ge.apply(&Value::str("1994-06-01"), &Value::str("1994-01-01")));
         assert!(!CmpOp::Eq.apply(&Value::Null, &Value::Null));
+        // Integers compare through the `as f64` widening, so distinct `i64`s
+        // beyond 2⁵³ that collapse to the same `f64` compare equal.
+        assert!(CmpOp::Eq.apply(&Value::int(i64::MAX), &Value::int(i64::MAX - 1)));
+        assert!(!CmpOp::Lt.apply(&Value::int(i64::MAX - 1), &Value::int(i64::MAX)));
+        assert!(CmpOp::Eq.apply(&Value::float(-0.0), &Value::float(0.0)));
+        assert!(CmpOp::Eq.apply(&Value::float(-0.0), &Value::int(0)));
+        let operands = [Value::int(1), Value::float(0.5), Value::str("a"), Value::bool(true)];
+        for op in CmpOp::ALL {
+            // A NaN operand is incomparable: false under every operator.
+            assert!(!op.apply(&Value::float(f64::NAN), &Value::float(1.0)), "NaN {op} 1.0");
+            assert!(!op.apply(&Value::int(1), &Value::float(f64::NAN)), "1 {op} NaN");
+            assert!(!op.apply(&Value::float(f64::NAN), &Value::float(f64::NAN)), "NaN {op} NaN");
+            // `⊥` never compares true, on either side.
+            assert!(!op.apply(&Value::Null, &Value::Null), "⊥ {op} ⊥");
+            for v in &operands {
+                assert!(!op.apply(&Value::Null, v), "⊥ {op} {v}");
+                assert!(!op.apply(v, &Value::Null), "{v} {op} ⊥");
+            }
+        }
     }
 
     #[test]
@@ -905,6 +561,11 @@ mod tests {
         let v = disc_price.eval(&t).as_float().unwrap();
         assert!((v - 94.0).abs() < 1e-9);
         assert_eq!(Expr::arith(Expr::lit(1.0), ArithOp::Div, Expr::lit(0.0)).eval(&t), Value::Null);
+        // `Int` arithmetic yields `Float`.
+        for op in [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div] {
+            let v = Expr::arith(Expr::attr("l_quantity"), op, Expr::lit(2i64)).eval(&t);
+            assert!(matches!(v, Value::Float(_)), "10 {op} 2 = {v}");
+        }
     }
 
     #[test]

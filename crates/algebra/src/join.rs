@@ -14,9 +14,8 @@
 //!    (`left.a = right.b` equalities whose sides resolve to opposite input
 //!    schemas) and a *residual* of the remaining conjuncts
 //!    ([`split_equi_join`]).
-//! 2. **Build**: extract the canonicalized key of every right row — directly
-//!    from the typed columns when the input is columnar, by tuple-path
-//!    navigation otherwise — and scatter the rows into
+//! 2. **Build**: extract the canonicalized key of every right row by
+//!    tuple-path navigation and scatter the rows into
 //!    [`JOIN_PARTITIONS`] hash partitions, both phases chunked over
 //!    `whynot_exec::par_map`. Each partition owns a `HashMap` from key to its
 //!    candidate rows; per-partition maps are assembled by merging the
@@ -54,10 +53,10 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use nested_data::{AttrPath, Column, ColumnarBag, Tuple, TupleType, Value};
+use nested_data::{AttrPath, Tuple, TupleType, Value};
 use whynot_exec::{par_map, par_map_range};
 
-use crate::eval::columnar_chunks;
+use crate::eval::morsel_ranges;
 use crate::expr::{CmpOp, Expr};
 
 /// Number of hash partitions the build side is scattered into. A fixed small
@@ -83,10 +82,9 @@ pub fn hash_join_enabled() -> bool {
 ///
 /// Disabling forces every join back onto the block nested-loop path — the
 /// knob the join equivalence tests and the `join` bench group use to compare
-/// the two physical operators on identical plans. Like
-/// [`nested_data::with_columnar`], the flag governs where the join *decision*
-/// is made: [`join_matches`] reads it on the calling thread; parallel workers
-/// only execute chunks of an already-decided join.
+/// the two physical operators on identical plans. The flag governs where the
+/// join *decision* is made: [`join_matches`] reads it on the calling thread;
+/// parallel workers only execute chunks of an already-decided join.
 pub fn with_hash_join<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
     struct Restore {
         previous: bool,
@@ -102,26 +100,15 @@ pub fn with_hash_join<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
 }
 
 /// One input of a join: a sequence of rows (absent rows — e.g. tuples that
-/// are invalid under a schema alternative — are `None` and never pair), plus
-/// an optional columnar form used to extract equi-join keys from dense
-/// columns instead of per-tuple field scans.
+/// are invalid under a schema alternative — are `None` and never pair).
 pub struct JoinSide<'a> {
     rows: Vec<Option<&'a Tuple>>,
-    cols: Option<&'a ColumnarBag>,
 }
 
 impl<'a> JoinSide<'a> {
-    /// A join side over the given rows, with no columnar acceleration.
+    /// A join side over the given rows.
     pub fn new(rows: Vec<Option<&'a Tuple>>) -> Self {
-        JoinSide { rows, cols: None }
-    }
-
-    /// Attaches a columnar form whose row `r` mirrors `rows[r]` exactly (the
-    /// caller's contract; forms of the wrong length are ignored). Only key
-    /// *extraction* reads it — pairing semantics are unchanged.
-    pub fn with_columns(mut self, cols: Option<&'a ColumnarBag>) -> Self {
-        self.cols = cols.filter(|c| c.rows() == self.rows.len());
-        self
+        JoinSide { rows }
     }
 
     /// Number of rows (present or absent).
@@ -335,28 +322,14 @@ fn canonical_key_component(value: Value) -> Option<Value> {
 
 /// Extracts the canonicalized key of every row of a side, in parallel
 /// chunks. `None` marks rows that cannot participate in the hash join:
-/// absent rows and rows whose key contains `⊥` or NaN. Keys come from the
-/// side's typed columns when every key path is a single attribute with a
-/// matching column, and from tuple-path navigation otherwise.
+/// absent rows and rows whose key contains `⊥` or NaN.
 fn extract_keys(side: &JoinSide<'_>, paths: &[AttrPath]) -> Vec<Option<JoinKey>> {
-    let key_cols: Option<Vec<&Column>> = side.cols.and_then(|cols| {
-        paths.iter().map(|p| if p.len() == 1 { cols.column(p.head()?) } else { None }).collect()
-    });
     par_map_range(0..side.len(), |i| {
         let tuple = side.rows[i]?;
         let mut components = Vec::with_capacity(paths.len());
-        match &key_cols {
-            Some(cols) => {
-                for col in cols {
-                    components.push(canonical_key_component(col.value(i))?);
-                }
-            }
-            None => {
-                for path in paths {
-                    let value = tuple.get_path(path).unwrap_or(Value::Null);
-                    components.push(canonical_key_component(value)?);
-                }
-            }
+        for path in paths {
+            let value = tuple.get_path(path).unwrap_or(Value::Null);
+            components.push(canonical_key_component(value)?);
         }
         Some(match <[Value; 1]>::try_from(components) {
             Ok([single]) => JoinKey::One(single),
@@ -399,7 +372,7 @@ impl JoinBuild {
         whynot_obs::add("join.build_rows", right.len() as u64);
         whynot_guard::faults::fault_point("join_build");
         let keys = extract_keys(right, key_paths);
-        let chunks = columnar_chunks(right.len());
+        let chunks = morsel_ranges(right.len());
         let hashes: Vec<Vec<Option<u64>>> = par_map(&chunks, |range| {
             whynot_guard::enforce();
             range.clone().map(|ri| keys[ri].as_ref().map(key_hash)).collect()

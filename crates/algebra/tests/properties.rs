@@ -190,114 +190,6 @@ fn union_and_difference_laws() {
     }
 }
 
-/// One random scalar for the typed-kernel columns: the generator covers the
-/// numeric values where the row path's `as f64` widening has sharp edges
-/// (giant `i64`s, negative zero) alongside ordinary data.
-fn kernel_scalar(rng: &mut StdRng, kind: usize) -> Value {
-    match kind {
-        // All-int column, including values beyond 2⁵³.
-        0 => {
-            let small = rng.gen_range(-3i64..4);
-            let options = [small, i64::MAX, i64::MAX - 1, i64::MIN];
-            Value::int(options[rng.gen_range(0..options.len())])
-        }
-        // All-float column, including -0.0.
-        1 => {
-            let small = rng.gen_range(-3i64..4) as f64 / 2.0;
-            let options = [small, -0.0, 0.0, 9.0e15];
-            Value::float(options[rng.gen_range(0..options.len())])
-        }
-        // All-string column.
-        2 => Value::str(format!("s{}", rng.gen_range(0..5u32))),
-        // All-bool column.
-        3 => Value::bool(rng.gen_bool(0.5)),
-        // Mixed column: nulls and cross-variant numerics force the boxed
-        // fallback kernels.
-        _ => match rng.gen_range(0..4u32) {
-            0 => Value::Null,
-            1 => Value::int(rng.gen_range(-2i64..3)),
-            2 => Value::float(rng.gen_range(-2i64..3) as f64),
-            _ => Value::str("m"),
-        },
-    }
-}
-
-/// The typed columnar kernels (comparisons, arithmetic, connectives) must
-/// decide exactly like evaluating the expression on each reconstructed row
-/// tuple — including the `Int → f64` widening `CmpOp::apply` performs, so two
-/// distinct `i64`s beyond 2⁵³ compare equal on both paths, and including the
-/// exact output `Value` *variant* (an `Int` column projects back `Int`s,
-/// never widened `Float`s).
-#[test]
-fn columnar_kernels_match_row_evaluation() {
-    use nested_data::ColumnarBag;
-
-    let mut rng = StdRng::seed_from_u64(0x6b72_6e6c);
-    let attrs = ["i", "f", "s", "b", "m"];
-    let predicates: Vec<Expr> = {
-        let mut out = Vec::new();
-        for op in CmpOp::ALL {
-            out.push(Expr::attr_cmp("i", op, 1i64));
-            out.push(Expr::attr_cmp("i", op, 0.5f64));
-            out.push(Expr::attr_cmp("i", op, i64::MAX - 1));
-            out.push(Expr::attr_cmp("f", op, 0.0f64));
-            out.push(Expr::cmp(Expr::attr("i"), op, Expr::attr("f")));
-            out.push(Expr::cmp(Expr::attr("f"), op, Expr::attr("m")));
-            out.push(Expr::cmp(Expr::attr("s"), op, Expr::attr("s")));
-            out.push(Expr::attr_cmp("s", op, "s2"));
-            out.push(Expr::attr_cmp("b", op, true));
-            out.push(Expr::attr_cmp("m", op, 1i64));
-            // Cross-kind comparisons fall back to the generic kernel.
-            out.push(Expr::attr_cmp("s", op, 1i64));
-        }
-        out.push(Expr::and(
-            Expr::attr_cmp("i", CmpOp::Ge, 0i64),
-            Expr::or(Expr::attr_cmp("f", CmpOp::Lt, 1.0), Expr::not(Expr::attr_eq("b", true))),
-        ));
-        out.push(Expr::contains(Expr::attr("s"), Expr::lit("2")));
-        out.push(Expr::contains(Expr::attr("s"), Expr::attr("s")));
-        out.push(Expr::is_null(Expr::attr("m")));
-        out.push(Expr::is_null(Expr::attr("i")));
-        out.push(Expr::cmp(
-            Expr::arith(Expr::attr("i"), nrab_algebra::expr::ArithOp::Mul, Expr::attr("f")),
-            CmpOp::Ge,
-            Expr::lit(0.0),
-        ));
-        out.push(Expr::arith(Expr::attr("f"), nrab_algebra::expr::ArithOp::Div, Expr::attr("m")));
-        out.push(Expr::arith(Expr::attr("i"), nrab_algebra::expr::ArithOp::Add, Expr::lit(1i64)));
-        out.push(Expr::arith(Expr::attr("s"), nrab_algebra::expr::ArithOp::Sub, Expr::attr("i")));
-        out.push(Expr::size(Expr::attr("i")));
-        out
-    };
-
-    for _ in 0..20 {
-        let rows = rng.gen_range(3..40usize);
-        let bag = Bag::from_values((0..rows).map(|_| {
-            Value::tuple(attrs.iter().enumerate().map(|(k, a)| (*a, kernel_scalar(&mut rng, k))))
-        }));
-        let cols = ColumnarBag::from_flat_bag(&bag).expect("scalar rows are flat");
-        for predicate in &predicates {
-            let mask = predicate.eval_columnar_mask(&cols, 0..cols.rows());
-            let values = predicate.eval_columnar(&cols, 0..cols.rows());
-            for (r, (v, _)) in bag.iter().enumerate() {
-                let tuple = v.as_tuple().unwrap();
-                assert_eq!(
-                    mask[r],
-                    predicate.eval_bool(tuple),
-                    "mask diverges for `{predicate}` on row {tuple}"
-                );
-                let row_value = predicate.eval(tuple);
-                assert_eq!(values[r], row_value, "value diverges for `{predicate}` on row {tuple}");
-                assert_eq!(
-                    values[r].kind(),
-                    row_value.kind(),
-                    "variant diverges for `{predicate}` on row {tuple}"
-                );
-            }
-        }
-    }
-}
-
 /// The partitioned hash join is a pure physical optimization: for every join
 /// kind and predicate shape, forcing the nested loop produces the same bag,
 /// entry for entry — including joins whose keys mix `Int` and `Real` columns

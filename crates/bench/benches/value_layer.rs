@@ -1,5 +1,6 @@
 //! `value_layer` microbenchmarks: bag construction, symbol lookups, O(1)
-//! clones, and the full DBLP generalized trace.
+//! clones, the full DBLP generalized trace, and the wide flat TPC-H scan and
+//! trace.
 
 fn main() {
     whynot_bench::value_layer_group();

@@ -114,7 +114,9 @@ pub fn report_runtime_rows(group: &str, rows: &[RuntimeRow]) {
 /// The `value_layer` microbench group: targeted measurements of the shared-
 /// immutable value layer (hash-canonicalized bag construction, interned-symbol
 /// tuple lookup, O(1) value clones, and a whole-plan generalized trace of the
-/// largest DBLP runtime scenario).
+/// largest DBLP runtime scenario), plus the wide flat TPC-H `flatlineitem`
+/// scan and trace (`lineitem_select`, `lineitem_trace`): the base cases the
+/// `obs` and `guard` overhead gates compare against in the same run.
 pub fn value_layer_group() {
     let mut group = BenchGroup::new("value_layer");
 
@@ -172,6 +174,18 @@ pub fn value_layer_group() {
     let question = scenario.question();
     group.bench("dblp_trace/d4_scale300", || {
         WhyNotEngine::rp().explain(&question, &scenario.alternatives).expect("RP succeeds")
+    });
+
+    // A Q6-style selection through the evaluator and a selection + grouped
+    // aggregation generalized trace under two schema alternatives.
+    let (db, select_plan, trace_plan, sas) = lineitem_workload();
+    assert!(
+        !evaluate(&select_plan, &db).expect("select evaluates").is_empty(),
+        "the benchmark selection must keep some rows"
+    );
+    group.bench("lineitem_select", || evaluate(&select_plan, &db).expect("select evaluates"));
+    group.bench("lineitem_trace", || {
+        nrab_provenance::trace_plan_generalized(&trace_plan, &db, &sas).expect("trace succeeds")
     });
 
     group.finish();
@@ -262,13 +276,14 @@ pub fn parallel_group() {
     group.finish();
 }
 
-/// The wide flat TPC-H `flatlineitem` workload shared by [`columnar_group`]
-/// and [`obs_group`]: the database (14 scalar attributes per row), a Q6-style
-/// selection plan, and the traced selection + grouped-aggregation plan under
-/// two schema alternatives (original and `l_shipdate` → `l_commitdate`).
+/// The wide flat TPC-H `flatlineitem` workload shared by
+/// [`value_layer_group`], [`obs_group`] and [`guard_group`]: the database (14
+/// scalar attributes per row), a Q6-style selection plan, and the traced
+/// selection + grouped-aggregation plan under two schema alternatives
+/// (original and `l_shipdate` → `l_commitdate`).
 ///
-/// Shared so the `obs` overhead cases re-measure *exactly* the workload the
-/// committed `columnar` baseline was measured on.
+/// Shared so the `obs` and `guard` overhead cases re-measure *exactly* the
+/// workload of the `value_layer` base cases.
 fn lineitem_workload(
 ) -> (nrab_algebra::Database, QueryPlan, QueryPlan, Vec<nrab_provenance::SchemaAlternative>) {
     use nested_datagen::{tpch_flat_database, TpchConfig};
@@ -293,8 +308,7 @@ fn lineitem_workload(
         .expect("selection plan builds");
 
     // Selection + grouped aggregation, traced under two schema alternatives
-    // (original and l_shipdate → l_commitdate): the workload whose selection
-    // masks and group keys read the shared columns during tracing.
+    // (original and l_shipdate → l_commitdate).
     let builder = PlanBuilder::table("flatlineitem").select(q6_predicate());
     let selection_op = builder.current_id();
     let trace_plan = builder
@@ -323,62 +337,9 @@ fn lineitem_workload(
     (db, select_plan, trace_plan, sas)
 }
 
-/// The `columnar` microbench group: row-oriented vs. columnar scans over the
-/// wide flat TPC-H `flatlineitem` relation (14 scalar attributes) — a Q6-style
-/// selection through the evaluator and a selection + grouped-aggregation
-/// whole-plan generalized trace under two schema alternatives.
-///
-/// Before measuring, the group *asserts* the equivalence contract: the
-/// columnar result bag and the columnar generalized trace must be
-/// byte-identical to their row-oriented twins (the row path is forced with
-/// [`nested_data::with_columnar`]). The columnar speedup is thread-count
-/// independent (it comes from column locality, not from the pool), so CI can
-/// enforce it on any runner; the committed baseline is measured serially.
-pub fn columnar_group() {
-    use nested_data::with_columnar;
-    use nrab_provenance::trace_plan_generalized;
-
-    let mut group = BenchGroup::new("columnar");
-
-    let (db, select_plan, trace_plan, sas) = lineitem_workload();
-
-    // Byte-identity: the columnar scan must produce the very same canonical
-    // bag as the row-oriented scan.
-    let row_result = with_columnar(false, || evaluate(&select_plan, &db).expect("rows evaluate"));
-    let col_result = evaluate(&select_plan, &db).expect("columnar evaluates");
-    assert!(
-        row_result == col_result,
-        "columnar selection must be byte-identical to the row-oriented selection"
-    );
-    assert!(!col_result.is_empty(), "the benchmark selection must keep some rows");
-
-    group.bench("lineitem_select/rows", || {
-        with_columnar(false, || evaluate(&select_plan, &db).expect("rows evaluate"))
-    });
-    group.bench("lineitem_select/columnar", || evaluate(&select_plan, &db).expect("cols evaluate"));
-
-    let row_trace = with_columnar(false, || {
-        trace_plan_generalized(&trace_plan, &db, &sas).expect("rows trace")
-    });
-    let col_trace = trace_plan_generalized(&trace_plan, &db, &sas).expect("columnar trace");
-    assert!(
-        row_trace == col_trace,
-        "columnar generalized trace must be byte-identical to the row-oriented trace"
-    );
-
-    group.bench("lineitem_trace/rows", || {
-        with_columnar(false, || trace_plan_generalized(&trace_plan, &db, &sas).expect("rows trace"))
-    });
-    group.bench("lineitem_trace/columnar", || {
-        trace_plan_generalized(&trace_plan, &db, &sas).expect("columnar trace")
-    });
-
-    group.finish();
-}
-
-/// Two wide flat relations (6 scalar attributes each, columnar-eligible)
-/// shared by [`join_group`] and [`obs_group`]: a `fact` relation whose `fk`
-/// hits one of `keys` distinct values and a `dim` relation keyed by `pk`.
+/// Two wide flat relations (6 scalar attributes each) shared by
+/// [`join_group`], [`obs_group`] and [`guard_group`]: a `fact` relation whose
+/// `fk` hits one of `keys` distinct values and a `dim` relation keyed by `pk`.
 fn join_db(fact_n: i64, dim_n: i64, keys: i64) -> nrab_algebra::Database {
     use nested_data::{NestedType, TupleType};
     use nrab_algebra::Database;
@@ -473,21 +434,19 @@ fn equi_trace_workload(
 
 /// The `join` microbench group: the partitioned hash join of
 /// `nrab_algebra::join` against the block nested loop it replaced, over two
-/// wide flat relations (6 scalar attributes each, columnar-eligible) — a
-/// pure equi join, an equi join with a residual range conjunct, and a pure
-/// non-equi range join, each measured through the evaluator; plus the
+/// wide flat relations (6 scalar attributes each) — a pure equi join, an
+/// equi join with a residual range conjunct, and a pure non-equi range join,
+/// each measured through the evaluator; plus the
 /// per-schema-alternative traced equi join (two SAs, the second substituting
 /// the probe key) through `trace_plan_generalized`.
 ///
 /// Before measuring, the group *asserts* the equivalence contract: for every
 /// plan, the hash-join result and trace must be byte-identical to the forced
-/// nested loop (`with_hash_join(false, ..)`), with and without the columnar
-/// key extraction (`with_columnar(false, ..)`). The `nested_loop` cases run
-/// with both knobs off — exactly the physical plan the evaluator executed
-/// before the shared join core existed — so CI can hold the speedup against
-/// the seed path.
+/// nested loop (`with_hash_join(false, ..)`). The `nested_loop` cases run the
+/// physical plan the evaluator executed before the shared join core existed,
+/// so CI can hold the speedup against the seed path. The non-equi range join
+/// has no hash structure, so it always takes the loop and is one case.
 pub fn join_group() {
-    use nested_data::with_columnar;
     use nrab_algebra::expr::{CmpOp, Expr};
     use nrab_algebra::with_hash_join;
     use nrab_provenance::trace_plan_generalized;
@@ -510,40 +469,28 @@ pub fn join_group() {
         Expr::cmp(Expr::attr("fqty"), CmpOp::Gt, Expr::attr("dprio")),
     ));
 
-    // Byte-identity before measuring: every knob combination produces the
-    // same canonical bag.
+    // Byte-identity before measuring: both join paths produce the same
+    // canonical bag.
     for (name, plan, db) in [
         ("equi", &equi_plan, &db),
         ("mixed", &mixed_plan, &db),
         ("nonequi", &nonequi_plan, &small_db),
     ] {
-        let loop_rows = with_hash_join(false, || {
-            with_columnar(false, || evaluate(plan, db).expect("loop eval"))
-        });
-        let hash_rows = with_columnar(false, || evaluate(plan, db).expect("hash eval"));
-        let hash_cols = evaluate(plan, db).expect("hash+columnar eval");
-        assert!(
-            loop_rows == hash_rows && hash_rows == hash_cols,
-            "{name}: hash join must be byte-identical to the nested loop"
-        );
-        assert!(!hash_cols.is_empty(), "{name}: the benchmark join must produce rows");
+        let looped = with_hash_join(false, || evaluate(plan, db).expect("loop eval"));
+        let hashed = evaluate(plan, db).expect("hash eval");
+        assert!(looped == hashed, "{name}: hash join must be byte-identical to the nested loop");
+        assert!(!hashed.is_empty(), "{name}: the benchmark join must produce rows");
     }
 
     group.bench("equi_join/nested_loop", || {
-        with_hash_join(false, || with_columnar(false, || evaluate(&equi_plan, &db).expect("loop")))
+        with_hash_join(false, || evaluate(&equi_plan, &db).expect("loop"))
     });
-    group.bench("equi_join/hash_rows", || {
-        with_columnar(false, || evaluate(&equi_plan, &db).expect("hash rows"))
-    });
-    group.bench("equi_join/hash_columnar", || evaluate(&equi_plan, &db).expect("hash cols"));
+    group.bench("equi_join/hash", || evaluate(&equi_plan, &db).expect("hash"));
     group.bench("mixed_join/nested_loop", || {
-        with_hash_join(false, || with_columnar(false, || evaluate(&mixed_plan, &db).expect("loop")))
+        with_hash_join(false, || evaluate(&mixed_plan, &db).expect("loop"))
     });
-    group.bench("mixed_join/hash_columnar", || evaluate(&mixed_plan, &db).expect("hash cols"));
-    group.bench("nonequi_join/rows", || {
-        with_columnar(false, || evaluate(&nonequi_plan, &small_db).expect("loop rows"))
-    });
-    group.bench("nonequi_join/columnar", || evaluate(&nonequi_plan, &small_db).expect("loop cols"));
+    group.bench("mixed_join/hash", || evaluate(&mixed_plan, &db).expect("hash"));
+    group.bench("nonequi_join/nested_loop", || evaluate(&nonequi_plan, &small_db).expect("loop"));
 
     // The traced equi join: two schema alternatives (the second substitutes
     // the probe key, so the per-SA joins build different hash tables) —
@@ -551,9 +498,7 @@ pub fn join_group() {
     // `BTreeMap` bucketing.
     let (trace_db, trace_plan, sas) = equi_trace_workload();
     let loop_trace = with_hash_join(false, || {
-        with_columnar(false, || {
-            trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("loop trace")
-        })
+        trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("loop trace")
     });
     let hash_trace = trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("hash trace");
     assert!(
@@ -562,9 +507,7 @@ pub fn join_group() {
     );
     group.bench("equi_trace/nested_loop", || {
         with_hash_join(false, || {
-            with_columnar(false, || {
-                trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("loop trace")
-            })
+            trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("loop trace")
         })
     });
     group.bench("equi_trace/hash", || {
@@ -584,7 +527,7 @@ pub fn join_group() {
 ///
 /// Before measuring, the group *asserts* byte-identity: the fused trace must
 /// equal the `with_pipelining(false)` one — pipelining is a pure performance
-/// knob, like threads, the columnar layout, and the hash join.
+/// knob, like threads and the hash join.
 pub fn pipeline_group() {
     use nrab_provenance::with_pipelining;
     use whynot_core::alternatives::enumerate_schema_alternatives;
@@ -631,16 +574,16 @@ pub fn pipeline_group() {
 }
 
 /// The `obs` microbench group: the runtime cost of the `whynot-obs`
-/// instrumentation, re-measured on exactly the workloads behind the committed
-/// `columnar` and `join` baselines (shared through the private
-/// `lineitem_workload` and `equi_trace_workload` constructors).
+/// instrumentation, re-measured on exactly the workloads of the `value_layer`
+/// lineitem cases and the `join` hash cases (shared through the private
+/// `lineitem_workload`, `join_db` and `equi_trace_workload` constructors).
 ///
 /// Every `disabled` case runs with no profiling *or timeline* session
 /// active on the bench thread, so each instrumentation site costs one load
-/// of the thread-local flags cell — the price every production run pays. CI gates these
-/// at ≤ 5% over the corresponding committed baseline case
-/// (`lineitem_select/columnar`, `lineitem_trace/columnar`,
-/// `equi_join/hash_columnar`, `equi_trace/hash`). The `profiled` twins run
+/// of the thread-local flags cell — the price every production run pays.
+/// CI gates these at ≤ 5% over the corresponding base case measured in the
+/// same run (`value_layer/lineitem_select`, `value_layer/lineitem_trace`,
+/// `join/equi_join/hash`, `join/equi_trace/hash`). The `profiled` twins run
 /// the same work inside a [`whynot_obs::profile`] session and are
 /// informational: they bound the cost of `--profile`. The `timelined` twin
 /// runs inside a [`whynot_obs::timeline::record`] session and bounds the
@@ -750,17 +693,18 @@ pub fn obs_group() {
 }
 
 /// The `guard` microbench group: the runtime cost of the `whynot-guard`
-/// check sites, re-measured on exactly the workloads behind the committed
-/// `columnar` and `join` baselines (the same shared constructors the `obs`
-/// group uses).
+/// check sites, re-measured on exactly the workloads of the `value_layer`
+/// lineitem cases and the `join` hash cases (the same shared constructors the
+/// `obs` group uses).
 ///
 /// Every `unguarded` case runs with no guard armed, so each check site costs
 /// one read of the thread's guard slot — the price every unlimited
-/// production request pays. CI gates these at ≤ 5% over the corresponding committed baseline
-/// case (`lineitem_select/columnar`, `lineitem_trace/columnar`,
-/// `equi_join/hash_columnar`, `equi_trace/hash`). The `guarded` twins run the
-/// same work under an armed guard with generous limits and are informational:
-/// they bound the cost of `timeout_ms`/`max_trace_tuples` on a request.
+/// production request pays. CI gates these at ≤ 5% over the corresponding
+/// base case measured in the same run (`value_layer/lineitem_select`,
+/// `value_layer/lineitem_trace`, `join/equi_join/hash`,
+/// `join/equi_trace/hash`). The `guarded` twins run the same work under an
+/// armed guard with generous limits and are informational: they bound the
+/// cost of `timeout_ms`/`max_trace_tuples` on a request.
 ///
 /// Before measuring, the group *asserts* the governance contract in release
 /// mode: a roomy guard is a pure observer (byte-identical results), and a

@@ -9,8 +9,8 @@
 //! A [`Guard`] is a small shared context created per request from its limits
 //! (`timeout_ms`, `max_trace_tuples`, `max_eval_rows`). The service [`arm`]s
 //! it around the request; the engine layers below check it *cooperatively* at
-//! coarse boundaries — once per operator application, once per columnar
-//! chunk, once per join build/probe stride, once per traced operator — and
+//! coarse boundaries — once per operator application, once per join
+//! build/probe stride, once per traced morsel or operator — and
 //! surface a typed [`ResourceError`] when a limit is exceeded. Nothing is
 //! preemptive: a trip is always raised by the guarded computation itself, so
 //! it unwinds through the ordinary error channels and never leaves shared

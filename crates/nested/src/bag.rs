@@ -13,24 +13,17 @@
 //! [`BagBuilder::finish`]. The resulting entry order is identical to what
 //! repeated [`Bag::insert`] calls produce; only the construction cost differs.
 
+use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
-
-use crate::columnar::{self, ColumnarBag};
-use crate::value::Value;
 
 /// A bag `{{ v₁ⁿ¹, v₂ⁿ², ... }}` of nested values with multiplicities.
 #[derive(Debug, Clone, Default)]
 pub struct Bag {
     /// Distinct values with positive multiplicities, kept sorted by value.
     entries: Vec<(Value, u64)>,
-    /// Lazily built columnar form (see [`Bag::columnar`]): `None` once
-    /// computed means the bag is not eligible. The cache never affects
-    /// equality, ordering, or hashing, and [`Bag::insert`] invalidates it.
-    columnar: OnceLock<Option<Arc<ColumnarBag>>>,
 }
 
 /// Accumulates `(value, multiplicity)` entries in a hash map and produces a
@@ -113,39 +106,9 @@ impl Bag {
         Bag::from_vec(Vec::new())
     }
 
-    /// Internal constructor: wraps already-canonical entries with an empty
-    /// columnar cache.
+    /// Internal constructor: wraps already-canonical entries.
     fn from_vec(entries: Vec<(Value, u64)>) -> Self {
-        Bag { entries, columnar: OnceLock::new() }
-    }
-
-    /// Builds a bag from entries that are **already canonical**: sorted
-    /// strictly ascending by value, with positive multiplicities — e.g.
-    /// entries filtered (in order) from an existing bag's [`Bag::iter`].
-    /// Canonicality is debug-asserted.
-    pub fn from_canonical_entries(entries: Vec<(Value, u64)>) -> Self {
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "entries must be sorted and distinct"
-        );
-        debug_assert!(entries.iter().all(|(_, m)| *m > 0), "multiplicities must be positive");
-        Bag::from_vec(entries)
-    }
-
-    /// The columnar form of this bag, if it is *wide and flat*: at least
-    /// [`columnar::MIN_COLUMNAR_ROWS`] distinct rows, every row a tuple of at
-    /// least [`columnar::MIN_COLUMNAR_ARITY`] attributes with the same names
-    /// in the same order, and every field a scalar.
-    ///
-    /// The conversion runs once per bag and is cached, so shared relations
-    /// (`Arc<Bag>` in a database) convert once no matter how many scans
-    /// consume them. Returns `None` without touching the cache while the
-    /// columnar path is disabled via [`columnar::with_columnar`].
-    pub fn columnar(&self) -> Option<Arc<ColumnarBag>> {
-        if !columnar::columnar_enabled() {
-            return None;
-        }
-        self.columnar.get_or_init(|| columnar::build_columnar(self)).clone()
+        Bag { entries }
     }
 
     /// Builds a bag from an iterator of values (each contributing multiplicity 1).
@@ -176,7 +139,6 @@ impl Bag {
         if mult == 0 {
             return;
         }
-        self.columnar = OnceLock::new();
         match self.entries.binary_search_by(|(v, _)| v.cmp(&value)) {
             Ok(idx) => self.entries[idx].1 += mult,
             Err(idx) => self.entries.insert(idx, (value, mult)),

@@ -36,7 +36,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bag;
-pub mod columnar;
 pub mod error;
 pub mod nip;
 pub mod path;
@@ -47,7 +46,6 @@ pub mod types;
 pub mod value;
 
 pub use bag::{Bag, BagBuilder};
-pub use columnar::{with_columnar, Column, ColumnSlice, ColumnarBag};
 pub use error::{DataError, DataResult};
 pub use nip::{Nip, NipCmp};
 pub use path::AttrPath;

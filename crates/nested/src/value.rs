@@ -101,13 +101,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Whether this value is a scalar (null, bool, int, float, or string) —
-    /// i.e. neither a tuple nor a nested relation. Scalar-only tuples are
-    /// what the columnar layout ([`crate::columnar`]) decomposes.
-    pub fn is_scalar(&self) -> bool {
-        !matches!(self, Value::Tuple(_) | Value::Bag(_))
-    }
-
     /// The contained tuple, if this is a tuple value.
     pub fn as_tuple(&self) -> Option<&Tuple> {
         match self {
@@ -155,9 +148,9 @@ impl Value {
     ///
     /// This `Int → f64` widening (`i as f64`, lossy above 2⁵³) is the
     /// numeric-comparison contract of the whole workspace: scalar
-    /// comparisons, the typed columnar kernels, and the hash-join key
-    /// canonicalization all coerce through exactly this function, so mixed
-    /// `Int`/`Float` data compares identically on every physical path.
+    /// comparisons and the hash-join key canonicalization both coerce
+    /// through exactly this function, so mixed `Int`/`Float` data compares
+    /// identically on every physical path.
     pub fn as_float(&self) -> Option<f64> {
         match self {
             Value::Float(f) => Some(*f),

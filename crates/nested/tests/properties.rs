@@ -259,96 +259,3 @@ fn shared_values_are_indistinguishable_from_deep_copies() {
         assert_eq!(shared.node_count(), rebuilt.node_count());
     }
 }
-
-/// A wide flat tuple over a fixed schema of `arity` scalar attributes.
-fn wide_flat_tuple(rng: &mut StdRng, arity: usize) -> Value {
-    Value::tuple((0..arity).map(|c| (format!("w{c}"), primitive(rng))))
-}
-
-/// A bag of wide flat tuples, sized to clear the columnar eligibility bar.
-fn wide_flat_bag(rng: &mut StdRng) -> Bag {
-    use nested_data::columnar::{MIN_COLUMNAR_ARITY, MIN_COLUMNAR_ROWS};
-    let rows = MIN_COLUMNAR_ROWS + rng.gen_range(0..32usize);
-    let arity = MIN_COLUMNAR_ARITY + rng.gen_range(0..4usize);
-    Bag::from_entries((0..rows).map(|_| (wide_flat_tuple(rng, arity), rng.gen_range(1u64..4))))
-}
-
-/// The columnar decomposition of a wide flat bag reconstructs every row —
-/// value for value, multiplicity for multiplicity, in canonical entry order.
-#[test]
-fn columnar_roundtrips_wide_flat_bags() {
-    let mut rng = StdRng::seed_from_u64(0x636f_6c72);
-    for _ in 0..CASES {
-        let bag = wide_flat_bag(&mut rng);
-        let cols = bag.columnar().expect("wide flat bag must be columnar");
-        assert_eq!(cols.rows(), bag.distinct());
-        for (r, (value, mult)) in bag.iter().enumerate() {
-            assert_eq!(&Value::from_tuple(cols.row_tuple(r)), value);
-            assert_eq!(cols.mults()[r], *mult);
-        }
-        // Column lookups agree with per-row field lookups, and typed columns
-        // reconstruct the exact `Value` variant (never a widened one).
-        for sym in cols.syms() {
-            let column = cols.column(*sym).unwrap();
-            for (r, (value, _)) in bag.iter().enumerate() {
-                let field = value.as_tuple().unwrap().get(*sym).unwrap();
-                let reconstructed = column.value(r);
-                assert_eq!(&reconstructed, field);
-                assert_eq!(reconstructed.kind(), field.kind(), "variant must round-trip exactly");
-            }
-        }
-    }
-}
-
-/// Bags with any nested (non-scalar) field value never take the columnar
-/// path, no matter how wide and long they are.
-#[test]
-fn nested_bags_never_columnarize() {
-    use nested_data::columnar::{MIN_COLUMNAR_ARITY, MIN_COLUMNAR_ROWS};
-    use nested_data::ColumnarBag;
-    let mut rng = StdRng::seed_from_u64(0x6e65_7374);
-    for _ in 0..CASES {
-        let rows = MIN_COLUMNAR_ROWS + rng.gen_range(0..8usize);
-        let nested_at = rng.gen_range(0..MIN_COLUMNAR_ARITY);
-        let mut values = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let mut fields = Vec::with_capacity(MIN_COLUMNAR_ARITY);
-            for c in 0..MIN_COLUMNAR_ARITY {
-                let value = if c == nested_at {
-                    // A nested relation or tuple value poisons the column.
-                    let inner = flat_tuple(&mut rng);
-                    if rng.gen_bool(0.5) {
-                        Value::bag([inner])
-                    } else {
-                        inner
-                    }
-                } else {
-                    primitive(&mut rng)
-                };
-                fields.push((format!("w{c}"), value));
-            }
-            values.push(Value::tuple(fields));
-        }
-        let bag = Bag::from_values(values);
-        assert!(bag.columnar().is_none(), "nested bag must stay row-oriented");
-        assert!(ColumnarBag::from_flat_bag(&bag).is_none());
-    }
-}
-
-/// Disabling the columnar path is invisible to bag semantics: the same bag
-/// compares equal, and the toggle round-trips.
-#[test]
-fn columnar_toggle_does_not_change_semantics() {
-    use nested_data::with_columnar;
-    let mut rng = StdRng::seed_from_u64(0x746f_6767);
-    for _ in 0..50 {
-        let bag = wide_flat_bag(&mut rng);
-        let filtered_on = bag.filter(|v| v.as_tuple().unwrap().get("w0").is_some());
-        let filtered_off =
-            with_columnar(false, || bag.filter(|v| v.as_tuple().unwrap().get("w0").is_some()));
-        assert_eq!(filtered_on, filtered_off);
-        assert_eq!(filtered_on.into_entries(), filtered_off.into_entries());
-        with_columnar(false, || assert!(bag.columnar().is_none()));
-        assert!(bag.columnar().is_some());
-    }
-}

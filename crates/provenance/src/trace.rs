@@ -28,10 +28,8 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use nested_data::{
-    AttrPath, Bag, Column, ColumnarBag, NestedType, Nip, Sym, Tuple, TupleType, Value,
-};
-use nrab_algebra::eval::{apply_operator, columnar_chunks, columnar_mask};
+use nested_data::{AttrPath, Bag, NestedType, Nip, Sym, Tuple, TupleType, Value};
+use nrab_algebra::eval::{apply_operator, morsel_ranges};
 use nrab_algebra::expr::Expr;
 use nrab_algebra::join::{
     hash_join_enabled, join_matches_probe, join_matches_with, split_equi_join, EquiJoin, JoinBuild,
@@ -119,8 +117,7 @@ pub fn trace_plan_generalized(
         return Err(AlgebraError::Eval("at least one schema alternative is required".into()));
     }
     let _span = whynot_obs::span("trace_plan");
-    let mut tracer =
-        Tracer { db, sas, next_id: 1, traces: BTreeMap::new(), columnar: BTreeMap::new() };
+    let mut tracer = Tracer { db, sas, next_id: 1, traces: BTreeMap::new() };
     // Chunked loops below (and the join core underneath) raise guard trips
     // as panics; recover them into the error channel at the layer boundary.
     whynot_guard::catch_trip(|| tracer.trace_node(&plan.root))
@@ -241,16 +238,6 @@ struct Tracer<'a> {
     sas: &'a [SchemaAlternative],
     next_id: u64,
     traces: BTreeMap<OpId, OpTrace>,
-    /// Columnar passthrough: operators whose traced tuples are, under every
-    /// schema alternative, exactly the rows of a columnar bag (tuple `i` ↔
-    /// row `i`, every variant present and valid). Table accesses over
-    /// wide-flat relations establish the mapping and selections preserve it
-    /// (they annotate without transforming), so selection and aggregation
-    /// tracing above a flat base relation read dense columns instead of
-    /// scanning row tuples. Any transforming operator simply does not
-    /// propagate the entry. Tracer-internal: the produced traces carry no
-    /// columnar state and are bit-identical to the row-oriented ones.
-    columnar: BTreeMap<OpId, Arc<ColumnarBag>>,
 }
 
 impl<'a> Tracer<'a> {
@@ -295,7 +282,7 @@ impl<'a> Tracer<'a> {
             if !chain.is_empty() {
                 self.trace_node(cur)?;
                 chain.reverse(); // collected sink-to-source; replay wants source-to-sink
-                return self.trace_chain(&chain, cur.id);
+                return self.trace_fused(&chain);
             }
         }
         for input in &node.inputs {
@@ -306,8 +293,6 @@ impl<'a> Tracer<'a> {
 
     /// Traces one operator whose children are already traced, with the
     /// per-operator bookkeeping (trace-tuple budget, observability counters).
-    /// Shared by the operator-at-a-time recursion and the chain peeling of
-    /// [`Self::trace_chain`].
     fn trace_op(&mut self, node: &OpNode) -> AlgebraResult<()> {
         let _span = whynot_obs::span_dyn(|| format!("trace:{}#{}", node.op.kind_name(), node.id));
         let trace = match &node.op {
@@ -332,34 +317,6 @@ impl<'a> Tracer<'a> {
         record_trace_counters(&trace);
         self.put_trace(trace);
         Ok(())
-    }
-
-    /// Traces a maximal fused run of 1:1 operators (`ops`, in source-to-sink
-    /// order) whose source operator is already traced.
-    ///
-    /// Selections at the bottom of the run that still see a columnar
-    /// passthrough are peeled off to the mask-based [`Self::trace_selection`]
-    /// path first — column-at-a-time predicate masks with cross-SA dedup beat
-    /// per-row predicate evaluation, and a transforming operator above would
-    /// end the passthrough anyway. Everything remaining replays as one
-    /// morsel-driven pass in [`Self::trace_fused`].
-    fn trace_chain(&mut self, ops: &[&OpNode], source: OpId) -> AlgebraResult<()> {
-        let mut ops = ops;
-        let mut child = source;
-        while let Some((first, rest)) = ops.split_first() {
-            if matches!(first.op, Operator::Selection { .. }) && self.columnar.contains_key(&child)
-            {
-                self.trace_op(first)?;
-                child = first.id;
-                ops = rest;
-            } else {
-                break;
-            }
-        }
-        if ops.is_empty() {
-            return Ok(());
-        }
-        self.trace_fused(ops)
     }
 
     /// Replays a fused run of selections and structural operators as one
@@ -413,7 +370,7 @@ impl<'a> Tracer<'a> {
         // vanish under that alternative, as the singleton-bag path degrades.
         let armed = whynot_guard::armed();
         type FusedRow = Vec<(Vec<Option<Tuple>>, Vec<SaFlags>)>;
-        let chunks = columnar_chunks(child_trace.tuples.len());
+        let chunks = morsel_ranges(child_trace.tuples.len());
         let per_morsel: Vec<Vec<FusedRow>> = par_map(&chunks, |range| {
             whynot_guard::enforce();
             child_trace.tuples[range.clone()]
@@ -495,11 +452,6 @@ impl<'a> Tracer<'a> {
 
     fn trace_table_access(&mut self, node: &OpNode, table: &str) -> AlgebraResult<OpTrace> {
         let bag = self.db.relation(table)?.clone();
-        // Wide flat relations establish a columnar passthrough: traced tuple
-        // `i` is (under every SA) row `i` of the cached columnar form.
-        if let Some(cols) = bag.columnar() {
-            self.columnar.insert(node.id, cols);
-        }
         let mut tuples = Vec::with_capacity(bag.distinct());
         for (value, _mult) in bag.iter() {
             let tuple = value.as_tuple().cloned().unwrap_or_else(Tuple::empty);
@@ -566,34 +518,22 @@ impl<'a> Tracer<'a> {
             .collect();
 
         let n = self.n_sas();
-        let child_cols = self.columnar.get(&child.id).cloned();
         type SelectionRow = (Vec<Option<Tuple>>, Vec<SaFlags>);
-        let computed: Vec<SelectionRow> = if let Some(cols) = &child_cols {
-            // Columnar fast path: the child is a columnar passthrough (tuple
-            // `i`'s variant under every SA is row `i`, present and valid), so
-            // each SA's retained flags are one column-at-a-time predicate
-            // mask, evaluated over per-chunk column slices on the pool.
-            debug_assert_eq!(cols.rows(), child_trace.tuples.len());
-            // SAs that did not substitute into the selection share its
-            // predicate; evaluate each distinct predicate once.
-            let mut masks: Vec<Vec<bool>> = Vec::with_capacity(predicates.len());
+        let computed: Vec<SelectionRow> = par_map(&child_trace.tuples, |input| {
+            let mut variants = Vec::with_capacity(n);
+            let mut flags = Vec::with_capacity(n);
             for (sa, predicate) in predicates.iter().enumerate() {
-                match predicates[..sa].iter().position(|p| p == predicate) {
-                    Some(prev) => masks.push(masks[prev].clone()),
-                    None => masks.push(columnar_mask(cols, predicate)),
-                }
+                let input_flags = input.flags(sa);
+                let variant = input.variant(sa).cloned();
+                let retained = variant
+                    .as_ref()
+                    .map(|t| input_flags.valid && predicate.eval_bool(t))
+                    .unwrap_or(false);
+                flags.push(base_flags(variant.as_ref(), input_flags.valid, retained));
+                variants.push(variant);
             }
-            child_trace
-                .tuples
-                .iter()
-                .enumerate()
-                .map(|(i, input)| selection_row(n, input, |sa, _| masks[sa][i]))
-                .collect()
-        } else {
-            par_map(&child_trace.tuples, |input| {
-                selection_row(n, input, |sa, t| predicates[sa].eval_bool(t))
-            })
-        };
+            (variants, flags)
+        });
         let mut tuples = Vec::with_capacity(child_trace.tuples.len());
         for (input, (variants, flags)) in child_trace.tuples.iter().zip(computed) {
             tuples.push(TracedTuple::new(
@@ -604,12 +544,6 @@ impl<'a> Tracer<'a> {
             ));
         }
         self.put_trace(child_trace);
-        // A selection only annotates, so its output rows still mirror the
-        // child's columnar form: keep the passthrough alive for operators
-        // above (selection chains, aggregations).
-        if let Some(cols) = child_cols {
-            self.columnar.insert(node.id, cols);
-        }
         Ok(OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples })
     }
 
@@ -686,9 +620,8 @@ impl<'a> Tracer<'a> {
     ///
     /// The pairing itself — partitioned hash join on the equi conjuncts with
     /// a parallel nested-loop fallback — is `nrab_algebra::join`, the same
-    /// core the evaluator's join runs on; tracing adds the per-SA fan-out,
-    /// the columnar key extraction over passthrough children, and the
-    /// outer-join generalization below.
+    /// core the evaluator's join runs on; tracing adds the per-SA fan-out and
+    /// the outer-join generalization below.
     fn trace_join(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
         let left_node = &node.inputs[0];
         let right_node = &node.inputs[1];
@@ -710,11 +643,6 @@ impl<'a> Tracer<'a> {
             })
             .collect();
 
-        // Columnar passthrough children expose their key columns to the join
-        // core (tuple `i` of the trace is row `i` of the columnar form under
-        // every SA, so per-SA key extraction may read the shared columns).
-        let left_cols = self.columnar.get(&left_node.id).cloned();
-        let right_cols = self.columnar.get(&right_node.id).cloned();
         // The hash-join decision is resolved once, on the calling thread:
         // the per-SA closures below may run on pool workers whose
         // thread-local flag was never touched by `with_hash_join`.
@@ -757,8 +685,7 @@ impl<'a> Tracer<'a> {
         let mut build_for_sa: Vec<Option<Arc<JoinBuild>>> = vec![None; self.n_sas()];
         for members in groups.values() {
             let representative = members[0];
-            let right_side =
-                JoinSide::new(right_rows_of(representative)).with_columns(right_cols.as_deref());
+            let right_side = JoinSide::new(right_rows_of(representative));
             let build = Arc::new(JoinBuild::build(
                 &right_side,
                 &equis[representative]
@@ -788,8 +715,8 @@ impl<'a> Tracer<'a> {
                 .iter()
                 .map(|t| if t.flags(sa).valid { t.variant(sa) } else { None })
                 .collect();
-            let left_side = JoinSide::new(left_rows).with_columns(left_cols.as_deref());
-            let right_side = JoinSide::new(right_rows_of(sa)).with_columns(right_cols.as_deref());
+            let left_side = JoinSide::new(left_rows);
+            let right_side = JoinSide::new(right_rows_of(sa));
             match (&equis[sa], &build_for_sa[sa]) {
                 (Some(equi), Some(build)) => {
                     join_matches_probe(&left_side, &right_side, equi, build)
@@ -973,7 +900,6 @@ impl<'a> Tracer<'a> {
         #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
         type SaAggGroups = BTreeMap<Value, (AggGroupSa, Vec<u64>)>;
         let sas = self.sas;
-        let child_cols = self.columnar.get(&child.id).cloned();
         let per_sa_groups: Vec<SaAggGroups> = par_map_range(0..n, |sa| {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
             let (group_by, aggs) = match sas[sa].effective_operator(node) {
@@ -982,29 +908,16 @@ impl<'a> Tracer<'a> {
             };
             let group_refs: Vec<nested_data::Sym> =
                 group_by.iter().map(|a| nested_data::Sym::intern(a)).collect();
-            // Columnar group keys: when the child is a columnar passthrough
-            // and every grouping attribute is one of its columns, the group
-            // key of row `i` is assembled from dense typed columns instead of
-            // per-row field scans — identical to `tuple.project(group_refs)`.
-            let key_cols: Option<Vec<&Column>> = child_cols.as_ref().and_then(|cols| {
-                debug_assert_eq!(cols.rows(), child_trace.tuples.len());
-                group_refs.iter().map(|s| cols.column(*s)).collect()
-            });
             #[allow(clippy::mutable_key_type)]
             let mut sa_groups: SaAggGroups = BTreeMap::new();
-            for (i, input) in child_trace.tuples.iter().enumerate() {
+            for input in &child_trace.tuples {
                 let Some(tuple) = input.variant(sa) else { continue };
                 if !input.flags(sa).valid {
                     continue;
                 }
-                let key = match &key_cols {
-                    Some(cols) => Value::from_tuple(Tuple::new(
-                        group_refs.iter().zip(cols.iter()).map(|(s, col)| (*s, col.value(i))),
-                    )),
-                    None => Value::from_tuple(
-                        tuple.project(&group_refs).unwrap_or_else(|_| Tuple::empty()),
-                    ),
-                };
+                let key = Value::from_tuple(
+                    tuple.project(&group_refs).unwrap_or_else(|_| Tuple::empty()),
+                );
                 let (entry, member_ids) = sa_groups.entry(key).or_insert_with(|| {
                     (
                         AggGroupSa {
@@ -1188,29 +1101,6 @@ fn relax_aggregate_upper_bounds(nip: &Nip, agg_outputs: &[String]) -> Nip {
         ),
         other => other.clone(),
     }
-}
-
-/// Assembles one traced selection tuple's per-SA variants and flags. The
-/// columnar and row-oriented paths differ only in how `retained` is decided
-/// (a precomputed column mask vs. a per-tuple predicate evaluation), so both
-/// share this loop — keeping their outputs structurally identical by
-/// construction.
-fn selection_row(
-    n: usize,
-    input: &TracedTuple,
-    retained: impl Fn(usize, &Tuple) -> bool,
-) -> (Vec<Option<Tuple>>, Vec<SaFlags>) {
-    let mut variants = Vec::with_capacity(n);
-    let mut flags = Vec::with_capacity(n);
-    for sa in 0..n {
-        let input_flags = input.flags(sa);
-        let variant = input.variant(sa).cloned();
-        let is_retained =
-            variant.as_ref().map(|t| input_flags.valid && retained(sa, t)).unwrap_or(false);
-        flags.push(base_flags(variant.as_ref(), input_flags.valid, is_retained));
-        variants.push(variant);
-    }
-    (variants, flags)
 }
 
 /// Builds the question-independent flags of a variant: validity is inherited

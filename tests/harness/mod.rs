@@ -2,12 +2,15 @@
 //!
 //! For every case in [`scenarios`], the query answer `⟦Q⟧_D`, the generalized
 //! trace, and the compact wire report must be **byte-identical** under a
-//! physical configuration — the columnar layout (`with_columnar`), the
-//! partitioned hash join (`with_hash_join`), the tracer's fused replay
-//! (`with_pipelining`), `WHYNOT_THREADS`, and profiling — to the reference
-//! run with all three toggles off at one thread, unprofiled. Each suite is a
-//! [`Suite`]: a list of configurations run once per test binary, whose
-//! findings its tests assert on by aspect and case kind.
+//! physical configuration — the partitioned hash join (`with_hash_join`),
+//! the tracer's fused replay (`with_pipelining`), `WHYNOT_THREADS`, and
+//! profiling — to the reference run with both toggles off at one thread,
+//! unprofiled. The toggles and thread counts span a 12-configuration product
+//! (hash join × pipelining × {1, 2, 8} threads), which the five suites
+//! (`parallel_determinism`, `join_equivalence`, `pipeline_equivalence`,
+//! `differential`, and `obs_equivalence` for profiling) cover between them.
+//! Each suite is a [`Suite`]: a list of configurations run once per test
+//! binary, whose findings its tests assert on by aspect and case kind.
 
 #![allow(dead_code)]
 
@@ -15,7 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use nested_data::{with_columnar, Bag, NestedType, PrimitiveType, TupleType, Value};
+use nested_data::{Bag, NestedType, PrimitiveType, TupleType, Value};
 use nrab_algebra::{
     evaluate, with_hash_join, CmpOp, Database, Expr, JoinKind, OpId, PlanBuilder, QueryPlan,
 };
@@ -45,10 +48,9 @@ impl Case {
 }
 
 /// Every case the harness runs: reduced-scale paper scenarios from every
-/// dataset family (DBLP and crime run multi-way joins, TPC-H the wide flat
-/// relations that take the columnar path, Twitter and the running example
-/// flatten-heavy plans), plus every join kind × predicate shape under two
-/// schema alternatives.
+/// dataset family (DBLP and crime run multi-way joins, TPC-H wide flat
+/// relations, Twitter and the running example flatten-heavy plans), plus
+/// every join kind × predicate shape under two schema alternatives.
 pub fn scenarios() -> Vec<Case> {
     let mut paper = vec![running::running_example()];
     paper.extend(dblp::all_dblp(40));
@@ -66,13 +68,13 @@ pub fn scenario_case(s: Scenario) -> Case {
 
 /// Every join kind × predicate shape over the wide flat fact/dim relations,
 /// under the original query and an alternative that substitutes the
-/// fact-side key (so the per-SA joins extract different key columns).
+/// fact-side key (so the per-SA joins extract different key attributes).
 pub fn join_cases() -> Vec<Case> {
     let db = join_database();
     let shapes = [
-        // Pure equi: fk (Int column) = pk (Real column).
+        // Pure equi: fk (Int) = pk (Real).
         ("equi", Expr::cmp(Expr::attr("fk"), CmpOp::Eq, Expr::attr("pk"))),
-        // Equi plus a residual range conjunct on other typed columns.
+        // Equi plus a residual range conjunct on other attributes.
         (
             "mixed",
             Expr::and(
@@ -103,9 +105,7 @@ pub fn join_cases() -> Vec<Case> {
 }
 
 /// Wide flat fact/dim relations whose equi keys cross the `Int` ↔ `Real`
-/// boundary (fact keys are `Int` columns, dimension keys `Real` columns).
-/// Both clear the columnar eligibility bar (≥ 6 scalar attributes, ≥ 32
-/// rows), so equi keys are extracted from dense columns.
+/// boundary (fact keys are `Int` attributes, dimension keys `Real` ones).
 pub fn join_database() -> Database {
     let flag = || NestedType::Prim(PrimitiveType::Bool);
     let fact_ty = TupleType::new([
@@ -163,7 +163,6 @@ pub fn join_plan(kind: JoinKind, predicate: Expr) -> (QueryPlan, OpId) {
 /// One physical configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Config {
-    pub columnar: bool,
     pub hash_join: bool,
     pub pipelining: bool,
     pub threads: usize,
@@ -171,7 +170,7 @@ pub struct Config {
 }
 
 pub const REFERENCE: Config =
-    Config { columnar: false, hash_join: false, pipelining: false, threads: 1, profiled: false };
+    Config { hash_join: false, pipelining: false, threads: 1, profiled: false };
 
 /// What a case produces under one configuration.
 pub struct Output {
@@ -231,16 +230,14 @@ pub fn run(case: &Case, config: Config) -> (Output, Option<ProfileReport>) {
         }
     };
     with_threads(config.threads, || {
-        with_columnar(config.columnar, || {
-            with_hash_join(config.hash_join, || {
-                with_pipelining(config.pipelining, || {
-                    if config.profiled {
-                        let (output, profile) = whynot_obs::profile(compute);
-                        (output, Some(profile))
-                    } else {
-                        (compute(), None)
-                    }
-                })
+        with_hash_join(config.hash_join, || {
+            with_pipelining(config.pipelining, || {
+                if config.profiled {
+                    let (output, profile) = whynot_obs::profile(compute);
+                    (output, Some(profile))
+                } else {
+                    (compute(), None)
+                }
             })
         })
     })

@@ -4,8 +4,7 @@
 //! **bit-identical** whether the generalized trace replays maximal runs of
 //! 1:1 operators as fused morsel-driven passes or one operator at a time.
 //! This is the property that makes tracer pipelining a pure performance
-//! knob, exactly like `WHYNOT_THREADS`, the columnar layout, and the hash
-//! join.
+//! knob, exactly like `WHYNOT_THREADS` and the hash join.
 //!
 //! The fusion-boundary tests additionally pin the tracer's break rules
 //! through its `pipe:` profile spans: joins, nest, aggregation, union,
