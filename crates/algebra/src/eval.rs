@@ -16,7 +16,7 @@ use crate::agg::AggFunc;
 use crate::database::Database;
 use crate::error::{AlgebraError, AlgebraResult};
 use crate::expr::Expr;
-use crate::join::{join_matches, JoinSide};
+use crate::join::join_matches;
 use crate::operator::{AggSpec, FlattenKind, JoinKind, Operator, ProjColumn};
 use crate::plan::{OpNode, QueryPlan};
 use crate::schema::output_type;
@@ -183,8 +183,8 @@ fn eval_join(
         left.iter().map(|(v, _)| v.as_tuple().cloned().unwrap_or_else(Tuple::empty)).collect();
     let right_tuples: Vec<Tuple> =
         right.iter().map(|(v, _)| v.as_tuple().cloned().unwrap_or_else(Tuple::empty)).collect();
-    let left_side = JoinSide::new(left_tuples.iter().map(Some).collect());
-    let right_side = JoinSide::new(right_tuples.iter().map(Some).collect());
+    let left_side: Vec<Option<&Tuple>> = left_tuples.iter().map(Some).collect();
+    let right_side: Vec<Option<&Tuple>> = right_tuples.iter().map(Some).collect();
     let matches = join_matches(&left_side, &right_side, predicate, left_schema, right_schema);
 
     let left_mults: Vec<u64> = left.iter().map(|(_, m)| *m).collect();

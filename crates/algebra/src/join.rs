@@ -99,29 +99,6 @@ pub fn with_hash_join<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// One input of a join: a sequence of rows (absent rows — e.g. tuples that
-/// are invalid under a schema alternative — are `None` and never pair).
-pub struct JoinSide<'a> {
-    rows: Vec<Option<&'a Tuple>>,
-}
-
-impl<'a> JoinSide<'a> {
-    /// A join side over the given rows.
-    pub fn new(rows: Vec<Option<&'a Tuple>>) -> Self {
-        JoinSide { rows }
-    }
-
-    /// Number of rows (present or absent).
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the side has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
 /// One matched pair of a join, with the concatenated output tuple (the
 /// predicate was evaluated on exactly this tuple, and both consumers need
 /// it next — the evaluator to emit it, the tracer to store it as the pair's
@@ -216,11 +193,13 @@ fn collect_conjuncts<'e>(predicate: &'e Expr, out: &mut Vec<&'e Expr>) {
 /// routing through the partitioned hash join when the predicate has equi
 /// structure (and the current thread has not disabled it via
 /// [`with_hash_join`]), and through the parallel block nested loop otherwise.
-/// The two physical paths produce identical matches by construction; the
-/// workspace join-equivalence suite pins this end to end.
+/// Each side is a sequence of rows; absent rows (`None` — e.g. tuples that
+/// are invalid under a schema alternative) never pair. The two physical
+/// paths produce identical matches by construction; the workspace
+/// join-equivalence suite pins this end to end.
 pub fn join_matches(
-    left: &JoinSide<'_>,
-    right: &JoinSide<'_>,
+    left: &[Option<&Tuple>],
+    right: &[Option<&Tuple>],
     predicate: &Expr,
     left_schema: &TupleType,
     right_schema: &TupleType,
@@ -234,8 +213,8 @@ pub fn join_matches(
 /// pass it through, so the decision does not depend on which worker runs
 /// which alternative.
 pub fn join_matches_with(
-    left: &JoinSide<'_>,
-    right: &JoinSide<'_>,
+    left: &[Option<&Tuple>],
+    right: &[Option<&Tuple>],
     predicate: &Expr,
     left_schema: &TupleType,
     right_schema: &TupleType,
@@ -262,8 +241,8 @@ pub fn join_matches_with(
 /// join identical right rows under equal key paths — the matches are
 /// byte-identical to building per probe.
 pub fn join_matches_probe(
-    left: &JoinSide<'_>,
-    right: &JoinSide<'_>,
+    left: &[Option<&Tuple>],
+    right: &[Option<&Tuple>],
     equi: &EquiJoin,
     build: &JoinBuild,
 ) -> JoinMatches {
@@ -323,9 +302,9 @@ fn canonical_key_component(value: Value) -> Option<Value> {
 /// Extracts the canonicalized key of every row of a side, in parallel
 /// chunks. `None` marks rows that cannot participate in the hash join:
 /// absent rows and rows whose key contains `⊥` or NaN.
-fn extract_keys(side: &JoinSide<'_>, paths: &[AttrPath]) -> Vec<Option<JoinKey>> {
+fn extract_keys(side: &[Option<&Tuple>], paths: &[AttrPath]) -> Vec<Option<JoinKey>> {
     par_map_range(0..side.len(), |i| {
-        let tuple = side.rows[i]?;
+        let tuple = side[i]?;
         let mut components = Vec::with_capacity(paths.len());
         for path in paths {
             let value = tuple.get_path(path).unwrap_or(Value::Null);
@@ -363,7 +342,7 @@ pub struct JoinBuild {
 
 impl JoinBuild {
     /// Builds the hash table over the right side's `key_paths`.
-    pub fn build(right: &JoinSide<'_>, key_paths: &[AttrPath]) -> JoinBuild {
+    pub fn build(right: &[Option<&Tuple>], key_paths: &[AttrPath]) -> JoinBuild {
         // Build: canonicalized keys, then a parallel scatter of row indices
         // into partitions (per chunk), then one map per partition assembled
         // by merging the scatter lists in chunk order — every bucket's
@@ -409,8 +388,8 @@ impl JoinBuild {
 /// left, residual-only predicate evaluation on candidates. Returns the
 /// matches of each left row, in ascending right-row order.
 fn hash_matches(
-    left: &JoinSide<'_>,
-    right: &JoinSide<'_>,
+    left: &[Option<&Tuple>],
+    right: &[Option<&Tuple>],
     equi: &EquiJoin,
 ) -> Vec<Vec<(usize, Tuple)>> {
     let build = JoinBuild::build(right, &equi.right_keys);
@@ -422,8 +401,8 @@ fn hash_matches(
 /// equi join) on the candidates. The concatenation check is kept — the
 /// nested loop skips pairs whose attribute names collide, and so must we.
 fn probe_matches(
-    left: &JoinSide<'_>,
-    right: &JoinSide<'_>,
+    left: &[Option<&Tuple>],
+    right: &[Option<&Tuple>],
     equi: &EquiJoin,
     build: &JoinBuild,
 ) -> Vec<Vec<(usize, Tuple)>> {
@@ -434,7 +413,7 @@ fn probe_matches(
         if li & 1023 == 0 {
             whynot_guard::enforce();
         }
-        let Some(lt) = left.rows[li] else { return Vec::new() };
+        let Some(lt) = left[li] else { return Vec::new() };
         let Some(key) = &left_keys[li] else { return Vec::new() };
         let h = key_hash(key);
         let Some(candidates) = build.buckets[h as usize % JOIN_PARTITIONS].get(key) else {
@@ -442,7 +421,7 @@ fn probe_matches(
         };
         let mut matched = Vec::new();
         for &ri in candidates {
-            let rt = right.rows[ri].expect("bucketed rows are present");
+            let rt = right[ri].expect("bucketed rows are present");
             let Ok(combined) = lt.concat(rt) else { continue };
             let keep = match &equi.residual {
                 Some(residual) => residual.eval_bool(&combined),
@@ -460,17 +439,17 @@ fn probe_matches(
 /// (range joins, cross products) and for joins forced off the hash path,
 /// fanned out over the pool by left row.
 fn nested_loop_matches(
-    left: &JoinSide<'_>,
-    right: &JoinSide<'_>,
+    left: &[Option<&Tuple>],
+    right: &[Option<&Tuple>],
     predicate: &Expr,
 ) -> Vec<Vec<(usize, Tuple)>> {
     par_map_range(0..left.len(), |li| {
         if li & 1023 == 0 {
             whynot_guard::enforce();
         }
-        let Some(lt) = left.rows[li] else { return Vec::new() };
+        let Some(lt) = left[li] else { return Vec::new() };
         let mut matched = Vec::new();
-        for (ri, row) in right.rows.iter().enumerate() {
+        for (ri, row) in right.iter().enumerate() {
             let Some(rt) = row else { continue };
             let Ok(combined) = lt.concat(rt) else { continue };
             if predicate.eval_bool(&combined) {
@@ -514,8 +493,8 @@ mod tests {
         predicate: &Expr,
     ) -> Vec<(usize, usize)> {
         let (ls, rs) = schemas();
-        let left_side = JoinSide::new(left.iter().map(Some).collect());
-        let right_side = JoinSide::new(right.iter().map(Some).collect());
+        let left_side: Vec<_> = left.iter().map(Some).collect();
+        let right_side: Vec<_> = right.iter().map(Some).collect();
         let hashed = join_matches_with(&left_side, &right_side, predicate, &ls, &rs, true);
         let looped = join_matches_with(&left_side, &right_side, predicate, &ls, &rs, false);
         assert_eq!(pairs_of(&hashed), pairs_of(&looped));
@@ -590,14 +569,12 @@ mod tests {
         let eq = Expr::cmp(Expr::attr("a"), CmpOp::Eq, Expr::attr("b"));
         let lt = left_row(Value::int(1), 0);
         let rt = right_row(Value::int(1), 0);
-        let left_side = JoinSide::new(vec![None, Some(&lt)]);
-        let right_side = JoinSide::new(vec![Some(&rt), None]);
+        let left_side = [None, Some(&lt)];
+        let right_side = [Some(&rt), None];
         let matches = join_matches(&left_side, &right_side, &eq, &ls, &rs);
         assert_eq!(pairs_of(&matches), vec![(1, 0)]);
         assert_eq!(matches.left_matched, vec![false, true]);
         assert_eq!(matches.right_matched, vec![true, false]);
-        assert!(!left_side.is_empty());
-        assert_eq!(left_side.len(), 2);
     }
 
     #[test]
@@ -651,8 +628,8 @@ mod tests {
             .collect();
         let pairs = assert_paths_agree(&left, &right, &eq);
         assert_eq!(pairs.len(), 86, "left keys 0, 7, .., 595 find their bucket");
-        let left_side = JoinSide::new(left.iter().map(Some).collect());
-        let right_side = JoinSide::new(right.iter().map(Some).collect());
+        let left_side: Vec<_> = left.iter().map(Some).collect();
+        let right_side: Vec<_> = right.iter().map(Some).collect();
         let equi = split_equi_join(&eq, &ls, &rs).expect("pure equi join");
         let build = JoinBuild::build(&right_side, &equi.right_keys);
         let probed = join_matches_probe(&left_side, &right_side, &equi, &build);

@@ -99,7 +99,7 @@ pub fn enabled() -> bool {
 
 /// Nanoseconds elapsed since a process-wide monotonic origin (established on
 /// first use). Timeline events and metric samples share this clock, so a
-/// loadgen run's trace and its time series align on one axis.
+/// recorded timeline and the metric time series align on one axis.
 pub fn monotonic_ns() -> u64 {
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
     ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64

@@ -33,7 +33,7 @@ use nrab_algebra::eval::{apply_operator, morsel_ranges};
 use nrab_algebra::expr::Expr;
 use nrab_algebra::join::{
     hash_join_enabled, join_matches_probe, join_matches_with, split_equi_join, EquiJoin, JoinBuild,
-    JoinMatches, JoinSide,
+    JoinMatches,
 };
 use nrab_algebra::schema::output_type;
 use nrab_algebra::{AggFunc, ProjColumn};
@@ -685,9 +685,8 @@ impl<'a> Tracer<'a> {
         let mut build_for_sa: Vec<Option<Arc<JoinBuild>>> = vec![None; self.n_sas()];
         for members in groups.values() {
             let representative = members[0];
-            let right_side = JoinSide::new(right_rows_of(representative));
             let build = Arc::new(JoinBuild::build(
-                &right_side,
+                &right_rows_of(representative),
                 &equis[representative]
                     .as_ref()
                     .expect("grouped SAs have equi structure")
@@ -715,15 +714,14 @@ impl<'a> Tracer<'a> {
                 .iter()
                 .map(|t| if t.flags(sa).valid { t.variant(sa) } else { None })
                 .collect();
-            let left_side = JoinSide::new(left_rows);
-            let right_side = JoinSide::new(right_rows_of(sa));
+            let right_rows = right_rows_of(sa);
             match (&equis[sa], &build_for_sa[sa]) {
                 (Some(equi), Some(build)) => {
-                    join_matches_probe(&left_side, &right_side, equi, build)
+                    join_matches_probe(&left_rows, &right_rows, equi, build)
                 }
                 _ => join_matches_with(
-                    &left_side,
-                    &right_side,
+                    &left_rows,
+                    &right_rows,
                     &predicates[sa],
                     &left_schema,
                     &right_schema,

@@ -93,9 +93,9 @@ USAGE:
 `serve` starts the HTTP/1.1 front end (POST /v1/explain|batch|stats|metrics,
 GET /healthz; see docs/PROTOCOL.md). --scenarios preloads the named scenario
 families into the catalog so requests can address their databases and plans
-by name (the same names `whynot-loadgen --http` sends). The server runs
-until stdin reaches end-of-file, then shuts down cleanly — drive it from a
-pipe or FIFO to control its lifetime (e.g. `mkfifo ctl; whynot serve < ctl`).
+by scenario name (e.g. D1 or RUN). The server runs until stdin reaches
+end-of-file, then shuts down cleanly — drive it from a pipe or FIFO to
+control its lifetime (e.g. `mkfifo ctl; whynot serve < ctl`).
 
 The question file holds {\"why_not\": ..., \"alternatives\": [...]} and may
 optionally inline \"db\" and \"plan\" (then the flags may be omitted).
@@ -546,7 +546,7 @@ fn cmd_serve(args: &[String]) -> ServiceResult<()> {
     let mut preloaded: Vec<String> = Vec::new();
     if let Some(families) = flags.value("scenarios") {
         for family in families.split(',').map(str::trim).filter(|f| !f.is_empty()) {
-            for scenario in whynot_service::loadgen::family_scenarios(family, None)? {
+            for scenario in family_scenarios(family)? {
                 service.catalog_mut().register_database(scenario.name.clone(), scenario.db);
                 service.catalog_mut().register_plan(scenario.name.clone(), scenario.plan);
                 preloaded.push(scenario.name);
@@ -619,6 +619,25 @@ fn cmd_serve(args: &[String]) -> ServiceResult<()> {
     eprintln!("whynot serve: stdin closed, shutting down");
     handle.shutdown();
     Ok(())
+}
+
+/// The scenarios of a named family at its default scale, for
+/// `whynot serve --scenarios`.
+fn family_scenarios(family: &str) -> ServiceResult<Vec<whynot_scenarios::Scenario>> {
+    let scenarios = match family {
+        "dblp" => whynot_scenarios::dblp::all_dblp(whynot_scenarios::dblp_scale()),
+        "twitter" => whynot_scenarios::twitter::all_twitter(whynot_scenarios::twitter_scale()),
+        "tpch" => whynot_scenarios::tpch::all_tpch(whynot_scenarios::tpch_scale()),
+        "crime" => whynot_scenarios::crime::all_crime(),
+        "running" => vec![whynot_scenarios::running::running_example()],
+        "all" => whynot_scenarios::all_scenarios(),
+        other => {
+            return Err(ServiceError::decode(format!(
+                "unknown scenario family `{other}` (expected dblp, twitter, tpch, crime, running, or all)"
+            )))
+        }
+    };
+    Ok(scenarios)
 }
 
 fn cmd_scenarios(args: &[String]) -> ServiceResult<()> {
@@ -731,4 +750,15 @@ fn run_scenarios(dir: &Path, only: Option<&str>, text: bool, flags: &Flags) -> S
         return Err(ServiceError::decode(format!("{failures} scenario(s) failed")));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_families_are_rejected() {
+        assert!(family_scenarios("nope").is_err());
+        assert_eq!(family_scenarios("running").unwrap()[0].name, "RUN");
+    }
 }

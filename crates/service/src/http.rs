@@ -30,7 +30,7 @@
 //! requests are isolated behind `catch_unwind` (500, never a dead worker).
 //!
 //! The module also ships [`HttpClient`], a minimal std-only keep-alive
-//! client, used by `whynot-loadgen --http` and the integration tests.
+//! client, used by the integration tests and the end-to-end benchmark.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -80,8 +80,8 @@ pub fn http_stats() -> HttpStats {
     }
 }
 
-/// Server configuration. [`ServeConfig::default`] is sized for the loadgen
-/// scenarios (a few dozen keep-alive connections).
+/// Server configuration. [`ServeConfig::default`] is sized for a few dozen
+/// concurrent keep-alive connections.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7171` (port `0` picks a free port).
@@ -746,8 +746,8 @@ impl HttpResponse {
 
 /// A minimal std-only HTTP/1.1 client speaking exactly the subset the server
 /// serves: keep-alive, `Content-Length` framing. One connection per client;
-/// reconnect by constructing a new one. Used by `whynot-loadgen --http` and
-/// the integration tests.
+/// reconnect by constructing a new one. Used by the integration tests and
+/// the end-to-end benchmark.
 #[derive(Debug)]
 pub struct HttpClient {
     reader: BufReader<TcpStream>,

@@ -26,14 +26,11 @@
 //! * [`stats`] — cumulative service metrics (the `stats` and `metrics` wire
 //!   ops, the process metric time series) and the wire codec for
 //!   `whynot-obs` profile reports.
-//! * [`loadgen`] — deterministic seeded load generation against
-//!   `explain_batch` (the `whynot-loadgen` binary) with exact latency
-//!   percentiles, throughput, and `BENCH_figures.json` integration.
 //! * [`http`] — `whynot-serve`: a dependency-free HTTP/1.1 front end routing
 //!   `POST /v1/explain|batch|stats|metrics` onto the wire dispatch, with a
 //!   bounded admission queue (429 + `Retry-After` shedding) and per-request
-//!   guard deadlines; plus the minimal client used by `whynot-loadgen
-//!   --http`.
+//!   guard deadlines; plus the minimal keep-alive client the HTTP tests
+//!   and the end-to-end benchmark drive it with.
 //! * [`trace_export`] — Chrome trace-event JSON export for `whynot-obs`
 //!   timelines (`chrome://tracing` / Perfetto).
 
@@ -45,7 +42,6 @@ pub mod catalog;
 pub mod error;
 pub mod http;
 pub mod json;
-pub mod loadgen;
 pub mod report;
 pub mod service;
 pub mod stats;
@@ -57,7 +53,6 @@ pub use catalog::{Catalog, DbHandle, PlanHandle};
 pub use error::{ServiceError, ServiceResult};
 pub use http::{serve, HttpClient, HttpResponse, HttpStats, ServeConfig, ServerHandle};
 pub use json::{Json, JsonError};
-pub use loadgen::{LoadReport, LoadgenConfig};
 pub use report::ExplanationReport;
 pub use service::{DbRef, ExplainRequest, ExplainResponse, ExplainService, PlanRef, RequestStats};
 pub use stats::{

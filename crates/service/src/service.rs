@@ -176,9 +176,9 @@ impl ExplainRequest {
     /// Encodes the request in its wire form (the inverse of
     /// [`ExplainRequest::from_json`]): named references stay strings, inline
     /// payloads are fully encoded, and fields at their defaults (`engine:
-    /// "rp"`, empty `alternatives`, unset limits) are omitted. Used by
-    /// `whynot-loadgen --http` to ship the same requests over the wire that
-    /// the in-process path answers directly.
+    /// "rp"`, empty `alternatives`, unset limits) are omitted. Used by the
+    /// end-to-end benchmark and the HTTP tests to ship the same requests over
+    /// the wire that the in-process path answers directly.
     pub fn to_json(&self) -> ServiceResult<Json> {
         let mut fields: Vec<(String, Json)> = Vec::new();
         let db = match &self.db {
@@ -755,8 +755,8 @@ mod tests {
         .with_timeout_ms(5_000);
         let wire = request.to_json().unwrap();
         let decoded = ExplainRequest::from_json(&wire).unwrap();
-        // Same answer through either form — the property `--http` loadgen
-        // byte-identity rests on.
+        // Same answer through either form — the property the HTTP
+        // byte-identity checks rest on.
         let direct = service.explain(&request).unwrap();
         let via_wire = service.explain(&decoded).unwrap();
         assert_eq!(direct.report, via_wire.report);

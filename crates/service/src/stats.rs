@@ -35,8 +35,9 @@ pub(crate) static REQUEST_LATENCY: Histogram = Histogram::new();
 /// Number of metric samples the process retains (newest win).
 pub const METRICS_CAPACITY: usize = 512;
 
-/// Process-wide ring of timestamped metric samples: pushed by loadgen waves
-/// and by the `metrics` wire op, read back as the `points` of its response.
+/// Process-wide ring of timestamped metric samples: pushed by the `metrics`
+/// wire op and by `whynot stats --watch` polls, read back as the `points` of
+/// the `metrics` response.
 static METRICS: TimeSeries = TimeSeries::new(METRICS_CAPACITY);
 
 /// Takes one timestamped sample of the process-wide service metrics (request

@@ -6,11 +6,9 @@
 //! `explain_batch`, malformed requests that get structured 4xx responses
 //! (never a panic or hang), admission-queue overflow shedding 429 with
 //! `Retry-After`, per-request guard trips mapping to 408/413 with the
-//! right stable error kind, the `stats` op's shard/http sections over
-//! HTTP, and a full `whynot-loadgen --http`-equivalent round trip with
-//! zero transport errors and zero answer mismatches. The whole file is
-//! exercised at `WHYNOT_THREADS` 1 and 4 by the CI matrix; nothing in
-//! here depends on the pool width.
+//! right stable error kind, and the `stats` op's shard/http sections over
+//! HTTP. The whole file is exercised at `WHYNOT_THREADS` 1 and 4 by the CI
+//! matrix; nothing in here depends on the pool width.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -18,35 +16,30 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use whynot_service::json::Json;
-use whynot_service::loadgen::{family_scenarios, run, LoadgenConfig};
 use whynot_service::service::{DbRef, ExplainRequest, ExplainService, PlanRef};
 use whynot_service::{serve, HttpClient, ServeConfig, ServerHandle};
 
-/// An `ExplainService` with the running-example family registered under the
-/// scenario names (exactly what `whynot serve --scenarios running` loads),
-/// plus one ready-made wire request per scenario.
-fn running_service() -> (Arc<ExplainService>, Vec<(String, ExplainRequest)>) {
-    let scenarios = family_scenarios("running", None).expect("running family");
+/// An `ExplainService` with the running example registered under its
+/// scenario name (exactly what `whynot serve --scenarios running` loads),
+/// plus a ready-made wire request for it.
+fn running_service() -> (Arc<ExplainService>, ExplainRequest) {
+    let scenario = whynot_scenarios::running::running_example();
     let mut service = ExplainService::new();
-    let mut requests = Vec::with_capacity(scenarios.len());
-    for scenario in scenarios {
-        service.catalog_mut().register_database(scenario.name.clone(), scenario.db);
-        service.catalog_mut().register_plan(scenario.name.clone(), scenario.plan);
-        let request = ExplainRequest::new(
-            DbRef::Named(scenario.name.clone()),
-            PlanRef::Named(scenario.name.clone()),
-            scenario.why_not,
-        )
-        .with_alternatives(scenario.alternatives);
-        requests.push((scenario.name, request));
-    }
-    (Arc::new(service), requests)
+    service.catalog_mut().register_database(scenario.name.clone(), scenario.db);
+    service.catalog_mut().register_plan(scenario.name.clone(), scenario.plan);
+    let request = ExplainRequest::new(
+        DbRef::Named(scenario.name.clone()),
+        PlanRef::Named(scenario.name),
+        scenario.why_not,
+    )
+    .with_alternatives(scenario.alternatives);
+    (Arc::new(service), request)
 }
 
-fn start(config: ServeConfig) -> (ServerHandle, Vec<(String, ExplainRequest)>) {
-    let (service, requests) = running_service();
+fn start(config: ServeConfig) -> (ServerHandle, ExplainRequest) {
+    let (service, request) = running_service();
     let handle = serve(service, config).expect("bind http server");
-    (handle, requests)
+    (handle, request)
 }
 
 /// Sends raw bytes on a fresh connection and returns the full response text
@@ -84,12 +77,12 @@ fn error_kind(body: &Json) -> &str {
 
 #[test]
 fn concurrent_keep_alive_answers_match_explain_batch_bytes() {
-    let (service, requests) = running_service();
+    let (service, request) = running_service();
     let handle = serve(Arc::clone(&service), ServeConfig::default()).expect("bind");
     let addr = handle.addr().to_string();
 
     // The in-process ground truth: one batch over every scenario request.
-    let batch: Vec<ExplainRequest> = requests.iter().map(|(_, r)| r.clone()).collect();
+    let batch = vec![request];
     let expected: Vec<String> = service
         .explain_batch(&batch)
         .into_iter()
@@ -125,11 +118,11 @@ fn concurrent_keep_alive_answers_match_explain_batch_bytes() {
 
 #[test]
 fn batch_endpoint_matches_explain_batch() {
-    let (service, requests) = running_service();
+    let (service, request) = running_service();
     let handle = serve(Arc::clone(&service), ServeConfig::default()).expect("bind");
     let addr = handle.addr().to_string();
 
-    let batch: Vec<ExplainRequest> = requests.iter().map(|(_, r)| r.clone()).collect();
+    let batch = vec![request];
     let expected: Vec<String> = service
         .explain_batch(&batch)
         .into_iter()
@@ -156,7 +149,7 @@ fn batch_endpoint_matches_explain_batch() {
 
 #[test]
 fn malformed_requests_get_structured_errors_never_hangs() {
-    let (handle, requests) = start(ServeConfig { max_body_bytes: 1024, ..ServeConfig::default() });
+    let (handle, request) = start(ServeConfig { max_body_bytes: 1024, ..ServeConfig::default() });
     let addr = handle.addr().to_string();
 
     // Garbage request line.
@@ -191,7 +184,7 @@ fn malformed_requests_get_structured_errors_never_hangs() {
     assert_eq!(response.status, 400, "{}", response.body);
 
     // After all that abuse the server still answers a well-formed request.
-    let body = requests[0].1.to_json().expect("encode").to_compact();
+    let body = request.to_json().expect("encode").to_compact();
     let mut client = HttpClient::connect(&addr).expect("connect");
     let response = client.post_json("/v1/explain", &body, &[]).expect("post");
     assert_eq!(response.status, 200, "{}", response.body);
@@ -200,7 +193,7 @@ fn malformed_requests_get_structured_errors_never_hangs() {
 
 #[test]
 fn admission_queue_overflow_sheds_with_429_and_retry_after() {
-    let (handle, _requests) = start(ServeConfig {
+    let (handle, _request) = start(ServeConfig {
         workers: 1,
         queue_capacity: 1,
         retry_after_secs: 7,
@@ -233,9 +226,9 @@ fn admission_queue_overflow_sheds_with_429_and_retry_after() {
 
 #[test]
 fn guard_trips_map_to_408_and_413_with_stable_kinds() {
-    let (handle, requests) = start(ServeConfig::default());
+    let (handle, request) = start(ServeConfig::default());
     let addr = handle.addr().to_string();
-    let template = &requests[0].1;
+    let template = &request;
 
     // timeout_ms = 0 in the body: the deadline is already expired when the
     // guard first checks, so the request trips deterministically.
@@ -270,12 +263,12 @@ fn guard_trips_map_to_408_and_413_with_stable_kinds() {
 
 #[test]
 fn stats_over_http_report_shards_and_http_counters() {
-    let (handle, requests) = start(ServeConfig::default());
+    let (handle, request) = start(ServeConfig::default());
     let addr = handle.addr().to_string();
     let mut client = HttpClient::connect(&addr).expect("connect");
 
     // Prime the cache with one answered request so occupancy is non-trivial.
-    let body = requests[0].1.to_json().expect("encode").to_compact();
+    let body = request.to_json().expect("encode").to_compact();
     let response = client.post_json("/v1/explain", &body, &[]).expect("post");
     assert_eq!(response.status, 200, "{}", response.body);
 
@@ -300,35 +293,5 @@ fn stats_over_http_report_shards_and_http_counters() {
     let response = client.get("/healthz").expect("healthz");
     assert_eq!(response.status, 200);
     assert_eq!(Json::parse(&response.body).unwrap().get("ok").and_then(Json::as_bool), Some(true));
-    handle.shutdown();
-}
-
-#[test]
-fn loadgen_http_round_trip_is_clean() {
-    // End-to-end acceptance: the seeded loadgen schedule over real sockets
-    // must finish with zero transport errors and zero answer mismatches
-    // against the in-process reference.
-    let (handle, _requests) = start(ServeConfig::default());
-    let addr = handle.addr().to_string();
-
-    let config = LoadgenConfig {
-        family: "running".to_string(),
-        requests: 16,
-        warmup: 4,
-        concurrency: 4,
-        http_addr: Some(addr),
-        ..LoadgenConfig::default()
-    };
-    let report = run(&config).expect("http loadgen run");
-    assert_eq!(report.measured_requests, 16);
-    assert_eq!(report.transport_errors, 0, "transport must be clean");
-    assert_eq!(report.answer_mismatches, 0, "answers must be byte-identical");
-    assert_eq!(report.shed, 0, "default queue must not shed 4 connections");
-    assert_eq!(report.errors, 0);
-    let json = report.to_json();
-    assert_eq!(
-        json.get("transport").and_then(Json::as_str),
-        Some(format!("http://{}", config.http_addr.as_deref().unwrap()).as_str())
-    );
     handle.shutdown();
 }

@@ -1,18 +1,12 @@
 //! The load-observability contract, end to end:
 //!
-//! * **Loadgen determinism** — a fixed seed reproduces the exact same
-//!   question schedule and report *structure* (request counts, errors, cache
-//!   hit/miss totals, latency observation count) at any ambient thread
-//!   count; only wall-clock figures vary. The run pins its own pool width,
-//!   so `WHYNOT_THREADS` (exercised at 1 and 4 in CI, and via
-//!   `with_threads(1/2/8)` here) must not leak into the structure.
-//! * **Timeline export** — a load run recorded under an
-//!   `obs::timeline` session yields balanced begin/end pairs, and the Chrome
-//!   trace-event JSON round-trips through the workspace's own JSON parser
-//!   with names, phases, and timestamps intact. A session captures only its
-//!   own request, never one served concurrently on another thread.
+//! * **Timeline export** — a batch recorded under an `obs::timeline`
+//!   session yields balanced begin/end pairs, and the Chrome trace-event
+//!   JSON round-trips through the workspace's own JSON parser with names,
+//!   phases, and timestamps intact. A session captures only its own
+//!   request, never one served concurrently on another thread.
 //! * **Flamegraph export** — the folded-stack lines derived from a profiled
-//!   run expose the service span paths (`batch;request`) with positive
+//!   batch expose the service span paths (`batch;request`) with positive
 //!   self-time.
 //! * **Metric surfaces** — the `metrics` wire op serves the process time
 //!   series, and the `stats` wire op carries the exact latency extremes,
@@ -21,69 +15,45 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use whynot_exec::with_threads;
-use whynot_service::loadgen::{family_scenarios, run, LoadgenConfig};
-use whynot_service::service::{DbRef, ExplainRequest, PlanRef};
+use whynot_scenarios::Scenario;
+use whynot_service::service::{DbRef, ExplainRequest, ExplainResponse, PlanRef};
 use whynot_service::{
-    timeline_from_chrome_json, timeline_to_chrome_json, ExplainService, Json, METRICS_CAPACITY,
+    timeline_from_chrome_json, timeline_to_chrome_json, ExplainService, Json, ServiceResult,
+    METRICS_CAPACITY,
 };
 
-/// A small but multi-scenario run: several distinct trace keys, several
-/// waves, a non-trivial warmup.
-fn small_config() -> LoadgenConfig {
-    LoadgenConfig {
-        family: "dblp".into(),
-        scale: Some(40),
-        seed: 42,
-        concurrency: 4,
-        requests: 24,
-        warmup: 4,
-        ..LoadgenConfig::default()
+/// An `ExplainService` with the scenarios registered under their names, plus
+/// one request per scenario addressing them by name.
+fn named_service(scenarios: Vec<Scenario>) -> (ExplainService, Vec<ExplainRequest>) {
+    let mut service = ExplainService::new();
+    let mut requests = Vec::with_capacity(scenarios.len());
+    for scenario in scenarios {
+        service.catalog_mut().register_database(scenario.name.clone(), scenario.db);
+        service.catalog_mut().register_plan(scenario.name.clone(), scenario.plan);
+        requests.push(
+            ExplainRequest::new(
+                DbRef::Named(scenario.name.clone()),
+                PlanRef::Named(scenario.name),
+                scenario.why_not,
+            )
+            .with_alternatives(scenario.alternatives),
+        );
     }
+    (service, requests)
 }
 
-#[test]
-fn loadgen_structure_is_identical_at_any_thread_count() {
-    let config = small_config();
-    let signatures: Vec<String> = [1usize, 2, 8]
-        .iter()
-        .map(|&threads| {
-            with_threads(threads, || run(&config).expect("load run succeeds")).structure_signature()
-        })
-        .collect();
-    assert_eq!(signatures[0], signatures[1], "threads 1 vs 2");
-    assert_eq!(signatures[0], signatures[2], "threads 1 vs 8");
-    // And reproducible: the same seed replays the same schedule.
-    let again = run(&config).expect("load run succeeds");
-    assert_eq!(signatures[0], again.structure_signature());
-
-    // The structure itself is what the config promises: every planned
-    // request was issued and measured, nothing failed, and the cache saw
-    // exactly one miss per distinct scenario in the schedule.
-    assert_eq!(again.total_requests, 28);
-    assert_eq!(again.measured_requests, 24);
-    assert_eq!(again.errors, 0);
-    assert_eq!(again.latency.count, 24);
-    let distinct: std::collections::BTreeSet<&String> = again.schedule.iter().collect();
-    assert_eq!(again.cache.misses as usize, distinct.len());
-    assert!(again.latency.p50_ns > 0 && again.latency.p99_ns >= again.latency.p50_ns);
-}
-
-#[test]
-fn loadgen_seeds_change_the_schedule() {
-    let base = small_config();
-    let reseeded = LoadgenConfig { seed: 43, ..base.clone() };
-    let a = run(&base).expect("load run succeeds");
-    let b = run(&reseeded).expect("load run succeeds");
-    assert_ne!(a.schedule, b.schedule, "a different seed must reshuffle the schedule");
+/// A DBLP batch at scale 40 on a 4-thread pool: several distinct trace keys,
+/// answered concurrently.
+fn dblp_batch() -> Vec<ServiceResult<ExplainResponse>> {
+    let (service, requests) = named_service(whynot_scenarios::dblp::all_dblp(40));
+    with_threads(4, || service.explain_batch(&requests))
 }
 
 #[test]
 fn chrome_trace_export_balances_and_round_trips() {
-    let config = LoadgenConfig { requests: 8, warmup: 2, ..small_config() };
-    let (report, timeline) =
-        whynot_obs::timeline::record(|| run(&config).expect("load run succeeds"));
-    assert!(report.measured_requests > 0);
-    assert!(!timeline.events.is_empty(), "a recorded load run must emit events");
+    let (responses, timeline) = whynot_obs::timeline::record(dblp_batch);
+    assert!(responses.iter().all(Result::is_ok), "every DBLP question is answered");
+    assert!(!timeline.events.is_empty(), "a recorded batch must emit events");
     timeline.check_balanced().expect("begin/end events pair up per thread");
     let names: std::collections::BTreeSet<&str> =
         timeline.events.iter().map(|e| e.name.as_str()).collect();
@@ -112,12 +82,11 @@ fn chrome_trace_export_balances_and_round_trips() {
 
 #[test]
 fn folded_stacks_expose_the_service_span_paths() {
-    let config = LoadgenConfig { requests: 8, warmup: 2, ..small_config() };
-    let (report, profile) = whynot_obs::profile(|| run(&config).expect("load run succeeds"));
-    assert!(report.measured_requests > 0);
+    let (responses, profile) = whynot_obs::profile(dblp_batch);
+    assert!(responses.iter().all(Result::is_ok), "every DBLP question is answered");
     let folded = profile.to_folded();
     let lines: Vec<&str> = folded.lines().collect();
-    assert!(!lines.is_empty(), "a profiled load run must produce folded stacks");
+    assert!(!lines.is_empty(), "a profiled batch must produce folded stacks");
     for line in &lines {
         let (stack, count) = line.rsplit_once(' ').expect("`stack count` shape");
         assert!(!stack.is_empty());
@@ -181,16 +150,8 @@ fn stats_wire_op_carries_the_new_observability_fields() {
 
 #[test]
 fn a_timeline_session_captures_only_its_own_request() {
-    let scenario = family_scenarios("running", None).expect("running family").remove(0);
-    let mut service = ExplainService::new();
-    service.catalog_mut().register_database(scenario.name.clone(), scenario.db);
-    service.catalog_mut().register_plan(scenario.name.clone(), scenario.plan);
-    let request = ExplainRequest::new(
-        DbRef::Named(scenario.name.clone()),
-        PlanRef::Named(scenario.name),
-        scenario.why_not,
-    )
-    .with_alternatives(scenario.alternatives);
+    let (service, requests) = named_service(vec![whynot_scenarios::running::running_example()]);
+    let request = &requests[0];
 
     let stop = AtomicBool::new(false);
     let served = AtomicUsize::new(0);
@@ -198,13 +159,13 @@ fn a_timeline_session_captures_only_its_own_request() {
         // A second client explains on the same service the whole time.
         scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
-                service.explain(&request).expect("concurrent explain succeeds");
+                service.explain(request).expect("concurrent explain succeeds");
                 served.fetch_add(1, Ordering::Relaxed);
             }
         });
         let ((), timeline) = whynot_obs::timeline::record(|| {
             let before = served.load(Ordering::Relaxed);
-            service.explain(&request).expect("recorded explain succeeds");
+            service.explain(request).expect("recorded explain succeeds");
             // Keep the session open until the other client ran a whole
             // request inside it.
             while served.load(Ordering::Relaxed) < before + 2 {
