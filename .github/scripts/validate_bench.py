@@ -1,29 +1,34 @@
 #!/usr/bin/env python3
 """Validates a BENCH_figures.json report and enforces the CI perf gates.
 
-Usage: validate_bench.py [REPORT [BASELINE]] [--profile FILE]
+Usage: validate_bench.py [REPORT] [--profile FILE]
 
-REPORT (default BENCH_figures.json) is the freshly measured report.
-BASELINE, when given, is the *committed* report snapshotted before the bench
-run; the perf-regression gate compares the re-measured `value_layer`,
-`join`, and `pipeline` groups against it and fails on a >2x slowdown of any
-case. End-to-end latency and throughput are not gated here: the `e2ebench`
-job checks every answer, and `BENCHMARK.json` bounds its workloads.
+REPORT (default BENCH_figures.json) is a report written by the `figures`
+binary: version 2, one group per paper figure (Figs. 8-11) and per
+fast-path A/B pair (`join`, `pipeline`, `parallel`), each case carrying the
+median and quartiles of its samples. Every gate is a ratio of two medians
+measured in the same process as an interleaved pair, so it holds on any
+machine; only the 4-thread speedup needs a group recorded with >= 4 CPUs.
+End-to-end latency and throughput are not gated here: the `e2ebench` job
+checks every answer, and `BENCHMARK.json` bounds its workloads.
 
 --profile FILE, when given, is a profile report exported by
 `whynot ... --profile-out FILE`; it is validated against the ProfileReport
 wire schema (wall_ns / meta / recursive span tree).
-
-Gates that compare two runs on the *same* machine are enforced everywhere;
-gates that need real cores (the threads1-vs-threads4 parallel speedup) or
-that compare against a baseline measured elsewhere (the regression gate) or
-in a separate bench process (the obs instrumentation-overhead gate) are
-only enforced on runners with >= 4 CPUs and print a notice otherwise.
 """
 
 import json
-import os
 import sys
+
+GROUPS = {
+    "fig08_dblp_runtime",
+    "fig09_twitter_runtime",
+    "fig10_tpch_runtime",
+    "fig11_schema_alternatives",
+    "join",
+    "pipeline",
+    "parallel",
+}
 
 
 def load(path):
@@ -70,6 +75,16 @@ def validate_profile(path):
     )
 
 
+def speedup(cases, slow, fast):
+    """The median ratio slow/fast of two cases of one group."""
+    for case in (slow, fast):
+        assert case in cases, f"group lacks {case}: {sorted(cases)}"
+    slow_ms, fast_ms = cases[slow]["median_ms"], cases[fast]["median_ms"]
+    ratio = slow_ms / fast_ms if fast_ms > 0 else float("inf")
+    print(f"{slow} {slow_ms:.3f} ms / {fast} {fast_ms:.3f} ms = {ratio:.2f}x")
+    return ratio
+
+
 def main():
     argv = sys.argv[1:]
     profile_path = None
@@ -77,237 +92,59 @@ def main():
         at = argv.index("--profile")
         profile_path = argv[at + 1]
         argv = argv[:at] + argv[at + 2 :]
-    report_path = argv[0] if len(argv) > 0 else "BENCH_figures.json"
-    baseline_path = argv[1] if len(argv) > 1 else None
+    assert len(argv) <= 1, f"unexpected arguments: {argv}"
+    report_path = argv[0] if argv else "BENCH_figures.json"
 
     report = load(report_path)
-    assert report["version"] == 1, "unexpected report version"
+    assert report["version"] == 2, "unexpected report version"
     groups = {g["name"]: g for g in report["groups"]}
-    assert groups, "report has no groups"
-    for name in (
-        "value_layer",
-        "parallel",
-        "join",
-        "pipeline",
-        "obs",
-        "guard",
-    ):
-        assert name in groups, f"{name} group missing: {sorted(groups)}"
+    assert set(groups) == GROUPS, f"expected groups {sorted(GROUPS)}, got {sorted(groups)}"
     for group in report["groups"]:
+        for key in ("samples", "cpus"):
+            assert isinstance(group[key], int) and group[key] >= 1, (group["name"], key)
         assert group["cases"], f"group {group['name']} has no cases"
         for case in group["cases"]:
-            for key in ("mean_ms", "min_ms", "max_ms"):
+            for key in ("median_ms", "q1_ms", "q3_ms"):
                 assert isinstance(case[key], (int, float)), (group["name"], case)
-            assert case["min_ms"] <= case["max_ms"] + 1e-9, (group["name"], case)
+            assert case["q1_ms"] <= case["median_ms"] <= case["q3_ms"], (group["name"], case)
 
     def cases(group_name):
         return {c["name"]: c for c in groups[group_name]["cases"]}
 
-    cpus = os.cpu_count() or 1
-
-    # Parallel speedup gate: threads4 must beat threads1 on multi-core
-    # runners. The bit-identity of parallel and serial results is asserted
-    # inside the bench itself on every machine.
-    parallel = cases("parallel")
-    for case in (
-        "dblp_d4_trace/threads1",
-        "dblp_d4_trace/threads4",
-        "service_batch8/threads1",
-        "service_batch8/threads4",
-    ):
-        assert case in parallel, f"parallel group lacks {case}: {sorted(parallel)}"
-    for workload in ("dblp_d4_trace", "service_batch8"):
-        serial = parallel[f"{workload}/threads1"]["min_ms"]
-        threaded = parallel[f"{workload}/threads4"]["min_ms"]
-        speedup = serial / threaded if threaded > 0 else float("inf")
-        print(
-            f"{workload}: {serial:.2f} ms serial / {threaded:.2f} ms "
-            f"at 4 threads = {speedup:.2f}x (cpus={cpus})"
-        )
-        if cpus >= 4:
-            assert speedup >= 1.5, (
-                f"{workload}: expected >= 1.5x speedup at 4 threads "
-                f"on a {cpus}-cpu runner, got {speedup:.2f}x"
-            )
-        else:
-            print(f"NOTICE: parallel speedup gate skipped on a {cpus}-cpu runner (< 4)")
-
-    # Hash-join speedup gate: the partitioned hash join must beat the block
-    # nested loop (the physical plan the evaluator ran before the shared join
-    # core) on the equi-join case. Both sides are measured in the same
-    # process, so this holds regardless of core count. The traced equi join
-    # is reported for information.
+    # Hash-join gate: the partitioned hash join must beat the block nested
+    # loop (the physical plan the evaluator ran before the shared join core)
+    # on the equi join. The mixed and traced joins are informational.
     join = cases("join")
-    for case in (
-        "equi_join/nested_loop",
-        "equi_join/hash",
-        "mixed_join/nested_loop",
-        "mixed_join/hash",
-        "nonequi_join/nested_loop",
-        "equi_trace/nested_loop",
-        "equi_trace/hash",
-    ):
-        assert case in join, f"join group lacks {case}: {sorted(join)}"
-    loop_ms = join["equi_join/nested_loop"]["min_ms"]
-    hash_ms = join["equi_join/hash"]["min_ms"]
-    speedup = loop_ms / hash_ms if hash_ms > 0 else float("inf")
-    print(f"equi_join: {loop_ms:.3f} ms nested loop / {hash_ms:.3f} ms hash = {speedup:.2f}x")
-    assert speedup >= 1.5, f"equi_join: expected >= 1.5x over the nested loop, got {speedup:.2f}x"
-    trace_loop = join["equi_trace/nested_loop"]["min_ms"]
-    trace_hash = join["equi_trace/hash"]["min_ms"]
-    trace_speedup = trace_loop / trace_hash if trace_hash > 0 else float("inf")
-    print(
-        f"equi_trace: {trace_loop:.3f} ms nested loop / {trace_hash:.3f} ms hash "
-        f"= {trace_speedup:.2f}x (informational)"
-    )
+    assert "nonequi_join/nested_loop" in join, f"join group lacks the non-equi case: {sorted(join)}"
+    equi = speedup(join, "equi_join/nested_loop", "equi_join/hash")
+    assert equi >= 1.5, f"equi_join: expected >= 1.5x over the nested loop, got {equi:.2f}x"
+    speedup(join, "mixed_join/nested_loop", "mixed_join/hash")
+    speedup(join, "equi_trace/nested_loop", "equi_trace/hash")
 
-    # Pipeline pair: the tracer's fused replay of 1:1 operator runs against
+    # Pipeline gate: the tracer's fused replay of 1:1 operator runs must beat
     # its operator-at-a-time replay on the DBLP D4 whole-plan trace.
-    # Byte-identity of the two traces is asserted inside the bench itself;
-    # the speedup is reported for information, and both cases sit in the
-    # 2x regression gate below.
-    pipeline = cases("pipeline")
-    for case in ("dblp_d4/fused", "dblp_d4/materialized"):
-        assert case in pipeline, f"pipeline group lacks {case}: {sorted(pipeline)}"
-    d4_fused = pipeline["dblp_d4/fused"]["min_ms"]
-    d4_mat = pipeline["dblp_d4/materialized"]["min_ms"]
-    d4_speedup = d4_mat / d4_fused if d4_fused > 0 else float("inf")
-    print(
-        f"pipeline dblp_d4: {d4_mat:.3f} ms materialized / {d4_fused:.3f} ms fused "
-        f"= {d4_speedup:.2f}x (informational)"
-    )
+    fused = speedup(cases("pipeline"), "dblp_d4/materialized", "dblp_d4/fused")
+    assert fused >= 1.3, f"pipeline dblp_d4: expected >= 1.3x over the replay, got {fused:.2f}x"
 
-    # Instrumentation-overhead gate: the `obs` group re-measures the
-    # value_layer lineitem and join hash workloads with the `whynot-obs` sites
-    # compiled in but no profiling session active (one thread-local load per
-    # site). Each `disabled` case must stay within 5% of the same workload's
-    # case in the value_layer/join groups re-measured in the same CI run.
-    # The comparison crosses bench processes, so it needs a quiet multi-core
-    # runner: enforced on >= 4 CPUs, notice otherwise.
-    obs = cases("obs")
-    obs_gate = [
-        ("lineitem_select/disabled", "value_layer", "lineitem_select"),
-        ("lineitem_trace/disabled", "value_layer", "lineitem_trace"),
-        ("equi_join/disabled", "join", "equi_join/hash"),
-        ("equi_trace/disabled", "join", "equi_trace/hash"),
-    ]
-    for obs_case, _, _ in obs_gate:
-        assert obs_case in obs, f"obs group lacks {obs_case}: {sorted(obs)}"
-        profiled = obs_case.replace("/disabled", "/profiled")
-        assert profiled in obs, f"obs group lacks {profiled}: {sorted(obs)}"
-    # The timeline session twin (informational, bounds `--trace-out` cost) and
-    # its deterministic event count: every span opening emits a balanced
-    # begin/end pair, so the count is a positive even number.
-    assert "lineitem_trace/timelined" in obs, f"obs group lacks the timelined case: {sorted(obs)}"
-    timeline_events = obs.get("lineitem_trace/timeline_events")
-    assert timeline_events, f"obs group lacks lineitem_trace/timeline_events: {sorted(obs)}"
-    assert timeline_events["min_ms"] > 0, "timeline session recorded no events"
-    assert timeline_events["min_ms"] % 2 == 0, "timeline events must pair up (begin/end)"
-    for pseudo in (
-        "lineitem_trace/trace_tuples",
-        "lineitem_trace/span_nodes",
-        "equi_trace/trace_tuples",
-        "equi_trace/span_nodes",
-        "dblp_d4/trace_tuples",
-        "dblp_d4/span_nodes",
-        "dblp_d4_stage/trace_provider",
-    ):
-        assert pseudo in obs, f"obs group lacks {pseudo}: {sorted(obs)}"
-    for pseudo in ("lineitem_trace", "equi_trace", "dblp_d4"):
-        # The deterministic figures: a trace was actually recorded.
-        assert obs[f"{pseudo}/trace_tuples"]["min_ms"] > 0, pseudo
-        assert obs[f"{pseudo}/span_nodes"]["min_ms"] > 0, pseudo
-    obs_failures = []
-    for obs_case, base_group, base_case in obs_gate:
-        base_ms = cases(base_group)[base_case]["min_ms"]
-        obs_ms = obs[obs_case]["min_ms"]
-        ratio = obs_ms / base_ms if base_ms > 0 else float("inf")
-        print(
-            f"obs/{obs_case}: {obs_ms:.3f} ms vs {base_group}/{base_case} "
-            f"{base_ms:.3f} ms ({ratio:.3f}x)"
-        )
-        if ratio > 1.05:
-            obs_failures.append(f"obs/{obs_case} costs {ratio:.3f}x of {base_case} (> 1.05x)")
-    if cpus >= 4:
-        assert not obs_failures, "instrumentation overhead: " + "; ".join(obs_failures)
-    elif obs_failures:
-        print(f"NOTICE: obs overhead gate skipped on a {cpus}-cpu runner (< 4)")
-
-    # Guard-overhead gate: the `guard` group re-measures the value_layer
-    # lineitem and join hash workloads with the `whynot-guard` check sites
-    # compiled in but no guard armed (one thread-local read per site — the
-    # price every unlimited request pays). Each `unguarded` case must stay
-    # within 5% of the same workload's case in the value_layer/join groups
-    # re-measured in the same CI run; the `guarded` twins (armed, roomy limits) are
-    # informational. Cross-process comparison: enforced on >= 4 CPUs.
-    guard = cases("guard")
-    guard_gate = [
-        ("lineitem_select/unguarded", "value_layer", "lineitem_select"),
-        ("lineitem_trace/unguarded", "value_layer", "lineitem_trace"),
-        ("equi_join/unguarded", "join", "equi_join/hash"),
-        ("equi_trace/unguarded", "join", "equi_trace/hash"),
-    ]
-    for guard_case, _, _ in guard_gate:
-        assert guard_case in guard, f"guard group lacks {guard_case}: {sorted(guard)}"
-        guarded = guard_case.replace("/unguarded", "/guarded")
-        assert guarded in guard, f"guard group lacks {guarded}: {sorted(guard)}"
-    for pseudo in ("lineitem_trace/guard_checks", "equi_trace/guard_checks"):
-        # The deterministic figures: an armed run actually performed checks.
-        assert pseudo in guard, f"guard group lacks {pseudo}: {sorted(guard)}"
-        assert guard[pseudo]["min_ms"] > 0, pseudo
-    guard_failures = []
-    for guard_case, base_group, base_case in guard_gate:
-        base_ms = cases(base_group)[base_case]["min_ms"]
-        guard_ms = guard[guard_case]["min_ms"]
-        ratio = guard_ms / base_ms if base_ms > 0 else float("inf")
-        print(
-            f"guard/{guard_case}: {guard_ms:.3f} ms vs {base_group}/{base_case} "
-            f"{base_ms:.3f} ms ({ratio:.3f}x)"
-        )
-        if ratio > 1.05:
-            guard_failures.append(
-                f"guard/{guard_case} costs {ratio:.3f}x of {base_case} (> 1.05x)"
-            )
-    if cpus >= 4:
-        assert not guard_failures, "guard overhead: " + "; ".join(guard_failures)
-    elif guard_failures:
-        print(f"NOTICE: guard overhead gate skipped on a {cpus}-cpu runner (< 4)")
-
-    # Perf-regression gate: the re-measured value_layer, join, and pipeline
-    # groups must not be more than 2x slower than the committed baseline.
-    # Absolute times only transfer between comparable machines, so the gate
-    # needs a real runner: enforced on >= 4 CPUs, notice otherwise.
-    if baseline_path:
-        baseline = load(baseline_path)
-        baseline_cases = {
-            g["name"]: {c["name"]: c for c in g["cases"]} for g in baseline["groups"]
-        }
+    # Parallel gate: threads4 must beat threads1, but only where the group
+    # was recorded with the cores to do so. Byte-identity of parallel and
+    # serial results is asserted inside the bench on every machine.
+    parallel = cases("parallel")
+    cpus = groups["parallel"]["cpus"]
+    for workload in ("dblp_d4_trace", "service_batch8"):
+        ratio = speedup(parallel, f"{workload}/threads1", f"{workload}/threads4")
         if cpus >= 4:
-            failures = []
-            for group_name in ("value_layer", "join", "pipeline"):
-                for case_name, case in cases(group_name).items():
-                    base = baseline_cases.get(group_name, {}).get(case_name)
-                    if base is None:
-                        print(f"NOTICE: {group_name}/{case_name} has no baseline; skipped")
-                        continue
-                    ratio = case["min_ms"] / base["min_ms"] if base["min_ms"] > 0 else 0.0
-                    print(
-                        f"{group_name}/{case_name}: baseline {base['min_ms']:.3f} ms, "
-                        f"measured {case['min_ms']:.3f} ms ({ratio:.2f}x)"
-                    )
-                    if ratio > 2.0:
-                        failures.append(
-                            f"{group_name}/{case_name} slowed down {ratio:.2f}x (> 2x)"
-                        )
-            assert not failures, "perf regression: " + "; ".join(failures)
+            assert ratio >= 1.5, (
+                f"{workload}: expected >= 1.5x at 4 threads with {cpus} cpus, got {ratio:.2f}x"
+            )
         else:
-            print(f"NOTICE: perf-regression gate skipped on a {cpus}-cpu runner (< 4)")
+            print(f"NOTICE: {workload} speedup not gated: recorded with {cpus} cpus (< 4)")
 
     if profile_path:
         validate_profile(profile_path)
 
     print(
-        f"BENCH_figures.json OK: {len(groups)} groups, "
+        f"{report_path} OK: {len(groups)} groups, "
         f"{sum(len(g['cases']) for g in report['groups'])} cases"
     )
 

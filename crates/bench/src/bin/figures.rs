@@ -6,20 +6,20 @@
 //! ```
 //!
 //! Artifacts: `fig8`, `fig9`, `fig10`, `fig11`, `table3`, `table7`, `table8`,
-//! `crime`, `value_layer`, `parallel`.
+//! `crime`, and the fast-path A/B pairs `join`, `pipeline`, `parallel`.
 //!
-//! Besides the stdout tables, runtime rows and microbench results are merged
-//! into the machine-readable `BENCH_figures.json` at the workspace root
-//! (override the location with `WHYNOT_BENCH_REPORT`).
+//! Besides the stdout tables, the figures and pairs are merged into the
+//! machine-readable `BENCH_figures.json` at the workspace root, one group
+//! each (override the location with `WHYNOT_BENCH_REPORT`, the sample count
+//! with `WHYNOT_BENCH_SAMPLES`).
 
 use std::collections::BTreeSet;
 
 use whynot_baselines::{conseil_explanations, wnpp_explanations};
-use whynot_bench::{
-    format_runtime_rows, measure_scenario, render_ops, report_runtime_rows, table7, RuntimeRow,
-};
+use whynot_bench::microbench::BenchGroup;
+use whynot_bench::{format_runtime_rows, measure_scenario, render_ops, table7, RuntimeRow};
 use whynot_core::WhyNotEngine;
-use whynot_scenarios::{all_scenarios, crime, dblp, running, tpch, twitter, Scenario};
+use whynot_scenarios::{all_scenarios, crime, dblp, tpch, twitter, Scenario};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,56 +52,73 @@ fn main() {
     if wanted("crime") {
         println!("{}", crime_comparison());
     }
-    if wanted("value_layer") {
-        whynot_bench::value_layer_group();
+    if wanted("join") {
+        whynot_bench::join_group();
+    }
+    if wanted("pipeline") {
+        whynot_bench::pipeline_group();
     }
     if wanted("parallel") {
         whynot_bench::parallel_group();
     }
 }
 
+/// Measures each scenario set of a scaling sweep into one group (cases
+/// `{scenario}/{scale}/{metric}`) and renders one runtime table per scale.
+fn scaling_figure(
+    group: &str,
+    scales: [usize; 5],
+    title: impl Fn(usize) -> String,
+    scenarios: impl Fn(usize) -> Vec<Scenario>,
+) -> String {
+    let mut group = BenchGroup::new(group);
+    let mut out = String::new();
+    for scale in scales {
+        let rows: Vec<RuntimeRow> = scenarios(scale)
+            .iter()
+            .map(|s| measure_scenario(&mut group, &format!("{}/{scale}", s.name), s))
+            .collect();
+        out.push_str(&format_runtime_rows(&title(scale), &rows));
+    }
+    group.finish();
+    out
+}
+
 /// Figure 8: RP runtime on the DBLP scenarios for growing dataset sizes.
 fn figure8() -> String {
-    let mut out = String::new();
-    for scale in [60usize, 120, 180, 240, 300] {
-        let rows: Vec<RuntimeRow> = dblp::all_dblp(scale).iter().map(measure_scenario).collect();
-        report_runtime_rows(&format!("fig8_dblp_scale{scale}"), &rows);
-        out.push_str(&format_runtime_rows(
-            &format!("Figure 8 — DBLP runtime, scale {scale} (≈{scale}×5 filler records)"),
-            &rows,
-        ));
-    }
-    out
+    scaling_figure(
+        "fig08_dblp_runtime",
+        [60, 120, 180, 240, 300],
+        |scale| format!("Figure 8 — DBLP runtime, scale {scale} (≈{scale}×5 filler records)"),
+        dblp::all_dblp,
+    )
 }
 
 /// Figure 9: RP runtime on the Twitter scenarios for growing dataset sizes.
 fn figure9() -> String {
-    let mut out = String::new();
-    for scale in [75usize, 150, 225, 300, 375] {
-        let rows: Vec<RuntimeRow> =
-            twitter::all_twitter(scale).iter().map(measure_scenario).collect();
-        report_runtime_rows(&format!("fig9_twitter_scale{scale}"), &rows);
-        out.push_str(&format_runtime_rows(
-            &format!("Figure 9 — Twitter runtime, scale {scale} tweets (+ planted)"),
-            &rows,
-        ));
-    }
-    out
+    scaling_figure(
+        "fig09_twitter_runtime",
+        [75, 150, 225, 300, 375],
+        |scale| format!("Figure 9 — Twitter runtime, scale {scale} tweets (+ planted)"),
+        twitter::all_twitter,
+    )
 }
 
 /// Figure 10: plain query vs. RPnoSA vs. RP on the TPC-H scenarios.
 fn figure10() -> String {
+    let mut group = BenchGroup::new("fig10_tpch_runtime");
     let rows: Vec<RuntimeRow> = tpch::all_tpch(whynot_scenarios::tpch_scale())
         .iter()
         .filter(|s| !s.name.ends_with('F'))
-        .map(measure_scenario)
+        .map(|s| measure_scenario(&mut group, &s.name, s))
         .collect();
-    report_runtime_rows("fig10_tpch", &rows);
+    group.finish();
     format_runtime_rows("Figure 10 — TPC-H runtime (nested scenarios)", &rows)
 }
 
 /// Figure 11: runtime as a function of the number of schema alternatives.
 fn figure11() -> String {
+    let mut group = BenchGroup::new("fig11_schema_alternatives");
     let mut out = String::new();
     out.push_str("== Figure 11 — runtime vs. number of schema alternatives ==\n");
     out.push_str("scenario  #SA  rp_ms\n");
@@ -118,18 +135,19 @@ fn figure11() -> String {
             let mut limited = scenario.clone();
             limited.alternatives = scenario.alternatives[..k].to_vec();
             let question = limited.question();
-            let start = std::time::Instant::now();
-            let answer =
-                WhyNotEngine::rp().explain(&question, &limited.alternatives).expect("RP succeeds");
-            let elapsed = start.elapsed().as_secs_f64() * 1e3;
+            let rp = || {
+                WhyNotEngine::rp().explain(&question, &limited.alternatives).expect("RP succeeds")
+            };
+            let rp_ms = group.bench(&format!("{}/{k}", limited.name), &rp);
             out.push_str(&format!(
                 "{:<9} {:>4} {:>8.2}\n",
                 limited.name,
-                answer.schema_alternatives.len(),
-                elapsed
+                rp().schema_alternatives.len(),
+                rp_ms
             ));
         }
     }
+    group.finish();
     out
 }
 
@@ -187,7 +205,6 @@ fn tables_7_and_8() -> (String, String) {
 fn crime_comparison() -> String {
     let mut out = String::new();
     out.push_str("== Crime scenarios C1–C3 — Why-Not vs. Conseil vs. RP ==\n");
-    let _ = running::running_example(); // keep the module linked for docs
     for scenario in crime::all_crime() {
         let question = scenario.question();
         let whynot = wnpp_explanations(&scenario.plan, &scenario.db, &scenario.why_not)

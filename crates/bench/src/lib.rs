@@ -17,10 +17,18 @@
 //!   formalism.
 //! * **Crime comparison** (Section 6.4) — Why-Not vs. Conseil vs. RP on C1–C3.
 //!
+//! Besides the figures, three groups pair a physical fast path with the path
+//! it replaces in one process: [`join_group`], [`pipeline_group`] and
+//! [`parallel_group`]. The `figures` binary is the single entry point
+//! (`cargo run --release -p whynot-bench --bin figures`); it measures through
+//! [`microbench::BenchGroup`] and merges one group per figure or pair into
+//! `BENCH_figures.json`.
+//!
 //! The absolute numbers differ from the paper (single host, in-memory engine,
 //! MB-scale data instead of a Spark cluster with 100s of GB); the *shapes* —
 //! linear scaling, instrumentation overhead factors, who finds which
-//! explanations — are the reproduction target (see `EXPERIMENTS.md`).
+//! explanations — are the reproduction target. `tests/table7_explanations.rs`
+//! pins the explanation counts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,27 +36,26 @@
 pub mod microbench;
 
 use std::collections::BTreeSet;
-use std::time::Instant;
 
-use nested_data::{Bag, Sym, Tuple, Value};
+use nested_data::{Bag, Value};
 use nrab_algebra::{evaluate, OpId, QueryPlan};
 use whynot_core::WhyNotEngine;
 use whynot_scenarios::{Scenario, ScenarioOutcome};
 
-use crate::microbench::{BenchGroup, CaseResult};
+use crate::microbench::BenchGroup;
 
-/// A single runtime measurement for one scenario at one dataset size.
+/// The median runtimes of one scenario at one dataset size.
 #[derive(Debug, Clone)]
 pub struct RuntimeRow {
     /// Scenario name.
     pub scenario: String,
     /// Number of top-level input tuples.
     pub input_tuples: u64,
-    /// Plain query evaluation time in milliseconds ("Spark" line of Figs. 8–10).
+    /// Plain query evaluation, in milliseconds ("Spark" line of Figs. 8–10).
     pub query_ms: f64,
-    /// RPnoSA explanation time in milliseconds.
+    /// RPnoSA explanation, in milliseconds.
     pub rp_no_sa_ms: f64,
-    /// RP explanation time in milliseconds.
+    /// RP explanation, in milliseconds.
     pub rp_ms: f64,
     /// Number of schema alternatives RP considered.
     pub schema_alternatives: usize,
@@ -65,130 +72,29 @@ impl RuntimeRow {
     }
 }
 
-fn measure<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed().as_secs_f64() * 1e3)
-}
-
-/// Measures plain query evaluation, RPnoSA, and RP for one scenario.
-pub fn measure_scenario(scenario: &Scenario) -> RuntimeRow {
+/// Measures plain query evaluation, RPnoSA, and RP for one scenario as the
+/// cases `{case}/query`, `{case}/rp_no_sa` and `{case}/rp` of `group`; the
+/// row carries the medians.
+pub fn measure_scenario(group: &mut BenchGroup, case: &str, scenario: &Scenario) -> RuntimeRow {
     let question = scenario.question();
-    let (_, query_ms) =
-        measure(|| evaluate(&scenario.plan, &scenario.db).expect("query evaluates"));
-    let (rp_no_sa, rp_no_sa_ms) = measure(|| {
+    let query_ms = group.bench(&format!("{case}/query"), || {
+        evaluate(&scenario.plan, &scenario.db).expect("query evaluates")
+    });
+    let rp_no_sa_ms = group.bench(&format!("{case}/rp_no_sa"), || {
         WhyNotEngine::rp_no_sa()
             .explain(&question, &scenario.alternatives)
             .expect("RPnoSA succeeds")
     });
-    let (rp, rp_ms) = measure(|| {
-        WhyNotEngine::rp().explain(&question, &scenario.alternatives).expect("RP succeeds")
-    });
-    drop(rp_no_sa);
+    let rp = || WhyNotEngine::rp().explain(&question, &scenario.alternatives).expect("RP succeeds");
+    let rp_ms = group.bench(&format!("{case}/rp"), &rp);
     RuntimeRow {
         scenario: scenario.name.clone(),
         input_tuples: scenario.db.total_tuples(),
         query_ms,
         rp_no_sa_ms,
         rp_ms,
-        schema_alternatives: rp.schema_alternatives.len(),
+        schema_alternatives: rp().schema_alternatives.len(),
     }
-}
-
-/// Merges a set of single-shot runtime rows into the machine-readable bench
-/// report (`BENCH_figures.json`) under `group`: one case per scenario and
-/// metric, with mean = min = max (one measurement each).
-pub fn report_runtime_rows(group: &str, rows: &[RuntimeRow]) {
-    let cases = rows.iter().flat_map(|row| {
-        [
-            (format!("{}/query", row.scenario), row.query_ms),
-            (format!("{}/rp_no_sa", row.scenario), row.rp_no_sa_ms),
-            (format!("{}/rp", row.scenario), row.rp_ms),
-        ]
-        .into_iter()
-        .map(|(name, ms)| CaseResult { name, mean_ms: ms, min_ms: ms, max_ms: ms })
-    });
-    microbench::report_group(group, cases);
-}
-
-/// The `value_layer` microbench group: targeted measurements of the shared-
-/// immutable value layer (hash-canonicalized bag construction, interned-symbol
-/// tuple lookup, O(1) value clones, and a whole-plan generalized trace of the
-/// largest DBLP runtime scenario), plus the wide flat TPC-H `flatlineitem`
-/// scan and trace (`lineitem_select`, `lineitem_trace`): the base cases the
-/// `obs` and `guard` overhead gates compare against in the same run.
-pub fn value_layer_group() {
-    let mut group = BenchGroup::new("value_layer");
-
-    // A DBLP-publication-shaped workload: 10k tuples, ~5k distinct.
-    let tuples: Vec<Value> = (0..10_000)
-        .map(|i| {
-            Value::tuple([
-                ("key", Value::int((i * 37) % 5_000)),
-                ("title", Value::str(format!("title-{}", (i * 37) % 5_000))),
-                ("year", Value::int(1990 + (i % 30))),
-                (
-                    "authors",
-                    Value::bag((0..3).map(|a| {
-                        Value::tuple([("name", Value::str(format!("author-{}", (i + a) % 97)))])
-                    })),
-                ),
-            ])
-        })
-        .collect();
-
-    group.bench("bag_build/insert_10k", || {
-        let mut bag = Bag::new();
-        for v in &tuples {
-            bag.insert(v.clone(), 1);
-        }
-        bag
-    });
-    group.bench("bag_build/builder_10k", || Bag::from_values(tuples.iter().cloned()));
-
-    let wide = Tuple::new((0..12).map(|i| (format!("attr{i}"), Value::int(i))));
-    let last = Sym::intern("attr11");
-    group.bench("tuple_lookup/sym_1m", || {
-        let mut acc = 0i64;
-        for _ in 0..1_000_000 {
-            acc += std::hint::black_box(&wide)
-                .get(std::hint::black_box(last))
-                .and_then(Value::as_int)
-                .unwrap_or(0);
-        }
-        std::hint::black_box(acc)
-    });
-
-    let big = Value::bag(tuples.iter().cloned());
-    group.bench("value_clone/nested_100k", || {
-        let mut last = big.clone();
-        for _ in 0..100_000 {
-            last = big.clone();
-        }
-        last
-    });
-
-    // Whole-plan generalized tracing (trace + backtrace + ranking) of the
-    // largest DBLP scenario from the Figure 8 sweep.
-    let scenario = whynot_scenarios::dblp::d4(300);
-    let question = scenario.question();
-    group.bench("dblp_trace/d4_scale300", || {
-        WhyNotEngine::rp().explain(&question, &scenario.alternatives).expect("RP succeeds")
-    });
-
-    // A Q6-style selection through the evaluator and a selection + grouped
-    // aggregation generalized trace under two schema alternatives.
-    let (db, select_plan, trace_plan, sas) = lineitem_workload();
-    assert!(
-        !evaluate(&select_plan, &db).expect("select evaluates").is_empty(),
-        "the benchmark selection must keep some rows"
-    );
-    group.bench("lineitem_select", || evaluate(&select_plan, &db).expect("select evaluates"));
-    group.bench("lineitem_trace", || {
-        nrab_provenance::trace_plan_generalized(&trace_plan, &db, &sas).expect("trace succeeds")
-    });
-
-    group.finish();
 }
 
 /// The `parallel` microbench group: serial vs. parallel wall-clock time of
@@ -198,34 +104,18 @@ pub fn value_layer_group() {
 ///
 /// The group also *asserts* the determinism contract before measuring:
 /// parallel traces and batch reports must be bit-identical to their serial
-/// twins. A `available_parallelism` pseudo-case records how many hardware
-/// threads the measuring host actually had (on a single-core host the
-/// threads4 rows cannot beat threads1 — CI enforces the speedup on
-/// multi-core runners).
+/// twins. The report records the host's CPU count with the group: with fewer
+/// than 4 CPUs the threads4 rows cannot beat threads1, so CI enforces the
+/// speedup only on groups recorded on 4 or more.
 pub fn parallel_group() {
-    use whynot_core::alternatives::enumerate_schema_alternatives;
-    use whynot_core::backtrace::schema_backtrace;
     use whynot_exec::with_threads;
     use whynot_service::service::{DbRef, ExplainRequest, ExplainService, PlanRef};
 
     let mut group = BenchGroup::new("parallel");
-    let cpus = std::thread::available_parallelism().map(usize::from).unwrap_or(1) as f64;
-    group.record("available_parallelism", cpus, cpus, cpus);
 
     // Whole-plan generalized trace of DBLP D4 (multi-SA) — the per-question-
     // independent stage the trace cache amortizes.
-    let scenario = whynot_scenarios::dblp::d4(300);
-    let backtrace = schema_backtrace(&scenario.plan, &scenario.db, &scenario.why_not)
-        .expect("backtrace succeeds");
-    let sas = enumerate_schema_alternatives(
-        &scenario.plan,
-        &scenario.db,
-        &scenario.why_not,
-        &backtrace,
-        &scenario.alternatives,
-        64,
-    )
-    .expect("alternatives enumerate");
+    let (scenario, sas) = dblp_d4_trace_inputs();
     let trace = |threads: usize| {
         with_threads(threads, || {
             nrab_provenance::trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
@@ -233,8 +123,7 @@ pub fn parallel_group() {
         })
     };
     assert!(trace(1) == trace(4), "parallel trace must be bit-identical to the serial trace");
-    group.bench("dblp_d4_trace/threads1", || trace(1));
-    group.bench("dblp_d4_trace/threads4", || trace(4));
+    group.pair("dblp_d4_trace/threads1", || trace(1), "dblp_d4_trace/threads4", || trace(4));
 
     // An 8-question batch over the five DBLP plans (three questions repeat,
     // exercising the concurrent cache-dedup path).
@@ -270,76 +159,40 @@ pub fn parallel_group() {
         run_batch(4),
         "parallel batch reports must be byte-identical to serial reports"
     );
-    group.bench("service_batch8/threads1", || run_batch(1));
-    group.bench("service_batch8/threads4", || run_batch(4));
+    group.pair(
+        "service_batch8/threads1",
+        || run_batch(1),
+        "service_batch8/threads4",
+        || run_batch(4),
+    );
 
     group.finish();
 }
 
-/// The wide flat TPC-H `flatlineitem` workload shared by
-/// [`value_layer_group`], [`obs_group`] and [`guard_group`]: the database (14
-/// scalar attributes per row), a Q6-style selection plan, and the traced
-/// selection + grouped-aggregation plan under two schema alternatives
-/// (original and `l_shipdate` → `l_commitdate`).
-///
-/// Shared so the `obs` and `guard` overhead cases re-measure *exactly* the
-/// workload of the `value_layer` base cases.
-fn lineitem_workload(
-) -> (nrab_algebra::Database, QueryPlan, QueryPlan, Vec<nrab_provenance::SchemaAlternative>) {
-    use nested_datagen::{tpch_flat_database, TpchConfig};
-    use nrab_algebra::expr::{ArithOp, CmpOp, Expr};
-    use nrab_algebra::{AggFunc, AggSpec, PlanBuilder};
-    use nrab_provenance::{OpSubstitution, SchemaAlternative};
-    use std::collections::BTreeMap;
+/// The whole-plan DBLP D4 trace workload of [`parallel_group`] and
+/// [`pipeline_group`]: the scale-300 scenario and its schema alternatives.
+fn dblp_d4_trace_inputs() -> (Scenario, Vec<nrab_provenance::SchemaAlternative>) {
+    use whynot_core::alternatives::enumerate_schema_alternatives;
+    use whynot_core::backtrace::schema_backtrace;
 
-    let db = tpch_flat_database(TpchConfig { customers: 1500, seed: 42 });
-    let q6_predicate = || {
-        Expr::and_all([
-            Expr::attr_cmp("l_shipdate", CmpOp::Ge, "1994-01-01"),
-            Expr::attr_cmp("l_shipdate", CmpOp::Lt, "1996-01-01"),
-            Expr::attr_cmp("l_discount", CmpOp::Ge, 0.02),
-            Expr::attr_cmp("l_discount", CmpOp::Le, 0.09),
-            Expr::attr_cmp("l_quantity", CmpOp::Lt, 40i64),
-        ])
-    };
-    let select_plan = PlanBuilder::table("flatlineitem")
-        .select(q6_predicate())
-        .build()
-        .expect("selection plan builds");
-
-    // Selection + grouped aggregation, traced under two schema alternatives
-    // (original and l_shipdate → l_commitdate).
-    let builder = PlanBuilder::table("flatlineitem").select(q6_predicate());
-    let selection_op = builder.current_id();
-    let trace_plan = builder
-        .group_aggregate(
-            vec!["l_returnflag"],
-            vec![AggSpec::new(
-                AggFunc::Sum,
-                Expr::arith(
-                    Expr::attr("l_extendedprice"),
-                    ArithOp::Mul,
-                    Expr::arith(Expr::lit(1.0), ArithOp::Sub, Expr::attr("l_discount")),
-                ),
-                "revenue",
-            )],
-        )
-        .build()
-        .expect("trace plan builds");
-    let sas = vec![
-        SchemaAlternative::original(BTreeMap::new()),
-        SchemaAlternative::new(
-            1,
-            vec![OpSubstitution::new(selection_op, "l_shipdate", "l_commitdate")],
-            BTreeMap::new(),
-        ),
-    ];
-    (db, select_plan, trace_plan, sas)
+    let scenario = whynot_scenarios::dblp::d4(300);
+    let backtrace = schema_backtrace(&scenario.plan, &scenario.db, &scenario.why_not)
+        .expect("backtrace succeeds");
+    let sas = enumerate_schema_alternatives(
+        &scenario.plan,
+        &scenario.db,
+        &scenario.why_not,
+        &backtrace,
+        &scenario.alternatives,
+        64,
+    )
+    .expect("alternatives enumerate");
+    (scenario, sas)
 }
 
-/// Two wide flat relations (6 scalar attributes each) shared by
-/// [`join_group`], [`obs_group`] and [`guard_group`]: a `fact` relation whose
-/// `fk` hits one of `keys` distinct values and a `dim` relation keyed by `pk`.
+/// Two wide flat relations (6 scalar attributes each) for [`join_group`]: a
+/// `fact` relation whose `fk` hits one of `keys` distinct values and a `dim`
+/// relation keyed by `pk`.
 fn join_db(fact_n: i64, dim_n: i64, keys: i64) -> nrab_algebra::Database {
     use nested_data::{NestedType, TupleType};
     use nrab_algebra::Database;
@@ -403,35 +256,6 @@ fn join_plan_for(predicate: nrab_algebra::Expr) -> QueryPlan {
         .expect("join plan builds")
 }
 
-/// The traced equi-join workload shared by [`join_group`] and [`obs_group`]:
-/// a smaller fact/dim pair and two schema alternatives (the second
-/// substitutes the probe key, so the per-SA joins build different hash
-/// tables).
-fn equi_trace_workload(
-) -> (nrab_algebra::Database, QueryPlan, Vec<nrab_provenance::SchemaAlternative>) {
-    use nrab_algebra::{JoinKind, PlanBuilder};
-    use nrab_provenance::{OpSubstitution, SchemaAlternative};
-    use std::collections::BTreeMap;
-
-    let trace_db = join_db(600, 400, 240);
-    let builder = PlanBuilder::table("fact").join(
-        PlanBuilder::table("dim"),
-        JoinKind::Inner,
-        equi_join_predicate(),
-    );
-    let join_op = builder.current_id();
-    let trace_plan = builder.build().expect("trace plan builds");
-    let sas = vec![
-        SchemaAlternative::original(BTreeMap::new()),
-        SchemaAlternative::new(
-            1,
-            vec![OpSubstitution::new(join_op, "fk", "fqty")],
-            BTreeMap::new(),
-        ),
-    ];
-    (trace_db, trace_plan, sas)
-}
-
 /// The `join` microbench group: the partitioned hash join of
 /// `nrab_algebra::join` against the block nested loop it replaced, over two
 /// wide flat relations (6 scalar attributes each) — a pure equi join, an
@@ -442,14 +266,15 @@ fn equi_trace_workload(
 ///
 /// Before measuring, the group *asserts* the equivalence contract: for every
 /// plan, the hash-join result and trace must be byte-identical to the forced
-/// nested loop (`with_hash_join(false, ..)`). The `nested_loop` cases run the
-/// physical plan the evaluator executed before the shared join core existed,
-/// so CI can hold the speedup against the seed path. The non-equi range join
-/// has no hash structure, so it always takes the loop and is one case.
+/// nested loop (`with_hash_join(false, ..)`). Each hash case is measured as
+/// an interleaved pair with its `nested_loop` twin, the physical plan the
+/// evaluator executed before the shared join core existed. The non-equi range
+/// join has no hash structure, so it always takes the loop and is one case.
 pub fn join_group() {
     use nrab_algebra::expr::{CmpOp, Expr};
-    use nrab_algebra::with_hash_join;
-    use nrab_provenance::trace_plan_generalized;
+    use nrab_algebra::{with_hash_join, JoinKind, PlanBuilder};
+    use nrab_provenance::{trace_plan_generalized, OpSubstitution, SchemaAlternative};
+    use std::collections::BTreeMap;
 
     let mut group = BenchGroup::new("join");
 
@@ -482,321 +307,68 @@ pub fn join_group() {
         assert!(!hashed.is_empty(), "{name}: the benchmark join must produce rows");
     }
 
-    group.bench("equi_join/nested_loop", || {
-        with_hash_join(false, || evaluate(&equi_plan, &db).expect("loop"))
-    });
-    group.bench("equi_join/hash", || evaluate(&equi_plan, &db).expect("hash"));
-    group.bench("mixed_join/nested_loop", || {
-        with_hash_join(false, || evaluate(&mixed_plan, &db).expect("loop"))
-    });
-    group.bench("mixed_join/hash", || evaluate(&mixed_plan, &db).expect("hash"));
+    for (name, plan) in [("equi_join", &equi_plan), ("mixed_join", &mixed_plan)] {
+        group.pair(
+            &format!("{name}/nested_loop"),
+            || with_hash_join(false, || evaluate(plan, &db).expect("loop")),
+            &format!("{name}/hash"),
+            || evaluate(plan, &db).expect("hash"),
+        );
+    }
     group.bench("nonequi_join/nested_loop", || evaluate(&nonequi_plan, &small_db).expect("loop"));
 
-    // The traced equi join: two schema alternatives (the second substitutes
-    // the probe key, so the per-SA joins build different hash tables) —
-    // the per-SA probing workload `trace_join` used to run over a single
-    // `BTreeMap` bucketing.
-    let (trace_db, trace_plan, sas) = equi_trace_workload();
-    let loop_trace = with_hash_join(false, || {
-        trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("loop trace")
-    });
-    let hash_trace = trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("hash trace");
+    // The traced equi join on a smaller fact/dim pair, under two schema
+    // alternatives: the second substitutes the probe key, so the per-SA
+    // joins build different hash tables.
+    let trace_db = join_db(600, 400, 240);
+    let builder = PlanBuilder::table("fact").join(
+        PlanBuilder::table("dim"),
+        JoinKind::Inner,
+        equi_join_predicate(),
+    );
+    let join_op = builder.current_id();
+    let trace_plan = builder.build().expect("trace plan builds");
+    let sas = vec![
+        SchemaAlternative::original(BTreeMap::new()),
+        SchemaAlternative::new(
+            1,
+            vec![OpSubstitution::new(join_op, "fk", "fqty")],
+            BTreeMap::new(),
+        ),
+    ];
+    let trace = || trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("trace");
+    let loop_trace = || with_hash_join(false, trace);
     assert!(
-        loop_trace == hash_trace,
+        loop_trace() == trace(),
         "traced equi join must be byte-identical to the nested-loop trace"
     );
-    group.bench("equi_trace/nested_loop", || {
-        with_hash_join(false, || {
-            trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("loop trace")
-        })
-    });
-    group.bench("equi_trace/hash", || {
-        trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("hash trace")
-    });
+    group.pair("equi_trace/nested_loop", loop_trace, "equi_trace/hash", trace);
 
     group.finish();
 }
 
 /// The `pipeline` microbench group: the tracer's fused replay against the
-/// operator-at-a-time replay it replaces.
-///
-/// * `dblp_d4/*` — the whole-plan generalized trace of DBLP D4 (multi-SA),
-///   whose flatten→project and select→select→project runs dominate the
-///   trace; the fused replay eliminates the per-tuple singleton-bag
-///   evaluation.
+/// operator-at-a-time replay it replaces, on the whole-plan generalized
+/// trace of DBLP D4 (multi-SA). Its flatten→project and
+/// select→select→project runs dominate the trace; the fused replay
+/// eliminates the per-tuple singleton-bag evaluation.
 ///
 /// Before measuring, the group *asserts* byte-identity: the fused trace must
 /// equal the `with_pipelining(false)` one — pipelining is a pure performance
 /// knob, like threads and the hash join.
 pub fn pipeline_group() {
-    use nrab_provenance::with_pipelining;
-    use whynot_core::alternatives::enumerate_schema_alternatives;
-    use whynot_core::backtrace::schema_backtrace;
+    use nrab_provenance::{trace_plan_generalized, with_pipelining};
 
     let mut group = BenchGroup::new("pipeline");
 
-    // The whole-plan DBLP D4 generalized trace — the workload behind the
-    // committed `value_layer` and `parallel` baselines.
-    let scenario = whynot_scenarios::dblp::d4(300);
-    let backtrace = schema_backtrace(&scenario.plan, &scenario.db, &scenario.why_not)
-        .expect("backtrace succeeds");
-    let sas = enumerate_schema_alternatives(
-        &scenario.plan,
-        &scenario.db,
-        &scenario.why_not,
-        &backtrace,
-        &scenario.alternatives,
-        64,
-    )
-    .expect("alternatives enumerate");
-    let fused_trace = nrab_provenance::trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-        .expect("fused trace");
-    let materialized_trace = with_pipelining(false, || {
-        nrab_provenance::trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-            .expect("materialized trace")
-    });
+    let (scenario, sas) = dblp_d4_trace_inputs();
+    let fused = || trace_plan_generalized(&scenario.plan, &scenario.db, &sas).expect("trace");
+    let materialized = || with_pipelining(false, fused);
     assert!(
-        fused_trace == materialized_trace,
+        fused() == materialized(),
         "the fused trace must be bit-identical to the operator-at-a-time replay"
     );
-    group.bench("dblp_d4/fused", || {
-        nrab_provenance::trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-            .expect("fused trace")
-    });
-    group.bench("dblp_d4/materialized", || {
-        with_pipelining(false, || {
-            nrab_provenance::trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                .expect("materialized trace")
-        })
-    });
-
-    group.finish();
-}
-
-/// The `obs` microbench group: the runtime cost of the `whynot-obs`
-/// instrumentation, re-measured on exactly the workloads of the `value_layer`
-/// lineitem cases and the `join` hash cases (shared through the private
-/// `lineitem_workload`, `join_db` and `equi_trace_workload` constructors).
-///
-/// Every `disabled` case runs with no profiling *or timeline* session
-/// active on the bench thread, so each instrumentation site costs one load
-/// of the thread-local flags cell — the price every production run pays.
-/// CI gates these at ≤ 5% over the corresponding base case measured in the
-/// same run (`value_layer/lineitem_select`, `value_layer/lineitem_trace`,
-/// `join/equi_join/hash`, `join/equi_trace/hash`). The `profiled` twins run
-/// the same work inside a [`whynot_obs::profile`] session and are
-/// informational: they bound the cost of `--profile`. The `timelined` twin
-/// runs inside a [`whynot_obs::timeline::record`] session and bounds the
-/// cost of `--trace-out` event recording.
-///
-/// The group also records deterministic observability figures as
-/// dimensionless pseudo-cases (mean = min = max): the generalized-trace size
-/// in tuples (`trace.total_tuples`, the peak provenance footprint of the
-/// run) and the number of recorded operator spans for the two traced
-/// workloads and a full DBLP D4 explanation, plus the D4 per-stage span
-/// breakdown in milliseconds and the balanced timeline event count of the
-/// lineitem trace (`lineitem_trace/timeline_events`, exactly two events per
-/// span opening at any thread count).
-pub fn obs_group() {
-    use nrab_provenance::trace_plan_generalized;
-    use whynot_obs::ProfileReport;
-
-    let mut group = BenchGroup::new("obs");
-
-    assert!(
-        !whynot_obs::enabled(),
-        "no profiling session may be active while the disabled-path cases run"
-    );
-
-    let (db, select_plan, trace_plan, sas) = lineitem_workload();
-    let equi_db = join_db(1500, 1000, 600);
-    let equi_plan = join_plan_for(equi_join_predicate());
-    let (join_trace_db, join_trace_plan, join_sas) = equi_trace_workload();
-
-    // Equivalence before measuring: profiling is a pure observer (the full
-    // contract — answers, traces, wire reports, thread counts — is asserted
-    // by `tests/differential.rs`; this is the bench-local smoke check).
-    let plain = evaluate(&select_plan, &db).expect("select evaluates");
-    let (profiled, report) =
-        whynot_obs::profile(|| evaluate(&select_plan, &db).expect("select evaluates"));
-    assert!(plain == profiled, "profiling must not change the selection result");
-    assert!(report.root.span_nodes() > 0, "the profiled selection must record spans");
-
-    group.bench("lineitem_select/disabled", || evaluate(&select_plan, &db).expect("select"));
-    group.bench("lineitem_select/profiled", || {
-        whynot_obs::profile(|| evaluate(&select_plan, &db).expect("select"))
-    });
-    group.bench("lineitem_trace/disabled", || {
-        trace_plan_generalized(&trace_plan, &db, &sas).expect("trace")
-    });
-    group.bench("lineitem_trace/profiled", || {
-        whynot_obs::profile(|| trace_plan_generalized(&trace_plan, &db, &sas).expect("trace"))
-    });
-    group.bench("lineitem_trace/timelined", || {
-        whynot_obs::timeline::record(|| {
-            trace_plan_generalized(&trace_plan, &db, &sas).expect("trace")
-        })
-    });
-    group.bench("equi_join/disabled", || evaluate(&equi_plan, &equi_db).expect("join"));
-    group.bench("equi_join/profiled", || {
-        whynot_obs::profile(|| evaluate(&equi_plan, &equi_db).expect("join"))
-    });
-    group.bench("equi_trace/disabled", || {
-        trace_plan_generalized(&join_trace_plan, &join_trace_db, &join_sas).expect("join trace")
-    });
-    group.bench("equi_trace/profiled", || {
-        whynot_obs::profile(|| {
-            trace_plan_generalized(&join_trace_plan, &join_trace_db, &join_sas).expect("join trace")
-        })
-    });
-
-    // Deterministic observability figures: identical at every thread count
-    // (the signature contract), so mean = min = max is exact, not a
-    // single-sample approximation.
-    fn record_figures(group: &mut BenchGroup, case: &str, report: &ProfileReport) {
-        let tuples = report.counter_total("trace.total_tuples") as f64;
-        let spans = report.root.span_nodes() as f64;
-        group.record(format!("{case}/trace_tuples"), tuples, tuples, tuples);
-        group.record(format!("{case}/span_nodes"), spans, spans, spans);
-    }
-    let (_, lineitem_report) =
-        whynot_obs::profile(|| trace_plan_generalized(&trace_plan, &db, &sas).expect("trace"));
-    record_figures(&mut group, "lineitem_trace", &lineitem_report);
-    // Timeline figures for the same workload: every span opening emits a
-    // balanced begin/end pair, so the event count is exactly twice the span
-    // count and just as deterministic.
-    let (_, lineitem_timeline) = whynot_obs::timeline::record(|| {
-        trace_plan_generalized(&trace_plan, &db, &sas).expect("trace")
-    });
-    lineitem_timeline.check_balanced().expect("timeline events pair up");
-    let events = lineitem_timeline.events.len() as f64;
-    group.record("lineitem_trace/timeline_events", events, events, events);
-    let (_, join_report) = whynot_obs::profile(|| {
-        trace_plan_generalized(&join_trace_plan, &join_trace_db, &join_sas).expect("join trace")
-    });
-    record_figures(&mut group, "equi_trace", &join_report);
-
-    let scenario = whynot_scenarios::dblp::d4(300);
-    let question = scenario.question();
-    let (_, d4_report) = whynot_obs::profile(|| {
-        WhyNotEngine::rp().explain(&question, &scenario.alternatives).expect("RP succeeds")
-    });
-    record_figures(&mut group, "dblp_d4", &d4_report);
-    // The engine-stage breakdown of the D4 explanation (wall ms per stage;
-    // times vary between runs, the stage set does not).
-    for stage in ["validate", "backtrace", "alternatives", "trace_provider", "rank"] {
-        let ms = d4_report.root.child(stage).map_or(0.0, |s| s.total_ns as f64 / 1e6);
-        group.record(format!("dblp_d4_stage/{stage}"), ms, ms, ms);
-    }
-
-    group.finish();
-}
-
-/// The `guard` microbench group: the runtime cost of the `whynot-guard`
-/// check sites, re-measured on exactly the workloads of the `value_layer`
-/// lineitem cases and the `join` hash cases (the same shared constructors the
-/// `obs` group uses).
-///
-/// Every `unguarded` case runs with no guard armed, so each check site costs
-/// one read of the thread's guard slot — the price every unlimited
-/// production request pays. CI gates these at ≤ 5% over the corresponding
-/// base case measured in the same run (`value_layer/lineitem_select`,
-/// `value_layer/lineitem_trace`, `join/equi_join/hash`,
-/// `join/equi_trace/hash`). The `guarded` twins run the same work under an
-/// armed guard with generous limits and are informational: they bound the
-/// cost of `timeout_ms`/`max_trace_tuples` on a request.
-///
-/// Before measuring, the group *asserts* the governance contract in release
-/// mode: a roomy guard is a pure observer (byte-identical results), and a
-/// zero trace budget actually trips the traced workload.
-pub fn guard_group() {
-    use nrab_provenance::trace_plan_generalized;
-
-    let mut group = BenchGroup::new("guard");
-
-    assert!(!whynot_guard::armed(), "no guard may be armed while the unguarded cases run");
-
-    let (db, select_plan, trace_plan, sas) = lineitem_workload();
-    let equi_db = join_db(1500, 1000, 600);
-    let equi_plan = join_plan_for(equi_join_predicate());
-    let (join_trace_db, join_trace_plan, join_sas) = equi_trace_workload();
-
-    // Roomy limits: far above anything these workloads consume, so the
-    // guarded twins measure pure check overhead, never a trip.
-    let roomy = || whynot_guard::Guard::new(Some(300_000), Some(u64::MAX / 2), None);
-
-    // Contract smoke checks (the full matrix lives in the guard/service
-    // tests; this pins the release-build behavior the bench publishes).
-    let plain = trace_plan_generalized(&trace_plan, &db, &sas).expect("trace succeeds");
-    let under_guard = {
-        let guard = roomy();
-        let _armed = whynot_guard::arm(&guard);
-        trace_plan_generalized(&trace_plan, &db, &sas).expect("guarded trace succeeds")
-    };
-    assert!(plain == under_guard, "a roomy guard must not change the generalized trace");
-    let tripped = {
-        let guard = whynot_guard::Guard::new(None, Some(0), None);
-        let _armed = whynot_guard::arm(&guard);
-        trace_plan_generalized(&trace_plan, &db, &sas)
-    };
-    assert!(
-        matches!(
-            tripped,
-            Err(nrab_algebra::AlgebraError::Resource(
-                whynot_guard::ResourceError::TraceBudgetExceeded { .. }
-            ))
-        ),
-        "a zero trace budget must trip the traced workload"
-    );
-
-    group.bench("lineitem_select/unguarded", || evaluate(&select_plan, &db).expect("select"));
-    group.bench("lineitem_select/guarded", || {
-        let guard = roomy();
-        let _armed = whynot_guard::arm(&guard);
-        evaluate(&select_plan, &db).expect("select")
-    });
-    group.bench("lineitem_trace/unguarded", || {
-        trace_plan_generalized(&trace_plan, &db, &sas).expect("trace")
-    });
-    group.bench("lineitem_trace/guarded", || {
-        let guard = roomy();
-        let _armed = whynot_guard::arm(&guard);
-        trace_plan_generalized(&trace_plan, &db, &sas).expect("trace")
-    });
-    group.bench("equi_join/unguarded", || evaluate(&equi_plan, &equi_db).expect("join"));
-    group.bench("equi_join/guarded", || {
-        let guard = roomy();
-        let _armed = whynot_guard::arm(&guard);
-        evaluate(&equi_plan, &equi_db).expect("join")
-    });
-    group.bench("equi_trace/unguarded", || {
-        trace_plan_generalized(&join_trace_plan, &join_trace_db, &join_sas).expect("join trace")
-    });
-    group.bench("equi_trace/guarded", || {
-        let guard = roomy();
-        let _armed = whynot_guard::arm(&guard);
-        trace_plan_generalized(&join_trace_plan, &join_trace_db, &join_sas).expect("join trace")
-    });
-
-    // Deterministic governance figures: how many cooperative checks one
-    // guarded run of each traced workload performs (identical at every
-    // thread count, like the obs signature figures).
-    fn record_checks(group: &mut BenchGroup, case: &str, run: impl FnOnce()) {
-        let before = whynot_guard::guard_stats().checks;
-        run();
-        let checks = (whynot_guard::guard_stats().checks - before) as f64;
-        group.record(format!("{case}/guard_checks"), checks, checks, checks);
-    }
-    record_checks(&mut group, "lineitem_trace", || {
-        let guard = roomy();
-        let _armed = whynot_guard::arm(&guard);
-        trace_plan_generalized(&trace_plan, &db, &sas).expect("trace");
-    });
-    record_checks(&mut group, "equi_trace", || {
-        let guard = roomy();
-        let _armed = whynot_guard::arm(&guard);
-        trace_plan_generalized(&join_trace_plan, &join_trace_db, &join_sas).expect("join trace");
-    });
+    group.pair("dblp_d4/fused", fused, "dblp_d4/materialized", materialized);
 
     group.finish();
 }
@@ -884,7 +456,8 @@ mod tests {
     #[test]
     fn measure_running_example() {
         let scenario = running::running_example();
-        let row = measure_scenario(&scenario);
+        let mut group = BenchGroup::new("test");
+        let row = measure_scenario(&mut group, "RUN", &scenario);
         assert_eq!(row.scenario, "RUN");
         assert_eq!(row.schema_alternatives, 2);
         assert!(row.rp_ms >= 0.0);

@@ -20,9 +20,9 @@
 //!
 //! Every check site first reads the current thread's guard slot
 //! ([`armed`] / [`current`]); while no guard governs the thread, a check is
-//! that one thread-local read and a predictable branch. The CI bench gate
-//! (`guard` group) pins the disabled-path overhead of the instrumented
-//! eval/trace paths at ≤ 5%.
+//! that one thread-local read and a predictable branch. Every e2ebench
+//! request passes these sites (`http-dblp` with a guard armed), so the
+//! benchmark's paired parent/change bounds cover their cost end to end.
 //!
 //! ## Threading
 //!

@@ -2,8 +2,9 @@
 //! that mixes healthy questions with a panicking (fault-injected) question, a
 //! deadline-tripped question, and a trace-budget-tripped question must return
 //! structured errors for exactly the unhealthy three, while the healthy
-//! answers stay **byte-identical** to an unguarded run of the same questions —
-//! at every thread count.
+//! answers (one unlimited, one under a roomy armed guard) stay
+//! **byte-identical** to an unguarded run of the same questions — at every
+//! thread count.
 
 use whynot_exec::with_threads;
 use whynot_scenarios::{crime, running, Scenario};
@@ -42,14 +43,15 @@ fn batch_isolates_panicking_and_resource_tripped_requests() {
     let running = running::running_example();
     let crime = crime::all_crime().into_iter().next().expect("at least one crime scenario");
 
-    // Indices: 0 healthy, 1 panics (injected fault in its trace computation),
-    // 2 trips its deadline, 3 trips its trace budget, 4 healthy.
+    // Indices: 0 healthy and unlimited, 1 panics (injected fault in its trace
+    // computation), 2 trips its deadline, 3 trips its trace budget, 4 healthy
+    // under an armed guard whose roomy limits it never reaches.
     let requests = vec![
         request(&running, "running"),
         request(&running, "faulty"),
         request(&crime, "deadline").with_timeout_ms(0),
         request(&crime, "budget").with_max_trace_tuples(0),
-        request(&crime, "crime"),
+        request(&crime, "crime").with_timeout_ms(300_000).with_max_trace_tuples(u64::MAX / 2),
     ];
 
     for threads in [1usize, 4] {
