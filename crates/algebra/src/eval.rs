@@ -7,7 +7,6 @@
 //! interned to [`Sym`]s once per operator application so per-tuple field
 //! lookups are integer compares.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use nested_data::{Bag, BagBuilder, NestedType, Sym, Tuple, TupleType, Value};
@@ -52,7 +51,7 @@ pub fn apply_operator(
     if whynot_guard::armed() {
         // Deadline/cancellation check once per operator application, and the
         // operator's total input rows drawn from the eval-row budget —
-        // deterministic in the plan and data, not the thread count.
+        // deterministic in the plan and data.
         whynot_guard::checkpoint()?;
         whynot_guard::consume_eval_rows(inputs.iter().map(|b| b.distinct() as u64).sum())?;
     }
@@ -138,17 +137,6 @@ fn apply_operator_impl(
         Operator::Difference => Ok(Arc::new(input(0)?.difference(input(1)?))),
         Operator::Dedup => Ok(Arc::new(input(0)?.dedup())),
     }
-}
-
-/// Rows per morsel of a chunked parallel pass (the hash-join build, the
-/// tracer's fused morsel pass). Morsels fan out over
-/// [`whynot_exec::par_map`] and are reassembled in input order, so results
-/// are independent of the thread count.
-const MORSEL_ROWS: usize = 1024;
-
-/// Splits `rows` into contiguous `MORSEL_ROWS`-sized ranges.
-pub fn morsel_ranges(rows: usize) -> Vec<Range<usize>> {
-    (0..rows).step_by(MORSEL_ROWS).map(|start| start..(start + MORSEL_ROWS).min(rows)).collect()
 }
 
 fn eval_projection(input: &Bag, columns: &[ProjColumn]) -> Bag {

@@ -1,4 +1,4 @@
-//! The shared physical join core: a partitioned hash join used by both
+//! The shared physical join core: a hash join used by both
 //! bag-semantics evaluation ([`crate::eval`]) and the generalized join
 //! tracing of `nrab-provenance`.
 //!
@@ -15,21 +15,19 @@
 //!    schemas) and a *residual* of the remaining conjuncts
 //!    ([`split_equi_join`]).
 //! 2. **Build**: extract the canonicalized key of every right row by
-//!    tuple-path navigation and scatter the rows into
-//!    [`JOIN_PARTITIONS`] hash partitions, both phases chunked over
-//!    `whynot_exec::par_map`. Each partition owns a `HashMap` from key to its
-//!    candidate rows; per-partition maps are assembled by merging the
-//!    per-chunk scatter lists in deterministic chunk order, so every bucket
-//!    lists candidates in ascending row order regardless of thread count.
-//! 3. **Probe**: for every left row (chunked over the pool), look up its
-//!    key's partition bucket and evaluate only the residual conjuncts on the
-//!    hash-matched candidates. Pure equi joins skip predicate evaluation
-//!    entirely (the concatenation check still runs, preserving the
-//!    duplicate-attribute semantics of the nested loop).
+//!    tuple-path navigation and insert the rows into one `HashMap` from key
+//!    to its candidate rows, in row order, so every bucket lists candidates
+//!    in ascending row order.
+//! 3. **Probe**: for every left row, look up its key's bucket and evaluate
+//!    only the residual conjuncts on the hash-matched candidates. Pure equi
+//!    joins skip predicate evaluation entirely (the concatenation check
+//!    still runs, preserving the duplicate-attribute semantics of the nested
+//!    loop).
 //!
 //! Predicates without a usable equality — and every join while
 //! [`with_hash_join`] has disabled the hash path — take the block
-//! nested-loop fallback, itself fanned out over the pool.
+//! nested-loop fallback. Build, probe and the fallback check the request's
+//! guard ([`whynot_guard::enforce`]) once every 1024 rows.
 //!
 //! ## Key canonicalization
 //!
@@ -51,20 +49,11 @@
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::BuildHasherDefault;
 
 use nested_data::{AttrPath, Tuple, TupleType, Value};
-use whynot_exec::{par_map, par_map_range};
 
-use crate::eval::morsel_ranges;
 use crate::expr::{CmpOp, Expr};
-
-/// Number of hash partitions the build side is scattered into. A fixed small
-/// power of two: enough for the per-partition map assembly to fan out, and
-/// partition assignment never influences the result (buckets are probed by
-/// key, and candidate order within a bucket is ascending row order by
-/// construction).
-pub const JOIN_PARTITIONS: usize = 16;
 
 thread_local! {
     /// Thread-local hash-join enable flag (default: enabled). See
@@ -72,19 +61,17 @@ thread_local! {
     static HASH_JOIN_ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
-/// Whether the partitioned hash join is enabled on the current thread.
+/// Whether the hash join is enabled on the current thread.
 pub fn hash_join_enabled() -> bool {
     HASH_JOIN_ENABLED.with(Cell::get)
 }
 
-/// Runs `f` with the partitioned hash join enabled or disabled on the current
+/// Runs `f` with the hash join enabled or disabled on the current
 /// thread, restoring the previous setting afterwards (also on panic).
 ///
 /// Disabling forces every join back onto the block nested-loop path — the
 /// knob the join equivalence tests and the `join` bench group use to compare
-/// the two physical operators on identical plans. The flag governs where the
-/// join *decision* is made: [`join_matches`] reads it on the calling thread;
-/// parallel workers only execute chunks of an already-decided join.
+/// the two physical operators on identical plans.
 pub fn with_hash_join<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
     struct Restore {
         previous: bool,
@@ -190,9 +177,9 @@ fn collect_conjuncts<'e>(predicate: &'e Expr, out: &mut Vec<&'e Expr>) {
 }
 
 /// Computes every matching pair of a join plus the per-side matched flags,
-/// routing through the partitioned hash join when the predicate has equi
-/// structure (and the current thread has not disabled it via
-/// [`with_hash_join`]), and through the parallel block nested loop otherwise.
+/// routing through the hash join when the predicate has equi structure (and
+/// the current thread has not disabled it via [`with_hash_join`]), and
+/// through the block nested loop otherwise.
 /// Each side is a sequence of rows; absent rows (`None` — e.g. tuples that
 /// are invalid under a schema alternative) never pair. The two physical
 /// paths produce identical matches by construction; the workspace
@@ -207,11 +194,9 @@ pub fn join_matches(
     join_matches_with(left, right, predicate, left_schema, right_schema, hash_join_enabled())
 }
 
-/// [`join_matches`] with the hash-join decision passed explicitly. Callers
-/// that fan whole joins out across pool threads (per-schema-alternative
-/// tracing) resolve the thread-local flag **once on the calling thread** and
-/// pass it through, so the decision does not depend on which worker runs
-/// which alternative.
+/// [`join_matches`] with the hash-join decision passed explicitly, for
+/// callers that resolve the thread-local flag once for several joins (the
+/// tracer's per-schema-alternative joins).
 pub fn join_matches_with(
     left: &[Option<&Tuple>],
     right: &[Option<&Tuple>],
@@ -299,94 +284,66 @@ fn canonical_key_component(value: Value) -> Option<Value> {
     }
 }
 
-/// Extracts the canonicalized key of every row of a side, in parallel
-/// chunks. `None` marks rows that cannot participate in the hash join:
-/// absent rows and rows whose key contains `⊥` or NaN.
-fn extract_keys(side: &[Option<&Tuple>], paths: &[AttrPath]) -> Vec<Option<JoinKey>> {
-    par_map_range(0..side.len(), |i| {
-        let tuple = side[i]?;
-        let mut components = Vec::with_capacity(paths.len());
-        for path in paths {
-            let value = tuple.get_path(path).unwrap_or(Value::Null);
-            components.push(canonical_key_component(value)?);
-        }
-        Some(match <[Value; 1]>::try_from(components) {
-            Ok([single]) => JoinKey::One(single),
-            Err(components) => JoinKey::Many(components),
-        })
+/// The canonicalized key of one row. `None` marks rows that cannot
+/// participate in the hash join: absent rows and rows whose key contains `⊥`
+/// or NaN.
+fn join_key(row: Option<&Tuple>, paths: &[AttrPath]) -> Option<JoinKey> {
+    let tuple = row?;
+    let mut components = Vec::with_capacity(paths.len());
+    for path in paths {
+        let value = tuple.get_path(path).unwrap_or(Value::Null);
+        components.push(canonical_key_component(value)?);
+    }
+    Some(match <[Value; 1]>::try_from(components) {
+        Ok([single]) => JoinKey::One(single),
+        Err(components) => JoinKey::Many(components),
     })
 }
 
-/// The deterministic 64-bit hash of a key: `DefaultHasher` is keyed with a
-/// fixed state. The hash picks the key's partition (`h % JOIN_PARTITIONS`)
-/// on both build and probe, so they can never disagree, and partition
-/// assignment never influences the matches anyway (see the module docs).
-fn key_hash(key: &JoinKey) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
+/// Checks the request's guard on the first of every 1024 rows.
+fn enforce_every_1024(row: usize) {
+    if row & 1023 == 0 {
+        whynot_guard::enforce();
+    }
+}
+
+/// The build side of a hash join, decoupled from the probe so a caller
+/// joining the *same* right rows under several predicates with equal key
+/// paths (the tracer's per-schema-alternative joins) constructs it once and
+/// probes it many times.
+///
+/// Maps each canonicalized key to its candidate rows in ascending row order.
+/// The map's hasher is `DefaultHasher` with its fixed keys, so iteration
+/// never depends on a random seed.
+pub struct JoinBuild {
+    buckets: Buckets,
 }
 
 type Buckets = HashMap<JoinKey, Vec<usize>, BuildHasherDefault<DefaultHasher>>;
 
-/// The build side of a partitioned hash join, decoupled from the probe so a
-/// caller joining the *same* right rows under several predicates with equal
-/// key paths (the tracer's per-schema-alternative joins) constructs it once
-/// and probes it many times.
-///
-/// Owns its canonicalized keys and per-partition buckets (candidate lists in
-/// ascending row order, independent of thread count).
-pub struct JoinBuild {
-    buckets: Vec<Buckets>,
-}
-
 impl JoinBuild {
     /// Builds the hash table over the right side's `key_paths`.
     pub fn build(right: &[Option<&Tuple>], key_paths: &[AttrPath]) -> JoinBuild {
-        // Build: canonicalized keys, then a parallel scatter of row indices
-        // into partitions (per chunk), then one map per partition assembled
-        // by merging the scatter lists in chunk order — every bucket's
-        // candidate list is ascending, independent of thread count.
         let _build_span = whynot_obs::span("join.build");
         whynot_obs::add("join.build_rows", right.len() as u64);
         whynot_guard::faults::fault_point("join_build");
-        let keys = extract_keys(right, key_paths);
-        let chunks = morsel_ranges(right.len());
-        let hashes: Vec<Vec<Option<u64>>> = par_map(&chunks, |range| {
-            whynot_guard::enforce();
-            range.clone().map(|ri| keys[ri].as_ref().map(key_hash)).collect()
-        });
-        let hashes: Vec<Option<u64>> = hashes.into_iter().flatten().collect();
-        let scattered: Vec<Vec<Vec<usize>>> = par_map(&chunks, |range| {
-            let mut parts: Vec<Vec<usize>> = vec![Vec::new(); JOIN_PARTITIONS];
-            for ri in range.clone() {
-                if let Some(h) = hashes[ri] {
-                    parts[h as usize % JOIN_PARTITIONS].push(ri);
-                }
+        // `Value` only carries interior mutability in its lazily cached
+        // structural hash, which never changes its `Eq`/`Hash` identity.
+        #[allow(clippy::mutable_key_type)]
+        let mut buckets = Buckets::default();
+        for (ri, row) in right.iter().enumerate() {
+            enforce_every_1024(ri);
+            if let Some(key) = join_key(*row, key_paths) {
+                buckets.entry(key).or_default().push(ri);
             }
-            parts
-        });
-        let buckets: Vec<Buckets> = par_map_range(0..JOIN_PARTITIONS, |p| {
-            // `Value` only carries interior mutability in its lazily cached
-            // structural hash, which never changes its `Eq`/`Hash` identity.
-            #[allow(clippy::mutable_key_type)]
-            let mut map = Buckets::default();
-            for chunk in &scattered {
-                for &ri in &chunk[p] {
-                    map.entry(keys[ri].clone().expect("scattered rows have keys"))
-                        .or_default()
-                        .push(ri);
-                }
-            }
-            map
-        });
+        }
         JoinBuild { buckets }
     }
 }
 
-/// The partitioned hash join: build over the right side, probe from the
-/// left, residual-only predicate evaluation on candidates. Returns the
-/// matches of each left row, in ascending right-row order.
+/// The hash join: build over the right side, probe from the left,
+/// residual-only predicate evaluation on candidates. Returns the matches of
+/// each left row, in ascending right-row order.
 fn hash_matches(
     left: &[Option<&Tuple>],
     right: &[Option<&Tuple>],
@@ -408,56 +365,52 @@ fn probe_matches(
 ) -> Vec<Vec<(usize, Tuple)>> {
     let _probe_span = whynot_obs::span("join.probe");
     whynot_obs::add("join.probe_rows", left.len() as u64);
-    let left_keys = extract_keys(left, &equi.left_keys);
-    par_map_range(0..left.len(), |li| {
-        if li & 1023 == 0 {
-            whynot_guard::enforce();
-        }
-        let Some(lt) = left[li] else { return Vec::new() };
-        let Some(key) = &left_keys[li] else { return Vec::new() };
-        let h = key_hash(key);
-        let Some(candidates) = build.buckets[h as usize % JOIN_PARTITIONS].get(key) else {
-            return Vec::new();
-        };
+    let mut matches_per_left = Vec::with_capacity(left.len());
+    for (li, row) in left.iter().enumerate() {
+        enforce_every_1024(li);
         let mut matched = Vec::new();
-        for &ri in candidates {
-            let rt = right[ri].expect("bucketed rows are present");
-            let Ok(combined) = lt.concat(rt) else { continue };
-            let keep = match &equi.residual {
-                Some(residual) => residual.eval_bool(&combined),
-                None => true,
-            };
-            if keep {
-                matched.push((ri, combined));
+        let key = join_key(*row, &equi.left_keys);
+        if let (Some(lt), Some(candidates)) = (row, key.and_then(|k| build.buckets.get(&k))) {
+            for &ri in candidates {
+                let rt = right[ri].expect("bucketed rows are present");
+                let Ok(combined) = lt.concat(rt) else { continue };
+                let keep = match &equi.residual {
+                    Some(residual) => residual.eval_bool(&combined),
+                    None => true,
+                };
+                if keep {
+                    matched.push((ri, combined));
+                }
             }
         }
-        matched
-    })
+        matches_per_left.push(matched);
+    }
+    matches_per_left
 }
 
 /// The block nested-loop fallback for predicates without equi structure
-/// (range joins, cross products) and for joins forced off the hash path,
-/// fanned out over the pool by left row.
+/// (range joins, cross products) and for joins forced off the hash path.
 fn nested_loop_matches(
     left: &[Option<&Tuple>],
     right: &[Option<&Tuple>],
     predicate: &Expr,
 ) -> Vec<Vec<(usize, Tuple)>> {
-    par_map_range(0..left.len(), |li| {
-        if li & 1023 == 0 {
-            whynot_guard::enforce();
-        }
-        let Some(lt) = left[li] else { return Vec::new() };
+    let mut matches_per_left = Vec::with_capacity(left.len());
+    for (li, row) in left.iter().enumerate() {
+        enforce_every_1024(li);
         let mut matched = Vec::new();
-        for (ri, row) in right.iter().enumerate() {
-            let Some(rt) = row else { continue };
-            let Ok(combined) = lt.concat(rt) else { continue };
-            if predicate.eval_bool(&combined) {
-                matched.push((ri, combined));
+        if let Some(lt) = row {
+            for (ri, row) in right.iter().enumerate() {
+                let Some(rt) = row else { continue };
+                let Ok(combined) = lt.concat(rt) else { continue };
+                if predicate.eval_bool(&combined) {
+                    matched.push((ri, combined));
+                }
             }
         }
-        matched
-    })
+        matches_per_left.push(matched);
+    }
+    matches_per_left
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! * [`schema`] — output-type inference (the `type(·)` column of Table 1) and
 //!   plan validation.
 //! * [`eval`] — the bag-semantics evaluator `⟦Q⟧_D`.
-//! * [`join`] — the shared physical join core (partitioned hash join with a
-//!   parallel nested-loop fallback), used by the evaluator and by the
+//! * [`join`] — the shared physical join core (hash join with a
+//!   nested-loop fallback), used by the evaluator and by the
 //!   provenance tracer's generalized join.
 //! * [`params`] — operator parameters, the admissible parameter changes of
 //!   Table 2, and reparameterizations (Definitions 6 and 7).

@@ -97,33 +97,20 @@ pub fn measure_scenario(group: &mut BenchGroup, case: &str, scenario: &Scenario)
     }
 }
 
-/// The `parallel` microbench group: serial vs. parallel wall-clock time of
-/// the two workloads the execution subsystem accelerates — the whole-plan
-/// multi-SA generalized trace of DBLP D4 and an 8-question service batch —
-/// at `WHYNOT_THREADS=1` vs. 4 pool threads.
+/// The `parallel` microbench group: an 8-question service batch answered one
+/// request at a time vs. four at once — the only parallelism left, since
+/// every request runs on one thread.
 ///
-/// The group also *asserts* the determinism contract before measuring:
-/// parallel traces and batch reports must be bit-identical to their serial
-/// twins. The report records the host's CPU count with the group: with fewer
-/// than 4 CPUs the threads4 rows cannot beat threads1, so CI enforces the
-/// speedup only on groups recorded on 4 or more.
+/// The group also *asserts* the determinism contract before measuring: the
+/// concurrent batch reports must be byte-identical to the one-at-a-time
+/// ones. The report records the host's CPU count with the group: with fewer
+/// than 4 CPUs the threads4 row cannot reliably beat threads1, so CI
+/// enforces the speedup only on groups recorded on 4 or more.
 pub fn parallel_group() {
     use whynot_exec::with_threads;
     use whynot_service::service::{DbRef, ExplainRequest, ExplainService, PlanRef};
 
     let mut group = BenchGroup::new("parallel");
-
-    // Whole-plan generalized trace of DBLP D4 (multi-SA) — the per-question-
-    // independent stage the trace cache amortizes.
-    let (scenario, sas) = dblp_d4_trace_inputs();
-    let trace = |threads: usize| {
-        with_threads(threads, || {
-            nrab_provenance::trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                .expect("trace succeeds")
-        })
-    };
-    assert!(trace(1) == trace(4), "parallel trace must be bit-identical to the serial trace");
-    group.pair("dblp_d4_trace/threads1", || trace(1), "dblp_d4_trace/threads4", || trace(4));
 
     // An 8-question batch over the five DBLP plans (three questions repeat,
     // exercising the concurrent cache-dedup path).
@@ -169,8 +156,8 @@ pub fn parallel_group() {
     group.finish();
 }
 
-/// The whole-plan DBLP D4 trace workload of [`parallel_group`] and
-/// [`pipeline_group`]: the scale-300 scenario and its schema alternatives.
+/// The whole-plan DBLP D4 trace workload of [`pipeline_group`]: the
+/// scale-300 scenario and its schema alternatives.
 fn dblp_d4_trace_inputs() -> (Scenario, Vec<nrab_provenance::SchemaAlternative>) {
     use whynot_core::alternatives::enumerate_schema_alternatives;
     use whynot_core::backtrace::schema_backtrace;
@@ -355,7 +342,7 @@ pub fn join_group() {
 ///
 /// Before measuring, the group *asserts* byte-identity: the fused trace must
 /// equal the `with_pipelining(false)` one — pipelining is a pure performance
-/// knob, like threads and the hash join.
+/// knob, like the hash join.
 pub fn pipeline_group() {
     use nrab_provenance::{trace_plan_generalized, with_pipelining};
 

@@ -15,7 +15,6 @@
 
 use nested_data::{Bag, NestedType, TupleType, Value};
 use nrab_algebra::Database;
-use whynot_exec::par_map_range;
 use whynot_rng::Rng;
 
 use crate::row_rng;
@@ -81,9 +80,8 @@ pub mod planted {
 
 /// Builds the DBLP database with the relations used by scenarios D1–D5.
 ///
-/// Filler records are generated in parallel (deterministically — each record
-/// derives its RNG from its index); the planted scenario facts are inserted
-/// afterwards on the calling thread.
+/// Each filler record derives its RNG from its index; the planted scenario
+/// facts are inserted afterwards.
 pub fn dblp_database(config: DblpConfig) -> Database {
     let mut db = Database::new();
 
@@ -99,7 +97,7 @@ pub fn dblp_database(config: DblpConfig) -> Database {
     ])
     .unwrap();
     let venues = ["VLDB", "ICDE", "EDBT", "CIKM"];
-    let mut proceedings = Bag::from_values(par_map_range(0..config.scale, |i| {
+    let mut proceedings = Bag::from_values((0..config.scale).map(|i| {
         let venue = venues[i % venues.len()];
         Value::tuple([
             ("key", Value::str(format!("conf/{venue}/{i}"))),
@@ -163,7 +161,7 @@ pub fn dblp_database(config: DblpConfig) -> Database {
     ])
     .unwrap();
     let filler_authors = ["Alice Shaw", "Bob Liu", "Chao Dey", "Dana Cruz", "Erik Holm"];
-    let mut inproceedings = Bag::from_values(par_map_range(0..config.scale, |i| {
+    let mut inproceedings = Bag::from_values((0..config.scale).map(|i| {
         let venue = venues[i % venues.len()];
         let mut rng = row_rng(config.seed, 1, i as u64);
         let bibtex = if rng.gen_range(0..200) == 0 { Some("@inproceedings{...}") } else { None };
@@ -242,7 +240,7 @@ pub fn dblp_database(config: DblpConfig) -> Database {
         ("year", NestedType::int()),
     ])
     .unwrap();
-    let mut records = Bag::from_values(par_map_range(0..config.scale, |i| {
+    let mut records = Bag::from_values((0..config.scale).map(|i| {
         let venue = venues[i % venues.len()];
         Value::tuple([
             ("author", Value::str(filler_authors[i % filler_authors.len()])),
@@ -272,7 +270,7 @@ pub fn dblp_database(config: DblpConfig) -> Database {
         ("note", NestedType::relation_of([("value", NestedType::str())]).unwrap()),
     ])
     .unwrap();
-    let mut homepages = Bag::from_values(par_map_range(0..config.scale, |i| {
+    let mut homepages = Bag::from_values((0..config.scale).map(|i| {
         Value::tuple([
             ("author", name_bag(&[filler_authors[i % filler_authors.len()]])),
             (

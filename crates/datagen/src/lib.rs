@@ -23,12 +23,10 @@
 //! Every generator is deterministic (seeded `StdRng`) and has a scale knob so
 //! the benchmark harness can sweep dataset sizes (Figures 8–10).
 //!
-//! Filler records are generated **in parallel** over the `whynot-exec` pool:
-//! each record derives its own RNG from `(seed, stream, index)` via the
-//! crate-internal `row_rng` instead of drawing from one sequential stream,
-//! so the
-//! generated data is identical for every `WHYNOT_THREADS` value (and the
-//! planted protagonist facts are inserted outside the parallel loops).
+//! Each filler record derives its own RNG from `(seed, stream, index)` via
+//! the crate-internal `row_rng` instead of drawing from one sequential
+//! stream, so a record depends only on its index (and the planted
+//! protagonist facts are inserted outside the filler loops).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -47,9 +45,8 @@ pub use twitter::{twitter_database, TwitterConfig};
 
 use whynot_rng::{SeedableRng, StdRng};
 
-/// A per-record RNG derived from `(seed, stream, index)` so records can be
-/// generated in parallel (and in any order) while staying bit-identical to
-/// serial generation. `stream` separates independent record families under
+/// A per-record RNG derived from `(seed, stream, index)`, so a record depends
+/// only on its index, not on the records generated before it. `stream` separates independent record families under
 /// the same dataset seed; the multipliers decorrelate neighbouring indices
 /// before `seed_from_u64`'s splitmix mixing.
 pub(crate) fn row_rng(seed: u64, stream: u64, index: u64) -> StdRng {

@@ -7,7 +7,6 @@
 
 use nested_data::{Bag, NestedType, TupleType, Value};
 use nrab_algebra::Database;
-use whynot_exec::par_map_range;
 use whynot_rng::{Rng, StdRng};
 
 use crate::row_rng;
@@ -133,8 +132,7 @@ impl LineitemSpec {
 
 /// Maximum filler orders per customer; filler order keys are
 /// `custkey * (MAX_ORDERS_PER_CUSTOMER + 1) + k`, which keeps them unique
-/// and independent of any other customer — the property that lets the
-/// filler customers generate in parallel.
+/// and independent of any other customer.
 const MAX_ORDERS_PER_CUSTOMER: i64 = 3;
 
 /// Fixed order keys of the planted Q10 orders. Filler keys are
@@ -180,7 +178,7 @@ fn order_value(
 }
 
 /// One filler customer plus their orders, generated from a per-customer RNG
-/// so customers are independent (and parallelizable) under one seed.
+/// so customers are independent under one seed.
 fn filler_customer(seed: u64, i: usize) -> (Value, Vec<Value>) {
     let custkey = 1000 + i as i64;
     let segment = SEGMENTS[i % SEGMENTS.len()];
@@ -203,16 +201,14 @@ fn filler_customer(seed: u64, i: usize) -> (Value, Vec<Value>) {
 
 /// Builds the nested TPC-H database: `customer`, `nestedOrders`, `nation`.
 ///
-/// Filler customers (and their nested orders) generate in parallel with
-/// per-customer RNGs; the planted Q3/Q10/Q13 rows are inserted afterwards on
-/// the calling thread.
+/// Filler customers (and their nested orders) generate with per-customer
+/// RNGs; the planted Q3/Q10/Q13 rows are inserted afterwards.
 pub fn tpch_nested_database(config: TpchConfig) -> Database {
     // Filler custkeys are 1000 + i; the planted Q3/Q10/Q13 customers start
     // at 60_000 and must stay unique.
     assert!(config.customers < 59_000, "scale would collide with planted customer keys");
-    let generated: Vec<(Value, Vec<Value>)> =
-        par_map_range(0..config.customers, |i| filler_customer(config.seed, i));
-    let (customer_rows, order_rows): (Vec<Value>, Vec<Vec<Value>>) = generated.into_iter().unzip();
+    let (customer_rows, order_rows): (Vec<Value>, Vec<Vec<Value>>) =
+        (0..config.customers).map(|i| filler_customer(config.seed, i)).unzip();
     let mut customers = Bag::from_values(customer_rows);
     let mut orders = Bag::from_values(order_rows.into_iter().flatten());
 

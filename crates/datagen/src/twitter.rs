@@ -2,7 +2,6 @@
 
 use nested_data::{Bag, NestedType, TupleType, Value};
 use nrab_algebra::Database;
-use whynot_exec::par_map_range;
 use whynot_rng::Rng;
 
 use crate::row_rng;
@@ -155,12 +154,12 @@ fn tweet(
 }
 
 /// Builds the Twitter database (single `tweets` relation). Filler tweets are
-/// generated in parallel with per-index RNGs (deterministic for any thread
-/// count); the planted scenario tweets are inserted afterwards.
+/// generated with per-index RNGs; the planted scenario tweets are inserted
+/// afterwards.
 pub fn twitter_database(config: TwitterConfig) -> Database {
     let topics = ["coffee", "rustlang", "databases", "UEFA final tonight", "music"];
     let countries = ["Germany", "France", "Brazil", "Japan"];
-    let mut tweets = Bag::from_values(par_map_range(0..config.scale, |i| {
+    let mut tweets = Bag::from_values((0..config.scale).map(|i| {
         let topic = topics[i % topics.len()];
         let country = countries[i % countries.len()];
         let has_media = row_rng(config.seed, 0, i as u64).gen_bool(0.4);

@@ -1,24 +1,19 @@
 //! # whynot-exec
 //!
-//! A deterministic, dependency-free parallel execution subsystem: a global
-//! scoped worker pool with a chunked work-stealing queue and ordered
-//! `par_map` primitives. This is the scheduling seam the rest of the
-//! workspace fans out onto — per-schema-alternative tracing in
-//! `nrab-provenance`, concurrent batches in `whynot-service`, and parallel
-//! scenario generation in `nested-datagen`.
+//! The batch fan-out of the why-not service: one ordered [`par_map`] built on
+//! [`std::thread::scope`]. Every request runs on one thread; parallelism
+//! exists only *across* requests (`explain_batch` maps a batch with
+//! [`par_map`], and the HTTP server has its own worker threads).
 //!
 //! ## Determinism contract
 //!
-//! [`par_map`] / [`par_map_indexed`] always return results **in input
-//! order**, regardless of thread count and scheduling. Callers that keep all
-//! order-dependent state out of the mapped closure (the workspace-wide rule)
-//! therefore produce bit-identical results at any `WHYNOT_THREADS` — the
-//! property the cross-crate determinism tests pin down.
+//! [`par_map`] returns results **in input order**, regardless of thread
+//! count and scheduling, so a batch answers exactly as its requests would
+//! one by one.
 //!
 //! ## Thread-count configuration
 //!
-//! The effective thread count of a top-level parallel call is resolved as
-//! the first of:
+//! The width of a fan-out is resolved as the first of:
 //!
 //! 1. a thread-local override installed by [`with_threads`] (tests, benches),
 //! 2. a process-wide override installed by [`set_threads`] (the CLI's
@@ -26,31 +21,17 @@
 //! 3. the `WHYNOT_THREADS` environment variable,
 //! 4. [`std::thread::available_parallelism`].
 //!
-//! An effective count of `1` is a fully serial fast path: no pool access, no
-//! locks, no allocations beyond the result vector — byte-for-byte the plain
-//! `iter().map().collect()` loop. Nested parallel calls (from inside a pool
-//! worker or from the mapped closure of an enclosing `par_map`) also run
-//! serially: the outermost call owns the parallelism.
-//!
-//! ## Panics
-//!
-//! A panic inside the mapped closure aborts outstanding chunks and is
-//! re-raised on the calling thread with the original payload; pool workers
-//! survive and return to the queue.
+//! A width of `1` is the plain `iter().map().collect()` loop.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod par;
-mod pool;
-pub mod stats;
-
-pub use par::{par_map, par_map_indexed, par_map_range};
-pub use stats::{pool_stats, PoolStats};
-
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+use whynot_obs::Counter;
 
 /// Process-wide thread-count override (0 = unset). Installed by
 /// [`set_threads`]; read by [`effective_threads`].
@@ -77,9 +58,7 @@ pub fn set_threads(n: usize) {
 }
 
 /// Runs `f` with a thread-local thread-count override of `n` (clamped to at
-/// least 1), restoring the previous override afterwards — the hermetic knob
-/// used by tests and benches to compare thread counts within one process.
-/// The previous override is restored even if `f` panics.
+/// least 1), restoring the previous override afterwards (also on panic).
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore {
         previous: usize,
@@ -94,12 +73,9 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The number of threads a top-level parallel call started on this thread
-/// would use right now (1 inside a nested parallel region).
+/// The number of threads a [`par_map`] started on this thread would use
+/// right now, before capping at the number of items.
 pub fn effective_threads() -> usize {
-    if pool::in_parallel_region() {
-        return 1;
-    }
     let local = LOCAL_THREADS.with(Cell::get);
     if local > 0 {
         return local;
@@ -115,8 +91,104 @@ pub fn effective_threads() -> usize {
     std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
+static PAR_REGIONS: Counter = Counter::new();
+static CHUNKS_STOLEN: Counter = Counter::new();
+
+/// A point-in-time snapshot of the cumulative fan-out counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PoolStats {
+    /// [`par_map`] calls that ran on more than one thread.
+    pub par_regions: u64,
+    /// Items claimed by a spawned helper rather than by the calling thread.
+    pub chunks_stolen: u64,
+}
+
+impl PoolStats {
+    /// The counter movement between `earlier` and `self`.
+    pub fn since(&self, earlier: &PoolStats) -> PoolStats {
+        PoolStats {
+            par_regions: self.par_regions.saturating_sub(earlier.par_regions),
+            chunks_stolen: self.chunks_stolen.saturating_sub(earlier.chunks_stolen),
+        }
+    }
+}
+
+/// Snapshots the cumulative fan-out counters.
+pub fn pool_stats() -> PoolStats {
+    PoolStats { par_regions: PAR_REGIONS.get(), chunks_stolen: CHUNKS_STOLEN.get() }
+}
+
+/// Applies `f` to every element and returns the results in input order.
+///
+/// Runs on `effective_threads().min(items.len())` threads: the caller plus
+/// scoped helpers, each claiming the next unclaimed index from one shared
+/// cursor. The caller's profiling capture is carried into the helpers; its
+/// resource guard is not. A panic in `f` stops further claims and is
+/// re-raised on the caller with its original payload.
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = effective_threads().min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    PAR_REGIONS.add(1);
+    let next = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
+    let collect = whynot_obs::ParCollect::new(threads);
+    // One participant's share: the `(index, result)` pairs it claimed, or the
+    // payload of the first panic of `f` it ran into.
+    let participate = |p: usize| {
+        let _observer = collect.as_ref().map(|c| c.participant(p));
+        let mut claimed = Vec::new();
+        while !abort.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                Ok(result) => claimed.push((i, result)),
+                Err(payload) => {
+                    abort.store(true, Ordering::Relaxed);
+                    return Err(payload);
+                }
+            }
+        }
+        Ok(claimed)
+    };
+    let shares = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|p| {
+                let participate = &participate;
+                scope.spawn(move || {
+                    // An injected helper death claims nothing; the caller and
+                    // the other helpers drain the cursor.
+                    catch_unwind(|| whynot_guard::faults::fault_point("pool_worker"))
+                        .map_or_else(|_| Ok(Vec::new()), |()| participate(p))
+                })
+            })
+            .collect();
+        let mut shares = vec![participate(0)];
+        for helper in helpers {
+            let share = helper.join().unwrap_or_else(|payload| resume_unwind(payload));
+            if let Ok(claimed) = &share {
+                CHUNKS_STOLEN.add(claimed.len() as u64);
+            }
+            shares.push(share);
+        }
+        shares
+    });
+    if let Some(collect) = collect {
+        collect.merge_into_current();
+    }
+    let mut claimed = Vec::with_capacity(items.len());
+    for share in shares {
+        claimed.extend(share.unwrap_or_else(|payload| resume_unwind(payload)));
+    }
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    claimed.into_iter().map(|(_, result)| result).collect()
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::Barrier;
+
     use super::*;
 
     #[test]
@@ -135,26 +207,38 @@ mod tests {
         });
     }
 
+    /// Makes the first two items meet at a barrier, so whoever claimed item
+    /// 0 waits until another thread claims item 1: at least one item is
+    /// claimed off the calling thread.
+    fn first_two_meet(barrier: &Barrier, i: usize) {
+        if i < 2 {
+            barrier.wait();
+        }
+    }
+
     #[test]
     fn pool_counters_move_under_parallel_work() {
         let before = pool_stats();
-        with_threads(4, || {
-            let items: Vec<usize> = (0..256).collect();
-            let doubled = par_map(&items, |i| i * 2);
-            assert_eq!(doubled[255], 510);
+        let items: Vec<usize> = (0..256).collect();
+        let barrier = Barrier::new(2);
+        let doubled = with_threads(4, || {
+            par_map(&items, |&i| {
+                first_two_meet(&barrier, i);
+                i * 2
+            })
         });
+        assert_eq!(doubled[255], 510);
         let delta = pool_stats().since(&before);
         assert!(delta.par_regions >= 1, "{delta:?}");
-        assert!(delta.jobs >= 1, "{delta:?}");
-        assert!(delta.chunks_claimed >= 4, "{delta:?}");
+        assert!(delta.chunks_stolen >= 1, "{delta:?}");
     }
 
     #[test]
     fn profiled_par_map_merges_worker_spans_deterministically() {
         let items: Vec<usize> = (0..64).collect();
-        let run = || {
+        let run = |threads: usize| {
             whynot_obs::profile(|| {
-                with_threads(4, || {
+                with_threads(threads, || {
                     let _region = whynot_obs::span("region");
                     let out = par_map(&items, |i| {
                         let _s = whynot_obs::span("item");
@@ -166,57 +250,34 @@ mod tests {
             })
             .1
         };
-        let report = run();
+        let report = run(4);
         let region = report.root.child("region").expect("region span recorded");
         let item = region.child("item").expect("worker spans merged under the call site");
         assert_eq!(item.count, 64);
         assert_eq!(item.counter_total("seen"), 64);
         // Identical structure and counts at a different thread count.
-        let serial = whynot_obs::profile(|| {
-            with_threads(1, || {
-                let _region = whynot_obs::span("region");
-                let _ = par_map(&items, |i| {
-                    let _s = whynot_obs::span("item");
-                    whynot_obs::add("seen", 1);
-                    i + 1
-                });
-            });
-        })
-        .1;
-        assert_eq!(report.signature(), serial.signature());
+        assert_eq!(report.signature(), run(1).signature());
     }
 
     #[test]
-    fn a_guard_governs_its_own_thread_and_its_fan_out_only() {
+    fn a_guard_armed_on_the_caller_is_not_armed_in_participants() {
         let guard = whynot_guard::Guard::new(None, Some(100), None);
         let _armed = whynot_guard::arm(&guard);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                assert!(!whynot_guard::armed());
-                assert!(whynot_guard::checkpoint().is_ok());
-                assert!(whynot_guard::consume_trace_tuples(1_000).is_ok());
-            });
-        });
-        // Every participant of this thread's region draws from its budget:
-        // 64 of the 100 tuples are used afterwards.
+        let caller = std::thread::current().id();
         let items: Vec<usize> = (0..64).collect();
-        let consumed =
-            with_threads(4, || par_map(&items, |_| whynot_guard::consume_trace_tuples(1).is_ok()));
-        assert!(consumed.iter().all(|&ok| ok));
-        assert!(whynot_guard::consume_trace_tuples(36).is_ok());
-        assert!(whynot_guard::consume_trace_tuples(1).is_err());
-    }
-
-    #[test]
-    fn nested_parallel_calls_run_serially() {
-        with_threads(4, || {
-            let items: Vec<usize> = (0..64).collect();
-            let nested_counts = par_map(&items, |_| effective_threads());
-            // Every closure invocation observes a serialized nested context
-            // (either it ran on a worker, or the caller was inside the
-            // region); with 64 items and 4 threads the call is parallel, so
-            // all nested counts must be 1.
-            assert!(nested_counts.iter().all(|&n| n == 1), "{nested_counts:?}");
+        let barrier = Barrier::new(2);
+        let seen = with_threads(4, || {
+            par_map(&items, |&i| {
+                first_two_meet(&barrier, i);
+                let on_caller = std::thread::current().id() == caller;
+                (on_caller, whynot_guard::armed(), whynot_guard::consume_trace_tuples(1).is_ok())
+            })
         });
+        assert!(seen.iter().all(|&(on_caller, armed, ok)| on_caller == armed && ok));
+        assert!(seen.iter().any(|&(on_caller, ..)| !on_caller), "no helper claimed an item");
+        // Only the caller's own items drew from its budget.
+        let drawn = seen.iter().filter(|&&(on_caller, ..)| on_caller).count() as u64;
+        assert!(whynot_guard::consume_trace_tuples(100 - drawn).is_ok());
+        assert!(whynot_guard::consume_trace_tuples(1).is_err());
     }
 }

@@ -1,9 +1,9 @@
-//! Determinism and safety properties of the parallel execution subsystem.
+//! Determinism and safety properties of the ordered batch fan-out.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use whynot_exec::{par_map, par_map_indexed, with_threads};
+use whynot_exec::{par_map, with_threads};
 
 /// A tiny deterministic generator for the property loops (decoupled from
 /// `whynot-rng` so the exec crate stays dependency-free end to end).
@@ -33,16 +33,16 @@ fn par_map_matches_serial_map_for_all_thread_counts() {
 }
 
 #[test]
-fn par_map_indexed_preserves_input_order_under_skewed_workloads() {
-    // Items with wildly different costs exercise the stealing path: early
-    // chunks are cheap, a few random ones spin. Results must still come back
-    // in input order.
+fn par_map_preserves_input_order_under_skewed_workloads() {
+    // Items with wildly different costs finish out of claim order: most are
+    // cheap, a few random ones spin. Results must still come back in input
+    // order.
     let mut seed = 0xBADB0;
     let costs: Vec<u64> = (0..333).map(|_| splitmix(&mut seed) % 2_000).collect();
-    let expected: Vec<(usize, u64)> = costs.iter().copied().enumerate().collect();
+    let items: Vec<(usize, u64)> = costs.iter().copied().enumerate().collect();
     for threads in [2, 8] {
         let got = with_threads(threads, || {
-            par_map_indexed(&costs, |i, &cost| {
+            par_map(&items, |&(i, cost)| {
                 let mut acc = 0u64;
                 for k in 0..cost {
                     acc = acc.wrapping_add(std::hint::black_box(k));
@@ -51,7 +51,7 @@ fn par_map_indexed_preserves_input_order_under_skewed_workloads() {
                 (i, cost)
             })
         });
-        assert_eq!(got, expected, "threads={threads}");
+        assert_eq!(got, items, "threads={threads}");
     }
 }
 
@@ -77,24 +77,20 @@ fn worker_panics_propagate_to_the_caller() {
             })
         }));
         let payload = result.expect_err("panic must propagate");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(message.contains("exec-test-panic"), "threads={threads}: {message}");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("exec-test-panic at 137"),
+            "threads={threads}"
+        );
+        // A non-string payload comes back as itself, not as a generic
+        // "a scoped thread panicked".
+        let typed = catch_unwind(AssertUnwindSafe(|| {
+            with_threads(threads, || {
+                par_map(&items, |&i| if i == 99 { std::panic::panic_any(i) } else { i })
+            })
+        }));
+        assert_eq!(typed.expect_err("panic must propagate").downcast_ref::<usize>(), Some(&99));
     }
-}
-
-#[test]
-fn pool_survives_a_panicking_job() {
-    let items: Vec<usize> = (0..100).collect();
-    let _ = catch_unwind(AssertUnwindSafe(|| {
-        with_threads(4, || par_map(&items, |&i| if i == 50 { panic!("boom") } else { i }))
-    }));
-    // The pool must still schedule follow-up work correctly.
-    let doubled = with_threads(4, || par_map(&items, |&i| i * 2));
-    assert_eq!(doubled, items.iter().map(|i| i * 2).collect::<Vec<_>>());
 }
 
 #[test]
@@ -113,8 +109,8 @@ fn every_item_is_mapped_exactly_once() {
 
 #[test]
 fn concurrent_top_level_calls_from_independent_threads() {
-    // Several OS threads hammer the shared pool at once; each must observe
-    // its own correct, ordered result.
+    // Several OS threads fan out at once; each must observe its own correct,
+    // ordered result.
     let handles: Vec<_> = (0..4)
         .map(|t| {
             std::thread::spawn(move || {

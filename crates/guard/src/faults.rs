@@ -1,13 +1,13 @@
 //! Deterministic, seeded fault injection at named engine sites.
 //!
-//! Robustness tests need to *prove* that a worker panic cannot wedge the
-//! pool, that one poisoned batch entry cannot corrupt its siblings, and that
-//! the trace cache hands an in-flight computation over when its owner dies.
-//! Hoping those paths get exercised by accident is not a test, so the engine
-//! carries named fault points — [`fault_point`] calls at the pool worker
-//! loop, the join build, the per-schema-alternative trace fan-out, and the
-//! cache compute closure — that are inert (two relaxed atomic loads) unless
-//! a fault plan is armed.
+//! Robustness tests need to *prove* that a dead fan-out helper cannot lose
+//! batch items, that one poisoned batch entry cannot corrupt its siblings,
+//! and that the trace cache hands an in-flight computation over when its
+//! owner dies. Hoping those paths get exercised by accident is not a test,
+//! so the engine carries named fault points — [`fault_point`] calls at the
+//! start of every batch fan-out helper (`pool_worker`), the join build, the
+//! per-schema-alternative trace loop, and the cache compute closure — that
+//! are inert (two relaxed atomic loads) unless a fault plan is armed.
 //!
 //! ## Spec syntax
 //!

@@ -10,7 +10,8 @@
 //! (`timeout_ms`, `max_trace_tuples`, `max_eval_rows`). The service [`arm`]s
 //! it around the request; the engine layers below check it *cooperatively* at
 //! coarse boundaries — once per operator application, once per join
-//! build/probe stride, once per traced morsel or operator — and
+//! build/probe stride of 1024 rows, once per 1024 fused tuples or per traced
+//! operator — and
 //! surface a typed [`ResourceError`] when a limit is exceeded. Nothing is
 //! preemptive: a trip is always raised by the guarded computation itself, so
 //! it unwinds through the ordinary error channels and never leaves shared
@@ -19,7 +20,7 @@
 //! ## Disabled-path cost
 //!
 //! Every check site first reads the current thread's guard slot
-//! ([`armed`] / [`current`]); while no guard governs the thread, a check is
+//! ([`armed`]); while no guard governs the thread, a check is
 //! that one thread-local read and a predictable branch. Every e2ebench
 //! request passes these sites (`http-dblp` with a guard armed), so the
 //! benchmark's paired parent/change bounds cover their cost end to end.
@@ -28,10 +29,10 @@
 //!
 //! A guard belongs to the thread that armed it: it lives in a thread-local,
 //! and a guard armed by one request never governs another request's thread.
-//! Parallel regions carry it to their participants: `whynot_exec::par_map`
-//! captures [`current`] on the calling thread and [`arm`]s it inside every
-//! participant, so budget consumption is shared (the counters live behind an
-//! `Arc`) and a deadline trips on whichever participant notices first.
+//! A request runs on one thread, and the service arms each request's own
+//! guard around it, so a batch fanned out by `whynot_exec::par_map` governs
+//! every request by its own limits. Clones of a guard share its budgets
+//! (the counters live behind an `Arc`).
 //!
 //! ## Trip channels
 //!
@@ -116,7 +117,7 @@ impl fmt::Display for ResourceError {
 impl std::error::Error for ResourceError {}
 
 /// The shared state behind a [`Guard`]. Budget counters are atomics so that
-/// parallel workers armed with a clone consume from one pool.
+/// every clone consumes from one budget.
 #[derive(Debug)]
 struct GuardState {
     started: Instant,
@@ -251,15 +252,14 @@ pub fn armed() -> bool {
 
 /// The guard governing the current thread, if one is armed.
 #[inline]
-pub fn current() -> Option<Guard> {
+fn current() -> Option<Guard> {
     CURRENT.with(|current| current.borrow().clone())
 }
 
 /// Arms `guard` on the current thread for the scope of the returned token:
-/// installs it as [`current`]. Drop restores the previously installed guard,
-/// also on panic. `whynot_exec::par_map` arms the caller's guard inside
-/// every participant the same way, so fanned-out chunks keep consuming from
-/// the request's shared budgets.
+/// every check on this thread consults it. Drop restores the previously
+/// installed guard, also on panic. Only this thread is governed; threads it
+/// spawns are not.
 #[must_use = "the guard is disarmed when the scope token drops"]
 pub fn arm(guard: &Guard) -> ArmScope {
     let previous = CURRENT.with(|current| current.borrow_mut().replace(guard.clone()));
@@ -346,7 +346,7 @@ fn count_check() {
 /// by [`enforce`] inside a chunked loop) back into `Err`. Any other panic is
 /// re-raised unchanged. Layer entry points (`evaluate`,
 /// `trace_plan_generalized`) wrap their bodies in this so trips surface as
-/// ordinary typed errors no matter which worker raised them.
+/// ordinary typed errors.
 pub fn catch_trip<R>(f: impl FnOnce() -> R) -> Result<R, ResourceError> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(result) => Ok(result),

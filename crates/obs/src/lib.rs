@@ -3,8 +3,8 @@
 //! The observability substrate of the why-not engine: hierarchical timed
 //! spans, monotonic counters, fixed-bucket log-scale histograms, and profile
 //! reports. The crate is dependency-free (std only) and sits below
-//! `whynot-exec` in the workspace graph so every layer — the pool, the
-//! algebra, the tracer, the service — can hang instrumentation on it.
+//! `whynot-exec` in the workspace graph so every layer — the batch fan-out,
+//! the algebra, the tracer, the service — can hang instrumentation on it.
 //!
 //! ## Span model
 //!
@@ -28,7 +28,7 @@
 //! into its own slot; after the region completes the caller merges the slots
 //! in participant order into the span that was open at the call site. Because
 //! nodes aggregate by name and counts are sums over the whole input (which
-//! chunks a participant happened to steal does not change the total), the
+//! items a participant happened to claim does not change the total), the
 //! deterministic part of a [`ProfileReport`] — structure, counts, counters —
 //! is **identical at every thread count**. Only wall times vary; the
 //! [`ProfileReport::signature`] used by tests excludes them.
@@ -39,8 +39,8 @@
 //! cell (profiling on, timeline recording on); when the current thread
 //! neither profiles nor records, a span or counter call is that load and a
 //! predictable branch. The always-on primitives ([`Counter`], [`Histogram`])
-//! are reserved for *cold-path*, request-granularity metrics (pool jobs,
-//! service requests) where a relaxed `fetch_add` is negligible by
+//! are reserved for *cold-path*, request-granularity metrics (batch
+//! fan-outs, service requests) where a relaxed `fetch_add` is negligible by
 //! construction.
 
 #![warn(missing_docs)]

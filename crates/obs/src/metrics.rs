@@ -2,8 +2,8 @@
 //! log-scale histograms.
 //!
 //! Unlike spans (gated on [`enabled`](crate::enabled)), these are plain
-//! relaxed atomics meant for *cold-path* sites — one increment per pool job,
-//! per parallel region, per service request. Never put them on per-tuple or
+//! relaxed atomics meant for *cold-path* sites — one increment per batch
+//! fan-out, per service request. Never put them on per-tuple or
 //! per-chunk-item paths; that is what gated spans and counters are for.
 
 use std::collections::VecDeque;

@@ -5,7 +5,7 @@
 //!
 //! * the **span tree** ([`SpanReport`]) — structure, counts, and counters are
 //!   identical at every thread count (see the crate docs); wall times vary;
-//! * **meta** facts attached by the caller (effective thread count, pool
+//! * **meta** facts attached by the caller (batch width, batch fan-out
 //!   counter deltas) — process-level and explicitly *not* deterministic.
 //!
 //! [`ProfileReport::signature`] canonicalizes the deterministic part for
@@ -110,7 +110,7 @@ impl SpanReport {
 pub struct ProfileReport {
     /// Wall time of the whole session in nanoseconds.
     pub wall_ns: u64,
-    /// Process-level facts attached by the caller (thread count, pool
+    /// Process-level facts attached by the caller (batch width, batch fan-out
     /// counter deltas). Ordered as inserted; excluded from [`signature`](ProfileReport::signature).
     pub meta: Vec<(String, u64)>,
     /// The root of the span tree. The root itself is synthetic
@@ -138,7 +138,7 @@ impl ProfileReport {
     /// span structure, counts, and counters — wall times and meta excluded.
     ///
     /// Two sessions over the same work produce equal signatures at any
-    /// `WHYNOT_THREADS`; tests compare reports through this.
+    /// batch width; tests compare reports through this.
     pub fn signature(&self) -> String {
         let mut out = String::new();
         self.root.write_signature(&mut out, 0);

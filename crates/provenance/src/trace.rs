@@ -15,21 +15,16 @@
 //! merge step of Algorithm 3 / Figure 7), which is what makes additional
 //! alternatives cheaper than additional query executions (Figure 11).
 //!
-//! The per-tuple work of the 1:1 operators (structural, selection, flatten)
-//! and the per-schema-alternative work of the n:m operators (join probing,
-//! nesting, aggregation) are independent, so both fan out across the
-//! `whynot-exec` pool. Every parallel loop is an ordered `par_map` whose
-//! results are reassembled in input order and whose fresh tuple ids are
-//! assigned in a serial pass afterwards, so the trace is **bit-identical**
-//! to the serial one at any `WHYNOT_THREADS` (the cross-crate determinism
-//! tests enforce this).
+//! A trace runs on the calling thread: fresh tuple ids are assigned in input
+//! order, so the trace is a pure function of the plan, the database and the
+//! schema alternatives.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nested_data::{AttrPath, Bag, NestedType, Nip, Sym, Tuple, TupleType, Value};
-use nrab_algebra::eval::{apply_operator, morsel_ranges};
+use nrab_algebra::eval::apply_operator;
 use nrab_algebra::expr::Expr;
 use nrab_algebra::join::{
     hash_join_enabled, join_matches_probe, join_matches_with, split_equi_join, EquiJoin, JoinBuild,
@@ -40,7 +35,6 @@ use nrab_algebra::{AggFunc, ProjColumn};
 use nrab_algebra::{
     AlgebraError, AlgebraResult, Database, FlattenKind, JoinKind, OpId, OpNode, Operator, QueryPlan,
 };
-use whynot_exec::{par_map, par_map_range};
 
 use crate::alternative::SchemaAlternative;
 use crate::annotate::{GeneralizedTrace, OpTrace, SaFlags, TraceResult, TracedTuple};
@@ -62,10 +56,7 @@ fn pipelining_enabled() -> bool {
 ///
 /// Disabling forces every operator back onto the operator-at-a-time replay —
 /// the knob the differential tests and the `pipeline` bench group use to
-/// compare the two replays on identical plans. Like
-/// [`nrab_algebra::with_hash_join`], the flag governs where the *decision* is
-/// made: the tracer reads it on the calling thread before any fan-out; pool
-/// workers only execute morsels of an already-compiled chain.
+/// compare the two replays on identical plans.
 pub fn with_pipelining<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
     struct Restore {
         previous: bool,
@@ -151,14 +142,8 @@ pub fn annotate_consistency(
     plan: &QueryPlan,
     sas: &[SchemaAlternative],
 ) -> TraceResult {
-    // Per-operator annotation is independent work; each operator's tuples
-    // are in turn annotated in parallel chunks. Only the outermost level
-    // actually fans out (nested calls always serialize), so the per-tuple
-    // level parallelizes exactly when the operator level ran serially
-    // (e.g. a single-operator plan).
     let _span = whynot_obs::span("annotate");
-    let entries: Vec<(OpId, &OpTrace)> = base.inner.traces.iter().map(|(op, t)| (*op, t)).collect();
-    let annotated: Vec<OpTrace> = par_map(&entries, |(op, op_trace)| {
+    let traces = base.inner.traces.iter().map(|(op, op_trace)| {
         let _span = whynot_obs::span_dyn(|| format!("annotate:{}#{}", op_trace.kind, op));
         let trace = annotate_op_consistency(op_trace, *op, plan, sas);
         if whynot_obs::enabled() {
@@ -169,10 +154,10 @@ pub fn annotate_consistency(
                 .sum();
             whynot_obs::add("trace.compatible", compatible);
         }
-        trace
+        (*op, trace)
     });
     TraceResult {
-        traces: entries.iter().map(|(op, _)| *op).zip(annotated).collect(),
+        traces: traces.collect(),
         root: base.inner.root,
         pre_order: base.inner.pre_order.clone(),
         num_sas: base.inner.num_sas,
@@ -190,7 +175,7 @@ fn annotate_op_consistency(
 ) -> OpTrace {
     let node = plan.node(op).ok();
     let is_group_agg = matches!(node.map(|n| &n.op), Some(Operator::GroupAggregation { .. }));
-    let tuples = par_map(&base.tuples, |tuple| {
+    let annotate = |tuple: &TracedTuple| {
         let mut tuple = tuple.clone();
         for (sa_idx, sa) in sas.iter().enumerate() {
             let Some(flags) = tuple.flags.get_mut(sa_idx) else { continue };
@@ -229,8 +214,12 @@ fn annotate_op_consistency(
             };
         }
         tuple
-    });
-    OpTrace { op: base.op, kind: base.kind.clone(), tuples }
+    };
+    OpTrace {
+        op: base.op,
+        kind: base.kind.clone(),
+        tuples: base.tuples.iter().map(annotate).collect(),
+    }
 }
 
 struct Tracer<'a> {
@@ -268,10 +257,7 @@ impl<'a> Tracer<'a> {
     fn trace_node(&mut self, node: &OpNode) -> AlgebraResult<()> {
         // Pipelined replay: a maximal run of 1:1 operators (selections and
         // structural transforms) ending at `node` is traced as one fused
-        // morsel-driven pass over its source instead of one full per-op
-        // replay each. The flag is read here, on the calling thread, before
-        // any fan-out — pool workers only execute morsels of an
-        // already-compiled chain.
+        // pass over its source instead of one full per-op replay each.
         if pipelining_enabled() {
             let mut chain: Vec<&OpNode> = Vec::new();
             let mut cur = node;
@@ -319,14 +305,13 @@ impl<'a> Tracer<'a> {
         Ok(())
     }
 
-    /// Replays a fused run of selections and structural operators as one
-    /// morsel-driven pass over the child's traced tuples: each ~1024-row
-    /// morsel threads every tuple's per-SA variants through the whole chain
-    /// on one worker, keeping them hot instead of materializing each
-    /// operator's full trace before the next starts. Per-operator traces are
-    /// then reassembled serially in chain order, so fresh ids, lineage,
-    /// budget draws, and flags are bit-identical to the operator-at-a-time
-    /// replay at any thread count.
+    /// Replays a fused run of selections and structural operators as one pass
+    /// over the child's traced tuples: every tuple's per-SA variants go
+    /// through the whole chain at once, keeping them hot instead of
+    /// materializing each operator's full trace before the next starts.
+    /// Per-operator traces are then assembled in chain order, so fresh ids,
+    /// lineage, budget draws, and flags are bit-identical to the
+    /// operator-at-a-time replay.
     fn trace_fused(&mut self, ops: &[&OpNode]) -> AlgebraResult<()> {
         let _span = whynot_obs::span_dyn(|| {
             let (first, last) = (ops[0], ops[ops.len() - 1]);
@@ -363,72 +348,71 @@ impl<'a> Tracer<'a> {
             })
             .collect();
 
-        // Morsel pass: tuple-major, operator-inner. Guard draws mirror the
-        // operator-at-a-time replay exactly — one checkpoint and one eval row
-        // per structural application to a valid variant (selections only
-        // annotate and draw nothing), and a failed draw makes the variant
-        // vanish under that alternative, as the singleton-bag path degrades.
+        // Fused pass: tuple-major, operator-inner, with a deadline check
+        // every 1024 tuples. Guard draws mirror the operator-at-a-time replay
+        // exactly — one checkpoint and one eval row per structural
+        // application to a valid variant (selections only annotate and draw
+        // nothing), and a failed draw makes the variant vanish under that
+        // alternative, as the singleton-bag path degrades.
         let armed = whynot_guard::armed();
         type FusedRow = Vec<(Vec<Option<Tuple>>, Vec<SaFlags>)>;
-        let chunks = morsel_ranges(child_trace.tuples.len());
-        let per_morsel: Vec<Vec<FusedRow>> = par_map(&chunks, |range| {
-            whynot_guard::enforce();
-            child_trace.tuples[range.clone()]
-                .iter()
-                .map(|input| {
-                    let mut state: Vec<(Option<Tuple>, bool)> = (0..n)
-                        .map(|sa| (input.variant(sa).cloned(), input.flags(sa).valid))
-                        .collect();
-                    steps
-                        .iter()
-                        .map(|step| {
-                            let mut variants = Vec::with_capacity(n);
-                            let mut flags = Vec::with_capacity(n);
-                            for (sa, (variant, valid)) in state.iter_mut().enumerate() {
-                                match step {
-                                    FusedStep::Select(predicates) => {
-                                        let retained = variant
-                                            .as_ref()
-                                            .map(|t| *valid && predicates[sa].eval_bool(t))
-                                            .unwrap_or(false);
-                                        flags.push(base_flags(variant.as_ref(), *valid, retained));
-                                        variants.push(variant.clone());
-                                        *valid = *valid && variant.is_some();
-                                    }
-                                    FusedStep::Structural(ctxs) => {
-                                        let transformed = match variant.as_ref() {
-                                            Some(tuple) if *valid => {
-                                                let allowed = !armed
-                                                    || (whynot_guard::checkpoint().is_ok()
-                                                        && whynot_guard::consume_eval_rows(1)
-                                                            .is_ok());
-                                                if allowed {
-                                                    ctxs[sa].apply(tuple)
-                                                } else {
-                                                    None
-                                                }
+        let mut rows: Vec<FusedRow> = child_trace
+            .tuples
+            .iter()
+            .enumerate()
+            .map(|(row, input)| {
+                if row & 1023 == 0 {
+                    whynot_guard::enforce();
+                }
+                let mut state: Vec<(Option<Tuple>, bool)> =
+                    (0..n).map(|sa| (input.variant(sa).cloned(), input.flags(sa).valid)).collect();
+                steps
+                    .iter()
+                    .map(|step| {
+                        let mut variants = Vec::with_capacity(n);
+                        let mut flags = Vec::with_capacity(n);
+                        for (sa, (variant, valid)) in state.iter_mut().enumerate() {
+                            match step {
+                                FusedStep::Select(predicates) => {
+                                    let retained = variant
+                                        .as_ref()
+                                        .map(|t| *valid && predicates[sa].eval_bool(t))
+                                        .unwrap_or(false);
+                                    flags.push(base_flags(variant.as_ref(), *valid, retained));
+                                    variants.push(variant.clone());
+                                    *valid = *valid && variant.is_some();
+                                }
+                                FusedStep::Structural(ctxs) => {
+                                    let transformed = match variant.as_ref() {
+                                        Some(tuple) if *valid => {
+                                            let allowed = !armed
+                                                || (whynot_guard::checkpoint().is_ok()
+                                                    && whynot_guard::consume_eval_rows(1).is_ok());
+                                            if allowed {
+                                                ctxs[sa].apply(tuple)
+                                            } else {
+                                                None
                                             }
-                                            _ => None,
-                                        };
-                                        flags.push(base_flags(transformed.as_ref(), *valid, true));
-                                        *valid = transformed.is_some();
-                                        variants.push(transformed.clone());
-                                        *variant = transformed;
-                                    }
+                                        }
+                                        _ => None,
+                                    };
+                                    flags.push(base_flags(transformed.as_ref(), *valid, true));
+                                    *valid = transformed.is_some();
+                                    variants.push(transformed.clone());
+                                    *variant = transformed;
                                 }
                             }
-                            (variants, flags)
-                        })
-                        .collect()
-                })
-                .collect()
-        });
+                        }
+                        (variants, flags)
+                    })
+                    .collect()
+            })
+            .collect();
 
-        // Serial reassembly, operator by operator in chain order: fresh ids,
-        // lineage to the previous stage, trace-tuple budget draws, and
-        // per-operator observability counters — all exactly as the unfused
-        // post-order recursion would have produced them.
-        let mut rows: Vec<FusedRow> = per_morsel.into_iter().flatten().collect();
+        // Assembly, operator by operator in chain order: fresh ids, lineage
+        // to the previous stage, trace-tuple budget draws, and per-operator
+        // observability counters — all exactly as the unfused post-order
+        // recursion would have produced them.
         let mut prev_ids: Vec<u64> = child_trace.tuples.iter().map(|t| t.id).collect();
         for (k, node) in ops.iter().enumerate() {
             let mut tuples = Vec::with_capacity(rows.len());
@@ -471,29 +455,22 @@ impl<'a> Tracer<'a> {
         let effective: Vec<OpNode> =
             (0..self.n_sas()).map(|sa| self.effective_node(node, sa)).collect();
 
-        // The per-tuple evaluation is the expensive part; fan it out and
-        // assign the fresh ids in a serial pass so they match the serial
-        // trace exactly.
-        let db = self.db;
         let n = self.n_sas();
-        type StructuralRow = (Vec<Option<Tuple>>, Vec<SaFlags>);
-        let computed: Vec<AlgebraResult<StructuralRow>> = par_map(&child_trace.tuples, |input| {
+        let mut tuples = Vec::with_capacity(child_trace.tuples.len());
+        for input in &child_trace.tuples {
             let mut variants = Vec::with_capacity(n);
             let mut flags = Vec::with_capacity(n);
             for (sa, effective_node) in effective.iter().enumerate() {
                 let input_flags = input.flags(sa);
                 let transformed = match input.variant(sa) {
-                    Some(tuple) if input_flags.valid => apply_to_single(effective_node, tuple, db)?,
+                    Some(tuple) if input_flags.valid => {
+                        apply_to_single(effective_node, tuple, self.db)?
+                    }
                     _ => None,
                 };
                 flags.push(base_flags(transformed.as_ref(), input_flags.valid, true));
                 variants.push(transformed);
             }
-            Ok((variants, flags))
-        });
-        let mut tuples = Vec::with_capacity(child_trace.tuples.len());
-        for (input, row) in child_trace.tuples.iter().zip(computed) {
-            let (variants, flags) = row?;
             tuples.push(TracedTuple::new(
                 self.fresh_id(),
                 variants,
@@ -518,8 +495,8 @@ impl<'a> Tracer<'a> {
             .collect();
 
         let n = self.n_sas();
-        type SelectionRow = (Vec<Option<Tuple>>, Vec<SaFlags>);
-        let computed: Vec<SelectionRow> = par_map(&child_trace.tuples, |input| {
+        let mut tuples = Vec::with_capacity(child_trace.tuples.len());
+        for input in &child_trace.tuples {
             let mut variants = Vec::with_capacity(n);
             let mut flags = Vec::with_capacity(n);
             for (sa, predicate) in predicates.iter().enumerate() {
@@ -532,10 +509,6 @@ impl<'a> Tracer<'a> {
                 flags.push(base_flags(variant.as_ref(), input_flags.valid, retained));
                 variants.push(variant);
             }
-            (variants, flags)
-        });
-        let mut tuples = Vec::with_capacity(child_trace.tuples.len());
-        for (input, (variants, flags)) in child_trace.tuples.iter().zip(computed) {
             tuples.push(TracedTuple::new(
                 self.fresh_id(),
                 variants,
@@ -565,13 +538,11 @@ impl<'a> Tracer<'a> {
             })
             .collect();
 
-        // Per input tuple and SA, the list of (tuple, retained) the outer
-        // flatten produces — computed in parallel, merged serially below.
         let n = self.n_sas();
-        // Per SA, the `(tuple, retained)` rows one input produces.
-        type FlattenRows = Vec<Vec<(Tuple, bool)>>;
-        let computed: Vec<AlgebraResult<FlattenRows>> = par_map(&child_trace.tuples, |input| {
-            let mut per_sa: FlattenRows = Vec::with_capacity(n);
+        let mut tuples = Vec::new();
+        for input in &child_trace.tuples {
+            // Per SA, the `(tuple, retained)` rows the outer flatten produces.
+            let mut per_sa: Vec<Vec<(Tuple, bool)>> = Vec::with_capacity(n);
             for (sa, attr) in attrs.iter().enumerate() {
                 let input_flags = input.flags(sa);
                 let outputs = match input.variant(sa) {
@@ -582,11 +553,6 @@ impl<'a> Tracer<'a> {
                 };
                 per_sa.push(outputs);
             }
-            Ok(per_sa)
-        });
-        let mut tuples = Vec::new();
-        for (input, per_sa) in child_trace.tuples.iter().zip(computed) {
-            let per_sa = per_sa?;
             let width = per_sa.iter().map(Vec::len).max().unwrap_or(0);
             for k in 0..width {
                 let id = self.fresh_id();
@@ -643,9 +609,7 @@ impl<'a> Tracer<'a> {
             })
             .collect();
 
-        // The hash-join decision is resolved once, on the calling thread:
-        // the per-SA closures below may run on pool workers whose
-        // thread-local flag was never touched by `with_hash_join`.
+        // The hash-join decision is resolved once for every alternative.
         let use_hash = hash_join_enabled();
 
         // Schema alternatives whose substitutions leave the right subtree
@@ -697,15 +661,9 @@ impl<'a> Tracer<'a> {
             }
         }
 
-        // The per-SA join passes are independent, and within one SA the join
-        // core chunks build and probe over the pool, too. Only the outermost
-        // parallel call fans out (nested calls always serialize): with
-        // several SAs the SA level owns the threads and the per-SA joins run
-        // serially inside it; with a single SA the SA level is a no-op and
-        // the core's build/probe level parallelizes instead. Matches are
-        // folded in (left, right) order, so the pair list is identical to
-        // the serial nested loop.
-        let per_sa: Vec<JoinMatches> = par_map_range(0..self.n_sas(), |sa| {
+        // One join pass per SA. Matches are folded in (left, right) order, so
+        // the pair list is identical to the nested loop's.
+        let join_sa = |sa: usize| {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
             whynot_guard::faults::fault_point_dyn("trace_sa", || sa.to_string());
             whynot_guard::enforce();
@@ -728,7 +686,8 @@ impl<'a> Tracer<'a> {
                     use_hash,
                 ),
             }
-        });
+        };
+        let per_sa: Vec<JoinMatches> = (0..self.n_sas()).map(join_sa).collect();
 
         // Merge across SAs, keyed by (left id, right id) with None for padding.
         #[derive(Default, Clone)]
@@ -807,15 +766,13 @@ impl<'a> Tracer<'a> {
         let child_trace = self.take_trace(child.id);
         let n = self.n_sas();
 
-        // Per-SA grouping passes are independent: each SA builds its own
-        // key → (nested bag, member ids) map in parallel; the maps are then
-        // merged over the union of keys — the outer-join-like combination of
-        // Figure 7, step 4 — in SA order, which reproduces the serial result
-        // exactly (B-tree maps are insertion-order insensitive).
+        // Each SA builds its own key → (nested bag, member ids) map; the maps
+        // are then merged over the union of keys — the outer-join-like
+        // combination of Figure 7, step 4 — in SA order.
         #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
         type SaGroups = BTreeMap<Value, (Bag, Vec<u64>)>;
         let sas = self.sas;
-        let per_sa_groups: Vec<(SaGroups, String)> = par_map_range(0..n, |sa| {
+        let group_sa = |sa: usize| -> (SaGroups, String) {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
             let (attrs, into) = match sas[sa].effective_operator(node) {
                 Operator::RelationNest { attrs, into } => (attrs, into),
@@ -842,7 +799,8 @@ impl<'a> Tracer<'a> {
                 }
             }
             (sa_groups, into)
-        });
+        };
+        let per_sa_groups: Vec<(SaGroups, String)> = (0..n).map(group_sa).collect();
 
         #[allow(clippy::mutable_key_type)]
         let mut groups: BTreeMap<Value, GroupSlot> = BTreeMap::new();
@@ -893,12 +851,12 @@ impl<'a> Tracer<'a> {
         let child_trace = self.take_trace(child.id);
         let n = self.n_sas();
 
-        // Like relation nesting: independent per-SA grouping passes in
-        // parallel, merged over the union of group keys in SA order.
+        // Like relation nesting: one grouping pass per SA, merged over the
+        // union of group keys in SA order.
         #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
         type SaAggGroups = BTreeMap<Value, (AggGroupSa, Vec<u64>)>;
         let sas = self.sas;
-        let per_sa_groups: Vec<SaAggGroups> = par_map_range(0..n, |sa| {
+        let group_sa = |sa: usize| -> SaAggGroups {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
             let (group_by, aggs) = match sas[sa].effective_operator(node) {
                 Operator::GroupAggregation { group_by, aggs } => (group_by, aggs),
@@ -935,7 +893,8 @@ impl<'a> Tracer<'a> {
                 }
             }
             sa_groups
-        });
+        };
+        let per_sa_groups: Vec<SaAggGroups> = (0..n).map(group_sa).collect();
 
         // See above: the cached structural hash does not affect ordering.
         #[allow(clippy::mutable_key_type)]
@@ -951,12 +910,9 @@ impl<'a> Tracer<'a> {
             }
         }
 
-        // The per-group aggregate evaluation is independent across groups;
-        // fresh ids are assigned serially afterwards in key order, exactly
-        // like the serial loop.
-        let group_list: Vec<(Value, AggGroupSlot)> = groups.into_iter().collect();
-        type AggRow = (Vec<Option<Tuple>>, Vec<SaFlags>, Vec<Option<Tuple>>);
-        let computed: Vec<AggRow> = par_map(&group_list, |(key, slot)| {
+        // Fresh ids in group-key order.
+        let mut tuples = Vec::with_capacity(groups.len());
+        for (key, slot) in groups {
             let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
             let mut variants = Vec::with_capacity(n);
             let mut flags = Vec::with_capacity(n);
@@ -984,10 +940,6 @@ impl<'a> Tracer<'a> {
                     }
                 }
             }
-            (variants, flags, fallbacks)
-        });
-        let mut tuples = Vec::with_capacity(group_list.len());
-        for ((_, slot), (variants, flags, fallbacks)) in group_list.into_iter().zip(computed) {
             tuples.push(TracedTuple::with_fallbacks(
                 self.fresh_id(),
                 variants,
@@ -1023,11 +975,9 @@ impl<'a> Tracer<'a> {
     fn trace_difference(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
         let left_trace = self.take_trace(node.inputs[0].id);
         let right_trace = self.take_trace(node.inputs[1].id);
-        // The right-side membership probe is the quadratic part; fan the
-        // left tuples out over the pool.
         let n = self.n_sas();
-        type DifferenceRow = (Vec<Option<Tuple>>, Vec<SaFlags>);
-        let computed: Vec<DifferenceRow> = par_map(&left_trace.tuples, |input| {
+        let mut tuples = Vec::with_capacity(left_trace.tuples.len());
+        for input in &left_trace.tuples {
             let mut variants = Vec::with_capacity(n);
             let mut flags = Vec::with_capacity(n);
             for sa in 0..n {
@@ -1041,10 +991,6 @@ impl<'a> Tracer<'a> {
                 flags.push(base_flags(variant.as_ref(), input.flags(sa).valid, retained));
                 variants.push(variant);
             }
-            (variants, flags)
-        });
-        let mut tuples = Vec::with_capacity(left_trace.tuples.len());
-        for (input, (variants, flags)) in left_trace.tuples.iter().zip(computed) {
             tuples.push(TracedTuple::new(
                 self.fresh_id(),
                 variants,
@@ -1140,7 +1086,7 @@ fn collect_subtree_ops(node: &OpNode, out: &mut std::collections::BTreeSet<OpId>
     }
 }
 
-/// Operators the tracer can fuse into one morsel-driven replay: the 1:1
+/// Operators the tracer can fuse into one replay pass: the 1:1
 /// operators whose trace row `i` depends only on row `i` of their child —
 /// selections (which annotate without transforming) and the structural
 /// transforms. Joins, cross products, relation flatten, relation nest,
@@ -1160,7 +1106,7 @@ fn tracer_fusable(op: &Operator) -> bool {
 }
 
 /// One operator of a fused tracer chain, compiled once per schema
-/// alternative before the morsel pass.
+/// alternative before the fused pass.
 enum FusedStep {
     /// Per-SA selection predicates (annotate-only: variants pass through).
     Select(Vec<Expr>),

@@ -22,8 +22,9 @@
 //! `scenarios` exports the paper's evaluation scenarios (running example,
 //! DBLP, Twitter, TPC-H, crime) as JSON files and runs them back from disk.
 //! `--threads N` overrides the `WHYNOT_THREADS` environment variable for the
-//! invocation (`1` = fully serial). Reports are identical for any thread
-//! count; only the per-question `stats` (timing, and which of several
+//! invocation: it sets how many requests of a batch run at once (`1` = one
+//! at a time); each request runs on one thread. Reports are identical for
+//! any N; only the per-question `stats` (timing, and which of several
 //! same-key questions happened to compute the shared trace) may differ
 //! under concurrency.
 //!
@@ -34,12 +35,13 @@
 //! batch is unaffected.
 //!
 //! `--profile` runs the command under a `whynot-obs` profiling session and
-//! prints the per-operator span tree (plus the effective thread count and
-//! pool-counter deltas) to **stderr**, so stdout stays valid JSON;
+//! prints the per-operator span tree (plus the batch width and the batch
+//! fan-out counter deltas) to **stderr**, so stdout stays valid JSON;
 //! `--profile-out FILE` writes the report as JSON and `--folded-out FILE`
 //! writes it as folded flamegraph stacks (Brendan Gregg's format — feed it to
 //! `flamegraph.pl` or speedscope). Span structure, counts, and counters are
-//! identical at every thread count; only wall times and the pool deltas vary.
+//! identical at every batch width; only wall times and the fan-out deltas
+//! vary.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -99,14 +101,16 @@ control its lifetime (e.g. `mkfifo ctl; whynot serve < ctl`).
 
 The question file holds {\"why_not\": ..., \"alternatives\": [...]} and may
 optionally inline \"db\" and \"plan\" (then the flags may be omitted).
---threads N overrides WHYNOT_THREADS (1 = serial); reports are identical
-for any thread count (only per-question timing/cache-hit stats may differ).
+--threads N sets how many requests of a batch run at once, overriding
+WHYNOT_THREADS (1 = one at a time); each request runs on one thread, and
+reports are identical for any N (only per-question timing/cache-hit stats
+may differ).
 --timeout-ms MS / --max-trace-tuples N guard each request with a deadline /
 trace-tuple budget; a tripped request fails with a structured resource
 error (in `batch`, without affecting the other questions).
---profile prints a span tree + pool stats to stderr (--profile-out FILE
-writes it as JSON, --folded-out FILE as folded flamegraph stacks); span
-counts/structure are thread-count independent.
+--profile prints a span tree + batch fan-out stats to stderr (--profile-out
+FILE writes it as JSON, --folded-out FILE as folded flamegraph stacks); span
+counts/structure do not depend on --threads.
 `stats` prints cumulative service metrics, optionally after answering a
 batch so the counters describe real work; --watch SECS polls and re-renders
 with per-interval deltas (requests/s, interval hit rate), --count N bounds
@@ -154,7 +158,7 @@ impl Flags {
         self.switches.iter().any(|s| s == name)
     }
 
-    /// Applies `--threads N` (if present) as the process-wide thread count,
+    /// Applies `--threads N` (if present) as the process-wide batch width,
     /// overriding `WHYNOT_THREADS`.
     fn apply_threads(&self) -> ServiceResult<()> {
         if let Some(value) = self.value("threads") {
@@ -196,8 +200,8 @@ fn apply_guard_limits(request: &mut ExplainRequest, limits: (Option<u64>, Option
 }
 
 /// Runs `f` under a `whynot-obs` profiling session when `--profile`,
-/// `--profile-out`, or `--folded-out` was passed, attaching the effective
-/// thread count and the pool-counter deltas of the run as meta facts.
+/// `--profile-out`, or `--folded-out` was passed, attaching the batch width
+/// and the batch fan-out counter deltas of the run as meta facts.
 /// Without any of the flags, `f` runs unprofiled and no report is produced.
 fn run_profiled<R>(
     flags: &Flags,
@@ -213,14 +217,8 @@ fn run_profiled<R>(
     let (result, mut report) = whynot_obs::profile(f);
     let delta = whynot_exec::pool_stats().since(&before);
     report.push_meta("threads", whynot_exec::effective_threads() as u64);
-    report.push_meta("pool.jobs", delta.jobs);
-    report.push_meta("pool.worker_runs", delta.worker_runs);
     report.push_meta("pool.par_regions", delta.par_regions);
-    report.push_meta("pool.chunks_claimed", delta.chunks_claimed);
     report.push_meta("pool.chunks_stolen", delta.chunks_stolen);
-    report.push_meta("pool.max_queue_depth", delta.max_queue_depth);
-    report.push_meta("pool.queue_waits", delta.queue_waits);
-    report.push_meta("pool.queue_wait_ns", delta.queue_wait_ns);
     result.map(|r| (r, Some(report)))
 }
 

@@ -420,8 +420,8 @@ impl ExplainService {
     /// Answers a batch of why-not questions, returning responses in request
     /// order.
     ///
-    /// Requests fan out over the `whynot-exec` pool (`WHYNOT_THREADS`-many at
-    /// a time); the reports are identical to answering the questions one by
+    /// Requests fan out with `whynot_exec::par_map` (`WHYNOT_THREADS`-many at
+    /// a time, each on one thread); the reports are identical to answering the questions one by
     /// one. Questions that target the same plan, database, and substitution
     /// sets share one generalized trace even when they run concurrently: the
     /// cache's per-key in-flight deduplication makes the first question pay
@@ -666,7 +666,7 @@ mod tests {
         let sf_response = responses[1].as_ref().unwrap();
         // Exactly one of the two computes the trace; the other reuses it.
         // Which one wins the in-flight slot depends on the batch fan-out
-        // (the pool runs the pair in parallel), so assert the split, not
+        // (the pair runs in parallel), so assert the split, not
         // the order.
         let hits = [ny_response.stats.trace_cache_hit, sf_response.stats.trace_cache_hit];
         assert_eq!(hits.iter().filter(|hit| **hit).count(), 1, "{hits:?}");

@@ -2,7 +2,7 @@
 //! [`ProfileReport`]s.
 //!
 //! The request counters and the latency histogram are process-wide statics
-//! (always-on relaxed atomics, like the pool counters of `whynot-exec`);
+//! (always-on relaxed atomics, like the fan-out counters of `whynot-exec`);
 //! the trace-cache counters belong to one [`crate::ExplainService`] instance.
 //! [`ServiceStats`] bundles both — plus the HTTP front-end counters
 //! ([`crate::http::http_stats`]) and the cache's per-shard occupancy — into
@@ -109,10 +109,10 @@ fn histogram_to_json(h: &HistogramSnapshot) -> Json {
 
 /// Cumulative service metrics: process-wide request counters and latency
 /// histogram, the trace-cache counters of one service instance, and a
-/// snapshot of the `whynot-exec` pool counters.
+/// snapshot of the `whynot-exec` batch fan-out counters.
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
-    /// Effective thread count for a parallel region started now.
+    /// How many requests of a batch started now would run at once.
     pub threads: usize,
     /// Requests answered (including failures) since process start.
     pub requests: u64,
@@ -129,7 +129,7 @@ pub struct ServiceStats {
     /// Per-shard cache occupancy, in shard order (sums to
     /// [`CacheStats::entries`] / [`CacheStats::weight`]).
     pub shard_occupancy: Vec<ShardOccupancy>,
-    /// Pool counters since process start.
+    /// Batch fan-out counters since process start.
     pub pool: PoolStats,
     /// Resource-guard counters (checks, trips, injected faults).
     pub guard: GuardStats,
@@ -222,15 +222,8 @@ impl ServiceStats {
             (
                 "pool",
                 Json::object([
-                    ("jobs", Json::Int(self.pool.jobs as i64)),
-                    ("worker_runs", Json::Int(self.pool.worker_runs as i64)),
                     ("par_regions", Json::Int(self.pool.par_regions as i64)),
-                    ("chunks_claimed", Json::Int(self.pool.chunks_claimed as i64)),
                     ("chunks_stolen", Json::Int(self.pool.chunks_stolen as i64)),
-                    ("max_queue_depth", Json::Int(self.pool.max_queue_depth as i64)),
-                    ("queue_depth", Json::Int(self.pool.queue_depth as i64)),
-                    ("queue_waits", Json::Int(self.pool.queue_waits as i64)),
-                    ("queue_wait_ns", Json::Int(self.pool.queue_wait_ns as i64)),
                 ]),
             ),
             (

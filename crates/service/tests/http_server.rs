@@ -8,7 +8,7 @@
 //! `Retry-After`, per-request guard trips mapping to 408/413 with the
 //! right stable error kind, and the `stats` op's shard/http sections over
 //! HTTP. The whole file is exercised at `WHYNOT_THREADS` 1 and 4 by the CI
-//! matrix; nothing in here depends on the pool width.
+//! matrix; nothing in here depends on the batch width.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

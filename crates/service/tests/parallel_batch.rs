@@ -1,5 +1,5 @@
 //! Concurrent-batch behaviour of the explanation service: requests fan out
-//! over the `whynot-exec` pool, responses come back in request order with
+//! with `whynot_exec::par_map`, responses come back in request order with
 //! reports identical to serial execution, and the trace cache computes each
 //! (db, plan, substitution-signature) key exactly once no matter how many
 //! concurrent requests share it.

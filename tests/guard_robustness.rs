@@ -3,8 +3,8 @@
 //! deadline-tripped question, and a trace-budget-tripped question must return
 //! structured errors for exactly the unhealthy three, while the healthy
 //! answers (one unlimited, one under a roomy armed guard) stay
-//! **byte-identical** to an unguarded run of the same questions — at every
-//! thread count.
+//! **byte-identical** to an unguarded run of the same questions — with one
+//! request at a time and with four at once.
 
 use whynot_exec::with_threads;
 use whynot_scenarios::{crime, running, Scenario};

@@ -42,8 +42,8 @@ fn named_service(scenarios: Vec<Scenario>) -> (ExplainService, Vec<ExplainReques
     (service, requests)
 }
 
-/// A DBLP batch at scale 40 on a 4-thread pool: several distinct trace keys,
-/// answered concurrently.
+/// A DBLP batch at scale 40, four requests at once: several distinct trace
+/// keys, answered concurrently.
 fn dblp_batch() -> Vec<ServiceResult<ExplainResponse>> {
     let (service, requests) = named_service(whynot_scenarios::dblp::all_dblp(40));
     with_threads(4, || service.explain_batch(&requests))
