@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Docs-drift check: every wire op and stable error kind in the source must
-appear in docs/PROTOCOL.md.
+"""Docs-drift check, both ways: every wire op and stable error kind in the
+source must appear in docs/PROTOCOL.md, and everything PROTOCOL.md documents
+as an op or an HTTP route must exist in the source.
 
 The protocol document is the public contract; this script extracts the
 contract surface directly from the source so a new op or error kind cannot
@@ -16,7 +17,14 @@ land undocumented:
 
 Each extracted name must appear in docs/PROTOCOL.md as the inline-code
 token `` `name` `` (backticked, the way the document writes every op and
-kind). Run from the repository root: python3 .github/scripts/check_protocol_docs.py
+kind). In the other direction:
+
+* every ``### `op` `` heading under `## Ops` must be an op of `handle_wire`,
+* every path in the `## HTTP surface` table must be a string literal in
+  `respond` in crates/service/src/http.rs,
+
+so a section or route left behind by a removed op fails the check too.
+Run from the repository root: python3 .github/scripts/check_protocol_docs.py
 """
 
 import re
@@ -36,6 +44,14 @@ def extract_fn(source, name):
     nxt = rest.find("\n    pub fn ", 1)
     if nxt == -1:
         nxt = rest.find("\nfn ", 1)
+    return rest if nxt == -1 else rest[:nxt]
+
+
+def section(markdown, heading):
+    """The body of the `## heading` section, up to the next `## ` heading."""
+    at = markdown.index(f"\n## {heading}\n")
+    rest = markdown[at + len(heading) + 5 :]
+    nxt = rest.find("\n## ")
     return rest if nxt == -1 else rest[:nxt]
 
 
@@ -69,10 +85,31 @@ def main():
             + ", ".join(missing)
             + "\n(every wire op and stable error kind must be documented)"
         )
+
+    documented_ops = re.findall(r"^### `(\w+)`", section(docs, "Ops"), re.M)
+    assert documented_ops, "no ### `op` headings under ## Ops — did the section move?"
+    respond = extract_fn(http_rs, "respond")
+    documented_paths = [
+        path
+        for row in section(docs, "HTTP surface").splitlines()
+        if row.startswith("|")
+        for path in re.findall(r"`(/[^`]*)`", row)
+    ]
+    assert documented_paths, "no paths in the ## HTTP surface table — did it move?"
+    stale = [f"op section `{op}`" for op in documented_ops if op not in ops]
+    stale += [f"HTTP path `{path}`" for path in documented_paths if f'"{path}"' not in respond]
+    if stale:
+        sys.exit(
+            "docs/PROTOCOL.md documents what the source no longer has: "
+            + ", ".join(stale)
+            + "\n(every documented op must be a handle_wire op, every documented"
+            " path a route in http.rs `respond`)"
+        )
     print(
         f"docs/PROTOCOL.md OK: covers {len(ops)} wire ops "
         f"({', '.join(sorted(ops))}) and {len(kinds)} error kinds "
-        f"({', '.join(sorted(kinds))})"
+        f"({', '.join(sorted(kinds))}); documents {len(documented_ops)} op sections "
+        f"and {len(documented_paths)} HTTP paths, all in the source"
     )
 
 

@@ -10,20 +10,20 @@
 //!
 //! Profiling is scoped to the thread that asks for it: [`profile`] installs
 //! a thread-local *collector* for the duration of the closure, and the
-//! participants of every parallel region the thread enters get their own
-//! (see below). Spans on any other thread — a concurrent request, another
-//! session — are never seen. A [`span`] (or [`span_dyn`] for lazily
-//! formatted names) pushes a name onto the collector's stack and, when the
-//! guard drops, adds the elapsed time to the span node addressed by the
-//! full stack path. Nodes aggregate **by name**: two sibling spans with the
-//! same name become one node with `count == 2`, and children live in
-//! ordered maps, so the shape of the resulting tree is independent of
-//! arrival order. [`add`] attaches a monotonic counter to the innermost open
-//! span.
+//! participants of every batch fan-out the thread enters get their own (see
+//! below). No collector is process-global: spans on any other thread — a
+//! concurrent request, another session — are never seen. A [`span`] (or
+//! [`span_dyn`] for lazily formatted names) pushes a name onto the
+//! collector's stack and, when the guard drops, adds the elapsed time to the
+//! span node addressed by the full stack path. Nodes aggregate **by name**:
+//! two sibling spans with the same name become one node with `count == 2`,
+//! and children live in ordered maps, so the shape of the resulting tree is
+//! independent of arrival order. [`add`] attaches a monotonic counter to the
+//! innermost open span.
 //!
 //! ## Merge determinism
 //!
-//! Parallel regions route worker-side spans through a [`ParCollect`]: each
+//! Batch fan-outs route helper-side spans through a [`ParCollect`]: each
 //! participant of a `par_map` records into a fresh collector and deposits it
 //! into its own slot; after the region completes the caller merges the slots
 //! in participant order into the span that was open at the call site. Because
@@ -35,10 +35,12 @@
 //!
 //! ## Disabled cost
 //!
-//! Every instrumentation site is gated on one load of a thread-local flags
-//! cell (profiling on, timeline recording on); when the current thread
-//! neither profiles nor records, a span or counter call is that load and a
-//! predictable branch. The always-on primitives ([`Counter`], [`Histogram`])
+//! Every instrumentation site ([`span`], [`span_dyn`], [`add`]) is gated on
+//! one load of a thread-local `Cell<bool>` that is set only while the
+//! thread profiles; when it does not, a span or counter call is that load
+//! and a predictable branch, and the returned [`Span`] holds no start time.
+//! Every request the service answers outside a [`profile`] session pays
+//! exactly this. The always-on primitives ([`Counter`], [`Histogram`])
 //! are reserved for *cold-path*, request-granularity metrics (batch
 //! fan-outs, service requests) where a relaxed `fetch_add` is negligible by
 //! construction.
@@ -48,61 +50,37 @@
 
 pub mod metrics;
 pub mod report;
-pub mod timeline;
 
-pub use metrics::{Counter, Histogram, HistogramSnapshot, SamplePoint, TimeSeries};
+pub use metrics::{Counter, Histogram, HistogramSnapshot};
 pub use report::{ProfileReport, SpanReport};
-pub use timeline::{Timeline, TimelineEvent, TimelinePhase};
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Bit of [`FLAGS`] set while this thread profiles into a collector.
-const PROFILING: u8 = 1;
-/// Bit of [`FLAGS`] set while this thread records timeline events.
-const RECORDING: u8 = 2;
-
 thread_local! {
-    /// This thread's capture switches, a bitset of [`PROFILING`] and
-    /// [`RECORDING`]. Span sites gate on one load of this cell.
-    static FLAGS: Cell<u8> = const { Cell::new(0) };
+    /// Whether this thread profiles into a collector. Span sites gate on one
+    /// load of this cell.
+    static PROFILING: Cell<bool> = const { Cell::new(false) };
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
 }
 
-#[inline]
-fn flags() -> u8 {
-    FLAGS.with(Cell::get)
-}
-
-fn set_flag(bit: u8, on: bool) {
-    FLAGS.with(|flags| flags.set(if on { flags.get() | bit } else { flags.get() & !bit }));
-}
-
 /// Installs `collector` as this thread's collector and returns the previous
-/// one; the [`PROFILING`] flag follows whether a collector is installed.
+/// one; [`PROFILING`] follows whether a collector is installed.
 fn swap_collector(collector: Option<Collector>) -> Option<Collector> {
-    set_flag(PROFILING, collector.is_some());
+    PROFILING.with(|on| on.set(collector.is_some()));
     COLLECTOR.with(|c| std::mem::replace(&mut *c.borrow_mut(), collector))
 }
 
 /// Whether the current thread is profiling: inside a [`profile`] session, or
-/// a participant of a parallel region entered from one.
+/// a participant of a batch fan-out entered from one.
 ///
 /// This is the single thread-local load that every instrumentation site pays
 /// on the disabled path.
 #[inline]
 pub fn enabled() -> bool {
-    flags() & PROFILING != 0
-}
-
-/// Nanoseconds elapsed since a process-wide monotonic origin (established on
-/// first use). Timeline events and metric samples share this clock, so a
-/// recorded timeline and the metric time series align on one axis.
-pub fn monotonic_ns() -> u64 {
-    static ORIGIN: OnceLock<Instant> = OnceLock::new();
-    ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    PROFILING.with(Cell::get)
 }
 
 /// One span node: aggregate time and count for a name at a position in the
@@ -156,11 +134,11 @@ impl Collector {
 
 /// Runs `f` under a profiling session and returns its result together with
 /// the [`ProfileReport`] collected on this thread (including spans merged
-/// back from parallel regions entered by `f`).
+/// back from batch fan-outs entered by `f`).
 ///
 /// Sessions nest and may run concurrently on several threads. Each session
 /// only observes spans recorded on its own thread and by the participants of
-/// the parallel regions it enters (they hand their collectors back to it).
+/// the batch fan-outs it enters (they hand their collectors back to it).
 pub fn profile<R>(f: impl FnOnce() -> R) -> (R, ProfileReport) {
     let previous = swap_collector(Some(Collector::default()));
     let start = Instant::now();
@@ -170,17 +148,13 @@ pub fn profile<R>(f: impl FnOnce() -> R) -> (R, ProfileReport) {
     (result, ProfileReport::from_root(collector, wall_ns))
 }
 
-/// An open span; completes (records elapsed time, emits the timeline end
-/// event) on drop.
+/// An open span; records its elapsed time into the collector on drop.
 ///
-/// Obtained from [`span`] / [`span_dyn`]. When neither profiling nor timeline
-/// recording is active the guard is inert and costs nothing beyond its
-/// construction check.
+/// Obtained from [`span`] / [`span_dyn`]. When the thread is not profiling
+/// the guard is inert and costs nothing beyond its construction check.
 #[derive(Debug)]
 pub struct Span {
     start: Option<Instant>,
-    /// Name of the matching begin event when a timeline session saw the open.
-    timeline: Option<String>,
 }
 
 impl Drop for Span {
@@ -196,49 +170,38 @@ impl Drop for Span {
                 }
             });
         }
-        if let Some(name) = self.timeline.take() {
-            timeline::record_event(name, TimelinePhase::End);
-        }
     }
 }
 
-fn open_span(name: String, flags: u8) -> Span {
-    let profiled = flags & PROFILING != 0
-        && COLLECTOR.with(|c| {
-            if let Some(collector) = c.borrow_mut().as_mut() {
-                collector.path.push(name.clone());
-                true
-            } else {
-                false
-            }
-        });
-    let timeline = (flags & RECORDING != 0).then(|| {
-        timeline::record_event(name.clone(), TimelinePhase::Begin);
-        name
+fn open_span(name: String) -> Span {
+    let opened = COLLECTOR.with(|c| {
+        if let Some(collector) = c.borrow_mut().as_mut() {
+            collector.path.push(name);
+            true
+        } else {
+            false
+        }
     });
-    Span { start: profiled.then(Instant::now), timeline }
+    Span { start: opened.then(Instant::now) }
 }
 
 /// Opens a span with a static name under the innermost open span.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    let flags = flags();
-    if flags == 0 {
-        return Span { start: None, timeline: None };
+    if !enabled() {
+        return Span { start: None };
     }
-    open_span(name.to_string(), flags)
+    open_span(name.to_string())
 }
 
 /// Opens a span whose name is built lazily — the closure only runs when this
-/// thread is profiling or recording, so formatting costs nothing on the
-/// disabled path.
+/// thread is profiling, so formatting costs nothing on the disabled path.
 #[inline]
 pub fn span_dyn(name: impl FnOnce() -> String) -> Span {
-    let flags = flags();
-    if flags == 0 {
-        return Span { start: None, timeline: None };
+    if !enabled() {
+        return Span { start: None };
     }
-    open_span(name(), flags)
+    open_span(name())
 }
 
 /// Adds `value` to the named counter on the innermost open span (or the
@@ -255,52 +218,38 @@ pub fn add(name: &'static str, value: u64) {
     });
 }
 
-/// Carries the calling thread's capture into the participants of one
-/// parallel region: spans recorded by the participants are merged back, in
-/// participant order, into the span that was open when the region started,
-/// and their timeline events go to the caller's [`timeline::record`]
-/// session.
+/// Carries the calling thread's profiling session into the participants of
+/// one batch fan-out: spans recorded by the participants are merged back, in
+/// participant order, into the span that was open when the fan-out started.
 ///
 /// Used by `whynot_exec::par_map`: the caller creates the collector before
 /// fanning out, each participant wraps its work in [`ParCollect::participant`],
-/// and the caller calls [`ParCollect::merge_into_current`] once the region
+/// and the caller calls [`ParCollect::merge_into_current`] once the fan-out
 /// has completed.
 #[derive(Debug)]
 pub struct ParCollect {
-    /// One slot per participant while the caller profiles, else empty.
+    /// One slot per participant.
     slots: Vec<Mutex<Option<SpanData>>>,
-    /// The caller's timeline session, while it records.
-    sink: Option<Arc<timeline::Sink>>,
 }
 
 impl ParCollect {
     /// A collector with one slot per participant, or `None` when the calling
-    /// thread neither profiles nor records (the region then runs without any
-    /// collection overhead).
+    /// thread is not profiling (the fan-out then runs without any collection
+    /// overhead).
     pub fn new(participants: usize) -> Option<ParCollect> {
-        let flags = flags();
-        if flags == 0 || participants == 0 {
+        if !enabled() || participants == 0 {
             return None;
         }
-        let slots = if flags & PROFILING != 0 { participants } else { 0 };
-        Some(ParCollect {
-            slots: (0..slots).map(|_| Mutex::new(None)).collect(),
-            sink: timeline::current_sink(),
-        })
+        Some(ParCollect { slots: (0..participants).map(|_| Mutex::new(None)).collect() })
     }
 
-    /// Installs the caller's capture on the current thread for participant
-    /// `index`: a fresh collector whose spans are deposited into that
-    /// participant's slot when the guard drops, and the caller's timeline
-    /// session. The thread's previous state is restored on drop.
+    /// Installs a fresh collector on the current thread for participant
+    /// `index`; its spans are deposited into that participant's slot when the
+    /// guard drops, and the thread's previous collector is restored.
     pub fn participant(&self, index: usize) -> Participant<'_> {
-        let slot = (!self.slots.is_empty()).then(|| &self.slots[index % self.slots.len()]);
         Participant {
-            slot,
-            previous_collector: swap_collector(slot.map(|_| Collector::default())),
-            previous_recorder: timeline::swap_recorder(
-                self.sink.clone().map(timeline::Recorder::join),
-            ),
+            slot: &self.slots[index % self.slots.len()],
+            previous: swap_collector(Some(Collector::default())),
         }
     }
 
@@ -323,17 +272,14 @@ impl ParCollect {
 /// Scope guard for one participant of a [`ParCollect`] region.
 #[derive(Debug)]
 pub struct Participant<'a> {
-    slot: Option<&'a Mutex<Option<SpanData>>>,
-    previous_collector: Option<Collector>,
-    previous_recorder: Option<timeline::Recorder>,
+    slot: &'a Mutex<Option<SpanData>>,
+    previous: Option<Collector>,
 }
 
 impl Drop for Participant<'_> {
     fn drop(&mut self) {
-        timeline::swap_recorder(self.previous_recorder.take());
-        let recorded = swap_collector(self.previous_collector.take());
-        if let (Some(collector), Some(slot)) = (recorded, self.slot) {
-            let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(collector) = swap_collector(self.previous.take()) {
+            let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
             match slot.as_mut() {
                 Some(existing) => existing.merge(collector.root),
                 None => *slot = Some(collector.root),

@@ -6,9 +6,7 @@
 //! fan-out, per service request. Never put them on per-tuple or
 //! per-chunk-item paths; that is what gated spans and counters are for.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// A monotonic counter (relaxed atomic).
 #[derive(Debug)]
@@ -180,73 +178,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// One timestamped snapshot of a set of counters and histograms — a point on
-/// the curves a load run produces.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SamplePoint {
-    /// Timestamp on the shared [`monotonic_ns`](crate::monotonic_ns) clock.
-    pub at_ns: u64,
-    /// Named counter values at that instant, in a stable order.
-    pub counters: Vec<(String, u64)>,
-    /// Named histogram snapshots at that instant, in a stable order.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-}
-
-/// A fixed-capacity ring buffer of [`SamplePoint`]s: sampling never grows
-/// without bound, the newest `capacity` points win. Usable in `static` items
-/// (the mutex only guards the ring, sampling is a cold-path operation by
-/// construction).
-#[derive(Debug)]
-pub struct TimeSeries {
-    capacity: usize,
-    points: Mutex<VecDeque<SamplePoint>>,
-}
-
-impl TimeSeries {
-    /// An empty series keeping at most `capacity` points (a capacity of 0 is
-    /// treated as 1 so a push is never silently dropped).
-    pub const fn new(capacity: usize) -> TimeSeries {
-        TimeSeries { capacity, points: Mutex::new(VecDeque::new()) }
-    }
-
-    /// The maximum number of retained points.
-    pub fn capacity(&self) -> usize {
-        self.capacity.max(1)
-    }
-
-    /// Adds a point in timestamp order, evicting the oldest when full.
-    /// Concurrent samplers stamp a point before they take the lock, so a
-    /// point can arrive after a newer one.
-    pub fn push(&self, point: SamplePoint) {
-        let mut points = self.points.lock().unwrap_or_else(|e| e.into_inner());
-        let at = points.partition_point(|p| p.at_ns <= point.at_ns);
-        points.insert(at, point);
-        while points.len() > self.capacity() {
-            points.pop_front();
-        }
-    }
-
-    /// The retained points, oldest first.
-    pub fn snapshot(&self) -> Vec<SamplePoint> {
-        self.points.lock().unwrap_or_else(|e| e.into_inner()).iter().cloned().collect()
-    }
-
-    /// Number of retained points.
-    pub fn len(&self) -> usize {
-        self.points.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether no points are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all retained points.
-    pub fn clear(&self) {
-        self.points.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,37 +234,5 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.min, 5);
         assert_eq!(snap.max, 900);
-    }
-
-    #[test]
-    fn time_series_ring_evicts_oldest() {
-        let series = TimeSeries::new(3);
-        for i in 0..5u64 {
-            series.push(SamplePoint { at_ns: i, ..SamplePoint::default() });
-        }
-        let points = series.snapshot();
-        assert_eq!(points.len(), 3);
-        assert_eq!(points.iter().map(|p| p.at_ns).collect::<Vec<_>>(), vec![2, 3, 4]);
-        series.clear();
-        assert!(series.is_empty());
-    }
-
-    #[test]
-    fn time_series_keeps_late_points_in_time_order() {
-        let series = TimeSeries::new(3);
-        for at_ns in [1u64, 4, 3, 2] {
-            series.push(SamplePoint { at_ns, ..SamplePoint::default() });
-        }
-        let points: Vec<u64> = series.snapshot().iter().map(|p| p.at_ns).collect();
-        assert_eq!(points, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn time_series_zero_capacity_keeps_one_point() {
-        let series = TimeSeries::new(0);
-        series.push(SamplePoint::default());
-        series.push(SamplePoint { at_ns: 9, ..SamplePoint::default() });
-        assert_eq!(series.len(), 1);
-        assert_eq!(series.snapshot()[0].at_ns, 9);
     }
 }

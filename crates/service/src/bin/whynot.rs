@@ -3,8 +3,7 @@
 //! ```text
 //! whynot explain --db db.json --plan plan.json --question q.json [--text] [--compact] [--threads N] [--timeout-ms MS] [--max-trace-tuples N] [--profile] [--profile-out FILE] [--folded-out FILE]
 //! whynot batch --db db.json --plan plan.json --questions batch.json [--compact] [--threads N] [--timeout-ms MS] [--max-trace-tuples N] [--profile] [--profile-out FILE] [--folded-out FILE]
-//! whynot stats [--db db.json --plan plan.json --questions batch.json] [--compact] [--threads N] [--watch SECS] [--count N]
-//! whynot metrics [--db db.json --plan plan.json --questions batch.json] [--compact] [--threads N]
+//! whynot stats [--db db.json --plan plan.json --questions batch.json] [--compact] [--threads N]
 //! whynot scenarios list
 //! whynot scenarios export <dir>
 //! whynot scenarios run <dir> [--name NAME] [--text] [--threads N] [--profile] [--profile-out FILE] [--folded-out FILE]
@@ -14,11 +13,7 @@
 //! `batch` answers an array of questions against one registered plan and
 //! database concurrently, reporting per-question trace-cache hits;
 //! `stats` prints cumulative service metrics (optionally after answering a
-//! batch, so the counters describe real work); with `--watch SECS` it polls
-//! and re-renders with per-interval deltas (requests/s, interval hit rate),
-//! `--count N` bounding the number of polls;
-//! `metrics` samples the process metric time series and prints the retained
-//! points (the `metrics` wire op);
+//! batch, so the counters describe real work);
 //! `scenarios` exports the paper's evaluation scenarios (running example,
 //! DBLP, Twitter, TPC-H, crime) as JSON files and runs them back from disk.
 //! `--threads N` overrides the `WHYNOT_THREADS` environment variable for the
@@ -42,6 +37,9 @@
 //! `flamegraph.pl` or speedscope). Span structure, counts, and counters are
 //! identical at every batch width; only wall times and the fan-out deltas
 //! vary.
+//!
+//! Every verb rejects a flag it does not know, so a misspelt option fails
+//! the invocation instead of being silently ignored.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -60,7 +58,6 @@ fn main() -> ExitCode {
         Some("explain") => cmd_explain(&args[1..]),
         Some("batch") => cmd_batch(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
         Some("scenarios") => cmd_scenarios(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("--help") | Some("-h") | Some("help") | None => {
@@ -83,8 +80,7 @@ const USAGE: &str = "whynot — why-not explanations over nested data
 USAGE:
     whynot explain --db <db.json> --plan <plan.json> --question <q.json> [--text] [--compact] [--threads N] [--timeout-ms MS] [--max-trace-tuples N] [--profile] [--profile-out FILE] [--folded-out FILE]
     whynot batch --db <db.json> --plan <plan.json> --questions <batch.json> [--compact] [--threads N] [--timeout-ms MS] [--max-trace-tuples N] [--profile] [--profile-out FILE] [--folded-out FILE]
-    whynot stats [--db <db.json> --plan <plan.json> --questions <batch.json>] [--compact] [--threads N] [--watch SECS] [--count N]
-    whynot metrics [--db <db.json> --plan <plan.json> --questions <batch.json>] [--compact] [--threads N]
+    whynot stats [--db <db.json> --plan <plan.json> --questions <batch.json>] [--compact] [--threads N]
     whynot scenarios list
     whynot scenarios export <dir>
     whynot scenarios run <dir> [--name <NAME>] [--text] [--threads N] [--profile] [--profile-out FILE] [--folded-out FILE]
@@ -92,7 +88,7 @@ USAGE:
                  [--workers N] [--queue N] [--max-body-bytes N]
                  [--default-timeout-ms MS] [--keep-alive-secs S] [--retry-after-secs S]
 
-`serve` starts the HTTP/1.1 front end (POST /v1/explain|batch|stats|metrics,
+`serve` starts the HTTP/1.1 front end (POST /v1/explain|batch|stats,
 GET /healthz; see docs/PROTOCOL.md). --scenarios preloads the named scenario
 families into the catalog so requests can address their databases and plans
 by scenario name (e.g. D1 or RUN). The server runs until stdin reaches
@@ -112,10 +108,8 @@ error (in `batch`, without affecting the other questions).
 FILE writes it as JSON, --folded-out FILE as folded flamegraph stacks); span
 counts/structure do not depend on --threads.
 `stats` prints cumulative service metrics, optionally after answering a
-batch so the counters describe real work; --watch SECS polls and re-renders
-with per-interval deltas (requests/s, interval hit rate), --count N bounds
-the polls. `metrics` samples and prints the process metric time series
-(the `metrics` wire op).
+batch so the counters describe real work.
+An unknown flag is an error.
 ";
 
 /// Minimal flag parser: `--flag value` pairs plus bare switches/positionals.
@@ -126,7 +120,9 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String], value_flags: &[&str]) -> ServiceResult<Flags> {
+    /// Parses `args` against one verb's value flags and switches; any other
+    /// `--name` is an error.
+    fn parse(args: &[String], value_flags: &[&str], switches: &[&str]) -> ServiceResult<Flags> {
         let mut flags = Flags { values: Vec::new(), switches: Vec::new(), positionals: Vec::new() };
         let mut i = 0;
         while i < args.len() {
@@ -138,9 +134,11 @@ impl Flags {
                         .ok_or_else(|| ServiceError::decode(format!("--{name} needs a value")))?;
                     flags.values.push((name.to_string(), value.clone()));
                     i += 2;
-                } else {
+                } else if switches.contains(&name) {
                     flags.switches.push(name.to_string());
                     i += 1;
+                } else {
+                    return Err(ServiceError::decode(format!("unknown flag --{name}")));
                 }
             } else {
                 flags.positionals.push(arg.clone());
@@ -321,6 +319,7 @@ fn cmd_explain(args: &[String]) -> ServiceResult<()> {
             "profile-out",
             "folded-out",
         ],
+        &["text", "compact", "profile"],
     )?;
     flags.apply_threads()?;
     let limits = flags.guard_limits()?;
@@ -357,6 +356,7 @@ fn cmd_batch(args: &[String]) -> ServiceResult<()> {
             "profile-out",
             "folded-out",
         ],
+        &["compact", "profile"],
     )?;
     flags.apply_threads()?;
     let limits = flags.guard_limits()?;
@@ -438,85 +438,14 @@ fn run_optional_batch(service: &mut ExplainService, flags: &Flags) -> ServiceRes
 
 /// `whynot stats`: prints cumulative service metrics as JSON. With
 /// `--questions` (plus `--db`/`--plan` as for `batch`), answers the batch
-/// first so the counters and the latency histogram describe real work. With
-/// `--watch SECS` it polls every SECS seconds and prints one delta line per
-/// interval (`--count N` stops after N polls; default: until interrupted).
+/// first so the counters and the latency histogram describe real work.
 fn cmd_stats(args: &[String]) -> ServiceResult<()> {
-    let flags = Flags::parse(args, &["db", "plan", "questions", "threads", "watch", "count"])?;
+    let flags = Flags::parse(args, &["db", "plan", "questions", "threads"], &["compact"])?;
     flags.apply_threads()?;
     let mut service = ExplainService::new();
     run_optional_batch(&mut service, &flags)?;
-    if let Some(secs) = flags.value("watch") {
-        let interval =
-            secs.parse::<f64>().ok().filter(|s| *s > 0.0).ok_or_else(|| {
-                ServiceError::decode("--watch needs a positive number of seconds")
-            })?;
-        let count = flags
-            .value("count")
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| ServiceError::decode("--count needs a non-negative integer"))
-            })
-            .transpose()?;
-        return watch_stats(&service, interval, count);
-    }
     let stats_doc = service.handle_wire(&Json::object([("op", Json::str("stats"))]))?;
     print_json(&stats_doc, flags.switch("compact"));
-    Ok(())
-}
-
-/// The `stats --watch` loop: one metric sample per interval, rendered as a
-/// delta line against the previous sample (requests/s and interval hit rate
-/// are computed from consecutive time-series points, so the watcher reuses
-/// the same snapshots the `metrics` op serves).
-fn watch_stats(service: &ExplainService, interval: f64, count: Option<usize>) -> ServiceResult<()> {
-    let counter = |point: &whynot_obs::SamplePoint, name: &str| -> u64 {
-        point.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
-    };
-    println!(
-        "{:<10} {:>10} {:>10} {:>12} {:>8} {:>12} {:>10}",
-        "t_s", "requests", "errors", "requests/s", "errors/s", "int_hit_rate", "trips"
-    );
-    let mut previous = whynot_service::sample_service_metrics(&service.cache_stats());
-    let mut polls = 0usize;
-    while count.is_none_or(|n| polls < n) {
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval));
-        let current = whynot_service::sample_service_metrics(&service.cache_stats());
-        let dt = (current.at_ns.saturating_sub(previous.at_ns)) as f64 / 1e9;
-        let delta = |name: &str| counter(&current, name).saturating_sub(counter(&previous, name));
-        let d_requests = delta("requests");
-        let d_errors = delta("request_errors");
-        let d_hits = delta("cache_hits");
-        let d_misses = delta("cache_misses");
-        let interval_lookups = d_hits + d_misses;
-        let interval_hit_rate =
-            if interval_lookups == 0 { 0.0 } else { d_hits as f64 / interval_lookups as f64 };
-        println!(
-            "{:<10.1} {:>10} {:>10} {:>12.1} {:>8.1} {:>12.3} {:>10}",
-            current.at_ns as f64 / 1e9,
-            counter(&current, "requests"),
-            counter(&current, "request_errors"),
-            if dt > 0.0 { d_requests as f64 / dt } else { 0.0 },
-            if dt > 0.0 { d_errors as f64 / dt } else { 0.0 },
-            interval_hit_rate,
-            counter(&current, "guard_trips"),
-        );
-        previous = current;
-        polls += 1;
-    }
-    Ok(())
-}
-
-/// `whynot metrics`: samples the process metric time series (optionally
-/// after answering a `--questions` batch) and prints the retained points —
-/// the CLI face of the `metrics` wire op.
-fn cmd_metrics(args: &[String]) -> ServiceResult<()> {
-    let flags = Flags::parse(args, &["db", "plan", "questions", "threads"])?;
-    flags.apply_threads()?;
-    let mut service = ExplainService::new();
-    run_optional_batch(&mut service, &flags)?;
-    let metrics_doc = service.handle_wire(&Json::object([("op", Json::str("metrics"))]))?;
-    print_json(&metrics_doc, flags.switch("compact"));
     Ok(())
 }
 
@@ -537,6 +466,7 @@ fn cmd_serve(args: &[String]) -> ServiceResult<()> {
             "keep-alive-secs",
             "retry-after-secs",
         ],
+        &[],
     )?;
     flags.apply_threads()?;
 
@@ -639,7 +569,11 @@ fn family_scenarios(family: &str) -> ServiceResult<Vec<whynot_scenarios::Scenari
 }
 
 fn cmd_scenarios(args: &[String]) -> ServiceResult<()> {
-    let flags = Flags::parse(args, &["name", "threads", "profile-out", "folded-out"])?;
+    let flags = Flags::parse(
+        args,
+        &["name", "threads", "profile-out", "folded-out"],
+        &["text", "profile"],
+    )?;
     flags.apply_threads()?;
     match flags.positionals.first().map(String::as_str) {
         Some("list") => {
@@ -753,6 +687,31 @@ fn run_scenarios(dir: &Path, only: Option<&str>, text: bool, flags: &Flags) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let values = ["timeout-ms", "threads"];
+        let switches = ["compact"];
+        let Err(err) = Flags::parse(&args(&["--compakt"]), &values, &switches) else {
+            panic!("an unknown switch must be rejected");
+        };
+        assert_eq!(err.kind(), "decode");
+        assert!(err.to_string().contains("unknown flag --compakt"), "{err}");
+        let Err(err) = Flags::parse(&args(&["--timeout-m", "5"]), &values, &switches) else {
+            panic!("an unknown value flag must be rejected");
+        };
+        assert!(err.to_string().contains("unknown flag --timeout-m"), "{err}");
+        let flags =
+            Flags::parse(&args(&["--compact", "--timeout-ms", "5", "run"]), &values, &switches)
+                .expect("known flags parse");
+        assert!(flags.switch("compact"));
+        assert_eq!(flags.value("timeout-ms"), Some("5"));
+        assert_eq!(flags.positionals, ["run"]);
+    }
 
     #[test]
     fn unknown_families_are_rejected() {

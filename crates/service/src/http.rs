@@ -5,7 +5,7 @@
 //! queue, and a fixed set of handler workers. It parses just enough HTTP to
 //! be a correct peer for real clients — the request line, headers,
 //! `Content-Length` framing, `Connection` keep-alive, and
-//! `Expect: 100-continue` — and routes `POST /v1/explain|batch|stats|metrics`
+//! `Expect: 100-continue` — and routes `POST /v1/explain|batch|stats`
 //! onto the existing wire dispatch ([`ExplainService::handle_wire`]), so the
 //! HTTP body *is* the wire document and answers are byte-identical to the
 //! in-process path.
@@ -564,10 +564,6 @@ fn respond(shared: &Shared, request: &Request) -> (u16, Json, bool) {
             let (status, body) = dispatch(shared, &Json::object([("op", Json::str("stats"))]));
             (status, body, false)
         }
-        ("GET" | "POST", "/v1/metrics") => {
-            let (status, body) = dispatch(shared, &Json::object([("op", Json::str("metrics"))]));
-            (status, body, false)
-        }
         ("POST", "/v1/explain" | "/v1/batch") => {
             let op = if path == "/v1/batch" { "batch" } else { "explain" };
             match decode_wire_body(shared, request, op) {
@@ -580,7 +576,7 @@ fn respond(shared: &Shared, request: &Request) -> (u16, Json, bool) {
                 }
             }
         }
-        (_, "/healthz" | "/v1/stats" | "/v1/metrics" | "/v1/explain" | "/v1/batch") => {
+        (_, "/healthz" | "/v1/stats" | "/v1/explain" | "/v1/batch") => {
             (405, http_error_json(format!("method {method} not allowed on {path}")), false)
         }
         _ => (404, http_error_json(format!("unknown path `{path}`")), false),

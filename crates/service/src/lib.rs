@@ -23,16 +23,13 @@
 //!   catalog-addressed payloads, per-request cache statistics.
 //! * [`report`] — the wire-level explanation report with a human-readable
 //!   rendering.
-//! * [`stats`] — cumulative service metrics (the `stats` and `metrics` wire
-//!   ops, the process metric time series) and the wire codec for
-//!   `whynot-obs` profile reports.
+//! * [`stats`] — cumulative service metrics (the `stats` wire op) and the
+//!   wire encoding of `whynot-obs` profile reports.
 //! * [`http`] — `whynot-serve`: a dependency-free HTTP/1.1 front end routing
-//!   `POST /v1/explain|batch|stats|metrics` onto the wire dispatch, with a
+//!   `POST /v1/explain|batch|stats` onto the wire dispatch, with a
 //!   bounded admission queue (429 + `Retry-After` shedding) and per-request
 //!   guard deadlines; plus the minimal keep-alive client the HTTP tests
 //!   and the end-to-end benchmark drive it with.
-//! * [`trace_export`] — Chrome trace-event JSON export for `whynot-obs`
-//!   timelines (`chrome://tracing` / Perfetto).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -45,7 +42,6 @@ pub mod json;
 pub mod report;
 pub mod service;
 pub mod stats;
-pub mod trace_export;
 pub mod wire;
 
 pub use cache::{CacheStats, ShardOccupancy, TraceCache, TraceKey};
@@ -55,8 +51,4 @@ pub use http::{serve, HttpClient, HttpResponse, HttpStats, ServeConfig, ServerHa
 pub use json::{Json, JsonError};
 pub use report::ExplanationReport;
 pub use service::{DbRef, ExplainRequest, ExplainResponse, ExplainService, PlanRef, RequestStats};
-pub use stats::{
-    metrics_series, metrics_to_json, profile_report_from_json, profile_report_to_json,
-    sample_point_to_json, sample_service_metrics, ServiceStats, METRICS_CAPACITY,
-};
-pub use trace_export::{timeline_from_chrome_json, timeline_to_chrome_json};
+pub use stats::{profile_report_to_json, ServiceStats};

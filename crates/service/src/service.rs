@@ -454,8 +454,6 @@ impl ExplainService {
     ///   concurrently and returns `{"responses": [...]}` with per-item
     ///   `{"error": ...}` entries for requests that fail to decode or answer.
     /// * `"stats"`: returns the cumulative [`ServiceStats`].
-    /// * `"metrics"`: samples the process metric time series now (around this
-    ///   instance's cache counters) and returns the retained points.
     pub fn handle_wire(&self, doc: &Json) -> ServiceResult<Json> {
         match doc.get("op") {
             None | Some(Json::Null) => {
@@ -465,10 +463,6 @@ impl ExplainService {
                 self.explain(&ExplainRequest::from_json(doc)?).map(|r| r.to_json())
             }
             Some(Json::Str(op)) if op == "stats" => Ok(self.stats().to_json()),
-            Some(Json::Str(op)) if op == "metrics" => {
-                stats::sample_service_metrics(&self.cache.stats());
-                Ok(stats::metrics_to_json(&stats::metrics_series()))
-            }
             Some(Json::Str(op)) if op == "batch" => {
                 let requests = doc
                     .get_required("requests")
@@ -499,7 +493,7 @@ impl ExplainService {
                 Ok(Json::object([("responses", Json::Array(items))]))
             }
             Some(other) => Err(ServiceError::decode(format!(
-                "`op` must be \"explain\", \"batch\", \"stats\", or \"metrics\", found {other}"
+                "`op` must be \"explain\", \"batch\", or \"stats\", found {other}"
             ))),
         }
     }
@@ -741,6 +735,15 @@ mod tests {
         let service = service();
         let err = service.handle_wire(&Json::parse(r#"{"op": "nope"}"#).unwrap());
         assert!(matches!(err, Err(ServiceError::Decode(_))), "{err:?}");
+        // The retired `metrics` op is an unknown op like any other.
+        let Err(err) = service.handle_wire(&Json::parse(r#"{"op": "metrics"}"#).unwrap()) else {
+            panic!("`metrics` is no longer a wire op");
+        };
+        assert_eq!(err.kind(), "decode");
+        let message = err.to_string();
+        for op in ["explain", "batch", "stats"] {
+            assert!(message.contains(&format!("\"{op}\"")), "{message}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Cumulative service metrics (the `stats` wire op) and the wire codec for
+//! Cumulative service metrics (the `stats` wire op) and the wire encoding of
 //! [`ProfileReport`]s.
 //!
 //! The request counters and the latency histogram are process-wide statics
@@ -12,12 +12,9 @@
 
 use whynot_exec::PoolStats;
 use whynot_guard::GuardStats;
-use whynot_obs::{
-    Counter, Histogram, HistogramSnapshot, ProfileReport, SamplePoint, SpanReport, TimeSeries,
-};
+use whynot_obs::{Counter, Histogram, HistogramSnapshot, ProfileReport, SpanReport};
 
 use crate::cache::{CacheStats, ShardOccupancy};
-use crate::error::{ServiceError, ServiceResult};
 use crate::http::HttpStats;
 use crate::json::Json;
 
@@ -31,81 +28,6 @@ pub(crate) static BATCHES: Counter = Counter::new();
 pub(crate) static BATCH_REQUESTS: Counter = Counter::new();
 /// Per-request wall-clock latency (nanoseconds).
 pub(crate) static REQUEST_LATENCY: Histogram = Histogram::new();
-
-/// Number of metric samples the process retains (newest win).
-pub const METRICS_CAPACITY: usize = 512;
-
-/// Process-wide ring of timestamped metric samples: pushed by the `metrics`
-/// wire op and by `whynot stats --watch` polls, read back as the `points` of
-/// the `metrics` response.
-static METRICS: TimeSeries = TimeSeries::new(METRICS_CAPACITY);
-
-/// Takes one timestamped sample of the process-wide service metrics (request
-/// counters, latency histogram, guard trips) around the given cache counters
-/// and appends it to the retained series. Returns the sample.
-pub fn sample_service_metrics(cache: &CacheStats) -> SamplePoint {
-    let guard = whynot_guard::guard_stats();
-    let point = SamplePoint {
-        at_ns: whynot_obs::monotonic_ns(),
-        counters: vec![
-            ("batch_requests".to_string(), BATCH_REQUESTS.get()),
-            ("batches".to_string(), BATCHES.get()),
-            ("cache_hits".to_string(), cache.hits),
-            ("cache_misses".to_string(), cache.misses),
-            ("guard_trips".to_string(), guard.trips()),
-            ("request_errors".to_string(), REQUEST_ERRORS.get()),
-            ("requests".to_string(), REQUESTS.get()),
-        ],
-        histograms: vec![("request_latency_ns".to_string(), REQUEST_LATENCY.snapshot())],
-    };
-    METRICS.push(point.clone());
-    point
-}
-
-/// The retained metric samples, oldest first.
-pub fn metrics_series() -> Vec<SamplePoint> {
-    METRICS.snapshot()
-}
-
-/// Encodes one metric sample for the `metrics` wire response.
-pub fn sample_point_to_json(point: &SamplePoint) -> Json {
-    Json::object([
-        ("at_ns", Json::Int(point.at_ns as i64)),
-        (
-            "counters",
-            Json::Object(
-                point.counters.iter().map(|(k, v)| (k.clone(), Json::Int(*v as i64))).collect(),
-            ),
-        ),
-        (
-            "histograms",
-            Json::Object(
-                point.histograms.iter().map(|(k, h)| (k.clone(), histogram_to_json(h))).collect(),
-            ),
-        ),
-    ])
-}
-
-/// Encodes the full `metrics` wire response: capacity plus retained points.
-pub fn metrics_to_json(points: &[SamplePoint]) -> Json {
-    Json::object([
-        ("capacity", Json::Int(METRICS_CAPACITY as i64)),
-        ("points", Json::array(points.iter().map(sample_point_to_json))),
-    ])
-}
-
-fn histogram_to_json(h: &HistogramSnapshot) -> Json {
-    Json::object([
-        ("count", Json::Int(h.count as i64)),
-        ("sum", Json::Int(h.sum as i64)),
-        ("min", Json::Int(h.min as i64)),
-        ("max", Json::Int(h.max as i64)),
-        ("mean", Json::Float(h.mean())),
-        ("p50", Json::Int(h.quantile(0.5) as i64)),
-        ("p95", Json::Int(h.quantile(0.95) as i64)),
-        ("p99", Json::Int(h.quantile(0.99) as i64)),
-    ])
-}
 
 /// Cumulative service metrics: process-wide request counters and latency
 /// histogram, the trace-cache counters of one service instance, and a
@@ -278,100 +200,36 @@ fn span_report_to_json(span: &SpanReport) -> Json {
     ])
 }
 
-/// Decodes a [`ProfileReport`] from its wire form (round-trip inverse of
-/// [`profile_report_to_json`]).
-pub fn profile_report_from_json(json: &Json) -> ServiceResult<ProfileReport> {
-    let wall_ns = require_u64(json, "wall_ns")?;
-    let meta = match json.get_required("meta").map_err(|e| ServiceError::decode(e.to_string()))? {
-        Json::Object(fields) => fields
-            .iter()
-            .map(|(k, v)| {
-                v.as_i64()
-                    .map(|i| (k.clone(), i as u64))
-                    .ok_or_else(|| ServiceError::decode(format!("meta `{k}` must be an integer")))
-            })
-            .collect::<ServiceResult<Vec<_>>>()?,
-        other => {
-            return Err(ServiceError::decode(format!("`meta` must be an object, found {other}")))
-        }
-    };
-    let root = span_report_from_json(
-        json.get_required("root").map_err(|e| ServiceError::decode(e.to_string()))?,
-    )?;
-    Ok(ProfileReport { wall_ns, meta, root })
-}
-
-fn span_report_from_json(json: &Json) -> ServiceResult<SpanReport> {
-    let name = match json.get_required("name").map_err(|e| ServiceError::decode(e.to_string()))? {
-        Json::Str(s) => s.clone(),
-        other => {
-            return Err(ServiceError::decode(format!(
-                "span `name` must be a string, found {other}"
-            )))
-        }
-    };
-    let counters =
-        match json.get_required("counters").map_err(|e| ServiceError::decode(e.to_string()))? {
-            Json::Object(fields) => fields
-                .iter()
-                .map(|(k, v)| {
-                    v.as_i64().map(|i| (k.clone(), i as u64)).ok_or_else(|| {
-                        ServiceError::decode(format!("counter `{k}` must be an integer"))
-                    })
-                })
-                .collect::<ServiceResult<Vec<_>>>()?,
-            other => {
-                return Err(ServiceError::decode(format!(
-                    "`counters` must be an object, found {other}"
-                )))
-            }
-        };
-    let children = match json
-        .get_required("children")
-        .map_err(|e| ServiceError::decode(e.to_string()))?
-    {
-        Json::Array(items) => {
-            items.iter().map(span_report_from_json).collect::<ServiceResult<Vec<_>>>()?
-        }
-        other => {
-            return Err(ServiceError::decode(format!("`children` must be an array, found {other}")))
-        }
-    };
-    Ok(SpanReport {
-        name,
-        count: require_u64(json, "count")?,
-        total_ns: require_u64(json, "total_ns")?,
-        counters,
-        children,
-    })
-}
-
-fn require_u64(json: &Json, field: &str) -> ServiceResult<u64> {
-    json.get_required(field)
-        .map_err(|e| ServiceError::decode(e.to_string()))?
-        .as_i64()
-        .filter(|i| *i >= 0)
-        .map(|i| i as u64)
-        .ok_or_else(|| ServiceError::decode(format!("`{field}` must be a non-negative integer")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn profile_reports_round_trip_through_the_wire() {
-        let (_, report) = whynot_obs::profile(|| {
+    fn profile_reports_encode_to_the_wire_form() {
+        let (_, mut report) = whynot_obs::profile(|| {
             let _outer = whynot_obs::span("outer");
             whynot_obs::add("seen", 3);
             let _inner = whynot_obs::span("inner");
             whynot_obs::add("rows", 7);
         });
+        report.push_meta("threads", 2);
         let json = profile_report_to_json(&report);
-        let decoded = profile_report_from_json(&json).unwrap();
-        assert_eq!(decoded.signature(), report.signature());
-        assert_eq!(decoded.wall_ns, report.wall_ns);
-        assert_eq!(profile_report_to_json(&decoded).to_compact(), json.to_compact());
+        assert_eq!(json.get("wall_ns").and_then(Json::as_i64), Some(report.wall_ns as i64));
+        assert_eq!(json.get("meta").unwrap().to_compact(), r#"{"threads":2}"#);
+        let root = json.get("root").unwrap();
+        assert_eq!(root.get("name").and_then(Json::as_str), Some(report.root.name.as_str()));
+        assert_eq!(root.get("count").and_then(Json::as_i64), Some(report.root.count as i64));
+        assert_eq!(root.get("counters").unwrap().to_compact(), "{}");
+        let outer = root.get("children").and_then(Json::as_array).unwrap();
+        assert_eq!(outer.len(), 1);
+        assert_eq!(outer[0].get("name").and_then(Json::as_str), Some("outer"));
+        assert_eq!(outer[0].get("count").and_then(Json::as_i64), Some(1));
+        assert_eq!(outer[0].get("counters").unwrap().to_compact(), r#"{"seen":3}"#);
+        let inner = outer[0].get("children").and_then(Json::as_array).unwrap();
+        assert_eq!(inner.len(), 1);
+        assert_eq!(inner[0].get("name").and_then(Json::as_str), Some("inner"));
+        assert_eq!(inner[0].get("counters").unwrap().to_compact(), r#"{"rows":7}"#);
+        assert!(inner[0].get("children").and_then(Json::as_array).unwrap().is_empty());
     }
 
     #[test]

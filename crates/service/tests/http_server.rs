@@ -175,6 +175,9 @@ fn malformed_requests_get_structured_errors_never_hangs() {
     let response = client.post_json("/v1/nope", "{}", &[]).expect("post");
     assert_eq!(response.status, 404, "{}", response.body);
     let mut client = HttpClient::connect(&addr).expect("connect");
+    let response = client.get("/v1/metrics").expect("get");
+    assert_eq!(response.status, 404, "{}", response.body);
+    let mut client = HttpClient::connect(&addr).expect("connect");
     let response = client.get("/v1/explain").expect("get");
     assert_eq!(response.status, 405, "{}", response.body);
 
