@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Docs-drift check, both ways: every wire op and stable error kind in the
 source must appear in docs/PROTOCOL.md, and everything PROTOCOL.md documents
-as an op or an HTTP route must exist in the source.
+as an op, an HTTP route, an error kind or a `stats` field must exist in the
+source.
 
 The protocol document is the public contract; this script extracts the
 contract surface directly from the source so a new op or error kind cannot
@@ -22,8 +23,14 @@ kind). In the other direction:
 * every ``### `op` `` heading under `## Ops` must be an op of `handle_wire`,
 * every path in the `## HTTP surface` table must be a string literal in
   `respond` in crates/service/src/http.rs,
+* every `` | `kind` | `` row of the `## Errors` table must be an extracted
+  error kind,
+* every backticked snake_case token in the ``### `stats` `` section must be
+  a key literal of `ServiceStats::to_json` in crates/service/src/stats.rs,
+  and every such key must be documented there,
 
-so a section or route left behind by a removed op fails the check too.
+so a section, route, kind or field left behind by a removed one fails the
+check too.
 Run from the repository root: python3 .github/scripts/check_protocol_docs.py
 """
 
@@ -45,6 +52,13 @@ def extract_fn(source, name):
     if nxt == -1:
         nxt = rest.find("\nfn ", 1)
     return rest if nxt == -1 else rest[:nxt]
+
+
+def method_body(source, signature):
+    """The body of the method declared by `signature`, up to the closing
+    brace at method indentation."""
+    at = source.index(signature)
+    return source[at : source.index("\n    }\n", at)]
 
 
 def section(markdown, heading):
@@ -96,20 +110,39 @@ def main():
         for path in re.findall(r"`(/[^`]*)`", row)
     ]
     assert documented_paths, "no paths in the ## HTTP surface table — did it move?"
+    documented_kinds = re.findall(r"^\| `(\w+)` \|", section(docs, "Errors"), re.M)
+    assert documented_kinds, "no | `kind` | rows under ## Errors — did the table move?"
+    stats_doc = section(docs, "Ops").split("\n### `stats`\n", 1)[1].split("\n### ", 1)[0]
+    stats_doc = re.sub(r"^```.*?^```", "", stats_doc, flags=re.M | re.S)
+    documented_fields = set(re.findall(r"`([a-z][a-z0-9_]*)`", stats_doc))
+    stats_rs = read("crates/service/src/stats.rs")
+    to_json = method_body(stats_rs, "pub fn to_json(&self)")
+    fields = set(re.findall(r'\(\s*"([a-z][a-z0-9_]*)",', to_json))
+    assert fields, "no key literals in ServiceStats::to_json — did it move?"
     stale = [f"op section `{op}`" for op in documented_ops if op not in ops]
     stale += [f"HTTP path `{path}`" for path in documented_paths if f'"{path}"' not in respond]
+    stale += [f"error kind row `{kind}`" for kind in documented_kinds if kind not in kinds]
+    stale += [f"stats field `{name}`" for name in sorted(documented_fields - fields)]
     if stale:
         sys.exit(
             "docs/PROTOCOL.md documents what the source no longer has: "
             + ", ".join(stale)
             + "\n(every documented op must be a handle_wire op, every documented"
-            " path a route in http.rs `respond`)"
+            " path a route in http.rs `respond`, every error row a stable kind,"
+            " every `stats` field a key of ServiceStats::to_json)"
+        )
+    undocumented = sorted(fields - documented_fields)
+    if undocumented:
+        sys.exit(
+            "docs/PROTOCOL.md ### `stats` is missing fields of ServiceStats::to_json: "
+            + ", ".join(f"`{name}`" for name in undocumented)
         )
     print(
         f"docs/PROTOCOL.md OK: covers {len(ops)} wire ops "
         f"({', '.join(sorted(ops))}) and {len(kinds)} error kinds "
-        f"({', '.join(sorted(kinds))}); documents {len(documented_ops)} op sections "
-        f"and {len(documented_paths)} HTTP paths, all in the source"
+        f"({', '.join(sorted(kinds))}); documents {len(documented_ops)} op sections, "
+        f"{len(documented_paths)} HTTP paths, {len(documented_kinds)} error kinds and "
+        f"{len(documented_fields)} stats fields, all in the source"
     )
 
 

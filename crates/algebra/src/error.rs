@@ -33,7 +33,7 @@ pub enum AlgebraError {
     Data(DataError),
     /// Evaluation failed (e.g. a predicate applied to incompatible values).
     Eval(String),
-    /// A resource guard tripped (deadline, budget, or cancellation).
+    /// A resource guard tripped (deadline or budget).
     Resource(whynot_guard::ResourceError),
 }
 

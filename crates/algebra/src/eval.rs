@@ -49,7 +49,7 @@ pub fn apply_operator(
     db: &Database,
 ) -> AlgebraResult<Arc<Bag>> {
     if whynot_guard::armed() {
-        // Deadline/cancellation check once per operator application, and the
+        // Deadline check once per operator application, and the
         // operator's total input rows drawn from the eval-row budget —
         // deterministic in the plan and data.
         whynot_guard::checkpoint()?;

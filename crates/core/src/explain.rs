@@ -191,7 +191,7 @@ impl WhyNotEngine {
         let db = &question.db;
 
         // An engine-stage boundary is the coarsest checkpoint granularity:
-        // one deadline/cancellation check between the steps below, so a
+        // one deadline check between the steps below, so a
         // tripped request stops before starting the next expensive stage.
         let stage_checkpoint =
             || whynot_guard::checkpoint().map_err(nrab_algebra::AlgebraError::from);

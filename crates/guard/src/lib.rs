@@ -1,8 +1,8 @@
 //! # whynot-guard
 //!
-//! Per-request resource governance for the why-not engine: deadlines,
-//! trace-tuple and eval-row budgets, and cooperative cancellation, plus a
-//! deterministic fault-injection layer ([`faults`]) for robustness tests.
+//! Per-request resource governance for the why-not engine: deadlines and
+//! trace-tuple and eval-row budgets, plus a deterministic fault-injection
+//! layer ([`faults`]) for robustness tests.
 //!
 //! ## Model
 //!
@@ -81,8 +81,6 @@ pub enum ResourceError {
         /// The configured budget.
         budget: u64,
     },
-    /// The guard was cancelled explicitly ([`Guard::cancel`]).
-    Cancelled,
 }
 
 impl ResourceError {
@@ -92,7 +90,6 @@ impl ResourceError {
             ResourceError::DeadlineExceeded { .. } => "deadline",
             ResourceError::TraceBudgetExceeded { .. } => "trace_budget",
             ResourceError::EvalBudgetExceeded { .. } => "eval_budget",
-            ResourceError::Cancelled => "cancelled",
         }
     }
 }
@@ -109,7 +106,6 @@ impl fmt::Display for ResourceError {
             ResourceError::EvalBudgetExceeded { used, budget } => {
                 write!(f, "eval budget exceeded: {used} rows evaluated, budget {budget}")
             }
-            ResourceError::Cancelled => write!(f, "request cancelled"),
         }
     }
 }
@@ -126,14 +122,13 @@ struct GuardState {
     eval_budget: Option<u64>,
     trace_used: AtomicU64,
     eval_used: AtomicU64,
-    cancelled: AtomicBool,
     /// Whether a trip was already recorded (trip counters count each guard's
     /// first trip once, not every check that observes the tripped state).
     tripped: AtomicBool,
 }
 
 /// A per-request resource-governance context. Cheap to clone (one `Arc`);
-/// clones share the deadline, the budgets, and the cancellation flag.
+/// clones share the deadline and the budgets.
 #[derive(Debug, Clone)]
 pub struct Guard(Arc<GuardState>);
 
@@ -153,28 +148,12 @@ impl Guard {
             eval_budget: max_eval_rows,
             trace_used: AtomicU64::new(0),
             eval_used: AtomicU64::new(0),
-            cancelled: AtomicBool::new(false),
             tripped: AtomicBool::new(false),
         }))
     }
 
-    /// Whether the guard has any limit at all (an unlimited guard never
-    /// trips; arming it still costs the per-check atomic loads).
-    pub fn is_limited(&self) -> bool {
-        self.0.timeout.is_some() || self.0.trace_budget.is_some() || self.0.eval_budget.is_some()
-    }
-
-    /// Cooperatively cancels the guarded request: the next check anywhere
-    /// (any thread) trips with [`ResourceError::Cancelled`].
-    pub fn cancel(&self) {
-        self.0.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Checks the deadline and the cancellation flag.
+    /// Checks the deadline.
     fn check(&self) -> Result<(), ResourceError> {
-        if self.0.cancelled.load(Ordering::Relaxed) {
-            return Err(self.trip(ResourceError::Cancelled));
-        }
         if let Some(timeout) = self.0.timeout {
             let elapsed = self.0.started.elapsed();
             if elapsed > timeout {
@@ -220,7 +199,6 @@ impl Guard {
                 ResourceError::DeadlineExceeded { .. } => TRIPS_DEADLINE.add(1),
                 ResourceError::TraceBudgetExceeded { .. } => TRIPS_TRACE_BUDGET.add(1),
                 ResourceError::EvalBudgetExceeded { .. } => TRIPS_EVAL_BUDGET.add(1),
-                ResourceError::Cancelled => TRIPS_CANCELLED.add(1),
             }
             if whynot_obs::enabled() {
                 whynot_obs::add("guard.trips", 1);
@@ -235,7 +213,6 @@ static CHECKS: Counter = Counter::new();
 static TRIPS_DEADLINE: Counter = Counter::new();
 static TRIPS_TRACE_BUDGET: Counter = Counter::new();
 static TRIPS_EVAL_BUDGET: Counter = Counter::new();
-static TRIPS_CANCELLED: Counter = Counter::new();
 
 thread_local! {
     /// The guard governing work on the current thread, if any.
@@ -281,9 +258,9 @@ impl Drop for ArmScope {
     }
 }
 
-/// Checks the current guard's deadline and cancellation flag. `Ok(())` when
-/// no guard is armed. This is the check for code in `Result` position
-/// (operator applications, engine stages).
+/// Checks the current guard's deadline. `Ok(())` when no guard is armed.
+/// This is the check for code in `Result` position (operator applications,
+/// engine stages).
 #[inline]
 pub fn checkpoint() -> Result<(), ResourceError> {
     match current() {
@@ -368,8 +345,6 @@ pub struct GuardStats {
     pub trace_budget_trips: u64,
     /// Guards that tripped on the eval-row budget.
     pub eval_budget_trips: u64,
-    /// Guards that tripped on explicit cancellation.
-    pub cancelled_trips: u64,
     /// Faults injected by the [`faults`] layer (panics + delays).
     pub faults_injected: u64,
 }
@@ -377,21 +352,17 @@ pub struct GuardStats {
 impl GuardStats {
     /// Total guard trips across all kinds.
     pub fn trips(&self) -> u64 {
-        self.deadline_trips
-            + self.trace_budget_trips
-            + self.eval_budget_trips
-            + self.cancelled_trips
+        self.deadline_trips + self.trace_budget_trips + self.eval_budget_trips
     }
 
     /// The per-kind trip counters keyed by the wire `kind` of the
     /// [`ResourceError`] each trip surfaces as — the breakdown the service's
     /// `stats` op reports.
-    pub fn trips_by_kind(&self) -> [(&'static str, u64); 4] {
+    pub fn trips_by_kind(&self) -> [(&'static str, u64); 3] {
         [
             ("deadline", self.deadline_trips),
             ("trace_budget", self.trace_budget_trips),
             ("eval_budget", self.eval_budget_trips),
-            ("cancelled", self.cancelled_trips),
         ]
     }
 }
@@ -403,7 +374,6 @@ pub fn guard_stats() -> GuardStats {
         deadline_trips: TRIPS_DEADLINE.get(),
         trace_budget_trips: TRIPS_TRACE_BUDGET.get(),
         eval_budget_trips: TRIPS_EVAL_BUDGET.get(),
-        cancelled_trips: TRIPS_CANCELLED.get(),
         faults_injected: faults::injected(),
     }
 }
@@ -425,7 +395,6 @@ mod tests {
     #[test]
     fn zero_timeout_trips_at_first_checkpoint() {
         let guard = Guard::new(Some(0), None, None);
-        assert!(guard.is_limited());
         let _scope = arm(&guard);
         // A zero-millisecond deadline has passed by the time we check.
         std::thread::sleep(Duration::from_millis(1));
@@ -452,15 +421,6 @@ mod tests {
         let error = consume_eval_rows(3).unwrap_err();
         assert_eq!(error, ResourceError::EvalBudgetExceeded { used: 8, budget: 5 });
         assert_eq!(error.kind(), "eval_budget");
-    }
-
-    #[test]
-    fn cancel_trips_every_clone() {
-        let guard = Guard::new(None, None, None);
-        let clone = guard.clone();
-        let _scope = arm(&clone);
-        guard.cancel();
-        assert_eq!(checkpoint().unwrap_err(), ResourceError::Cancelled);
     }
 
     #[test]
@@ -499,13 +459,14 @@ mod tests {
 
     #[test]
     fn enforce_panics_with_the_error_and_catch_trip_recovers_it() {
-        let guard = Guard::new(None, None, None);
-        guard.cancel();
+        let guard = Guard::new(Some(0), None, None);
+        std::thread::sleep(Duration::from_millis(1));
         let result: Result<(), ResourceError> = catch_trip(|| {
             let _scope = arm(&guard);
             enforce();
         });
-        assert_eq!(result.unwrap_err(), ResourceError::Cancelled);
+        let error = result.unwrap_err();
+        assert!(matches!(error, ResourceError::DeadlineExceeded { timeout_ms: 0, .. }), "{error}");
 
         // Foreign panics pass through untouched.
         let reraised = catch_unwind(AssertUnwindSafe(|| catch_trip(|| panic!("boom"))));
@@ -523,7 +484,7 @@ mod tests {
             let _scope = arm(&guard);
             assert!(consume_trace_tuples(1).is_err());
             assert!(consume_trace_tuples(1).is_err());
-            assert!(checkpoint().is_ok(), "deadline/cancel unaffected by budget trips");
+            assert!(checkpoint().is_ok(), "the deadline is unaffected by budget trips");
         });
         assert_eq!(
             report.counter_total("guard.trips"),

@@ -22,18 +22,16 @@
 //! The interner only ever grows; its memory is bounded by the number of
 //! *distinct* attribute names, which is small in practice.
 //!
-//! The lookup table is *sharded* (16 independent mutexes, keyed by a hash of
-//! the name) so that concurrent tracing threads interning operator parameters
-//! do not serialize on a single lock; symbol ids come from one atomic counter
-//! and the [`MAX_INTERNED_SYMBOLS`] cap honored by [`Sym::try_intern`] stays
-//! global and exact (a single atomic reservation guards every new name,
-//! whichever shard it lands in).
+//! The lookup table is one `Mutex<HashMap>`. A request interns at most a
+//! few hundred names, so concurrent requests (batch items, HTTP workers)
+//! hold the lock only briefly. The [`MAX_INTERNED_SYMBOLS`] cap honored by
+//! [`Sym::try_intern`] is checked under the same lock that admits a new
+//! name, so it is exact.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// An interned attribute name: a `u32` handle plus a pointer to the interned
@@ -44,37 +42,14 @@ pub struct Sym {
     text: &'static str,
 }
 
-/// Number of independent lock shards. A small power of two: contention on
-/// the interner is bursty (operator parameters at trace time), and 16 locks
-/// already make collisions between tracing threads unlikely.
-const SHARD_COUNT: usize = 16;
-
-struct Interner {
-    shards: [Mutex<HashMap<&'static str, Sym>>; SHARD_COUNT],
-    /// Distinct symbols interned so far, across all shards. New names reserve
-    /// a slot here *before* allocating, which is what keeps the
-    /// [`MAX_INTERNED_SYMBOLS`] cap exact under concurrency.
-    count: AtomicUsize,
-    /// Next symbol id (ids are unique but not contiguous per shard).
-    next_id: AtomicU32,
-}
+/// The interned names. A new symbol's id is the map's length when it is
+/// admitted, so ids are dense and `len()` is the distinct-symbol count.
+type Interner = Mutex<HashMap<&'static str, Sym>>;
 
 static INTERNER: OnceLock<Interner> = OnceLock::new();
 
-fn interner() -> &'static Interner {
-    INTERNER.get_or_init(|| Interner {
-        shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        count: AtomicUsize::new(0),
-        next_id: AtomicU32::new(0),
-    })
-}
-
-/// The shard a name lives in: deterministic within the process (which is all
-/// sharding needs — symbol identity never depends on the shard index).
-fn shard_index(name: &str) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    name.hash(&mut hasher);
-    (hasher.finish() as usize) % SHARD_COUNT
+fn interner() -> std::sync::MutexGuard<'static, HashMap<&'static str, Sym>> {
+    INTERNER.get_or_init(Default::default).lock().expect("symbol interner poisoned")
 }
 
 /// Hard ceiling on distinct interned symbols honored by [`Sym::try_intern`].
@@ -92,26 +67,21 @@ impl Sym {
     /// always yields the same handle. Use [`Sym::try_intern`] instead when
     /// the name comes from untrusted input.
     pub fn intern(name: &str) -> Sym {
-        let interner = interner();
-        let mut shard =
-            interner.shards[shard_index(name)].lock().expect("symbol interner poisoned");
-        if let Some(&sym) = shard.get(name) {
-            return sym;
+        let mut map = interner();
+        match map.get(name) {
+            Some(&sym) => sym,
+            None => Sym::allocate(&mut map, name),
         }
-        interner.count.fetch_add(1, Ordering::SeqCst);
-        let sym = Sym::allocate(interner, name);
-        shard.insert(sym.text, sym);
-        sym
     }
 
-    /// Leaks `name` and assigns a fresh id. Caller holds the shard lock for
-    /// `name` (so a name is never allocated twice) and has already accounted
-    /// for the new symbol in `count`.
-    fn allocate(interner: &Interner, name: &str) -> Sym {
+    /// Leaks `name`, assigns it the next id and admits it to `map`. The
+    /// caller holds the interner lock and has checked `name` is new.
+    fn allocate(map: &mut HashMap<&'static str, Sym>, name: &str) -> Sym {
+        let id = u32::try_from(map.len()).expect("symbol interner overflow");
         let text: &'static str = Box::leak(name.to_string().into_boxed_str());
-        let id = interner.next_id.fetch_add(1, Ordering::SeqCst);
-        assert!(id != u32::MAX, "symbol interner overflow");
-        Sym { id, text }
+        let sym = Sym { id, text };
+        map.insert(text, sym);
+        sym
     }
 
     /// Interns `name` unless doing so would push the number of distinct
@@ -119,24 +89,14 @@ impl Sym {
     /// succeed. This is the entry point for untrusted (wire) input, whose
     /// attribute names must not leak unbounded interner memory.
     pub fn try_intern(name: &str) -> Option<Sym> {
-        let interner = interner();
-        let mut shard =
-            interner.shards[shard_index(name)].lock().expect("symbol interner poisoned");
-        if let Some(&sym) = shard.get(name) {
+        let mut map = interner();
+        if let Some(&sym) = map.get(name) {
             return Some(sym);
         }
-        // Reserve a slot under the global cap before allocating. The atomic
-        // reservation keeps the cap exact even when other shards are
-        // admitting names concurrently.
-        interner
-            .count
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |count| {
-                (count < MAX_INTERNED_SYMBOLS).then_some(count + 1)
-            })
-            .ok()?;
-        let sym = Sym::allocate(interner, name);
-        shard.insert(sym.text, sym);
-        Some(sym)
+        if map.len() >= MAX_INTERNED_SYMBOLS {
+            return None;
+        }
+        Some(Sym::allocate(&mut map, name))
     }
 
     /// The interned string. Free: no lock, no allocation.
@@ -151,7 +111,7 @@ impl Sym {
 
     /// Number of distinct symbols interned so far (diagnostics / benches).
     pub fn interned_count() -> usize {
-        interner().count.load(Ordering::SeqCst)
+        interner().len()
     }
 }
 
@@ -362,7 +322,7 @@ mod tests {
 
     #[test]
     fn concurrent_interning_of_distinct_names_stays_consistent() {
-        // Hammer the sharded interner from several threads with overlapping
+        // Hammer the interner from several threads with overlapping
         // name sets: every name must resolve to exactly one id, and the
         // count must grow by exactly the number of distinct new names.
         let before = Sym::interned_count();
@@ -372,7 +332,7 @@ mod tests {
                     (0..64)
                         .map(|i| {
                             // Each name is interned by two of the four threads.
-                            let name = format!("sym-shard-test-{}-{i}", (t / 2) as u32);
+                            let name = format!("sym-concurrent-test-{}-{i}", (t / 2) as u32);
                             (name.clone(), Sym::intern(&name))
                         })
                         .collect::<Vec<_>>()

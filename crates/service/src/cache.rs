@@ -11,20 +11,10 @@
 //! `nrab_provenance::trace_plan_generalized`). This mirrors how approximate
 //! provenance summaries are reused across queries in related systems.
 //!
-//! # Sharding
-//!
-//! The cache is split into [`TraceCache::shards`] independent shards, each
-//! with its own lock, LRU order, in-flight set, and entry/weight bounds; a
-//! key's shard is chosen by hashing the whole [`TraceKey`]. Concurrent
-//! requests for *different* keys therefore contend only when their keys
-//! happen to share a shard, instead of serializing on one global mutex —
-//! the property the HTTP front end (`whynot serve`) depends on once many
-//! connections hit the cache at once. The per-key in-flight deduplication
-//! (one computation per key, waiters reuse it) is unchanged: it only ever
-//! involved one key, so it lives entirely inside the key's shard.
+//! The cache is one lock around one LRU map. A request makes one lookup, and
+//! the slow part — computing a missing trace — runs outside the lock.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 
 use nrab_algebra::AlgebraResult;
@@ -45,7 +35,7 @@ pub struct TraceKey {
     pub substitutions: String,
 }
 
-/// Aggregate cache counters, summed over all shards.
+/// Cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a cached trace.
@@ -56,16 +46,14 @@ pub struct CacheStats {
     /// for it instead of recomputing (they also count as hits once the value
     /// arrives).
     pub coalesced: u64,
-    /// Entries currently cached (across all shards).
+    /// Entries currently cached.
     pub entries: usize,
-    /// Entries evicted because a shard was full (by count or by weight).
+    /// Entries evicted because the cache was full (by count or by weight).
     pub evictions: u64,
     /// Total weight (traced tuples) of the cached entries.
     pub weight: u64,
-    /// The cache's total weight capacity (per-shard capacity × shards).
+    /// The cache's weight capacity.
     pub weight_capacity: u64,
-    /// Number of shards the cache is split into.
-    pub shards: usize,
 }
 
 impl CacheStats {
@@ -82,87 +70,65 @@ impl CacheStats {
     }
 }
 
-/// Occupancy of one cache shard (the `shard_occupancy` array of the `stats`
-/// wire op).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardOccupancy {
-    /// Entries currently cached in this shard.
-    pub entries: usize,
-    /// Total weight (traced tuples) of this shard's entries.
-    pub weight: u64,
-}
-
 /// One cached trace with its precomputed weight (traced tuples), so eviction
-/// accounting never re-walks the trace.
+/// accounting never re-walks the trace, and the tick of its last use.
 #[derive(Debug)]
-struct CachedTrace {
+struct Entry {
     trace: Arc<GeneralizedTrace>,
     weight: u64,
+    last_used: u64,
 }
 
 #[derive(Debug, Default)]
-struct ShardInner {
-    map: HashMap<TraceKey, CachedTrace>,
-    /// Keys in least-recently-used order (front = coldest).
-    order: VecDeque<TraceKey>,
+struct Inner {
+    map: HashMap<TraceKey, Entry>,
     /// Keys currently being computed by some thread. Concurrent requests for
-    /// an in-flight key wait on the shard's condvar instead of recomputing.
+    /// an in-flight key wait on the condvar instead of recomputing.
     inflight: HashSet<TraceKey>,
     /// Sum of the cached entries' weights.
     total_weight: u64,
+    /// Lookup clock: each hit or insert stamps its entry with the next tick.
+    tick: u64,
     hits: u64,
     misses: u64,
     coalesced: u64,
     evictions: u64,
 }
 
-impl ShardInner {
-    fn touch(&mut self, key: &TraceKey) {
-        if let Some(pos) = self.order.iter().position(|k| k == key) {
-            self.order.remove(pos);
-        }
-        self.order.push_back(key.clone());
+impl Inner {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
     }
 }
 
-/// One shard: an independently locked LRU map with its own in-flight set.
-#[derive(Debug, Default)]
-struct Shard {
-    inner: Mutex<ShardInner>,
-    inflight_cv: Condvar,
-}
-
-/// A bounded, thread-safe, **sharded** LRU cache of generalized traces with
-/// per-key in-flight deduplication: when two requests race on the same key,
-/// one computes the trace and the other waits for it — the expensive
-/// generalized evaluation runs **once per key**, which the concurrent-batch
-/// stress tests pin down.
+/// A bounded, thread-safe LRU cache of generalized traces with per-key
+/// in-flight deduplication: when two requests race on the same key, one
+/// computes the trace and the other waits for it — the expensive generalized
+/// evaluation runs **once per key**, which the concurrent-batch stress tests
+/// pin down.
 ///
-/// Each shard is bounded two ways: by entry count *and* by total weight
+/// The cache is bounded two ways: by entry count *and* by total weight
 /// (traced tuples, [`GeneralizedTrace::tuple_count`]). Trace sizes span
 /// orders of magnitude — the paper's worst cases grow with data size and
 /// alternative count — so an entry-count bound alone would let a handful of
 /// giant traces occupy unbounded memory. Whichever bound is exceeded evicts
-/// from the shard's cold end; the most recently inserted entry is never
+/// the least recently used entry; the most recently inserted entry is never
 /// evicted, so even an over-weight giant stays cached until something newer
-/// lands in its shard. Eviction order is per-shard LRU: entries compete for
-/// space only with the keys that hash to the same shard.
+/// lands.
 #[derive(Debug)]
 pub struct TraceCache {
-    shards: Vec<Shard>,
-    shard_capacity: usize,
-    shard_weight_capacity: u64,
+    inner: Mutex<Inner>,
+    inflight_cv: Condvar,
+    capacity: usize,
+    weight_capacity: u64,
 }
 
-/// Default number of cached traces (across all shards).
+/// Default number of cached traces.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
 /// Default weight capacity: total traced tuples across all cached entries.
 pub const DEFAULT_CACHE_WEIGHT_CAPACITY: u64 = 4_000_000;
-
-/// Default shard count. Shards multiply lock granularity, not memory: the
-/// entry and weight capacities are divided across them.
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
 
 impl Default for TraceCache {
     fn default() -> Self {
@@ -172,42 +138,20 @@ impl Default for TraceCache {
 
 impl TraceCache {
     /// Creates a cache holding at most `capacity` traces (minimum 1) with the
-    /// default weight capacity and shard count.
+    /// default weight capacity.
     pub fn new(capacity: usize) -> Self {
         TraceCache::with_weight_capacity(capacity, DEFAULT_CACHE_WEIGHT_CAPACITY)
     }
 
-    /// Creates a cache bounded by both entry count and total trace weight,
-    /// with the default shard count (never more shards than entries, so each
-    /// shard can hold at least one trace).
+    /// Creates a cache bounded by both entry count (minimum 1) and total
+    /// trace weight.
     pub fn with_weight_capacity(capacity: usize, weight_capacity: u64) -> Self {
-        let shards = DEFAULT_CACHE_SHARDS.min(capacity.max(1));
-        TraceCache::with_shards(capacity, weight_capacity, shards)
-    }
-
-    /// Creates a cache with an explicit shard count (minimum 1). The entry
-    /// and weight capacities are split evenly across shards (rounded up, so
-    /// every shard can hold at least one entry). A single shard reproduces
-    /// the global-LRU semantics exactly.
-    pub fn with_shards(capacity: usize, weight_capacity: u64, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let capacity = capacity.max(1);
         TraceCache {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            shard_capacity: capacity.div_ceil(shards),
-            shard_weight_capacity: weight_capacity.div_ceil(shards as u64),
+            inner: Mutex::default(),
+            inflight_cv: Condvar::new(),
+            capacity: capacity.max(1),
+            weight_capacity,
         }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_for(&self, key: &TraceKey) -> &Shard {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
 
     /// Returns the cached trace for `key`, computing and inserting it with
@@ -221,15 +165,15 @@ impl TraceCache {
         key: TraceKey,
         compute: impl FnOnce() -> AlgebraResult<GeneralizedTrace>,
     ) -> AlgebraResult<(Arc<GeneralizedTrace>, bool)> {
-        let shard = self.shard_for(&key);
         {
-            let mut inner = shard.inner.lock().expect("trace cache poisoned");
+            let mut inner = self.inner.lock().expect("trace cache poisoned");
             let mut waited = false;
             loop {
-                if let Some(cached) = inner.map.get(&key) {
-                    let trace = Arc::clone(&cached.trace);
+                let tick = inner.next_tick();
+                if let Some(entry) = inner.map.get_mut(&key) {
+                    entry.last_used = tick;
+                    let trace = Arc::clone(&entry.trace);
                     inner.hits += 1;
-                    inner.touch(&key);
                     return Ok((trace, true));
                 }
                 if inner.inflight.insert(key.clone()) {
@@ -240,107 +184,80 @@ impl TraceCache {
                 // re-check. If they failed (or panicked), the in-flight
                 // marker is gone and we take over on the next iteration.
                 // Count the lookup as coalesced once, not once per wakeup
-                // (the condvar is shared across the shard's keys, so
-                // spurious wakeups are routine).
+                // (the condvar is shared across keys, so spurious wakeups
+                // are routine).
                 if !waited {
                     inner.coalesced += 1;
                     waited = true;
                 }
-                inner = shard.inflight_cv.wait(inner).expect("trace cache poisoned");
+                inner = self.inflight_cv.wait(inner).expect("trace cache poisoned");
             }
         }
 
         // Compute outside the lock: tracing can be slow. The guard removes
         // the in-flight marker and wakes waiters on *every* exit path —
         // success, error, and panic alike.
-        let guard = InflightGuard { shard, key: &key };
+        let guard = InflightGuard { cache: self, key: &key };
         let trace = Arc::new(compute()?);
 
         let weight = trace.tuple_count() as u64;
 
-        let mut inner = shard.inner.lock().expect("trace cache poisoned");
+        let mut inner = self.inner.lock().expect("trace cache poisoned");
         inner.misses += 1;
-        // The in-flight marker guarantees the key is absent from both the
-        // map and the LRU order here, so a plain append is already the
-        // most-recently-used position.
-        inner.map.insert(key.clone(), CachedTrace { trace: Arc::clone(&trace), weight });
-        inner.order.push_back(key.clone());
+        let last_used = inner.next_tick();
+        inner.map.insert(key.clone(), Entry { trace: Arc::clone(&trace), weight, last_used });
         inner.total_weight += weight;
-        // Evict from the cold end while either bound is exceeded, but never
-        // the entry just inserted — an over-weight giant trace still gets
-        // cached (it just stands alone).
-        while (inner.map.len() > self.shard_capacity
-            || inner.total_weight > self.shard_weight_capacity)
+        // Evict the least recently used entry while either bound is
+        // exceeded, but never the entry just inserted — it holds the newest
+        // tick, and an over-weight giant trace still gets cached (it just
+        // stands alone).
+        while (inner.map.len() > self.capacity || inner.total_weight > self.weight_capacity)
             && inner.map.len() > 1
         {
-            if let Some(coldest) = inner.order.pop_front() {
-                if let Some(evicted) = inner.map.remove(&coldest) {
-                    inner.total_weight -= evicted.weight;
-                }
-                inner.evictions += 1;
-            }
+            let coldest = inner
+                .map
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(key, _)| key.clone())
+                .expect("the cache holds more than one entry");
+            let evicted = inner.map.remove(&coldest).expect("coldest key is cached");
+            inner.total_weight -= evicted.weight;
+            inner.evictions += 1;
         }
         drop(inner);
         drop(guard);
         Ok((trace, false))
     }
 
-    /// Current counters, aggregated across all shards.
+    /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats {
-            weight_capacity: self.shard_weight_capacity * self.shards.len() as u64,
-            shards: self.shards.len(),
-            ..CacheStats::default()
-        };
-        for shard in &self.shards {
-            let inner = shard.inner.lock().expect("trace cache poisoned");
-            stats.hits += inner.hits;
-            stats.misses += inner.misses;
-            stats.coalesced += inner.coalesced;
-            stats.entries += inner.map.len();
-            stats.evictions += inner.evictions;
-            stats.weight += inner.total_weight;
-        }
-        stats
-    }
-
-    /// Per-shard occupancy (entries and weight), in shard order. The sums
-    /// equal [`CacheStats::entries`] and [`CacheStats::weight`].
-    pub fn shard_occupancy(&self) -> Vec<ShardOccupancy> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let inner = shard.inner.lock().expect("trace cache poisoned");
-                ShardOccupancy { entries: inner.map.len(), weight: inner.total_weight }
-            })
-            .collect()
-    }
-
-    /// Drops all entries (counters are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut inner = shard.inner.lock().expect("trace cache poisoned");
-            inner.map.clear();
-            inner.order.clear();
-            inner.total_weight = 0;
+        let inner = self.inner.lock().expect("trace cache poisoned");
+        CacheStats {
+            hits: inner.hits,
+            misses: inner.misses,
+            coalesced: inner.coalesced,
+            entries: inner.map.len(),
+            evictions: inner.evictions,
+            weight: inner.total_weight,
+            weight_capacity: self.weight_capacity,
         }
     }
 }
 
-/// Removes the in-flight marker for a key and wakes the shard's waiters when
+/// Removes the in-flight marker for a key and wakes the waiters when
 /// dropped, so a failing (or panicking) computation never strands the threads
 /// waiting on it.
 struct InflightGuard<'a> {
-    shard: &'a Shard,
+    cache: &'a TraceCache,
     key: &'a TraceKey,
 }
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        let mut inner = self.shard.inner.lock().expect("trace cache poisoned");
+        let mut inner = self.cache.inner.lock().expect("trace cache poisoned");
         inner.inflight.remove(self.key);
         drop(inner);
-        self.shard.inflight_cv.notify_all();
+        self.cache.inflight_cv.notify_all();
     }
 }
 
@@ -371,12 +288,6 @@ mod tests {
         }
     }
 
-    /// LRU-ordering tests use one shard so every key competes for the same
-    /// space — the global-LRU semantics the pre-sharding cache had.
-    fn single_shard(capacity: usize) -> TraceCache {
-        TraceCache::with_shards(capacity, DEFAULT_CACHE_WEIGHT_CAPACITY, 1)
-    }
-
     #[test]
     fn hits_and_misses_are_counted() {
         let (plan, db, sas) = tiny_setup();
@@ -394,7 +305,7 @@ mod tests {
     #[test]
     fn capacity_evicts_least_recently_used() {
         let (plan, db, sas) = tiny_setup();
-        let cache = single_shard(2);
+        let cache = TraceCache::new(2);
         for n in 1..=2 {
             cache.get_or_compute(key(n), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
         }
@@ -495,9 +406,8 @@ mod tests {
     fn weight_capacity_evicts_before_entry_capacity() {
         let (plan, db, sas) = tiny_setup();
         // Each tiny trace weighs 1 tuple; entry capacity is generous but the
-        // weight capacity only fits two traces. One shard, so all three keys
-        // compete for the same weight budget.
-        let cache = TraceCache::with_shards(16, 2, 1);
+        // weight capacity only fits two traces.
+        let cache = TraceCache::with_weight_capacity(16, 2);
         for n in 1..=3 {
             cache.get_or_compute(key(n), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
         }
@@ -517,7 +427,7 @@ mod tests {
         let (plan, db, sas) = tiny_setup();
         // Weight capacity 0: every trace is over-weight on its own, yet the
         // newest one is always kept (never evict the just-inserted entry).
-        let cache = TraceCache::with_shards(16, 0, 1);
+        let cache = TraceCache::with_weight_capacity(16, 0);
         cache.get_or_compute(key(1), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
         let (_, hit) = cache.get_or_compute(key(1), || panic!("must be cached")).unwrap();
         assert!(hit);
@@ -528,62 +438,29 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_entries() {
+    fn capacities_bound_the_whole_cache() {
         let (plan, db, sas) = tiny_setup();
-        let cache = TraceCache::default();
-        cache.get_or_compute(key(1), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().weight, 0);
-    }
-
-    #[test]
-    fn default_cache_is_sharded_and_capacities_split() {
-        let cache = TraceCache::default();
-        assert_eq!(cache.shards(), DEFAULT_CACHE_SHARDS);
-        let stats = cache.stats();
-        assert_eq!(stats.shards, DEFAULT_CACHE_SHARDS);
-        assert_eq!(stats.weight_capacity, DEFAULT_CACHE_WEIGHT_CAPACITY);
-        // Tiny caches never get more shards than entries.
-        assert_eq!(TraceCache::new(2).shards(), 2);
-        assert_eq!(TraceCache::new(1).shards(), 1);
-        assert_eq!(TraceCache::with_shards(8, 100, 0).shards(), 1, "shard count clamps to 1");
-    }
-
-    #[test]
-    fn shard_occupancy_sums_to_aggregate_stats() {
-        let (plan, db, sas) = tiny_setup();
-        let cache = TraceCache::with_shards(64, 1_000, 4);
-        for n in 0..16 {
+        // An 8-entry cache holds 8 distinct keys: no key competes with a
+        // slice of the capacity smaller than the whole.
+        let cache = TraceCache::new(8);
+        for n in 0..8 {
             cache.get_or_compute(key(n), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
         }
         let stats = cache.stats();
-        let occupancy = cache.shard_occupancy();
-        assert_eq!(occupancy.len(), 4);
-        assert_eq!(occupancy.iter().map(|s| s.entries).sum::<usize>(), stats.entries);
-        assert_eq!(occupancy.iter().map(|s| s.weight).sum::<u64>(), stats.weight);
-        assert_eq!(stats.entries, 16, "capacity 64 over 4 shards never evicts 16 spread keys");
-        // The 16 keys spread over more than one shard (DefaultHasher mixes
-        // the fingerprint well; with 4 shards the chance of all 16 landing
-        // in one shard is 4^-15).
-        assert!(occupancy.iter().filter(|s| s.entries > 0).count() > 1, "{occupancy:?}");
-    }
+        assert_eq!((stats.entries, stats.evictions), (8, 0), "{stats:?}");
 
-    #[test]
-    fn sharded_eviction_stays_within_per_shard_bounds() {
-        let (plan, db, sas) = tiny_setup();
-        // 4 entries over 4 shards: each shard holds at most 1 entry, so
-        // colliding keys evict within their shard only.
-        let cache = TraceCache::with_shards(4, 1_000, 4);
-        for n in 0..32 {
+        // The weight capacity is reported as given, and two one-tuple traces
+        // fill it: the third evicts the coldest.
+        let cache = TraceCache::with_weight_capacity(64, 2);
+        assert_eq!(cache.stats().weight_capacity, 2);
+        for n in 1..=3 {
             cache.get_or_compute(key(n), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
         }
         let stats = cache.stats();
-        assert!(stats.entries <= 4, "{stats:?}");
-        for shard in cache.shard_occupancy() {
-            assert!(shard.entries <= 1, "per-shard capacity exceeded: {shard:?}");
-        }
-        assert_eq!(stats.evictions, 32 - stats.entries as u64);
+        assert_eq!((stats.entries, stats.evictions, stats.weight), (2, 1, 2), "{stats:?}");
+        let (_, hit) =
+            cache.get_or_compute(key(1), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
+        assert!(!hit, "the coldest entry was the one evicted");
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub enum ServiceError {
     Algebra(AlgebraError),
     /// Error from the explanation engine.
     WhyNot(WhyNotError),
-    /// A resource guard tripped (deadline, budget, or cancellation).
+    /// A resource guard tripped (deadline or budget).
     Resource(ResourceError),
     /// The request's computation panicked (isolated by `explain_batch`).
     Panic(String),

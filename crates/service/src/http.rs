@@ -669,7 +669,6 @@ pub fn status_for_kind(kind: &str) -> u16 {
         "deadline" => 408,
         "trace_budget" | "eval_budget" => 413,
         "algebra" | "whynot" => 422,
-        "cancelled" => 503,
         // `panic`, `io`, and anything unforeseen: the server's fault.
         _ => 500,
     }
@@ -687,7 +686,6 @@ fn reason(status: u16) -> &'static str {
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
-        503 => "Service Unavailable",
         _ => "",
     }
 }
@@ -876,7 +874,6 @@ mod tests {
         assert_eq!(status_for_kind("eval_budget"), 413);
         assert_eq!(status_for_kind("algebra"), 422);
         assert_eq!(status_for_kind("whynot"), 422);
-        assert_eq!(status_for_kind("cancelled"), 503);
         assert_eq!(status_for_kind("panic"), 500);
         assert_eq!(status_for_kind("io"), 500);
     }

@@ -44,7 +44,7 @@ pub mod service;
 pub mod stats;
 pub mod wire;
 
-pub use cache::{CacheStats, ShardOccupancy, TraceCache, TraceKey};
+pub use cache::{CacheStats, TraceCache, TraceKey};
 pub use catalog::{Catalog, DbHandle, PlanHandle};
 pub use error::{ServiceError, ServiceResult};
 pub use http::{serve, HttpClient, HttpResponse, HttpStats, ServeConfig, ServerHandle};

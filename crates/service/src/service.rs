@@ -271,11 +271,6 @@ impl ExplainService {
         ExplainService::default()
     }
 
-    /// Creates a service with a custom trace-cache capacity.
-    pub fn with_cache_capacity(capacity: usize) -> Self {
-        ExplainService { catalog: Catalog::new(), cache: TraceCache::new(capacity) }
-    }
-
     /// The catalog (for registration and lookups).
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
@@ -328,7 +323,7 @@ impl ExplainService {
     /// histogram around this instance's trace-cache counters (the `stats`
     /// wire response).
     pub fn stats(&self) -> ServiceStats {
-        ServiceStats::gather(self.cache.stats(), self.cache.shard_occupancy())
+        ServiceStats::gather(self.cache.stats())
     }
 
     /// Answers one why-not question, enforcing the request's resource limits

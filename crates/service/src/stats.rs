@@ -5,8 +5,7 @@
 //! (always-on relaxed atomics, like the fan-out counters of `whynot-exec`);
 //! the trace-cache counters belong to one [`crate::ExplainService`] instance.
 //! [`ServiceStats`] bundles both — plus the HTTP front-end counters
-//! ([`crate::http::http_stats`]) and the cache's per-shard occupancy — into
-//! the response of the `stats` wire op, the `whynot stats` CLI verb, and
+//! ([`crate::http::http_stats`]) — into the response of the `stats` wire op, the `whynot stats` CLI verb, and
 //! `GET /v1/stats`. The field-by-field shape of that response is documented
 //! in `docs/PROTOCOL.md`.
 
@@ -14,7 +13,7 @@ use whynot_exec::PoolStats;
 use whynot_guard::GuardStats;
 use whynot_obs::{Counter, Histogram, HistogramSnapshot, ProfileReport, SpanReport};
 
-use crate::cache::{CacheStats, ShardOccupancy};
+use crate::cache::CacheStats;
 use crate::http::HttpStats;
 use crate::json::Json;
 
@@ -48,9 +47,6 @@ pub struct ServiceStats {
     pub latency: HistogramSnapshot,
     /// Trace-cache counters of the service instance that answered.
     pub cache: CacheStats,
-    /// Per-shard cache occupancy, in shard order (sums to
-    /// [`CacheStats::entries`] / [`CacheStats::weight`]).
-    pub shard_occupancy: Vec<ShardOccupancy>,
     /// Batch fan-out counters since process start.
     pub pool: PoolStats,
     /// Resource-guard counters (checks, trips, injected faults).
@@ -61,9 +57,8 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Gathers the process-wide metrics around the given cache counters and
-    /// per-shard occupancy.
-    pub fn gather(cache: CacheStats, shard_occupancy: Vec<ShardOccupancy>) -> ServiceStats {
+    /// Gathers the process-wide metrics around the given cache counters.
+    pub fn gather(cache: CacheStats) -> ServiceStats {
         ServiceStats {
             threads: whynot_exec::effective_threads(),
             requests: REQUESTS.get(),
@@ -72,7 +67,6 @@ impl ServiceStats {
             batch_requests: BATCH_REQUESTS.get(),
             latency: REQUEST_LATENCY.snapshot(),
             cache,
-            shard_occupancy,
             pool: whynot_exec::pool_stats(),
             guard: whynot_guard::guard_stats(),
             http: crate::http::http_stats(),
@@ -120,16 +114,6 @@ impl ServiceStats {
                     // 0.0 (not NaN) before the first lookup, see
                     // `CacheStats::hit_rate`.
                     ("hit_rate", Json::Float(self.cache.hit_rate())),
-                    ("shards", Json::Int(self.cache.shards as i64)),
-                    (
-                        "shard_occupancy",
-                        Json::array(self.shard_occupancy.iter().map(|shard| {
-                            Json::object([
-                                ("entries", Json::Int(shard.entries as i64)),
-                                ("weight", Json::Int(shard.weight as i64)),
-                            ])
-                        })),
-                    ),
                 ]),
             ),
             (
@@ -234,7 +218,7 @@ mod tests {
 
     #[test]
     fn service_stats_encode_all_sections() {
-        let stats = ServiceStats::gather(CacheStats::default(), Vec::new());
+        let stats = ServiceStats::gather(CacheStats::default());
         let json = stats.to_json();
         for key in ["threads", "requests", "trace_cache", "pool", "guard", "http"] {
             assert!(json.get(key).is_some(), "missing `{key}`");
@@ -242,8 +226,9 @@ mod tests {
         let latency = json.get("requests").unwrap().get("latency_ns").unwrap();
         assert!(latency.get("p99").is_some());
         let cache = json.get("trace_cache").unwrap();
-        assert!(cache.get("shards").is_some());
-        assert!(cache.get("shard_occupancy").is_some());
+        for key in ["hits", "misses", "coalesced", "entries", "evictions", "weight"] {
+            assert_eq!(cache.get(key).and_then(Json::as_i64), Some(0), "`trace_cache.{key}`");
+        }
         // hit_rate is a number (0.0) even with zero lookups.
         assert_eq!(cache.get("hit_rate").and_then(Json::as_f64), Some(0.0));
     }

@@ -6,7 +6,7 @@
 //! `explain_batch`, malformed requests that get structured 4xx responses
 //! (never a panic or hang), admission-queue overflow shedding 429 with
 //! `Retry-After`, per-request guard trips mapping to 408/413 with the
-//! right stable error kind, and the `stats` op's shard/http sections over
+//! right stable error kind, and the `stats` op's cache/http sections over
 //! HTTP. The whole file is exercised at `WHYNOT_THREADS` 1 and 4 by the CI
 //! matrix; nothing in here depends on the batch width.
 
@@ -265,31 +265,28 @@ fn guard_trips_map_to_408_and_413_with_stable_kinds() {
 }
 
 #[test]
-fn stats_over_http_report_shards_and_http_counters() {
+fn stats_over_http_report_cache_and_http_counters() {
     let (handle, request) = start(ServeConfig::default());
     let addr = handle.addr().to_string();
     let mut client = HttpClient::connect(&addr).expect("connect");
 
-    // Prime the cache with one answered request so occupancy is non-trivial.
+    // Ask the same question twice: the first traces, the second hits.
     let body = request.to_json().expect("encode").to_compact();
-    let response = client.post_json("/v1/explain", &body, &[]).expect("post");
-    assert_eq!(response.status, 200, "{}", response.body);
+    for _ in 0..2 {
+        let response = client.post_json("/v1/explain", &body, &[]).expect("post");
+        assert_eq!(response.status, 200, "{}", response.body);
+    }
 
     let response = client.get("/v1/stats").expect("stats");
     assert_eq!(response.status, 200, "{}", response.body);
     let doc = Json::parse(&response.body).expect("stats json");
     let cache = doc.get("trace_cache").expect("trace_cache section");
-    let shards = cache.get("shards").and_then(Json::as_i64).expect("shards count");
-    assert!(shards >= 1);
-    let occupancy = cache.get("shard_occupancy").and_then(Json::as_array).expect("shard_occupancy");
-    assert_eq!(occupancy.len() as i64, shards);
-    let total_entries: i64 =
-        occupancy.iter().map(|s| s.get("entries").and_then(Json::as_i64).expect("entries")).sum();
-    assert_eq!(Some(total_entries), cache.get("entries").and_then(Json::as_i64));
-    assert!(total_entries >= 1, "the explain above must have cached a trace");
+    let field = |key: &str| cache.get(key).and_then(Json::as_i64).expect(key);
+    assert_eq!((field("hits"), field("misses"), field("entries")), (1, 1, 1));
+    assert!(field("weight") >= 1, "the cached trace holds traced tuples");
 
     let http = doc.get("http").expect("http section");
-    assert!(http.get("requests").and_then(Json::as_i64).expect("requests") >= 2);
+    assert!(http.get("requests").and_then(Json::as_i64).expect("requests") >= 3);
     assert!(http.get("connections").and_then(Json::as_i64).expect("connections") >= 1);
 
     // /healthz answers on the same connection.

@@ -161,7 +161,7 @@ fn wire_batch_reports_structured_errors_with_paths() {
     assert!(guard.get("trips").and_then(Json::as_i64).unwrap() >= 1);
     let by_kind = guard.get("trips_by_kind").expect("stats break trips down by kind");
     assert!(by_kind.get("deadline").and_then(Json::as_i64).unwrap() >= 1);
-    for kind in ["trace_budget", "eval_budget", "cancelled"] {
+    for kind in ["trace_budget", "eval_budget"] {
         assert!(by_kind.get(kind).and_then(Json::as_i64).is_some(), "missing kind `{kind}`");
     }
 }

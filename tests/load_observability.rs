@@ -76,7 +76,7 @@ fn stats_wire_op_carries_the_new_observability_fields() {
     let guard = stats.get("guard").expect("guard object");
     assert!(guard.get("trips").and_then(Json::as_i64).is_some());
     let by_kind = guard.get("trips_by_kind").expect("trips_by_kind object");
-    for kind in ["deadline", "trace_budget", "eval_budget", "cancelled"] {
+    for kind in ["deadline", "trace_budget", "eval_budget"] {
         assert!(by_kind.get(kind).and_then(Json::as_i64).is_some(), "missing kind `{kind}`");
     }
 }
