@@ -1,26 +1,57 @@
 //! Nested databases: named relations with their schemas.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use nested_data::{Bag, TupleType, Value};
 
 use crate::error::{AlgebraError, AlgebraResult};
+use crate::eval::evaluate;
+use crate::plan::QueryPlan;
+
+/// The last `(plan, ⟦plan⟧_D)` pair evaluated through
+/// [`Database::evaluate_memoised`].
+type ResultMemo = Option<(Arc<QueryPlan>, Arc<Bag>)>;
 
 /// A nested database `D`: a set of named nested relations, each with its
 /// relation schema (a tuple type).
 ///
 /// Relation contents are stored behind [`Arc`]s so that table accesses during
 /// evaluation and tracing share the base data instead of deep-copying it.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// A database also remembers `⟦Q⟧_D` for the last plan evaluated through
+/// [`Database::evaluate_memoised`]. The memo is not part of the database's
+/// value: a clone (and a new database) starts with an empty one, adding a
+/// relation clears it, and `==` and `Debug` ignore it.
+#[derive(Default)]
 pub struct Database {
     relations: BTreeMap<String, (TupleType, Arc<Bag>)>,
+    results: Mutex<ResultMemo>,
+}
+
+impl Clone for Database {
+    fn clone(&self) -> Self {
+        Database { relations: self.relations.clone(), results: Mutex::default() }
+    }
+}
+
+impl PartialEq for Database {
+    fn eq(&self, other: &Self) -> bool {
+        self.relations == other.relations
+    }
+}
+
+impl fmt::Debug for Database {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Database").field("relations", &self.relations).finish()
+    }
 }
 
 impl Database {
     /// Creates an empty database.
     pub fn new() -> Self {
-        Database { relations: BTreeMap::new() }
+        Database::default()
     }
 
     /// Adds (or replaces) a relation with an explicit schema.
@@ -31,6 +62,7 @@ impl Database {
         data: impl Into<Arc<Bag>>,
     ) {
         self.relations.insert(name.into(), (schema, data.into()));
+        *self.results.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// Adds a relation, inferring its schema from the first tuple.
@@ -75,6 +107,33 @@ impl Database {
             .get(name)
             .map(|(_, data)| data)
             .ok_or_else(|| AlgebraError::UnknownTable(name.to_string()))
+    }
+
+    /// `⟦plan⟧_D`, evaluated once while `plan` is the last plan asked for.
+    ///
+    /// A hit is the same plan `Arc` as the remembered one (the memo holds that
+    /// `Arc`, so its address cannot be reused by another plan) and returns the
+    /// remembered result. A miss runs [`evaluate`] without holding the memo's
+    /// lock and, if it succeeds, replaces the remembered pair. Two racing
+    /// misses both evaluate and produce equal bags.
+    pub fn evaluate_memoised(&self, plan: &Arc<QueryPlan>) -> AlgebraResult<Arc<Bag>> {
+        let hit = self
+            .memo()
+            .as_ref()
+            .filter(|(known, _)| Arc::ptr_eq(known, plan))
+            .map(|(_, result)| Arc::clone(result));
+        if let Some(hit) = hit {
+            return Ok(hit);
+        }
+        let result = evaluate(plan, self)?;
+        *self.memo() = Some((Arc::clone(plan), Arc::clone(&result)));
+        Ok(result)
+    }
+
+    /// The result memo, locked. Every update leaves it valid, so a poisoned
+    /// lock is recovered rather than propagated.
+    fn memo(&self) -> MutexGuard<'_, ResultMemo> {
+        self.results.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether the database contains a relation with this name.
@@ -172,6 +231,43 @@ mod tests {
         let bag = Bag::from_values([Value::tuple([("x", Value::int(1))])]);
         db.add_relation_inferred("r", bag);
         assert_eq!(db.schema("r").unwrap().attribute_names().collect::<Vec<_>>(), vec!["x"]);
+    }
+
+    /// `person ⟶ flatten ⟶ σ year ≥ min_year`: a plan whose result is a new
+    /// bag, not the base relation's `Arc`.
+    fn plan_from(min_year: i64) -> Arc<QueryPlan> {
+        let plan = crate::PlanBuilder::table("person")
+            .inner_flatten("address2", None)
+            .select(crate::Expr::attr_cmp("year", crate::CmpOp::Ge, min_year))
+            .build()
+            .unwrap();
+        Arc::new(plan)
+    }
+
+    #[test]
+    fn memo_keeps_the_last_plan_by_pointer() {
+        let db = person_db();
+        let first = plan_from(0);
+        let result = db.evaluate_memoised(&first).unwrap();
+        assert_eq!(result.total(), 1);
+        assert!(Arc::ptr_eq(&result, &db.evaluate_memoised(&first).unwrap()));
+        // A separately built plan, even an equal one, evaluates and takes the slot.
+        let equal = plan_from(0);
+        let again = db.evaluate_memoised(&equal).unwrap();
+        assert!(!Arc::ptr_eq(&result, &again));
+        assert!(Arc::ptr_eq(&db.memo().as_ref().unwrap().0, &equal));
+        assert!(!Arc::ptr_eq(&result, &db.evaluate_memoised(&first).unwrap()));
+    }
+
+    #[test]
+    fn memo_is_not_part_of_the_database_value() {
+        let db = person_db();
+        db.evaluate_memoised(&plan_from(0)).unwrap();
+        let clone = db.clone();
+        assert!(clone.memo().is_none());
+        assert_eq!(clone, db);
+        assert_eq!(format!("{clone:?}"), format!("{db:?}"));
+        assert!(Database::new().memo().is_none());
     }
 
     #[test]

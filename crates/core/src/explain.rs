@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use nested_data::Nip;
-use nrab_algebra::{evaluate, AlgebraResult, Database, OpId, QueryPlan};
+use nrab_algebra::{AlgebraResult, Database, OpId, QueryPlan};
 use nrab_provenance::{
     annotate_consistency, trace_plan_generalized, GeneralizedTrace, SchemaAlternative,
 };
@@ -290,12 +290,6 @@ fn build_explanation(plan: &QueryPlan, ranked: RankedCandidate) -> Explanation {
     }
 }
 
-/// Evaluates the original query (helper shared by callers that need the
-/// result size before calling [`WhyNotEngine::explain_unchecked`]).
-pub fn original_result_size(plan: &QueryPlan, db: &nrab_algebra::Database) -> WhyNotResult<u64> {
-    Ok(evaluate(plan, db)?.total())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,6 +386,5 @@ mod tests {
             .explain_query(running_example(), person_db(), why_not(), &[])
             .unwrap();
         assert_eq!(answer.operator_sets(), vec![BTreeSet::from([2])]);
-        assert_eq!(original_result_size(&running_example(), &person_db()).unwrap(), 1);
     }
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use nested_data::Nip;
-use nrab_algebra::{evaluate, Database, QueryPlan};
+use nrab_algebra::{Database, QueryPlan};
 
 use crate::error::{WhyNotError, WhyNotResult};
 
@@ -40,8 +40,13 @@ impl WhyNotQuestion {
     /// * no tuple of `⟦Q⟧_D` matches the NIP (otherwise the "missing" answer
     ///   is not actually missing — Definition 5 requires this).
     ///
+    /// `⟦Q⟧_D` depends only on the plan and the database, so it comes from the
+    /// database's memo ([`Database::evaluate_memoised`]): consecutive
+    /// questions that share one database and one plan `Arc` evaluate the plan
+    /// once. All three checks still run on every call.
+    ///
     /// Returns the original query result so callers can reuse it.
-    pub fn validate(&self) -> WhyNotResult<std::sync::Arc<nested_data::Bag>> {
+    pub fn validate(&self) -> WhyNotResult<Arc<nested_data::Bag>> {
         self.why_not.validate()?;
         let output_schema = nrab_algebra::schema::plan_output_type(&self.plan, &self.db)?;
         if !self.why_not.conforms_to(&nested_data::NestedType::Tuple(output_schema.clone()))
@@ -52,7 +57,7 @@ impl WhyNotQuestion {
                 self.why_not, output_schema
             )));
         }
-        let result = evaluate(&self.plan, &self.db)?;
+        let result = self.db.evaluate_memoised(&self.plan)?;
         if let Some((matching, _)) = result.iter().find(|(v, _)| self.why_not.matches(v)) {
             return Err(WhyNotError::InvalidQuestion(format!(
                 "the query result already contains a matching tuple: {matching}"
@@ -133,5 +138,67 @@ mod tests {
     fn structurally_invalid_nip_is_rejected() {
         let q = WhyNotQuestion::new(plan(), db(), Nip::tuple([("city", Nip::Star)]));
         assert!(q.validate().is_err());
+    }
+
+    fn city(city: &str) -> Nip {
+        Nip::tuple([("name", Nip::Any), ("city", Nip::val(city))])
+    }
+
+    #[test]
+    fn a_second_validation_reuses_the_query_result() {
+        let q = WhyNotQuestion::new(plan(), db(), city("NY"));
+        let first = q.validate().unwrap();
+        assert!(Arc::ptr_eq(&first, &q.validate().unwrap()));
+    }
+
+    #[test]
+    fn a_cloned_database_evaluates_the_query_again() {
+        let q = WhyNotQuestion::new(plan(), db(), city("NY"));
+        let first = q.validate().unwrap();
+        let clone = WhyNotQuestion::new(Arc::clone(&q.plan), Database::clone(&q.db), city("NY"));
+        let second = clone.validate().unwrap();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(first, second);
+    }
+
+    #[test]
+    fn adding_a_relation_forgets_the_query_result() {
+        let mut q = WhyNotQuestion::new(plan(), db(), city("NY"));
+        assert_eq!(q.validate().unwrap().total(), 1);
+        let person = q.db.schema("person").unwrap().clone();
+        let bob = Value::tuple([
+            ("name", Value::str("Bob")),
+            (
+                "address2",
+                Value::bag([Value::tuple([
+                    ("city", Value::str("NY")),
+                    ("year", Value::int(2020)),
+                ])]),
+            ),
+        ]);
+        Arc::get_mut(&mut q.db).unwrap().add_relation("person", person, Bag::from_values([bob]));
+        // Bob now lives in NY after 2019, so NY is no longer missing.
+        assert!(matches!(q.validate(), Err(WhyNotError::InvalidQuestion(_))));
+    }
+
+    #[test]
+    fn a_remembered_result_still_rejects_a_matching_question() {
+        let missing = WhyNotQuestion::new(plan(), db(), city("NY"));
+        let result = missing.validate().unwrap();
+        let present =
+            WhyNotQuestion::new(Arc::clone(&missing.plan), Arc::clone(&missing.db), city("LA"));
+        assert!(matches!(present.validate(), Err(WhyNotError::InvalidQuestion(_))));
+        assert!(Arc::ptr_eq(&result, &missing.db.evaluate_memoised(&missing.plan).unwrap()));
+    }
+
+    #[test]
+    fn a_failed_evaluation_is_not_remembered() {
+        let q = WhyNotQuestion::new(plan(), db(), city("NY"));
+        {
+            let guard = whynot_guard::Guard::new(Some(0), None, None);
+            let _armed = whynot_guard::arm(&guard);
+            assert!(q.validate().is_err());
+        }
+        assert_eq!(q.validate().unwrap().total(), 1);
     }
 }

@@ -19,9 +19,10 @@
 //! action := panic | delay<ms>
 //! ```
 //!
-//! * `site` matches a fault point's name exactly; the optional `~substr`
-//!   additionally requires the point's dynamic detail (e.g. a database id or
-//!   an SA index) to contain `substr`.
+//! * `site` is one of the engine's four fault points (`pool_worker`,
+//!   `join_build`, `trace_sa`, `cache_compute`); any other name is rejected.
+//!   The optional `~substr` additionally requires the point's dynamic detail
+//!   (e.g. a database id or an SA index) to contain `substr`.
 //! * `panic` panics with a recognizable message; `delay25` sleeps 25 ms.
 //! * `%N` fires the rule on a deterministic pseudo-random 1-in-N basis,
 //!   seeded by the trailing `:<seed>` (default seed 0), so a matrix entry
@@ -34,6 +35,9 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use whynot_obs::Counter;
+
+/// The names of the engine's fault points, the only sites a rule may name.
+const SITES: [&str; 4] = ["pool_worker", "join_build", "trace_sa", "cache_compute"];
 
 /// What an armed rule does when it fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,8 +132,11 @@ fn parse_plan(spec: &str) -> Result<Option<FaultPlan>, String> {
             Some((site, substr)) => (site, Some(substr.to_string())),
             None => (target, None),
         };
-        if site.is_empty() {
-            return Err(format!("fault rule `{rule_spec}` has an empty site"));
+        if !SITES.contains(&site) {
+            return Err(format!(
+                "fault rule `{rule_spec}` names unknown site `{site}` (known: {})",
+                SITES.join(", ")
+            ));
         }
         let (action_spec, one_in) = match action_spec.split_once('%') {
             Some((action, n_str)) => {
@@ -213,6 +220,7 @@ fn armed() -> bool {
 /// unless a plan is armed; panics or sleeps when a rule matches and fires.
 #[inline]
 pub fn fault_point(site: &str) {
+    debug_assert!(SITES.contains(&site), "fault point `{site}` is missing from SITES");
     if armed() {
         hit(site, None);
     }
@@ -222,6 +230,7 @@ pub fn fault_point(site: &str) {
 /// armed) can be matched by a rule's `~substr` filter.
 #[inline]
 pub fn fault_point_dyn(site: &str, detail: impl FnOnce() -> String) {
+    debug_assert!(SITES.contains(&site), "fault point `{site}` is missing from SITES");
     if armed() {
         hit(site, Some(detail()));
     }
@@ -338,10 +347,12 @@ mod tests {
     fn invalid_specs_are_rejected() {
         let _lock = locked();
         assert!(configure(Some("nosuchformat")).is_err());
-        assert!(configure(Some("site=explode")).is_err());
-        assert!(configure(Some("site=panic%0")).is_err());
-        assert!(configure(Some("site=panic:notanumber")).is_err());
+        assert!(configure(Some("join_build=explode")).is_err());
+        assert!(configure(Some("join_build=panic%0")).is_err());
+        assert!(configure(Some("join_build=panic:notanumber")).is_err());
         assert!(configure(Some("=panic")).is_err());
+        // A misspelt site would arm a rule that never fires.
+        assert!(configure(Some("join_bild=delay1")).is_err());
         // Empty specs disarm cleanly.
         configure(Some("")).unwrap();
         configure(None).unwrap();

@@ -195,7 +195,8 @@ impl TraceProvider for Recorder {
 /// Computes a case's answer, generalized trace, and wire report under
 /// `config`, with the profile report when the configuration is profiled. A
 /// why-not case evaluates and traces once: question validation returns
-/// `⟦Q⟧_D`, and the engine's trace is recorded on its way to the report.
+/// `⟦Q⟧_D` (evaluated on a clone of the case's database, whose memo is
+/// empty), and the engine's trace is recorded on its way to the report.
 pub fn run(case: &Case, config: Config) -> (Output, Option<ProfileReport>) {
     let compute = || {
         let fail = |e: &dyn std::fmt::Display| -> ! {
@@ -203,11 +204,19 @@ pub fn run(case: &Case, config: Config) -> (Output, Option<ProfileReport>) {
         };
         match case {
             Case::WhyNot { question, alternatives, .. } => {
+                // A fresh database clone starts with an empty result memo, so
+                // every configuration evaluates `⟦Q⟧_D` itself instead of
+                // reading the bag an earlier run left on the shared database.
+                let question = WhyNotQuestion::new(
+                    Arc::clone(&question.plan),
+                    Database::clone(&question.db),
+                    question.why_not.clone(),
+                );
                 let explain = || -> Result<Output, WhyNotError> {
                     let answer = question.validate()?;
                     let mut recorder = Recorder::default();
                     let explained = WhyNotEngine::rp().explain_with_tracer(
-                        question,
+                        &question,
                         alternatives,
                         answer.total(),
                         &mut recorder,
