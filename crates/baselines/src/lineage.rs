@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use nested_data::Nip;
 use nrab_algebra::{Database, OpId, OpNode, Operator, QueryPlan};
-use nrab_provenance::{trace_plan, SchemaAlternative, TraceResult};
+use nrab_provenance::{trace_plan, AnnotatedTuple, SchemaAlternative, TraceResult};
 use whynot_core::backtrace::schema_backtrace;
 use whynot_core::WhyNotResult;
 
@@ -41,9 +41,9 @@ pub fn lineage_context(
     let mut compatibles = Vec::new();
     for (table_op, _table, _nip) in &backtrace.table_nips {
         if let Some(table_trace) = trace.trace(*table_op) {
-            for tuple in &table_trace.tuples {
+            for tuple in table_trace.tuples() {
                 if tuple.flags(0).consistent {
-                    compatibles.push((*table_op, tuple.id));
+                    compatibles.push((*table_op, tuple.traced.id));
                 }
             }
         }
@@ -92,10 +92,11 @@ pub fn picky_operators(
             continue;
         }
         let Some(op_trace) = context.trace.trace(*op_id) else { continue };
-        let derived: Vec<&nrab_provenance::TracedTuple> = op_trace
-            .tuples
-            .iter()
-            .filter(|t| t.flags(0).valid && t.input_ids(0).iter().any(|id| live.contains(id)))
+        let derived: Vec<AnnotatedTuple<'_>> = op_trace
+            .tuples()
+            .filter(|t| {
+                t.flags(0).valid && t.traced.input_ids(0).iter().any(|id| live.contains(id))
+            })
             .collect();
         if derived.is_empty() {
             // This operator is not on the compatible's path (e.g. the other
@@ -107,11 +108,11 @@ pub fn picky_operators(
         // successors still carrying the compatible values count (Example 2).
         // We identify them via the consistency annotation; if none exists the
         // plain derived tuples are followed.
-        let carrying: Vec<&nrab_provenance::TracedTuple> =
+        let carrying: Vec<AnnotatedTuple<'_>> =
             derived.iter().copied().filter(|t| t.flags(0).consistent).collect();
         let successors = if carrying.is_empty() { derived } else { carrying };
         let surviving: BTreeSet<u64> =
-            successors.iter().filter(|t| t.flags(0).retained).map(|t| t.id).collect();
+            successors.iter().filter(|t| t.flags(0).retained).map(|t| t.traced.id).collect();
         if surviving.is_empty() {
             // All successors are filtered: the operator is picky, but only
             // operators that actually prune data can be blamed by
@@ -122,7 +123,7 @@ pub fn picky_operators(
             if !continue_past_picky {
                 break;
             }
-            live = successors.iter().map(|t| t.id).collect();
+            live = successors.iter().map(|t| t.traced.id).collect();
         } else {
             live = surviving;
         }

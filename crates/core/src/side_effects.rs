@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use nrab_algebra::{OpId, Operator, QueryPlan};
-use nrab_provenance::TraceResult;
+use nrab_provenance::{AnnotatedTuple, TraceResult};
 
 /// Lower and upper bounds on the number of side effects of an explanation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -37,38 +37,11 @@ impl fmt::Display for SideEffectBounds {
     }
 }
 
-/// Root-trace tuple ids whose lineage (under `sa`) contains a valid,
-/// non-retained tuple at one of `ops` (all operators when `ops` is `None`).
-fn tainted_root_ids(
-    plan: &QueryPlan,
-    trace: &TraceResult,
-    sa: usize,
-    ops: Option<&BTreeSet<OpId>>,
-) -> BTreeSet<u64> {
-    // Process operators bottom-up (reverse pre-order) and propagate a
-    // "tainted" marker along the lineage edges.
-    let mut tainted: BTreeSet<u64> = BTreeSet::new();
-    for op_id in plan.op_ids_top_down().into_iter().rev() {
-        let Some(op_trace) = trace.trace(op_id) else { continue };
-        let op_counts = ops.map(|set| set.contains(&op_id)).unwrap_or(true);
-        for tuple in &op_trace.tuples {
-            let flags = tuple.flags(sa);
-            let own_taint = op_counts && flags.valid && !flags.retained;
-            let inherited = tuple.input_ids(sa).iter().any(|id| tainted.contains(id));
-            if own_taint || inherited {
-                tainted.insert(tuple.id);
-            }
-        }
-    }
-    let root = trace.root_trace();
-    root.tuples
-        .iter()
-        .filter(|t| t.flags(sa).valid && tainted.contains(&t.id))
-        .map(|t| t.id)
-        .collect()
-}
-
 /// Computes the side-effect bounds of one candidate explanation.
+///
+/// The lineage counts that do not depend on the candidate are memoised in
+/// `trace` on the first call; only the `UB(Δ⁺)` walk of a candidate under the
+/// original alternative runs once per candidate.
 pub fn side_effect_bounds(
     plan: &QueryPlan,
     trace: &TraceResult,
@@ -79,40 +52,22 @@ pub fn side_effect_bounds(
     let root = trace.root_trace();
     // Root tuples of the original alternative whose whole lineage is retained:
     // these reproduce the original query result.
-    let fully_retained_original: BTreeSet<u64> = {
-        let tainted_any = tainted_root_ids(plan, trace, 0, None);
-        root.tuples
-            .iter()
-            .filter(|t| t.flags(0).valid && !tainted_any.contains(&t.id))
-            .map(|t| t.id)
-            .collect()
+    let fully_retained_original = trace.fully_retained_root_ids(0);
+    let unchanged_original = |t: &AnnotatedTuple<'_>| {
+        fully_retained_original.contains(&t.traced.id)
+            && t.traced.variant(sa) == t.traced.variant(0)
     };
 
     // UB(Δ⁺)
     let ub_plus = if sa == 0 {
-        tainted_root_ids(plan, trace, sa, Some(ops)).len() as u64
+        trace.tainted_root_ids(sa, Some(ops)).len() as u64
     } else {
-        root.tuples
-            .iter()
-            .filter(|t| t.flags(sa).valid)
-            .filter(|t| {
-                let unchanged_original =
-                    fully_retained_original.contains(&t.id) && t.variant(sa) == t.variant(0);
-                !unchanged_original
-            })
-            .count() as u64
+        root.tuples().filter(|t| t.flags(sa).valid && !unchanged_original(t)).count() as u64
     };
 
     // UB(Δ⁻): original tuples that are not guaranteed to survive.
-    let surviving = root
-        .tuples
-        .iter()
-        .filter(|t| {
-            t.flags(sa).valid
-                && fully_retained_original.contains(&t.id)
-                && t.variant(sa) == t.variant(0)
-        })
-        .count() as u64;
+    let surviving =
+        root.tuples().filter(|t| t.flags(sa).valid && unchanged_original(t)).count() as u64;
     let ub_minus = original_result_size.saturating_sub(surviving);
 
     // LB: zero when a selection or join is part of the explanation.
@@ -124,12 +79,7 @@ pub fn side_effect_bounds(
     let (lb_plus, lb_minus) = if touches_selective_op {
         (0, 0)
     } else {
-        let tainted_any = tainted_root_ids(plan, trace, sa, None);
-        let valid_retained = root
-            .tuples
-            .iter()
-            .filter(|t| t.flags(sa).valid && !tainted_any.contains(&t.id))
-            .count() as u64;
+        let valid_retained = trace.fully_retained_root_ids(sa).len() as u64;
         (
             valid_retained.saturating_sub(original_result_size),
             original_result_size.saturating_sub(valid_retained),

@@ -370,8 +370,7 @@ impl Nip {
 fn bag_matches(bag: &crate::bag::Bag, entries: &[Nip]) -> bool {
     let star_present = entries.iter().any(|e| matches!(e, Nip::Star));
     let demands: Vec<&Nip> = entries.iter().filter(|e| !matches!(e, Nip::Star)).collect();
-    let supplies: Vec<(&Value, u64)> = bag.iter().map(|(v, m)| (v, *m)).collect();
-    let total_supply: u64 = supplies.iter().map(|(_, m)| m).sum();
+    let total_supply: u64 = bag.iter().map(|(_, m)| *m).sum();
     let total_demand = demands.len() as u64;
 
     // Condition 4b: every instance tuple must be assigned. Without `*`, the
@@ -383,12 +382,18 @@ fn bag_matches(bag: &crate::bag::Bag, entries: &[Nip]) -> bool {
         // Only `*` (or nothing): feasible iff the bag is empty or `*` absorbs it.
         return star_present || total_supply == 0;
     }
+    if let [demand] = demands[..] {
+        // One entry (`{{e, *}}`, the common pushed-down shape): feasible iff
+        // some instance value matches it; no assignment search needed.
+        return bag.iter().any(|(v, m)| *m > 0 && demand.matches(v));
+    }
 
     // Bipartite matching with supply capacities: each demand entry (capacity
     // 1) must be matched to a supply value whose multiplicity is not yet
     // exhausted and which the entry NIP matches; `*` absorbs leftovers and
     // needs no node. This is Kuhn's augmenting-path algorithm, run from the
     // demand side, with supplies of capacity `mult`.
+    let supplies: Vec<(&Value, u64)> = bag.iter().map(|(v, m)| (v, *m)).collect();
     let n_sup = supplies.len();
     let n_dem = demands.len();
     // adjacency: demand j -> supplies i whose value matches the entry NIP
@@ -574,6 +579,20 @@ mod tests {
         assert!(nip.matches(&Value::bag([Value::int(1), Value::int(1)])));
         assert!(!nip.matches(&Value::bag([Value::int(1)])));
         assert!(!nip.matches(&Value::bag([Value::int(1), Value::int(1), Value::int(1)])));
+    }
+
+    #[test]
+    fn single_entry_bags_need_one_matching_element() {
+        let one = Value::tuple([("n", Value::int(1))]);
+        let two = Value::tuple([("n", Value::int(2))]);
+        let with_star = Nip::bag([Nip::val(one.clone()), Nip::Star]);
+        assert!(with_star.matches(&Value::bag([two.clone(), one.clone()])));
+        assert!(!with_star.matches(&Value::bag([two.clone(), two.clone()])));
+        assert!(!with_star.matches(&Value::bag([])));
+        let alone = Nip::bag([Nip::val(one.clone())]);
+        assert!(alone.matches(&Value::bag([one.clone()])));
+        assert!(!alone.matches(&Value::bag([two])));
+        assert!(!alone.matches(&Value::bag([one.clone(), one])));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::slice::ChunksExact;
+use std::sync::{Arc, OnceLock};
 
 use nested_data::Tuple;
 use nrab_algebra::OpId;
@@ -95,7 +97,9 @@ impl TracedTuple {
         self.variants.get(sa).and_then(Option::as_ref)
     }
 
-    /// The flags under alternative `sa` (absent flags if out of range).
+    /// The flags under alternative `sa` (absent flags if out of range). In a
+    /// [`GeneralizedTrace`] `consistent` is a placeholder; a question's flags
+    /// come from [`TraceResult::trace`].
     pub fn flags(&self, sa: usize) -> SaFlags {
         self.flags.get(sa).copied().unwrap_or_else(SaFlags::absent)
     }
@@ -103,14 +107,6 @@ impl TracedTuple {
     /// The lineage (input tuple ids) under alternative `sa`.
     pub fn input_ids(&self, sa: usize) -> &[u64] {
         self.inputs.get(sa).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The union of the lineage over all alternatives.
-    pub fn all_input_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.inputs.iter().flatten().copied().collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
     }
 }
 
@@ -126,24 +122,6 @@ pub struct OpTrace {
 }
 
 impl OpTrace {
-    /// Whether any tuple needs a reparameterization of this operator under
-    /// alternative `sa` *and* contributes to a consistent output tuple
-    /// (`contributing` is the id set computed by
-    /// [`TraceResult::contributing_ids`]).
-    pub fn has_reparameterization_witness(&self, sa: usize, contributing: &BTreeSet<u64>) -> bool {
-        self.tuples
-            .iter()
-            .any(|t| t.flags(sa).needs_reparameterization() && contributing.contains(&t.id))
-    }
-
-    /// Whether any tuple has all annotations set under alternative `sa`
-    /// (optionally restricted to tuples contributing to a consistent output).
-    pub fn has_all_ones_witness(&self, sa: usize, contributing: Option<&BTreeSet<u64>>) -> bool {
-        self.tuples.iter().any(|t| {
-            t.flags(sa).all_ones() && contributing.map(|c| c.contains(&t.id)).unwrap_or(true)
-        })
-    }
-
     /// Number of traced tuples.
     pub fn len(&self) -> usize {
         self.tuples.len()
@@ -155,36 +133,145 @@ impl OpTrace {
     }
 }
 
-/// The traced output of every operator of a plan.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceResult {
+/// A whole-plan trace whose `consistent` flags have *not* been computed yet.
+///
+/// Produced by [`crate::trace_plan_generalized`]: it depends only on the plan,
+/// the database, and the attribute *substitutions* of the schema alternatives
+/// — never on the why-not question's pushed-down NIPs. It is therefore safe to
+/// cache and share across why-not questions that target the same plan and
+/// database; [`crate::annotate_consistency`] specializes a shared generalized
+/// trace to one question by computing that question's flags beside it.
+///
+/// The `consistent` flags inside are placeholders (`false`); the type exists
+/// precisely so that un-annotated traces cannot be fed to the explanation
+/// algorithm by accident.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GeneralizedTrace {
     /// Per-operator traces.
-    pub traces: BTreeMap<OpId, OpTrace>,
+    pub(crate) traces: BTreeMap<OpId, OpTrace>,
     /// The root operator (the query output).
-    pub root: OpId,
-    /// Operator ids in pre-order (root first) — the order in which
-    /// `approximateMSRs` walks the plan.
-    pub pre_order: Vec<OpId>,
+    pub(crate) root: OpId,
+    /// Operator ids in pre-order (root first).
+    pub(crate) pre_order: Vec<OpId>,
+    /// Number of schema alternatives traced (at least one).
+    pub(crate) num_sas: usize,
+}
+
+impl GeneralizedTrace {
+    /// Number of schema alternatives traced.
+    pub fn num_sas(&self) -> usize {
+        self.num_sas
+    }
+
+    /// Total number of traced tuples across all operators (a size measure for
+    /// cache accounting).
+    pub fn tuple_count(&self) -> usize {
+        self.traces.values().map(|t| t.tuples.len()).sum()
+    }
+
+    /// The operator ids covered by the trace, in pre-order.
+    pub fn pre_order(&self) -> &[OpId] {
+        &self.pre_order
+    }
+}
+
+/// One question's flags over one operator's traced tuples.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OpFlags {
+    /// One flag row per traced tuple, in the order of the operator's trace.
+    pub tuples: FlagRows,
+}
+
+/// The flags of an operator's traced tuples under every schema alternative,
+/// stored tuple-major in one array: row `i` holds tuple `i`'s flags.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlagRows {
+    /// Flags per row (the number of schema alternatives, at least one).
+    num_sas: usize,
+    flags: Vec<SaFlags>,
+}
+
+impl FlagRows {
+    /// Rows of `num_sas` flags each, stored tuple-major.
+    pub(crate) fn new(num_sas: usize, flags: Vec<SaFlags>) -> Self {
+        assert!(num_sas > 0 && flags.len().is_multiple_of(num_sas), "flag rows must be whole");
+        FlagRows { num_sas, flags }
+    }
+
+    /// Number of rows (traced tuples).
+    pub fn len(&self) -> usize {
+        self.flags.len() / self.num_sas
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.flags.is_empty()
+    }
+}
+
+/// The rows in tuple order.
+impl<'a> IntoIterator for &'a FlagRows {
+    type Item = FlagRow<'a>;
+    type IntoIter = std::iter::Map<ChunksExact<'a, SaFlags>, fn(&'a [SaFlags]) -> FlagRow<'a>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.flags.chunks_exact(self.num_sas).map(FlagRow)
+    }
+}
+
+/// One traced tuple's flags under every schema alternative.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlagRow<'a>(&'a [SaFlags]);
+
+impl FlagRow<'_> {
+    /// The flags under alternative `sa` (absent flags if out of range).
+    pub fn flags(&self, sa: usize) -> SaFlags {
+        self.0.get(sa).copied().unwrap_or_else(SaFlags::absent)
+    }
+}
+
+/// A generalized trace annotated for one why-not question: the shared,
+/// question-independent trace plus this question's flags, one [`FlagRows`]
+/// per operator. Annotating copies no traced tuple; the data (variants,
+/// lineage, fallbacks) is read from the shared trace.
+#[derive(Debug, Clone)]
+pub struct TraceResult {
+    base: Arc<GeneralizedTrace>,
+    /// Per-operator flags of this question, aligned with the shared trace's
+    /// tuples.
+    pub traces: BTreeMap<OpId, OpFlags>,
     /// Number of schema alternatives traced.
     pub num_sas: usize,
+    /// Per alternative, the root tuples no operator drops; filled on first
+    /// use by [`TraceResult::fully_retained_root_ids`].
+    fully_retained: Box<[OnceLock<BTreeSet<u64>>]>,
 }
 
 impl TraceResult {
-    /// The trace of one operator.
-    pub fn trace(&self, op: OpId) -> Option<&OpTrace> {
-        self.traces.get(&op)
+    /// Pairs a shared generalized trace with one question's flags.
+    pub(crate) fn new(base: Arc<GeneralizedTrace>, traces: BTreeMap<OpId, OpFlags>) -> Self {
+        let num_sas = base.num_sas;
+        let fully_retained = (0..num_sas).map(|_| OnceLock::new()).collect();
+        TraceResult { base, traces, num_sas, fully_retained }
+    }
+
+    /// The trace of one operator, with this question's flags.
+    pub fn trace(&self, op: OpId) -> Option<AnnotatedOp<'_>> {
+        let trace = self.base.traces.get(&op)?;
+        let flags = &self.traces.get(&op)?.tuples;
+        Some(AnnotatedOp { trace, flags })
     }
 
     /// The trace of the root operator (the generalized query output).
-    pub fn root_trace(&self) -> &OpTrace {
-        &self.traces[&self.root]
+    pub fn root_trace(&self) -> AnnotatedOp<'_> {
+        self.trace(self.base.root).expect("the root operator is traced")
     }
 
     /// Whether the query result under alternative `sa` contains a tuple that
     /// is valid and consistent — i.e. whether *some* reparameterization
     /// captured by the tracing can produce the missing answer under `sa`.
     pub fn has_consistent_output(&self, sa: usize) -> bool {
-        self.root_trace().tuples.iter().any(|t| {
+        self.root_trace().tuples().any(|t| {
             let f = t.flags(sa);
             f.valid && f.consistent
         })
@@ -196,89 +283,132 @@ impl TraceResult {
     /// Algorithm 4, line 8.
     pub fn contributing_ids(&self, sa: usize) -> BTreeSet<u64> {
         let mut contributing = BTreeSet::new();
-        for (position, op_id) in self.pre_order.iter().enumerate() {
-            let Some(trace) = self.traces.get(op_id) else { continue };
-            for tuple in &trace.tuples {
+        for (position, op_id) in self.base.pre_order.iter().enumerate() {
+            let Some(trace) = self.trace(*op_id) else { continue };
+            for tuple in trace.tuples() {
                 let selected = if position == 0 {
                     let f = tuple.flags(sa);
                     f.valid && f.consistent
                 } else {
-                    contributing.contains(&tuple.id)
+                    contributing.contains(&tuple.traced.id)
                 };
                 if selected {
-                    contributing.insert(tuple.id);
-                    contributing.extend(tuple.input_ids(sa).iter().copied());
+                    contributing.insert(tuple.traced.id);
+                    contributing.extend(tuple.traced.input_ids(sa).iter().copied());
                 }
             }
         }
         contributing
     }
 
-    /// Counts, for the root trace under alternative `sa`, the number of valid
-    /// tuples and the number of valid-and-retained tuples. Used for the loose
-    /// side-effect bounds of Section 5.4.
-    pub fn root_counts(&self, sa: usize) -> RootCounts {
-        let mut counts = RootCounts::default();
-        for tuple in &self.root_trace().tuples {
-            let f = tuple.flags(sa);
-            if f.valid {
-                counts.valid += 1;
-                if f.retained {
-                    counts.valid_retained += 1;
-                }
-                if f.consistent {
-                    counts.valid_consistent += 1;
+    /// Root-trace tuple ids valid under `sa` whose lineage (under `sa`)
+    /// contains a valid, non-retained tuple at one of `ops` (at any operator
+    /// when `ops` is `None`).
+    pub fn tainted_root_ids(&self, sa: usize, ops: Option<&BTreeSet<OpId>>) -> BTreeSet<u64> {
+        // Process operators bottom-up (reverse pre-order) and propagate a
+        // "tainted" marker along the lineage edges. Tuple ids are handed out
+        // densely from 1, so the markers are a vector indexed by id.
+        let mut tainted: Vec<bool> = Vec::new();
+        let is_tainted = |tainted: &[bool], id: u64| {
+            usize::try_from(id).ok().and_then(|id| tainted.get(id)).copied().unwrap_or(false)
+        };
+        for op_id in self.base.pre_order.iter().rev() {
+            let Some(op_trace) = self.trace(*op_id) else { continue };
+            let op_counts = ops.map(|set| set.contains(op_id)).unwrap_or(true);
+            for tuple in op_trace.tuples() {
+                let flags = tuple.flags(sa);
+                let own_taint = op_counts && flags.valid && !flags.retained;
+                if own_taint
+                    || tuple.traced.input_ids(sa).iter().any(|id| is_tainted(&tainted, *id))
+                {
+                    let id = usize::try_from(tuple.traced.id).expect("tuple ids fit in memory");
+                    if id >= tainted.len() {
+                        tainted.resize(id + 1, false);
+                    }
+                    tainted[id] = true;
                 }
             }
         }
-        counts
+        self.root_trace()
+            .tuples()
+            .filter(|t| t.flags(sa).valid && is_tainted(&tainted, t.traced.id))
+            .map(|t| t.traced.id)
+            .collect()
+    }
+
+    /// Root-trace tuple ids valid under `sa` whose whole lineage is retained
+    /// (no operator drops them). Computed on the first call per alternative
+    /// and shared by every later one.
+    pub fn fully_retained_root_ids(&self, sa: usize) -> &BTreeSet<u64> {
+        self.fully_retained[sa].get_or_init(|| {
+            let tainted = self.tainted_root_ids(sa, None);
+            self.root_trace()
+                .tuples()
+                .filter(|t| t.flags(sa).valid && !tainted.contains(&t.traced.id))
+                .map(|t| t.traced.id)
+                .collect()
+        })
     }
 }
 
-/// A whole-plan trace whose `consistent` flags have *not* been computed yet.
-///
-/// Produced by [`crate::trace_plan_generalized`]: it depends only on the plan,
-/// the database, and the attribute *substitutions* of the schema alternatives
-/// — never on the why-not question's pushed-down NIPs. It is therefore safe to
-/// cache and share across why-not questions that target the same plan and
-/// database; [`crate::annotate_consistency`] specializes a generalized trace
-/// to one question by filling in the `consistent` flags.
-///
-/// The `consistent` flags inside are placeholders (`false`); the type exists
-/// precisely so that un-annotated traces cannot be fed to the explanation
-/// algorithm by accident.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeneralizedTrace {
-    pub(crate) inner: TraceResult,
+/// One operator's traced tuples paired with one question's flags.
+#[derive(Debug, Clone, Copy)]
+pub struct AnnotatedOp<'a> {
+    /// The operator's shared trace (its `consistent` flags are placeholders).
+    pub trace: &'a OpTrace,
+    /// The question's flags, one row per traced tuple.
+    pub flags: &'a FlagRows,
 }
 
-impl GeneralizedTrace {
-    /// Number of schema alternatives traced.
-    pub fn num_sas(&self) -> usize {
-        self.inner.num_sas
+impl<'a> AnnotatedOp<'a> {
+    /// The traced tuples with their flags, in trace order.
+    pub fn tuples(&self) -> impl Iterator<Item = AnnotatedTuple<'a>> {
+        self.trace.tuples.iter().zip(self.flags).map(|(traced, row)| AnnotatedTuple { traced, row })
     }
 
-    /// Total number of traced tuples across all operators (a size measure for
-    /// cache accounting).
-    pub fn tuple_count(&self) -> usize {
-        self.inner.traces.values().map(|t| t.tuples.len()).sum()
+    /// Number of traced tuples.
+    pub fn len(&self) -> usize {
+        self.trace.len()
     }
 
-    /// The operator ids covered by the trace, in pre-order.
-    pub fn pre_order(&self) -> &[OpId] {
-        &self.inner.pre_order
+    /// Whether the trace is empty.
+    pub fn is_empty(&self) -> bool {
+        self.trace.is_empty()
+    }
+
+    /// Whether any tuple needs a reparameterization of this operator under
+    /// alternative `sa` *and* contributes to a consistent output tuple
+    /// (`contributing` is the id set computed by
+    /// [`TraceResult::contributing_ids`]).
+    pub fn has_reparameterization_witness(&self, sa: usize, contributing: &BTreeSet<u64>) -> bool {
+        self.tuples()
+            .any(|t| t.flags(sa).needs_reparameterization() && contributing.contains(&t.traced.id))
+    }
+
+    /// Whether any tuple has all annotations set under alternative `sa`
+    /// (optionally restricted to tuples contributing to a consistent output).
+    pub fn has_all_ones_witness(&self, sa: usize, contributing: Option<&BTreeSet<u64>>) -> bool {
+        self.tuples().any(|t| {
+            t.flags(sa).all_ones() && contributing.map(|c| c.contains(&t.traced.id)).unwrap_or(true)
+        })
     }
 }
 
-/// Tuple counts over the root trace used by the side-effect bounds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RootCounts {
-    /// Valid top-level tuples under the alternative.
-    pub valid: u64,
-    /// Valid tuples also retained by the root operator.
-    pub valid_retained: u64,
-    /// Valid tuples that are consistent with the why-not question.
-    pub valid_consistent: u64,
+/// One traced tuple paired with one question's flags.
+#[derive(Debug, Clone, Copy)]
+pub struct AnnotatedTuple<'a> {
+    /// The shared traced tuple: id, variants, lineage (its own `consistent`
+    /// flags are placeholders; read flags through [`AnnotatedTuple::flags`]).
+    pub traced: &'a TracedTuple,
+    row: FlagRow<'a>,
+}
+
+impl AnnotatedTuple<'_> {
+    /// The question's flags under alternative `sa` (absent flags if out of
+    /// range).
+    pub fn flags(&self, sa: usize) -> SaFlags {
+        self.row.flags(sa)
+    }
 }
 
 impl fmt::Display for SaFlags {
@@ -303,6 +433,19 @@ mod tests {
 
     fn flags(valid: bool, consistent: bool, retained: bool) -> SaFlags {
         SaFlags { valid, consistent, retained }
+    }
+
+    /// A trace result whose question flags are the tuples' own flags.
+    fn annotated(traces: BTreeMap<OpId, OpTrace>, root: OpId, pre_order: Vec<OpId>) -> TraceResult {
+        let num_sas = 1;
+        let flags = traces
+            .iter()
+            .map(|(op, trace)| {
+                let flags = trace.tuples.iter().flat_map(|t| t.flags.iter().copied()).collect();
+                (*op, OpFlags { tuples: FlagRows::new(num_sas, flags) })
+            })
+            .collect();
+        TraceResult::new(Arc::new(GeneralizedTrace { traces, root, pre_order, num_sas }), flags)
     }
 
     #[test]
@@ -351,7 +494,7 @@ mod tests {
                 ],
             },
         );
-        let result = TraceResult { traces, root: 2, pre_order: vec![2, 1, 0], num_sas: 1 };
+        let result = annotated(traces, 2, vec![2, 1, 0]);
 
         assert!(result.has_consistent_output(0));
         let contributing = result.contributing_ids(0);
@@ -365,10 +508,11 @@ mod tests {
         assert!(result.trace(2).unwrap().has_all_ones_witness(0, Some(&contributing)));
         assert!(result.trace(0).unwrap().has_all_ones_witness(0, Some(&contributing)));
 
-        let counts = result.root_counts(0);
-        assert_eq!(counts.valid, 2);
-        assert_eq!(counts.valid_retained, 2);
-        assert_eq!(counts.valid_consistent, 1);
+        // Tuple 5 descends from the non-retained tuple 3; tuple 6 is fully
+        // retained. Only the selection drops anything.
+        assert_eq!(result.tainted_root_ids(0, None), BTreeSet::from([5]));
+        assert_eq!(result.tainted_root_ids(0, Some(&BTreeSet::from([0, 2]))), BTreeSet::new());
+        assert_eq!(result.fully_retained_root_ids(0), &BTreeSet::from([6]));
     }
 
     #[test]
@@ -379,9 +523,15 @@ mod tests {
         assert_eq!(t.flags(5), SaFlags::absent());
         assert_eq!(t.input_ids(0), &[3]);
         assert!(t.input_ids(9).is_empty());
-        assert_eq!(t.all_input_ids(), vec![3]);
-        let trace = OpTrace { op: 0, kind: "σ".into(), tuples: vec![t] };
-        assert_eq!(trace.len(), 1);
-        assert!(!trace.is_empty());
+        let op = OpTrace { op: 0, kind: "σ".into(), tuples: vec![t] };
+        assert_eq!(op.len(), 1);
+        assert!(!op.is_empty());
+        let result = annotated(BTreeMap::from([(0, op)]), 0, vec![0]);
+        let root = result.root_trace();
+        assert_eq!(root.len(), 1);
+        assert_eq!(root.flags.len(), 1);
+        let row = root.tuples().next().unwrap();
+        assert_eq!(row.flags(0), flags(true, true, true));
+        assert_eq!(row.flags(5), SaFlags::absent());
     }
 }

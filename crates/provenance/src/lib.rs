@@ -29,7 +29,10 @@ pub mod annotate;
 pub mod trace;
 
 pub use alternative::{OpSubstitution, SchemaAlternative};
-pub use annotate::{GeneralizedTrace, OpTrace, SaFlags, TraceResult, TracedTuple};
+pub use annotate::{
+    AnnotatedOp, AnnotatedTuple, FlagRow, FlagRows, GeneralizedTrace, OpFlags, OpTrace, SaFlags,
+    TraceResult, TracedTuple,
+};
 pub use trace::{annotate_consistency, trace_plan, trace_plan_generalized, with_pipelining};
 
 /// A stable textual signature of the substitution sets of a slice of schema

@@ -23,7 +23,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use nested_data::{AttrPath, Bag, NestedType, Nip, Sym, Tuple, TupleType, Value};
+use nested_data::{AttrPath, Bag, NestedType, Nip, NipCmp, Sym, Tuple, TupleType, Value};
 use nrab_algebra::eval::apply_operator;
 use nrab_algebra::expr::Expr;
 use nrab_algebra::join::{
@@ -37,7 +37,9 @@ use nrab_algebra::{
 };
 
 use crate::alternative::SchemaAlternative;
-use crate::annotate::{GeneralizedTrace, OpTrace, SaFlags, TraceResult, TracedTuple};
+use crate::annotate::{
+    FlagRows, GeneralizedTrace, OpFlags, OpTrace, SaFlags, TraceResult, TracedTuple,
+};
 
 thread_local! {
     /// Thread-local fused-replay enable flag (default: enabled). See
@@ -85,7 +87,7 @@ pub fn trace_plan(
     db: &Database,
     sas: &[SchemaAlternative],
 ) -> AlgebraResult<TraceResult> {
-    let base = trace_plan_generalized(plan, db, sas)?;
+    let base = Arc::new(trace_plan_generalized(plan, db, sas)?);
     Ok(annotate_consistency(&base, plan, sas))
 }
 
@@ -97,7 +99,7 @@ pub fn trace_plan(
 /// consistency NIPs — so the result can be reused across why-not questions
 /// that share the plan, the database, and the substitution sets (the trace
 /// cache of `whynot-service` is keyed accordingly). The `consistent` flags of
-/// the returned trace are placeholders; [`annotate_consistency`] fills them in
+/// the returned trace are placeholders; [`annotate_consistency`] computes them
 /// for a concrete question.
 pub fn trace_plan_generalized(
     plan: &QueryPlan,
@@ -121,105 +123,151 @@ pub fn trace_plan_generalized(
         whynot_obs::add("trace.sas", sas.len() as u64);
     }
     Ok(GeneralizedTrace {
-        inner: TraceResult {
-            traces: tracer.traces,
-            root: plan.root.id,
-            pre_order: plan.op_ids_top_down(),
-            num_sas: sas.len(),
-        },
+        traces: tracer.traces,
+        root: plan.root.id,
+        pre_order: plan.op_ids_top_down(),
+        num_sas: sas.len(),
     })
 }
 
 /// The cheap, question-specific part of tracing: re-validates every traced
 /// tuple against the consistency NIPs of the schema alternatives (the
-/// pushed-down why-not constraints produced by schema backtracing) and fills
-/// in the `consistent` flags.
+/// pushed-down why-not constraints produced by schema backtracing) and
+/// computes the question's flags. The result shares `base`; it copies only
+/// the flags, never a traced tuple.
 ///
 /// `sas` must describe the same substitution sets (in the same order) as the
 /// ones `base` was traced under; only the consistency NIPs may differ.
+///
+/// # Panics
+///
+/// If `sas` does not hold exactly one alternative per traced alternative.
 pub fn annotate_consistency(
-    base: &GeneralizedTrace,
+    base: &Arc<GeneralizedTrace>,
     plan: &QueryPlan,
     sas: &[SchemaAlternative],
 ) -> TraceResult {
+    assert_eq!(
+        sas.len(),
+        base.num_sas(),
+        "annotation needs one schema alternative per traced alternative"
+    );
     let _span = whynot_obs::span("annotate");
-    let traces = base.inner.traces.iter().map(|(op, op_trace)| {
+    let traces = base.traces.iter().map(|(op, op_trace)| {
         let _span = whynot_obs::span_dyn(|| format!("annotate:{}#{}", op_trace.kind, op));
-        let trace = annotate_op_consistency(op_trace, *op, plan, sas);
-        if whynot_obs::enabled() {
-            let compatible: u64 = trace
-                .tuples
-                .iter()
-                .map(|t| t.flags.iter().filter(|f| f.valid && f.consistent).count() as u64)
-                .sum();
-            whynot_obs::add("trace.compatible", compatible);
-        }
-        (*op, trace)
+        (*op, OpFlags { tuples: annotate_op_consistency(op_trace, *op, plan, sas) })
     });
-    TraceResult {
-        traces: traces.collect(),
-        root: base.inner.root,
-        pre_order: base.inner.pre_order.clone(),
-        num_sas: base.inner.num_sas,
+    TraceResult::new(Arc::clone(base), traces.collect())
+}
+
+/// One schema alternative's consistency NIP at one operator, resolved once
+/// for all of the operator's tuples.
+struct ConsistencyCheck<'a> {
+    /// `None`: no pushed-down NIP, so every valid tuple is consistent.
+    nip: Option<ResolvedNip<'a>>,
+    /// Grouped aggregation: the retained-members fallback variant may match
+    /// instead.
+    fallback: bool,
+}
+
+impl ConsistencyCheck<'_> {
+    fn consistent(&self, tuple: &TracedTuple, sa: usize, variant: &Tuple) -> bool {
+        let Some(nip) = &self.nip else { return true };
+        nip.matches(variant)
+            || (self.fallback && tuple.fallback_variant(sa).is_some_and(|f| nip.matches(f)))
     }
 }
 
-/// Annotates one operator's trace: re-validates every tuple against the
-/// consistency NIPs of the schema alternatives and fills in the `consistent`
-/// flags.
+/// A consistency NIP prepared for matching many tuples.
+enum ResolvedNip<'a> {
+    /// A tuple NIP's fields, constrained ones before `?`: most tuples
+    /// violate the NIP, and a violated field rejects them before the `?`
+    /// fields (which only require presence) are looked up.
+    Fields(Vec<(Sym, &'a Nip)>),
+    /// Any other NIP shape, matched against the whole tuple.
+    Whole(&'a Nip),
+}
+
+impl ResolvedNip<'_> {
+    fn matches(&self, tuple: &Tuple) -> bool {
+        match self {
+            ResolvedNip::Fields(fields) => {
+                fields.iter().all(|(name, nip)| tuple.get(*name).is_some_and(|v| nip.matches(v)))
+            }
+            ResolvedNip::Whole(nip) => nip.matches(&Value::from_tuple(tuple.clone())),
+        }
+    }
+}
+
+/// Resolves one schema alternative's consistency NIP at `node`.
+fn consistency_check<'a>(
+    sa: &'a SchemaAlternative,
+    node: Option<&OpNode>,
+    op: OpId,
+) -> ConsistencyCheck<'a> {
+    let Some(nip) = sa.consistency_nip(op) else {
+        return ConsistencyCheck { nip: None, fallback: false };
+    };
+    // Upper-bound constraints on aggregate outputs can always be met by a
+    // more restrictive choice of contributing tuples, which the tracing does
+    // not enumerate (Section 5.5); relax them to `?`, then accept the group
+    // if either the all-members aggregate or the retained-members fallback
+    // satisfies the NIP.
+    let agg_outputs: Option<Vec<String>> = node.and_then(|node| match &node.op {
+        Operator::GroupAggregation { .. } => Some(match sa.effective_operator(node) {
+            Operator::GroupAggregation { aggs, .. } => aggs.into_iter().map(|a| a.output).collect(),
+            _ => Vec::new(),
+        }),
+        _ => None,
+    });
+    let fallback = agg_outputs.is_some();
+    let Nip::Tuple(fields) = nip else {
+        return ConsistencyCheck { nip: Some(ResolvedNip::Whole(nip)), fallback };
+    };
+    let relaxed = |name: &Sym, field: &'a Nip| -> &'a Nip {
+        let upper_bound = matches!(field, Nip::Pred(NipCmp::Lt | NipCmp::Le, _));
+        match &agg_outputs {
+            Some(outputs) if upper_bound && outputs.iter().any(|o| *name == o.as_str()) => {
+                &Nip::Any
+            }
+            _ => field,
+        }
+    };
+    let mut fields: Vec<(Sym, &'a Nip)> =
+        fields.iter().map(|(name, field)| (*name, relaxed(name, field))).collect();
+    fields.sort_by_key(|(_, field)| matches!(field, Nip::Any));
+    ConsistencyCheck { nip: Some(ResolvedNip::Fields(fields)), fallback }
+}
+
+/// Computes one operator's flags for a question: the trace's `valid` and
+/// `retained` flags, and `consistent` re-validated against each schema
+/// alternative's consistency NIP.
 fn annotate_op_consistency(
     base: &OpTrace,
     op: OpId,
     plan: &QueryPlan,
     sas: &[SchemaAlternative],
-) -> OpTrace {
+) -> FlagRows {
     let node = plan.node(op).ok();
-    let is_group_agg = matches!(node.map(|n| &n.op), Some(Operator::GroupAggregation { .. }));
-    let annotate = |tuple: &TracedTuple| {
-        let mut tuple = tuple.clone();
-        for (sa_idx, sa) in sas.iter().enumerate() {
-            let Some(flags) = tuple.flags.get_mut(sa_idx) else { continue };
-            if !flags.valid {
-                continue;
-            }
-            let Some(variant) = tuple.variants.get(sa_idx).and_then(Option::as_ref) else {
-                continue;
-            };
-            flags.consistent = match sa.consistency_nip(op) {
-                None => true,
-                Some(nip) if is_group_agg => {
-                    // Upper-bound constraints on aggregate outputs can
-                    // always be met by a more restrictive choice of
-                    // contributing tuples, which the tracing does not
-                    // enumerate (Section 5.5); relax them, then accept the
-                    // group if either the all-members aggregate or the
-                    // retained-members fallback satisfies the NIP.
-                    let node = node.expect("group aggregation node exists in plan");
-                    let agg_outputs: Vec<String> = match sa.effective_operator(node) {
-                        Operator::GroupAggregation { aggs, .. } => {
-                            aggs.iter().map(|a| a.output.clone()).collect()
-                        }
-                        _ => Vec::new(),
-                    };
-                    let relaxed_nip = relax_aggregate_upper_bounds(nip, &agg_outputs);
-                    nip_matches_tuple(&relaxed_nip, variant)
-                        || tuple
-                            .fallback_variants
-                            .get(sa_idx)
-                            .and_then(Option::as_ref)
-                            .map(|f| nip_matches_tuple(&relaxed_nip, f))
-                            .unwrap_or(false)
+    let checks: Vec<ConsistencyCheck<'_>> =
+        sas.iter().map(|sa| consistency_check(sa, node, op)).collect();
+    let mut flags = Vec::with_capacity(base.tuples.len() * sas.len());
+    for tuple in &base.tuples {
+        for (sa, check) in checks.iter().enumerate() {
+            let mut sa_flags = tuple.flags(sa);
+            if sa_flags.valid {
+                if let Some(variant) = tuple.variant(sa) {
+                    sa_flags.consistent = check.consistent(tuple, sa, variant);
                 }
-                Some(nip) => nip_matches_tuple(nip, variant),
-            };
+            }
+            flags.push(sa_flags);
         }
-        tuple
-    };
-    OpTrace {
-        op: base.op,
-        kind: base.kind.clone(),
-        tuples: base.tuples.iter().map(annotate).collect(),
     }
+    if whynot_obs::enabled() {
+        let compatible = flags.iter().filter(|f| f.valid && f.consistent).count();
+        whynot_obs::add("trace.compatible", compatible as u64);
+    }
+    FlagRows::new(sas.len(), flags)
 }
 
 struct Tracer<'a> {
@@ -1020,37 +1068,10 @@ struct AggGroupSlot {
     member_ids: Vec<Vec<u64>>,
 }
 
-/// Replaces upper-bound leaf constraints (`<`, `≤`) on aggregate output
-/// attributes by `?`, since dropping contributing tuples can always lower an
-/// aggregate of non-negative inputs.
-fn relax_aggregate_upper_bounds(nip: &Nip, agg_outputs: &[String]) -> Nip {
-    match nip {
-        Nip::Tuple(fields) => Nip::Tuple(
-            fields
-                .iter()
-                .map(|(name, field)| {
-                    let relaxed = if agg_outputs.iter().any(|o| *name == o.as_str()) {
-                        match field {
-                            Nip::Pred(nested_data::NipCmp::Lt | nested_data::NipCmp::Le, _) => {
-                                Nip::Any
-                            }
-                            other => other.clone(),
-                        }
-                    } else {
-                        field.clone()
-                    };
-                    (*name, relaxed)
-                })
-                .collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
 /// Builds the question-independent flags of a variant: validity is inherited
 /// from the input, `retained` is provided by the operator-specific tracing
 /// procedure, and `consistent` is a placeholder that [`annotate_consistency`]
-/// fills in per question.
+/// computes per question.
 fn base_flags(variant: Option<&Tuple>, input_valid: bool, retained: bool) -> SaFlags {
     match variant {
         Some(_) if input_valid => SaFlags { valid: true, consistent: false, retained },
@@ -1300,18 +1321,6 @@ fn flatten_one(
     Ok(out)
 }
 
-/// Matches a NIP against a tuple without cloning it into a `Value`.
-fn nip_matches_tuple(nip: &Nip, tuple: &Tuple) -> bool {
-    match nip {
-        Nip::Tuple(fields) => fields.iter().all(|(name, field_nip)| match tuple.get(*name) {
-            Some(v) => field_nip.matches(v),
-            None => false,
-        }),
-        Nip::Any => true,
-        other => other.matches(&Value::from_tuple(tuple.clone())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1398,17 +1407,15 @@ mod tests {
         assert_eq!(table.len(), 2);
         // Peter: no NY in address2 (SA1: inconsistent), NY 2010 in address1 (SA2: consistent).
         let peter = table
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
+            .tuples()
+            .find(|t| t.traced.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
             .unwrap();
         assert!(!peter.flags(0).consistent);
         assert!(peter.flags(1).consistent);
         // Sue: NY in both address relations.
         let sue = table
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).unwrap().get("name") == Some(&Value::str("Sue")))
+            .tuples()
+            .find(|t| t.traced.variant(0).unwrap().get("name") == Some(&Value::str("Sue")))
             .unwrap();
         assert!(sue.flags(0).consistent);
         assert!(sue.flags(1).consistent);
@@ -1421,15 +1428,17 @@ mod tests {
         // Peter contributes max(3, 2) merged rows, Sue max(2, 2): 5 rows total.
         assert_eq!(flatten.len(), 5);
         // Exactly one row is consistent under S1 (Sue's NY 2018 address2 entry).
-        let consistent_s1: Vec<_> =
-            flatten.tuples.iter().filter(|t| t.flags(0).consistent).collect();
+        let consistent_s1: Vec<_> = flatten.tuples().filter(|t| t.flags(0).consistent).collect();
         assert_eq!(consistent_s1.len(), 1);
-        assert_eq!(consistent_s1[0].variant(0).unwrap().get("name"), Some(&Value::str("Sue")));
+        assert_eq!(
+            consistent_s1[0].traced.variant(0).unwrap().get("name"),
+            Some(&Value::str("Sue"))
+        );
         // Under S1 only 4 rows are valid (Peter's address2 has 2 entries).
-        assert_eq!(flatten.tuples.iter().filter(|t| t.flags(0).valid).count(), 4);
-        assert_eq!(flatten.tuples.iter().filter(|t| t.flags(1).valid).count(), 5);
+        assert_eq!(flatten.tuples().filter(|t| t.flags(0).valid).count(), 4);
+        assert_eq!(flatten.tuples().filter(|t| t.flags(1).valid).count(), 5);
         // No padding rows: every valid row is retained by the inner flatten.
-        assert!(flatten.tuples.iter().all(|t| !t.flags(0).valid || t.flags(0).retained));
+        assert!(flatten.tuples().all(|t| !t.flags(0).valid || t.flags(0).retained));
     }
 
     #[test]
@@ -1438,10 +1447,10 @@ mod tests {
         let selection = result.trace(2).unwrap();
         // The consistent S1 tuple (Sue, NY, 2018) is not retained by year ≥ 2019.
         let witness =
-            selection.tuples.iter().find(|t| t.flags(0).consistent && t.flags(0).valid).unwrap();
+            selection.tuples().find(|t| t.flags(0).consistent && t.flags(0).valid).unwrap();
         assert!(!witness.flags(0).retained);
         // Some valid tuple *is* retained (Sue's LA 2019).
-        assert!(selection.tuples.iter().any(|t| t.flags(0).valid && t.flags(0).retained));
+        assert!(selection.tuples().any(|t| t.flags(0).valid && t.flags(0).retained));
     }
 
     #[test]
@@ -1451,11 +1460,11 @@ mod tests {
         // Groups across both SAs: NY, LA, SF (S1) and NY, LA, LV (S2) → 4 city groups.
         assert_eq!(nest.len(), 4);
         let ny = nest
-            .tuples
-            .iter()
+            .tuples()
             .find(|t| {
-                t.variant(0)
-                    .or(t.variant(1))
+                t.traced
+                    .variant(0)
+                    .or(t.traced.variant(1))
                     .map(|v| v.get("city") == Some(&Value::str("NY")))
                     .unwrap_or(false)
             })
@@ -1464,10 +1473,12 @@ mod tests {
         assert!(ny.flags(1).valid && ny.flags(1).consistent);
         // The LV group only exists under S2 (it comes from address1).
         let lv = nest
-            .tuples
-            .iter()
+            .tuples()
             .find(|t| {
-                t.variant(1).map(|v| v.get("city") == Some(&Value::str("LV"))).unwrap_or(false)
+                t.traced
+                    .variant(1)
+                    .map(|v| v.get("city") == Some(&Value::str("LV")))
+                    .unwrap_or(false)
             })
             .unwrap();
         assert!(!lv.flags(0).valid);
@@ -1482,20 +1493,18 @@ mod tests {
         let contributing = result.contributing_ids(0);
         let table = result.trace(0).unwrap();
         let sue = table
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).unwrap().get("name") == Some(&Value::str("Sue")))
+            .tuples()
+            .find(|t| t.traced.variant(0).unwrap().get("name") == Some(&Value::str("Sue")))
             .unwrap();
         let peter = table
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
+            .tuples()
+            .find(|t| t.traced.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
             .unwrap();
-        assert!(contributing.contains(&sue.id));
+        assert!(contributing.contains(&sue.traced.id));
         // Peter's tuple cannot contribute to the NY answer under S1...
-        assert!(!contributing.contains(&peter.id));
+        assert!(!contributing.contains(&peter.traced.id));
         // ...but it can under S2 (address1 holds NY 2010).
-        assert!(result.contributing_ids(1).contains(&peter.id));
+        assert!(result.contributing_ids(1).contains(&peter.traced.id));
     }
 
     #[test]
@@ -1556,9 +1565,10 @@ mod tests {
         // 1 matched pair + 1 unmatched left + 1 unmatched right.
         assert_eq!(join.len(), 3);
         let padded = join
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).map(|v| v.get("a") == Some(&Value::int(7))).unwrap_or(false))
+            .tuples()
+            .find(|t| {
+                t.traced.variant(0).map(|v| v.get("a") == Some(&Value::int(7))).unwrap_or(false)
+            })
             .unwrap();
         assert!(padded.flags(0).valid);
         assert!(padded.flags(0).consistent);
@@ -1593,13 +1603,27 @@ mod tests {
         let result = trace_plan(&plan, &db, &sas).unwrap();
         let root = result.root_trace();
         let peter = root
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
+            .tuples()
+            .find(|t| t.traced.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
             .unwrap();
         // Relaxed count (3 addresses) satisfies cnt ≥ 2, so the group is consistent.
         assert!(peter.flags(0).consistent);
         assert!(peter.flags(0).retained, "the group also exists in the original result");
+
+        // Why not: Peter with cnt = 1? The all-members count (3) does not
+        // match; the retained-members fallback (LA 2019 only) does.
+        let exact = BTreeMap::from([(
+            plan.root.id,
+            Nip::tuple([("name", Nip::val("Peter")), ("cnt", Nip::val(1i64))]),
+        )]);
+        let base = Arc::new(trace_plan_generalized(&plan, &db, &sas).unwrap());
+        let result = annotate_consistency(&base, &plan, &[SchemaAlternative::original(exact)]);
+        let peter = result
+            .root_trace()
+            .tuples()
+            .find(|t| t.traced.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
+            .unwrap();
+        assert!(peter.flags(0).consistent, "the fallback variant matches cnt = 1");
     }
 
     #[test]
@@ -1607,5 +1631,14 @@ mod tests {
         let db = person_db();
         let plan = running_example_plan();
         assert!(trace_plan(&plan, &db, &[]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "one schema alternative per traced alternative")]
+    fn annotation_rejects_a_different_number_of_alternatives() {
+        let db = person_db();
+        let plan = running_example_plan();
+        let base = Arc::new(trace_plan_generalized(&plan, &db, &example_sas()).unwrap());
+        annotate_consistency(&base, &plan, &example_sas()[..1]);
     }
 }

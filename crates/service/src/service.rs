@@ -2,6 +2,8 @@
 //! single or batched why-not questions, and reuses generalized traces through
 //! the [`TraceCache`].
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,7 +15,7 @@ use whynot_core::{
 };
 
 use crate::cache::{CacheStats, TraceCache, TraceKey};
-use crate::catalog::{fingerprint64, plan_fingerprint, Catalog};
+use crate::catalog::{plan_fingerprint, Catalog};
 use crate::error::{ServiceError, ServiceResult};
 use crate::json::Json;
 use crate::report::ExplanationReport;
@@ -297,9 +299,12 @@ impl ExplainService {
                 })
             }
             DbRef::Inline(db) => {
-                // Inline databases are identified by content fingerprint, so
-                // two identical inline payloads still share cache entries.
-                let fp = fingerprint64(&database_to_json(db).to_compact());
+                // Inline databases are identified by a structural hash of
+                // their content, so two equal inline payloads still share
+                // cache entries.
+                let mut hasher = DefaultHasher::new();
+                db.hash(&mut hasher);
+                let fp = hasher.finish();
                 Ok(ResolvedDb {
                     db: Arc::clone(db),
                     cache_id: format!("inline:{fp:016x}"),
@@ -676,6 +681,33 @@ mod tests {
         let second = service.explain(&inline).unwrap();
         assert!(!first.stats.trace_cache_hit);
         assert!(second.stats.trace_cache_hit, "identical inline payloads share a cache entry");
+    }
+
+    #[test]
+    fn inline_databases_share_cache_entries_by_structure() {
+        let service = service();
+        let payload = database_to_json(&person_db()).to_compact();
+        // Each call decodes its own database, as two wire requests would.
+        let hits = |payload: &str| {
+            let db = database_from_json(&Json::parse(payload).unwrap()).unwrap();
+            let request = ExplainRequest::new(
+                DbRef::Inline(Arc::new(db)),
+                PlanRef::Named("running".into()),
+                ny_question(),
+            );
+            service.explain(&request).unwrap().stats.trace_cache_hit
+        };
+        assert!(!hits(&payload));
+        assert!(hits(&payload), "an equal payload decoded again shares the entry");
+        // Peter's LA 2010 address becomes 2011: one value differs.
+        let one_value = payload.replacen("2010", "2011", 1);
+        assert_ne!(one_value, payload);
+        assert!(!hits(&one_value), "a payload with another value has its own entry");
+        // address1.year becomes a float attribute; the rows are unchanged.
+        let one_type = payload.replacen(r#""year":"int""#, r#""year":"float""#, 1);
+        assert_ne!(one_type, payload);
+        assert!(!hits(&one_type), "a payload with another attribute type has its own entry");
+        assert_eq!(service.cache_stats().entries, 3);
     }
 
     #[test]

@@ -18,7 +18,9 @@ static EVERY_COMBINATION: Suite =
 
 #[test]
 fn every_option_combination_matches_the_reference() {
-    for aspect in [Aspect::Answer, Aspect::Trace, Aspect::Report, Aspect::Profile] {
+    for aspect in
+        [Aspect::Answer, Aspect::Trace, Aspect::Report, Aspect::Annotation, Aspect::Profile]
+    {
         EVERY_COMBINATION.assert_clean(aspect, Cases::All);
     }
 }

@@ -9,7 +9,10 @@
 //! (`join_equivalence`, `pipeline_equivalence`, `differential`, and
 //! `obs_equivalence` for profiling) cover between them. Each suite is a
 //! [`Suite`]: a list of configurations run once per test binary, whose
-//! findings its tests assert on by aspect and case kind.
+//! findings its tests assert on by aspect and case kind. Every why-not
+//! case's annotation is also checked, under the reference and every suite
+//! configuration, against [`reference_flags`], an independent per-tuple
+//! clone-and-match annotation.
 
 #![allow(dead_code)]
 
@@ -17,12 +20,14 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use nested_data::{Bag, NestedType, PrimitiveType, TupleType, Value};
+use nested_data::{Bag, NestedType, Nip, NipCmp, PrimitiveType, TupleType, Value};
 use nrab_algebra::{
-    evaluate, with_hash_join, CmpOp, Database, Expr, JoinKind, OpId, PlanBuilder, QueryPlan,
+    evaluate, with_hash_join, CmpOp, Database, Expr, JoinKind, OpId, Operator, PlanBuilder,
+    QueryPlan,
 };
 use nrab_provenance::{
-    trace_plan_generalized, with_pipelining, GeneralizedTrace, OpSubstitution, SchemaAlternative,
+    annotate_consistency, trace_plan_generalized, with_pipelining, GeneralizedTrace,
+    OpSubstitution, SaFlags, SchemaAlternative, TracedTuple,
 };
 use whynot_core::{AttributeAlternative, TraceProvider, WhyNotEngine, WhyNotError, WhyNotQuestion};
 use whynot_obs::ProfileReport;
@@ -172,12 +177,15 @@ pub const REFERENCE: Config = Config { hash_join: false, pipelining: false, prof
 pub struct Output {
     pub answer: Arc<Bag>,
     pub trace: Arc<GeneralizedTrace>,
+    /// The schema alternatives the trace was computed under.
+    pub sas: Vec<SchemaAlternative>,
     pub report: Option<String>,
 }
 
-/// A trace provider that keeps the generalized trace the engine asked for.
+/// A trace provider that keeps the generalized trace the engine asked for,
+/// and the schema alternatives it asked for it under.
 #[derive(Default)]
-struct Recorder(Option<Arc<GeneralizedTrace>>);
+struct Recorder(Option<(Arc<GeneralizedTrace>, Vec<SchemaAlternative>)>);
 
 impl TraceProvider for Recorder {
     fn generalized_trace(
@@ -187,7 +195,7 @@ impl TraceProvider for Recorder {
         sas: &[SchemaAlternative],
     ) -> nrab_algebra::AlgebraResult<Arc<GeneralizedTrace>> {
         let trace = Arc::new(trace_plan_generalized(plan, db, sas)?);
-        self.0 = Some(Arc::clone(&trace));
+        self.0 = Some((Arc::clone(&trace), sas.to_vec()));
         Ok(trace)
     }
 }
@@ -222,14 +230,15 @@ pub fn run(case: &Case, config: Config) -> (Output, Option<ProfileReport>) {
                         &mut recorder,
                     )?;
                     let report = ExplanationReport::from_answer(&explained).to_json().to_compact();
-                    let trace = recorder.0.expect("the engine traces");
-                    Ok(Output { answer, trace, report: Some(report) })
+                    let (trace, sas) = recorder.0.expect("the engine traces");
+                    Ok(Output { answer, trace, sas, report: Some(report) })
                 };
                 explain().unwrap_or_else(|e| fail(&e))
             }
             Case::Traced { db, plan, sas, .. } => Output {
                 answer: evaluate(plan, db).unwrap_or_else(|e| fail(&e)),
                 trace: Arc::new(trace_plan_generalized(plan, db, sas).unwrap_or_else(|e| fail(&e))),
+                sas: sas.clone(),
                 report: None,
             },
         }
@@ -255,6 +264,8 @@ pub enum Aspect {
     Trace,
     /// The compact wire report of a why-not case.
     Report,
+    /// A why-not case's annotated flags, against [`reference_flags`].
+    Annotation,
     /// The profile: spans recorded, and the same signature on a rerun.
     Profile,
 }
@@ -340,8 +351,18 @@ fn compare(case: &Case, configs: &[Config]) -> Vec<Finding> {
         found.push(Finding { aspect, scenario, message: format!("{name}: {message}") })
     };
     let (reference, _) = run(case, REFERENCE);
+    let annotation = |output: &Output| match case {
+        Case::WhyNot { question, .. } => annotation_mismatch(&question.plan, output),
+        Case::Traced { .. } => None,
+    };
+    if let Some(message) = annotation(&reference) {
+        differ(Aspect::Annotation, format!("{message} under {REFERENCE:?}"));
+    }
     for &config in configs {
         let (output, profile) = run(case, config);
+        if let Some(message) = annotation(&output) {
+            differ(Aspect::Annotation, format!("{message} under {config:?}"));
+        }
         if *output.answer != *reference.answer {
             differ(Aspect::Answer, format!("answer differs under {config:?}"));
         }
@@ -371,4 +392,88 @@ fn compare(case: &Case, configs: &[Config]) -> Vec<Finding> {
         }
     }
     found
+}
+
+/// The first (operator, tuple, SA) whose annotated flags differ from
+/// [`reference_flags`], if any.
+fn annotation_mismatch(plan: &QueryPlan, output: &Output) -> Option<String> {
+    let annotated = annotate_consistency(&output.trace, plan, &output.sas);
+    for &op in output.trace.pre_order() {
+        let Some(op_trace) = annotated.trace(op) else {
+            return Some(format!("operator {op} is not annotated"));
+        };
+        if op_trace.flags.len() != op_trace.len() {
+            return Some(format!("operator {op} has {} flag rows", op_trace.flags.len()));
+        }
+        for tuple in op_trace.tuples() {
+            let expected = reference_flags(plan, op, tuple.traced, &output.sas);
+            for (sa, expected) in expected.iter().enumerate() {
+                if tuple.flags(sa) != *expected {
+                    let id = tuple.traced.id;
+                    return Some(format!("operator {op}, tuple {id}, SA {sa}: flags differ"));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// The reference annotation of one traced tuple: a clone of the tuple whose
+/// `consistent` flags are filled in by matching each valid variant against
+/// its schema alternative's consistency NIP, relaxed for grouped aggregation
+/// (Section 5.5).
+fn reference_flags(
+    plan: &QueryPlan,
+    op: OpId,
+    traced: &TracedTuple,
+    sas: &[SchemaAlternative],
+) -> Vec<SaFlags> {
+    let node = plan.node(op).ok();
+    let is_group_agg = matches!(node.map(|n| &n.op), Some(Operator::GroupAggregation { .. }));
+    let matches =
+        |nip: &Nip, tuple: &nested_data::Tuple| nip.matches(&Value::from_tuple(tuple.clone()));
+    let mut tuple = traced.clone();
+    for (sa_idx, sa) in sas.iter().enumerate() {
+        let Some(flags) = tuple.flags.get_mut(sa_idx) else { continue };
+        if !flags.valid {
+            continue;
+        }
+        let Some(variant) = tuple.variants.get(sa_idx).and_then(Option::as_ref) else { continue };
+        flags.consistent = match sa.consistency_nip(op) {
+            None => true,
+            Some(nip) if is_group_agg => {
+                let node = node.expect("group aggregation node exists in plan");
+                let agg_outputs: Vec<String> = match sa.effective_operator(node) {
+                    Operator::GroupAggregation { aggs, .. } => {
+                        aggs.iter().map(|a| a.output.clone()).collect()
+                    }
+                    _ => Vec::new(),
+                };
+                let relaxed = match nip {
+                    Nip::Tuple(fields) => Nip::Tuple(
+                        fields
+                            .iter()
+                            .map(|(name, field)| match field {
+                                Nip::Pred(NipCmp::Lt | NipCmp::Le, _)
+                                    if agg_outputs.iter().any(|o| *name == o.as_str()) =>
+                                {
+                                    (*name, Nip::Any)
+                                }
+                                other => (*name, other.clone()),
+                            })
+                            .collect(),
+                    ),
+                    other => other.clone(),
+                };
+                matches(&relaxed, variant)
+                    || tuple
+                        .fallback_variants
+                        .get(sa_idx)
+                        .and_then(Option::as_ref)
+                        .is_some_and(|f| matches(&relaxed, f))
+            }
+            Some(nip) => matches(nip, variant),
+        };
+    }
+    (0..sas.len()).map(|sa| tuple.flags(sa)).collect()
 }

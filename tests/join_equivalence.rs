@@ -29,6 +29,11 @@ fn scenario_wire_reports_match_the_nested_loop() {
 }
 
 #[test]
+fn scenario_annotations_match_the_reference() {
+    HASH_JOIN.assert_clean(Aspect::Annotation, Cases::Scenarios);
+}
+
+#[test]
 fn join_kind_matrix_is_physical_only() {
     HASH_JOIN.assert_clean(Aspect::Answer, Cases::Joins);
     HASH_JOIN.assert_clean(Aspect::Trace, Cases::Joins);

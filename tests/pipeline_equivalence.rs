@@ -44,6 +44,11 @@ fn wire_reports_match_the_materialized_path() {
 /// 1:1 operator still replays as a one-operator run; dedup is 1:1 in the
 /// generalized trace (it annotates instead of merging), so it fuses.
 #[test]
+fn annotations_match_the_reference() {
+    PIPELINED.assert_clean(Aspect::Annotation, Cases::Scenarios);
+}
+
+#[test]
 fn break_operators_always_end_pipelines() {
     let db = fused_database();
 
