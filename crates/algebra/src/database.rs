@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use nested_data::{Bag, TupleType, Value};
@@ -24,7 +23,7 @@ type ResultMemo = Option<(Arc<QueryPlan>, Arc<Bag>)>;
 /// A database also remembers `⟦Q⟧_D` for the last plan evaluated through
 /// [`Database::evaluate_memoised`]. The memo is not part of the database's
 /// value: a clone (and a new database) starts with an empty one, adding a
-/// relation clears it, and `==`, `Hash` and `Debug` ignore it.
+/// relation clears it, and `==` and `Debug` ignore it.
 #[derive(Default)]
 pub struct Database {
     relations: BTreeMap<String, (TupleType, Arc<Bag>)>,
@@ -40,14 +39,6 @@ impl Clone for Database {
 impl PartialEq for Database {
     fn eq(&self, other: &Self) -> bool {
         self.relations == other.relations
-    }
-}
-
-/// Hashes the relation names, schemas and contents (each tuple contributes
-/// its cached structural hash), consistently with `==`.
-impl Hash for Database {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.relations.hash(state);
     }
 }
 

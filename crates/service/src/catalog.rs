@@ -4,9 +4,12 @@
 //! keys include the version, so stale traces of a replaced database can never
 //! be served.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use nested_data::Value;
 use nrab_algebra::{Database, QueryPlan};
 
 use crate::error::{ServiceError, ServiceResult};
@@ -105,6 +108,66 @@ impl Catalog {
 /// The fingerprint of a plan's canonical wire encoding.
 pub fn plan_fingerprint(plan: &QueryPlan) -> u64 {
     fingerprint64(&plan_to_json(plan).to_compact())
+}
+
+/// A structural fingerprint of a database's relation names, schemas and
+/// contents. Unlike `Value`'s `Hash`, which must agree with the numeric
+/// cross-variant equality (`Int(2) == Float(2.0)`), it hashes each value's
+/// variant and exact bits, so databases that differ in any stored value get
+/// different fingerprints (up to 64-bit collisions).
+pub fn database_fingerprint(db: &Database) -> u64 {
+    let mut state = DefaultHasher::new();
+    for name in db.relation_names() {
+        name.hash(&mut state);
+        // Both lookups succeed for a listed name.
+        if let (Ok(schema), Ok(bag)) = (db.schema(name), db.relation(name)) {
+            schema.hash(&mut state);
+            state.write_usize(bag.distinct());
+            for (value, mult) in bag.iter() {
+                hash_value_exactly(value, &mut state);
+                state.write_u64(*mult);
+            }
+        }
+    }
+    state.finish()
+}
+
+fn hash_value_exactly(value: &Value, state: &mut DefaultHasher) {
+    match value {
+        Value::Null => state.write_u8(0),
+        Value::Bool(b) => {
+            state.write_u8(1);
+            b.hash(state);
+        }
+        Value::Int(i) => {
+            state.write_u8(2);
+            state.write_i64(*i);
+        }
+        Value::Float(f) => {
+            state.write_u8(3);
+            state.write_u64(f.to_bits());
+        }
+        Value::Str(s) => {
+            state.write_u8(4);
+            s.hash(state);
+        }
+        Value::Tuple(t) => {
+            state.write_u8(5);
+            state.write_usize(t.arity());
+            for (name, field) in t.fields() {
+                name.hash(state);
+                hash_value_exactly(field, state);
+            }
+        }
+        Value::Bag(b) => {
+            state.write_u8(6);
+            state.write_usize(b.distinct());
+            for (element, mult) in b.iter() {
+                hash_value_exactly(element, state);
+                state.write_u64(*mult);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

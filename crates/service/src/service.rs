@@ -2,8 +2,6 @@
 //! single or batched why-not questions, and reuses generalized traces through
 //! the [`TraceCache`].
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,7 +13,7 @@ use whynot_core::{
 };
 
 use crate::cache::{CacheStats, TraceCache, TraceKey};
-use crate::catalog::{plan_fingerprint, Catalog};
+use crate::catalog::{database_fingerprint, plan_fingerprint, Catalog};
 use crate::error::{ServiceError, ServiceResult};
 use crate::json::Json;
 use crate::report::ExplanationReport;
@@ -299,12 +297,10 @@ impl ExplainService {
                 })
             }
             DbRef::Inline(db) => {
-                // Inline databases are identified by a structural hash of
-                // their content, so two equal inline payloads still share
+                // Inline databases are identified by an exact structural hash
+                // of their content, so two equal inline payloads still share
                 // cache entries.
-                let mut hasher = DefaultHasher::new();
-                db.hash(&mut hasher);
-                let fp = hasher.finish();
+                let fp = database_fingerprint(db);
                 Ok(ResolvedDb {
                     db: Arc::clone(db),
                     cache_id: format!("inline:{fp:016x}"),
@@ -707,7 +703,20 @@ mod tests {
         let one_type = payload.replacen(r#""year":"int""#, r#""year":"float""#, 1);
         assert_ne!(one_type, payload);
         assert!(!hits(&one_type), "a payload with another attribute type has its own entry");
-        assert_eq!(service.cache_stats().entries, 3);
+        // 2^53 and 2^53 + 1 are different integers that round to the same f64.
+        let below = payload.replacen("2010", "9007199254740992", 1);
+        let above = payload.replacen("2010", "9007199254740993", 1);
+        assert!(!hits(&below));
+        assert!(!hits(&above), "integers beyond f64 precision have their own entries");
+        // In a float column, 2 and 2.0 decode to values that compare equal
+        // but are reported differently.
+        let ints = payload.replace(r#""year":"int""#, r#""year":"float""#);
+        let floats = ints.replacen("2010", "2010.0", 1);
+        let decode = |payload: &str| database_from_json(&Json::parse(payload).unwrap()).unwrap();
+        assert_eq!(decode(&ints), decode(&floats));
+        assert!(!hits(&ints));
+        assert!(!hits(&floats), "an integral float and its integer have their own entries");
+        assert_eq!(service.cache_stats().entries, 7);
     }
 
     #[test]

@@ -38,16 +38,16 @@ fn wire_reports_match_the_materialized_path() {
     PIPELINED.assert_clean(Aspect::Report, Cases::All);
 }
 
-/// The tracer fuses maximal runs of 1:1 operators into one
-/// `pipe:{first}#{id}..{last}#{id}` span. Joins, relation nest, grouping
-/// aggregation, difference, union, and relation flatten end a run; a lone
-/// 1:1 operator still replays as a one-operator run; dedup is 1:1 in the
-/// generalized trace (it annotates instead of merging), so it fuses.
 #[test]
 fn annotations_match_the_reference() {
     PIPELINED.assert_clean(Aspect::Annotation, Cases::Scenarios);
 }
 
+/// The tracer fuses maximal runs of 1:1 operators into one
+/// `pipe:{first}#{id}..{last}#{id}` span. Joins, relation nest, grouping
+/// aggregation, difference, union, and relation flatten end a run; a lone
+/// 1:1 operator still replays as a one-operator run; dedup is 1:1 in the
+/// generalized trace (it annotates instead of merging), so it fuses.
 #[test]
 fn break_operators_always_end_pipelines() {
     let db = fused_database();
