@@ -139,6 +139,9 @@ mod tests {
         assert_eq!(AggFunc::Count.apply(vs.iter()), Value::Int(4));
         assert_eq!(AggFunc::CountDistinct.apply(vs.iter()), Value::Int(3));
         assert_eq!(AggFunc::Count.apply([].iter()), Value::Int(0));
+        // Neither count is ever ⊥, so callers need no ⊥ → 0 fallback.
+        assert_eq!(AggFunc::CountDistinct.apply([].iter()), Value::Int(0));
+        assert_eq!(AggFunc::CountDistinct.apply([Value::Null].iter()), Value::Int(0));
     }
 
     #[test]

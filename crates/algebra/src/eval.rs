@@ -7,16 +7,17 @@
 //! interned to [`Sym`]s once per operator application so per-tuple field
 //! lookups are integer compares.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
-use nested_data::{Bag, BagBuilder, NestedType, Sym, Tuple, TupleType, Value};
+use nested_data::{AttrPath, Bag, BagBuilder, NestedType, Sym, Tuple, TupleType, Value};
 
 use crate::agg::AggFunc;
 use crate::database::Database;
 use crate::error::{AlgebraError, AlgebraResult};
 use crate::expr::Expr;
 use crate::join::join_matches;
-use crate::operator::{AggSpec, FlattenKind, JoinKind, Operator, ProjColumn};
+use crate::operator::{AggSpec, FlattenKind, JoinKind, Operator};
 use crate::plan::{OpNode, QueryPlan};
 use crate::schema::output_type;
 
@@ -33,21 +34,14 @@ pub fn evaluate(plan: &QueryPlan, db: &Database) -> AlgebraResult<Arc<Bag>> {
 }
 
 /// Evaluates a single plan node over a database, operator at a time.
-pub fn evaluate_node(node: &OpNode, db: &Database) -> AlgebraResult<Arc<Bag>> {
+fn evaluate_node(node: &OpNode, db: &Database) -> AlgebraResult<Arc<Bag>> {
     let inputs: Vec<Arc<Bag>> =
         node.inputs.iter().map(|i| evaluate_node(i, db)).collect::<AlgebraResult<_>>()?;
     apply_operator(node, &inputs, db)
 }
 
 /// Applies a node's operator to already-evaluated inputs.
-///
-/// Exposed separately so that the provenance crate can interleave tracing with
-/// evaluation while reusing the exact same operator semantics.
-pub fn apply_operator(
-    node: &OpNode,
-    inputs: &[Arc<Bag>],
-    db: &Database,
-) -> AlgebraResult<Arc<Bag>> {
+fn apply_operator(node: &OpNode, inputs: &[Arc<Bag>], db: &Database) -> AlgebraResult<Arc<Bag>> {
     if whynot_guard::armed() {
         // Deadline check once per operator application, and the
         // operator's total input rows drawn from the eval-row budget —
@@ -83,14 +77,13 @@ fn apply_operator_impl(
     };
     match &node.op {
         Operator::TableAccess { table } => Ok(Arc::clone(db.relation_shared(table)?)),
-        Operator::Projection { columns } => Ok(Arc::new(eval_projection(input(0)?, columns))),
-        Operator::Rename { pairs } => {
-            let mapping: Vec<(Sym, Sym)> =
-                pairs.iter().map(|p| (Sym::intern(&p.from), Sym::intern(&p.to))).collect();
-            Ok(Arc::new(input(0)?.map_values(|v| match v.as_tuple() {
-                Some(t) => Value::from_tuple(t.rename(&mapping)),
-                None => v.clone(),
-            })))
+        Operator::Projection { .. }
+        | Operator::Rename { .. }
+        | Operator::TupleFlatten { .. }
+        | Operator::TupleNest { .. }
+        | Operator::NestAggregation { .. } => {
+            let transform = RowTransform::compile(node, db)?;
+            transform.map_rows(input(0)?).map(Arc::new)
         }
         Operator::Selection { predicate } => Ok(Arc::new(eval_selection(input(0)?, predicate))),
         Operator::Join { kind, predicate } => {
@@ -113,25 +106,16 @@ fn apply_operator_impl(
             &TupleType::empty(),
             &TupleType::empty(),
         ))),
-        Operator::TupleFlatten { source, alias } => {
-            let input_schema = output_type(&node.inputs[0], db)?;
-            eval_tuple_flatten(input(0)?, source, alias.as_deref(), &input_schema).map(Arc::new)
-        }
         Operator::Flatten { kind, attr, alias } => {
-            let input_schema = output_type(&node.inputs[0], db)?;
-            eval_flatten(input(0)?, *kind, attr, alias.as_deref(), &input_schema).map(Arc::new)
-        }
-        Operator::TupleNest { attrs, into } => {
-            eval_tuple_nest(input(0)?, attrs, into).map(Arc::new)
+            let flatten =
+                RowFlatten::new(attr, alias.as_deref(), &output_type(&node.inputs[0], db)?);
+            eval_flatten(input(0)?, *kind, &flatten).map(Arc::new)
         }
         Operator::RelationNest { attrs, into } => {
             eval_relation_nest(input(0)?, attrs, into).map(Arc::new)
         }
-        Operator::NestAggregation { func, attr, field, output } => {
-            eval_nest_aggregation(input(0)?, *func, attr, field.as_deref(), output).map(Arc::new)
-        }
         Operator::GroupAggregation { group_by, aggs } => {
-            eval_group_aggregation(input(0)?, group_by, aggs).map(Arc::new)
+            Ok(Arc::new(eval_group_aggregation(input(0)?, group_by, aggs)))
         }
         Operator::Union => Ok(Arc::new(input(0)?.union(input(1)?))),
         Operator::Difference => Ok(Arc::new(input(0)?.difference(input(1)?))),
@@ -139,17 +123,212 @@ fn apply_operator_impl(
     }
 }
 
-fn eval_projection(input: &Bag, columns: &[ProjColumn]) -> Bag {
-    let names: Vec<Sym> = columns.iter().map(|c| Sym::intern(&c.name)).collect();
-    let mut out = BagBuilder::with_capacity(input.distinct());
-    for (v, m) in input.iter() {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let projected = Tuple::new(
-            names.iter().zip(columns.iter()).map(|(name, c)| (*name, c.expr.eval(&tuple))),
-        );
-        out.add(Value::from_tuple(projected), *m);
+/// A 1:1 operator (π, ρ, Fᵀ, νᵀ, γᵀ or δ) compiled once per application into
+/// its per-row transform: attribute names are interned and the schema-
+/// dependent parts resolved once, so applying it to a row does no schema
+/// inference. The evaluator maps every row of the input through it; the
+/// provenance tracer applies it to every traced variant.
+pub struct RowTransform(Kernel);
+
+enum Kernel {
+    /// π: each output column evaluated against the row.
+    Project(Vec<(Sym, Expr)>),
+    /// ρ: attributes renamed.
+    Rename(Vec<(Sym, Sym)>),
+    /// Fᵀ: the tuple value at `source` spliced into the row, or added under
+    /// `alias`. `padding` holds the source's attribute names when its type
+    /// is a tuple type, to pad a `⊥` source with.
+    TupleFlatten { source: AttrPath, alias: Option<Sym>, padding: Option<Vec<Sym>> },
+    /// νᵀ: `attrs` folded into the nested tuple `into`.
+    TupleNest { attrs: Vec<Sym>, into: Sym },
+    /// γᵀ: the nested collection at `attr` (or its `field`) aggregated into
+    /// `output`.
+    NestAggregation { func: AggFunc, attr: Sym, field: Option<Sym>, output: Sym },
+    /// δ: the identity on one row (the evaluator deduplicates the bag
+    /// instead).
+    Identity,
+}
+
+impl RowTransform {
+    /// Compiles `node`'s operator against its input schema.
+    ///
+    /// Fails if the operator is not 1:1, or if a tuple flatten's input
+    /// schema does not infer.
+    pub fn compile(node: &OpNode, db: &Database) -> AlgebraResult<RowTransform> {
+        let kernel = match &node.op {
+            Operator::Projection { columns } => Kernel::Project(
+                columns.iter().map(|c| (Sym::intern(&c.name), c.expr.clone())).collect(),
+            ),
+            Operator::Rename { pairs } => Kernel::Rename(
+                pairs.iter().map(|p| (Sym::intern(&p.from), Sym::intern(&p.to))).collect(),
+            ),
+            Operator::TupleFlatten { source, alias } => {
+                let input_schema = output_type(&node.inputs[0], db)?;
+                let padding = match input_schema.resolve_path(source) {
+                    Ok(NestedType::Tuple(t)) => Some(t.attribute_syms().collect()),
+                    _ => None,
+                };
+                Kernel::TupleFlatten {
+                    source: source.clone(),
+                    alias: alias.as_deref().map(Sym::intern),
+                    padding,
+                }
+            }
+            Operator::TupleNest { attrs, into } => Kernel::TupleNest {
+                attrs: attrs.iter().map(|a| Sym::intern(a)).collect(),
+                into: Sym::intern(into),
+            },
+            Operator::NestAggregation { func, attr, field, output } => Kernel::NestAggregation {
+                func: *func,
+                attr: Sym::intern(attr),
+                field: field.as_deref().map(Sym::intern),
+                output: Sym::intern(output),
+            },
+            Operator::Dedup => Kernel::Identity,
+            other => {
+                return Err(AlgebraError::InvalidParameter {
+                    operator: other.kind_name().to_string(),
+                    message: "not a 1:1 operator".into(),
+                })
+            }
+        };
+        Ok(RowTransform(kernel))
     }
-    out.finish()
+
+    /// Applies the transform to one row.
+    pub fn apply(&self, tuple: &Tuple) -> AlgebraResult<Tuple> {
+        Ok(match &self.0 {
+            Kernel::Project(columns) => {
+                Tuple::new(columns.iter().map(|(name, expr)| (*name, expr.eval(tuple))))
+            }
+            Kernel::Rename(mapping) => tuple.rename(mapping),
+            Kernel::TupleFlatten { source, alias, padding } => {
+                let extracted = tuple.get_path(source).unwrap_or(Value::Null);
+                match (alias, extracted) {
+                    (Some(alias), extracted) => tuple.with_field(*alias, extracted),
+                    (None, Value::Tuple(inner)) => tuple.concat(&inner)?,
+                    (None, Value::Null) => match padding {
+                        Some(names) => tuple.concat(&Tuple::null_padded(names))?,
+                        None => tuple.clone(),
+                    },
+                    (None, other) => {
+                        return Err(AlgebraError::InvalidParameter {
+                            operator: "Fᵀ".into(),
+                            message: format!(
+                                "tuple flatten without alias expects a tuple value at `{source}`, found {}",
+                                other.kind()
+                            ),
+                        })
+                    }
+                }
+            }
+            Kernel::TupleNest { attrs, into } => {
+                let nested = tuple.project(attrs).unwrap_or_else(|_| Tuple::empty());
+                tuple.without(attrs).with_field(*into, Value::from_tuple(nested))
+            }
+            Kernel::NestAggregation { func, attr, field, output } => {
+                let values: Vec<Value> = match tuple.get(*attr) {
+                    Some(Value::Bag(b)) => b
+                        .iter_expanded()
+                        .map(|element| match field {
+                            Some(f) => element
+                                .as_tuple()
+                                .and_then(|t| t.get(*f).cloned())
+                                .unwrap_or(Value::Null),
+                            None => element.clone(),
+                        })
+                        .collect(),
+                    _ => Vec::new(),
+                };
+                tuple.with_field(*output, func.apply(values.iter()))
+            }
+            Kernel::Identity => tuple.clone(),
+        })
+    }
+
+    /// Maps every row of `input` through the transform. A non-tuple entry
+    /// reads as the empty tuple, except under ρ, which passes it through.
+    fn map_rows(&self, input: &Bag) -> AlgebraResult<Bag> {
+        let empty = Tuple::empty();
+        let mut out = BagBuilder::with_capacity(input.distinct());
+        for (v, m) in input.iter() {
+            let row = match (v.as_tuple(), &self.0) {
+                (None, Kernel::Rename(_)) => v.clone(),
+                (tuple, _) => Value::from_tuple(self.apply(tuple.unwrap_or(&empty))?),
+            };
+            out.add(row, *m);
+        }
+        Ok(out.finish())
+    }
+}
+
+/// A relation flatten `F` compiled against its input schema: the per-row
+/// expansion shared by the evaluator and the provenance tracer's
+/// generalized (always outer) flatten.
+pub struct RowFlatten {
+    attr: Sym,
+    alias: Option<Sym>,
+    /// The element type's attribute names, to pad an empty collection with.
+    padding: Vec<Sym>,
+    /// Where a non-tuple element goes without an alias: `{attr}_value`.
+    value_field: Sym,
+}
+
+impl RowFlatten {
+    /// Compiles the flatten of `attr` (under `alias`, if any) for rows of
+    /// `input_schema`.
+    pub fn new(attr: &str, alias: Option<&str>, input_schema: &TupleType) -> RowFlatten {
+        let padding = match input_schema.attribute(attr) {
+            Some(NestedType::Relation(t)) => t.attribute_syms().collect(),
+            _ => Vec::new(),
+        };
+        RowFlatten {
+            attr: Sym::intern(attr),
+            alias: alias.map(Sym::intern),
+            padding,
+            value_field: Sym::intern(&format!("{attr}_value")),
+        }
+    }
+
+    /// One output row per distinct element of the row's nested collection,
+    /// with the element's multiplicity; none if the collection is empty or
+    /// absent.
+    pub fn elements(&self, tuple: &Tuple) -> AlgebraResult<Vec<(Tuple, u64)>> {
+        let Some(Value::Bag(nested)) = tuple.get(self.attr) else { return Ok(Vec::new()) };
+        nested
+            .iter()
+            .map(|(element, m)| {
+                let row = match (self.alias, element) {
+                    (Some(alias), element) => tuple.with_field(alias, element.clone()),
+                    (None, Value::Tuple(inner)) => tuple.concat(inner)?,
+                    // Elements that are not tuples (e.g. bare strings) are
+                    // exposed under the attribute's own name suffixed with
+                    // `_value` so flattening plain lists still works.
+                    (None, other) => tuple.with_field(self.value_field, other.clone()),
+                };
+                Ok((row, *m))
+            })
+            .collect()
+    }
+
+    /// The outer flatten's row for an empty or absent collection: the row
+    /// padded with `⊥`.
+    pub fn pad(&self, tuple: &Tuple) -> AlgebraResult<Tuple> {
+        Ok(match self.alias {
+            Some(alias) => tuple.with_field(alias, Value::Null),
+            None => tuple.concat(&Tuple::null_padded(&self.padding))?,
+        })
+    }
+}
+
+/// Folds one group into its output row: `key` extended by each aggregate
+/// over the group's `members`. Shared by the evaluator's grouped
+/// aggregation and the provenance tracer's.
+pub fn aggregate_group(key: Tuple, aggs: &[AggSpec], members: &[impl Borrow<Tuple>]) -> Tuple {
+    aggs.iter().fold(key, |row, agg| {
+        let values: Vec<Value> = members.iter().map(|t| agg.input.eval(t.borrow())).collect();
+        row.with_field(agg.output.as_str(), agg.func.apply(values.iter()))
+    })
 }
 
 fn eval_selection(input: &Bag, predicate: &Expr) -> Bag {
@@ -205,107 +384,17 @@ fn eval_join(
     out.finish()
 }
 
-fn eval_tuple_flatten(
-    input: &Bag,
-    source: &nested_data::AttrPath,
-    alias: Option<&str>,
-    input_schema: &TupleType,
-) -> AlgebraResult<Bag> {
-    let source_ty = input_schema.resolve_path(source).ok().cloned();
-    let alias = alias.map(Sym::intern);
+fn eval_flatten(input: &Bag, kind: FlattenKind, flatten: &RowFlatten) -> AlgebraResult<Bag> {
     let mut out = BagBuilder::with_capacity(input.distinct());
     for (v, m) in input.iter() {
         let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let extracted = tuple.get_path(source).unwrap_or(Value::Null);
-        let result = match alias {
-            Some(alias) => tuple.with_field(alias, extracted),
-            None => match extracted {
-                Value::Tuple(inner) => tuple.concat(&inner)?,
-                Value::Null => match &source_ty {
-                    Some(NestedType::Tuple(t)) => {
-                        let names: Vec<Sym> = t.attribute_syms().collect();
-                        tuple.concat(&Tuple::null_padded(&names))?
-                    }
-                    _ => tuple.clone(),
-                },
-                other => {
-                    return Err(AlgebraError::InvalidParameter {
-                        operator: "Fᵀ".into(),
-                        message: format!(
-                        "tuple flatten without alias expects a tuple value at `{source}`, found {}",
-                        other.kind()
-                    ),
-                    })
-                }
-            },
-        };
-        out.add(Value::from_tuple(result), *m);
-    }
-    Ok(out.finish())
-}
-
-fn eval_flatten(
-    input: &Bag,
-    kind: FlattenKind,
-    attr: &str,
-    alias: Option<&str>,
-    input_schema: &TupleType,
-) -> AlgebraResult<Bag> {
-    let attr = Sym::intern(attr);
-    let alias = alias.map(Sym::intern);
-    let element_ty = match input_schema.attribute(attr) {
-        Some(NestedType::Relation(t)) => Some(t.clone()),
-        _ => None,
-    };
-    let padding_names: Vec<Sym> =
-        element_ty.as_ref().map(|t| t.attribute_syms().collect()).unwrap_or_default();
-    let value_field = Sym::intern(&format!("{attr}_value"));
-    let mut out = BagBuilder::with_capacity(input.distinct());
-    for (v, m) in input.iter() {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let nested = tuple.get(attr).cloned().unwrap_or(Value::Null);
-        let elements: Vec<(Value, u64)> = match &nested {
-            Value::Bag(b) => b.iter().cloned().collect(),
-            _ => Vec::new(),
-        };
-        if elements.is_empty() {
-            if kind == FlattenKind::Outer {
-                let padded = match alias {
-                    Some(alias) => tuple.with_field(alias, Value::Null),
-                    None => tuple.concat(&Tuple::null_padded(&padding_names))?,
-                };
-                out.add(Value::from_tuple(padded), *m);
-            }
-            continue;
+        let rows = flatten.elements(&tuple)?;
+        if rows.is_empty() && kind == FlattenKind::Outer {
+            out.add(Value::from_tuple(flatten.pad(&tuple)?), *m);
         }
-        for (element, em) in elements {
-            let combined = match alias {
-                Some(alias) => tuple.with_field(alias, element),
-                None => match element {
-                    Value::Tuple(inner) => tuple.concat(&inner)?,
-                    other => {
-                        // Elements that are not tuples (e.g. bare strings) are
-                        // exposed under the attribute's own name suffixed with
-                        // `_value` so flattening plain lists still works.
-                        tuple.with_field(value_field, other)
-                    }
-                },
-            };
-            out.add(Value::from_tuple(combined), m * em);
+        for (row, em) in rows {
+            out.add(Value::from_tuple(row), m * em);
         }
-    }
-    Ok(out.finish())
-}
-
-fn eval_tuple_nest(input: &Bag, attrs: &[String], into: &str) -> AlgebraResult<Bag> {
-    let attr_syms: Vec<Sym> = attrs.iter().map(|a| Sym::intern(a)).collect();
-    let into = Sym::intern(into);
-    let mut out = BagBuilder::with_capacity(input.distinct());
-    for (v, m) in input.iter() {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let nested = tuple.project(&attr_syms).unwrap_or_else(|_| Tuple::empty());
-        let remaining = tuple.without(&attr_syms);
-        out.add(Value::from_tuple(remaining.with_field(into, Value::from_tuple(nested))), *m);
     }
     Ok(out.finish())
 }
@@ -337,71 +426,21 @@ fn eval_relation_nest(input: &Bag, attrs: &[String], into: &str) -> AlgebraResul
     Ok(out.finish())
 }
 
-fn eval_nest_aggregation(
-    input: &Bag,
-    func: AggFunc,
-    attr: &str,
-    field: Option<&str>,
-    output: &str,
-) -> AlgebraResult<Bag> {
-    let attr = Sym::intern(attr);
-    let field = field.map(Sym::intern);
-    let output = Sym::intern(output);
-    let mut out = BagBuilder::with_capacity(input.distinct());
-    for (v, m) in input.iter() {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let nested = tuple.get(attr).cloned().unwrap_or(Value::Null);
-        let values: Vec<Value> = match &nested {
-            Value::Bag(b) => b
-                .iter_expanded()
-                .map(|element| match field {
-                    Some(f) => {
-                        element.as_tuple().and_then(|t| t.get(f).cloned()).unwrap_or(Value::Null)
-                    }
-                    None => element.clone(),
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        let aggregated = func.apply(values.iter());
-        let aggregated = match (&aggregated, func) {
-            // count over an empty / null collection is 0, not ⊥
-            (Value::Null, AggFunc::Count | AggFunc::CountDistinct) => Value::Int(0),
-            _ => aggregated,
-        };
-        out.add(Value::from_tuple(tuple.with_field(output, aggregated)), *m);
-    }
-    Ok(out.finish())
-}
-
-fn eval_group_aggregation(
-    input: &Bag,
-    group_by: &[String],
-    aggs: &[AggSpec],
-) -> AlgebraResult<Bag> {
+fn eval_group_aggregation(input: &Bag, group_by: &[String], aggs: &[AggSpec]) -> Bag {
     let group_syms: Vec<Sym> = group_by.iter().map(|a| Sym::intern(a)).collect();
-    let output_syms: Vec<Sym> = aggs.iter().map(|a| Sym::intern(&a.output)).collect();
     let groups = input.group_by(|v| {
         let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
         Value::from_tuple(tuple.project(&group_syms).unwrap_or_else(|_| Tuple::empty()))
     });
+    let empty = Tuple::empty();
     let mut out = BagBuilder::with_capacity(groups.len());
     for (key, group) in groups {
         let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let mut result = key_tuple;
-        for (agg, output) in aggs.iter().zip(output_syms.iter()) {
-            let values: Vec<Value> = group
-                .iter_expanded()
-                .map(|v| {
-                    let t = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-                    agg.input.eval(&t)
-                })
-                .collect();
-            result = result.with_field(*output, agg.func.apply(values.iter()));
-        }
-        out.add(Value::from_tuple(result), 1);
+        let members: Vec<&Tuple> =
+            group.iter_expanded().map(|v| v.as_tuple().unwrap_or(&empty)).collect();
+        out.add(Value::from_tuple(aggregate_group(key_tuple, aggs, &members)), 1);
     }
-    Ok(out.finish())
+    out.finish()
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Artifacts: `fig8`, `fig9`, `fig10`, `fig11`, `table3`, `table7`, `table8`,
-//! `crime`, and the fast-path A/B pairs `join`, `pipeline`, `parallel`.
+//! `crime`, and the fast-path A/B pairs `join` and `parallel`.
 //!
 //! Besides the stdout tables, the figures and pairs are merged into the
 //! machine-readable `BENCH_figures.json` at the workspace root, one group
@@ -54,9 +54,6 @@ fn main() {
     }
     if wanted("join") {
         whynot_bench::join_group();
-    }
-    if wanted("pipeline") {
-        whynot_bench::pipeline_group();
     }
     if wanted("parallel") {
         whynot_bench::parallel_group();

@@ -17,10 +17,10 @@
 //!   formalism.
 //! * **Crime comparison** (Section 6.4) — Why-Not vs. Conseil vs. RP on C1–C3.
 //!
-//! Besides the figures, three groups pair a physical fast path with the path
-//! it replaces in one process: [`join_group`], [`pipeline_group`] and
-//! [`parallel_group`]. The `figures` binary is the single entry point
-//! (`cargo run --release -p whynot-bench --bin figures`); it measures through
+//! Besides the figures, two groups pair a physical fast path with the path
+//! it replaces in one process: [`join_group`] and [`parallel_group`]. The
+//! `figures` binary is the single entry point (`cargo run --release -p
+//! whynot-bench --bin figures`); it measures through
 //! [`microbench::BenchGroup`] and merges one group per figure or pair into
 //! `BENCH_figures.json`.
 //!
@@ -160,27 +160,6 @@ pub fn parallel_group() {
     );
 
     group.finish();
-}
-
-/// The whole-plan DBLP D4 trace workload of [`pipeline_group`]: the
-/// scale-300 scenario and its schema alternatives.
-fn dblp_d4_trace_inputs() -> (Scenario, Vec<nrab_provenance::SchemaAlternative>) {
-    use whynot_core::alternatives::enumerate_schema_alternatives;
-    use whynot_core::backtrace::schema_backtrace;
-
-    let scenario = whynot_scenarios::dblp::d4(300);
-    let backtrace = schema_backtrace(&scenario.plan, &scenario.db, &scenario.why_not)
-        .expect("backtrace succeeds");
-    let sas = enumerate_schema_alternatives(
-        &scenario.plan,
-        &scenario.db,
-        &scenario.why_not,
-        &backtrace,
-        &scenario.alternatives,
-        64,
-    )
-    .expect("alternatives enumerate");
-    (scenario, sas)
 }
 
 /// Two wide flat relations (6 scalar attributes each) for [`join_group`]: a
@@ -336,32 +315,6 @@ pub fn join_group() {
         "traced equi join must be byte-identical to the nested-loop trace"
     );
     group.pair("equi_trace/nested_loop", loop_trace, "equi_trace/hash", trace);
-
-    group.finish();
-}
-
-/// The `pipeline` microbench group: the tracer's fused replay against the
-/// operator-at-a-time replay it replaces, on the whole-plan generalized
-/// trace of DBLP D4 (multi-SA). Its flatten→project and
-/// select→select→project runs dominate the trace; the fused replay
-/// eliminates the per-tuple singleton-bag evaluation.
-///
-/// Before measuring, the group *asserts* byte-identity: the fused trace must
-/// equal the `with_pipelining(false)` one — pipelining is a pure performance
-/// knob, like the hash join.
-pub fn pipeline_group() {
-    use nrab_provenance::{trace_plan_generalized, with_pipelining};
-
-    let mut group = BenchGroup::new("pipeline");
-
-    let (scenario, sas) = dblp_d4_trace_inputs();
-    let fused = || trace_plan_generalized(&scenario.plan, &scenario.db, &sas).expect("trace");
-    let materialized = || with_pipelining(false, fused);
-    assert!(
-        fused() == materialized(),
-        "the fused trace must be bit-identical to the operator-at-a-time replay"
-    );
-    group.pair("dblp_d4/fused", fused, "dblp_d4/materialized", materialized);
 
     group.finish();
 }

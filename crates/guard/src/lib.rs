@@ -10,8 +10,8 @@
 //! (`timeout_ms`, `max_trace_tuples`, `max_eval_rows`). The service [`arm`]s
 //! it around the request; the engine layers below check it *cooperatively* at
 //! coarse boundaries — once per operator application, once per join
-//! build/probe stride of 1024 rows, once per 1024 fused tuples or per traced
-//! operator — and
+//! build/probe stride of 1024 rows, once per 1024 tuples a traced selection
+//! or 1:1 operator reads, or per traced operator — and
 //! surface a typed [`ResourceError`] when a limit is exceeded. Nothing is
 //! preemptive: a trip is always raised by the guarded computation itself, so
 //! it unwinds through the ordinary error channels and never leaves shared

@@ -33,7 +33,7 @@ pub use annotate::{
     AnnotatedOp, AnnotatedTuple, FlagRow, FlagRows, GeneralizedTrace, OpFlags, OpTrace, SaFlags,
     TraceResult, TracedTuple,
 };
-pub use trace::{annotate_consistency, trace_plan, trace_plan_generalized, with_pipelining};
+pub use trace::{annotate_consistency, trace_plan, trace_plan_generalized};
 
 /// A stable textual signature of the substitution sets of a slice of schema
 /// alternatives, in order. Questions whose alternatives share this signature

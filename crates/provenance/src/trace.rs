@@ -19,19 +19,17 @@
 //! order, so the trace is a pure function of the plan, the database and the
 //! schema alternatives.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use nested_data::{AttrPath, Bag, NestedType, Nip, NipCmp, Sym, Tuple, TupleType, Value};
-use nrab_algebra::eval::apply_operator;
+use nested_data::{Bag, Nip, NipCmp, Sym, Tuple, Value};
+use nrab_algebra::eval::{aggregate_group, RowFlatten, RowTransform};
 use nrab_algebra::expr::Expr;
 use nrab_algebra::join::{
     hash_join_enabled, join_matches_probe, join_matches_with, split_equi_join, EquiJoin, JoinBuild,
     JoinMatches,
 };
 use nrab_algebra::schema::output_type;
-use nrab_algebra::{AggFunc, ProjColumn};
 use nrab_algebra::{
     AlgebraError, AlgebraResult, Database, FlattenKind, JoinKind, OpId, OpNode, Operator, QueryPlan,
 };
@@ -40,38 +38,6 @@ use crate::alternative::SchemaAlternative;
 use crate::annotate::{
     FlagRows, GeneralizedTrace, OpFlags, OpTrace, SaFlags, TraceResult, TracedTuple,
 };
-
-thread_local! {
-    /// Thread-local fused-replay enable flag (default: enabled). See
-    /// [`with_pipelining`].
-    static PIPELINING_ENABLED: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Whether the tracer's fused replay is enabled on the current thread.
-fn pipelining_enabled() -> bool {
-    PIPELINING_ENABLED.with(Cell::get)
-}
-
-/// Runs `f` with the tracer's fused replay of 1:1 operator chains enabled or
-/// disabled on the current thread, restoring the previous setting afterwards
-/// (also on panic).
-///
-/// Disabling forces every operator back onto the operator-at-a-time replay —
-/// the knob the differential tests and the `pipeline` bench group use to
-/// compare the two replays on identical plans.
-pub fn with_pipelining<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore {
-        previous: bool,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let previous = self.previous;
-            PIPELINING_ENABLED.with(|c| c.set(previous));
-        }
-    }
-    let _restore = Restore { previous: PIPELINING_ENABLED.with(|c| c.replace(enabled)) };
-    f()
-}
 
 /// Traces a plan over a database under the given schema alternatives.
 ///
@@ -303,22 +269,6 @@ impl<'a> Tracer<'a> {
     }
 
     fn trace_node(&mut self, node: &OpNode) -> AlgebraResult<()> {
-        // Pipelined replay: a maximal run of 1:1 operators (selections and
-        // structural transforms) ending at `node` is traced as one fused
-        // pass over its source instead of one full per-op replay each.
-        if pipelining_enabled() {
-            let mut chain: Vec<&OpNode> = Vec::new();
-            let mut cur = node;
-            while tracer_fusable(&cur.op) {
-                chain.push(cur);
-                cur = &cur.inputs[0];
-            }
-            if !chain.is_empty() {
-                self.trace_node(cur)?;
-                chain.reverse(); // collected sink-to-source; replay wants source-to-sink
-                return self.trace_fused(&chain);
-            }
-        }
         for input in &node.inputs {
             self.trace_node(input)?;
         }
@@ -353,135 +303,6 @@ impl<'a> Tracer<'a> {
         Ok(())
     }
 
-    /// Replays a fused run of selections and structural operators as one pass
-    /// over the child's traced tuples: every tuple's per-SA variants go
-    /// through the whole chain at once, keeping them hot instead of
-    /// materializing each operator's full trace before the next starts.
-    /// Per-operator traces are then assembled in chain order, so fresh ids,
-    /// lineage, budget draws, and flags are bit-identical to the
-    /// operator-at-a-time replay.
-    fn trace_fused(&mut self, ops: &[&OpNode]) -> AlgebraResult<()> {
-        let _span = whynot_obs::span_dyn(|| {
-            let (first, last) = (ops[0], ops[ops.len() - 1]);
-            format!(
-                "pipe:{}#{}..{}#{}",
-                first.op.kind_name(),
-                first.id,
-                last.op.kind_name(),
-                last.id
-            )
-        });
-        let child_trace = self.take_trace(ops[0].inputs[0].id);
-        let n = self.n_sas();
-        // Compile each operator once per schema alternative: selection
-        // predicates, and direct per-tuple transform contexts for the
-        // structural operators (the schema-dependent parts of tuple flatten
-        // resolve here, not once per tuple as the singleton-bag path does).
-        let steps: Vec<FusedStep> = ops
-            .iter()
-            .map(|node| match &node.op {
-                Operator::Selection { .. } => FusedStep::Select(
-                    (0..n)
-                        .map(|sa| match self.sas[sa].effective_operator(node) {
-                            Operator::Selection { predicate } => predicate,
-                            _ => Expr::lit(true),
-                        })
-                        .collect(),
-                ),
-                _ => FusedStep::Structural(
-                    (0..n)
-                        .map(|sa| StructuralCtx::compile(&self.effective_node(node, sa), self.db))
-                        .collect(),
-                ),
-            })
-            .collect();
-
-        // Fused pass: tuple-major, operator-inner, with a deadline check
-        // every 1024 tuples. Guard draws mirror the operator-at-a-time replay
-        // exactly — one checkpoint and one eval row per structural
-        // application to a valid variant (selections only annotate and draw
-        // nothing), and a failed draw makes the variant vanish under that
-        // alternative, as the singleton-bag path degrades.
-        let armed = whynot_guard::armed();
-        type FusedRow = Vec<(Vec<Option<Tuple>>, Vec<SaFlags>)>;
-        let mut rows: Vec<FusedRow> = child_trace
-            .tuples
-            .iter()
-            .enumerate()
-            .map(|(row, input)| {
-                if row & 1023 == 0 {
-                    whynot_guard::enforce();
-                }
-                let mut state: Vec<(Option<Tuple>, bool)> =
-                    (0..n).map(|sa| (input.variant(sa).cloned(), input.flags(sa).valid)).collect();
-                steps
-                    .iter()
-                    .map(|step| {
-                        let mut variants = Vec::with_capacity(n);
-                        let mut flags = Vec::with_capacity(n);
-                        for (sa, (variant, valid)) in state.iter_mut().enumerate() {
-                            match step {
-                                FusedStep::Select(predicates) => {
-                                    let retained = variant
-                                        .as_ref()
-                                        .map(|t| *valid && predicates[sa].eval_bool(t))
-                                        .unwrap_or(false);
-                                    flags.push(base_flags(variant.as_ref(), *valid, retained));
-                                    variants.push(variant.clone());
-                                    *valid = *valid && variant.is_some();
-                                }
-                                FusedStep::Structural(ctxs) => {
-                                    let transformed = match variant.as_ref() {
-                                        Some(tuple) if *valid => {
-                                            let allowed = !armed
-                                                || (whynot_guard::checkpoint().is_ok()
-                                                    && whynot_guard::consume_eval_rows(1).is_ok());
-                                            if allowed {
-                                                ctxs[sa].apply(tuple)
-                                            } else {
-                                                None
-                                            }
-                                        }
-                                        _ => None,
-                                    };
-                                    flags.push(base_flags(transformed.as_ref(), *valid, true));
-                                    *valid = transformed.is_some();
-                                    variants.push(transformed.clone());
-                                    *variant = transformed;
-                                }
-                            }
-                        }
-                        (variants, flags)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Assembly, operator by operator in chain order: fresh ids, lineage
-        // to the previous stage, trace-tuple budget draws, and per-operator
-        // observability counters — all exactly as the unfused post-order
-        // recursion would have produced them.
-        let mut prev_ids: Vec<u64> = child_trace.tuples.iter().map(|t| t.id).collect();
-        for (k, node) in ops.iter().enumerate() {
-            let mut tuples = Vec::with_capacity(rows.len());
-            let mut ids = Vec::with_capacity(rows.len());
-            for (row, prev) in rows.iter_mut().zip(&prev_ids) {
-                let (variants, flags) = std::mem::take(&mut row[k]);
-                let id = self.fresh_id();
-                ids.push(id);
-                tuples.push(TracedTuple::new(id, variants, flags, vec![vec![*prev]; n]));
-            }
-            prev_ids = ids;
-            let trace = OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples };
-            whynot_guard::consume_trace_tuples(trace.tuples.len() as u64)
-                .map_err(AlgebraError::from)?;
-            record_trace_counters(&trace);
-            self.put_trace(trace);
-        }
-        self.put_trace(child_trace);
-        Ok(())
-    }
-
     fn trace_table_access(&mut self, node: &OpNode, table: &str) -> AlgebraResult<OpTrace> {
         let bag = self.db.relation(table)?.clone();
         let mut tuples = Vec::with_capacity(bag.distinct());
@@ -497,22 +318,41 @@ impl<'a> Tracer<'a> {
 
     /// Structural 1:1 operators: apply the effective operator to each variant
     /// individually; `retained` is always true (these operators never prune).
+    ///
+    /// The operator is compiled once per schema alternative into the
+    /// evaluator's [`RowTransform`]. If it does not compile under an
+    /// alternative (e.g. a tuple flatten whose input schema does not infer),
+    /// every variant vanishes under it; if it fails on one variant (e.g. a
+    /// tuple flatten meets a non-tuple value), that variant vanishes.
     fn trace_structural(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
-        let child = &node.inputs[0];
-        let child_trace = self.take_trace(child.id);
-        let effective: Vec<OpNode> =
-            (0..self.n_sas()).map(|sa| self.effective_node(node, sa)).collect();
-
+        let child_trace = self.take_trace(node.inputs[0].id);
         let n = self.n_sas();
+        let transforms: Vec<Option<RowTransform>> = (0..n)
+            .map(|sa| RowTransform::compile(&self.effective_node(node, sa), self.db).ok())
+            .collect();
+        let armed = whynot_guard::armed();
         let mut tuples = Vec::with_capacity(child_trace.tuples.len());
-        for input in &child_trace.tuples {
+        for (row, input) in child_trace.tuples.iter().enumerate() {
+            if row & 1023 == 0 {
+                whynot_guard::enforce();
+            }
             let mut variants = Vec::with_capacity(n);
             let mut flags = Vec::with_capacity(n);
-            for (sa, effective_node) in effective.iter().enumerate() {
+            for (sa, transform) in transforms.iter().enumerate() {
                 let input_flags = input.flags(sa);
                 let transformed = match input.variant(sa) {
                     Some(tuple) if input_flags.valid => {
-                        apply_to_single(effective_node, tuple, self.db)?
+                        // Each application to a valid variant draws one
+                        // deadline check and one eval row, as evaluating
+                        // the operator on the variant alone would; a
+                        // failed draw makes the variant vanish.
+                        let allowed = !armed
+                            || (whynot_guard::checkpoint().is_ok()
+                                && whynot_guard::consume_eval_rows(1).is_ok());
+                        transform
+                            .as_ref()
+                            .filter(|_| allowed)
+                            .and_then(|transform| transform.apply(tuple).ok())
                     }
                     _ => None,
                 };
@@ -544,7 +384,10 @@ impl<'a> Tracer<'a> {
 
         let n = self.n_sas();
         let mut tuples = Vec::with_capacity(child_trace.tuples.len());
-        for input in &child_trace.tuples {
+        for (row, input) in child_trace.tuples.iter().enumerate() {
+            if row & 1023 == 0 {
+                whynot_guard::enforce();
+            }
             let mut variants = Vec::with_capacity(n);
             let mut flags = Vec::with_capacity(n);
             for (sa, predicate) in predicates.iter().enumerate() {
@@ -575,13 +418,13 @@ impl<'a> Tracer<'a> {
         let child_trace = self.take_trace(child.id);
 
         let (original_kind, alias) = match &node.op {
-            Operator::Flatten { kind, alias, .. } => (*kind, alias.clone()),
+            Operator::Flatten { kind, alias, .. } => (*kind, alias.as_deref()),
             _ => unreachable!("trace_flatten called on non-flatten"),
         };
-        // Per SA: the attribute actually flattened.
-        let attrs: Vec<String> = (0..self.n_sas())
+        // Per SA: the flatten of the attribute actually flattened.
+        let flattens: Vec<RowFlatten> = (0..self.n_sas())
             .map(|sa| match self.sas[sa].effective_operator(node) {
-                Operator::Flatten { attr, .. } => attr,
+                Operator::Flatten { attr, .. } => RowFlatten::new(&attr, alias, &child_schema),
                 _ => unreachable!(),
             })
             .collect();
@@ -589,13 +432,19 @@ impl<'a> Tracer<'a> {
         let n = self.n_sas();
         let mut tuples = Vec::new();
         for input in &child_trace.tuples {
-            // Per SA, the `(tuple, retained)` rows the outer flatten produces.
+            // Per SA, the `(tuple, retained)` rows the outer flatten produces;
+            // element multiplicities are not traced. The padding row of an
+            // empty collection is retained only by an original outer flatten.
             let mut per_sa: Vec<Vec<(Tuple, bool)>> = Vec::with_capacity(n);
-            for (sa, attr) in attrs.iter().enumerate() {
-                let input_flags = input.flags(sa);
+            for (sa, flatten) in flattens.iter().enumerate() {
                 let outputs = match input.variant(sa) {
-                    Some(tuple) if input_flags.valid => {
-                        flatten_one(tuple, attr, alias.as_deref(), original_kind, &child_schema)?
+                    Some(tuple) if input.flags(sa).valid => {
+                        let rows = flatten.elements(tuple)?;
+                        if rows.is_empty() {
+                            vec![(flatten.pad(tuple)?, original_kind == FlattenKind::Outer)]
+                        } else {
+                            rows.into_iter().map(|(row, _)| (row, true)).collect()
+                        }
                     }
                     _ => Vec::new(),
                 };
@@ -968,9 +817,13 @@ impl<'a> Tracer<'a> {
             for sa in 0..n {
                 match &slot.per_sa[sa] {
                     Some(group) => {
-                        let relaxed = aggregate_tuple(&key_tuple, &group.aggs, &group.all_members);
-                        let retained_only =
-                            aggregate_tuple(&key_tuple, &group.aggs, &group.retained_members);
+                        let relaxed =
+                            aggregate_group(key_tuple.clone(), &group.aggs, &group.all_members);
+                        let retained_only = aggregate_group(
+                            key_tuple.clone(),
+                            &group.aggs,
+                            &group.retained_members,
+                        );
                         // The original query would produce the group from the
                         // retained members only; the group survives if any
                         // member was retained. The retained-members aggregate
@@ -1080,8 +933,7 @@ fn base_flags(variant: Option<&Tuple>, input_valid: bool, retained: bool) -> SaF
 }
 
 /// Records the per-operator trace counters when a profiling session is
-/// active. Shared by the operator-at-a-time recursion and the fused replay so
-/// counter totals are identical either way.
+/// active.
 fn record_trace_counters(trace: &OpTrace) {
     if !whynot_obs::enabled() {
         return;
@@ -1107,227 +959,13 @@ fn collect_subtree_ops(node: &OpNode, out: &mut std::collections::BTreeSet<OpId>
     }
 }
 
-/// Operators the tracer can fuse into one replay pass: the 1:1
-/// operators whose trace row `i` depends only on row `i` of their child —
-/// selections (which annotate without transforming) and the structural
-/// transforms. Joins, cross products, relation flatten, relation nest,
-/// grouped aggregation, union, and difference mix rows and always break a
-/// tracer pipeline.
-fn tracer_fusable(op: &Operator) -> bool {
-    matches!(
-        op,
-        Operator::Selection { .. }
-            | Operator::Projection { .. }
-            | Operator::Rename { .. }
-            | Operator::TupleFlatten { .. }
-            | Operator::TupleNest { .. }
-            | Operator::NestAggregation { .. }
-            | Operator::Dedup
-    )
-}
-
-/// One operator of a fused tracer chain, compiled once per schema
-/// alternative before the fused pass.
-enum FusedStep {
-    /// Per-SA selection predicates (annotate-only: variants pass through).
-    Select(Vec<Expr>),
-    /// Per-SA structural transform contexts.
-    Structural(Vec<StructuralCtx>),
-}
-
-/// A structural 1:1 operator compiled to a direct per-tuple transform with
-/// the same semantics — including the same error-to-`None` degradation — as
-/// evaluating the operator over a singleton bag via [`apply_to_single`], but
-/// without the per-tuple bag construction, schema inference, and operator
-/// dispatch.
-enum StructuralCtx {
-    /// π: evaluate each output column against the input tuple.
-    Project { names: Vec<Sym>, columns: Vec<ProjColumn> },
-    /// ρ: rename attributes.
-    Rename { mapping: Vec<(Sym, Sym)> },
-    /// Fᵀ: splice (or alias) the tuple value at `source` into the row.
-    TupleFlatten { source: AttrPath, alias: Option<Sym>, source_ty: Option<NestedType> },
-    /// νᵀ: fold `attrs` into the nested tuple `into`.
-    TupleNest { attrs: Vec<Sym>, into: Sym },
-    /// γᵀ: aggregate the nested collection at `attr` into `output`.
-    NestAgg { func: AggFunc, attr: Sym, field: Option<Sym>, output: Sym },
-    /// δ: identity on a single variant.
-    Dedup,
-    /// The operator fails outright under this alternative (e.g. a tuple
-    /// flatten whose input schema does not infer): every variant maps to
-    /// `None`, exactly as the singleton-bag path degrades.
-    Broken,
-}
-
-impl StructuralCtx {
-    fn compile(node: &OpNode, db: &Database) -> StructuralCtx {
-        match &node.op {
-            Operator::Projection { columns } => StructuralCtx::Project {
-                names: columns.iter().map(|c| Sym::intern(&c.name)).collect(),
-                columns: columns.clone(),
-            },
-            Operator::Rename { pairs } => StructuralCtx::Rename {
-                mapping: pairs.iter().map(|p| (Sym::intern(&p.from), Sym::intern(&p.to))).collect(),
-            },
-            Operator::TupleFlatten { source, alias } => match output_type(&node.inputs[0], db) {
-                Ok(schema) => StructuralCtx::TupleFlatten {
-                    source_ty: schema.resolve_path(source).ok().cloned(),
-                    source: source.clone(),
-                    alias: alias.as_deref().map(Sym::intern),
-                },
-                Err(_) => StructuralCtx::Broken,
-            },
-            Operator::TupleNest { attrs, into } => StructuralCtx::TupleNest {
-                attrs: attrs.iter().map(|a| Sym::intern(a)).collect(),
-                into: Sym::intern(into),
-            },
-            Operator::NestAggregation { func, attr, field, output } => StructuralCtx::NestAgg {
-                func: *func,
-                attr: Sym::intern(attr),
-                field: field.as_deref().map(Sym::intern),
-                output: Sym::intern(output),
-            },
-            Operator::Dedup => StructuralCtx::Dedup,
-            _ => unreachable!("non-structural operator in a fused tracer chain"),
-        }
-    }
-
-    /// Applies the transform to one valid variant; `None` means the tuple
-    /// does not exist under the alternative (a transform error).
-    fn apply(&self, tuple: &Tuple) -> Option<Tuple> {
-        match self {
-            StructuralCtx::Project { names, columns } => Some(Tuple::new(
-                names.iter().zip(columns.iter()).map(|(name, c)| (*name, c.expr.eval(tuple))),
-            )),
-            StructuralCtx::Rename { mapping } => Some(tuple.rename(mapping)),
-            StructuralCtx::TupleFlatten { source, alias, source_ty } => {
-                let extracted = tuple.get_path(source).unwrap_or(Value::Null);
-                match alias {
-                    Some(alias) => Some(tuple.with_field(*alias, extracted)),
-                    None => match extracted {
-                        Value::Tuple(inner) => tuple.concat(&inner).ok(),
-                        Value::Null => match source_ty {
-                            Some(NestedType::Tuple(t)) => {
-                                let names: Vec<Sym> = t.attribute_syms().collect();
-                                tuple.concat(&Tuple::null_padded(&names)).ok()
-                            }
-                            _ => Some(tuple.clone()),
-                        },
-                        // A non-tuple value at `source` is an evaluation
-                        // error without an alias; the variant vanishes.
-                        _ => None,
-                    },
-                }
-            }
-            StructuralCtx::TupleNest { attrs, into } => {
-                let nested = tuple.project(attrs).unwrap_or_else(|_| Tuple::empty());
-                Some(tuple.without(attrs).with_field(*into, Value::from_tuple(nested)))
-            }
-            StructuralCtx::NestAgg { func, attr, field, output } => {
-                let nested = tuple.get(*attr).cloned().unwrap_or(Value::Null);
-                let values: Vec<Value> = match &nested {
-                    Value::Bag(b) => b
-                        .iter_expanded()
-                        .map(|element| match field {
-                            Some(f) => element
-                                .as_tuple()
-                                .and_then(|t| t.get(*f).cloned())
-                                .unwrap_or(Value::Null),
-                            None => element.clone(),
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                let aggregated = func.apply(values.iter());
-                let aggregated = match (&aggregated, func) {
-                    // count over an empty / null collection is 0, not ⊥
-                    (Value::Null, AggFunc::Count | AggFunc::CountDistinct) => Value::Int(0),
-                    _ => aggregated,
-                };
-                Some(tuple.with_field(*output, aggregated))
-            }
-            StructuralCtx::Dedup => Some(tuple.clone()),
-            StructuralCtx::Broken => None,
-        }
-    }
-}
-
-fn aggregate_tuple(key: &Tuple, aggs: &[nrab_algebra::AggSpec], members: &[Tuple]) -> Tuple {
-    let mut result = key.clone();
-    for agg in aggs {
-        let values: Vec<Value> = members.iter().map(|t| agg.input.eval(t)).collect();
-        let mut value = agg.func.apply(values.iter());
-        if value.is_null() && agg.func.always_int() {
-            value = Value::Int(0);
-        }
-        result = result.with_field(agg.output.clone(), value);
-    }
-    result
-}
-
-/// Applies a 1:1 structural operator to a single tuple by evaluating it over a
-/// singleton bag, reusing the evaluator's semantics.
-fn apply_to_single(node: &OpNode, tuple: &Tuple, db: &Database) -> AlgebraResult<Option<Tuple>> {
-    let singleton = Bag::from_values([Value::from_tuple(tuple.clone())]);
-    let inputs = vec![std::sync::Arc::new(singleton)];
-    match apply_operator(node, &inputs, db) {
-        Ok(result) => Ok(result.iter().next().and_then(|(v, _)| v.as_tuple().cloned())),
-        // A structural operator can fail under an alternative (e.g. a
-        // substituted attribute is absent); the tuple then simply does not
-        // exist under that alternative.
-        Err(_) => Ok(None),
-    }
-}
-
-/// The outputs of an (outer-generalized) relation flatten for one input tuple:
-/// `(output tuple, retained by the original flatten kind)`.
-fn flatten_one(
-    tuple: &Tuple,
-    attr: &str,
-    alias: Option<&str>,
-    original_kind: FlattenKind,
-    child_schema: &TupleType,
-) -> AlgebraResult<Vec<(Tuple, bool)>> {
-    let nested = tuple.get(attr).cloned().unwrap_or(Value::Null);
-    let elements: Vec<(Value, u64)> = match &nested {
-        Value::Bag(b) => b.iter().cloned().collect(),
-        _ => Vec::new(),
-    };
-    if elements.is_empty() {
-        // Outer-flatten padding; the original inner flatten would drop it.
-        let padded = match alias {
-            Some(alias) => tuple.with_field(alias, Value::Null),
-            None => {
-                let names: Vec<nested_data::Sym> = match child_schema.attribute(attr) {
-                    Some(NestedType::Relation(t)) => t.attribute_syms().collect(),
-                    _ => Vec::new(),
-                };
-                tuple.concat(&Tuple::null_padded(&names))?
-            }
-        };
-        return Ok(vec![(padded, original_kind == FlattenKind::Outer)]);
-    }
-    let mut out = Vec::with_capacity(elements.len());
-    for (element, _mult) in elements {
-        let combined = match alias {
-            Some(alias) => tuple.with_field(alias, element),
-            None => match element {
-                Value::Tuple(inner) => tuple.concat(&inner)?,
-                other => tuple.with_field(format!("{attr}_value"), other),
-            },
-        };
-        out.push((combined, true));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alternative::OpSubstitution;
-    use nested_data::NipCmp;
+    use nested_data::{NestedType, NipCmp, TupleType};
     use nrab_algebra::expr::CmpOp;
-    use nrab_algebra::PlanBuilder;
+    use nrab_algebra::{evaluate, PlanBuilder};
 
     /// The person table of Figure 1a.
     fn person_db() -> Database {
@@ -1624,6 +1262,55 @@ mod tests {
             .find(|t| t.traced.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
             .unwrap();
         assert!(peter.flags(0).consistent, "the fallback variant matches cnt = 1");
+    }
+
+    /// A 1:1 operator that fails under one schema alternative drops the
+    /// variant under that alternative only: here a tuple flatten whose
+    /// substituted source is a scalar attribute.
+    #[test]
+    fn a_failing_one_to_one_operator_drops_the_variant_under_its_alternative_only() {
+        let home = TupleType::new([("city", NestedType::str())]).unwrap();
+        let ty = TupleType::new([("name", NestedType::str()), ("home", NestedType::Tuple(home))])
+            .unwrap();
+        let ann = Value::tuple([
+            ("name", Value::str("Ann")),
+            ("home", Value::tuple([("city", Value::str("NY"))])),
+        ]);
+        let mut db = Database::new();
+        db.add_relation("r", ty, Bag::from_values([ann]));
+        let plan = PlanBuilder::table("r").tuple_flatten("home", None).build().unwrap();
+        let flatten = plan.root.id;
+        let sas = vec![
+            SchemaAlternative::original(BTreeMap::new()),
+            SchemaAlternative::new(
+                1,
+                vec![OpSubstitution::new(flatten, "home", "name")],
+                BTreeMap::new(),
+            ),
+        ];
+
+        let result = trace_plan(&plan, &db, &sas).unwrap();
+        let root = result.root_trace();
+        assert_eq!(root.len(), 1);
+        let tuple = root.tuples().next().unwrap();
+        let variant = tuple.traced.variant(0).expect("the variant exists under SA 0");
+        assert_eq!(variant.get("city"), Some(&Value::str("NY")));
+        assert!(tuple.flags(0).valid);
+        assert_eq!(tuple.traced.variant(1), None);
+        assert_eq!(tuple.flags(1), SaFlags::absent());
+
+        // The evaluator rejects the SA-1 plan with the error the variant
+        // vanished for.
+        let effective = QueryPlan::new(OpNode::new(
+            flatten,
+            sas[1].effective_operator(&plan.root),
+            plan.root.inputs.clone(),
+        ))
+        .unwrap();
+        assert!(matches!(
+            evaluate(&effective, &db),
+            Err(AlgebraError::InvalidParameter { operator, .. }) if operator == "Fᵀ"
+        ));
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //!
 //! For every case in [`scenarios`], the query answer `⟦Q⟧_D`, the generalized
 //! trace, and the compact wire report must be **byte-identical** under a
-//! physical configuration — the hash join (`with_hash_join`), the tracer's
-//! fused replay (`with_pipelining`), and profiling — to the reference run
-//! with both toggles off, unprofiled. The toggles span a 4-configuration
-//! product (hash join × pipelining), which the four suites
-//! (`join_equivalence`, `pipeline_equivalence`, `differential`, and
-//! `obs_equivalence` for profiling) cover between them. Each suite is a
-//! [`Suite`]: a list of configurations run once per test binary, whose
-//! findings its tests assert on by aspect and case kind. Every why-not
-//! case's annotation is also checked, under the reference and every suite
-//! configuration, against [`reference_flags`], an independent per-tuple
-//! clone-and-match annotation.
+//! physical configuration — the hash join (`with_hash_join`) and profiling —
+//! to the reference run with the hash join off, unprofiled. The two toggles
+//! span a 4-configuration product, which the three suites
+//! (`join_equivalence`, `obs_equivalence` for profiling, and `differential`
+//! for both) cover between them. Each suite is a [`Suite`]: a list of
+//! configurations run once per test binary, whose findings its tests assert
+//! on by aspect and case kind. Every why-not case's annotation is also
+//! checked, under the reference and every suite configuration, against
+//! [`reference_flags`], an independent per-tuple clone-and-match
+//! annotation.
 
 #![allow(dead_code)]
 
@@ -26,8 +25,8 @@ use nrab_algebra::{
     QueryPlan,
 };
 use nrab_provenance::{
-    annotate_consistency, trace_plan_generalized, with_pipelining, GeneralizedTrace,
-    OpSubstitution, SaFlags, SchemaAlternative, TracedTuple,
+    annotate_consistency, trace_plan_generalized, GeneralizedTrace, OpSubstitution, SaFlags,
+    SchemaAlternative, TracedTuple,
 };
 use whynot_core::{AttributeAlternative, TraceProvider, WhyNotEngine, WhyNotError, WhyNotQuestion};
 use whynot_obs::ProfileReport;
@@ -167,11 +166,10 @@ pub fn join_plan(kind: JoinKind, predicate: Expr) -> (QueryPlan, OpId) {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Config {
     pub hash_join: bool,
-    pub pipelining: bool,
     pub profiled: bool,
 }
 
-pub const REFERENCE: Config = Config { hash_join: false, pipelining: false, profiled: false };
+pub const REFERENCE: Config = Config { hash_join: false, profiled: false };
 
 /// What a case produces under one configuration.
 pub struct Output {
@@ -244,14 +242,12 @@ pub fn run(case: &Case, config: Config) -> (Output, Option<ProfileReport>) {
         }
     };
     with_hash_join(config.hash_join, || {
-        with_pipelining(config.pipelining, || {
-            if config.profiled {
-                let (output, profile) = whynot_obs::profile(compute);
-                (output, Some(profile))
-            } else {
-                (compute(), None)
-            }
-        })
+        if config.profiled {
+            let (output, profile) = whynot_obs::profile(compute);
+            (output, Some(profile))
+        } else {
+            (compute(), None)
+        }
     })
 }
 

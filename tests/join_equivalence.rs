@@ -1,9 +1,10 @@
 //! The hash-join ↔ nested-loop equivalence contract, end to end: for every
 //! case of the shared harness, query answers, generalized traces, and
 //! rendered wire reports must be **bit-identical** whether equi joins take
-//! the hash join or the nested loop. The
-//! join cases cover every join kind × predicate shape under two schema
-//! alternatives, with keys crossing the `Int` ↔ `Real` boundary.
+//! the hash join or the nested loop, and every why-not case's annotated
+//! flags must match the harness's reference annotation. The join cases
+//! cover every join kind × predicate shape under two schema alternatives,
+//! with keys crossing the `Int` ↔ `Real` boundary.
 
 mod harness;
 
