@@ -112,7 +112,7 @@ fn apply_operator_impl(
             eval_flatten(input(0)?, *kind, &flatten).map(Arc::new)
         }
         Operator::RelationNest { attrs, into } => {
-            eval_relation_nest(input(0)?, attrs, into).map(Arc::new)
+            Ok(Arc::new(eval_relation_nest(input(0)?, &RowNest::new(attrs, into))))
         }
         Operator::GroupAggregation { group_by, aggs } => {
             Ok(Arc::new(eval_group_aggregation(input(0)?, group_by, aggs)))
@@ -321,6 +321,41 @@ impl RowFlatten {
     }
 }
 
+/// A relation nest `Nᴿ` compiled once per application: the per-row group
+/// key and nested element, and the per-group output row, shared by the
+/// evaluator and the provenance tracer.
+pub struct RowNest {
+    attrs: Vec<Sym>,
+    into: Sym,
+}
+
+impl RowNest {
+    /// Compiles the nest of `attrs` into the nested collection `into`.
+    pub fn new(attrs: &[String], into: &str) -> RowNest {
+        RowNest { attrs: attrs.iter().map(|a| Sym::intern(a)).collect(), into: Sym::intern(into) }
+    }
+
+    /// The group a row belongs to: the row without the nested attributes.
+    pub fn key(&self, tuple: &Tuple) -> Value {
+        Value::from_tuple(tuple.without(&self.attrs))
+    }
+
+    /// The element a row adds to its group's nested collection, if any.
+    pub fn element(&self, tuple: &Tuple) -> Option<Value> {
+        let projected = tuple.project(&self.attrs).ok()?;
+        // Mirror Spark's behaviour (relied upon by scenario D2): rows whose
+        // nested values are all null do not contribute an element to the
+        // nested collection.
+        projected.fields().iter().any(|(_, v)| !v.is_null()).then(|| Value::from_tuple(projected))
+    }
+
+    /// A group's output row: its key extended by the nested collection.
+    pub fn output(&self, key: &Value, nested: Bag) -> Tuple {
+        let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
+        key_tuple.with_field(self.into, Value::from_bag(nested))
+    }
+}
+
 /// Folds one group into its output row: `key` extended by each aggregate
 /// over the group's `members`. Shared by the evaluator's grouped
 /// aggregation and the provenance tracer's.
@@ -399,31 +434,20 @@ fn eval_flatten(input: &Bag, kind: FlattenKind, flatten: &RowFlatten) -> Algebra
     Ok(out.finish())
 }
 
-fn eval_relation_nest(input: &Bag, attrs: &[String], into: &str) -> AlgebraResult<Bag> {
-    let attr_syms: Vec<Sym> = attrs.iter().map(|a| Sym::intern(a)).collect();
-    let into = Sym::intern(into);
-    let groups = input.group_by(|v| {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        Value::from_tuple(tuple.without(&attr_syms))
-    });
+fn eval_relation_nest(input: &Bag, nest: &RowNest) -> Bag {
+    let empty = Tuple::empty();
+    let groups = input.group_by(|v| nest.key(v.as_tuple().unwrap_or(&empty)));
     let mut out = BagBuilder::with_capacity(groups.len());
     for (key, group) in groups {
         let mut nested = BagBuilder::with_capacity(group.distinct());
         for (v, m) in group.iter() {
-            let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-            if let Ok(projected) = tuple.project(&attr_syms) {
-                // Mirror Spark's behaviour (relied upon by scenario D2): rows
-                // whose nested values are all null do not contribute an
-                // element to the nested collection.
-                if projected.fields().iter().any(|(_, v)| !v.is_null()) {
-                    nested.add(Value::from_tuple(projected), *m);
-                }
+            if let Some(element) = nest.element(v.as_tuple().unwrap_or(&empty)) {
+                nested.add(element, *m);
             }
         }
-        let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        out.add(Value::from_tuple(key_tuple.with_field(into, Value::from_bag(nested.finish()))), 1);
+        out.add(Value::from_tuple(nest.output(&key, nested.finish())), 1);
     }
-    Ok(out.finish())
+    out.finish()
 }
 
 fn eval_group_aggregation(input: &Bag, group_by: &[String], aggs: &[AggSpec]) -> Bag {

@@ -13,7 +13,7 @@
 //! 1. **Split** the conjunctive predicate into equi-join key pairs
 //!    (`left.a = right.b` equalities whose sides resolve to opposite input
 //!    schemas) and a *residual* of the remaining conjuncts
-//!    ([`split_equi_join`]).
+//!    (`split_equi_join`).
 //! 2. **Build**: extract the canonicalized key of every right row by
 //!    tuple-path navigation and insert the rows into one `HashMap` from key
 //!    to its candidate rows, in row order, so every bucket lists candidates
@@ -62,7 +62,7 @@ thread_local! {
 }
 
 /// Whether the hash join is enabled on the current thread.
-pub fn hash_join_enabled() -> bool {
+fn hash_join_enabled() -> bool {
     HASH_JOIN_ENABLED.with(Cell::get)
 }
 
@@ -115,14 +115,14 @@ pub struct JoinMatches {
 /// (`left_keys[k] = right_keys[k]` for every `k`) and the residual
 /// conjunction of everything that is not a usable equality (`None` when the
 /// predicate was pure equi).
-pub struct EquiJoin {
+struct EquiJoin {
     /// Key paths resolving in the left schema.
-    pub left_keys: Vec<AttrPath>,
+    left_keys: Vec<AttrPath>,
     /// Key paths resolving in the right schema, parallel to `left_keys`.
-    pub right_keys: Vec<AttrPath>,
+    right_keys: Vec<AttrPath>,
     /// Conjunction of the non-equi conjuncts, evaluated on hash-matched
     /// candidates only.
-    pub residual: Option<Expr>,
+    residual: Option<Expr>,
 }
 
 /// Splits a conjunctive join predicate into equi-key pairs and the residual
@@ -131,7 +131,7 @@ pub struct EquiJoin {
 /// ambiguous equalities and every other conjunct stay in the residual.
 /// Returns `None` if no usable equality exists — the join then has no hash
 /// structure to exploit.
-pub fn split_equi_join(predicate: &Expr, left: &TupleType, right: &TupleType) -> Option<EquiJoin> {
+fn split_equi_join(predicate: &Expr, left: &TupleType, right: &TupleType) -> Option<EquiJoin> {
     let mut conjuncts = Vec::new();
     collect_conjuncts(predicate, &mut conjuncts);
     let mut left_keys = Vec::new();
@@ -191,21 +191,9 @@ pub fn join_matches(
     left_schema: &TupleType,
     right_schema: &TupleType,
 ) -> JoinMatches {
-    join_matches_with(left, right, predicate, left_schema, right_schema, hash_join_enabled())
-}
-
-/// [`join_matches`] with the hash-join decision passed explicitly, for
-/// callers that resolve the thread-local flag once for several joins (the
-/// tracer's per-schema-alternative joins).
-pub fn join_matches_with(
-    left: &[Option<&Tuple>],
-    right: &[Option<&Tuple>],
-    predicate: &Expr,
-    left_schema: &TupleType,
-    right_schema: &TupleType,
-    use_hash: bool,
-) -> JoinMatches {
-    let equi = if use_hash { split_equi_join(predicate, left_schema, right_schema) } else { None };
+    let equi = hash_join_enabled()
+        .then(|| split_equi_join(predicate, left_schema, right_schema))
+        .flatten();
     let matches_per_left = match &equi {
         Some(equi) => {
             whynot_obs::add("join.hash", 1);
@@ -217,22 +205,6 @@ pub fn join_matches_with(
         }
     };
     assemble_matches(matches_per_left, left.len(), right.len())
-}
-
-/// [`join_matches`] against a prebuilt right side: probes `build` with the
-/// left rows under `equi` (whose right key paths must be the ones `build`
-/// was constructed over, and whose right rows must mirror `right`). This is
-/// how the tracer shares one hash table across schema alternatives that
-/// join identical right rows under equal key paths — the matches are
-/// byte-identical to building per probe.
-pub fn join_matches_probe(
-    left: &[Option<&Tuple>],
-    right: &[Option<&Tuple>],
-    equi: &EquiJoin,
-    build: &JoinBuild,
-) -> JoinMatches {
-    whynot_obs::add("join.hash", 1);
-    assemble_matches(probe_matches(left, right, equi, build), left.len(), right.len())
 }
 
 /// Folds per-left-row match lists into the [`JoinMatches`] result, in
@@ -307,62 +279,38 @@ fn enforce_every_1024(row: usize) {
     }
 }
 
-/// The build side of a hash join, decoupled from the probe so a caller
-/// joining the *same* right rows under several predicates with equal key
-/// paths (the tracer's per-schema-alternative joins) constructs it once and
-/// probes it many times.
-///
-/// Maps each canonicalized key to its candidate rows in ascending row order.
+/// Buckets of right rows by canonicalized key, each in ascending row order.
 /// The map's hasher is `DefaultHasher` with its fixed keys, so iteration
 /// never depends on a random seed.
-pub struct JoinBuild {
-    buckets: Buckets,
-}
-
 type Buckets = HashMap<JoinKey, Vec<usize>, BuildHasherDefault<DefaultHasher>>;
 
-impl JoinBuild {
-    /// Builds the hash table over the right side's `key_paths`.
-    pub fn build(right: &[Option<&Tuple>], key_paths: &[AttrPath]) -> JoinBuild {
-        let _build_span = whynot_obs::span("join.build");
-        whynot_obs::add("join.build_rows", right.len() as u64);
-        whynot_guard::faults::fault_point("join_build");
-        // `Value` only carries interior mutability in its lazily cached
-        // structural hash, which never changes its `Eq`/`Hash` identity.
-        #[allow(clippy::mutable_key_type)]
-        let mut buckets = Buckets::default();
-        for (ri, row) in right.iter().enumerate() {
-            enforce_every_1024(ri);
-            if let Some(key) = join_key(*row, key_paths) {
-                buckets.entry(key).or_default().push(ri);
-            }
-        }
-        JoinBuild { buckets }
-    }
-}
-
-/// The hash join: build over the right side, probe from the left,
-/// residual-only predicate evaluation on candidates. Returns the matches of
-/// each left row, in ascending right-row order.
+/// The hash join: build over the right side, then probe with every left
+/// row. Each probe visits exactly its key's bucket and evaluates only the
+/// residual conjuncts (none, for a pure equi join) on the candidates. The
+/// concatenation check is kept — the nested loop skips pairs whose
+/// attribute names collide, and so must we. Returns the matches of each left
+/// row, in ascending right-row order.
 fn hash_matches(
     left: &[Option<&Tuple>],
     right: &[Option<&Tuple>],
     equi: &EquiJoin,
 ) -> Vec<Vec<(usize, Tuple)>> {
-    let build = JoinBuild::build(right, &equi.right_keys);
-    probe_matches(left, right, equi, &build)
-}
-
-/// Probes a prebuilt hash table with every left row: each visits exactly its
-/// key's bucket and evaluates only the residual conjuncts (none, for a pure
-/// equi join) on the candidates. The concatenation check is kept — the
-/// nested loop skips pairs whose attribute names collide, and so must we.
-fn probe_matches(
-    left: &[Option<&Tuple>],
-    right: &[Option<&Tuple>],
-    equi: &EquiJoin,
-    build: &JoinBuild,
-) -> Vec<Vec<(usize, Tuple)>> {
+    // `Value` only carries interior mutability in its lazily cached
+    // structural hash, which never changes its `Eq`/`Hash` identity.
+    #[allow(clippy::mutable_key_type)]
+    let buckets = {
+        let _build_span = whynot_obs::span("join.build");
+        whynot_obs::add("join.build_rows", right.len() as u64);
+        whynot_guard::faults::fault_point("join_build");
+        let mut buckets = Buckets::default();
+        for (ri, row) in right.iter().enumerate() {
+            enforce_every_1024(ri);
+            if let Some(key) = join_key(*row, &equi.right_keys) {
+                buckets.entry(key).or_default().push(ri);
+            }
+        }
+        buckets
+    };
     let _probe_span = whynot_obs::span("join.probe");
     whynot_obs::add("join.probe_rows", left.len() as u64);
     let mut matches_per_left = Vec::with_capacity(left.len());
@@ -370,7 +318,7 @@ fn probe_matches(
         enforce_every_1024(li);
         let mut matched = Vec::new();
         let key = join_key(*row, &equi.left_keys);
-        if let (Some(lt), Some(candidates)) = (row, key.and_then(|k| build.buckets.get(&k))) {
+        if let (Some(lt), Some(candidates)) = (row, key.and_then(|k| buckets.get(&k))) {
             for &ri in candidates {
                 let rt = right[ri].expect("bucketed rows are present");
                 let Ok(combined) = lt.concat(rt) else { continue };
@@ -448,8 +396,9 @@ mod tests {
         let (ls, rs) = schemas();
         let left_side: Vec<_> = left.iter().map(Some).collect();
         let right_side: Vec<_> = right.iter().map(Some).collect();
-        let hashed = join_matches_with(&left_side, &right_side, predicate, &ls, &rs, true);
-        let looped = join_matches_with(&left_side, &right_side, predicate, &ls, &rs, false);
+        let hashed = join_matches(&left_side, &right_side, predicate, &ls, &rs);
+        let looped =
+            with_hash_join(false, || join_matches(&left_side, &right_side, predicate, &ls, &rs));
         assert_eq!(pairs_of(&hashed), pairs_of(&looped));
         assert_eq!(hashed.left_matched, looped.left_matched);
         assert_eq!(hashed.right_matched, looped.right_matched);
@@ -568,12 +517,10 @@ mod tests {
     }
 
     /// A 600-key build with a mostly-miss probe side (only every 7th probe
-    /// key has a bucket): the hash path, and a probe of a prebuilt
-    /// [`JoinBuild`] (the tracer's shared-build path), must find exactly the
-    /// nested loop's pairs.
+    /// key has a bucket): the hash path must find exactly the nested loop's
+    /// pairs.
     #[test]
     fn selective_probes_match_the_nested_loop() {
-        let (ls, rs) = schemas();
         let eq = Expr::cmp(Expr::attr("a"), CmpOp::Eq, Expr::attr("b"));
         let right: Vec<Tuple> = (0..600).map(|i| right_row(Value::int(i), i)).collect();
         let left: Vec<Tuple> = (0..900)
@@ -581,11 +528,5 @@ mod tests {
             .collect();
         let pairs = assert_paths_agree(&left, &right, &eq);
         assert_eq!(pairs.len(), 86, "left keys 0, 7, .., 595 find their bucket");
-        let left_side: Vec<_> = left.iter().map(Some).collect();
-        let right_side: Vec<_> = right.iter().map(Some).collect();
-        let equi = split_equi_join(&eq, &ls, &rs).expect("pure equi join");
-        let build = JoinBuild::build(&right_side, &equi.right_keys);
-        let probed = join_matches_probe(&left_side, &right_side, &equi, &build);
-        assert_eq!(pairs_of(&probed), pairs);
     }
 }

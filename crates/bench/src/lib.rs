@@ -290,8 +290,8 @@ pub fn join_group() {
     group.bench("nonequi_join/nested_loop", || evaluate(&nonequi_plan, &small_db).expect("loop"));
 
     // The traced equi join on a smaller fact/dim pair, under two schema
-    // alternatives: the second substitutes the probe key, so the per-SA
-    // joins build different hash tables.
+    // alternatives: both build over the dimension key `pk`, and the second
+    // substitutes the fact-side probe key `fk` with `fqty`.
     let trace_db = join_db(600, 400, 240);
     let builder = PlanBuilder::table("fact").join(
         PlanBuilder::table("dim"),

@@ -32,7 +32,6 @@ pub mod explain;
 pub mod msr;
 pub mod question;
 pub mod rank;
-pub mod report;
 pub mod side_effects;
 
 pub use alternatives::AttributeAlternative;

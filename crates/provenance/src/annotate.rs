@@ -8,8 +8,9 @@ use std::sync::{Arc, OnceLock};
 use nested_data::Tuple;
 use nrab_algebra::OpId;
 
-/// The per-schema-alternative annotations of one traced tuple at one operator
-/// (Section 5.3).
+/// One why-not question's annotations of one traced tuple at one operator,
+/// under one schema alternative (Section 5.3). `valid` and `retained` are
+/// read off the tuple's [`Variant`]; `consistent` is the question's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SaFlags {
     /// Does the tuple exist under this schema alternative?
@@ -42,20 +43,29 @@ impl SaFlags {
     }
 }
 
+/// One traced tuple's data under one schema alternative.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Variant {
+    /// The tuple's data.
+    pub tuple: Tuple,
+    /// Would the operator keep/produce this tuple under its *original*
+    /// parameters (modulo the attribute changes of the alternative)?
+    pub retained: bool,
+    /// Identifiers of the traced input tuples this tuple was derived from
+    /// (lineage can differ between alternatives, e.g. the members of a
+    /// nested group). Each names a child's tuple that exists under the same
+    /// alternative; table accesses have none.
+    pub inputs: Vec<u64>,
+}
+
 /// One tuple of an operator's traced (generalized) output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TracedTuple {
     /// Fresh identifier, unique across the whole trace.
     pub id: u64,
-    /// The tuple's data under each schema alternative (`None` = the tuple does
-    /// not exist under that alternative and is only present as padding).
-    pub variants: Vec<Option<Tuple>>,
-    /// The annotations under each schema alternative.
-    pub flags: Vec<SaFlags>,
-    /// Identifiers of the traced input tuples this tuple was derived from,
-    /// per schema alternative (lineage can differ between alternatives, e.g.
-    /// the members of a nested group).
-    pub inputs: Vec<Vec<u64>>,
+    /// The tuple under each schema alternative (`None` = the tuple does not
+    /// exist under that alternative and is only present as padding).
+    pub variants: Vec<Option<Variant>>,
     /// Alternative data variants used by consistency (re-)annotation, per
     /// schema alternative. Only grouped aggregations populate this: the
     /// aggregate computed from the *retained* members only, which the
@@ -65,48 +75,25 @@ pub struct TracedTuple {
 }
 
 impl TracedTuple {
-    /// Creates a traced tuple without fallback variants (every operator except
-    /// grouped aggregation).
-    pub fn new(
-        id: u64,
-        variants: Vec<Option<Tuple>>,
-        flags: Vec<SaFlags>,
-        inputs: Vec<Vec<u64>>,
-    ) -> Self {
-        TracedTuple { id, variants, flags, inputs, fallback_variants: Vec::new() }
+    /// The tuple under alternative `sa`, if it exists there.
+    pub fn get(&self, sa: usize) -> Option<&Variant> {
+        self.variants.get(sa).and_then(Option::as_ref)
     }
 
-    /// Creates a traced tuple with per-SA fallback variants (grouped
-    /// aggregation).
-    pub fn with_fallbacks(
-        id: u64,
-        variants: Vec<Option<Tuple>>,
-        flags: Vec<SaFlags>,
-        inputs: Vec<Vec<u64>>,
-        fallback_variants: Vec<Option<Tuple>>,
-    ) -> Self {
-        TracedTuple { id, variants, flags, inputs, fallback_variants }
+    /// The tuple's data under alternative `sa`, if it exists there.
+    pub fn variant(&self, sa: usize) -> Option<&Tuple> {
+        self.get(sa).map(|v| &v.tuple)
+    }
+
+    /// The lineage (input tuple ids) under alternative `sa`; empty where the
+    /// tuple does not exist.
+    pub fn input_ids(&self, sa: usize) -> &[u64] {
+        self.get(sa).map_or(&[], |v| v.inputs.as_slice())
     }
 
     /// The fallback data variant under alternative `sa`, if any.
     pub fn fallback_variant(&self, sa: usize) -> Option<&Tuple> {
         self.fallback_variants.get(sa).and_then(Option::as_ref)
-    }
-    /// The tuple's data under alternative `sa`, if it exists there.
-    pub fn variant(&self, sa: usize) -> Option<&Tuple> {
-        self.variants.get(sa).and_then(Option::as_ref)
-    }
-
-    /// The flags under alternative `sa` (absent flags if out of range). In a
-    /// [`GeneralizedTrace`] `consistent` is a placeholder; a question's flags
-    /// come from [`TraceResult::trace`].
-    pub fn flags(&self, sa: usize) -> SaFlags {
-        self.flags.get(sa).copied().unwrap_or_else(SaFlags::absent)
-    }
-
-    /// The lineage (input tuple ids) under alternative `sa`.
-    pub fn input_ids(&self, sa: usize) -> &[u64] {
-        self.inputs.get(sa).map(Vec::as_slice).unwrap_or(&[])
     }
 }
 
@@ -133,7 +120,7 @@ impl OpTrace {
     }
 }
 
-/// A whole-plan trace whose `consistent` flags have *not* been computed yet.
+/// A whole-plan trace before any why-not question's consistency is known.
 ///
 /// Produced by [`crate::trace_plan_generalized`]: it depends only on the plan,
 /// the database, and the attribute *substitutions* of the schema alternatives
@@ -142,9 +129,9 @@ impl OpTrace {
 /// database; [`crate::annotate_consistency`] specializes a shared generalized
 /// trace to one question by computing that question's flags beside it.
 ///
-/// The `consistent` flags inside are placeholders (`false`); the type exists
-/// precisely so that un-annotated traces cannot be fed to the explanation
-/// algorithm by accident.
+/// It holds no `consistent` flags at all; the type exists precisely so that
+/// un-annotated traces cannot be fed to the explanation algorithm by
+/// accident.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneralizedTrace {
     /// Per-operator traces.
@@ -354,7 +341,7 @@ impl TraceResult {
 /// One operator's traced tuples paired with one question's flags.
 #[derive(Debug, Clone, Copy)]
 pub struct AnnotatedOp<'a> {
-    /// The operator's shared trace (its `consistent` flags are placeholders).
+    /// The operator's shared trace.
     pub trace: &'a OpTrace,
     /// The question's flags, one row per traced tuple.
     pub flags: &'a FlagRows,
@@ -397,8 +384,8 @@ impl<'a> AnnotatedOp<'a> {
 /// One traced tuple paired with one question's flags.
 #[derive(Debug, Clone, Copy)]
 pub struct AnnotatedTuple<'a> {
-    /// The shared traced tuple: id, variants, lineage (its own `consistent`
-    /// flags are placeholders; read flags through [`AnnotatedTuple::flags`]).
+    /// The shared traced tuple: id, variants, lineage. Read the question's
+    /// flags through [`AnnotatedTuple::flags`].
     pub traced: &'a TracedTuple,
     row: FlagRow<'a>,
 }
@@ -422,30 +409,39 @@ mod tests {
     use super::*;
     use nested_data::Value;
 
-    fn tuple(id: u64, flags: Vec<SaFlags>, input_ids: Vec<u64>) -> TracedTuple {
-        let variants: Vec<Option<Tuple>> = flags
-            .iter()
-            .map(|f| if f.valid { Some(Tuple::new([("x", Value::int(id as i64))])) } else { None })
+    /// One operator's traced tuples under one SA, from `(id, flags, lineage)`
+    /// rows, with the question's flags kept beside them.
+    fn op(op: OpId, kind: &str, rows: Vec<(u64, SaFlags, Vec<u64>)>) -> (OpTrace, Vec<SaFlags>) {
+        let flags = rows.iter().map(|(_, f, _)| *f).collect();
+        let tuples = rows
+            .into_iter()
+            .map(|(id, f, inputs)| {
+                let tuple = Tuple::new([("x", Value::int(id as i64))]);
+                let variant = f.valid.then_some(Variant { tuple, retained: f.retained, inputs });
+                TracedTuple { id, variants: vec![variant], fallback_variants: Vec::new() }
+            })
             .collect();
-        let inputs = vec![input_ids; flags.len()];
-        TracedTuple::new(id, variants, flags, inputs)
+        (OpTrace { op, kind: kind.into(), tuples }, flags)
     }
 
     fn flags(valid: bool, consistent: bool, retained: bool) -> SaFlags {
         SaFlags { valid, consistent, retained }
     }
 
-    /// A trace result whose question flags are the tuples' own flags.
-    fn annotated(traces: BTreeMap<OpId, OpTrace>, root: OpId, pre_order: Vec<OpId>) -> TraceResult {
+    /// A one-SA trace result over `ops`, annotated with their question flags.
+    fn annotated(
+        ops: Vec<(OpTrace, Vec<SaFlags>)>,
+        root: OpId,
+        pre_order: Vec<OpId>,
+    ) -> TraceResult {
         let num_sas = 1;
-        let flags = traces
-            .iter()
-            .map(|(op, trace)| {
-                let flags = trace.tuples.iter().flat_map(|t| t.flags.iter().copied()).collect();
-                (*op, OpFlags { tuples: FlagRows::new(num_sas, flags) })
-            })
-            .collect();
-        TraceResult::new(Arc::new(GeneralizedTrace { traces, root, pre_order, num_sas }), flags)
+        let mut traces = BTreeMap::new();
+        let mut question = BTreeMap::new();
+        for (trace, flags) in ops {
+            question.insert(trace.op, OpFlags { tuples: FlagRows::new(num_sas, flags) });
+            traces.insert(trace.op, trace);
+        }
+        TraceResult::new(Arc::new(GeneralizedTrace { traces, root, pre_order, num_sas }), question)
     }
 
     #[test]
@@ -460,41 +456,27 @@ mod tests {
     #[test]
     fn contributing_ids_follow_lineage_from_consistent_outputs() {
         // Plan: op 2 (root) <- op 1 <- op 0, one SA.
-        let mut traces = BTreeMap::new();
-        traces.insert(
-            0,
-            OpTrace {
-                op: 0,
-                kind: "table".into(),
-                tuples: vec![
-                    tuple(1, vec![flags(true, true, true)], vec![]),
-                    tuple(2, vec![flags(true, false, true)], vec![]),
+        let ops = vec![
+            op(
+                0,
+                "table",
+                vec![(1, flags(true, true, true), vec![]), (2, flags(true, false, true), vec![])],
+            ),
+            op(
+                1,
+                "σ",
+                vec![
+                    (3, flags(true, true, false), vec![1]),
+                    (4, flags(true, false, true), vec![2]),
                 ],
-            },
-        );
-        traces.insert(
-            1,
-            OpTrace {
-                op: 1,
-                kind: "σ".into(),
-                tuples: vec![
-                    tuple(3, vec![flags(true, true, false)], vec![1]),
-                    tuple(4, vec![flags(true, false, true)], vec![2]),
-                ],
-            },
-        );
-        traces.insert(
-            2,
-            OpTrace {
-                op: 2,
-                kind: "Nᴿ".into(),
-                tuples: vec![
-                    tuple(5, vec![flags(true, true, true)], vec![3]),
-                    tuple(6, vec![flags(true, false, true)], vec![4]),
-                ],
-            },
-        );
-        let result = annotated(traces, 2, vec![2, 1, 0]);
+            ),
+            op(
+                2,
+                "Nᴿ",
+                vec![(5, flags(true, true, true), vec![3]), (6, flags(true, false, true), vec![4])],
+            ),
+        ];
+        let result = annotated(ops, 2, vec![2, 1, 0]);
 
         assert!(result.has_consistent_output(0));
         let contributing = result.contributing_ids(0);
@@ -517,16 +499,17 @@ mod tests {
 
     #[test]
     fn variant_and_flag_accessors_handle_out_of_range() {
-        let t = tuple(7, vec![flags(true, true, true)], vec![3]);
+        let (trace, question) = op(0, "σ", vec![(7, flags(true, true, true), vec![3])]);
+        let t = &trace.tuples[0];
         assert!(t.variant(0).is_some());
+        assert!(t.get(0).is_some_and(|v| v.retained));
         assert!(t.variant(5).is_none());
-        assert_eq!(t.flags(5), SaFlags::absent());
+        assert!(t.get(5).is_none());
         assert_eq!(t.input_ids(0), &[3]);
         assert!(t.input_ids(9).is_empty());
-        let op = OpTrace { op: 0, kind: "σ".into(), tuples: vec![t] };
-        assert_eq!(op.len(), 1);
-        assert!(!op.is_empty());
-        let result = annotated(BTreeMap::from([(0, op)]), 0, vec![0]);
+        assert_eq!(trace.len(), 1);
+        assert!(!trace.is_empty());
+        let result = annotated(vec![(trace, question)], 0, vec![0]);
         let root = result.root_trace();
         assert_eq!(root.len(), 1);
         assert_eq!(root.flags.len(), 1);

@@ -11,12 +11,14 @@
 //!
 //! * `id` — a fresh identifier per traced tuple, linked to the identifiers of
 //!   the input tuples it was derived from (lineage),
-//! * `valid` — whether the tuple exists under the schema alternative,
+//! * `valid` — whether the tuple exists under the schema alternative (it has
+//!   a [`Variant`] there),
+//! * `retained` — whether the operator would keep/produce the tuple under its
+//!   *original* parameters (stored in the variant),
 //! * `consistent` — whether the tuple (re-validated!) can still contribute to
 //!   the missing answer, checked against the schema alternative's pushed-down
-//!   NIP for this point of the plan,
-//! * `retained` — whether the operator would keep/produce the tuple under its
-//!   *original* parameters.
+//!   NIP for this point of the plan; it depends on the why-not question, so
+//!   [`annotate_consistency`] computes it beside the shared trace.
 //!
 //! The explanation engine (`whynot-core`) reads these annotations in its
 //! `approximateMSRs` step (Algorithm 4).
@@ -31,7 +33,7 @@ pub mod trace;
 pub use alternative::{OpSubstitution, SchemaAlternative};
 pub use annotate::{
     AnnotatedOp, AnnotatedTuple, FlagRow, FlagRows, GeneralizedTrace, OpFlags, OpTrace, SaFlags,
-    TraceResult, TracedTuple,
+    TraceResult, TracedTuple, Variant,
 };
 pub use trace::{annotate_consistency, trace_plan, trace_plan_generalized};
 

@@ -2,33 +2,37 @@
 //! alternative annotations (Section 5.3).
 //!
 //! For every plan operator, the tracer computes an [`OpTrace`] whose tuples
-//! carry, per schema alternative, the data variant and the `valid` /
-//! `consistent` / `retained` flags. Operators are *generalized* so that data a
-//! reparameterization could keep also flows upward:
+//! hold one [`Variant`] per schema alternative — the data, the `retained`
+//! flag and the lineage — or `None` where the tuple does not exist under the
+//! alternative. Operators are *generalized* so that data a reparameterization
+//! could keep also flows upward:
 //!
 //! * selections annotate instead of filtering,
 //! * relation flattens behave like outer flattens,
 //! * joins behave like full outer joins,
 //! * difference annotates instead of removing.
 //!
-//! All schema alternatives are traced in a single pass over the data (the
-//! merge step of Algorithm 3 / Figure 7), which is what makes additional
+//! Every operator's output comes from one of two builders. The 1:1 operators
+//! (σ, π, ρ, Fᵀ, νᵀ, γᵀ, δ, ∪, −) map each input tuple to one output tuple,
+//! all schema alternatives in one pass. Flatten, join, nest and grouped
+//! aggregation make one pass per alternative and then merge the
+//! per-alternative rows by key, like an outer join (the merge step of
+//! Algorithm 3 / Figure 7): by element position for a flatten, by the (left,
+//! right) input ids for a join, by the group for nest and aggregation. One
+//! trace thus covers every alternative, which is what makes additional
 //! alternatives cheaper than additional query executions (Figure 11).
 //!
 //! A trace runs on the calling thread: fresh tuple ids are assigned in input
-//! order, so the trace is a pure function of the plan, the database and the
-//! schema alternatives.
+//! order, and in key order within a merge, so the trace is a pure function of
+//! the plan, the database and the schema alternatives.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use nested_data::{Bag, Nip, NipCmp, Sym, Tuple, Value};
-use nrab_algebra::eval::{aggregate_group, RowFlatten, RowTransform};
+use nested_data::{BagBuilder, Nip, NipCmp, Sym, Tuple, Value};
+use nrab_algebra::eval::{aggregate_group, RowFlatten, RowNest, RowTransform};
 use nrab_algebra::expr::Expr;
-use nrab_algebra::join::{
-    hash_join_enabled, join_matches_probe, join_matches_with, split_equi_join, EquiJoin, JoinBuild,
-    JoinMatches,
-};
+use nrab_algebra::join::join_matches;
 use nrab_algebra::schema::output_type;
 use nrab_algebra::{
     AlgebraError, AlgebraResult, Database, FlattenKind, JoinKind, OpId, OpNode, Operator, QueryPlan,
@@ -36,7 +40,7 @@ use nrab_algebra::{
 
 use crate::alternative::SchemaAlternative;
 use crate::annotate::{
-    FlagRows, GeneralizedTrace, OpFlags, OpTrace, SaFlags, TraceResult, TracedTuple,
+    FlagRows, GeneralizedTrace, OpFlags, OpTrace, SaFlags, TraceResult, TracedTuple, Variant,
 };
 
 /// Traces a plan over a database under the given schema alternatives.
@@ -58,15 +62,14 @@ pub fn trace_plan(
 }
 
 /// The expensive, question-independent part of tracing: evaluates the plan in
-/// its generalized form and computes the `valid` and `retained` flags, the
-/// data variants, and the lineage for every schema alternative.
+/// its generalized form and computes every tuple's variants — data,
+/// `retained` flag and lineage — under every schema alternative.
 ///
 /// Only the attribute *substitutions* of `sas` are consulted — never their
 /// consistency NIPs — so the result can be reused across why-not questions
 /// that share the plan, the database, and the substitution sets (the trace
-/// cache of `whynot-service` is keyed accordingly). The `consistent` flags of
-/// the returned trace are placeholders; [`annotate_consistency`] computes them
-/// for a concrete question.
+/// cache of `whynot-service` is keyed accordingly). The question-specific
+/// `consistent` flags are computed by [`annotate_consistency`].
 pub fn trace_plan_generalized(
     plan: &QueryPlan,
     db: &Database,
@@ -205,8 +208,8 @@ fn consistency_check<'a>(
     ConsistencyCheck { nip: Some(ResolvedNip::Fields(fields)), fallback }
 }
 
-/// Computes one operator's flags for a question: the trace's `valid` and
-/// `retained` flags, and `consistent` re-validated against each schema
+/// Computes one operator's flags for a question: `valid` and `retained` read
+/// off each variant, and `consistent` validated against each schema
 /// alternative's consistency NIP.
 fn annotate_op_consistency(
     base: &OpTrace,
@@ -220,13 +223,14 @@ fn annotate_op_consistency(
     let mut flags = Vec::with_capacity(base.tuples.len() * sas.len());
     for tuple in &base.tuples {
         for (sa, check) in checks.iter().enumerate() {
-            let mut sa_flags = tuple.flags(sa);
-            if sa_flags.valid {
-                if let Some(variant) = tuple.variant(sa) {
-                    sa_flags.consistent = check.consistent(tuple, sa, variant);
-                }
-            }
-            flags.push(sa_flags);
+            flags.push(match tuple.get(sa) {
+                Some(variant) => SaFlags {
+                    valid: true,
+                    consistent: check.consistent(tuple, sa, &variant.tuple),
+                    retained: variant.retained,
+                },
+                None => SaFlags::absent(),
+            });
         }
     }
     if whynot_obs::enabled() {
@@ -235,6 +239,11 @@ fn annotate_op_consistency(
     }
     FlagRows::new(sas.len(), flags)
 }
+
+/// One operator's output row under one schema alternative, before the merge:
+/// its merge key, the alternative, the variant, and a fallback variant
+/// (grouped aggregation only).
+type Row<K> = (K, usize, Variant, Option<Tuple>);
 
 struct Tracer<'a> {
     db: &'a Database,
@@ -254,20 +263,6 @@ impl<'a> Tracer<'a> {
         self.sas.len()
     }
 
-    /// The effective (SA-substituted) operator of a node, wrapped in a node
-    /// that preserves the original children so schema inference still works.
-    fn effective_node(&self, node: &OpNode, sa: usize) -> OpNode {
-        OpNode::new(node.id, self.sas[sa].effective_operator(node), node.inputs.clone())
-    }
-
-    fn take_trace(&mut self, op: OpId) -> OpTrace {
-        self.traces.remove(&op).expect("child trace must have been computed")
-    }
-
-    fn put_trace(&mut self, trace: OpTrace) {
-        self.traces.insert(trace.op, trace);
-    }
-
     fn trace_node(&mut self, node: &OpNode) -> AlgebraResult<()> {
         for input in &node.inputs {
             self.trace_node(input)?;
@@ -279,41 +274,114 @@ impl<'a> Tracer<'a> {
     /// per-operator bookkeeping (trace-tuple budget, observability counters).
     fn trace_op(&mut self, node: &OpNode) -> AlgebraResult<()> {
         let _span = whynot_obs::span_dyn(|| format!("trace:{}#{}", node.op.kind_name(), node.id));
-        let trace = match &node.op {
-            Operator::TableAccess { table } => self.trace_table_access(node, table)?,
-            Operator::Selection { .. } => self.trace_selection(node)?,
-            Operator::Flatten { .. } => self.trace_flatten(node)?,
-            Operator::Join { .. } => self.trace_join(node)?,
-            Operator::CrossProduct => self.trace_join(node)?,
-            Operator::RelationNest { .. } => self.trace_relation_nest(node)?,
-            Operator::GroupAggregation { .. } => self.trace_group_aggregation(node)?,
-            Operator::Union => self.trace_union(node)?,
-            Operator::Difference => self.trace_difference(node)?,
+        // The children's traces leave the map while the operator reads them,
+        // so it can hand out fresh ids meanwhile.
+        let children: Vec<OpTrace> = node
+            .inputs
+            .iter()
+            .map(|input| {
+                self.traces.remove(&input.id).expect("child trace must have been computed")
+            })
+            .collect();
+        let tuples = match &node.op {
+            Operator::TableAccess { table } => self.trace_table_access(table)?,
+            Operator::Selection { .. } => self.trace_selection(node, &children[0]),
+            Operator::Flatten { .. } => self.trace_flatten(node, &children[0])?,
+            Operator::Join { .. } | Operator::CrossProduct => {
+                self.trace_join(node, &children[0], &children[1])?
+            }
+            Operator::RelationNest { .. } => self.trace_relation_nest(node, &children[0]),
+            Operator::GroupAggregation { .. } => self.trace_group_aggregation(node, &children[0]),
+            Operator::Union => self
+                .one_to_one(children[0].tuples.iter().chain(&children[1].tuples), |_, input| {
+                    Some((input.tuple.clone(), true))
+                }),
+            Operator::Difference => self.trace_difference(&children[0], &children[1]),
             // Projection, renaming, tuple flatten, tuple nesting, per-tuple
             // aggregation, and dedup are structural 1:1 operators.
-            _ => self.trace_structural(node)?,
+            _ => self.trace_structural(node, &children[0]),
         };
+        for child in children {
+            self.traces.insert(child.op, child);
+        }
+        let trace = OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples };
         // Traced tuples are the paper's worst-case growth term; draw each
         // operator's count from the request's trace-tuple budget. Serial
         // post-order recursion, so consumption order is deterministic.
         whynot_guard::consume_trace_tuples(trace.tuples.len() as u64)
             .map_err(AlgebraError::from)?;
         record_trace_counters(&trace);
-        self.put_trace(trace);
+        self.traces.insert(node.id, trace);
         Ok(())
     }
 
-    fn trace_table_access(&mut self, node: &OpNode, table: &str) -> AlgebraResult<OpTrace> {
-        let bag = self.db.relation(table)?.clone();
-        let mut tuples = Vec::with_capacity(bag.distinct());
-        for (value, _mult) in bag.iter() {
-            let tuple = value.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-            let id = self.fresh_id();
-            let variants = vec![Some(tuple.clone()); self.n_sas()];
-            let flags = (0..self.n_sas()).map(|_| base_flags(Some(&tuple), true, true)).collect();
-            tuples.push(TracedTuple::new(id, variants, flags, vec![Vec::new(); self.n_sas()]));
+    /// A 1:1 operator's output: one traced tuple per input tuple, whose
+    /// variant under each schema alternative is `step` applied to the input's
+    /// variant there — `(data, retained)`, or `None` if the tuple vanishes —
+    /// with the input tuple as its lineage.
+    fn one_to_one<'t>(
+        &mut self,
+        inputs: impl IntoIterator<Item = &'t TracedTuple>,
+        mut step: impl FnMut(usize, &Variant) -> Option<(Tuple, bool)>,
+    ) -> Vec<TracedTuple> {
+        let n = self.n_sas();
+        let mut tuples = Vec::new();
+        for (row, input) in inputs.into_iter().enumerate() {
+            if row & 1023 == 0 {
+                whynot_guard::enforce();
+            }
+            let variants = (0..n)
+                .map(|sa| {
+                    let (tuple, retained) = step(sa, input.get(sa)?)?;
+                    Some(Variant { tuple, retained, inputs: vec![input.id] })
+                })
+                .collect();
+            tuples.push(TracedTuple {
+                id: self.fresh_id(),
+                variants,
+                fallback_variants: Vec::new(),
+            });
         }
-        Ok(OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples })
+        tuples
+    }
+
+    /// Merges per-alternative output rows into traced tuples like an outer
+    /// join (Figure 7, step 4): the rows of one key become one tuple, which
+    /// is `None` under the alternatives without a row. Fresh ids follow key
+    /// order.
+    fn merge<K: Ord>(&mut self, rows: Vec<Row<K>>) -> Vec<TracedTuple> {
+        let n = self.n_sas();
+        let mut merged: BTreeMap<K, TracedTuple> = BTreeMap::new();
+        for (key, sa, variant, fallback) in rows {
+            let tuple = merged.entry(key).or_insert_with(|| TracedTuple {
+                id: 0,
+                variants: vec![None; n],
+                fallback_variants: Vec::new(),
+            });
+            tuple.variants[sa] = Some(variant);
+            if fallback.is_some() {
+                tuple.fallback_variants.resize(n, None);
+                tuple.fallback_variants[sa] = fallback;
+            }
+        }
+        merged.into_values().map(|tuple| TracedTuple { id: self.fresh_id(), ..tuple }).collect()
+    }
+
+    /// Table access: every base tuple, retained and without lineage, under
+    /// every schema alternative.
+    fn trace_table_access(&mut self, table: &str) -> AlgebraResult<Vec<TracedTuple>> {
+        let n = self.n_sas();
+        let relation = self.db.relation(table)?;
+        let tuples = relation.iter().map(|(value, _mult)| {
+            let tuple = value.as_tuple().cloned().unwrap_or_else(Tuple::empty);
+            let variant = Variant { tuple, retained: true, inputs: Vec::new() };
+            TracedTuple {
+                id: self.fresh_id(),
+                variants: vec![Some(variant); n],
+                fallback_variants: Vec::new(),
+            }
+        });
+        Ok(tuples.collect())
     }
 
     /// Structural 1:1 operators: apply the effective operator to each variant
@@ -324,418 +392,192 @@ impl<'a> Tracer<'a> {
     /// alternative (e.g. a tuple flatten whose input schema does not infer),
     /// every variant vanishes under it; if it fails on one variant (e.g. a
     /// tuple flatten meets a non-tuple value), that variant vanishes.
-    fn trace_structural(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
-        let child_trace = self.take_trace(node.inputs[0].id);
-        let n = self.n_sas();
-        let transforms: Vec<Option<RowTransform>> = (0..n)
-            .map(|sa| RowTransform::compile(&self.effective_node(node, sa), self.db).ok())
+    fn trace_structural(&mut self, node: &OpNode, child: &OpTrace) -> Vec<TracedTuple> {
+        let transforms: Vec<Option<RowTransform>> = self
+            .sas
+            .iter()
+            .map(|sa| {
+                let effective =
+                    OpNode::new(node.id, sa.effective_operator(node), node.inputs.clone());
+                RowTransform::compile(&effective, self.db).ok()
+            })
             .collect();
         let armed = whynot_guard::armed();
-        let mut tuples = Vec::with_capacity(child_trace.tuples.len());
-        for (row, input) in child_trace.tuples.iter().enumerate() {
-            if row & 1023 == 0 {
-                whynot_guard::enforce();
-            }
-            let mut variants = Vec::with_capacity(n);
-            let mut flags = Vec::with_capacity(n);
-            for (sa, transform) in transforms.iter().enumerate() {
-                let input_flags = input.flags(sa);
-                let transformed = match input.variant(sa) {
-                    Some(tuple) if input_flags.valid => {
-                        // Each application to a valid variant draws one
-                        // deadline check and one eval row, as evaluating
-                        // the operator on the variant alone would; a
-                        // failed draw makes the variant vanish.
-                        let allowed = !armed
-                            || (whynot_guard::checkpoint().is_ok()
-                                && whynot_guard::consume_eval_rows(1).is_ok());
-                        transform
-                            .as_ref()
-                            .filter(|_| allowed)
-                            .and_then(|transform| transform.apply(tuple).ok())
-                    }
-                    _ => None,
-                };
-                flags.push(base_flags(transformed.as_ref(), input_flags.valid, true));
-                variants.push(transformed);
-            }
-            tuples.push(TracedTuple::new(
-                self.fresh_id(),
-                variants,
-                flags,
-                vec![vec![input.id]; n],
-            ));
-        }
-        self.put_trace(child_trace);
-        Ok(OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples })
+        self.one_to_one(&child.tuples, |sa, input| {
+            // Each application to a variant draws one deadline check and one
+            // eval row, as evaluating the operator on the variant alone
+            // would; a failed draw makes the variant vanish.
+            let allowed = !armed
+                || (whynot_guard::checkpoint().is_ok()
+                    && whynot_guard::consume_eval_rows(1).is_ok());
+            let transform = transforms[sa].as_ref().filter(|_| allowed)?;
+            Some((transform.apply(&input.tuple).ok()?, true))
+        })
     }
 
     /// Selection: annotate instead of filter. `retained` records whether the
     /// original (SA-substituted) predicate holds.
-    fn trace_selection(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
-        let child = &node.inputs[0];
-        let child_trace = self.take_trace(child.id);
-        let predicates: Vec<Expr> = (0..self.n_sas())
-            .map(|sa| match self.sas[sa].effective_operator(node) {
+    fn trace_selection(&mut self, node: &OpNode, child: &OpTrace) -> Vec<TracedTuple> {
+        let predicates: Vec<Expr> = self
+            .sas
+            .iter()
+            .map(|sa| match sa.effective_operator(node) {
                 Operator::Selection { predicate } => predicate,
                 _ => Expr::lit(true),
             })
             .collect();
-
-        let n = self.n_sas();
-        let mut tuples = Vec::with_capacity(child_trace.tuples.len());
-        for (row, input) in child_trace.tuples.iter().enumerate() {
-            if row & 1023 == 0 {
-                whynot_guard::enforce();
-            }
-            let mut variants = Vec::with_capacity(n);
-            let mut flags = Vec::with_capacity(n);
-            for (sa, predicate) in predicates.iter().enumerate() {
-                let input_flags = input.flags(sa);
-                let variant = input.variant(sa).cloned();
-                let retained = variant
-                    .as_ref()
-                    .map(|t| input_flags.valid && predicate.eval_bool(t))
-                    .unwrap_or(false);
-                flags.push(base_flags(variant.as_ref(), input_flags.valid, retained));
-                variants.push(variant);
-            }
-            tuples.push(TracedTuple::new(
-                self.fresh_id(),
-                variants,
-                flags,
-                vec![vec![input.id]; n],
-            ));
-        }
-        self.put_trace(child_trace);
-        Ok(OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples })
+        self.one_to_one(&child.tuples, |sa, input| {
+            Some((input.tuple.clone(), predicates[sa].eval_bool(&input.tuple)))
+        })
     }
 
-    /// Relation flatten, generalized to an outer flatten.
-    fn trace_flatten(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
-        let child = &node.inputs[0];
-        let child_schema = output_type(child, self.db)?;
-        let child_trace = self.take_trace(child.id);
+    /// Difference: annotate instead of remove. `retained` records whether no
+    /// right tuple under the same alternative equals the variant.
+    fn trace_difference(&mut self, left: &OpTrace, right: &OpTrace) -> Vec<TracedTuple> {
+        self.one_to_one(&left.tuples, |sa, input| {
+            let subtracted = right.tuples.iter().any(|r| r.variant(sa) == Some(&input.tuple));
+            Some((input.tuple.clone(), !subtracted))
+        })
+    }
 
-        let (original_kind, alias) = match &node.op {
-            Operator::Flatten { kind, alias, .. } => (*kind, alias.as_deref()),
-            _ => unreachable!("trace_flatten called on non-flatten"),
+    /// Relation flatten, generalized to an outer flatten: per input tuple,
+    /// each alternative's rows are merged by element position. Element
+    /// multiplicities are not traced. The padding row of an empty collection
+    /// is retained only by an original outer flatten.
+    fn trace_flatten(&mut self, node: &OpNode, child: &OpTrace) -> AlgebraResult<Vec<TracedTuple>> {
+        let child_schema = output_type(&node.inputs[0], self.db)?;
+        let Operator::Flatten { kind: original_kind, alias, .. } = &node.op else {
+            unreachable!("trace_flatten called on non-flatten")
         };
         // Per SA: the flatten of the attribute actually flattened.
-        let flattens: Vec<RowFlatten> = (0..self.n_sas())
-            .map(|sa| match self.sas[sa].effective_operator(node) {
-                Operator::Flatten { attr, .. } => RowFlatten::new(&attr, alias, &child_schema),
+        let flattens: Vec<RowFlatten> = self
+            .sas
+            .iter()
+            .map(|sa| match sa.effective_operator(node) {
+                Operator::Flatten { attr, .. } => {
+                    RowFlatten::new(&attr, alias.as_deref(), &child_schema)
+                }
                 _ => unreachable!(),
             })
             .collect();
 
-        let n = self.n_sas();
         let mut tuples = Vec::new();
-        for input in &child_trace.tuples {
-            // Per SA, the `(tuple, retained)` rows the outer flatten produces;
-            // element multiplicities are not traced. The padding row of an
-            // empty collection is retained only by an original outer flatten.
-            let mut per_sa: Vec<Vec<(Tuple, bool)>> = Vec::with_capacity(n);
+        for input in &child.tuples {
+            let mut rows = Vec::new();
             for (sa, flatten) in flattens.iter().enumerate() {
-                let outputs = match input.variant(sa) {
-                    Some(tuple) if input.flags(sa).valid => {
-                        let rows = flatten.elements(tuple)?;
-                        if rows.is_empty() {
-                            vec![(flatten.pad(tuple)?, original_kind == FlattenKind::Outer)]
-                        } else {
-                            rows.into_iter().map(|(row, _)| (row, true)).collect()
-                        }
-                    }
-                    _ => Vec::new(),
+                let Some(tuple) = input.variant(sa) else { continue };
+                let mut row = |position: usize, tuple: Tuple, retained: bool| {
+                    rows.push((
+                        position,
+                        sa,
+                        Variant { tuple, retained, inputs: vec![input.id] },
+                        None,
+                    ))
                 };
-                per_sa.push(outputs);
-            }
-            let width = per_sa.iter().map(Vec::len).max().unwrap_or(0);
-            for k in 0..width {
-                let id = self.fresh_id();
-                let mut variants = Vec::with_capacity(self.n_sas());
-                let mut flags = Vec::with_capacity(self.n_sas());
-                for outputs in per_sa.iter() {
-                    match outputs.get(k) {
-                        Some((tuple, retained)) => {
-                            flags.push(base_flags(Some(tuple), true, *retained));
-                            variants.push(Some(tuple.clone()));
-                        }
-                        None => {
-                            flags.push(SaFlags::absent());
-                            variants.push(None);
-                        }
-                    }
+                let elements = flatten.elements(tuple)?;
+                if elements.is_empty() {
+                    row(0, flatten.pad(tuple)?, *original_kind == FlattenKind::Outer);
                 }
-                tuples.push(TracedTuple::new(
-                    id,
-                    variants,
-                    flags,
-                    vec![vec![input.id]; self.n_sas()],
-                ));
+                for (position, (element, _mult)) in elements.into_iter().enumerate() {
+                    row(position, element, true);
+                }
             }
+            tuples.extend(self.merge(rows));
         }
-        self.put_trace(child_trace);
-        Ok(OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples })
+        Ok(tuples)
     }
 
     /// Joins (and cross products), generalized to full outer joins.
     ///
-    /// The pairing itself — partitioned hash join on the equi conjuncts with
-    /// a parallel nested-loop fallback — is `nrab_algebra::join`, the same
-    /// core the evaluator's join runs on; tracing adds the per-SA fan-out and
-    /// the outer-join generalization below.
-    fn trace_join(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
-        let left_node = &node.inputs[0];
-        let right_node = &node.inputs[1];
-        let left_schema = output_type(left_node, self.db)?;
-        let right_schema = output_type(right_node, self.db)?;
-        let left_trace = self.take_trace(left_node.id);
-        let right_trace = self.take_trace(right_node.id);
-
+    /// Each schema alternative's pairs come from `nrab_algebra::join` — the
+    /// hash join on the equi conjuncts, else the nested loop — the same core
+    /// the evaluator's join runs on. Pairs and padded tuples are then merged
+    /// across alternatives by their (left id, right id).
+    fn trace_join(
+        &mut self,
+        node: &OpNode,
+        left: &OpTrace,
+        right: &OpTrace,
+    ) -> AlgebraResult<Vec<TracedTuple>> {
+        fn rows_of(trace: &OpTrace, sa: usize) -> Vec<Option<&Tuple>> {
+            trace.tuples.iter().map(|t| t.variant(sa)).collect()
+        }
+        let left_schema = output_type(&node.inputs[0], self.db)?;
+        let right_schema = output_type(&node.inputs[1], self.db)?;
+        let left_names: Vec<Sym> = left_schema.attribute_syms().collect();
+        let right_names: Vec<Sym> = right_schema.attribute_syms().collect();
         let original_kind = match &node.op {
             Operator::Join { kind, .. } => *kind,
-            Operator::CrossProduct => JoinKind::Inner,
-            _ => unreachable!("trace_join called on non-join"),
+            _ => JoinKind::Inner,
         };
-        let predicates: Vec<Expr> = (0..self.n_sas())
-            .map(|sa| match self.sas[sa].effective_operator(node) {
-                Operator::Join { predicate, .. } => predicate,
-                Operator::CrossProduct => Expr::lit(true),
-                _ => Expr::lit(true),
-            })
-            .collect();
+        let keeps_left = matches!(original_kind, JoinKind::Left | JoinKind::Full);
+        let keeps_right = matches!(original_kind, JoinKind::Right | JoinKind::Full);
 
-        // The hash-join decision is resolved once for every alternative.
-        let use_hash = hash_join_enabled();
-
-        // Schema alternatives whose substitutions leave the right subtree
-        // untouched (and whose effective predicates split into the same
-        // right key paths) join *identical* right rows: their hash tables
-        // are equal, so build once per distinct group and share it across
-        // the group's probes. Signature = the alternative's substitutions
-        // restricted to right-subtree operators, plus the right key paths.
-        let right_rows_of = |sa: usize| -> Vec<Option<&Tuple>> {
-            right_trace
-                .tuples
-                .iter()
-                .map(|t| if t.flags(sa).valid { t.variant(sa) } else { None })
-                .collect()
-        };
-        let equis: Vec<Option<EquiJoin>> = predicates
-            .iter()
-            .map(|p| use_hash.then(|| split_equi_join(p, &left_schema, &right_schema)).flatten())
-            .collect();
-        let mut right_ops = std::collections::BTreeSet::new();
-        collect_subtree_ops(right_node, &mut right_ops);
-        let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (sa, equi) in equis.iter().enumerate() {
-            let Some(equi) = equi else { continue };
-            use std::fmt::Write;
-            let mut signature = String::new();
-            for substitution in &self.sas[sa].substitutions {
-                if right_ops.contains(&substitution.op) {
-                    let _ = write!(signature, "{substitution};");
-                }
-            }
-            for key in &equi.right_keys {
-                let _ = write!(signature, "|{key}");
-            }
-            groups.entry(signature).or_default().push(sa);
-        }
-        let mut build_for_sa: Vec<Option<Arc<JoinBuild>>> = vec![None; self.n_sas()];
-        for members in groups.values() {
-            let representative = members[0];
-            let build = Arc::new(JoinBuild::build(
-                &right_rows_of(representative),
-                &equis[representative]
-                    .as_ref()
-                    .expect("grouped SAs have equi structure")
-                    .right_keys,
-            ));
-            for &sa in members {
-                build_for_sa[sa] = Some(Arc::clone(&build));
-            }
-        }
-
-        // One join pass per SA. Matches are folded in (left, right) order, so
-        // the pair list is identical to the nested loop's.
-        let join_sa = |sa: usize| {
+        let mut rows = Vec::new();
+        for (sa, alternative) in self.sas.iter().enumerate() {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
             whynot_guard::faults::fault_point_dyn("trace_sa", || sa.to_string());
             whynot_guard::enforce();
-            let left_rows: Vec<Option<&Tuple>> = left_trace
-                .tuples
-                .iter()
-                .map(|t| if t.flags(sa).valid { t.variant(sa) } else { None })
-                .collect();
-            let right_rows = right_rows_of(sa);
-            match (&equis[sa], &build_for_sa[sa]) {
-                (Some(equi), Some(build)) => {
-                    join_matches_probe(&left_rows, &right_rows, equi, build)
-                }
-                _ => join_matches_with(
-                    &left_rows,
-                    &right_rows,
-                    &predicates[sa],
-                    &left_schema,
-                    &right_schema,
-                    use_hash,
-                ),
+            let predicate = match alternative.effective_operator(node) {
+                Operator::Join { predicate, .. } => predicate,
+                _ => Expr::lit(true),
+            };
+            let matches = join_matches(
+                &rows_of(left, sa),
+                &rows_of(right, sa),
+                &predicate,
+                &left_schema,
+                &right_schema,
+            );
+            let mut row = |key, tuple, retained, inputs| {
+                rows.push((key, sa, Variant { tuple, retained, inputs }, None))
+            };
+            for pair in matches.pairs {
+                let (l, r) = (left.tuples[pair.left].id, right.tuples[pair.right].id);
+                row((Some(l), Some(r)), pair.combined, true, vec![l, r]);
             }
-        };
-        let per_sa: Vec<JoinMatches> = (0..self.n_sas()).map(join_sa).collect();
-
-        // Merge across SAs, keyed by (left id, right id) with None for padding.
-        #[derive(Default, Clone)]
-        struct Slot {
-            per_sa: Vec<Option<(Tuple, bool)>>,
-        }
-        let mut slots: BTreeMap<(Option<u64>, Option<u64>), Slot> = BTreeMap::new();
-        let n = self.n_sas();
-        fn slot_for(
-            slots: &mut BTreeMap<(Option<u64>, Option<u64>), Slot>,
-            key: (Option<u64>, Option<u64>),
-            n: usize,
-        ) -> &mut Slot {
-            slots.entry(key).or_insert_with(|| Slot { per_sa: vec![None; n] })
-        }
-        let left_names: Vec<nested_data::Sym> = left_schema.attribute_syms().collect();
-        let right_names: Vec<nested_data::Sym> = right_schema.attribute_syms().collect();
-        for (sa, state) in per_sa.iter().enumerate() {
-            for pair in &state.pairs {
-                let lt = &left_trace.tuples[pair.left];
-                let rt = &right_trace.tuples[pair.right];
-                let slot = slot_for(&mut slots, (Some(lt.id), Some(rt.id)), n);
-                slot.per_sa[sa] = Some((pair.combined.clone(), true));
+            for (lt, matched) in left.tuples.iter().zip(matches.left_matched) {
+                let Some(tuple) = lt.variant(sa).filter(|_| !matched) else { continue };
+                let padded = tuple.concat(&Tuple::null_padded(&right_names))?;
+                row((Some(lt.id), None), padded, keeps_left, vec![lt.id]);
             }
-            for (li, lt) in left_trace.tuples.iter().enumerate() {
-                if lt.flags(sa).valid && !state.left_matched[li] {
-                    let padded =
-                        lt.variant(sa).unwrap().concat(&Tuple::null_padded(&right_names))?;
-                    let retained = matches!(original_kind, JoinKind::Left | JoinKind::Full);
-                    let slot = slot_for(&mut slots, (Some(lt.id), None), n);
-                    slot.per_sa[sa] = Some((padded, retained));
-                }
-            }
-            for (ri, rt) in right_trace.tuples.iter().enumerate() {
-                if rt.flags(sa).valid && !state.right_matched[ri] {
-                    let padded = Tuple::null_padded(&left_names).concat(rt.variant(sa).unwrap())?;
-                    let retained = matches!(original_kind, JoinKind::Right | JoinKind::Full);
-                    let slot = slot_for(&mut slots, (None, Some(rt.id)), n);
-                    slot.per_sa[sa] = Some((padded, retained));
-                }
+            for (rt, matched) in right.tuples.iter().zip(matches.right_matched) {
+                let Some(tuple) = rt.variant(sa).filter(|_| !matched) else { continue };
+                let padded = Tuple::null_padded(&left_names).concat(tuple)?;
+                row((None, Some(rt.id)), padded, keeps_right, vec![rt.id]);
             }
         }
-
-        let mut tuples = Vec::with_capacity(slots.len());
-        for ((lid, rid), slot) in slots {
-            let id = self.fresh_id();
-            let mut variants = Vec::with_capacity(n);
-            let mut flags = Vec::with_capacity(n);
-            let mut inputs = Vec::with_capacity(n);
-            let pair_ids: Vec<u64> = [lid, rid].into_iter().flatten().collect();
-            for sa in 0..n {
-                match &slot.per_sa[sa] {
-                    Some((tuple, retained)) => {
-                        flags.push(base_flags(Some(tuple), true, *retained));
-                        variants.push(Some(tuple.clone()));
-                        inputs.push(pair_ids.clone());
-                    }
-                    None => {
-                        flags.push(SaFlags::absent());
-                        variants.push(None);
-                        inputs.push(Vec::new());
-                    }
-                }
-            }
-            tuples.push(TracedTuple::new(id, variants, flags, inputs));
-        }
-        self.put_trace(left_trace);
-        self.put_trace(right_trace);
-        Ok(OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples })
+        Ok(self.merge(rows))
     }
 
-    /// Relation nesting: group valid tuples per SA and merge group keys across
-    /// SAs with an outer-join-like combination (Figure 7, step 4).
-    fn trace_relation_nest(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
-        let child = &node.inputs[0];
-        let child_trace = self.take_trace(child.id);
-        let n = self.n_sas();
-
-        // Each SA builds its own key → (nested bag, member ids) map; the maps
-        // are then merged over the union of keys — the outer-join-like
-        // combination of Figure 7, step 4 — in SA order.
-        #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
-        type SaGroups = BTreeMap<Value, (Bag, Vec<u64>)>;
-        let sas = self.sas;
-        let group_sa = |sa: usize| -> (SaGroups, String) {
+    /// Relation nesting: each schema alternative groups its tuples with the
+    /// evaluator's [`RowNest`]; the groups are merged across alternatives by
+    /// group key (Figure 7, step 4).
+    fn trace_relation_nest(&mut self, node: &OpNode, child: &OpTrace) -> Vec<TracedTuple> {
+        let mut rows = Vec::new();
+        for (sa, alternative) in self.sas.iter().enumerate() {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
-            let (attrs, into) = match sas[sa].effective_operator(node) {
-                Operator::RelationNest { attrs, into } => (attrs, into),
+            let nest = match alternative.effective_operator(node) {
+                Operator::RelationNest { attrs, into } => RowNest::new(&attrs, &into),
                 _ => unreachable!("trace_relation_nest called on non-nest"),
             };
-            let attr_refs: Vec<nested_data::Sym> =
-                attrs.iter().map(|a| nested_data::Sym::intern(a)).collect();
-            #[allow(clippy::mutable_key_type)]
-            let mut sa_groups: SaGroups = BTreeMap::new();
-            for input in &child_trace.tuples {
+            // Per group: its nested collection and its members' ids.
+            #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
+            let mut groups: BTreeMap<Value, (BagBuilder, Vec<u64>)> = BTreeMap::new();
+            for input in &child.tuples {
                 let Some(tuple) = input.variant(sa) else { continue };
-                if !input.flags(sa).valid {
-                    continue;
+                let (nested, members) = groups.entry(nest.key(tuple)).or_default();
+                if let Some(element) = nest.element(tuple) {
+                    nested.add(element, 1);
                 }
-                let key = Value::from_tuple(tuple.without(&attr_refs));
-                let entry = sa_groups.entry(key).or_insert_with(|| (Bag::new(), Vec::new()));
-                if let Ok(projected) = tuple.project(&attr_refs) {
-                    if projected.fields().iter().any(|(_, v)| !v.is_null()) {
-                        entry.0.insert(Value::from_tuple(projected), 1);
-                    }
-                }
-                if !entry.1.contains(&input.id) {
-                    entry.1.push(input.id);
-                }
+                members.push(input.id);
             }
-            (sa_groups, into)
-        };
-        let per_sa_groups: Vec<(SaGroups, String)> = (0..n).map(group_sa).collect();
-
-        #[allow(clippy::mutable_key_type)]
-        let mut groups: BTreeMap<Value, GroupSlot> = BTreeMap::new();
-        for (sa, (sa_groups, into)) in per_sa_groups.into_iter().enumerate() {
-            for (key, (bag, member_ids)) in sa_groups {
-                let slot = groups.entry(key).or_insert_with(|| GroupSlot {
-                    per_sa: vec![None; n],
-                    member_ids: vec![Vec::new(); n],
-                });
-                slot.per_sa[sa] = Some((bag, into.clone()));
-                slot.member_ids[sa] = member_ids;
-            }
+            rows.extend(groups.into_iter().map(|(key, (nested, members))| {
+                let tuple = nest.output(&key, nested.finish());
+                (key, sa, Variant { tuple, retained: true, inputs: members }, None)
+            }));
         }
-
-        let mut tuples = Vec::with_capacity(groups.len());
-        for (key, slot) in groups {
-            let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-            let id = self.fresh_id();
-            let mut variants = Vec::with_capacity(n);
-            let mut flags = Vec::with_capacity(n);
-            for sa in 0..n {
-                match &slot.per_sa[sa] {
-                    Some((bag, into)) => {
-                        let tuple =
-                            key_tuple.with_field(into.as_str(), Value::from_bag(bag.clone()));
-                        flags.push(base_flags(Some(&tuple), true, true));
-                        variants.push(Some(tuple));
-                    }
-                    None => {
-                        flags.push(SaFlags::absent());
-                        variants.push(None);
-                    }
-                }
-            }
-            tuples.push(TracedTuple::new(id, variants, flags, slot.member_ids));
-        }
-        self.put_trace(child_trace);
-        Ok(OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples })
+        self.merge(rows)
     }
 
     /// Grouped aggregation: like relation nesting, but each group contributes
@@ -743,192 +585,41 @@ impl<'a> Tracer<'a> {
     /// computed from all valid tuples and, as a fallback, from the tuples the
     /// immediately preceding operator retained (cf. the discussion of
     /// aggregation tracing limitations in Section 5.5).
-    fn trace_group_aggregation(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
-        let child = &node.inputs[0];
-        let child_trace = self.take_trace(child.id);
-        let n = self.n_sas();
-
-        // Like relation nesting: one grouping pass per SA, merged over the
-        // union of group keys in SA order.
-        #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
-        type SaAggGroups = BTreeMap<Value, (AggGroupSa, Vec<u64>)>;
-        let sas = self.sas;
-        let group_sa = |sa: usize| -> SaAggGroups {
+    fn trace_group_aggregation(&mut self, node: &OpNode, child: &OpTrace) -> Vec<TracedTuple> {
+        let mut rows = Vec::new();
+        for (sa, alternative) in self.sas.iter().enumerate() {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
-            let (group_by, aggs) = match sas[sa].effective_operator(node) {
+            let (group_by, aggs) = match alternative.effective_operator(node) {
                 Operator::GroupAggregation { group_by, aggs } => (group_by, aggs),
                 _ => unreachable!("trace_group_aggregation called on non-aggregation"),
             };
-            let group_refs: Vec<nested_data::Sym> =
-                group_by.iter().map(|a| nested_data::Sym::intern(a)).collect();
-            #[allow(clippy::mutable_key_type)]
-            let mut sa_groups: SaAggGroups = BTreeMap::new();
-            for input in &child_trace.tuples {
-                let Some(tuple) = input.variant(sa) else { continue };
-                if !input.flags(sa).valid {
-                    continue;
-                }
-                let key = Value::from_tuple(
-                    tuple.project(&group_refs).unwrap_or_else(|_| Tuple::empty()),
-                );
-                let (entry, member_ids) = sa_groups.entry(key).or_insert_with(|| {
-                    (
-                        AggGroupSa {
-                            aggs: aggs.clone(),
-                            all_members: Vec::new(),
-                            retained_members: Vec::new(),
-                        },
-                        Vec::new(),
-                    )
-                });
-                entry.all_members.push(tuple.clone());
-                if input.flags(sa).retained {
-                    entry.retained_members.push(tuple.clone());
-                }
-                if !member_ids.contains(&input.id) {
-                    member_ids.push(input.id);
-                }
+            let group_syms: Vec<Sym> = group_by.iter().map(|a| Sym::intern(a)).collect();
+            // Per group: its members' ids and variants.
+            #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
+            let mut groups: BTreeMap<Value, Vec<(u64, &Variant)>> = BTreeMap::new();
+            for input in &child.tuples {
+                let Some(variant) = input.get(sa) else { continue };
+                let key = variant.tuple.project(&group_syms).unwrap_or_else(|_| Tuple::empty());
+                groups.entry(Value::from_tuple(key)).or_default().push((input.id, variant));
             }
-            sa_groups
-        };
-        let per_sa_groups: Vec<SaAggGroups> = (0..n).map(group_sa).collect();
-
-        // See above: the cached structural hash does not affect ordering.
-        #[allow(clippy::mutable_key_type)]
-        let mut groups: BTreeMap<Value, AggGroupSlot> = BTreeMap::new();
-        for (sa, sa_groups) in per_sa_groups.into_iter().enumerate() {
-            for (key, (group, member_ids)) in sa_groups {
-                let slot = groups.entry(key).or_insert_with(|| AggGroupSlot {
-                    per_sa: (0..n).map(|_| None).collect(),
-                    member_ids: vec![Vec::new(); n],
-                });
-                slot.per_sa[sa] = Some(group);
-                slot.member_ids[sa] = member_ids;
+            for (key, members) in groups {
+                let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
+                let all: Vec<&Tuple> = members.iter().map(|(_, v)| &v.tuple).collect();
+                let retained: Vec<&Tuple> =
+                    members.iter().filter(|(_, v)| v.retained).map(|(_, v)| &v.tuple).collect();
+                // The original query would produce the group from the
+                // retained members only; the group survives if any member
+                // was retained. The retained-members aggregate is kept as the
+                // fallback variant consulted by the consistency annotation
+                // (Section 5.5).
+                let fallback = aggregate_group(key_tuple.clone(), &aggs, &retained);
+                let tuple = aggregate_group(key_tuple, &aggs, &all);
+                let inputs = members.iter().map(|(id, _)| *id).collect();
+                let variant = Variant { tuple, retained: !retained.is_empty(), inputs };
+                rows.push((key, sa, variant, Some(fallback)));
             }
         }
-
-        // Fresh ids in group-key order.
-        let mut tuples = Vec::with_capacity(groups.len());
-        for (key, slot) in groups {
-            let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-            let mut variants = Vec::with_capacity(n);
-            let mut flags = Vec::with_capacity(n);
-            let mut fallbacks = Vec::with_capacity(n);
-            for sa in 0..n {
-                match &slot.per_sa[sa] {
-                    Some(group) => {
-                        let relaxed =
-                            aggregate_group(key_tuple.clone(), &group.aggs, &group.all_members);
-                        let retained_only = aggregate_group(
-                            key_tuple.clone(),
-                            &group.aggs,
-                            &group.retained_members,
-                        );
-                        // The original query would produce the group from the
-                        // retained members only; the group survives if any
-                        // member was retained. The retained-members aggregate
-                        // is kept as the fallback variant consulted by the
-                        // consistency annotation (Section 5.5).
-                        let retained = !group.retained_members.is_empty();
-                        flags.push(SaFlags { valid: true, consistent: false, retained });
-                        variants.push(Some(relaxed));
-                        fallbacks.push(Some(retained_only));
-                    }
-                    None => {
-                        flags.push(SaFlags::absent());
-                        variants.push(None);
-                        fallbacks.push(None);
-                    }
-                }
-            }
-            tuples.push(TracedTuple::with_fallbacks(
-                self.fresh_id(),
-                variants,
-                flags,
-                slot.member_ids,
-                fallbacks,
-            ));
-        }
-        self.put_trace(child_trace);
-        Ok(OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples })
-    }
-
-    fn trace_union(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
-        let left_trace = self.take_trace(node.inputs[0].id);
-        let right_trace = self.take_trace(node.inputs[1].id);
-        let mut tuples = Vec::with_capacity(left_trace.tuples.len() + right_trace.tuples.len());
-        for input in left_trace.tuples.iter().chain(right_trace.tuples.iter()) {
-            let id = self.fresh_id();
-            let mut variants = Vec::with_capacity(self.n_sas());
-            let mut flags = Vec::with_capacity(self.n_sas());
-            for sa in 0..self.n_sas() {
-                let variant = input.variant(sa).cloned();
-                flags.push(base_flags(variant.as_ref(), input.flags(sa).valid, true));
-                variants.push(variant);
-            }
-            tuples.push(TracedTuple::new(id, variants, flags, vec![vec![input.id]; self.n_sas()]));
-        }
-        self.put_trace(left_trace);
-        self.put_trace(right_trace);
-        Ok(OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples })
-    }
-
-    fn trace_difference(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
-        let left_trace = self.take_trace(node.inputs[0].id);
-        let right_trace = self.take_trace(node.inputs[1].id);
-        let n = self.n_sas();
-        let mut tuples = Vec::with_capacity(left_trace.tuples.len());
-        for input in &left_trace.tuples {
-            let mut variants = Vec::with_capacity(n);
-            let mut flags = Vec::with_capacity(n);
-            for sa in 0..n {
-                let variant = input.variant(sa).cloned();
-                let subtracted = variant.as_ref().map(|t| {
-                    right_trace.tuples.iter().any(|r| {
-                        r.flags(sa).valid && r.variant(sa).map(|rt| rt == t).unwrap_or(false)
-                    })
-                });
-                let retained = matches!(subtracted, Some(false));
-                flags.push(base_flags(variant.as_ref(), input.flags(sa).valid, retained));
-                variants.push(variant);
-            }
-            tuples.push(TracedTuple::new(
-                self.fresh_id(),
-                variants,
-                flags,
-                vec![vec![input.id]; n],
-            ));
-        }
-        self.put_trace(left_trace);
-        self.put_trace(right_trace);
-        Ok(OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples })
-    }
-}
-
-struct GroupSlot {
-    per_sa: Vec<Option<(Bag, String)>>,
-    member_ids: Vec<Vec<u64>>,
-}
-
-struct AggGroupSa {
-    aggs: Vec<nrab_algebra::AggSpec>,
-    all_members: Vec<Tuple>,
-    retained_members: Vec<Tuple>,
-}
-
-struct AggGroupSlot {
-    per_sa: Vec<Option<AggGroupSa>>,
-    member_ids: Vec<Vec<u64>>,
-}
-
-/// Builds the question-independent flags of a variant: validity is inherited
-/// from the input, `retained` is provided by the operator-specific tracing
-/// procedure, and `consistent` is a placeholder that [`annotate_consistency`]
-/// computes per question.
-fn base_flags(variant: Option<&Tuple>, input_valid: bool, retained: bool) -> SaFlags {
-    match variant {
-        Some(_) if input_valid => SaFlags { valid: true, consistent: false, retained },
-        _ => SaFlags::absent(),
+        self.merge(rows)
     }
 }
 
@@ -940,30 +631,19 @@ fn record_trace_counters(trace: &OpTrace) {
     }
     whynot_obs::add("trace.tuples", trace.tuples.len() as u64);
     let (mut valid, mut retained) = (0u64, 0u64);
-    for tuple in &trace.tuples {
-        for flags in &tuple.flags {
-            valid += flags.valid as u64;
-            retained += (flags.valid && flags.retained) as u64;
-        }
+    for variant in trace.tuples.iter().flat_map(|t| t.variants.iter().flatten()) {
+        valid += 1;
+        retained += variant.retained as u64;
     }
     whynot_obs::add("trace.valid", valid);
     whynot_obs::add("trace.retained", retained);
-}
-
-/// Collects every operator id of a plan subtree (used to decide which
-/// schema-alternative substitutions can affect a join's right side).
-fn collect_subtree_ops(node: &OpNode, out: &mut std::collections::BTreeSet<OpId>) {
-    out.insert(node.id);
-    for input in &node.inputs {
-        collect_subtree_ops(input, out);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alternative::OpSubstitution;
-    use nested_data::{NestedType, NipCmp, TupleType};
+    use nested_data::{Bag, NestedType, NipCmp, TupleType};
     use nrab_algebra::expr::CmpOp;
     use nrab_algebra::{evaluate, PlanBuilder};
 
@@ -1297,6 +977,7 @@ mod tests {
         assert_eq!(variant.get("city"), Some(&Value::str("NY")));
         assert!(tuple.flags(0).valid);
         assert_eq!(tuple.traced.variant(1), None);
+        assert!(tuple.traced.input_ids(1).is_empty());
         assert_eq!(tuple.flags(1), SaFlags::absent());
 
         // The evaluator rejects the SA-1 plan with the error the variant

@@ -2,9 +2,9 @@
 //! articles show up with none? (Scenario D2 — the flatten picked the
 //! `title.bibtex` attribute, which is null for almost every record.)
 
-use whynot_nested::core::report::render_answer;
 use whynot_nested::core::WhyNotEngine;
 use whynot_nested::scenarios::dblp;
+use whynot_nested::service::ExplanationReport;
 
 fn main() {
     let scenario = dblp::d2(150);
@@ -14,6 +14,6 @@ fn main() {
     let answer = WhyNotEngine::rp()
         .explain(&scenario.question(), &scenario.alternatives)
         .expect("explanation");
-    println!("{}", render_answer(&answer, &scenario.plan));
+    print!("{}", ExplanationReport::from_answer(&answer).render_text());
     println!("paper's expected explanations: {:?}", scenario.paper_rp);
 }

@@ -5,10 +5,10 @@
 
 use whynot_nested::algebra::expr::{CmpOp, Expr};
 use whynot_nested::algebra::{evaluate, PlanBuilder};
-use whynot_nested::core::report::render_answer;
 use whynot_nested::core::{AttributeAlternative, WhyNotEngine, WhyNotQuestion};
 use whynot_nested::data::Nip;
 use whynot_nested::datagen::person_database;
+use whynot_nested::service::ExplanationReport;
 
 fn main() {
     let db = person_database();
@@ -32,5 +32,5 @@ fn main() {
     let question = WhyNotQuestion::new(plan.clone(), db, why_not);
     let alternatives = [AttributeAlternative::new("person", "address2", "address1")];
     let answer = WhyNotEngine::rp().explain(&question, &alternatives).expect("explanation");
-    println!("{}", render_answer(&answer, &plan));
+    print!("{}", ExplanationReport::from_answer(&answer).render_text());
 }

@@ -3,9 +3,9 @@
 //! not `place.country`.) Also compares against the lineage-based baseline.
 
 use whynot_nested::baselines::wnpp_explanations;
-use whynot_nested::core::report::render_answer;
 use whynot_nested::core::WhyNotEngine;
 use whynot_nested::scenarios::twitter;
+use whynot_nested::service::ExplanationReport;
 
 fn main() {
     let scenario = twitter::t2(200);
@@ -19,5 +19,5 @@ fn main() {
     let answer = WhyNotEngine::rp()
         .explain(&scenario.question(), &scenario.alternatives)
         .expect("explanation");
-    println!("{}", render_answer(&answer, &scenario.plan));
+    print!("{}", ExplanationReport::from_answer(&answer).render_text());
 }

@@ -1,7 +1,8 @@
 //! The differential contract of every physical execution choice, end to end:
 //! every case of the shared harness gives the same answer, generalized trace,
 //! and compact wire report with the hash join on and profiling active as the
-//! reference run with the hash join off, unprofiled.
+//! reference run with the hash join off, unprofiled. Under both, every
+//! case's lineage keeps the trace's lineage contract.
 //!
 //! The per-toggle suites (`join_equivalence`, `obs_equivalence`) check the
 //! configurations that turn on one toggle; this suite checks the one that
@@ -17,9 +18,14 @@ static EVERY_COMBINATION: Suite = Suite::new(|| vec![Config { hash_join: true, p
 
 #[test]
 fn every_option_combination_matches_the_reference() {
-    for aspect in
-        [Aspect::Answer, Aspect::Trace, Aspect::Report, Aspect::Annotation, Aspect::Profile]
-    {
+    for aspect in [
+        Aspect::Answer,
+        Aspect::Trace,
+        Aspect::Report,
+        Aspect::Annotation,
+        Aspect::Lineage,
+        Aspect::Profile,
+    ] {
         EVERY_COMBINATION.assert_clean(aspect, Cases::All);
     }
 }

@@ -8,14 +8,15 @@
 //! (`join_equivalence`, `obs_equivalence` for profiling, and `differential`
 //! for both) cover between them. Each suite is a [`Suite`]: a list of
 //! configurations run once per test binary, whose findings its tests assert
-//! on by aspect and case kind. Every why-not case's annotation is also
-//! checked, under the reference and every suite configuration, against
-//! [`reference_flags`], an independent per-tuple clone-and-match
-//! annotation.
+//! on by aspect and case kind. Under the reference and every suite
+//! configuration, every why-not case's annotation is also checked against
+//! [`reference_flags`], an independent per-tuple match annotation, and every
+//! case's lineage against the trace's lineage contract
+//! ([`lineage_mismatch`]).
 
 #![allow(dead_code)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -262,6 +263,8 @@ pub enum Aspect {
     Report,
     /// A why-not case's annotated flags, against [`reference_flags`].
     Annotation,
+    /// The trace's lineage, against its contract ([`lineage_mismatch`]).
+    Lineage,
     /// The profile: spans recorded, and the same signature on a rerun.
     Profile,
 }
@@ -347,17 +350,26 @@ fn compare(case: &Case, configs: &[Config]) -> Vec<Finding> {
         found.push(Finding { aspect, scenario, message: format!("{name}: {message}") })
     };
     let (reference, _) = run(case, REFERENCE);
-    let annotation = |output: &Output| match case {
-        Case::WhyNot { question, .. } => annotation_mismatch(&question.plan, output),
-        Case::Traced { .. } => None,
+    let plan: &QueryPlan = match case {
+        Case::WhyNot { question, .. } => &question.plan,
+        Case::Traced { plan, .. } => plan,
     };
-    if let Some(message) = annotation(&reference) {
-        differ(Aspect::Annotation, format!("{message} under {REFERENCE:?}"));
+    // The contracts every output keeps on its own, under any configuration.
+    let contracts = |output: &Output| {
+        let annotation = match case {
+            Case::WhyNot { .. } => annotation_mismatch(plan, output),
+            Case::Traced { .. } => None,
+        };
+        let annotation = annotation.map(|message| (Aspect::Annotation, message));
+        annotation.into_iter().chain(lineage_mismatch(plan, output).map(|m| (Aspect::Lineage, m)))
+    };
+    for (aspect, message) in contracts(&reference) {
+        differ(aspect, format!("{message} under {REFERENCE:?}"));
     }
     for &config in configs {
         let (output, profile) = run(case, config);
-        if let Some(message) = annotation(&output) {
-            differ(Aspect::Annotation, format!("{message} under {config:?}"));
+        for (aspect, message) in contracts(&output) {
+            differ(aspect, format!("{message} under {config:?}"));
         }
         if *output.answer != *reference.answer {
             differ(Aspect::Answer, format!("answer differs under {config:?}"));
@@ -414,9 +426,43 @@ fn annotation_mismatch(plan: &QueryPlan, output: &Output) -> Option<String> {
     None
 }
 
-/// The reference annotation of one traced tuple: a clone of the tuple whose
-/// `consistent` flags are filled in by matching each valid variant against
-/// its schema alternative's consistency NIP, relaxed for grouped aggregation
+/// The first tuple whose lineage breaks the trace's contract, if any: under
+/// every schema alternative, each lineage id names a tuple of one of the
+/// operator's children that exists under that alternative — so table-access
+/// tuples have no lineage.
+fn lineage_mismatch(plan: &QueryPlan, output: &Output) -> Option<String> {
+    let annotated = annotate_consistency(&output.trace, plan, &output.sas);
+    for &op in output.trace.pre_order() {
+        let (Ok(node), Some(op_trace)) = (plan.node(op), annotated.trace(op)) else {
+            return Some(format!("operator {op} is not traced"));
+        };
+        let children: HashMap<u64, &TracedTuple> = node
+            .inputs
+            .iter()
+            .filter_map(|input| annotated.trace(input.id))
+            .flat_map(|child| &child.trace.tuples)
+            .map(|t| (t.id, t))
+            .collect();
+        for tuple in &op_trace.trace.tuples {
+            for sa in 0..output.sas.len() {
+                for id in tuple.input_ids(sa) {
+                    let exists = children.get(id).is_some_and(|child| child.get(sa).is_some());
+                    if !exists {
+                        let own = tuple.id;
+                        return Some(format!(
+                            "operator {op}, tuple {own}, SA {sa}: lineage id {id} names no child tuple under the SA"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    None
+}
+
+/// The reference annotation of one traced tuple: `valid` and `retained` read
+/// off each variant, and `consistent` from matching the variant against its
+/// schema alternative's consistency NIP, relaxed for grouped aggregation
 /// (Section 5.5).
 fn reference_flags(
     plan: &QueryPlan,
@@ -428,14 +474,9 @@ fn reference_flags(
     let is_group_agg = matches!(node.map(|n| &n.op), Some(Operator::GroupAggregation { .. }));
     let matches =
         |nip: &Nip, tuple: &nested_data::Tuple| nip.matches(&Value::from_tuple(tuple.clone()));
-    let mut tuple = traced.clone();
-    for (sa_idx, sa) in sas.iter().enumerate() {
-        let Some(flags) = tuple.flags.get_mut(sa_idx) else { continue };
-        if !flags.valid {
-            continue;
-        }
-        let Some(variant) = tuple.variants.get(sa_idx).and_then(Option::as_ref) else { continue };
-        flags.consistent = match sa.consistency_nip(op) {
+    let flags = |sa_idx: usize, sa: &SchemaAlternative| {
+        let Some(variant) = traced.get(sa_idx) else { return SaFlags::absent() };
+        let consistent = match sa.consistency_nip(op) {
             None => true,
             Some(nip) if is_group_agg => {
                 let node = node.expect("group aggregation node exists in plan");
@@ -461,15 +502,12 @@ fn reference_flags(
                     ),
                     other => other.clone(),
                 };
-                matches(&relaxed, variant)
-                    || tuple
-                        .fallback_variants
-                        .get(sa_idx)
-                        .and_then(Option::as_ref)
-                        .is_some_and(|f| matches(&relaxed, f))
+                matches(&relaxed, &variant.tuple)
+                    || traced.fallback_variant(sa_idx).is_some_and(|f| matches(&relaxed, f))
             }
-            Some(nip) => matches(nip, variant),
+            Some(nip) => matches(nip, &variant.tuple),
         };
-    }
-    (0..sas.len()).map(|sa| tuple.flags(sa)).collect()
+        SaFlags { valid: true, consistent, retained: variant.retained }
+    };
+    sas.iter().enumerate().map(|(sa_idx, sa)| flags(sa_idx, sa)).collect()
 }
