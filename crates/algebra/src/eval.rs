@@ -1,13 +1,28 @@
 //! Bag-semantics evaluation of NRAB plans (the `⟦Q⟧_D` column of Table 1).
 //!
-//! Evaluation is built on the shared-immutable value layer: operators return
-//! `Arc<Bag>` so table accesses share base relations instead of copying them,
-//! result bags are assembled through [`BagBuilder`] (hash-deduplicated, sorted
-//! once) instead of per-insert binary searches, and operator parameters are
-//! interned to [`Sym`]s once per operator application so per-tuple field
-//! lookups are integer compares.
+//! Operators pass each other rows: `(value, multiplicity)` entries in no
+//! particular order, with equal values not necessarily merged. σ and the 1:1
+//! operators map rows, F and ⋈ push one row per element or pair, ∪
+//! concatenates, and a table access borrows its base relation's entries. δ
+//! and − merge rows by value in a hash map; `Nᴿ` and `γ` group them in one.
+//! A canonical [`Bag`] is built only where bag semantics needs merged
+//! values: the root result (one [`Bag::from_entries`]; a plan that is only a
+//! table access returns the base relation's `Arc`), each nested collection
+//! `Nᴿ` builds (a [`BagBuilder`]), and each `γ` group's members, folded in
+//! canonical order because the row order depends on the plan (`A ∪ B`
+//! against `B ∪ A`) and a float `Sum` or `Avg` on the order it adds in.
+//! Where equal values differ in representation (`2` and `2.0`), a merge
+//! keeps the first in row order. Operator parameters are interned to
+//! [`Sym`]s once per operator application, so per-row field lookups are
+//! integer compares.
 
-use std::borrow::Borrow;
+// `Value`'s interior mutability is limited to its lazily cached structural
+// hash, which never changes its `Eq`/`Hash` identity.
+#![allow(clippy::mutable_key_type)]
+
+use std::borrow::{Borrow, Cow};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use nested_data::{AttrPath, Bag, BagBuilder, NestedType, Sym, Tuple, TupleType, Value};
@@ -29,25 +44,42 @@ pub fn evaluate(plan: &QueryPlan, db: &Database) -> AlgebraResult<Arc<Bag>> {
     let _span = whynot_obs::span("eval");
     // Chunked hot loops below raise guard trips as panics ([`whynot_guard::
     // enforce`]); recover them into the ordinary error channel here.
-    whynot_guard::catch_trip(|| evaluate_node(&plan.root, db))
-        .unwrap_or_else(|trip| Err(AlgebraError::Resource(trip)))
+    whynot_guard::catch_trip(|| {
+        let rows = evaluate_node(&plan.root, db)?;
+        Ok(match &plan.root.op {
+            Operator::TableAccess { table } => Arc::clone(db.relation_shared(table)?),
+            _ => Arc::new(Bag::from_entries(rows.into_owned())),
+        })
+    })
+    .unwrap_or_else(|trip| Err(AlgebraError::Resource(trip)))
 }
 
+/// An operator's output rows: unordered, with equal values not necessarily
+/// merged. A table access borrows its base relation's canonical entries.
+type Rows<'db> = Cow<'db, [(Value, u64)]>;
+
 /// Evaluates a single plan node over a database, operator at a time.
-fn evaluate_node(node: &OpNode, db: &Database) -> AlgebraResult<Arc<Bag>> {
-    let inputs: Vec<Arc<Bag>> =
+fn evaluate_node<'db>(node: &OpNode, db: &'db Database) -> AlgebraResult<Rows<'db>> {
+    let inputs: Vec<Rows<'db>> =
         node.inputs.iter().map(|i| evaluate_node(i, db)).collect::<AlgebraResult<_>>()?;
-    apply_operator(node, &inputs, db)
+    apply_operator(node, inputs, db)
 }
 
 /// Applies a node's operator to already-evaluated inputs.
-fn apply_operator(node: &OpNode, inputs: &[Arc<Bag>], db: &Database) -> AlgebraResult<Arc<Bag>> {
+fn apply_operator<'db>(
+    node: &OpNode,
+    inputs: Vec<Rows<'db>>,
+    db: &'db Database,
+) -> AlgebraResult<Rows<'db>> {
+    // Row entries, not distinct values: a row repeated by an operator
+    // upstream counts once per entry.
+    let rows_in: u64 = inputs.iter().map(|rows| rows.len() as u64).sum();
     if whynot_guard::armed() {
         // Deadline check once per operator application, and the
-        // operator's total input rows drawn from the eval-row budget —
+        // operator's input row entries drawn from the eval-row budget —
         // deterministic in the plan and data.
         whynot_guard::checkpoint()?;
-        whynot_guard::consume_eval_rows(inputs.iter().map(|b| b.distinct() as u64).sum())?;
+        whynot_guard::consume_eval_rows(rows_in)?;
     }
     if !whynot_obs::enabled() {
         return apply_operator_impl(node, inputs, db);
@@ -55,72 +87,68 @@ fn apply_operator(node: &OpNode, inputs: &[Arc<Bag>], db: &Database) -> AlgebraR
     // One span per operator application; children were already evaluated, so
     // sibling operator spans partition the plan's wall time.
     let _span = whynot_obs::span_dyn(|| format!("op:{}#{}", node.op.kind_name(), node.id));
-    whynot_obs::add("rows_in", inputs.iter().map(|b| b.distinct() as u64).sum());
+    whynot_obs::add("rows_in", rows_in);
     let result = apply_operator_impl(node, inputs, db);
-    if let Ok(bag) = &result {
-        whynot_obs::add("rows_out", bag.distinct() as u64);
+    if let Ok(rows) = &result {
+        whynot_obs::add("rows_out", rows.len() as u64);
     }
     result
 }
 
-fn apply_operator_impl(
+fn apply_operator_impl<'db>(
     node: &OpNode,
-    inputs: &[Arc<Bag>],
-    db: &Database,
-) -> AlgebraResult<Arc<Bag>> {
-    let input = |i: usize| -> AlgebraResult<&Bag> {
-        inputs.get(i).map(Arc::as_ref).ok_or_else(|| AlgebraError::WrongArity {
+    inputs: Vec<Rows<'db>>,
+    db: &'db Database,
+) -> AlgebraResult<Rows<'db>> {
+    let found = inputs.len();
+    let mut inputs = inputs.into_iter();
+    let mut input = || {
+        inputs.next().ok_or_else(|| AlgebraError::WrongArity {
             operator: node.op.kind_name().to_string(),
             expected: node.op.arity(),
-            found: inputs.len(),
+            found,
         })
     };
-    match &node.op {
-        Operator::TableAccess { table } => Ok(Arc::clone(db.relation_shared(table)?)),
+    let rows = match &node.op {
+        Operator::TableAccess { table } => return Ok(Cow::Borrowed(db.relation(table)?.entries())),
         Operator::Projection { .. }
         | Operator::Rename { .. }
         | Operator::TupleFlatten { .. }
         | Operator::TupleNest { .. }
         | Operator::NestAggregation { .. } => {
-            let transform = RowTransform::compile(node, db)?;
-            transform.map_rows(input(0)?).map(Arc::new)
+            RowTransform::compile(node, db)?.map_rows(&input()?)?
         }
-        Operator::Selection { predicate } => Ok(Arc::new(eval_selection(input(0)?, predicate))),
+        Operator::Selection { predicate } => eval_selection(&input()?, predicate),
         Operator::Join { kind, predicate } => {
-            let left_schema = output_type(&node.inputs[0], db)?;
-            let right_schema = output_type(&node.inputs[1], db)?;
-            Ok(Arc::new(eval_join(
-                input(0)?,
-                input(1)?,
-                *kind,
-                predicate,
-                &left_schema,
-                &right_schema,
-            )))
+            let (left, right) = (input()?, input()?);
+            let schemas = (output_type(&node.inputs[0], db)?, output_type(&node.inputs[1], db)?);
+            eval_join(&left, &right, *kind, predicate, &schemas.0, &schemas.1)
         }
-        Operator::CrossProduct => Ok(Arc::new(eval_join(
-            input(0)?,
-            input(1)?,
-            JoinKind::Inner,
-            &Expr::lit(true),
-            &TupleType::empty(),
-            &TupleType::empty(),
-        ))),
+        Operator::CrossProduct => {
+            let (left, right, empty) = (input()?, input()?, TupleType::empty());
+            eval_join(&left, &right, JoinKind::Inner, &Expr::lit(true), &empty, &empty)
+        }
         Operator::Flatten { kind, attr, alias } => {
             let flatten =
                 RowFlatten::new(attr, alias.as_deref(), &output_type(&node.inputs[0], db)?);
-            eval_flatten(input(0)?, *kind, &flatten).map(Arc::new)
+            eval_flatten(&input()?, *kind, &flatten)?
         }
         Operator::RelationNest { attrs, into } => {
-            Ok(Arc::new(eval_relation_nest(input(0)?, &RowNest::new(attrs, into))))
+            eval_relation_nest(&input()?, &RowNest::new(attrs, into))
         }
         Operator::GroupAggregation { group_by, aggs } => {
-            Ok(Arc::new(eval_group_aggregation(input(0)?, group_by, aggs)))
+            eval_group_aggregation(&input()?, group_by, aggs)
         }
-        Operator::Union => Ok(Arc::new(input(0)?.union(input(1)?))),
-        Operator::Difference => Ok(Arc::new(input(0)?.difference(input(1)?))),
-        Operator::Dedup => Ok(Arc::new(input(0)?.dedup())),
-    }
+        Operator::Union => {
+            let (left, right) = (input()?, input()?);
+            let mut rows = left.into_owned();
+            rows.extend_from_slice(&right);
+            rows
+        }
+        Operator::Difference => eval_difference(&input()?, &input()?),
+        Operator::Dedup => eval_dedup(&input()?),
+    };
+    Ok(Cow::Owned(rows))
 }
 
 /// A 1:1 operator (π, ρ, Fᵀ, νᵀ, γᵀ or δ) compiled once per application into
@@ -246,19 +274,19 @@ impl RowTransform {
         })
     }
 
-    /// Maps every row of `input` through the transform. A non-tuple entry
-    /// reads as the empty tuple, except under ρ, which passes it through.
-    fn map_rows(&self, input: &Bag) -> AlgebraResult<Bag> {
+    /// Maps every row through the transform. A non-tuple entry reads as
+    /// the empty tuple, except under ρ, which passes it through.
+    fn map_rows(&self, rows: &[(Value, u64)]) -> AlgebraResult<Vec<(Value, u64)>> {
         let empty = Tuple::empty();
-        let mut out = BagBuilder::with_capacity(input.distinct());
-        for (v, m) in input.iter() {
-            let row = match (v.as_tuple(), &self.0) {
-                (None, Kernel::Rename(_)) => v.clone(),
-                (tuple, _) => Value::from_tuple(self.apply(tuple.unwrap_or(&empty))?),
-            };
-            out.add(row, *m);
-        }
-        Ok(out.finish())
+        rows.iter()
+            .map(|(v, m)| {
+                let row = match (v.as_tuple(), &self.0) {
+                    (None, Kernel::Rename(_)) => v.clone(),
+                    (tuple, _) => Value::from_tuple(self.apply(tuple.unwrap_or(&empty))?),
+                };
+                Ok((row, *m))
+            })
+            .collect()
     }
 }
 
@@ -366,105 +394,155 @@ pub fn aggregate_group(key: Tuple, aggs: &[AggSpec], members: &[impl Borrow<Tupl
     })
 }
 
-fn eval_selection(input: &Bag, predicate: &Expr) -> Bag {
-    input.filter(|v| v.as_tuple().map(|t| predicate.eval_bool(t)).unwrap_or(false))
+fn eval_selection(rows: &[(Value, u64)], predicate: &Expr) -> Vec<(Value, u64)> {
+    rows.iter()
+        .filter(|(v, _)| v.as_tuple().is_some_and(|t| predicate.eval_bool(t)))
+        .cloned()
+        .collect()
 }
 
 fn eval_join(
-    left: &Bag,
-    right: &Bag,
+    left: &[(Value, u64)],
+    right: &[(Value, u64)],
     kind: JoinKind,
     predicate: &Expr,
     left_schema: &TupleType,
     right_schema: &TupleType,
-) -> Bag {
-    // Materialize each side's row tuples once (non-tuple entries join as the
-    // empty tuple, as the nested loop always did) and let the shared join
-    // core find the pairs.
-    let left_tuples: Vec<Tuple> =
-        left.iter().map(|(v, _)| v.as_tuple().cloned().unwrap_or_else(Tuple::empty)).collect();
-    let right_tuples: Vec<Tuple> =
-        right.iter().map(|(v, _)| v.as_tuple().cloned().unwrap_or_else(Tuple::empty)).collect();
-    let left_side: Vec<Option<&Tuple>> = left_tuples.iter().map(Some).collect();
-    let right_side: Vec<Option<&Tuple>> = right_tuples.iter().map(Some).collect();
+) -> Vec<(Value, u64)> {
+    // Borrow each side's row tuples (non-tuple entries join as the empty
+    // tuple, as the nested loop always did) and let the shared join core
+    // find the pairs.
+    let empty = Tuple::empty();
+    let left_side: Vec<Option<&Tuple>> =
+        left.iter().map(|(v, _)| Some(v.as_tuple().unwrap_or(&empty))).collect();
+    let right_side: Vec<Option<&Tuple>> =
+        right.iter().map(|(v, _)| Some(v.as_tuple().unwrap_or(&empty))).collect();
     let matches = join_matches(&left_side, &right_side, predicate, left_schema, right_schema);
 
-    let left_mults: Vec<u64> = left.iter().map(|(_, m)| *m).collect();
-    let right_mults: Vec<u64> = right.iter().map(|(_, m)| *m).collect();
-    let mut out = BagBuilder::new();
-    for pair in matches.pairs {
-        out.add(Value::from_tuple(pair.combined), left_mults[pair.left] * right_mults[pair.right]);
-    }
-
+    let mut out: Vec<(Value, u64)> = matches
+        .pairs
+        .into_iter()
+        .map(|pair| (Value::from_tuple(pair.combined), left[pair.left].1 * right[pair.right].1))
+        .collect();
     if matches!(kind, JoinKind::Left | JoinKind::Full) {
-        let right_names: Vec<Sym> = right_schema.attribute_syms().collect();
-        for (li, lt) in left_tuples.iter().enumerate() {
+        let padding = Tuple::null_padded(&right_schema.attribute_syms().collect::<Vec<Sym>>());
+        for (li, lt) in left_side.iter().flatten().enumerate() {
             if !matches.left_matched[li] {
-                let padded =
-                    lt.concat(&Tuple::null_padded(&right_names)).unwrap_or_else(|_| lt.clone());
-                out.add(Value::from_tuple(padded), left_mults[li]);
+                let padded = lt.concat(&padding).unwrap_or_else(|_| (*lt).clone());
+                out.push((Value::from_tuple(padded), left[li].1));
             }
         }
     }
     if matches!(kind, JoinKind::Right | JoinKind::Full) {
-        let left_names: Vec<Sym> = left_schema.attribute_syms().collect();
-        for (ri, rt) in right_tuples.iter().enumerate() {
+        let padding = Tuple::null_padded(&left_schema.attribute_syms().collect::<Vec<Sym>>());
+        for (ri, rt) in right_side.iter().flatten().enumerate() {
             if !matches.right_matched[ri] {
-                let padded =
-                    Tuple::null_padded(&left_names).concat(rt).unwrap_or_else(|_| rt.clone());
-                out.add(Value::from_tuple(padded), right_mults[ri]);
+                let padded = padding.concat(rt).unwrap_or_else(|_| (*rt).clone());
+                out.push((Value::from_tuple(padded), right[ri].1));
             }
         }
     }
-    out.finish()
+    out
 }
 
-fn eval_flatten(input: &Bag, kind: FlattenKind, flatten: &RowFlatten) -> AlgebraResult<Bag> {
-    let mut out = BagBuilder::with_capacity(input.distinct());
-    for (v, m) in input.iter() {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let rows = flatten.elements(&tuple)?;
-        if rows.is_empty() && kind == FlattenKind::Outer {
-            out.add(Value::from_tuple(flatten.pad(&tuple)?), *m);
-        }
-        for (row, em) in rows {
-            out.add(Value::from_tuple(row), m * em);
-        }
-    }
-    Ok(out.finish())
-}
-
-fn eval_relation_nest(input: &Bag, nest: &RowNest) -> Bag {
+fn eval_flatten(
+    rows: &[(Value, u64)],
+    kind: FlattenKind,
+    flatten: &RowFlatten,
+) -> AlgebraResult<Vec<(Value, u64)>> {
     let empty = Tuple::empty();
-    let groups = input.group_by(|v| nest.key(v.as_tuple().unwrap_or(&empty)));
-    let mut out = BagBuilder::with_capacity(groups.len());
-    for (key, group) in groups {
-        let mut nested = BagBuilder::with_capacity(group.distinct());
-        for (v, m) in group.iter() {
-            if let Some(element) = nest.element(v.as_tuple().unwrap_or(&empty)) {
-                nested.add(element, *m);
-            }
+    let mut out = Vec::with_capacity(rows.len());
+    for (v, m) in rows {
+        let tuple = v.as_tuple().unwrap_or(&empty);
+        let elements = flatten.elements(tuple)?;
+        if elements.is_empty() && kind == FlattenKind::Outer {
+            out.push((Value::from_tuple(flatten.pad(tuple)?), *m));
         }
-        out.add(Value::from_tuple(nest.output(&key, nested.finish())), 1);
+        out.extend(elements.into_iter().map(|(row, em)| (Value::from_tuple(row), m * em)));
     }
-    out.finish()
+    Ok(out)
 }
 
-fn eval_group_aggregation(input: &Bag, group_by: &[String], aggs: &[AggSpec]) -> Bag {
+/// `left − right`: each left row gives up as many copies of its value as
+/// the right rows still hold unsubtracted.
+fn eval_difference(left: &[(Value, u64)], right: &[(Value, u64)]) -> Vec<(Value, u64)> {
+    let mut unsubtracted: HashMap<&Value, u64> = HashMap::new();
+    for (v, m) in right {
+        *unsubtracted.entry(v).or_insert(0) += m;
+    }
+    left.iter()
+        .filter_map(|(v, m)| {
+            let taken = unsubtracted.get_mut(v).map_or(0, |left| {
+                let taken = (*left).min(*m);
+                *left -= taken;
+                taken
+            });
+            (*m > taken).then(|| (v.clone(), m - taken))
+        })
+        .collect()
+}
+
+/// `δ`: the first row of each value, once.
+fn eval_dedup(rows: &[(Value, u64)]) -> Vec<(Value, u64)> {
+    let mut seen: HashSet<&Value> = HashSet::with_capacity(rows.len());
+    rows.iter().filter(|(v, _)| seen.insert(v)).map(|(v, _)| (v.clone(), 1)).collect()
+}
+
+/// Groups rows by key, in the order keys first occur. `entry` maps a row
+/// (its value, and its tuple or the empty tuple) to its group key and to the
+/// value it adds to the group's bag, if any.
+fn group_rows(
+    rows: &[(Value, u64)],
+    mut entry: impl FnMut(&Value, &Tuple) -> (Value, Option<Value>),
+) -> Vec<(Value, BagBuilder)> {
+    let empty = Tuple::empty();
+    let mut index: HashMap<Value, usize> = HashMap::new();
+    let mut groups: Vec<(Value, BagBuilder)> = Vec::new();
+    for (v, m) in rows {
+        let (key, member) = entry(v, v.as_tuple().unwrap_or(&empty));
+        let group = match index.entry(key) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                groups.push((slot.key().clone(), BagBuilder::new()));
+                *slot.insert(groups.len() - 1)
+            }
+        };
+        if let Some(member) = member {
+            groups[group].1.add(member, *m);
+        }
+    }
+    groups
+}
+
+fn eval_relation_nest(rows: &[(Value, u64)], nest: &RowNest) -> Vec<(Value, u64)> {
+    group_rows(rows, |_, tuple| (nest.key(tuple), nest.element(tuple)))
+        .into_iter()
+        .map(|(key, nested)| (Value::from_tuple(nest.output(&key, nested.finish())), 1))
+        .collect()
+}
+
+fn eval_group_aggregation(
+    rows: &[(Value, u64)],
+    group_by: &[String],
+    aggs: &[AggSpec],
+) -> Vec<(Value, u64)> {
     let group_syms: Vec<Sym> = group_by.iter().map(|a| Sym::intern(a)).collect();
-    let groups = input.group_by(|v| {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        Value::from_tuple(tuple.project(&group_syms).unwrap_or_else(|_| Tuple::empty()))
-    });
     let empty = Tuple::empty();
-    let mut out = BagBuilder::with_capacity(groups.len());
-    for (key, group) in groups {
-        let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let members: Vec<&Tuple> =
-            group.iter_expanded().map(|v| v.as_tuple().unwrap_or(&empty)).collect();
-        out.add(Value::from_tuple(aggregate_group(key_tuple, aggs, &members)), 1);
-    }
-    out.finish()
+    let groups = group_rows(rows, |value, tuple| {
+        let key = tuple.project(&group_syms).unwrap_or_else(|_| Tuple::empty());
+        (Value::from_tuple(key), Some(value.clone()))
+    });
+    groups
+        .into_iter()
+        .map(|(key, members)| {
+            // The members in canonical order, whatever order the rows came in.
+            let members = members.finish();
+            let members: Vec<&Tuple> =
+                members.iter_expanded().map(|v| v.as_tuple().unwrap_or(&empty)).collect();
+            let key = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
+            (Value::from_tuple(aggregate_group(key, aggs, &members)), 1)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -721,6 +799,89 @@ mod tests {
             .unwrap();
         let result = evaluate(&plan, &db).unwrap();
         assert!(result.iter().all(|(v, _)| v.as_tuple().unwrap().contains("person_name")));
+    }
+
+    /// `π_name(Fᴵ_attr(person))`: one `⟨name⟩` row per address, so every
+    /// name repeats in unmerged rows (Peter 3 and Sue 2 times for
+    /// `address1`, 2 times each for `address2`).
+    fn names_per_address(attr: &str) -> PlanBuilder {
+        PlanBuilder::table("person").inner_flatten(attr, None).project_attrs(&["name"])
+    }
+
+    fn name(n: &str) -> Value {
+        Value::tuple([("name", Value::str(n))])
+    }
+
+    fn eval(plan: PlanBuilder) -> Bag {
+        (*evaluate(&plan.build().unwrap(), &person_db()).unwrap()).clone()
+    }
+
+    #[test]
+    fn unmerged_duplicates_dedup_and_subtract_by_value() {
+        assert_eq!(
+            eval(names_per_address("address1").dedup()),
+            Bag::from_values([name("Peter"), name("Sue")])
+        );
+        // Peter 3 − 2, Sue 2 − 2.
+        assert_eq!(
+            eval(names_per_address("address1").difference(names_per_address("address2"))),
+            Bag::from_entries([(name("Peter"), 1)])
+        );
+    }
+
+    #[test]
+    fn unmerged_duplicates_multiply_through_a_join() {
+        let right = names_per_address("address2")
+            .rename(vec![crate::operator::RenamePair::new("name", "other")]);
+        let plan = names_per_address("address1").join(
+            right,
+            JoinKind::Inner,
+            Expr::cmp(Expr::attr("name"), CmpOp::Eq, Expr::attr("other")),
+        );
+        let pair = |n: &str| Value::tuple([("name", Value::str(n)), ("other", Value::str(n))]);
+        assert_eq!(eval(plan), Bag::from_entries([(pair("Peter"), 6), (pair("Sue"), 4)]));
+    }
+
+    #[test]
+    fn unmerged_duplicates_keep_their_multiplicities_when_nested_and_counted() {
+        // Every address1 city, nested into one group: LA and NY twice each.
+        let nested = PlanBuilder::table("person")
+            .inner_flatten("address1", None)
+            .project_attrs(&["city"])
+            .relation_nest(vec!["city"], "cities");
+        let city = |c: &str| Value::tuple([("city", Value::str(c))]);
+        let cities = Value::bag([city("LA"), city("LA"), city("LV"), city("NY"), city("NY")]);
+        assert_eq!(eval(nested), Bag::from_values([Value::tuple([("cities", cities)])]));
+
+        let counted = names_per_address("address1").group_aggregate(
+            vec!["name"],
+            vec![AggSpec::new(AggFunc::Count, Expr::attr("name"), "n")],
+        );
+        let count = |n: &str, c: i64| Value::tuple([("name", Value::str(n)), ("n", Value::int(c))]);
+        assert_eq!(eval(counted), Bag::from_values([count("Peter", 3), count("Sue", 2)]));
+    }
+
+    #[test]
+    fn float_sums_do_not_depend_on_union_order() {
+        // Added in row order, `a ∪ b` sums (−1e16 + 1e16) + 1 = 1 and
+        // `b ∪ a` sums (1 − 1e16) + 1e16 = 0; γ adds its members in
+        // canonical order whichever way the rows arrive.
+        let ty = TupleType::new([("g", NestedType::str()), ("v", NestedType::float())]).unwrap();
+        let row = |v: f64| Value::tuple([("g", Value::str("k")), ("v", Value::float(v))]);
+        let mut db = Database::new();
+        db.add_relation("a", ty.clone(), Bag::from_values([row(1e16), row(-1e16)]));
+        db.add_relation("b", ty, Bag::from_values([row(1.0)]));
+        let sum = |first: &str, second: &str| {
+            let plan = PlanBuilder::table(first)
+                .union(PlanBuilder::table(second))
+                .group_aggregate(vec!["g"], vec![AggSpec::new(AggFunc::Sum, Expr::attr("v"), "s")])
+                .build()
+                .unwrap();
+            let result = evaluate(&plan, &db).unwrap();
+            let (row, _) = result.iter().next().unwrap();
+            row.as_tuple().unwrap().get("s").unwrap().as_float().unwrap().to_bits()
+        };
+        assert_eq!(sum("a", "b"), sum("b", "a"));
     }
 
     #[test]

@@ -475,10 +475,10 @@ impl fmt::Display for Expr {
 /// Evaluates an expression over a bag attribute value: helper to apply a
 /// predicate to each element of a nested relation.
 pub fn filter_bag(bag: &Bag, predicate: &Expr) -> Bag {
-    bag.filter(|v| match v.as_tuple() {
-        Some(t) => predicate.eval_bool(t),
-        None => false,
-    })
+    bag.iter()
+        .filter(|(v, _)| v.as_tuple().is_some_and(|t| predicate.eval_bool(t)))
+        .cloned()
+        .collect()
 }
 
 #[cfg(test)]

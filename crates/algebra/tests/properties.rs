@@ -190,6 +190,79 @@ fn union_and_difference_laws() {
     }
 }
 
+/// Two flat relations `r` and `s` of `⟨a, b⟩` rows, where `a` mixes `Int`
+/// and `Float` over a small domain (so `2` and `2.0` are one value) and `b`
+/// is a short string.
+fn flat_database(rng: &mut StdRng) -> Database {
+    let schema = TupleType::new([("a", NestedType::float()), ("b", NestedType::str())]).unwrap();
+    let mut relation = || {
+        let n = rng.gen_range(0..8usize);
+        Bag::from_values((0..n).map(|_| {
+            let a = rng.gen_range(0i64..4);
+            let a = if rng.gen_bool(0.5) { Value::int(a) } else { Value::float(a as f64) };
+            Value::tuple([("a", a), ("b", Value::str(*rng.choose(&["x", "y"])))])
+        }))
+    };
+    let (r, s) = (relation(), relation());
+    let mut db = Database::new();
+    db.add_relation("r", schema.clone(), r);
+    db.add_relation("s", schema, s);
+    db
+}
+
+/// `π_a` of a table: rows that repeat `a` reach the next operator unmerged.
+fn projected(table: &str) -> PlanBuilder {
+    PlanBuilder::table(table).project_attrs(&["a"])
+}
+
+/// Bag union is commutative and its totals add up, also over unmerged
+/// duplicate rows.
+#[test]
+fn bag_union_commutative() {
+    let mut rng = StdRng::seed_from_u64(0x6261_6775);
+    for _ in 0..CASES {
+        let db = flat_database(&mut rng);
+        let eval = |plan: PlanBuilder| evaluate(&plan.build().unwrap(), &db).unwrap();
+        let rs = eval(projected("r").union(projected("s")));
+        assert_eq!(*rs, *eval(projected("s").union(projected("r"))));
+        assert_eq!(rs.total(), eval(projected("r")).total() + eval(projected("s")).total());
+    }
+}
+
+/// Bag difference never yields negative multiplicities and is bounded by
+/// the left operand, also over unmerged duplicate rows.
+#[test]
+fn bag_difference_bounded() {
+    let mut rng = StdRng::seed_from_u64(0x6261_6764);
+    for _ in 0..CASES {
+        let db = flat_database(&mut rng);
+        let eval = |plan: PlanBuilder| evaluate(&plan.build().unwrap(), &db).unwrap();
+        let (a, b) = (eval(projected("r")), eval(projected("s")));
+        let d = eval(projected("r").difference(projected("s")));
+        assert!(d.total() <= a.total());
+        for (v, m) in d.iter() {
+            assert!(*m <= a.mult(v));
+        }
+        // a = (a − b) ∪ (a ∩ b) in terms of totals.
+        let kept: u64 = a.iter().map(|(v, m)| (*m).min(b.mult(v))).sum();
+        assert_eq!(d.total() + kept, a.total());
+    }
+}
+
+/// Deduplication keeps exactly the distinct values with multiplicity one,
+/// also over unmerged duplicate rows.
+#[test]
+fn dedup_is_idempotent() {
+    let mut rng = StdRng::seed_from_u64(0x6465_6475);
+    for _ in 0..CASES {
+        let db = flat_database(&mut rng);
+        let eval = |plan: PlanBuilder| evaluate(&plan.build().unwrap(), &db).unwrap();
+        let d = eval(projected("r").dedup());
+        assert_eq!(d.total() as usize, eval(projected("r")).distinct());
+        assert_eq!(*eval(projected("r").dedup().dedup()), *d);
+    }
+}
+
 /// The partitioned hash join is a pure physical optimization: for every join
 /// kind and predicate shape, forcing the nested loop produces the same bag,
 /// entry for entry — including joins whose keys mix `Int` and `Real` columns

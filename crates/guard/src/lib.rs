@@ -74,7 +74,8 @@ pub enum ResourceError {
         /// The configured budget.
         budget: u64,
     },
-    /// The request evaluated more input rows than `max_eval_rows` allows.
+    /// The request evaluated more input row entries than `max_eval_rows`
+    /// allows.
     EvalBudgetExceeded {
         /// Eval rows consumed including the failing consumption.
         used: u64,
@@ -297,6 +298,11 @@ pub fn consume_trace_tuples(n: u64) -> Result<(), ResourceError> {
 
 /// Consumes `n` rows from the current guard's eval budget (checking the
 /// deadline too). `Ok(())` when no guard is armed.
+///
+/// The evaluator draws each operator application's input row entries: its
+/// operators pass each other rows whose equal values are not merged, so a
+/// value an upstream operator produced twice counts twice. The tracer draws
+/// one row per application of a 1:1 operator to a variant.
 #[inline]
 pub fn consume_eval_rows(n: u64) -> Result<(), ResourceError> {
     match current() {

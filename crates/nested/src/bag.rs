@@ -80,7 +80,7 @@ impl BagBuilder {
     pub fn finish(self) -> Bag {
         let mut entries: Vec<(Value, u64)> = self.entries.into_iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Bag::from_vec(entries)
+        Bag { entries }
     }
 }
 
@@ -103,12 +103,7 @@ impl Extend<(Value, u64)> for BagBuilder {
 impl Bag {
     /// The empty bag `{{}}`.
     pub fn new() -> Self {
-        Bag::from_vec(Vec::new())
-    }
-
-    /// Internal constructor: wraps already-canonical entries.
-    fn from_vec(entries: Vec<(Value, u64)>) -> Self {
-        Bag { entries }
+        Bag { entries: Vec::new() }
     }
 
     /// Builds a bag from an iterator of values (each contributing multiplicity 1).
@@ -183,104 +178,14 @@ impl Bag {
         self.entries.iter().flat_map(|(v, m)| std::iter::repeat_n(v, *m as usize))
     }
 
+    /// The `(value, multiplicity)` entries in canonical order.
+    pub fn entries(&self) -> &[(Value, u64)] {
+        &self.entries
+    }
+
     /// Consumes the bag and returns its entries.
     pub fn into_entries(self) -> Vec<(Value, u64)> {
         self.entries
-    }
-
-    /// Additive union `R ∪ S` (multiplicities add).
-    pub fn union(&self, other: &Bag) -> Bag {
-        // Both inputs are sorted: a linear merge preserves canonical order
-        // without re-sorting.
-        let mut entries = Vec::with_capacity(self.entries.len() + other.entries.len());
-        let mut left = self.entries.iter().peekable();
-        let mut right = other.entries.iter().peekable();
-        loop {
-            match (left.peek(), right.peek()) {
-                (Some((lv, lm)), Some((rv, rm))) => match lv.cmp(rv) {
-                    Ordering::Less => {
-                        entries.push((lv.clone(), *lm));
-                        left.next();
-                    }
-                    Ordering::Greater => {
-                        entries.push((rv.clone(), *rm));
-                        right.next();
-                    }
-                    Ordering::Equal => {
-                        entries.push((lv.clone(), lm + rm));
-                        left.next();
-                        right.next();
-                    }
-                },
-                (Some((lv, lm)), None) => {
-                    entries.push((lv.clone(), *lm));
-                    left.next();
-                }
-                (None, Some((rv, rm))) => {
-                    entries.push((rv.clone(), *rm));
-                    right.next();
-                }
-                (None, None) => break,
-            }
-        }
-        Bag::from_vec(entries)
-    }
-
-    /// Bag difference `R − S` (multiplicities subtract, floored at zero).
-    pub fn difference(&self, other: &Bag) -> Bag {
-        let mut entries = Vec::new();
-        for (v, m) in self.iter() {
-            let other_m = other.mult(v);
-            if *m > other_m {
-                entries.push((v.clone(), m - other_m));
-            }
-        }
-        Bag::from_vec(entries)
-    }
-
-    /// Duplicate elimination `δ(R)`: every distinct value with multiplicity 1.
-    pub fn dedup(&self) -> Bag {
-        Bag::from_vec(self.entries.iter().map(|(v, _)| (v.clone(), 1)).collect())
-    }
-
-    /// Maps every distinct value through `f`, preserving multiplicities.
-    pub fn map_values<F>(&self, mut f: F) -> Bag
-    where
-        F: FnMut(&Value) -> Value,
-    {
-        let mut builder = BagBuilder::with_capacity(self.entries.len());
-        for (v, m) in &self.entries {
-            builder.add(f(v), *m);
-        }
-        builder.finish()
-    }
-
-    /// Retains only entries whose value satisfies the predicate.
-    pub fn filter<F>(&self, mut pred: F) -> Bag
-    where
-        F: FnMut(&Value) -> bool,
-    {
-        Bag::from_vec(self.entries.iter().filter(|(v, _)| pred(v)).cloned().collect())
-    }
-
-    /// Groups the bag's elements by a key extracted from each value.
-    ///
-    /// Returns `(key, bag of values with that key)` pairs in canonical key
-    /// order. Used by relation nesting and grouped aggregation.
-    pub fn group_by<F>(&self, mut key: F) -> Vec<(Value, Bag)>
-    where
-        F: FnMut(&Value) -> Value,
-    {
-        // `Value` only carries interior mutability in its lazily cached
-        // structural hash, which never changes its `Eq`/`Hash` identity.
-        #[allow(clippy::mutable_key_type)]
-        let mut groups: HashMap<Value, BagBuilder> = HashMap::new();
-        for (v, m) in self.iter() {
-            groups.entry(key(v)).or_default().add(v.clone(), *m);
-        }
-        let mut out: Vec<(Value, Bag)> = groups.into_iter().map(|(k, b)| (k, b.finish())).collect();
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 }
 
@@ -416,58 +321,9 @@ mod tests {
     }
 
     #[test]
-    fn union_difference_dedup() {
-        let a = Bag::from_entries([(Value::int(1), 2), (Value::int(2), 1)]);
-        let b = Bag::from_entries([(Value::int(1), 1), (Value::int(3), 4)]);
-        let u = a.union(&b);
-        assert_eq!(u.mult(&Value::int(1)), 3);
-        assert_eq!(u.mult(&Value::int(3)), 4);
-        let d = a.difference(&b);
-        assert_eq!(d.mult(&Value::int(1)), 1);
-        assert_eq!(d.mult(&Value::int(2)), 1);
-        assert_eq!(d.mult(&Value::int(3)), 0);
-        let dd = u.dedup();
-        assert_eq!(dd.total(), 3);
-        assert!(dd.iter().all(|(_, m)| *m == 1));
-    }
-
-    #[test]
-    fn union_merge_preserves_canonical_order() {
-        let a = Bag::from_values([Value::int(5), Value::int(1), Value::int(3)]);
-        let b = Bag::from_values([Value::int(4), Value::int(1), Value::int(0)]);
-        let merged = a.union(&b);
-        let mut expected = a.clone();
-        for (v, m) in b.iter() {
-            expected.insert(v.clone(), *m);
-        }
-        assert_eq!(merged.into_entries(), expected.into_entries());
-    }
-
-    #[test]
     fn expanded_iteration_respects_multiplicities() {
         let bag = Bag::from_entries([(Value::int(7), 3)]);
         assert_eq!(bag.iter_expanded().count(), 3);
-    }
-
-    #[test]
-    fn group_by_key() {
-        let bag = Bag::from_values([t("Sue", 1), t("Sue", 2), t("Peter", 3)]);
-        let groups = bag.group_by(|v| v.as_tuple().unwrap().get("name").unwrap().clone());
-        assert_eq!(groups.len(), 2);
-        let (sue_key, sue_group) = groups.iter().find(|(k, _)| k == &Value::str("Sue")).unwrap();
-        assert_eq!(sue_key, &Value::str("Sue"));
-        assert_eq!(sue_group.total(), 2);
-        // Group keys come back in canonical (sorted) order.
-        assert!(groups.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn filter_and_map() {
-        let bag = Bag::from_values([Value::int(1), Value::int(2), Value::int(3)]);
-        let evens = bag.filter(|v| v.as_int().unwrap() % 2 == 0);
-        assert_eq!(evens.total(), 1);
-        let doubled = bag.map_values(|v| Value::int(v.as_int().unwrap() * 2));
-        assert_eq!(doubled.mult(&Value::int(6)), 1);
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Property-style tests for the nested data model: bag algebra laws, NIP
-//! matching invariants, and tree-edit-distance metric properties.
+//! Property-style tests for the nested data model: bag construction laws,
+//! NIP matching invariants, and tree-edit-distance metric properties. The
+//! bag algebra laws (∪, −, δ) are checked on the evaluator's operators, in
+//! `nrab-algebra`'s property tests.
 //!
 //! Inputs are generated with the workspace's deterministic PRNG instead of
 //! `proptest` (hermetic builds have no external crates); each property is
@@ -33,49 +35,6 @@ fn flat_tuple(rng: &mut StdRng) -> Value {
 fn small_bag(rng: &mut StdRng) -> Bag {
     let n = rng.gen_range(0..6usize);
     Bag::from_values((0..n).map(|_| flat_tuple(rng)))
-}
-
-/// Bag union is commutative and its totals add up.
-#[test]
-fn bag_union_commutative() {
-    let mut rng = StdRng::seed_from_u64(0x6261_6775);
-    for _ in 0..CASES {
-        let a = small_bag(&mut rng);
-        let b = small_bag(&mut rng);
-        assert_eq!(a.union(&b), b.union(&a));
-        assert_eq!(a.union(&b).total(), a.total() + b.total());
-    }
-}
-
-/// Bag difference never yields negative multiplicities and is bounded by
-/// the left operand.
-#[test]
-fn bag_difference_bounded() {
-    let mut rng = StdRng::seed_from_u64(0x6261_6764);
-    for _ in 0..CASES {
-        let a = small_bag(&mut rng);
-        let b = small_bag(&mut rng);
-        let d = a.difference(&b);
-        assert!(d.total() <= a.total());
-        for (v, m) in d.iter() {
-            assert!(*m <= a.mult(v));
-        }
-        // a = (a − b) ∪ (a ∩ b) in terms of totals.
-        let kept: u64 = a.iter().map(|(v, m)| (*m).min(b.mult(v))).sum();
-        assert_eq!(d.total() + kept, a.total());
-    }
-}
-
-/// Deduplication keeps exactly the distinct values with multiplicity one.
-#[test]
-fn dedup_is_idempotent() {
-    let mut rng = StdRng::seed_from_u64(0x6465_6475);
-    for _ in 0..CASES {
-        let a = small_bag(&mut rng);
-        let d = a.dedup();
-        assert_eq!(d.total() as usize, a.distinct());
-        assert_eq!(d.dedup(), d);
-    }
 }
 
 /// Bag equality is insensitive to insertion order.

@@ -26,7 +26,7 @@
 //! order, and in key order within a merge, so the trace is a pure function of
 //! the plan, the database and the schema alternatives.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use nested_data::{BagBuilder, Nip, NipCmp, Sym, Tuple, Value};
@@ -432,11 +432,15 @@ impl<'a> Tracer<'a> {
     }
 
     /// Difference: annotate instead of remove. `retained` records whether no
-    /// right tuple under the same alternative equals the variant.
+    /// right tuple under the same alternative equals the variant, looked up
+    /// in one hash set of the right variants per alternative (`Tuple`'s hash
+    /// agrees with its numeric cross-variant equality, `2 = 2.0`).
     fn trace_difference(&mut self, left: &OpTrace, right: &OpTrace) -> Vec<TracedTuple> {
+        let subtracted: Vec<HashSet<&Tuple>> = (0..self.n_sas())
+            .map(|sa| right.tuples.iter().filter_map(|r| r.variant(sa)).collect())
+            .collect();
         self.one_to_one(&left.tuples, |sa, input| {
-            let subtracted = right.tuples.iter().any(|r| r.variant(sa) == Some(&input.tuple));
-            Some((input.tuple.clone(), !subtracted))
+            Some((input.tuple.clone(), !subtracted[sa].contains(&input.tuple)))
         })
     }
 
@@ -992,6 +996,64 @@ mod tests {
             evaluate(&effective, &db),
             Err(AlgebraError::InvalidParameter { operator, .. }) if operator == "Fᵀ"
         ));
+    }
+
+    /// `π_x(R) − π_x(S)` traced under the original and an alternative that
+    /// projects `R.b` instead of `R.a`: the hash lookup flags the same
+    /// variants as a scan of every right tuple, `Int` 2 and `Float` 2.0
+    /// subtracting each other.
+    #[test]
+    fn traced_difference_matches_a_scan_of_the_right_side() {
+        use nrab_algebra::ProjColumn;
+        let ty = TupleType::new([("a", NestedType::float()), ("b", NestedType::float())]).unwrap();
+        let row = |a: Value, b: Value| Value::tuple([("a", a), ("b", b)]);
+        let mut db = Database::new();
+        db.add_relation(
+            "r",
+            ty.clone(),
+            Bag::from_values([
+                row(Value::int(1), Value::int(2)),
+                row(Value::int(2), Value::int(3)),
+                row(Value::int(3), Value::float(2.0)),
+            ]),
+        );
+        db.add_relation(
+            "s",
+            ty,
+            Bag::from_values([
+                row(Value::float(2.0), Value::Null),
+                row(Value::int(5), Value::Null),
+            ]),
+        );
+        let x_of = |table: &str| {
+            PlanBuilder::table(table).project(vec![ProjColumn::computed("x", Expr::attr("a"))])
+        };
+        let left = x_of("r");
+        let left_op = left.current_id();
+        let plan = left.difference(x_of("s")).build().unwrap();
+        let right_op = plan.root.inputs[1].id;
+        let sas = vec![
+            SchemaAlternative::original(BTreeMap::new()),
+            SchemaAlternative::new(
+                1,
+                vec![OpSubstitution::new(left_op, "a", "b")],
+                BTreeMap::new(),
+            ),
+        ];
+
+        let result = trace_plan(&plan, &db, &sas).unwrap();
+        let right = result.trace(right_op).unwrap().trace;
+        let mut subtracted = [0, 0];
+        for tuple in result.root_trace().tuples() {
+            for (sa, count) in subtracted.iter_mut().enumerate() {
+                let variant = tuple.traced.variant(sa).unwrap();
+                let scanned = right.tuples.iter().any(|r| r.variant(sa) == Some(variant));
+                assert_eq!(tuple.flags(sa).retained, !scanned);
+                *count += usize::from(scanned);
+            }
+        }
+        // SA 0 subtracts x = 2; SA 1 subtracts x = 2 and x = 2.0.
+        assert_eq!(subtracted, [1, 2]);
     }
 
     #[test]
