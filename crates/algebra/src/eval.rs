@@ -42,16 +42,11 @@ use crate::schema::output_type;
 /// relation's `Arc`, with no copy.
 pub fn evaluate(plan: &QueryPlan, db: &Database) -> AlgebraResult<Arc<Bag>> {
     let _span = whynot_obs::span("eval");
-    // Chunked hot loops below raise guard trips as panics ([`whynot_guard::
-    // enforce`]); recover them into the ordinary error channel here.
-    whynot_guard::catch_trip(|| {
-        let rows = evaluate_node(&plan.root, db)?;
-        Ok(match &plan.root.op {
-            Operator::TableAccess { table } => Arc::clone(db.relation_shared(table)?),
-            _ => Arc::new(Bag::from_entries(rows.into_owned())),
-        })
+    let rows = evaluate_node(&plan.root, db)?;
+    Ok(match &plan.root.op {
+        Operator::TableAccess { table } => Arc::clone(db.relation_shared(table)?),
+        _ => Arc::new(Bag::from_entries(rows.into_owned())),
     })
-    .unwrap_or_else(|trip| Err(AlgebraError::Resource(trip)))
 }
 
 /// An operator's output rows: unordered, with equal values not necessarily
@@ -74,13 +69,10 @@ fn apply_operator<'db>(
     // Row entries, not distinct values: a row repeated by an operator
     // upstream counts once per entry.
     let rows_in: u64 = inputs.iter().map(|rows| rows.len() as u64).sum();
-    if whynot_guard::armed() {
-        // Deadline check once per operator application, and the
-        // operator's input row entries drawn from the eval-row budget —
-        // deterministic in the plan and data.
-        whynot_guard::checkpoint()?;
-        whynot_guard::consume_eval_rows(rows_in)?;
-    }
+    // One draw per operator application: its input row entries from the
+    // eval-row budget, plus the deadline check — deterministic in the plan
+    // and data.
+    whynot_guard::consume_eval_rows(rows_in)?;
     if !whynot_obs::enabled() {
         return apply_operator_impl(node, inputs, db);
     }
@@ -122,11 +114,11 @@ fn apply_operator_impl<'db>(
         Operator::Join { kind, predicate } => {
             let (left, right) = (input()?, input()?);
             let schemas = (output_type(&node.inputs[0], db)?, output_type(&node.inputs[1], db)?);
-            eval_join(&left, &right, *kind, predicate, &schemas.0, &schemas.1)
+            eval_join(&left, &right, *kind, predicate, &schemas.0, &schemas.1)?
         }
         Operator::CrossProduct => {
             let (left, right, empty) = (input()?, input()?, TupleType::empty());
-            eval_join(&left, &right, JoinKind::Inner, &Expr::lit(true), &empty, &empty)
+            eval_join(&left, &right, JoinKind::Inner, &Expr::lit(true), &empty, &empty)?
         }
         Operator::Flatten { kind, attr, alias } => {
             let flatten =
@@ -408,7 +400,7 @@ fn eval_join(
     predicate: &Expr,
     left_schema: &TupleType,
     right_schema: &TupleType,
-) -> Vec<(Value, u64)> {
+) -> AlgebraResult<Vec<(Value, u64)>> {
     // Borrow each side's row tuples (non-tuple entries join as the empty
     // tuple, as the nested loop always did) and let the shared join core
     // find the pairs.
@@ -417,7 +409,7 @@ fn eval_join(
         left.iter().map(|(v, _)| Some(v.as_tuple().unwrap_or(&empty))).collect();
     let right_side: Vec<Option<&Tuple>> =
         right.iter().map(|(v, _)| Some(v.as_tuple().unwrap_or(&empty))).collect();
-    let matches = join_matches(&left_side, &right_side, predicate, left_schema, right_schema);
+    let matches = join_matches(&left_side, &right_side, predicate, left_schema, right_schema)?;
 
     let mut out: Vec<(Value, u64)> = matches
         .pairs
@@ -442,7 +434,7 @@ fn eval_join(
             }
         }
     }
-    out
+    Ok(out)
 }
 
 fn eval_flatten(

@@ -27,7 +27,8 @@
 //! Predicates without a usable equality — and every join while
 //! [`with_hash_join`] has disabled the hash path — take the block
 //! nested-loop fallback. Build, probe and the fallback check the request's
-//! guard ([`whynot_guard::enforce`]) once every 1024 rows.
+//! guard ([`whynot_guard::checkpoint`]) once every 1024 rows and return a
+//! trip as [`AlgebraError::Resource`](crate::AlgebraError::Resource).
 //!
 //! ## Key canonicalization
 //!
@@ -53,6 +54,7 @@ use std::hash::BuildHasherDefault;
 
 use nested_data::{AttrPath, Tuple, TupleType, Value};
 
+use crate::error::AlgebraResult;
 use crate::expr::{CmpOp, Expr};
 
 thread_local! {
@@ -190,21 +192,21 @@ pub fn join_matches(
     predicate: &Expr,
     left_schema: &TupleType,
     right_schema: &TupleType,
-) -> JoinMatches {
+) -> AlgebraResult<JoinMatches> {
     let equi = hash_join_enabled()
         .then(|| split_equi_join(predicate, left_schema, right_schema))
         .flatten();
     let matches_per_left = match &equi {
         Some(equi) => {
             whynot_obs::add("join.hash", 1);
-            hash_matches(left, right, equi)
+            hash_matches(left, right, equi)?
         }
         None => {
             whynot_obs::add("join.fallback", 1);
-            nested_loop_matches(left, right, predicate)
+            nested_loop_matches(left, right, predicate)?
         }
     };
-    assemble_matches(matches_per_left, left.len(), right.len())
+    Ok(assemble_matches(matches_per_left, left.len(), right.len()))
 }
 
 /// Folds per-left-row match lists into the [`JoinMatches`] result, in
@@ -273,10 +275,11 @@ fn join_key(row: Option<&Tuple>, paths: &[AttrPath]) -> Option<JoinKey> {
 }
 
 /// Checks the request's guard on the first of every 1024 rows.
-fn enforce_every_1024(row: usize) {
+fn checkpoint_every_1024(row: usize) -> AlgebraResult<()> {
     if row & 1023 == 0 {
-        whynot_guard::enforce();
+        whynot_guard::checkpoint()?;
     }
+    Ok(())
 }
 
 /// Buckets of right rows by canonicalized key, each in ascending row order.
@@ -294,7 +297,7 @@ fn hash_matches(
     left: &[Option<&Tuple>],
     right: &[Option<&Tuple>],
     equi: &EquiJoin,
-) -> Vec<Vec<(usize, Tuple)>> {
+) -> AlgebraResult<Vec<Vec<(usize, Tuple)>>> {
     // `Value` only carries interior mutability in its lazily cached
     // structural hash, which never changes its `Eq`/`Hash` identity.
     #[allow(clippy::mutable_key_type)]
@@ -304,7 +307,7 @@ fn hash_matches(
         whynot_guard::faults::fault_point("join_build");
         let mut buckets = Buckets::default();
         for (ri, row) in right.iter().enumerate() {
-            enforce_every_1024(ri);
+            checkpoint_every_1024(ri)?;
             if let Some(key) = join_key(*row, &equi.right_keys) {
                 buckets.entry(key).or_default().push(ri);
             }
@@ -315,7 +318,7 @@ fn hash_matches(
     whynot_obs::add("join.probe_rows", left.len() as u64);
     let mut matches_per_left = Vec::with_capacity(left.len());
     for (li, row) in left.iter().enumerate() {
-        enforce_every_1024(li);
+        checkpoint_every_1024(li)?;
         let mut matched = Vec::new();
         let key = join_key(*row, &equi.left_keys);
         if let (Some(lt), Some(candidates)) = (row, key.and_then(|k| buckets.get(&k))) {
@@ -333,7 +336,7 @@ fn hash_matches(
         }
         matches_per_left.push(matched);
     }
-    matches_per_left
+    Ok(matches_per_left)
 }
 
 /// The block nested-loop fallback for predicates without equi structure
@@ -342,10 +345,10 @@ fn nested_loop_matches(
     left: &[Option<&Tuple>],
     right: &[Option<&Tuple>],
     predicate: &Expr,
-) -> Vec<Vec<(usize, Tuple)>> {
+) -> AlgebraResult<Vec<Vec<(usize, Tuple)>>> {
     let mut matches_per_left = Vec::with_capacity(left.len());
     for (li, row) in left.iter().enumerate() {
-        enforce_every_1024(li);
+        checkpoint_every_1024(li)?;
         let mut matched = Vec::new();
         if let Some(lt) = row {
             for (ri, row) in right.iter().enumerate() {
@@ -358,7 +361,7 @@ fn nested_loop_matches(
         }
         matches_per_left.push(matched);
     }
-    matches_per_left
+    Ok(matches_per_left)
 }
 
 #[cfg(test)]
@@ -396,9 +399,10 @@ mod tests {
         let (ls, rs) = schemas();
         let left_side: Vec<_> = left.iter().map(Some).collect();
         let right_side: Vec<_> = right.iter().map(Some).collect();
-        let hashed = join_matches(&left_side, &right_side, predicate, &ls, &rs);
+        let hashed = join_matches(&left_side, &right_side, predicate, &ls, &rs).unwrap();
         let looped =
-            with_hash_join(false, || join_matches(&left_side, &right_side, predicate, &ls, &rs));
+            with_hash_join(false, || join_matches(&left_side, &right_side, predicate, &ls, &rs))
+                .unwrap();
         assert_eq!(pairs_of(&hashed), pairs_of(&looped));
         assert_eq!(hashed.left_matched, looped.left_matched);
         assert_eq!(hashed.right_matched, looped.right_matched);
@@ -473,7 +477,7 @@ mod tests {
         let rt = right_row(Value::int(1), 0);
         let left_side = [None, Some(&lt)];
         let right_side = [Some(&rt), None];
-        let matches = join_matches(&left_side, &right_side, &eq, &ls, &rs);
+        let matches = join_matches(&left_side, &right_side, &eq, &ls, &rs).unwrap();
         assert_eq!(pairs_of(&matches), vec![(1, 0)]);
         assert_eq!(matches.left_matched, vec![false, true]);
         assert_eq!(matches.right_matched, vec![true, false]);
@@ -528,5 +532,37 @@ mod tests {
             .collect();
         let pairs = assert_paths_agree(&left, &right, &eq);
         assert_eq!(pairs.len(), 86, "left keys 0, 7, .., 595 find their bucket");
+    }
+
+    /// Under an armed guard whose zero deadline has passed, every physical
+    /// path returns the trip from inside its row loop as an error.
+    #[test]
+    fn a_passed_deadline_trips_inside_every_join_loop() {
+        use crate::error::AlgebraError;
+        use whynot_guard::ResourceError;
+
+        let (ls, rs) = schemas();
+        let left = [left_row(Value::int(1), 0)];
+        let right = [right_row(Value::int(1), 5)];
+        let (left_side, right_side) = ([Some(&left[0])], [Some(&right[0])]);
+        let equi = Expr::cmp(Expr::attr("a"), CmpOp::Eq, Expr::attr("b"));
+        let range = Expr::cmp(Expr::attr("x"), CmpOp::Lt, Expr::attr("y"));
+
+        let guard = whynot_guard::Guard::new(Some(0), None, None);
+        let _armed = whynot_guard::arm(&guard);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let hashed = join_matches(&left_side, &right_side, &equi, &ls, &rs);
+        let nested = join_matches(&left_side, &right_side, &range, &ls, &rs);
+        let forced =
+            with_hash_join(false, || join_matches(&left_side, &right_side, &equi, &ls, &rs));
+        for (path, result) in [("hash", hashed), ("nested loop", nested), ("forced", forced)] {
+            assert!(
+                matches!(
+                    result,
+                    Err(AlgebraError::Resource(ResourceError::DeadlineExceeded { .. }))
+                ),
+                "{path}: the trip must return as an error"
+            );
+        }
     }
 }

@@ -15,11 +15,14 @@
 //!
 //! The width of a fan-out is resolved as the first of:
 //!
-//! 1. a thread-local override installed by [`with_threads`] (tests, benches),
-//! 2. a process-wide override installed by [`set_threads`] (the CLI's
+//! 1. `1` while the calling thread profiles: a profiling session is
+//!    scoped to its thread, so a profiled batch runs on its caller and its
+//!    span times add up,
+//! 2. a thread-local override installed by [`with_threads`] (tests, benches),
+//! 3. a process-wide override installed by [`set_threads`] (the CLI's
 //!    `--threads` flag),
-//! 3. the `WHYNOT_THREADS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//! 4. the `WHYNOT_THREADS` environment variable,
+//! 5. [`std::thread::available_parallelism`].
 //!
 //! A width of `1` is the plain `iter().map().collect()` loop.
 
@@ -74,8 +77,12 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// The number of threads a [`par_map`] started on this thread would use
-/// right now, before capping at the number of items.
+/// right now, before capping at the number of items: 1 while this thread
+/// profiles ([`whynot_obs::enabled`]).
 pub fn effective_threads() -> usize {
+    if whynot_obs::enabled() {
+        return 1;
+    }
     let local = LOCAL_THREADS.with(Cell::get);
     if local > 0 {
         return local;
@@ -122,9 +129,10 @@ pub fn pool_stats() -> PoolStats {
 ///
 /// Runs on `effective_threads().min(items.len())` threads: the caller plus
 /// scoped helpers, each claiming the next unclaimed index from one shared
-/// cursor. The caller's profiling capture is carried into the helpers; its
-/// resource guard is not. A panic in `f` stops further claims and is
-/// re-raised on the caller with its original payload.
+/// cursor. Neither the caller's profiling session nor its resource guard
+/// reaches the helpers; a profiled caller runs at width 1, so every item
+/// runs on it. A panic in `f` stops further claims and is re-raised on the
+/// caller with its original payload.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let threads = effective_threads().min(items.len());
     if threads <= 1 {
@@ -133,11 +141,9 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     PAR_REGIONS.add(1);
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let collect = whynot_obs::ParCollect::new(threads);
     // One participant's share: the `(index, result)` pairs it claimed, or the
     // payload of the first panic of `f` it ran into.
-    let participate = |p: usize| {
-        let _observer = collect.as_ref().map(|c| c.participant(p));
+    let participate = || {
         let mut claimed = Vec::new();
         while !abort.load(Ordering::Relaxed) {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -154,17 +160,16 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     };
     let shares = std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..threads)
-            .map(|p| {
-                let participate = &participate;
-                scope.spawn(move || {
+            .map(|_| {
+                scope.spawn(|| {
                     // An injected helper death claims nothing; the caller and
                     // the other helpers drain the cursor.
                     catch_unwind(|| whynot_guard::faults::fault_point("pool_worker"))
-                        .map_or_else(|_| Ok(Vec::new()), |()| participate(p))
+                        .map_or_else(|_| Ok(Vec::new()), |()| participate())
                 })
             })
             .collect();
-        let mut shares = vec![participate(0)];
+        let mut shares = vec![participate()];
         for helper in helpers {
             let share = helper.join().unwrap_or_else(|payload| resume_unwind(payload));
             if let Ok(claimed) = &share {
@@ -174,9 +179,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
         }
         shares
     });
-    if let Some(collect) = collect {
-        collect.merge_into_current();
-    }
     let mut claimed = Vec::with_capacity(items.len());
     for share in shares {
         claimed.extend(share.unwrap_or_else(|payload| resume_unwind(payload)));
@@ -187,9 +189,13 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Barrier;
+    use std::sync::{Barrier, Mutex};
 
     use super::*;
+
+    /// Held by every test here that calls [`par_map`], so a test can read
+    /// the process-wide fan-out counters without another test moving them.
+    static FAN_OUT: Mutex<()> = Mutex::new(());
 
     #[test]
     fn serial_override_is_exact() {
@@ -218,6 +224,7 @@ mod tests {
 
     #[test]
     fn pool_counters_move_under_parallel_work() {
+        let _fan_out = FAN_OUT.lock().unwrap_or_else(|e| e.into_inner());
         let before = pool_stats();
         let items: Vec<usize> = (0..256).collect();
         let barrier = Barrier::new(2);
@@ -234,33 +241,36 @@ mod tests {
     }
 
     #[test]
-    fn profiled_par_map_merges_worker_spans_deterministically() {
+    fn a_profiled_par_map_runs_every_item_on_the_caller() {
         let items: Vec<usize> = (0..64).collect();
+        let caller = std::thread::current().id();
         let run = |threads: usize| {
             whynot_obs::profile(|| {
                 with_threads(threads, || {
                     let _region = whynot_obs::span("region");
-                    let out = par_map(&items, |i| {
+                    par_map(&items, |_| {
                         let _s = whynot_obs::span("item");
                         whynot_obs::add("seen", 1);
-                        i + 1
-                    });
-                    assert_eq!(out.len(), 64);
-                });
+                        std::thread::current().id() == caller
+                    })
+                })
             })
-            .1
         };
-        let report = run(4);
+        let _fan_out = FAN_OUT.lock().unwrap_or_else(|e| e.into_inner());
+        let before = pool_stats();
+        let (on_caller, report) = run(4);
+        assert!(on_caller.iter().all(|&on| on), "an item ran off the profiling thread");
+        assert_eq!(pool_stats().since(&before).par_regions, 0);
         let region = report.root.child("region").expect("region span recorded");
-        let item = region.child("item").expect("worker spans merged under the call site");
+        let item = region.child("item").expect("item spans recorded under the call site");
         assert_eq!(item.count, 64);
         assert_eq!(item.counter_total("seen"), 64);
-        // Identical structure and counts at a different thread count.
-        assert_eq!(report.signature(), run(1).signature());
+        assert_eq!(report.signature(), run(1).1.signature());
     }
 
     #[test]
     fn a_guard_armed_on_the_caller_is_not_armed_in_participants() {
+        let _fan_out = FAN_OUT.lock().unwrap_or_else(|e| e.into_inner());
         let guard = whynot_guard::Guard::new(None, Some(100), None);
         let _armed = whynot_guard::arm(&guard);
         let caller = std::thread::current().id();

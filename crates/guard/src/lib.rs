@@ -10,12 +10,12 @@
 //! (`timeout_ms`, `max_trace_tuples`, `max_eval_rows`). The service [`arm`]s
 //! it around the request; the engine layers below check it *cooperatively* at
 //! coarse boundaries — once per operator application, once per join
-//! build/probe stride of 1024 rows, once per 1024 tuples a traced selection
-//! or 1:1 operator reads, or per traced operator — and
-//! surface a typed [`ResourceError`] when a limit is exceeded. Nothing is
-//! preemptive: a trip is always raised by the guarded computation itself, so
-//! it unwinds through the ordinary error channels and never leaves shared
-//! state (caches, pools) poisoned.
+//! build/probe stride of 1024 rows, once per 1024 tuples a traced 1:1
+//! operator reads, once per schema alternative a traced join pairs, or per
+//! traced operator — and surface a typed [`ResourceError`] when a limit is
+//! exceeded. Nothing is preemptive: a trip is always raised by the guarded
+//! computation itself, so it returns through the ordinary error channels and
+//! never leaves shared state (caches, pools) poisoned.
 //!
 //! ## Disabled-path cost
 //!
@@ -34,14 +34,12 @@
 //! every request by its own limits. Clones of a guard share its budgets
 //! (the counters live behind an `Arc`).
 //!
-//! ## Trip channels
+//! ## Trip channel
 //!
-//! * Code in `Result` position calls [`checkpoint`] / [`consume_trace_tuples`]
-//!   / [`consume_eval_rows`] and propagates the error.
-//! * Chunked hot loops without a `Result` channel call [`enforce`], which
-//!   raises the trip as a panic payload; [`catch_trip`] at the layer entry
-//!   points (`evaluate`, `trace_plan_generalized`) turns exactly that payload
-//!   back into a `ResourceError` and re-raises anything else.
+//! Every check site, the chunked join and tracer loops included, calls
+//! [`checkpoint`] / [`consume_trace_tuples`] / [`consume_eval_rows`] in
+//! `Result` position and propagates the error with `?`. A trip is never a
+//! panic.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -273,16 +271,6 @@ pub fn checkpoint() -> Result<(), ResourceError> {
     }
 }
 
-/// Like [`checkpoint`], but for chunked hot loops without a `Result`
-/// channel: a trip is raised as a panic whose payload is the
-/// [`ResourceError`], to be caught by [`catch_trip`] at the layer boundary.
-#[inline]
-pub fn enforce() {
-    if let Err(error) = checkpoint() {
-        std::panic::panic_any(error);
-    }
-}
-
 /// Consumes `n` tuples from the current guard's trace budget (checking the
 /// deadline too). `Ok(())` when no guard is armed.
 #[inline]
@@ -301,8 +289,7 @@ pub fn consume_trace_tuples(n: u64) -> Result<(), ResourceError> {
 ///
 /// The evaluator draws each operator application's input row entries: its
 /// operators pass each other rows whose equal values are not merged, so a
-/// value an upstream operator produced twice counts twice. The tracer draws
-/// one row per application of a 1:1 operator to a variant.
+/// value an upstream operator produced twice counts twice.
 #[inline]
 pub fn consume_eval_rows(n: u64) -> Result<(), ResourceError> {
     match current() {
@@ -316,7 +303,7 @@ pub fn consume_eval_rows(n: u64) -> Result<(), ResourceError> {
 
 /// One armed check: the always-on counter plus the obs-gated span counter
 /// (check sites are chunk- and operator-granular, deterministic in the input,
-/// so profiled signatures stay thread-count independent).
+/// so profiled signatures repeat from run to run).
 #[inline]
 fn count_check() {
     CHECKS.add(1);
@@ -325,11 +312,12 @@ fn count_check() {
     }
 }
 
-/// Runs `f`, converting a panic whose payload is a [`ResourceError`] (raised
-/// by [`enforce`] inside a chunked loop) back into `Err`. Any other panic is
-/// re-raised unchanged. Layer entry points (`evaluate`,
-/// `trace_plan_generalized`) wrap their bodies in this so trips surface as
-/// ordinary typed errors.
+/// Runs `f`, converting a panic whose payload is a [`ResourceError`] into
+/// `Err`. Any other panic is re-raised unchanged.
+///
+/// Nothing in this workspace raises such a panic: trips return through
+/// `Result`. Its only remaining callers are outside the workspace (the
+/// e2ebench replay).
 pub fn catch_trip<R>(f: impl FnOnce() -> R) -> Result<R, ResourceError> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(result) => Ok(result),
@@ -395,7 +383,6 @@ mod tests {
         assert!(checkpoint().is_ok());
         assert!(consume_trace_tuples(1_000_000).is_ok());
         assert!(consume_eval_rows(1_000_000).is_ok());
-        enforce();
     }
 
     #[test]
@@ -464,12 +451,12 @@ mod tests {
     }
 
     #[test]
-    fn enforce_panics_with_the_error_and_catch_trip_recovers_it() {
+    fn catch_trip_recovers_a_resource_error_payload() {
         let guard = Guard::new(Some(0), None, None);
         std::thread::sleep(Duration::from_millis(1));
         let result: Result<(), ResourceError> = catch_trip(|| {
             let _scope = arm(&guard);
-            enforce();
+            std::panic::panic_any(checkpoint().unwrap_err());
         });
         let error = result.unwrap_err();
         assert!(matches!(error, ResourceError::DeadlineExceeded { timeout_ms: 0, .. }), "{error}");

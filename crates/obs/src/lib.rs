@@ -9,29 +9,22 @@
 //! ## Span model
 //!
 //! Profiling is scoped to the thread that asks for it: [`profile`] installs
-//! a thread-local *collector* for the duration of the closure, and the
-//! participants of every batch fan-out the thread enters get their own (see
-//! below). No collector is process-global: spans on any other thread — a
-//! concurrent request, another session — are never seen. A [`span`] (or
+//! a thread-local *collector* for the duration of the closure. No collector
+//! is process-global: spans on any other thread — a concurrent request,
+//! another session — are never seen. A batch fan-out entered from a
+//! profiling thread therefore runs on that thread alone (`whynot-exec`
+//! resolves its width to 1), so every span of the session is recorded on
+//! it and child span times add up within their parent. A [`span`] (or
 //! [`span_dyn`] for lazily formatted names) pushes a name onto the
 //! collector's stack and, when the guard drops, adds the elapsed time to the
 //! span node addressed by the full stack path. Nodes aggregate **by name**:
 //! two sibling spans with the same name become one node with `count == 2`,
 //! and children live in ordered maps, so the shape of the resulting tree is
 //! independent of arrival order. [`add`] attaches a monotonic counter to the
-//! innermost open span.
-//!
-//! ## Merge determinism
-//!
-//! Batch fan-outs route helper-side spans through a [`ParCollect`]: each
-//! participant of a `par_map` records into a fresh collector and deposits it
-//! into its own slot; after the region completes the caller merges the slots
-//! in participant order into the span that was open at the call site. Because
-//! nodes aggregate by name and counts are sums over the whole input (which
-//! items a participant happened to claim does not change the total), the
-//! deterministic part of a [`ProfileReport`] — structure, counts, counters —
-//! is **identical at every thread count**. Only wall times vary; the
-//! [`ProfileReport::signature`] used by tests excludes them.
+//! innermost open span. The deterministic part of a [`ProfileReport`] —
+//! structure, counts, counters — is identical from run to run; only wall
+//! times vary, and the [`ProfileReport::signature`] used by tests excludes
+//! them.
 //!
 //! ## Disabled cost
 //!
@@ -56,7 +49,6 @@ pub use report::{ProfileReport, SpanReport};
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Instant;
 
 thread_local! {
@@ -73,8 +65,7 @@ fn swap_collector(collector: Option<Collector>) -> Option<Collector> {
     COLLECTOR.with(|c| std::mem::replace(&mut *c.borrow_mut(), collector))
 }
 
-/// Whether the current thread is profiling: inside a [`profile`] session, or
-/// a participant of a batch fan-out entered from one.
+/// Whether the current thread is profiling: inside a [`profile`] session.
 ///
 /// This is the single thread-local load that every instrumentation site pays
 /// on the disabled path.
@@ -98,21 +89,6 @@ pub struct SpanData {
     pub children: BTreeMap<String, SpanData>,
 }
 
-impl SpanData {
-    /// Merges `other` into `self`: counts and times add, counters add,
-    /// children merge recursively by name.
-    pub fn merge(&mut self, other: SpanData) {
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-        for (name, value) in other.counters {
-            *self.counters.entry(name).or_insert(0) += value;
-        }
-        for (name, child) in other.children {
-            self.children.entry(name).or_default().merge(child);
-        }
-    }
-}
-
 /// Thread-local span collector: a root node plus the stack of open span
 /// names addressing the "current" node.
 #[derive(Debug, Default)]
@@ -133,12 +109,10 @@ impl Collector {
 }
 
 /// Runs `f` under a profiling session and returns its result together with
-/// the [`ProfileReport`] collected on this thread (including spans merged
-/// back from batch fan-outs entered by `f`).
+/// the [`ProfileReport`] collected on this thread.
 ///
 /// Sessions nest and may run concurrently on several threads. Each session
-/// only observes spans recorded on its own thread and by the participants of
-/// the batch fan-outs it enters (they hand their collectors back to it).
+/// only observes spans recorded on its own thread.
 pub fn profile<R>(f: impl FnOnce() -> R) -> (R, ProfileReport) {
     let previous = swap_collector(Some(Collector::default()));
     let start = Instant::now();
@@ -218,76 +192,6 @@ pub fn add(name: &'static str, value: u64) {
     });
 }
 
-/// Carries the calling thread's profiling session into the participants of
-/// one batch fan-out: spans recorded by the participants are merged back, in
-/// participant order, into the span that was open when the fan-out started.
-///
-/// Used by `whynot_exec::par_map`: the caller creates the collector before
-/// fanning out, each participant wraps its work in [`ParCollect::participant`],
-/// and the caller calls [`ParCollect::merge_into_current`] once the fan-out
-/// has completed.
-#[derive(Debug)]
-pub struct ParCollect {
-    /// One slot per participant.
-    slots: Vec<Mutex<Option<SpanData>>>,
-}
-
-impl ParCollect {
-    /// A collector with one slot per participant, or `None` when the calling
-    /// thread is not profiling (the fan-out then runs without any collection
-    /// overhead).
-    pub fn new(participants: usize) -> Option<ParCollect> {
-        if !enabled() || participants == 0 {
-            return None;
-        }
-        Some(ParCollect { slots: (0..participants).map(|_| Mutex::new(None)).collect() })
-    }
-
-    /// Installs a fresh collector on the current thread for participant
-    /// `index`; its spans are deposited into that participant's slot when the
-    /// guard drops, and the thread's previous collector is restored.
-    pub fn participant(&self, index: usize) -> Participant<'_> {
-        Participant {
-            slot: &self.slots[index % self.slots.len()],
-            previous: swap_collector(Some(Collector::default())),
-        }
-    }
-
-    /// Merges all participant slots, in participant order, into the span
-    /// currently open on this thread.
-    pub fn merge_into_current(self) {
-        COLLECTOR.with(|c| {
-            if let Some(collector) = c.borrow_mut().as_mut() {
-                let node = collector.current_node();
-                for slot in self.slots {
-                    if let Some(data) = slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                        node.merge(data);
-                    }
-                }
-            }
-        });
-    }
-}
-
-/// Scope guard for one participant of a [`ParCollect`] region.
-#[derive(Debug)]
-pub struct Participant<'a> {
-    slot: &'a Mutex<Option<SpanData>>,
-    previous: Option<Collector>,
-}
-
-impl Drop for Participant<'_> {
-    fn drop(&mut self) {
-        if let Some(collector) = swap_collector(self.previous.take()) {
-            let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-            match slot.as_mut() {
-                Some(existing) => existing.merge(collector.root),
-                None => *slot = Some(collector.root),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,33 +230,6 @@ mod tests {
         assert_eq!(outer.children.len(), 1);
         assert_eq!(outer.children[0].name, "inner");
         assert_eq!(outer.children[0].count, 3);
-    }
-
-    #[test]
-    fn par_collect_merges_under_the_open_span() {
-        let (_, report) = profile(|| {
-            let _region = span("region");
-            let collect = ParCollect::new(2).expect("profiling enabled");
-            // Simulate two participants on the same thread, out of order.
-            {
-                let _p = collect.participant(1);
-                let _s = span("chunk");
-                add("items", 4);
-            }
-            {
-                let _p = collect.participant(0);
-                let _s = span("chunk");
-                add("items", 6);
-            }
-            collect.merge_into_current();
-        });
-        let region = &report.root.children[0];
-        assert_eq!(region.name, "region");
-        assert_eq!(region.children.len(), 1);
-        let chunk = &region.children[0];
-        assert_eq!(chunk.name, "chunk");
-        assert_eq!(chunk.count, 2);
-        assert_eq!(chunk.counters, vec![("items".to_string(), 10)]);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! A report has two parts with different determinism guarantees:
 //!
 //! * the **span tree** ([`SpanReport`]) — structure, counts, and counters are
-//!   identical at every thread count (see the crate docs); wall times vary;
-//! * **meta** facts attached by the caller (batch width, batch fan-out
-//!   counter deltas) — process-level and explicitly *not* deterministic.
+//!   identical from run to run (see the crate docs); wall times vary;
+//! * **meta** facts attached by the caller (such as the batch width) —
+//!   process-level and explicitly *not* deterministic.
 //!
 //! [`ProfileReport::signature`] canonicalizes the deterministic part for
 //! byte-identity tests; `whynot-service` provides the JSON wire codec.
@@ -110,8 +110,8 @@ impl SpanReport {
 pub struct ProfileReport {
     /// Wall time of the whole session in nanoseconds.
     pub wall_ns: u64,
-    /// Process-level facts attached by the caller (batch width, batch fan-out
-    /// counter deltas). Ordered as inserted; excluded from [`signature`](ProfileReport::signature).
+    /// Process-level facts attached by the caller (such as the batch width).
+    /// Ordered as inserted; excluded from [`signature`](ProfileReport::signature).
     pub meta: Vec<(String, u64)>,
     /// The root of the span tree. The root itself is synthetic
     /// (`name == "profile"`, `count == 0`); real spans are its descendants.

@@ -80,10 +80,7 @@ pub fn trace_plan_generalized(
     }
     let _span = whynot_obs::span("trace_plan");
     let mut tracer = Tracer { db, sas, next_id: 1, traces: BTreeMap::new() };
-    // Chunked loops below (and the join core underneath) raise guard trips
-    // as panics; recover them into the error channel at the layer boundary.
-    whynot_guard::catch_trip(|| tracer.trace_node(&plan.root))
-        .unwrap_or_else(|trip| Err(AlgebraError::Resource(trip)))?;
+    tracer.trace_node(&plan.root)?;
     if whynot_obs::enabled() {
         whynot_obs::add(
             "trace.total_tuples",
@@ -285,7 +282,7 @@ impl<'a> Tracer<'a> {
             .collect();
         let tuples = match &node.op {
             Operator::TableAccess { table } => self.trace_table_access(table)?,
-            Operator::Selection { .. } => self.trace_selection(node, &children[0]),
+            Operator::Selection { .. } => self.trace_selection(node, &children[0])?,
             Operator::Flatten { .. } => self.trace_flatten(node, &children[0])?,
             Operator::Join { .. } | Operator::CrossProduct => {
                 self.trace_join(node, &children[0], &children[1])?
@@ -295,11 +292,11 @@ impl<'a> Tracer<'a> {
             Operator::Union => self
                 .one_to_one(children[0].tuples.iter().chain(&children[1].tuples), |_, input| {
                     Some((input.tuple.clone(), true))
-                }),
-            Operator::Difference => self.trace_difference(&children[0], &children[1]),
+                })?,
+            Operator::Difference => self.trace_difference(&children[0], &children[1])?,
             // Projection, renaming, tuple flatten, tuple nesting, per-tuple
             // aggregation, and dedup are structural 1:1 operators.
-            _ => self.trace_structural(node, &children[0]),
+            _ => self.trace_structural(node, &children[0])?,
         };
         for child in children {
             self.traces.insert(child.op, child);
@@ -318,17 +315,18 @@ impl<'a> Tracer<'a> {
     /// A 1:1 operator's output: one traced tuple per input tuple, whose
     /// variant under each schema alternative is `step` applied to the input's
     /// variant there — `(data, retained)`, or `None` if the tuple vanishes —
-    /// with the input tuple as its lineage.
+    /// with the input tuple as its lineage. Checks the request's guard once
+    /// every 1024 input tuples.
     fn one_to_one<'t>(
         &mut self,
         inputs: impl IntoIterator<Item = &'t TracedTuple>,
         mut step: impl FnMut(usize, &Variant) -> Option<(Tuple, bool)>,
-    ) -> Vec<TracedTuple> {
+    ) -> AlgebraResult<Vec<TracedTuple>> {
         let n = self.n_sas();
         let mut tuples = Vec::new();
         for (row, input) in inputs.into_iter().enumerate() {
             if row & 1023 == 0 {
-                whynot_guard::enforce();
+                whynot_guard::checkpoint()?;
             }
             let variants = (0..n)
                 .map(|sa| {
@@ -342,7 +340,7 @@ impl<'a> Tracer<'a> {
                 fallback_variants: Vec::new(),
             });
         }
-        tuples
+        Ok(tuples)
     }
 
     /// Merges per-alternative output rows into traced tuples like an outer
@@ -392,7 +390,11 @@ impl<'a> Tracer<'a> {
     /// alternative (e.g. a tuple flatten whose input schema does not infer),
     /// every variant vanishes under it; if it fails on one variant (e.g. a
     /// tuple flatten meets a non-tuple value), that variant vanishes.
-    fn trace_structural(&mut self, node: &OpNode, child: &OpTrace) -> Vec<TracedTuple> {
+    fn trace_structural(
+        &mut self,
+        node: &OpNode,
+        child: &OpTrace,
+    ) -> AlgebraResult<Vec<TracedTuple>> {
         let transforms: Vec<Option<RowTransform>> = self
             .sas
             .iter()
@@ -402,22 +404,18 @@ impl<'a> Tracer<'a> {
                 RowTransform::compile(&effective, self.db).ok()
             })
             .collect();
-        let armed = whynot_guard::armed();
         self.one_to_one(&child.tuples, |sa, input| {
-            // Each application to a variant draws one deadline check and one
-            // eval row, as evaluating the operator on the variant alone
-            // would; a failed draw makes the variant vanish.
-            let allowed = !armed
-                || (whynot_guard::checkpoint().is_ok()
-                    && whynot_guard::consume_eval_rows(1).is_ok());
-            let transform = transforms[sa].as_ref().filter(|_| allowed)?;
-            Some((transform.apply(&input.tuple).ok()?, true))
+            Some((transforms[sa].as_ref()?.apply(&input.tuple).ok()?, true))
         })
     }
 
     /// Selection: annotate instead of filter. `retained` records whether the
     /// original (SA-substituted) predicate holds.
-    fn trace_selection(&mut self, node: &OpNode, child: &OpTrace) -> Vec<TracedTuple> {
+    fn trace_selection(
+        &mut self,
+        node: &OpNode,
+        child: &OpTrace,
+    ) -> AlgebraResult<Vec<TracedTuple>> {
         let predicates: Vec<Expr> = self
             .sas
             .iter()
@@ -435,7 +433,11 @@ impl<'a> Tracer<'a> {
     /// right tuple under the same alternative equals the variant, looked up
     /// in one hash set of the right variants per alternative (`Tuple`'s hash
     /// agrees with its numeric cross-variant equality, `2 = 2.0`).
-    fn trace_difference(&mut self, left: &OpTrace, right: &OpTrace) -> Vec<TracedTuple> {
+    fn trace_difference(
+        &mut self,
+        left: &OpTrace,
+        right: &OpTrace,
+    ) -> AlgebraResult<Vec<TracedTuple>> {
         let subtracted: Vec<HashSet<&Tuple>> = (0..self.n_sas())
             .map(|sa| right.tuples.iter().filter_map(|r| r.variant(sa)).collect())
             .collect();
@@ -496,7 +498,8 @@ impl<'a> Tracer<'a> {
     /// Each schema alternative's pairs come from `nrab_algebra::join` — the
     /// hash join on the equi conjuncts, else the nested loop — the same core
     /// the evaluator's join runs on. Pairs and padded tuples are then merged
-    /// across alternatives by their (left id, right id).
+    /// across alternatives by their (left id, right id). Checks the request's
+    /// guard once per alternative.
     fn trace_join(
         &mut self,
         node: &OpNode,
@@ -521,7 +524,7 @@ impl<'a> Tracer<'a> {
         for (sa, alternative) in self.sas.iter().enumerate() {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
             whynot_guard::faults::fault_point_dyn("trace_sa", || sa.to_string());
-            whynot_guard::enforce();
+            whynot_guard::checkpoint()?;
             let predicate = match alternative.effective_operator(node) {
                 Operator::Join { predicate, .. } => predicate,
                 _ => Expr::lit(true),
@@ -532,7 +535,7 @@ impl<'a> Tracer<'a> {
                 &predicate,
                 &left_schema,
                 &right_schema,
-            );
+            )?;
             let mut row = |key, tuple, retained, inputs| {
                 rows.push((key, sa, Variant { tuple, retained, inputs }, None))
             };
@@ -849,8 +852,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn join_tracing_pads_unmatched_tuples() {
+    /// `r(a) = {1, 7}` joined with `s(b, payload) = {(1, x), (2, y)}` on
+    /// `a = b`.
+    fn join_example() -> (Database, QueryPlan) {
         let mut db = Database::new();
         let r_ty = TupleType::new([("a", NestedType::int())]).unwrap();
         let s_ty =
@@ -879,6 +883,12 @@ mod tests {
             )
             .build()
             .unwrap();
+        (db, plan)
+    }
+
+    #[test]
+    fn join_tracing_pads_unmatched_tuples() {
+        let (db, plan) = join_example();
         // Why-not: a = 7 joined with anything.
         let consistency = BTreeMap::from([(plan.root.id, Nip::tuple([("a", Nip::val(7i64))]))]);
         let sas = vec![SchemaAlternative::original(consistency)];
@@ -1054,6 +1064,36 @@ mod tests {
         }
         // SA 0 subtracts x = 2; SA 1 subtracts x = 2 and x = 2.0.
         assert_eq!(subtracted, [1, 2]);
+    }
+
+    /// Under an armed guard whose zero deadline has passed, the chunked 1:1
+    /// loop and the join's per-alternative loop return the trip as an error.
+    #[test]
+    fn a_passed_deadline_trips_inside_the_tracer_loops() {
+        let (db, plan) = join_example();
+        let sas = vec![SchemaAlternative::original(BTreeMap::new())];
+        let mut tracer = Tracer { db: &db, sas: &sas, next_id: 1, traces: BTreeMap::new() };
+        let [left, right] = [&plan.root.inputs[0], &plan.root.inputs[1]].map(|input| {
+            tracer.trace_node(input).unwrap();
+            tracer.traces.remove(&input.id).unwrap()
+        });
+
+        let guard = whynot_guard::Guard::new(Some(0), None, None);
+        let _armed = whynot_guard::arm(&guard);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let mapped = tracer.one_to_one(&left.tuples, |_, input| Some((input.tuple.clone(), true)));
+        let joined = tracer.trace_join(&plan.root, &left, &right);
+        for (loop_name, result) in [("one_to_one", mapped), ("trace_join", joined)] {
+            assert!(
+                matches!(
+                    result,
+                    Err(AlgebraError::Resource(
+                        whynot_guard::ResourceError::DeadlineExceeded { .. }
+                    ))
+                ),
+                "{loop_name}: the trip must return as an error"
+            );
+        }
     }
 
     #[test]

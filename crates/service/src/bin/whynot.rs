@@ -30,13 +30,13 @@
 //! batch is unaffected.
 //!
 //! `--profile` runs the command under a `whynot-obs` profiling session and
-//! prints the per-operator span tree (plus the batch width and the batch
-//! fan-out counter deltas) to **stderr**, so stdout stays valid JSON;
-//! `--profile-out FILE` writes the report as JSON and `--folded-out FILE`
-//! writes it as folded flamegraph stacks (Brendan Gregg's format — feed it to
-//! `flamegraph.pl` or speedscope). Span structure, counts, and counters are
-//! identical at every batch width; only wall times and the fan-out deltas
-//! vary.
+//! prints the per-operator span tree (plus the batch width, which is 1: a
+//! profiled batch runs its requests one at a time on the calling thread) to
+//! **stderr**, so stdout stays valid JSON; `--profile-out FILE` writes the
+//! report as JSON and `--folded-out FILE` writes it as folded flamegraph
+//! stacks (Brendan Gregg's format — feed it to `flamegraph.pl` or
+//! speedscope). Span structure, counts, and counters do not depend on
+//! `--threads`; only wall times vary.
 //!
 //! Every verb rejects a flag it does not know, so a misspelt option fails
 //! the invocation instead of being silently ignored.
@@ -104,8 +104,9 @@ may differ).
 --timeout-ms MS / --max-trace-tuples N guard each request with a deadline /
 trace-tuple budget; a tripped request fails with a structured resource
 error (in `batch`, without affecting the other questions).
---profile prints a span tree + batch fan-out stats to stderr (--profile-out
-FILE writes it as JSON, --folded-out FILE as folded flamegraph stacks); span
+--profile prints a span tree + the batch width to stderr (--profile-out
+FILE writes it as JSON, --folded-out FILE as folded flamegraph stacks); a
+profiled batch runs one request at a time, so span times add up and span
 counts/structure do not depend on --threads.
 `stats` prints cumulative service metrics, optionally after answering a
 batch so the counters describe real work.
@@ -199,7 +200,7 @@ fn apply_guard_limits(request: &mut ExplainRequest, limits: (Option<u64>, Option
 
 /// Runs `f` under a `whynot-obs` profiling session when `--profile`,
 /// `--profile-out`, or `--folded-out` was passed, attaching the batch width
-/// and the batch fan-out counter deltas of the run as meta facts.
+/// the session ran at (1) as a meta fact.
 /// Without any of the flags, `f` runs unprofiled and no report is produced.
 fn run_profiled<R>(
     flags: &Flags,
@@ -211,12 +212,9 @@ fn run_profiled<R>(
     {
         return f().map(|r| (r, None));
     }
-    let before = whynot_exec::pool_stats();
-    let (result, mut report) = whynot_obs::profile(f);
-    let delta = whynot_exec::pool_stats().since(&before);
-    report.push_meta("threads", whynot_exec::effective_threads() as u64);
-    report.push_meta("pool.par_regions", delta.par_regions);
-    report.push_meta("pool.chunks_stolen", delta.chunks_stolen);
+    let ((threads, result), mut report) =
+        whynot_obs::profile(|| (whynot_exec::effective_threads(), f()));
+    report.push_meta("threads", threads as u64);
     result.map(|r| (r, Some(report)))
 }
 

@@ -354,10 +354,7 @@ impl ExplainService {
         }
         let guard = whynot_guard::Guard::new(request.timeout_ms, request.max_trace_tuples, None);
         let _armed = whynot_guard::arm(&guard);
-        // The evaluation and trace layers catch their own chunk-loop trips;
-        // this boundary recovers trips raised anywhere else under the guard.
-        whynot_guard::catch_trip(|| self.explain_inner(request, start))
-            .unwrap_or_else(|trip| Err(ServiceError::Resource(trip)))
+        self.explain_inner(request, start)
     }
 
     fn explain_inner(
@@ -417,8 +414,8 @@ impl ExplainService {
     /// order.
     ///
     /// Requests fan out with `whynot_exec::par_map` (`WHYNOT_THREADS`-many at
-    /// a time, each on one thread); the reports are identical to answering the questions one by
-    /// one. Questions that target the same plan, database, and substitution
+    /// a time, each on one thread; one at a time while the caller profiles);
+    /// the reports are identical to answering the questions one by one. Questions that target the same plan, database, and substitution
     /// sets share one generalized trace even when they run concurrently: the
     /// cache's per-key in-flight deduplication makes the first question pay
     /// for it and the rest wait for (then reuse) that single computation.
