@@ -65,23 +65,6 @@ impl Database {
         *self.results.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
-    /// Adds a relation, inferring its schema from the first tuple.
-    ///
-    /// Panics if the bag is empty or its first element is not a tuple; use
-    /// [`Database::add_relation`] for empty relations.
-    pub fn add_relation_inferred(&mut self, name: impl Into<String>, data: Bag) {
-        let schema = data
-            .iter()
-            .next()
-            .and_then(|(v, _)| v.infer_type())
-            .and_then(|t| match t {
-                nested_data::NestedType::Tuple(t) => Some(t),
-                _ => None,
-            })
-            .expect("add_relation_inferred requires a non-empty bag of tuples");
-        self.add_relation(name, schema, data);
-    }
-
     /// The names of all relations, sorted.
     pub fn relation_names(&self) -> Vec<&str> {
         self.relations.keys().map(String::as_str).collect()
@@ -223,14 +206,6 @@ mod tests {
         assert_eq!(db.relation("person").unwrap().total(), 1);
         assert!(db.schema("missing").is_err());
         assert_eq!(db.total_tuples(), 1);
-    }
-
-    #[test]
-    fn inferred_schema() {
-        let mut db = Database::new();
-        let bag = Bag::from_values([Value::tuple([("x", Value::int(1))])]);
-        db.add_relation_inferred("r", bag);
-        assert_eq!(db.schema("r").unwrap().attribute_names().collect::<Vec<_>>(), vec!["x"]);
     }
 
     /// `person ⟶ flatten ⟶ σ year ≥ min_year`: a plan whose result is a new

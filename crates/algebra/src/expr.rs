@@ -12,7 +12,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use nested_data::{AttrPath, Bag, Tuple, Value};
+use nested_data::{AttrPath, Tuple, Value};
 
 /// Scalar kernel of [`Expr::Contains`]: substring for strings, membership
 /// for nested relations, false otherwise.
@@ -236,11 +236,6 @@ impl Expr {
     /// Null test.
     pub fn is_null(e: Expr) -> Expr {
         Expr::IsNull(Box::new(e))
-    }
-
-    /// `¬ isnull(e)`.
-    pub fn is_not_null(e: Expr) -> Expr {
-        Expr::not(Expr::is_null(e))
     }
 
     /// Arithmetic.
@@ -472,15 +467,6 @@ impl fmt::Display for Expr {
     }
 }
 
-/// Evaluates an expression over a bag attribute value: helper to apply a
-/// predicate to each element of a nested relation.
-pub fn filter_bag(bag: &Bag, predicate: &Expr) -> Bag {
-    bag.iter()
-        .filter(|(v, _)| v.as_tuple().is_some_and(|t| predicate.eval_bool(t)))
-        .cloned()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,7 +531,6 @@ mod tests {
         assert!(!Expr::contains(Expr::attr("l_comment"), Expr::lit("missing")).eval_bool(&t));
         assert!(Expr::contains(Expr::attr("l_tags"), Expr::lit("a")).eval_bool(&t));
         assert!(Expr::is_null(Expr::attr("l_null")).eval_bool(&t));
-        assert!(Expr::is_not_null(Expr::attr("l_comment")).eval_bool(&t));
         assert_eq!(Expr::size(Expr::attr("l_tags")).eval(&t), Value::Int(2));
         assert_eq!(Expr::size(Expr::attr("l_null")).eval(&t), Value::Int(0));
     }
@@ -601,15 +586,5 @@ mod tests {
         assert_eq!(e.to_string(), "year ≥ 2019");
         let c = Expr::contains(Expr::attr("text"), Expr::lit("BTS"));
         assert_eq!(c.to_string(), "\"BTS\" ∈ text");
-    }
-
-    #[test]
-    fn filter_bag_applies_predicate_to_elements() {
-        let bag = Bag::from_values([
-            Value::tuple([("year", Value::int(2019))]),
-            Value::tuple([("year", Value::int(2010))]),
-        ]);
-        let filtered = filter_bag(&bag, &Expr::attr_cmp("year", CmpOp::Ge, 2019i64));
-        assert_eq!(filtered.total(), 1);
     }
 }

@@ -115,11 +115,6 @@ impl QueryPlan {
         self.root.find_mut(id).ok_or(AlgebraError::UnknownOperator(id))
     }
 
-    /// The largest operator id in the plan (useful for allocating fresh ids).
-    pub fn max_op_id(&self) -> OpId {
-        self.nodes_top_down().iter().map(|n| n.id).max().unwrap_or(0)
-    }
-
     /// Number of operators in the plan.
     pub fn operator_count(&self) -> usize {
         self.nodes_top_down().len()
@@ -200,7 +195,6 @@ mod tests {
         let ids = plan.op_ids_top_down();
         assert_eq!(ids, vec![4, 3, 2, 1, 0]);
         assert_eq!(plan.operator_count(), 5);
-        assert_eq!(plan.max_op_id(), 4);
         assert_eq!(plan.accessed_tables(), vec!["person".to_string()]);
     }
 

@@ -3,7 +3,6 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use nested_data::Nip;
 use nrab_algebra::{AlgebraResult, Database, OpId, QueryPlan};
 use nrab_provenance::{
     annotate_consistency, trace_plan_generalized, GeneralizedTrace, SchemaAlternative,
@@ -143,7 +142,7 @@ impl WhyNotEngine {
         }
     }
 
-    /// Answers a why-not question.
+    /// Answers a why-not question, tracing with [`DirectTracer`].
     ///
     /// `attribute_alternatives` are the alternatives assumed to be provided as
     /// input (Section 5.2); they are ignored in `RPnoSA` mode.
@@ -152,43 +151,32 @@ impl WhyNotEngine {
         question: &WhyNotQuestion,
         attribute_alternatives: &[AttributeAlternative],
     ) -> WhyNotResult<WhyNotAnswer> {
-        let original_result = {
-            let _span = whynot_obs::span("validate");
-            question.validate()?
-        };
-        let original_result_size = original_result.total();
-        self.explain_unchecked(question, attribute_alternatives, original_result_size)
+        self.explain_with_tracer(question, attribute_alternatives, &mut DirectTracer)
     }
 
-    /// Like [`WhyNotEngine::explain`], but skips question validation (used by
-    /// benchmarks that construct questions programmatically and have already
-    /// validated them).
-    pub fn explain_unchecked(
-        &self,
-        question: &WhyNotQuestion,
-        attribute_alternatives: &[AttributeAlternative],
-        original_result_size: u64,
-    ) -> WhyNotResult<WhyNotAnswer> {
-        self.explain_with_tracer(
-            question,
-            attribute_alternatives,
-            original_result_size,
-            &mut DirectTracer,
-        )
-    }
-
-    /// Like [`WhyNotEngine::explain_unchecked`], but obtains the generalized
-    /// trace from the given [`TraceProvider`] instead of recomputing it — the
-    /// entry point used by callers that cache traces across questions.
+    /// Like [`WhyNotEngine::explain`], but obtains the generalized trace from
+    /// the given [`TraceProvider`] instead of recomputing it — the entry point
+    /// used by callers that cache traces across questions.
+    ///
+    /// The first stage is [`WhyNotQuestion::validate`] (Definition 5): a
+    /// question whose why-not tuple matches a tuple of `⟦Q⟧_D` fails with
+    /// [`WhyNotError::InvalidQuestion`](crate::WhyNotError::InvalidQuestion).
+    /// `⟦Q⟧_D` comes from the database's memo, so a repeated question
+    /// evaluates nothing.
     pub fn explain_with_tracer(
         &self,
         question: &WhyNotQuestion,
         attribute_alternatives: &[AttributeAlternative],
-        original_result_size: u64,
         tracer: &mut dyn TraceProvider,
     ) -> WhyNotResult<WhyNotAnswer> {
         let plan = &question.plan;
         let db = &question.db;
+
+        // Step 0: the question is valid (Definition 5).
+        let original_result_size = {
+            let _span = whynot_obs::span("validate");
+            question.validate()?.total()
+        };
 
         // An engine-stage boundary is the coarsest checkpoint granularity:
         // one deadline check between the steps below, so a
@@ -257,19 +245,6 @@ impl WhyNotEngine {
         let explanations = ranked.into_iter().map(|r| build_explanation(plan, r)).collect();
         Ok(WhyNotAnswer { explanations, schema_alternatives: sas, original_result_size })
     }
-
-    /// Convenience wrapper: answer a why-not question given plan, database,
-    /// and NIP directly.
-    pub fn explain_query(
-        &self,
-        plan: QueryPlan,
-        db: nrab_algebra::Database,
-        why_not: Nip,
-        attribute_alternatives: &[AttributeAlternative],
-    ) -> WhyNotResult<WhyNotAnswer> {
-        let question = WhyNotQuestion::new(plan, db, why_not);
-        self.explain(&question, attribute_alternatives)
-    }
 }
 
 fn build_explanation(plan: &QueryPlan, ranked: RankedCandidate) -> Explanation {
@@ -293,7 +268,8 @@ fn build_explanation(plan: &QueryPlan, ranked: RankedCandidate) -> Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nested_data::{Bag, NestedType, TupleType, Value};
+    use crate::error::WhyNotError;
+    use nested_data::{Bag, NestedType, Nip, TupleType, Value};
     use nrab_algebra::expr::{CmpOp, Expr};
     use nrab_algebra::{Database, PlanBuilder};
 
@@ -381,10 +357,16 @@ mod tests {
     }
 
     #[test]
-    fn explain_query_convenience() {
-        let answer = WhyNotEngine::rp()
-            .explain_query(running_example(), person_db(), why_not(), &[])
-            .unwrap();
-        assert_eq!(answer.operator_sets(), vec![BTreeSet::from([2])]);
+    fn explain_with_tracer_rejects_a_tuple_already_in_the_result() {
+        // Sue's LA 2019 address survives the selection, so LA is not missing.
+        let question = WhyNotQuestion::new(
+            running_example(),
+            person_db(),
+            Nip::tuple([("city", Nip::val("LA")), ("nList", Nip::bag([Nip::Any, Nip::Star]))]),
+        );
+        let err = WhyNotEngine::rp()
+            .explain_with_tracer(&question, &[], &mut DirectTracer)
+            .expect_err("a tuple of the query result is not a missing answer");
+        assert!(matches!(err, WhyNotError::InvalidQuestion(_)), "{err}");
     }
 }

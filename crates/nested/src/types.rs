@@ -300,29 +300,6 @@ impl NestedType {
         Ok(NestedType::Tuple(TupleType::new(fields)?))
     }
 
-    /// Whether the type is primitive.
-    pub fn is_primitive(&self) -> bool {
-        matches!(self, NestedType::Prim(_))
-    }
-
-    /// Whether the type is a tuple type.
-    pub fn is_tuple(&self) -> bool {
-        matches!(self, NestedType::Tuple(_))
-    }
-
-    /// Whether the type is a nested relation type.
-    pub fn is_relation(&self) -> bool {
-        matches!(self, NestedType::Relation(_))
-    }
-
-    /// The tuple type of a tuple- or relation-typed attribute.
-    pub fn as_tuple_type(&self) -> Option<&TupleType> {
-        match self {
-            NestedType::Tuple(t) | NestedType::Relation(t) => Some(t),
-            NestedType::Prim(_) => None,
-        }
-    }
-
     /// Two types are *compatible* if they are structurally equal, ignoring
     /// attribute order inside tuple types. This is the notion used when
     /// checking that an attribute alternative has "matching type" (Section 5.2)

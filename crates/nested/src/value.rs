@@ -9,9 +9,9 @@
 //! Compound values (strings, tuples, bags) are stored behind [`Arc`]s, so
 //! `Value::clone` is **O(1)** and values share subtrees structurally: copying
 //! a traced tuple, a projected field, or a whole base relation bumps reference
-//! counts instead of deep-copying trees. In-place mutation goes through
-//! [`Arc::make_mut`] (copy-on-write): shared subtrees are only materialized
-//! when actually written to.
+//! counts instead of deep-copying trees. No method mutates a value in place:
+//! a changed tuple is a new one (`Tuple::with_field`) that shares the fields
+//! it leaves alone.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -109,17 +109,6 @@ impl Value {
         }
     }
 
-    /// Mutable access to the contained tuple, if this is a tuple value.
-    ///
-    /// Copy-on-write: if the tuple is shared, it is cloned one level deep
-    /// first (`Arc::make_mut`); nested values inside it stay shared.
-    pub fn as_tuple_mut(&mut self) -> Option<&mut Tuple> {
-        match self {
-            Value::Tuple(t) => Some(Arc::make_mut(t)),
-            _ => None,
-        }
-    }
-
     /// The contained bag, if this is a bag value.
     pub fn as_bag(&self) -> Option<&Bag> {
         match self {
@@ -132,14 +121,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The contained integer, if this is an integer value.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
             _ => None,
         }
     }
@@ -165,22 +146,6 @@ impl Value {
             Value::Bool(b) => Some(*b),
             _ => None,
         }
-    }
-
-    /// Expects a tuple value, erroring otherwise.
-    pub fn expect_tuple(&self) -> DataResult<&Tuple> {
-        self.as_tuple().ok_or_else(|| DataError::TypeMismatch {
-            expected: "tuple".into(),
-            found: self.kind().into(),
-        })
-    }
-
-    /// Expects a bag value, erroring otherwise.
-    pub fn expect_bag(&self) -> DataResult<&Bag> {
-        self.as_bag().ok_or_else(|| DataError::TypeMismatch {
-            expected: "bag".into(),
-            found: self.kind().into(),
-        })
     }
 
     /// A short description of the value's variant, for error messages.
@@ -491,14 +456,11 @@ mod tests {
     #[test]
     fn constructors_and_accessors() {
         assert!(Value::Null.is_null());
-        assert_eq!(Value::int(3).as_int(), Some(3));
         assert_eq!(Value::int(3).as_float(), Some(3.0));
         assert_eq!(Value::float(2.5).as_float(), Some(2.5));
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::bool(true).as_bool(), Some(true));
         assert!(Value::empty_bag().as_bag().unwrap().is_empty());
-        assert!(Value::int(1).expect_tuple().is_err());
-        assert!(sue().expect_tuple().is_ok());
     }
 
     #[test]
@@ -516,7 +478,8 @@ mod tests {
     fn copy_on_write_mutation_leaves_the_original_alone() {
         let v = sue();
         let mut w = v.clone();
-        let t = w.as_tuple_mut().unwrap();
+        let Value::Tuple(t) = &mut w else { panic!("expected a tuple") };
+        let t = Arc::make_mut(t);
         *t = t.with_field("name", Value::str("Ann"));
         assert_eq!(v.as_tuple().unwrap().get("name"), Some(&Value::str("Sue")));
         assert_eq!(w.as_tuple().unwrap().get("name"), Some(&Value::str("Ann")));

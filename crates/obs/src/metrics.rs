@@ -26,13 +26,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` as a high-water mark: the counter keeps the maximum value
-    /// ever observed instead of a sum.
-    #[inline]
-    pub fn record_max(&self, n: u64) {
-        self.value.fetch_max(n, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -165,17 +158,6 @@ impl HistogramSnapshot {
         }
         bucket_bound(HISTOGRAM_BUCKETS - 1)
     }
-
-    /// The non-empty buckets as `(upper_bound, count)` pairs — the compact
-    /// form used by the wire codec.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (bucket_bound(i), *c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -188,10 +170,6 @@ mod tests {
         C.add(3);
         C.add(4);
         assert_eq!(C.get(), 7);
-        let depth = Counter::new();
-        depth.record_max(5);
-        depth.record_max(2);
-        assert_eq!(depth.get(), 5);
     }
 
     #[test]
@@ -219,8 +197,7 @@ mod tests {
         assert!((snap.mean() - 1106.0 / 6.0).abs() < 1e-9);
         assert_eq!(snap.quantile(0.0), 0);
         assert!(snap.quantile(1.0) >= 1000);
-        let nz = snap.nonzero_buckets();
-        assert_eq!(nz.iter().map(|(_, c)| c).sum::<u64>(), 6);
+        assert_eq!(snap.buckets.iter().sum::<u64>(), 6);
     }
 
     #[test]

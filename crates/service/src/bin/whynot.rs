@@ -1,27 +1,32 @@
 //! `whynot` — the explanation-service CLI.
 //!
 //! ```text
-//! whynot explain --db db.json --plan plan.json --question q.json [--text] [--compact] [--threads N] [--timeout-ms MS] [--max-trace-tuples N] [--profile] [--profile-out FILE] [--folded-out FILE]
+//! whynot explain --db db.json --plan plan.json --question q.json [--text] [--compact] [--timeout-ms MS] [--max-trace-tuples N] [--profile] [--profile-out FILE] [--folded-out FILE]
 //! whynot batch --db db.json --plan plan.json --questions batch.json [--compact] [--threads N] [--timeout-ms MS] [--max-trace-tuples N] [--profile] [--profile-out FILE] [--folded-out FILE]
 //! whynot stats [--db db.json --plan plan.json --questions batch.json] [--compact] [--threads N]
 //! whynot scenarios list
 //! whynot scenarios export <dir>
-//! whynot scenarios run <dir> [--name NAME] [--text] [--threads N] [--profile] [--profile-out FILE] [--folded-out FILE]
+//! whynot scenarios run <dir> [--name NAME] [--text] [--profile] [--profile-out FILE] [--folded-out FILE]
 //! ```
 //!
 //! `explain` answers one why-not question loaded from JSON files on disk;
-//! `batch` answers an array of questions against one registered plan and
-//! database concurrently, reporting per-question trace-cache hits;
+//! `batch` turns an array of questions into one wire `batch` op against one
+//! registered plan and database and prints what
+//! [`ExplainService::handle_wire`] answers (per-question responses, or
+//! `{"error": {"kind", "message", ...}}` entries exactly as on the wire),
+//! plus the trace-cache counters;
 //! `stats` prints cumulative service metrics (optionally after answering a
-//! batch, so the counters describe real work);
+//! batch the same way, so the counters describe real work);
 //! `scenarios` exports the paper's evaluation scenarios (running example,
-//! DBLP, Twitter, TPC-H, crime) as JSON files and runs them back from disk.
-//! `--threads N` overrides the `WHYNOT_THREADS` environment variable for the
-//! invocation: it sets how many requests of a batch run at once (`1` = one
-//! at a time); each request runs on one thread. Reports are identical for
-//! any N; only the per-question `stats` (timing, and which of several
-//! same-key questions happened to compute the shared trace) may differ
-//! under concurrency.
+//! DBLP, Twitter, TPC-H, crime) as JSON files and runs them back from disk,
+//! one at a time.
+//! `--threads N` (only on the verbs that fan out: `batch`, `stats`, `serve`)
+//! overrides the `WHYNOT_THREADS` environment variable for the invocation:
+//! it sets how many requests of a batch run at once (`1` = one at a time);
+//! each request runs on one thread. Reports are identical for any N; only
+//! the per-question `stats` (timing, and which of several same-key
+//! questions happened to compute the shared trace) may differ under
+//! concurrency.
 //!
 //! `--timeout-ms MS` and `--max-trace-tuples N` attach a per-request resource
 //! guard (see `whynot-guard`): a question that exceeds its deadline or trace
@@ -78,12 +83,12 @@ fn main() -> ExitCode {
 const USAGE: &str = "whynot — why-not explanations over nested data
 
 USAGE:
-    whynot explain --db <db.json> --plan <plan.json> --question <q.json> [--text] [--compact] [--threads N] [--timeout-ms MS] [--max-trace-tuples N] [--profile] [--profile-out FILE] [--folded-out FILE]
+    whynot explain --db <db.json> --plan <plan.json> --question <q.json> [--text] [--compact] [--timeout-ms MS] [--max-trace-tuples N] [--profile] [--profile-out FILE] [--folded-out FILE]
     whynot batch --db <db.json> --plan <plan.json> --questions <batch.json> [--compact] [--threads N] [--timeout-ms MS] [--max-trace-tuples N] [--profile] [--profile-out FILE] [--folded-out FILE]
     whynot stats [--db <db.json> --plan <plan.json> --questions <batch.json>] [--compact] [--threads N]
     whynot scenarios list
     whynot scenarios export <dir>
-    whynot scenarios run <dir> [--name <NAME>] [--text] [--threads N] [--profile] [--profile-out FILE] [--folded-out FILE]
+    whynot scenarios run <dir> [--name <NAME>] [--text] [--profile] [--profile-out FILE] [--folded-out FILE]
     whynot serve [--addr 127.0.0.1:7171] [--scenarios FAMILY[,FAMILY...]] [--threads N]
                  [--workers N] [--queue N] [--max-body-bytes N]
                  [--default-timeout-ms MS] [--keep-alive-secs S] [--retry-after-secs S]
@@ -97,10 +102,12 @@ control its lifetime (e.g. `mkfifo ctl; whynot serve < ctl`).
 
 The question file holds {\"why_not\": ..., \"alternatives\": [...]} and may
 optionally inline \"db\" and \"plan\" (then the flags may be omitted).
---threads N sets how many requests of a batch run at once, overriding
-WHYNOT_THREADS (1 = one at a time); each request runs on one thread, and
-reports are identical for any N (only per-question timing/cache-hit stats
-may differ).
+`batch` answers its questions as one wire `batch` op: a question that fails
+to decode or answer is an {\"error\": {\"kind\", \"message\", ...}} entry.
+--threads N (batch, stats, serve) sets how many requests of a batch run at
+once, overriding WHYNOT_THREADS (1 = one at a time); each request runs on
+one thread, and reports are identical for any N (only per-question
+timing/cache-hit stats may differ).
 --timeout-ms MS / --max-trace-tuples N guard each request with a deadline /
 trace-tuple budget; a tripped request fails with a structured resource
 error (in `batch`, without affecting the other questions).
@@ -109,7 +116,7 @@ FILE writes it as JSON, --folded-out FILE as folded flamegraph stacks); a
 profiled batch runs one request at a time, so span times add up and span
 counts/structure do not depend on --threads.
 `stats` prints cumulative service metrics, optionally after answering a
-batch so the counters describe real work.
+batch (discarding its responses) so the counters describe real work.
 An unknown flag is an error.
 ";
 
@@ -187,17 +194,6 @@ impl Flags {
     }
 }
 
-/// Applies the CLI guard limits to a decoded request, keeping any limits the
-/// question document itself carries unless the flag overrides them.
-fn apply_guard_limits(request: &mut ExplainRequest, limits: (Option<u64>, Option<u64>)) {
-    if let Some(ms) = limits.0 {
-        request.timeout_ms = Some(ms);
-    }
-    if let Some(tuples) = limits.1 {
-        request.max_trace_tuples = Some(tuples);
-    }
-}
-
 /// Runs `f` under a `whynot-obs` profiling session when `--profile`,
 /// `--profile-out`, or `--folded-out` was passed, attaching the batch width
 /// the session ran at (1) as a meta fact.
@@ -243,27 +239,21 @@ fn read_json(path: &Path) -> ServiceResult<Json> {
     Ok(Json::parse(&text)?)
 }
 
-/// Builds a request from a question document, falling back to `--db`/`--plan`
-/// files for payloads the question does not inline.
-fn request_from_question(
+/// The wire document of one question: the question's own object, with the
+/// `--db`/`--plan` payloads (registered in the catalog under their
+/// [`catalog_name`]) named where it does not inline its own, and the
+/// `--timeout-ms`/`--max-trace-tuples` flags overriding its own limits.
+/// Anything but an object is passed through unchanged for the wire decoder
+/// to reject, as is an object that lacks `db` or `plan` when the flag is
+/// absent.
+fn question_doc(
     service: &mut ExplainService,
     question: &Json,
-    db_path: Option<&str>,
-    plan_path: Option<&str>,
-) -> ServiceResult<ExplainRequest> {
-    let mut doc = match question {
-        Json::Object(fields) => fields.clone(),
-        other => {
-            return Err(ServiceError::decode(format!(
-                "a question must be an object, found {}",
-                other.kind()
-            )))
-        }
-    };
-    if !doc.iter().any(|(k, _)| k == "db") {
-        let path = db_path.ok_or_else(|| {
-            ServiceError::decode("the question does not inline `db`; pass --db <db.json>")
-        })?;
+    flags: &Flags,
+) -> ServiceResult<Json> {
+    let Json::Object(fields) = question else { return Ok(question.clone()) };
+    let mut doc = fields.clone();
+    if let Some(path) = flags.value("db").filter(|_| question.get("db").is_none()) {
         let name = catalog_name(path);
         if service.catalog().database(&name).is_err() {
             let db = database_from_json(&read_json(Path::new(path))?)?;
@@ -271,10 +261,7 @@ fn request_from_question(
         }
         doc.push(("db".into(), Json::str(name)));
     }
-    if !doc.iter().any(|(k, _)| k == "plan") {
-        let path = plan_path.ok_or_else(|| {
-            ServiceError::decode("the question does not inline `plan`; pass --plan <plan.json>")
-        })?;
+    if let Some(path) = flags.value("plan").filter(|_| question.get("plan").is_none()) {
         let name = catalog_name(path);
         if service.catalog().plan(&name).is_err() {
             let plan = plan_from_json(&read_json(Path::new(path))?)?;
@@ -282,7 +269,30 @@ fn request_from_question(
         }
         doc.push(("plan".into(), Json::str(name)));
     }
-    ExplainRequest::from_json(&Json::Object(doc))
+    let (timeout_ms, max_trace_tuples) = flags.guard_limits()?;
+    for (key, limit) in [("timeout_ms", timeout_ms), ("max_trace_tuples", max_trace_tuples)] {
+        if let Some(limit) = limit {
+            doc.retain(|(k, _)| k != key);
+            // Wire integers are `i64`; a larger limit is no limit in practice.
+            doc.push((key.into(), Json::Int(i64::try_from(limit).unwrap_or(i64::MAX))));
+        }
+    }
+    Ok(Json::Object(doc))
+}
+
+/// The wire `batch` document of the `--questions` file: one
+/// [`question_doc`] per entry of its array.
+fn batch_doc(service: &mut ExplainService, flags: &Flags) -> ServiceResult<Json> {
+    let path = flags
+        .value("questions")
+        .ok_or_else(|| ServiceError::decode("--questions <batch.json> is required"))?;
+    let batch = read_json(Path::new(path))?;
+    let questions = batch
+        .as_array()
+        .ok_or_else(|| ServiceError::decode("the batch file must be a JSON array of questions"))?;
+    let requests =
+        questions.iter().map(|q| question_doc(service, q, flags)).collect::<ServiceResult<_>>()?;
+    Ok(Json::object([("op", Json::str("batch")), ("requests", Json::Array(requests))]))
 }
 
 /// Catalog name for a payload file: its stem qualified by the parent
@@ -307,31 +317,15 @@ fn print_json(json: &Json, compact: bool) {
 fn cmd_explain(args: &[String]) -> ServiceResult<()> {
     let flags = Flags::parse(
         args,
-        &[
-            "db",
-            "plan",
-            "question",
-            "threads",
-            "timeout-ms",
-            "max-trace-tuples",
-            "profile-out",
-            "folded-out",
-        ],
+        &["db", "plan", "question", "timeout-ms", "max-trace-tuples", "profile-out", "folded-out"],
         &["text", "compact", "profile"],
     )?;
-    flags.apply_threads()?;
-    let limits = flags.guard_limits()?;
     let question_path = flags
         .value("question")
         .ok_or_else(|| ServiceError::decode("--question <q.json> is required"))?;
     let mut service = ExplainService::new();
-    let mut request = request_from_question(
-        &mut service,
-        &read_json(Path::new(question_path))?,
-        flags.value("db"),
-        flags.value("plan"),
-    )?;
-    apply_guard_limits(&mut request, limits);
+    let question = read_json(Path::new(question_path))?;
+    let request = ExplainRequest::from_json(&question_doc(&mut service, &question, &flags)?)?;
     let (response, profile) = run_profiled(&flags, || service.explain(&request))?;
     if flags.switch("text") {
         print!("{}", response.report.render_text());
@@ -341,6 +335,9 @@ fn cmd_explain(args: &[String]) -> ServiceResult<()> {
     emit_profile(&flags, profile.as_ref())
 }
 
+/// `whynot batch`: answers the `--questions` file as one wire `batch` op and
+/// prints its `responses` (an entry that fails to decode or answer is an
+/// `{"error": {...}}` entry, as on the wire) plus the `trace_cache` counters.
 fn cmd_batch(args: &[String]) -> ServiceResult<()> {
     let flags = Flags::parse(
         args,
@@ -357,91 +354,36 @@ fn cmd_batch(args: &[String]) -> ServiceResult<()> {
         &["compact", "profile"],
     )?;
     flags.apply_threads()?;
-    let limits = flags.guard_limits()?;
-    let batch_path = flags
-        .value("questions")
-        .ok_or_else(|| ServiceError::decode("--questions <batch.json> is required"))?;
-    let batch = read_json(Path::new(batch_path))?;
-    let questions = batch
-        .as_array()
-        .ok_or_else(|| ServiceError::decode("the batch file must be a JSON array of questions"))?;
     let mut service = ExplainService::new();
-    // Failures stay per-question: a question that does not decode becomes an
-    // error entry, it does not abort the rest of the batch.
-    let requests: Vec<ServiceResult<_>> = questions
-        .iter()
-        .map(|q| {
-            request_from_question(&mut service, q, flags.value("db"), flags.value("plan")).map(
-                |mut request| {
-                    apply_guard_limits(&mut request, limits);
-                    request
-                },
-            )
-        })
-        .collect();
-    // Decoded questions run concurrently through the service (same-key
-    // questions still compute one shared trace); responses are merged back
-    // with the decode failures in request order.
-    let decoded: Vec<whynot_service::service::ExplainRequest> =
-        requests.iter().filter_map(|r| r.as_ref().ok().cloned()).collect();
-    let (batch_responses, profile) = run_profiled(&flags, || Ok(service.explain_batch(&decoded)))?;
-    let mut responses = batch_responses.into_iter();
-    let items: Vec<Json> = requests
-        .iter()
-        .map(|request| {
-            match request.as_ref().map_err(|e| e.to_string()).and_then(|_| {
-                responses
-                    .next()
-                    .expect("one response per decoded request")
-                    .map_err(|e| e.to_string())
-            }) {
-                Ok(response) => response.to_json(),
-                Err(message) => Json::object([("error", Json::str(message))]),
-            }
-        })
-        .collect();
+    let batch = batch_doc(&mut service, &flags)?;
+    let (mut document, profile) = run_profiled(&flags, || service.handle_wire(&batch))?;
     let stats = service.cache_stats();
-    let document = Json::object([
-        ("responses", Json::Array(items)),
-        (
-            "trace_cache",
+    if let Json::Object(fields) = &mut document {
+        fields.push((
+            "trace_cache".into(),
             Json::object([
                 ("hits", Json::Int(stats.hits as i64)),
                 ("misses", Json::Int(stats.misses as i64)),
                 ("entries", Json::Int(stats.entries as i64)),
             ]),
-        ),
-    ]);
+        ));
+    }
     print_json(&document, flags.switch("compact"));
     emit_profile(&flags, profile.as_ref())
 }
 
-/// Answers the `--questions` batch (if given) so the cumulative counters
-/// describe real work. Responses are discarded — only the metrics they leave
-/// behind matter.
-fn run_optional_batch(service: &mut ExplainService, flags: &Flags) -> ServiceResult<()> {
-    if let Some(batch_path) = flags.value("questions") {
-        let batch = read_json(Path::new(batch_path))?;
-        let questions = batch.as_array().ok_or_else(|| {
-            ServiceError::decode("the batch file must be a JSON array of questions")
-        })?;
-        let requests: Vec<ExplainRequest> = questions
-            .iter()
-            .map(|q| request_from_question(service, q, flags.value("db"), flags.value("plan")))
-            .collect::<ServiceResult<Vec<_>>>()?;
-        service.explain_batch(&requests);
-    }
-    Ok(())
-}
-
 /// `whynot stats`: prints cumulative service metrics as JSON. With
 /// `--questions` (plus `--db`/`--plan` as for `batch`), answers the batch
-/// first so the counters and the latency histogram describe real work.
+/// first so the counters and the latency histogram describe real work; its
+/// responses are discarded.
 fn cmd_stats(args: &[String]) -> ServiceResult<()> {
     let flags = Flags::parse(args, &["db", "plan", "questions", "threads"], &["compact"])?;
     flags.apply_threads()?;
     let mut service = ExplainService::new();
-    run_optional_batch(&mut service, &flags)?;
+    if flags.value("questions").is_some() {
+        let batch = batch_doc(&mut service, &flags)?;
+        service.handle_wire(&batch)?;
+    }
     let stats_doc = service.handle_wire(&Json::object([("op", Json::str("stats"))]))?;
     print_json(&stats_doc, flags.switch("compact"));
     Ok(())
@@ -567,12 +509,7 @@ fn family_scenarios(family: &str) -> ServiceResult<Vec<whynot_scenarios::Scenari
 }
 
 fn cmd_scenarios(args: &[String]) -> ServiceResult<()> {
-    let flags = Flags::parse(
-        args,
-        &["name", "threads", "profile-out", "folded-out"],
-        &["text", "profile"],
-    )?;
-    flags.apply_threads()?;
+    let flags = Flags::parse(args, &["name", "profile-out", "folded-out"], &["text", "profile"])?;
     match flags.positionals.first().map(String::as_str) {
         Some("list") => {
             for scenario in whynot_scenarios::all_scenarios() {
@@ -637,7 +574,6 @@ fn run_scenarios(dir: &Path, only: Option<&str>, text: bool, flags: &Flags) -> S
         }
     }
     let mut service = ExplainService::new();
-    println!("threads: {}", whynot_exec::effective_threads());
     let (failures, profile) = run_profiled(flags, || {
         let mut failures = 0usize;
         for name in &names {

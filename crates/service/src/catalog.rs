@@ -93,16 +93,6 @@ impl Catalog {
             .cloned()
             .ok_or_else(|| ServiceError::UnknownCatalogEntry(format!("plan `{name}`")))
     }
-
-    /// Names of all registered databases, sorted.
-    pub fn database_names(&self) -> Vec<&str> {
-        self.dbs.keys().map(String::as_str).collect()
-    }
-
-    /// Names of all registered plans, sorted.
-    pub fn plan_names(&self) -> Vec<&str> {
-        self.plans.keys().map(String::as_str).collect()
-    }
 }
 
 /// The fingerprint of a plan's canonical wire encoding.
@@ -184,7 +174,6 @@ mod tests {
         assert_eq!(v2.version, 2);
         assert_eq!(catalog.database("db").unwrap().version, 2);
         assert!(catalog.database("missing").is_err());
-        assert_eq!(catalog.database_names(), vec!["db"]);
     }
 
     #[test]
@@ -196,6 +185,5 @@ mod tests {
         assert_ne!(a.fingerprint, b.fingerprint);
         assert_eq!(a.fingerprint, a2.fingerprint);
         assert_eq!(catalog.plan("a").unwrap().fingerprint, a.fingerprint);
-        assert_eq!(catalog.plan_names(), vec!["a", "a2", "b"]);
     }
 }

@@ -1,11 +1,15 @@
 //! Explanation reports: the wire-level mirror of a [`WhyNotAnswer`], with a
-//! loss-free JSON encoding and a human-readable text rendering.
+//! JSON encoding and a human-readable text rendering.
+//!
+//! Reports are encode-only: the service builds one from an engine answer and
+//! writes it out; nothing in the workspace reads one back. Clients compare
+//! the encoded documents (`to_json().to_compact()`), which is also what the
+//! end-to-end benchmark's pinned digests are taken over.
 
 use nrab_algebra::OpId;
 use whynot_core::side_effects::SideEffectBounds;
 use whynot_core::WhyNotAnswer;
 
-use crate::error::{ServiceError, ServiceResult};
 use crate::json::Json;
 
 /// One attribute substitution of a schema alternative.
@@ -176,141 +180,6 @@ impl ExplanationReport {
         ])
     }
 
-    /// Decodes a report.
-    pub fn from_json(json: &Json) -> ServiceResult<Self> {
-        let u64_of = |j: &Json, what: &str| -> ServiceResult<u64> {
-            j.as_i64().and_then(|i| u64::try_from(i).ok()).ok_or_else(|| {
-                ServiceError::decode(format!("{what} must be a non-negative integer"))
-            })
-        };
-        let usize_of =
-            |j: &Json, what: &str| -> ServiceResult<usize> { Ok(u64_of(j, what)? as usize) };
-        let strings_of = |j: &Json, what: &str| -> ServiceResult<Vec<String>> {
-            j.as_array()
-                .ok_or_else(|| ServiceError::decode(format!("{what} must be an array")))?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| ServiceError::decode(format!("{what} must contain strings")))
-                })
-                .collect()
-        };
-
-        let schema_alternatives = json
-            .get_required("schema_alternatives")
-            .map_err(|e| ServiceError::decode(e.to_string()))?
-            .as_array()
-            .ok_or_else(|| ServiceError::decode("`schema_alternatives` must be an array"))?
-            .iter()
-            .map(|sa| {
-                let substitutions = sa
-                    .get_required("substitutions")
-                    .map_err(|e| ServiceError::decode(e.to_string()))?
-                    .as_array()
-                    .ok_or_else(|| ServiceError::decode("`substitutions` must be an array"))?
-                    .iter()
-                    .map(|s| {
-                        Ok(ReportSubstitution {
-                            op: u64_of(
-                                s.get_required("op")
-                                    .map_err(|e| ServiceError::decode(e.to_string()))?,
-                                "`op`",
-                            )? as OpId,
-                            from: s
-                                .get_required("from")
-                                .map_err(|e| ServiceError::decode(e.to_string()))?
-                                .as_str()
-                                .ok_or_else(|| ServiceError::decode("`from` must be a string"))?
-                                .to_string(),
-                            to: s
-                                .get_required("to")
-                                .map_err(|e| ServiceError::decode(e.to_string()))?
-                                .as_str()
-                                .ok_or_else(|| ServiceError::decode("`to` must be a string"))?
-                                .to_string(),
-                        })
-                    })
-                    .collect::<ServiceResult<Vec<_>>>()?;
-                Ok(ReportAlternative {
-                    index: usize_of(
-                        sa.get_required("index")
-                            .map_err(|e| ServiceError::decode(e.to_string()))?,
-                        "`index`",
-                    )?,
-                    substitutions,
-                })
-            })
-            .collect::<ServiceResult<Vec<_>>>()?;
-
-        let explanations = json
-            .get_required("explanations")
-            .map_err(|e| ServiceError::decode(e.to_string()))?
-            .as_array()
-            .ok_or_else(|| ServiceError::decode("`explanations` must be an array"))?
-            .iter()
-            .map(|e| {
-                let side_effects = e
-                    .get_required("side_effects")
-                    .map_err(|err| ServiceError::decode(err.to_string()))?;
-                Ok(ReportExplanation {
-                    rank: usize_of(
-                        e.get_required("rank")
-                            .map_err(|err| ServiceError::decode(err.to_string()))?,
-                        "`rank`",
-                    )?,
-                    operators: e
-                        .get_required("operators")
-                        .map_err(|err| ServiceError::decode(err.to_string()))?
-                        .as_array()
-                        .ok_or_else(|| ServiceError::decode("`operators` must be an array"))?
-                        .iter()
-                        .map(|op| Ok(u64_of(op, "`operators`")? as OpId))
-                        .collect::<ServiceResult<Vec<_>>>()?,
-                    operator_labels: strings_of(
-                        e.get_required("operator_labels")
-                            .map_err(|err| ServiceError::decode(err.to_string()))?,
-                        "`operator_labels`",
-                    )?,
-                    operator_kinds: strings_of(
-                        e.get_required("operator_kinds")
-                            .map_err(|err| ServiceError::decode(err.to_string()))?,
-                        "`operator_kinds`",
-                    )?,
-                    schema_alternative: usize_of(
-                        e.get_required("schema_alternative")
-                            .map_err(|err| ServiceError::decode(err.to_string()))?,
-                        "`schema_alternative`",
-                    )?,
-                    side_effects: SideEffectBounds {
-                        lower: u64_of(
-                            side_effects
-                                .get_required("lower")
-                                .map_err(|err| ServiceError::decode(err.to_string()))?,
-                            "`lower`",
-                        )?,
-                        upper: u64_of(
-                            side_effects
-                                .get_required("upper")
-                                .map_err(|err| ServiceError::decode(err.to_string()))?,
-                            "`upper`",
-                        )?,
-                    },
-                })
-            })
-            .collect::<ServiceResult<Vec<_>>>()?;
-
-        Ok(ExplanationReport {
-            original_result_size: u64_of(
-                json.get_required("original_result_size")
-                    .map_err(|e| ServiceError::decode(e.to_string()))?,
-                "`original_result_size`",
-            )?,
-            schema_alternatives,
-            explanations,
-        })
-    }
-
     /// Renders the report as numbered human-readable lines.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -370,14 +239,6 @@ mod tests {
                 side_effects: SideEffectBounds { lower: 0, upper: 3 },
             }],
         }
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let report = sample_report();
-        let text = report.to_json().to_pretty();
-        let decoded = ExplanationReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(decoded, report);
     }
 
     #[test]

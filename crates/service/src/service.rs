@@ -327,87 +327,65 @@ impl ExplainService {
         ServiceStats::gather(self.cache.stats())
     }
 
-    /// Answers one why-not question, enforcing the request's resource limits
-    /// (`timeout_ms`, `max_trace_tuples`) when it carries any.
+    /// Answers one why-not question: arms a per-request
+    /// [`whynot_guard::Guard`] when the request carries a limit (`timeout_ms`,
+    /// `max_trace_tuples`; an unlimited request keeps the unguarded fast path,
+    /// one thread-local read per check site), resolves its database and plan,
+    /// and runs the engine, whose first stage validates the question.
     pub fn explain(&self, request: &ExplainRequest) -> ServiceResult<ExplainResponse> {
         let start = Instant::now();
         let _span = whynot_obs::span("request");
-        let result = self.explain_guarded(request, start);
+        let limited = request.timeout_ms.is_some() || request.max_trace_tuples.is_some();
+        let _armed = limited.then(|| {
+            whynot_guard::arm(&whynot_guard::Guard::new(
+                request.timeout_ms,
+                request.max_trace_tuples,
+                None,
+            ))
+        });
+        let answer = || -> ServiceResult<ExplainResponse> {
+            let resolved = self.resolve_db(&request.db)?;
+            let (plan, plan_fp) = self.resolve_plan(&request.plan)?;
+            // Shared handles — no deep copy of the database or plan per request.
+            let question = WhyNotQuestion::new(plan, resolved.db, request.why_not.clone());
+            let mut config = EngineConfig {
+                use_schema_alternatives: request.use_schema_alternatives,
+                ..EngineConfig::default()
+            };
+            if let Some(max) = request.max_schema_alternatives {
+                config.max_schema_alternatives = max;
+            }
+            let mut tracer = CachingTracer {
+                cache: &self.cache,
+                db_id: resolved.cache_id,
+                db_version: resolved.cache_version,
+                plan_fingerprint: plan_fp,
+                hit: false,
+            };
+            let answer = WhyNotEngine { config }.explain_with_tracer(
+                &question,
+                &request.alternatives,
+                &mut tracer,
+            )?;
+            if whynot_obs::enabled() {
+                whynot_obs::add(if tracer.hit { "cache.hit" } else { "cache.miss" }, 1);
+            }
+            Ok(ExplainResponse {
+                stats: RequestStats {
+                    trace_cache_hit: tracer.hit,
+                    schema_alternatives: answer.schema_alternatives.len(),
+                    duration: start.elapsed(),
+                },
+                report: ExplanationReport::from_answer(&answer),
+            })
+        };
+        let result = answer();
         stats::REQUESTS.add(1);
         stats::REQUEST_LATENCY.record(start.elapsed().as_nanos() as u64);
         if result.is_err() {
             stats::REQUEST_ERRORS.add(1);
         }
         result
-    }
-
-    /// Arms a per-request [`whynot_guard::Guard`] for limited requests;
-    /// unlimited requests skip arming entirely, so they keep the unguarded
-    /// fast path (one thread-local read per check site).
-    fn explain_guarded(
-        &self,
-        request: &ExplainRequest,
-        start: Instant,
-    ) -> ServiceResult<ExplainResponse> {
-        if request.timeout_ms.is_none() && request.max_trace_tuples.is_none() {
-            return self.explain_inner(request, start);
-        }
-        let guard = whynot_guard::Guard::new(request.timeout_ms, request.max_trace_tuples, None);
-        let _armed = whynot_guard::arm(&guard);
-        self.explain_inner(request, start)
-    }
-
-    fn explain_inner(
-        &self,
-        request: &ExplainRequest,
-        start: Instant,
-    ) -> ServiceResult<ExplainResponse> {
-        let resolved = self.resolve_db(&request.db)?;
-        let (plan, plan_fp) = self.resolve_plan(&request.plan)?;
-
-        // Shared handles — no deep copy of the database or plan per request.
-        let question = WhyNotQuestion::new(
-            Arc::clone(&plan),
-            Arc::clone(&resolved.db),
-            request.why_not.clone(),
-        );
-        let original_result = question.validate()?;
-        let original_result_size = original_result.total();
-
-        let mut config = EngineConfig {
-            use_schema_alternatives: request.use_schema_alternatives,
-            ..EngineConfig::default()
-        };
-        if let Some(max) = request.max_schema_alternatives {
-            config.max_schema_alternatives = max;
-        }
-        let engine = WhyNotEngine { config };
-
-        let mut tracer = CachingTracer {
-            cache: &self.cache,
-            db_id: resolved.cache_id,
-            db_version: resolved.cache_version,
-            plan_fingerprint: plan_fp,
-            hit: false,
-        };
-        let answer = engine.explain_with_tracer(
-            &question,
-            &request.alternatives,
-            original_result_size,
-            &mut tracer,
-        )?;
-        if whynot_obs::enabled() {
-            whynot_obs::add(if tracer.hit { "cache.hit" } else { "cache.miss" }, 1);
-        }
-
-        Ok(ExplainResponse {
-            stats: RequestStats {
-                trace_cache_hit: tracer.hit,
-                schema_alternatives: answer.schema_alternatives.len(),
-                duration: start.elapsed(),
-            },
-            report: ExplanationReport::from_answer(&answer),
-        })
     }
 
     /// Answers a batch of why-not questions, returning responses in request

@@ -21,7 +21,7 @@
 //! them, and CI greps that file so every wire op and stable error kind
 //! stays documented.
 
-use nested_data::{AttrPath, Bag, NestedType, Nip, NipCmp, PrimitiveType, TupleType, Value};
+use nested_data::{AttrPath, Bag, NestedType, Nip, NipCmp, TupleType, Value};
 use nrab_algebra::expr::{ArithOp, CmpOp, Expr};
 use nrab_algebra::{
     AggFunc, AggSpec, Database, FlattenKind, JoinKind, OpNode, Operator, ProjColumn, QueryPlan,
@@ -850,17 +850,6 @@ pub fn alternative_from_json(json: &Json) -> ServiceResult<AttributeAlternative>
         wire_attr_path(required_str(json, "from")?)?,
         wire_attr_path(required_str(json, "to")?)?,
     ))
-}
-
-/// Sanity re-export used by tests: the primitive type of a leaf JSON number.
-pub fn primitive_of(json: &Json) -> Option<PrimitiveType> {
-    match json {
-        Json::Bool(_) => Some(PrimitiveType::Bool),
-        Json::Int(_) => Some(PrimitiveType::Int),
-        Json::Float(_) => Some(PrimitiveType::Float),
-        Json::Str(_) => Some(PrimitiveType::Str),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

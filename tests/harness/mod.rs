@@ -201,9 +201,10 @@ impl TraceProvider for Recorder {
 
 /// Computes a case's answer, generalized trace, and wire report under
 /// `config`, with the profile report when the configuration is profiled. A
-/// why-not case evaluates and traces once: question validation returns
-/// `⟦Q⟧_D` (evaluated on a clone of the case's database, whose memo is
-/// empty), and the engine's trace is recorded on its way to the report.
+/// why-not case evaluates and traces once: the engine's validation stage
+/// evaluates `⟦Q⟧_D` (on a clone of the case's database, whose memo starts
+/// empty) and the answer is read back from that memo, and the engine's
+/// trace is recorded on its way to the report.
 pub fn run(case: &Case, config: Config) -> (Output, Option<ProfileReport>) {
     let compute = || {
         let fail = |e: &dyn std::fmt::Display| -> ! {
@@ -220,14 +221,14 @@ pub fn run(case: &Case, config: Config) -> (Output, Option<ProfileReport>) {
                     question.why_not.clone(),
                 );
                 let explain = || -> Result<Output, WhyNotError> {
-                    let answer = question.validate()?;
                     let mut recorder = Recorder::default();
                     let explained = WhyNotEngine::rp().explain_with_tracer(
                         &question,
                         alternatives,
-                        answer.total(),
                         &mut recorder,
                     )?;
+                    // The engine's validation left `⟦Q⟧_D` in the memo.
+                    let answer = question.db.evaluate_memoised(&question.plan)?;
                     let report = ExplanationReport::from_answer(&explained).to_json().to_compact();
                     let (trace, sas) = recorder.0.expect("the engine traces");
                     Ok(Output { answer, trace, sas, report: Some(report) })
