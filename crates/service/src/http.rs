@@ -592,7 +592,7 @@ fn decode_wire_body(shared: &Shared, request: &Request, op: &str) -> Result<Json
         .map_err(|_| ServiceError::decode("request body is not UTF-8"))?;
     let mut doc = Json::parse(text)?;
     let Json::Object(fields) = &mut doc else {
-        return Err(ServiceError::decode(format!("request body must be an object, found {doc}")));
+        return Err(crate::wire::expected("an object", &doc));
     };
     match fields.iter().position(|(k, _)| k == "op") {
         None => fields.push(("op".to_string(), Json::str(op))),

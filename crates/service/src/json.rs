@@ -33,33 +33,24 @@ pub enum Json {
     Object(Vec<(String, Json)>),
 }
 
-/// A JSON parse or access error, with the byte offset where it occurred
-/// (parse errors only).
+/// A JSON parse error, with the byte offset where it occurred.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
     /// Human-readable description.
     pub message: String,
-    /// Byte offset into the input, for parse errors.
-    pub offset: Option<usize>,
+    /// Byte offset into the input.
+    pub offset: usize,
 }
 
 impl JsonError {
     fn at(message: impl Into<String>, offset: usize) -> Self {
-        JsonError { message: message.into(), offset: Some(offset) }
-    }
-
-    /// An error not tied to an input position.
-    pub fn msg(message: impl Into<String>) -> Self {
-        JsonError { message: message.into(), offset: None }
+        JsonError { message: message.into(), offset }
     }
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.offset {
-            Some(o) => write!(f, "{} (at byte {o})", self.message),
-            None => write!(f, "{}", self.message),
-        }
+        write!(f, "{} (at byte {})", self.message, self.offset)
     }
 }
 
@@ -107,12 +98,6 @@ impl Json {
             Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// Required member lookup on objects.
-    pub fn get_required(&self, key: &str) -> JsonResult<&Json> {
-        self.get(key)
-            .ok_or_else(|| JsonError::msg(format!("missing key `{key}` in {}", self.kind())))
     }
 
     /// The string payload, if this is a string.

@@ -19,8 +19,9 @@ use crate::json::Json;
 use crate::report::ExplanationReport;
 use crate::stats::{self, ServiceStats};
 use crate::wire::{
-    alternative_from_json, alternative_to_json, database_from_json, database_to_json,
-    nip_from_json, nip_to_json, plan_from_json, plan_to_json,
+    alternative_from_json, alternative_to_json, array, database_from_json, database_to_json, field,
+    list, nip_to_json, non_negative, optional, plan_from_json, plan_to_json, positive, string,
+    why_not_from_json, ENGINES,
 };
 
 /// A database reference: a catalog name or an inline database.
@@ -101,84 +102,45 @@ impl ExplainRequest {
     /// Decodes a request from its wire form.
     ///
     /// `{"db": <name | inline>, "plan": <name | inline>, "why_not": <nip>,
-    ///   "alternatives": [...], "engine": "rp" | "rp_no_sa",
+    ///   "alternatives": [...], "engine": <engine>,
     ///   "max_schema_alternatives": n, "timeout_ms": n, "max_trace_tuples": n}`
+    ///
+    /// Limits admit `0` (trip at the first check), a valid way to probe a
+    /// request's cost without paying it.
     pub fn from_json(json: &Json) -> ServiceResult<Self> {
-        let db = match json.get_required("db").map_err(|e| ServiceError::decode(e.to_string()))? {
-            Json::Str(name) => DbRef::Named(name.clone()),
-            inline => DbRef::Inline(Arc::new(database_from_json(inline).map_err(|e| e.at("db"))?)),
-        };
-        let plan = match json
-            .get_required("plan")
-            .map_err(|e| ServiceError::decode(e.to_string()))?
-        {
-            Json::Str(name) => PlanRef::Named(name.clone()),
-            inline => PlanRef::Inline(Arc::new(plan_from_json(inline).map_err(|e| e.at("plan"))?)),
-        };
-        let why_not = nip_from_json(
-            json.get_required("why_not").map_err(|e| ServiceError::decode(e.to_string()))?,
-        )
-        .map_err(|e| e.at("why_not"))?;
-        let alternatives = match json.get("alternatives") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(list) => list
-                .as_array()
-                .ok_or_else(|| ServiceError::decode("`alternatives` must be an array"))?
-                .iter()
-                .enumerate()
-                .map(|(i, alt)| alternative_from_json(alt).map_err(|e| e.at(i).at("alternatives")))
-                .collect::<ServiceResult<Vec<_>>>()?,
-        };
-        let use_schema_alternatives = match json.get("engine") {
-            None | Some(Json::Null) => true,
-            Some(Json::Str(s)) if s == "rp" => true,
-            Some(Json::Str(s)) if s == "rp_no_sa" => false,
-            Some(other) => {
-                return Err(ServiceError::decode(format!(
-                    "`engine` must be \"rp\" or \"rp_no_sa\", found {other}"
-                )))
-            }
-        };
-        let max_schema_alternatives = match json.get("max_schema_alternatives") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_i64().and_then(|i| usize::try_from(i).ok()).filter(|n| *n > 0).ok_or_else(
-                    || ServiceError::decode("`max_schema_alternatives` must be a positive integer"),
-                )?,
-            ),
-        };
-        // Limits deliberately admit `0` (trip at the first check) — a valid
-        // way to probe a request's cost without paying it.
-        let limit = |name: &'static str| -> ServiceResult<Option<u64>> {
-            match json.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(v) => Some(v.as_i64().and_then(|i| u64::try_from(i).ok()).ok_or_else(|| {
-                    ServiceError::decode(format!("`{name}` must be a non-negative integer"))
-                        .at(name)
-                }))
-                .transpose(),
-            }
-        };
-        let timeout_ms = limit("timeout_ms")?;
-        let max_trace_tuples = limit("max_trace_tuples")?;
         Ok(ExplainRequest {
-            db,
-            plan,
-            why_not,
-            alternatives,
-            use_schema_alternatives,
-            max_schema_alternatives,
-            timeout_ms,
-            max_trace_tuples,
+            db: field(json, "db", |db| {
+                Ok(match db {
+                    Json::Str(name) => DbRef::Named(name.clone()),
+                    inline => DbRef::Inline(Arc::new(database_from_json(inline)?)),
+                })
+            })?,
+            plan: field(json, "plan", |plan| {
+                Ok(match plan {
+                    Json::Str(name) => PlanRef::Named(name.clone()),
+                    inline => PlanRef::Inline(Arc::new(plan_from_json(inline)?)),
+                })
+            })?,
+            why_not: field(json, "why_not", why_not_from_json)?,
+            alternatives: optional(json, "alternatives", |alternatives| {
+                list(alternatives, alternative_from_json)
+            })?
+            .unwrap_or_default(),
+            use_schema_alternatives: optional(json, "engine", |engine| ENGINES.decode(engine))?
+                .unwrap_or(true),
+            max_schema_alternatives: optional(json, "max_schema_alternatives", positive)?,
+            timeout_ms: optional(json, "timeout_ms", non_negative)?,
+            max_trace_tuples: optional(json, "max_trace_tuples", non_negative)?,
         })
     }
 
     /// Encodes the request in its wire form (the inverse of
     /// [`ExplainRequest::from_json`]): named references stay strings, inline
-    /// payloads are fully encoded, and fields at their defaults (`engine:
-    /// "rp"`, empty `alternatives`, unset limits) are omitted. Used by the
-    /// end-to-end benchmark and the HTTP tests to ship the same requests over
-    /// the wire that the in-process path answers directly.
+    /// payloads are fully encoded, and fields at their defaults (the
+    /// schema-alternative engine, empty `alternatives`, unset limits) are
+    /// omitted. Used by the end-to-end benchmark and the HTTP tests to ship
+    /// the same requests over the wire that the in-process path answers
+    /// directly.
     pub fn to_json(&self) -> ServiceResult<Json> {
         let mut fields: Vec<(String, Json)> = Vec::new();
         let db = match &self.db {
@@ -199,7 +161,7 @@ impl ExplainRequest {
             ));
         }
         if !self.use_schema_alternatives {
-            fields.push(("engine".to_string(), Json::str("rp_no_sa")));
+            fields.push(("engine".to_string(), ENGINES.encode(false)));
         }
         if let Some(max) = self.max_schema_alternatives {
             fields.push(("max_schema_alternatives".to_string(), Json::Int(max as i64)));
@@ -426,21 +388,13 @@ impl ExplainService {
     ///   `{"error": ...}` entries for requests that fail to decode or answer.
     /// * `"stats"`: returns the cumulative [`ServiceStats`].
     pub fn handle_wire(&self, doc: &Json) -> ServiceResult<Json> {
-        match doc.get("op") {
-            None | Some(Json::Null) => {
+        match optional(doc, "op", string)? {
+            None | Some("explain") => {
                 self.explain(&ExplainRequest::from_json(doc)?).map(|r| r.to_json())
             }
-            Some(Json::Str(op)) if op == "explain" => {
-                self.explain(&ExplainRequest::from_json(doc)?).map(|r| r.to_json())
-            }
-            Some(Json::Str(op)) if op == "stats" => Ok(self.stats().to_json()),
-            Some(Json::Str(op)) if op == "batch" => {
-                let requests = doc
-                    .get_required("requests")
-                    .map_err(|e| ServiceError::decode(e.to_string()))?
-                    .as_array()
-                    .ok_or_else(|| ServiceError::decode("`requests` must be an array"))?;
-                let decoded: Vec<ServiceResult<ExplainRequest>> = requests
+            Some("stats") => Ok(self.stats().to_json()),
+            Some("batch") => {
+                let decoded: Vec<ServiceResult<ExplainRequest>> = field(doc, "requests", array)?
                     .iter()
                     .enumerate()
                     .map(|(i, r)| ExplainRequest::from_json(r).map_err(|e| e.at(i).at("requests")))
@@ -464,8 +418,9 @@ impl ExplainService {
                 Ok(Json::object([("responses", Json::Array(items))]))
             }
             Some(other) => Err(ServiceError::decode(format!(
-                "`op` must be \"explain\", \"batch\", or \"stats\", found {other}"
-            ))),
+                "unknown op `{other}` (expected \"explain\", \"batch\", or \"stats\")"
+            ))
+            .at("op")),
         }
     }
 }

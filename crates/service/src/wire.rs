@@ -15,13 +15,21 @@
 //!   are `{"$value": ...}` so they stay distinguishable from structural NIPs.
 //! * Expressions and operators are tagged objects (`{"attr": "year"}`,
 //!   `{"op": "select", ...}`).
+//! * Every enum on the wire (join kind, aggregation function, comparison, …)
+//!   is one `WireNames` table that the encoder and the decoder both read.
+//!
+//! Decoders read every object field through one set of readers (`field`,
+//! `optional`, `list` and the typed leaves below them), so a decode error's
+//! path names the offending field or array index itself: a request without
+//! `why_not` fails at `why_not`, a join without `kind` at `op/kind`, a bad
+//! third row at `relations/<name>/rows/2`.
 //!
 //! The encodings here are **public API**: `docs/PROTOCOL.md` is the
 //! human-facing reference for the request/response documents built from
-//! them, and CI greps that file so every wire op and stable error kind
-//! stays documented.
+//! them, and CI greps that file so every wire op, error kind, operator and
+//! expression tag, and enum name stays documented.
 
-use nested_data::{AttrPath, Bag, NestedType, Nip, NipCmp, TupleType, Value};
+use nested_data::{AttrPath, Bag, NestedType, Nip, NipCmp, PrimitiveType, Sym, TupleType, Value};
 use nrab_algebra::expr::{ArithOp, CmpOp, Expr};
 use nrab_algebra::{
     AggFunc, AggSpec, Database, FlattenKind, JoinKind, OpNode, Operator, ProjColumn, QueryPlan,
@@ -31,6 +39,251 @@ use whynot_core::AttributeAlternative;
 
 use crate::error::{ServiceError, ServiceResult};
 use crate::json::Json;
+
+// ---------------------------------------------------------------------------
+// Field readers
+// ---------------------------------------------------------------------------
+
+/// The error for a wire value of the wrong shape. Scalars are shown, larger
+/// values by their kind.
+pub(crate) fn expected(what: &str, json: &Json) -> ServiceError {
+    let found = match json {
+        Json::Str(_) | Json::Array(_) | Json::Object(_) => json.kind().to_string(),
+        scalar => scalar.to_compact(),
+    };
+    ServiceError::decode(format!("expected {what}, found {found}"))
+}
+
+/// The fields of an object.
+fn object(json: &Json) -> ServiceResult<&[(String, Json)]> {
+    json.as_object().ok_or_else(|| expected("an object", json))
+}
+
+/// The elements of an array.
+pub(crate) fn array(json: &Json) -> ServiceResult<&[Json]> {
+    json.as_array().ok_or_else(|| expected("an array", json))
+}
+
+/// The value of `key` in the object `json`, if present.
+fn member<'a>(json: &'a Json, key: &str) -> ServiceResult<Option<&'a Json>> {
+    Ok(object(json)?.iter().find(|(k, _)| k == key).map(|(_, v)| v))
+}
+
+/// Reads the required field `key` of the object `json` with `decode`. A
+/// missing field, and any error `decode` returns, is located at `key`.
+pub(crate) fn field<'a, T>(
+    json: &'a Json,
+    key: &str,
+    decode: impl FnOnce(&'a Json) -> ServiceResult<T>,
+) -> ServiceResult<T> {
+    let value =
+        member(json, key)?.ok_or_else(|| ServiceError::decode("missing required field").at(key))?;
+    decode(value).map_err(|e| e.at(key))
+}
+
+/// Reads the optional field `key` of the object `json` with `decode`; an
+/// absent or `null` field is `None`. Errors are located at `key`.
+pub(crate) fn optional<'a, T>(
+    json: &'a Json,
+    key: &str,
+    decode: impl FnOnce(&'a Json) -> ServiceResult<T>,
+) -> ServiceResult<Option<T>> {
+    match member(json, key)? {
+        None | Some(Json::Null) => Ok(None),
+        Some(value) => decode(value).map(Some).map_err(|e| e.at(key)),
+    }
+}
+
+/// Decodes every element of an array, locating an element's error at its
+/// index.
+pub(crate) fn list<'a, T>(
+    json: &'a Json,
+    mut decode: impl FnMut(&'a Json) -> ServiceResult<T>,
+) -> ServiceResult<Vec<T>> {
+    array(json)?.iter().enumerate().map(|(i, item)| decode(item).map_err(|e| e.at(i))).collect()
+}
+
+/// The elements of an array of exactly `N` elements; `shape` names them.
+fn fixed<'a, const N: usize>(json: &'a Json, shape: &str) -> ServiceResult<&'a [Json; N]> {
+    let items = array(json)?;
+    items.try_into().map_err(|_| {
+        ServiceError::decode(format!("expected {shape}, found {} elements", items.len()))
+    })
+}
+
+/// Decodes every member of an object in order, locating a member's error at
+/// its key.
+fn members<'a, T>(
+    fields: &'a [(String, Json)],
+    mut decode: impl FnMut(&'a str, &'a Json) -> ServiceResult<T>,
+) -> ServiceResult<Vec<T>> {
+    fields.iter().map(|(key, value)| decode(key, value).map_err(|e| e.at(key))).collect()
+}
+
+/// A string.
+pub(crate) fn string(json: &Json) -> ServiceResult<&str> {
+    json.as_str().ok_or_else(|| expected("a string", json))
+}
+
+/// An integer `≥ 0`.
+pub(crate) fn non_negative(json: &Json) -> ServiceResult<u64> {
+    json.as_i64()
+        .and_then(|i| u64::try_from(i).ok())
+        .ok_or_else(|| expected("a non-negative integer", json))
+}
+
+/// An integer `≥ 1`.
+pub(crate) fn positive(json: &Json) -> ServiceResult<usize> {
+    json.as_i64()
+        .and_then(|i| usize::try_from(i).ok())
+        .filter(|n| *n > 0)
+        .ok_or_else(|| expected("a positive integer", json))
+}
+
+/// Interns an attribute name arriving from untrusted wire input, refusing to
+/// grow the process-global interner past its cap (each distinct name is
+/// retained for the lifetime of the process).
+fn intern_wire_name(name: &str) -> ServiceResult<Sym> {
+    Sym::try_intern(name).ok_or_else(|| {
+        ServiceError::decode(format!(
+            "too many distinct attribute names; refusing to intern `{name}`"
+        ))
+    })
+}
+
+/// An attribute name (bounded interning), kept as a `String` for the
+/// operator parameters that store one.
+fn name(json: &Json) -> ServiceResult<String> {
+    let name = string(json)?;
+    intern_wire_name(name)?;
+    Ok(name.to_string())
+}
+
+/// A list of attribute names.
+fn names(json: &Json) -> ServiceResult<Vec<String>> {
+    list(json, name)
+}
+
+/// A dotted attribute path, each segment interned with a bound.
+fn attr_path(json: &Json) -> ServiceResult<AttrPath> {
+    let segments = string(json)?
+        .split('.')
+        .filter(|s| !s.is_empty())
+        .map(intern_wire_name)
+        .collect::<ServiceResult<Vec<_>>>()?;
+    Ok(AttrPath::new(segments))
+}
+
+// ---------------------------------------------------------------------------
+// Enum name tables
+// ---------------------------------------------------------------------------
+
+/// The wire names of one enum: each variant with the string that stands for
+/// it. The encoder and the decoder both read the one table.
+pub(crate) struct WireNames<T: 'static> {
+    /// What the enum is, for decode errors.
+    what: &'static str,
+    /// Each variant with its name.
+    names: &'static [(T, &'static str)],
+}
+
+impl<T: Copy + PartialEq> WireNames<T> {
+    /// The wire name of `value`.
+    pub(crate) fn encode(&self, value: T) -> Json {
+        let (_, name) = self
+            .names
+            .iter()
+            .find(|(v, _)| *v == value)
+            .expect("every variant of a wire enum has a name in its table");
+        Json::str(*name)
+    }
+
+    /// The variant a wire name stands for.
+    pub(crate) fn decode(&self, json: &Json) -> ServiceResult<T> {
+        let name = string(json)?;
+        match self.names.iter().find(|(_, n)| *n == name) {
+            Some((value, _)) => Ok(*value),
+            None => {
+                let known: Vec<String> = self.names.iter().map(|(_, n)| format!("`{n}`")).collect();
+                Err(ServiceError::decode(format!(
+                    "unknown {} `{name}` (expected {})",
+                    self.what,
+                    known.join(", ")
+                )))
+            }
+        }
+    }
+}
+
+/// `engine`: whether a request reasons about schema alternatives (`RP`) or
+/// not (`RPnoSA`).
+pub(crate) const ENGINES: WireNames<bool> =
+    WireNames { what: "engine", names: &[(true, "rp"), (false, "rp_no_sa")] };
+
+const PRIMITIVE_TYPES: WireNames<PrimitiveType> = WireNames {
+    what: "primitive type",
+    names: &[
+        (PrimitiveType::Int, "int"),
+        (PrimitiveType::Str, "str"),
+        (PrimitiveType::Bool, "bool"),
+        (PrimitiveType::Float, "float"),
+    ],
+};
+
+const NIP_CMPS: WireNames<NipCmp> = WireNames {
+    what: "NIP comparison",
+    names: &[
+        (NipCmp::Lt, "<"),
+        (NipCmp::Le, "<="),
+        (NipCmp::Gt, ">"),
+        (NipCmp::Ge, ">="),
+        (NipCmp::Ne, "!="),
+    ],
+};
+
+const CMP_OPS: WireNames<CmpOp> = WireNames {
+    what: "comparison",
+    names: &[
+        (CmpOp::Eq, "="),
+        (CmpOp::Ne, "!="),
+        (CmpOp::Lt, "<"),
+        (CmpOp::Le, "<="),
+        (CmpOp::Gt, ">"),
+        (CmpOp::Ge, ">="),
+    ],
+};
+
+const ARITH_OPS: WireNames<ArithOp> = WireNames {
+    what: "arithmetic operator",
+    names: &[(ArithOp::Add, "+"), (ArithOp::Sub, "-"), (ArithOp::Mul, "*"), (ArithOp::Div, "/")],
+};
+
+const JOIN_KINDS: WireNames<JoinKind> = WireNames {
+    what: "join kind",
+    names: &[
+        (JoinKind::Inner, "inner"),
+        (JoinKind::Left, "left"),
+        (JoinKind::Right, "right"),
+        (JoinKind::Full, "full"),
+    ],
+};
+
+const FLATTEN_KINDS: WireNames<FlattenKind> = WireNames {
+    what: "flatten kind",
+    names: &[(FlattenKind::Inner, "inner"), (FlattenKind::Outer, "outer")],
+};
+
+const AGG_FUNCS: WireNames<AggFunc> = WireNames {
+    what: "aggregation function",
+    names: &[
+        (AggFunc::Count, "count"),
+        (AggFunc::CountDistinct, "count_distinct"),
+        (AggFunc::Sum, "sum"),
+        (AggFunc::Avg, "avg"),
+        (AggFunc::Min, "min"),
+        (AggFunc::Max, "max"),
+    ],
+};
 
 // ---------------------------------------------------------------------------
 // Values
@@ -57,35 +310,6 @@ pub fn value_to_json(value: &Value) -> Json {
     }
 }
 
-/// Interns an attribute name arriving from untrusted wire input, refusing to
-/// grow the process-global interner past its cap (each distinct name is
-/// retained for the lifetime of the process).
-fn intern_wire_name(name: &str) -> ServiceResult<nested_data::Sym> {
-    nested_data::Sym::try_intern(name).ok_or_else(|| {
-        ServiceError::decode(format!(
-            "too many distinct attribute names; refusing to intern `{name}`"
-        ))
-    })
-}
-
-/// Validates an attribute name from untrusted wire input (bounded interning),
-/// passing the string through for operator parameters that store `String`s.
-fn wire_name(name: &str) -> ServiceResult<&str> {
-    intern_wire_name(name)?;
-    Ok(name)
-}
-
-/// Parses a dotted attribute path from untrusted wire input with bounded
-/// interning of each segment.
-fn wire_attr_path(path: &str) -> ServiceResult<AttrPath> {
-    let segments = path
-        .split('.')
-        .filter(|s| !s.is_empty())
-        .map(intern_wire_name)
-        .collect::<ServiceResult<Vec<_>>>()?;
-    Ok(AttrPath::new(segments))
-}
-
 /// Decodes a nested value.
 pub fn value_from_json(json: &Json) -> ServiceResult<Value> {
     Ok(match json {
@@ -94,20 +318,10 @@ pub fn value_from_json(json: &Json) -> ServiceResult<Value> {
         Json::Int(i) => Value::Int(*i),
         Json::Float(f) => Value::Float(*f),
         Json::Str(s) => Value::str(s.as_str()),
-        Json::Object(fields) => {
-            let mut out = Vec::with_capacity(fields.len());
-            for (name, v) in fields {
-                out.push((intern_wire_name(name)?, value_from_json(v).map_err(|e| e.at(name))?));
-            }
-            Value::tuple(out)
-        }
-        Json::Array(items) => {
-            let mut values = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                values.push(value_from_json(item).map_err(|e| e.at(i))?);
-            }
-            Value::from_bag(Bag::from_values(values))
-        }
+        Json::Object(fields) => Value::tuple(members(fields, |name, v| {
+            Ok((intern_wire_name(name)?, value_from_json(v)?))
+        })?),
+        Json::Array(_) => Value::from_bag(Bag::from_values(list(json, value_from_json)?)),
     })
 }
 
@@ -118,7 +332,7 @@ pub fn value_from_json(json: &Json) -> ServiceResult<Value> {
 /// Encodes a nested type.
 pub fn type_to_json(ty: &NestedType) -> Json {
     match ty {
-        NestedType::Prim(p) => Json::str(p.to_string()),
+        NestedType::Prim(p) => PRIMITIVE_TYPES.encode(*p),
         NestedType::Tuple(t) => Json::object([("tuple", tuple_type_to_json(t))]),
         NestedType::Relation(t) => Json::object([("relation", tuple_type_to_json(t))]),
     }
@@ -134,61 +348,26 @@ pub fn tuple_type_to_json(ty: &TupleType) -> Json {
 /// Decodes a nested type.
 pub fn type_from_json(json: &Json) -> ServiceResult<NestedType> {
     match json {
-        Json::Str(s) => match s.as_str() {
-            "int" => Ok(NestedType::int()),
-            "str" => Ok(NestedType::str()),
-            "bool" => Ok(NestedType::bool()),
-            "float" => Ok(NestedType::float()),
-            other => Err(ServiceError::decode(format!("unknown primitive type `{other}`"))),
+        Json::Str(_) => PRIMITIVE_TYPES.decode(json).map(NestedType::Prim),
+        Json::Object(fields) if fields.len() == 1 => match fields[0].0.as_str() {
+            "tuple" => field(json, "tuple", tuple_type_from_json).map(NestedType::Tuple),
+            "relation" => field(json, "relation", tuple_type_from_json).map(NestedType::Relation),
+            other => Err(ServiceError::decode(format!("unknown type tag `{other}`")).at(other)),
         },
-        Json::Object(fields) if fields.len() == 1 => {
-            let (tag, payload) = &fields[0];
-            let tuple_ty = tuple_type_from_json(payload)?;
-            match tag.as_str() {
-                "tuple" => Ok(NestedType::Tuple(tuple_ty)),
-                "relation" => Ok(NestedType::Relation(tuple_ty)),
-                other => Err(ServiceError::decode(format!("unknown type tag `{other}`"))),
-            }
-        }
-        other => Err(ServiceError::decode(format!("expected a type, found {}", other.kind()))),
+        other => Err(expected("a type", other)),
     }
 }
 
 /// Decodes a tuple type.
 pub fn tuple_type_from_json(json: &Json) -> ServiceResult<TupleType> {
     let fields =
-        json.as_object().ok_or_else(|| ServiceError::decode("tuple type must be an object"))?;
-    let mut out = Vec::with_capacity(fields.len());
-    for (name, ty) in fields {
-        out.push((intern_wire_name(name)?, type_from_json(ty)?));
-    }
-    TupleType::new(out).map_err(|e| ServiceError::decode(e.to_string()))
+        members(object(json)?, |name, ty| Ok((intern_wire_name(name)?, type_from_json(ty)?)))?;
+    TupleType::new(fields).map_err(|e| ServiceError::decode(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
 // NIPs
 // ---------------------------------------------------------------------------
-
-fn nip_cmp_symbol(op: NipCmp) -> &'static str {
-    match op {
-        NipCmp::Lt => "<",
-        NipCmp::Le => "<=",
-        NipCmp::Gt => ">",
-        NipCmp::Ge => ">=",
-        NipCmp::Ne => "!=",
-    }
-}
-
-fn nip_cmp_from_symbol(s: &str) -> ServiceResult<NipCmp> {
-    match s {
-        "<" => Ok(NipCmp::Lt),
-        "<=" => Ok(NipCmp::Le),
-        ">" => Ok(NipCmp::Gt),
-        ">=" => Ok(NipCmp::Ge),
-        "!=" => Ok(NipCmp::Ne),
-        other => Err(ServiceError::decode(format!("unknown NIP comparison `{other}`"))),
-    }
-}
 
 /// Encodes a NIP.
 pub fn nip_to_json(nip: &Nip) -> ServiceResult<Json> {
@@ -202,10 +381,9 @@ pub fn nip_to_json(nip: &Nip) -> ServiceResult<Json> {
             Json::object([("$value", value_to_json(v))])
         }
         Nip::Value(v) => value_to_json(v),
-        Nip::Pred(op, bound) => Json::object([
-            ("$cmp", Json::str(nip_cmp_symbol(*op))),
-            ("bound", value_to_json(bound)),
-        ]),
+        Nip::Pred(op, bound) => {
+            Json::object([("$cmp", NIP_CMPS.encode(*op)), ("bound", value_to_json(bound))])
+        }
         Nip::Tuple(fields) => {
             let mut out = Vec::with_capacity(fields.len());
             for (name, field) in fields {
@@ -233,96 +411,40 @@ pub fn nip_from_json(json: &Json) -> ServiceResult<Nip> {
     Ok(match json {
         Json::Str(s) if s == "?" => Nip::Any,
         Json::Str(s) if s == "*" => Nip::Star,
-        Json::Null | Json::Bool(_) | Json::Int(_) | Json::Float(_) | Json::Str(_) => {
-            Nip::Value(value_from_json(json)?)
-        }
-        Json::Object(fields)
-            if fields.first().map(|(k, _)| k.starts_with('$')).unwrap_or(false) =>
-        {
+        Json::Object(fields) if fields.first().is_some_and(|(k, _)| k.starts_with('$')) => {
             match fields[0].0.as_str() {
-                "$str" => Nip::Value(Value::str(
-                    fields[0]
-                        .1
-                        .as_str()
-                        .ok_or_else(|| ServiceError::decode("$str payload must be a string"))?,
-                )),
-                "$value" => Nip::Value(value_from_json(&fields[0].1).map_err(|e| e.at("$value"))?),
-                "$cmp" => {
-                    let op =
-                        nip_cmp_from_symbol(fields[0].1.as_str().ok_or_else(|| {
-                            ServiceError::decode("$cmp payload must be a string")
-                        })?)?;
-                    let bound =
-                        value_from_json(json.get_required("bound")?).map_err(|e| e.at("bound"))?;
-                    Nip::Pred(op, bound)
-                }
+                "$str" => Nip::Value(Value::str(field(json, "$str", string)?)),
+                "$value" => Nip::Value(field(json, "$value", value_from_json)?),
+                "$cmp" => Nip::Pred(
+                    field(json, "$cmp", |op| NIP_CMPS.decode(op))?,
+                    field(json, "bound", value_from_json)?,
+                ),
                 other => {
-                    return Err(ServiceError::decode(format!("unknown NIP tag `{other}`")));
+                    return Err(ServiceError::decode(format!("unknown NIP tag `{other}`")).at(other))
                 }
             }
         }
-        Json::Object(fields) => {
-            let mut out = Vec::with_capacity(fields.len());
-            for (name, field) in fields {
-                out.push((intern_wire_name(name)?, nip_from_json(field).map_err(|e| e.at(name))?));
-            }
-            Nip::Tuple(out)
-        }
-        Json::Array(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                out.push(nip_from_json(item).map_err(|e| e.at(i))?);
-            }
-            Nip::Bag(out)
-        }
+        Json::Object(fields) => Nip::Tuple(members(fields, |name, nip| {
+            Ok((intern_wire_name(name)?, nip_from_json(nip)?))
+        })?),
+        Json::Array(_) => Nip::Bag(list(json, nip_from_json)?),
+        scalar => Nip::Value(value_from_json(scalar)?),
     })
+}
+
+/// Decodes the `why_not` of a request: a tuple NIP (an object), or `"?"` for
+/// any tuple. No other NIP can describe a tuple of a query result.
+pub(crate) fn why_not_from_json(json: &Json) -> ServiceResult<Nip> {
+    match json {
+        Json::Object(_) => nip_from_json(json),
+        Json::Str(s) if s == "?" => Ok(Nip::Any),
+        other => Err(expected("a why-not tuple (an object or \"?\")", other)),
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Expressions
 // ---------------------------------------------------------------------------
-
-fn cmp_symbol(op: CmpOp) -> &'static str {
-    match op {
-        CmpOp::Eq => "=",
-        CmpOp::Ne => "!=",
-        CmpOp::Lt => "<",
-        CmpOp::Le => "<=",
-        CmpOp::Gt => ">",
-        CmpOp::Ge => ">=",
-    }
-}
-
-fn cmp_from_symbol(s: &str) -> ServiceResult<CmpOp> {
-    match s {
-        "=" => Ok(CmpOp::Eq),
-        "!=" => Ok(CmpOp::Ne),
-        "<" => Ok(CmpOp::Lt),
-        "<=" => Ok(CmpOp::Le),
-        ">" => Ok(CmpOp::Gt),
-        ">=" => Ok(CmpOp::Ge),
-        other => Err(ServiceError::decode(format!("unknown comparison `{other}`"))),
-    }
-}
-
-fn arith_symbol(op: ArithOp) -> &'static str {
-    match op {
-        ArithOp::Add => "+",
-        ArithOp::Sub => "-",
-        ArithOp::Mul => "*",
-        ArithOp::Div => "/",
-    }
-}
-
-fn arith_from_symbol(s: &str) -> ServiceResult<ArithOp> {
-    match s {
-        "+" => Ok(ArithOp::Add),
-        "-" => Ok(ArithOp::Sub),
-        "*" => Ok(ArithOp::Mul),
-        "/" => Ok(ArithOp::Div),
-        other => Err(ServiceError::decode(format!("unknown arithmetic operator `{other}`"))),
-    }
-}
 
 /// Encodes a scalar expression.
 pub fn expr_to_json(expr: &Expr) -> Json {
@@ -331,7 +453,7 @@ pub fn expr_to_json(expr: &Expr) -> Json {
         Expr::Const(v) => Json::object([("const", value_to_json(v))]),
         Expr::Cmp(l, op, r) => Json::object([(
             "cmp",
-            Json::array([expr_to_json(l), Json::str(cmp_symbol(*op)), expr_to_json(r)]),
+            Json::array([expr_to_json(l), CMP_OPS.encode(*op), expr_to_json(r)]),
         )]),
         Expr::And(l, r) => Json::object([("and", Json::array([expr_to_json(l), expr_to_json(r)]))]),
         Expr::Or(l, r) => Json::object([("or", Json::array([expr_to_json(l), expr_to_json(r)]))]),
@@ -342,61 +464,44 @@ pub fn expr_to_json(expr: &Expr) -> Json {
         Expr::IsNull(e) => Json::object([("is_null", expr_to_json(e))]),
         Expr::Arith(l, op, r) => Json::object([(
             "arith",
-            Json::array([expr_to_json(l), Json::str(arith_symbol(*op)), expr_to_json(r)]),
+            Json::array([expr_to_json(l), ARITH_OPS.encode(*op), expr_to_json(r)]),
         )]),
         Expr::Size(e) => Json::object([("size", expr_to_json(e))]),
     }
 }
 
-fn binary_operands<'a>(json: &'a Json, tag: &str) -> ServiceResult<(&'a Json, &'a Json)> {
-    let items = json
-        .as_array()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| ServiceError::decode(format!("`{tag}` expects [left, right]")))?;
-    Ok((&items[0], &items[1]))
+/// Decodes a scalar expression: a single-key object whose key is the tag.
+pub fn expr_from_json(json: &Json) -> ServiceResult<Expr> {
+    match json.as_object() {
+        Some([(tag, _)]) => field(json, tag, |payload| tagged_expr_from_json(tag, payload)),
+        _ => Err(expected("a single-key expression object", json)),
+    }
 }
 
-/// Decodes a scalar expression.
-pub fn expr_from_json(json: &Json) -> ServiceResult<Expr> {
-    let fields = json.as_object().filter(|f| f.len() == 1).ok_or_else(|| {
-        ServiceError::decode(format!(
-            "expected a single-key expression object, found {}",
-            json.kind()
-        ))
-    })?;
-    let (tag, payload) = &fields[0];
-    Ok(match tag.as_str() {
-        "attr" => Expr::Attr(wire_attr_path(
-            payload.as_str().ok_or_else(|| ServiceError::decode("`attr` expects a path string"))?,
-        )?),
+/// Decodes the payload of an expression tagged `tag`.
+fn tagged_expr_from_json(tag: &str, payload: &Json) -> ServiceResult<Expr> {
+    let operand = |json: &Json, i: usize| expr_from_json(json).map_err(|e| e.at(i));
+    Ok(match tag {
+        "attr" => Expr::Attr(attr_path(payload)?),
         "const" => Expr::Const(value_from_json(payload)?),
-        "cmp" | "arith" => {
-            let items = payload.as_array().filter(|a| a.len() == 3).ok_or_else(|| {
-                ServiceError::decode(format!("`{tag}` expects [left, op, right]"))
-            })?;
-            let op = items[1].as_str().ok_or_else(|| {
-                ServiceError::decode(format!("`{tag}` operator must be a string"))
-            })?;
-            let (l, r) = (expr_from_json(&items[0])?, expr_from_json(&items[2])?);
-            if tag == "cmp" {
-                Expr::cmp(l, cmp_from_symbol(op)?, r)
-            } else {
-                Expr::arith(l, arith_from_symbol(op)?, r)
+        "cmp" => {
+            let [l, op, r] = fixed::<3>(payload, "[left, op, right]")?;
+            Expr::cmp(operand(l, 0)?, CMP_OPS.decode(op).map_err(|e| e.at(1))?, operand(r, 2)?)
+        }
+        "arith" => {
+            let [l, op, r] = fixed::<3>(payload, "[left, op, right]")?;
+            Expr::arith(operand(l, 0)?, ARITH_OPS.decode(op).map_err(|e| e.at(1))?, operand(r, 2)?)
+        }
+        "and" | "or" | "contains" => {
+            let [l, r] = fixed::<2>(payload, "[left, right]")?;
+            let (l, r) = (operand(l, 0)?, operand(r, 1)?);
+            match tag {
+                "and" => Expr::and(l, r),
+                "or" => Expr::or(l, r),
+                _ => Expr::contains(l, r),
             }
         }
-        "and" => {
-            let (l, r) = binary_operands(payload, "and")?;
-            Expr::and(expr_from_json(l)?, expr_from_json(r)?)
-        }
-        "or" => {
-            let (l, r) = binary_operands(payload, "or")?;
-            Expr::or(expr_from_json(l)?, expr_from_json(r)?)
-        }
         "not" => Expr::not(expr_from_json(payload)?),
-        "contains" => {
-            let (h, n) = binary_operands(payload, "contains")?;
-            Expr::contains(expr_from_json(h)?, expr_from_json(n)?)
-        }
         "is_null" => Expr::is_null(expr_from_json(payload)?),
         "size" => Expr::size(expr_from_json(payload)?),
         other => return Err(ServiceError::decode(format!("unknown expression tag `{other}`"))),
@@ -407,48 +512,6 @@ pub fn expr_from_json(json: &Json) -> ServiceResult<Expr> {
 // Operators and plans
 // ---------------------------------------------------------------------------
 
-fn join_kind_name(kind: JoinKind) -> &'static str {
-    match kind {
-        JoinKind::Inner => "inner",
-        JoinKind::Left => "left",
-        JoinKind::Right => "right",
-        JoinKind::Full => "full",
-    }
-}
-
-fn join_kind_from_name(s: &str) -> ServiceResult<JoinKind> {
-    match s {
-        "inner" => Ok(JoinKind::Inner),
-        "left" => Ok(JoinKind::Left),
-        "right" => Ok(JoinKind::Right),
-        "full" => Ok(JoinKind::Full),
-        other => Err(ServiceError::decode(format!("unknown join kind `{other}`"))),
-    }
-}
-
-fn agg_func_name(func: AggFunc) -> &'static str {
-    match func {
-        AggFunc::Count => "count",
-        AggFunc::CountDistinct => "count_distinct",
-        AggFunc::Sum => "sum",
-        AggFunc::Avg => "avg",
-        AggFunc::Min => "min",
-        AggFunc::Max => "max",
-    }
-}
-
-fn agg_func_from_name(s: &str) -> ServiceResult<AggFunc> {
-    match s {
-        "count" => Ok(AggFunc::Count),
-        "count_distinct" => Ok(AggFunc::CountDistinct),
-        "sum" => Ok(AggFunc::Sum),
-        "avg" => Ok(AggFunc::Avg),
-        "min" => Ok(AggFunc::Min),
-        "max" => Ok(AggFunc::Max),
-        other => Err(ServiceError::decode(format!("unknown aggregation function `{other}`"))),
-    }
-}
-
 fn opt_str_to_json(s: &Option<String>) -> Json {
     match s {
         Some(s) => Json::str(s.clone()),
@@ -456,35 +519,8 @@ fn opt_str_to_json(s: &Option<String>) -> Json {
     }
 }
 
-fn opt_str_from_json(json: &Json, what: &str) -> ServiceResult<Option<String>> {
-    match json {
-        Json::Null => Ok(None),
-        // Aliases and field selectors are attribute names: bounded interning.
-        Json::Str(s) => Ok(Some(wire_name(s)?.to_string())),
-        other => Err(ServiceError::decode(format!(
-            "{what} must be a string or null, found {}",
-            other.kind()
-        ))),
-    }
-}
-
 fn str_list_to_json(items: &[String]) -> Json {
     Json::Array(items.iter().map(|s| Json::str(s.clone())).collect())
-}
-
-fn str_list_from_json(json: &Json, what: &str) -> ServiceResult<Vec<String>> {
-    let items = json
-        .as_array()
-        .ok_or_else(|| ServiceError::decode(format!("{what} must be an array of strings")))?;
-    items
-        .iter()
-        .map(|item| {
-            // These lists carry attribute names: bounded interning.
-            item.as_str()
-                .ok_or_else(|| ServiceError::decode(format!("{what} must be an array of strings")))
-                .and_then(|s| Ok(wire_name(s)?.to_string()))
-        })
-        .collect()
 }
 
 /// Encodes an operator.
@@ -532,7 +568,7 @@ pub fn operator_to_json(op: &Operator) -> Json {
         }
         Operator::Join { kind, predicate } => Json::object([
             ("op", Json::str("join")),
-            ("kind", Json::str(join_kind_name(*kind))),
+            ("kind", JOIN_KINDS.encode(*kind)),
             ("predicate", expr_to_json(predicate)),
         ]),
         Operator::CrossProduct => Json::object([("op", Json::str("cross"))]),
@@ -543,13 +579,7 @@ pub fn operator_to_json(op: &Operator) -> Json {
         ]),
         Operator::Flatten { kind, attr, alias } => Json::object([
             ("op", Json::str("flatten")),
-            (
-                "kind",
-                Json::str(match kind {
-                    FlattenKind::Inner => "inner",
-                    FlattenKind::Outer => "outer",
-                }),
-            ),
+            ("kind", FLATTEN_KINDS.encode(*kind)),
             ("attr", Json::str(attr.clone())),
             ("alias", opt_str_to_json(alias)),
         ]),
@@ -565,7 +595,7 @@ pub fn operator_to_json(op: &Operator) -> Json {
         ]),
         Operator::NestAggregation { func, attr, field, output } => Json::object([
             ("op", Json::str("nest_agg")),
-            ("func", Json::str(agg_func_name(*func))),
+            ("func", AGG_FUNCS.encode(*func)),
             ("attr", Json::str(attr.clone())),
             ("field", opt_str_to_json(field)),
             ("output", Json::str(output.clone())),
@@ -579,7 +609,7 @@ pub fn operator_to_json(op: &Operator) -> Json {
                     aggs.iter()
                         .map(|a| {
                             Json::object([
-                                ("func", Json::str(agg_func_name(a.func))),
+                                ("func", AGG_FUNCS.encode(a.func)),
                                 ("input", expr_to_json(&a.input)),
                                 ("output", Json::str(a.output.clone())),
                             ])
@@ -594,131 +624,72 @@ pub fn operator_to_json(op: &Operator) -> Json {
     }
 }
 
-fn required_str<'a>(json: &'a Json, key: &str) -> ServiceResult<&'a str> {
-    json.get_required(key)
-        .map_err(|e| ServiceError::decode(e.to_string()))?
-        .as_str()
-        .ok_or_else(|| ServiceError::decode(format!("`{key}` must be a string")))
-}
-
 /// Decodes an operator.
 pub fn operator_from_json(json: &Json) -> ServiceResult<Operator> {
-    let tag = required_str(json, "op")?;
-    Ok(match tag {
-        "table" => Operator::TableAccess { table: required_str(json, "table")?.to_string() },
-        "project" => {
-            let columns = json
-                .get_required("columns")
-                .map_err(|e| ServiceError::decode(e.to_string()))?
-                .as_array()
-                .ok_or_else(|| ServiceError::decode("`columns` must be an array"))?
-                .iter()
-                .map(|c| {
+    Ok(match field(json, "op", string)? {
+        "table" => Operator::TableAccess { table: field(json, "table", string)?.to_string() },
+        "project" => Operator::Projection {
+            columns: field(json, "columns", |columns| {
+                list(columns, |c| {
                     Ok(ProjColumn {
-                        name: wire_name(required_str(c, "name")?)?.to_string(),
-                        expr: expr_from_json(
-                            c.get_required("expr")
-                                .map_err(|e| ServiceError::decode(e.to_string()))?,
-                        )?,
+                        name: field(c, "name", name)?,
+                        expr: field(c, "expr", expr_from_json)?,
                     })
                 })
-                .collect::<ServiceResult<Vec<_>>>()?;
-            Operator::Projection { columns }
-        }
-        "rename" => {
-            let pairs = json
-                .get_required("pairs")
-                .map_err(|e| ServiceError::decode(e.to_string()))?
-                .as_array()
-                .ok_or_else(|| ServiceError::decode("`pairs` must be an array"))?
-                .iter()
-                .map(|p| {
-                    Ok(RenamePair::new(
-                        wire_name(required_str(p, "from")?)?,
-                        wire_name(required_str(p, "to")?)?,
-                    ))
-                })
-                .collect::<ServiceResult<Vec<_>>>()?;
-            Operator::Rename { pairs }
-        }
-        "select" => Operator::Selection {
-            predicate: expr_from_json(
-                json.get_required("predicate").map_err(|e| ServiceError::decode(e.to_string()))?,
-            )?,
+            })?,
         },
+        "rename" => Operator::Rename {
+            pairs: field(json, "pairs", |pairs| {
+                list(pairs, |p| Ok(RenamePair::new(field(p, "from", name)?, field(p, "to", name)?)))
+            })?,
+        },
+        "select" => Operator::Selection { predicate: field(json, "predicate", expr_from_json)? },
         "join" => Operator::Join {
-            kind: join_kind_from_name(required_str(json, "kind")?)?,
-            predicate: expr_from_json(
-                json.get_required("predicate").map_err(|e| ServiceError::decode(e.to_string()))?,
-            )?,
+            kind: field(json, "kind", |kind| JOIN_KINDS.decode(kind))?,
+            predicate: field(json, "predicate", expr_from_json)?,
         },
         "cross" => Operator::CrossProduct,
         "tuple_flatten" => Operator::TupleFlatten {
-            source: wire_attr_path(required_str(json, "source")?)?,
-            alias: opt_str_from_json(json.get("alias").unwrap_or(&Json::Null), "`alias`")?,
+            source: field(json, "source", attr_path)?,
+            alias: optional(json, "alias", name)?,
         },
         "flatten" => Operator::Flatten {
-            kind: match required_str(json, "kind")? {
-                "inner" => FlattenKind::Inner,
-                "outer" => FlattenKind::Outer,
-                other => {
-                    return Err(ServiceError::decode(format!("unknown flatten kind `{other}`")))
-                }
-            },
-            attr: wire_name(required_str(json, "attr")?)?.to_string(),
-            alias: opt_str_from_json(json.get("alias").unwrap_or(&Json::Null), "`alias`")?,
+            kind: field(json, "kind", |kind| FLATTEN_KINDS.decode(kind))?,
+            attr: field(json, "attr", name)?,
+            alias: optional(json, "alias", name)?,
         },
         "tuple_nest" => Operator::TupleNest {
-            attrs: str_list_from_json(
-                json.get_required("attrs").map_err(|e| ServiceError::decode(e.to_string()))?,
-                "`attrs`",
-            )?,
-            into: wire_name(required_str(json, "into")?)?.to_string(),
+            attrs: field(json, "attrs", names)?,
+            into: field(json, "into", name)?,
         },
         "relation_nest" => Operator::RelationNest {
-            attrs: str_list_from_json(
-                json.get_required("attrs").map_err(|e| ServiceError::decode(e.to_string()))?,
-                "`attrs`",
-            )?,
-            into: wire_name(required_str(json, "into")?)?.to_string(),
+            attrs: field(json, "attrs", names)?,
+            into: field(json, "into", name)?,
         },
         "nest_agg" => Operator::NestAggregation {
-            func: agg_func_from_name(required_str(json, "func")?)?,
-            attr: wire_name(required_str(json, "attr")?)?.to_string(),
-            field: opt_str_from_json(json.get("field").unwrap_or(&Json::Null), "`field`")?,
-            output: wire_name(required_str(json, "output")?)?.to_string(),
+            func: field(json, "func", |func| AGG_FUNCS.decode(func))?,
+            attr: field(json, "attr", name)?,
+            field: optional(json, "field", name)?,
+            output: field(json, "output", name)?,
         },
-        "group_agg" => {
-            let aggs = json
-                .get_required("aggs")
-                .map_err(|e| ServiceError::decode(e.to_string()))?
-                .as_array()
-                .ok_or_else(|| ServiceError::decode("`aggs` must be an array"))?
-                .iter()
-                .map(|a| {
+        "group_agg" => Operator::GroupAggregation {
+            group_by: field(json, "group_by", names)?,
+            aggs: field(json, "aggs", |aggs| {
+                list(aggs, |a| {
                     Ok(AggSpec::new(
-                        agg_func_from_name(required_str(a, "func")?)?,
-                        expr_from_json(
-                            a.get_required("input")
-                                .map_err(|e| ServiceError::decode(e.to_string()))?,
-                        )?,
-                        wire_name(required_str(a, "output")?)?,
+                        field(a, "func", |func| AGG_FUNCS.decode(func))?,
+                        field(a, "input", expr_from_json)?,
+                        field(a, "output", name)?,
                     ))
                 })
-                .collect::<ServiceResult<Vec<_>>>()?;
-            Operator::GroupAggregation {
-                group_by: str_list_from_json(
-                    json.get_required("group_by")
-                        .map_err(|e| ServiceError::decode(e.to_string()))?,
-                    "`group_by`",
-                )?,
-                aggs,
-            }
-        }
+            })?,
+        },
         "union" => Operator::Union,
         "difference" => Operator::Difference,
         "dedup" => Operator::Dedup,
-        other => return Err(ServiceError::decode(format!("unknown operator tag `{other}`"))),
+        other => {
+            return Err(ServiceError::decode(format!("unknown operator tag `{other}`")).at("op"))
+        }
     })
 }
 
@@ -731,27 +702,12 @@ fn node_to_json(node: &OpNode) -> Json {
 }
 
 fn node_from_json(json: &Json) -> ServiceResult<OpNode> {
-    let id = json
-        .get_required("id")
-        .map_err(|e| ServiceError::decode(e.to_string()))?
-        .as_i64()
-        .and_then(|i| u32::try_from(i).ok())
-        .ok_or_else(|| ServiceError::decode("`id` must be a non-negative integer"))?;
-    let op = operator_from_json(
-        json.get_required("op").map_err(|e| ServiceError::decode(e.to_string()))?,
-    )
-    .map_err(|e| e.at("op"))?;
-    let inputs = match json.get("inputs") {
-        None | Some(Json::Null) => Vec::new(),
-        Some(inputs) => inputs
-            .as_array()
-            .ok_or_else(|| ServiceError::decode("`inputs` must be an array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, input)| node_from_json(input).map_err(|e| e.at(i).at("inputs")))
-            .collect::<ServiceResult<Vec<_>>>()?,
-    };
-    Ok(OpNode::new(id, op, inputs))
+    let id = field(json, "id", |id| {
+        u32::try_from(non_negative(id)?).map_err(|_| expected("a 32-bit operator id", id))
+    })?;
+    let op = field(json, "op", operator_from_json)?;
+    let inputs = optional(json, "inputs", |inputs| list(inputs, node_from_json))?;
+    Ok(OpNode::new(id, op, inputs.unwrap_or_default()))
 }
 
 /// Encodes a query plan (as its root operator node).
@@ -792,41 +748,26 @@ pub fn database_to_json(db: &Database) -> Json {
 
 /// Decodes a database, validating every row against its relation schema.
 pub fn database_from_json(json: &Json) -> ServiceResult<Database> {
-    let relations = json
-        .get_required("relations")
-        .map_err(|e| ServiceError::decode(e.to_string()))?
-        .as_object()
-        .ok_or_else(|| ServiceError::decode("`relations` must be an object"))?;
     let mut db = Database::new();
-    for (name, relation) in relations {
-        let located = |e: ServiceError| e.at(name).at("relations");
-        let schema = tuple_type_from_json(
-            relation.get_required("schema").map_err(|e| ServiceError::decode(e.to_string()))?,
-        )
-        .map_err(|e| located(e.at("schema")))?;
-        let rows = relation
-            .get_required("rows")
-            .map_err(|e| ServiceError::decode(e.to_string()))
-            .map_err(located)?
-            .as_array()
-            .ok_or_else(|| located(ServiceError::decode("`rows` must be an array")))?;
-        let mut values = Vec::with_capacity(rows.len());
-        let expected = NestedType::Tuple(schema.clone());
-        for (i, row) in rows.iter().enumerate() {
-            let value = value_from_json(row).map_err(|e| located(e.at(i).at("rows")))?;
-            if !value.conforms_to(&expected) {
-                return Err(located(
-                    ServiceError::decode(format!(
-                        "row does not conform to relation schema {schema}"
-                    ))
-                    .at(i)
-                    .at("rows"),
-                ));
-            }
-            values.push(value);
-        }
-        db.add_relation(name.clone(), schema, Bag::from_values(values));
-    }
+    field(json, "relations", |relations| {
+        members(object(relations)?, |name, relation| {
+            let schema = field(relation, "schema", tuple_type_from_json)?;
+            let row_type = NestedType::Tuple(schema.clone());
+            let rows = field(relation, "rows", |rows| {
+                list(rows, |row| {
+                    let value = value_from_json(row)?;
+                    if !value.conforms_to(&row_type) {
+                        return Err(ServiceError::decode(format!(
+                            "row does not conform to relation schema {schema}"
+                        )));
+                    }
+                    Ok(value)
+                })
+            })?;
+            db.add_relation(name, schema, Bag::from_values(rows));
+            Ok(())
+        })
+    })?;
     Ok(db)
 }
 
@@ -846,9 +787,9 @@ pub fn alternative_to_json(alt: &AttributeAlternative) -> Json {
 /// Decodes an attribute alternative.
 pub fn alternative_from_json(json: &Json) -> ServiceResult<AttributeAlternative> {
     Ok(AttributeAlternative::new(
-        required_str(json, "relation")?,
-        wire_attr_path(required_str(json, "from")?)?,
-        wire_attr_path(required_str(json, "to")?)?,
+        field(json, "relation", string)?,
+        field(json, "from", attr_path)?,
+        field(json, "to", attr_path)?,
     ))
 }
 
@@ -912,6 +853,36 @@ mod tests {
         let json = nip_to_json(&nip).unwrap();
         let text = json.to_pretty();
         assert_eq!(nip_from_json(&Json::parse(&text).unwrap()).unwrap(), nip);
+    }
+
+    #[test]
+    fn every_variant_has_one_wire_name() {
+        fn one_name_each<T: Copy + PartialEq + std::fmt::Debug>(table: &WireNames<T>, all: &[T]) {
+            assert_eq!(table.names.len(), all.len(), "{}", table.what);
+            for &variant in all {
+                let decoded = table.decode(&table.encode(variant)).unwrap();
+                assert_eq!(decoded, variant, "{}", table.what);
+            }
+        }
+        one_name_each(&AGG_FUNCS, &AggFunc::ALL);
+        one_name_each(&CMP_OPS, &CmpOp::ALL);
+        one_name_each(&JOIN_KINDS, &JoinKind::ALL);
+        one_name_each(&ARITH_OPS, &[ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div]);
+        one_name_each(&FLATTEN_KINDS, &[FlattenKind::Inner, FlattenKind::Outer]);
+        one_name_each(&ENGINES, &[true, false]);
+        let nip_cmps = [NipCmp::Lt, NipCmp::Le, NipCmp::Gt, NipCmp::Ge, NipCmp::Ne];
+        one_name_each(&NIP_CMPS, &nip_cmps);
+        let primitives =
+            [PrimitiveType::Int, PrimitiveType::Str, PrimitiveType::Bool, PrimitiveType::Float];
+        one_name_each(&PRIMITIVE_TYPES, &primitives);
+    }
+
+    #[test]
+    fn a_cmp_nip_without_bound_is_a_decode_error_at_bound() {
+        let json = Json::parse(r#"{"city": {"$cmp": ">="}}"#).unwrap();
+        let error = nip_from_json(&json).unwrap_err();
+        let ServiceError::Decode(decode) = &error else { panic!("a decode error: {error}") };
+        assert_eq!(decode.pointer(), "city/bound");
     }
 
     #[test]

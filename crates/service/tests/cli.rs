@@ -82,10 +82,13 @@ fn batch_entries_are_the_service_answers_and_wire_errors() {
     let direct = service.explain(&request).unwrap().to_json();
     assert_eq!(without_duration(&responses[0]), without_duration(&direct));
 
-    // The non-object question: a structured decode error, as on the wire.
+    // The non-object question: a structured decode error, as on the wire,
+    // that says a request must be an object and points at the entry.
     let error = responses[1].get("error").unwrap_or_else(|| panic!("{}", responses[1]));
     assert_eq!(error.get("kind").and_then(Json::as_str), Some("decode"), "{error}");
-    assert!(error.get("message").and_then(Json::as_str).is_some(), "{error}");
+    let message = error.get("message").and_then(Json::as_str).unwrap_or_default();
+    assert!(message.contains("expected an object, found 42"), "{error}");
+    assert_eq!(error.get("path").and_then(Json::as_str), Some("requests/1"), "{error}");
 
     let cache = document.get("trace_cache").unwrap();
     assert_eq!(cache.get("misses").and_then(Json::as_i64), Some(1), "{cache}");
