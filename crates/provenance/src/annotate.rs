@@ -44,10 +44,14 @@ impl SaFlags {
 }
 
 /// One traced tuple's data under one schema alternative.
+///
+/// The data is a shared handle: where schema alternatives agree, their
+/// variants hold the same allocation, so cloning a variant costs a few
+/// reference-count increments and never allocates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Variant {
     /// The tuple's data.
-    pub tuple: Tuple,
+    pub tuple: Arc<Tuple>,
     /// Would the operator keep/produce this tuple under its *original*
     /// parameters (modulo the attribute changes of the alternative)?
     pub retained: bool,
@@ -55,7 +59,68 @@ pub struct Variant {
     /// (lineage can differ between alternatives, e.g. the members of a
     /// nested group). Each names a child's tuple that exists under the same
     /// alternative; table accesses have none.
-    pub inputs: Vec<u64>,
+    pub inputs: Lineage,
+}
+
+/// The identifiers of the traced input tuples a variant was derived from.
+/// Up to two ids — the lineage of a table access, a 1:1 operator, a flatten
+/// or a join — are stored inline; longer ones (a group's members) are
+/// shared, so cloning a lineage never allocates.
+#[derive(Clone)]
+pub struct Lineage(Ids);
+
+#[derive(Clone)]
+enum Ids {
+    Inline(u8, [u64; 2]),
+    Shared(Arc<[u64]>),
+}
+
+impl Lineage {
+    /// No input tuples (a table access).
+    pub fn none() -> Self {
+        Lineage(Ids::Inline(0, [0; 2]))
+    }
+
+    /// One input tuple.
+    pub fn one(id: u64) -> Self {
+        Lineage(Ids::Inline(1, [id, 0]))
+    }
+
+    /// Two input tuples (a join pair).
+    pub fn two(left: u64, right: u64) -> Self {
+        Lineage(Ids::Inline(2, [left, right]))
+    }
+
+    /// The ids, in derivation order.
+    pub fn as_slice(&self) -> &[u64] {
+        match &self.0 {
+            Ids::Inline(len, ids) => &ids[..usize::from(*len)],
+            Ids::Shared(ids) => ids,
+        }
+    }
+}
+
+impl From<Vec<u64>> for Lineage {
+    fn from(ids: Vec<u64>) -> Self {
+        match ids[..] {
+            [] => Lineage::none(),
+            [id] => Lineage::one(id),
+            [left, right] => Lineage::two(left, right),
+            _ => Lineage(Ids::Shared(ids.into())),
+        }
+    }
+}
+
+impl PartialEq for Lineage {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for Lineage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
 }
 
 /// One tuple of an operator's traced (generalized) output.
@@ -71,7 +136,7 @@ pub struct TracedTuple {
     /// aggregate computed from the *retained* members only, which the
     /// consistency check consults as a fallback (Section 5.5). Empty for all
     /// other operators.
-    pub fallback_variants: Vec<Option<Tuple>>,
+    pub fallback_variants: Vec<Option<Arc<Tuple>>>,
 }
 
 impl TracedTuple {
@@ -82,7 +147,7 @@ impl TracedTuple {
 
     /// The tuple's data under alternative `sa`, if it exists there.
     pub fn variant(&self, sa: usize) -> Option<&Tuple> {
-        self.get(sa).map(|v| &v.tuple)
+        self.get(sa).map(|v| &*v.tuple)
     }
 
     /// The lineage (input tuple ids) under alternative `sa`; empty where the
@@ -93,6 +158,11 @@ impl TracedTuple {
 
     /// The fallback data variant under alternative `sa`, if any.
     pub fn fallback_variant(&self, sa: usize) -> Option<&Tuple> {
+        self.fallback(sa).map(|f| &**f)
+    }
+
+    /// The shared handle of the fallback variant under alternative `sa`.
+    pub(crate) fn fallback(&self, sa: usize) -> Option<&Arc<Tuple>> {
         self.fallback_variants.get(sa).and_then(Option::as_ref)
     }
 }
@@ -416,7 +486,8 @@ mod tests {
         let tuples = rows
             .into_iter()
             .map(|(id, f, inputs)| {
-                let tuple = Tuple::new([("x", Value::int(id as i64))]);
+                let tuple = Arc::new(Tuple::new([("x", Value::int(id as i64))]));
+                let inputs = Lineage::from(inputs);
                 let variant = f.valid.then_some(Variant { tuple, retained: f.retained, inputs });
                 TracedTuple { id, variants: vec![variant], fallback_variants: Vec::new() }
             })
@@ -495,6 +566,19 @@ mod tests {
         assert_eq!(result.tainted_root_ids(0, None), BTreeSet::from([5]));
         assert_eq!(result.tainted_root_ids(0, Some(&BTreeSet::from([0, 2]))), BTreeSet::new());
         assert_eq!(result.fully_retained_root_ids(0), &BTreeSet::from([6]));
+    }
+
+    #[test]
+    fn lineage_keeps_its_ids_in_order_inline_or_shared() {
+        for ids in [vec![], vec![4], vec![4, 2], vec![4, 2, 9]] {
+            let lineage = Lineage::from(ids.clone());
+            assert_eq!(lineage.as_slice(), ids);
+            assert_eq!(format!("{lineage:?}"), format!("{ids:?}"));
+        }
+        assert_eq!(Lineage::none(), Lineage::from(vec![]));
+        assert_eq!(Lineage::one(4), Lineage::from(vec![4]));
+        assert_eq!(Lineage::two(4, 2), Lineage::from(vec![4, 2]));
+        assert_ne!(Lineage::two(4, 2), Lineage::two(2, 4));
     }
 
     #[test]

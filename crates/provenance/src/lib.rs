@@ -32,8 +32,8 @@ pub mod trace;
 
 pub use alternative::{OpSubstitution, SchemaAlternative};
 pub use annotate::{
-    AnnotatedOp, AnnotatedTuple, FlagRow, FlagRows, GeneralizedTrace, OpFlags, OpTrace, SaFlags,
-    TraceResult, TracedTuple, Variant,
+    AnnotatedOp, AnnotatedTuple, FlagRow, FlagRows, GeneralizedTrace, Lineage, OpFlags, OpTrace,
+    SaFlags, TraceResult, TracedTuple, Variant,
 };
 pub use trace::{annotate_consistency, trace_plan, trace_plan_generalized};
 

@@ -22,6 +22,22 @@
 //! trace thus covers every alternative, which is what makes additional
 //! alternatives cheaper than additional query executions (Figure 11).
 //!
+//! Each distinct variant is computed once. A variant's data is a shared
+//! handle (`Arc<Tuple>`): a table access hands out the base relation's own
+//! tuple, and σ, ∪ and − pass their input's handle through. At each
+//! operator, the alternatives whose effective operators are equal form a
+//! class, compiled once. Within a class, an alternative whose inputs are the
+//! same allocations as a lower alternative's (`Arc::ptr_eq`) copies that
+//! alternative's output instead of computing it — per input tuple for the
+//! 1:1 operators and flatten, per whole input column for join, nest and
+//! grouped aggregation (whose fallback also reads the members' `retained`
+//! flags, so those must agree too). Difference classes are the
+//! alternatives whose right inputs are the same allocations. A copy costs a
+//! few reference-count increments; sharing propagates upward, since a copy
+//! is itself the same allocation. [`annotate_consistency`] applies the same
+//! rule to the question's consistency checks: alternatives with equal checks
+//! share the `consistent` flag of a shared variant.
+//!
 //! A trace runs on the calling thread: fresh tuple ids are assigned in input
 //! order, and in key order within a merge, so the trace is a pure function of
 //! the plan, the database and the schema alternatives.
@@ -40,7 +56,8 @@ use nrab_algebra::{
 
 use crate::alternative::SchemaAlternative;
 use crate::annotate::{
-    FlagRows, GeneralizedTrace, OpFlags, OpTrace, SaFlags, TraceResult, TracedTuple, Variant,
+    FlagRows, GeneralizedTrace, Lineage, OpFlags, OpTrace, SaFlags, TraceResult, TracedTuple,
+    Variant,
 };
 
 /// Traces a plan over a database under the given schema alternatives.
@@ -79,7 +96,7 @@ pub fn trace_plan_generalized(
         return Err(AlgebraError::Eval("at least one schema alternative is required".into()));
     }
     let _span = whynot_obs::span("trace_plan");
-    let mut tracer = Tracer { db, sas, next_id: 1, traces: BTreeMap::new() };
+    let mut tracer = Tracer::new(db, sas);
     tracer.trace_node(&plan.root)?;
     if whynot_obs::enabled() {
         whynot_obs::add(
@@ -128,6 +145,7 @@ pub fn annotate_consistency(
 
 /// One schema alternative's consistency NIP at one operator, resolved once
 /// for all of the operator's tuples.
+#[derive(PartialEq)]
 struct ConsistencyCheck<'a> {
     /// `None`: no pushed-down NIP, so every valid tuple is consistent.
     nip: Option<ResolvedNip<'a>>,
@@ -137,14 +155,27 @@ struct ConsistencyCheck<'a> {
 }
 
 impl ConsistencyCheck<'_> {
-    fn consistent(&self, tuple: &TracedTuple, sa: usize, variant: &Tuple) -> bool {
+    fn consistent(&self, tuple: &TracedTuple, sa: usize, variant: &Arc<Tuple>) -> bool {
         let Some(nip) = &self.nip else { return true };
         nip.matches(variant)
-            || (self.fallback && tuple.fallback_variant(sa).is_some_and(|f| nip.matches(f)))
+            || (self.fallback && tuple.fallback(sa).is_some_and(|f| nip.matches(f)))
+    }
+
+    /// Whether this check reads the same data of `tuple` under alternatives
+    /// `i` and `j`, and so gives the same answer: the same variant
+    /// allocation and, where the check reads it, the same fallback.
+    fn same_answer(&self, tuple: &TracedTuple, i: usize, j: usize) -> bool {
+        let same = |a: Option<&Arc<Tuple>>, b: Option<&Arc<Tuple>>| match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        same(tuple.get(i).map(|v| &v.tuple), tuple.get(j).map(|v| &v.tuple))
+            && (!self.fallback || same(tuple.fallback(i), tuple.fallback(j)))
     }
 }
 
 /// A consistency NIP prepared for matching many tuples.
+#[derive(PartialEq)]
 enum ResolvedNip<'a> {
     /// A tuple NIP's fields, constrained ones before `?`: most tuples
     /// violate the NIP, and a violated field rejects them before the `?`
@@ -155,12 +186,12 @@ enum ResolvedNip<'a> {
 }
 
 impl ResolvedNip<'_> {
-    fn matches(&self, tuple: &Tuple) -> bool {
+    fn matches(&self, tuple: &Arc<Tuple>) -> bool {
         match self {
             ResolvedNip::Fields(fields) => {
                 fields.iter().all(|(name, nip)| tuple.get(*name).is_some_and(|v| nip.matches(v)))
             }
-            ResolvedNip::Whole(nip) => nip.matches(&Value::from_tuple(tuple.clone())),
+            ResolvedNip::Whole(nip) => nip.matches(&Value::Tuple(Arc::clone(tuple))),
         }
     }
 }
@@ -207,7 +238,9 @@ fn consistency_check<'a>(
 
 /// Computes one operator's flags for a question: `valid` and `retained` read
 /// off each variant, and `consistent` validated against each schema
-/// alternative's consistency NIP.
+/// alternative's consistency NIP. Alternatives with equal checks form a
+/// class; where a tuple's variant is the same allocation as under a lower
+/// alternative of the class, `consistent` is copied from there.
 fn annotate_op_consistency(
     base: &OpTrace,
     op: OpId,
@@ -217,15 +250,21 @@ fn annotate_op_consistency(
     let node = plan.node(op).ok();
     let checks: Vec<ConsistencyCheck<'_>> =
         sas.iter().map(|sa| consistency_check(sa, node, op)).collect();
-    let mut flags = Vec::with_capacity(base.tuples.len() * sas.len());
+    let classes = Classes::new(checks.len(), |i, j| checks[i] == checks[j], |_| ());
+    let n = sas.len();
+    let mut flags: Vec<SaFlags> = Vec::with_capacity(base.tuples.len() * n);
     for tuple in &base.tuples {
+        let row = flags.len();
         for (sa, check) in checks.iter().enumerate() {
             flags.push(match tuple.get(sa) {
-                Some(variant) => SaFlags {
-                    valid: true,
-                    consistent: check.consistent(tuple, sa, &variant.tuple),
-                    retained: variant.retained,
-                },
+                Some(variant) => {
+                    let consistent =
+                        match classes.donor(sa, |low| check.same_answer(tuple, low, sa)) {
+                            Some(donor) => flags[row + donor].consistent,
+                            None => check.consistent(tuple, sa, &variant.tuple),
+                        };
+                    SaFlags { valid: true, consistent, retained: variant.retained }
+                }
                 None => SaFlags::absent(),
             });
         }
@@ -234,22 +273,105 @@ fn annotate_op_consistency(
         let compatible = flags.iter().filter(|f| f.valid && f.consistent).count();
         whynot_obs::add("trace.compatible", compatible as u64);
     }
-    FlagRows::new(sas.len(), flags)
+    FlagRows::new(n, flags)
 }
 
 /// One operator's output row under one schema alternative, before the merge:
 /// its merge key, the alternative, the variant, and a fallback variant
 /// (grouped aggregation only).
-type Row<K> = (K, usize, Variant, Option<Tuple>);
+type Row<K> = (K, usize, Variant, Option<Arc<Tuple>>);
+
+/// The schema alternatives partitioned into classes that evaluate an
+/// operator the same way, with the operator compiled once per class.
+struct Classes<T> {
+    /// Per alternative, the index of its class.
+    of: Vec<usize>,
+    /// Per class, the compiled operator.
+    compiled: Vec<T>,
+}
+
+impl<T> Classes<T> {
+    /// Classes of the alternatives whose effective operators at `node` are
+    /// equal.
+    fn of_operator(
+        sas: &[SchemaAlternative],
+        node: &OpNode,
+        mut compile: impl FnMut(&Operator) -> T,
+    ) -> Self {
+        let operators: Vec<Operator> = sas.iter().map(|sa| sa.effective_operator(node)).collect();
+        Classes::new(
+            operators.len(),
+            |i, j| operators[i] == operators[j],
+            |sa| compile(&operators[sa]),
+        )
+    }
+
+    /// Classes of `n` alternatives under the equivalence `same`; each class
+    /// is compiled from its lowest member.
+    fn new(
+        n: usize,
+        same: impl Fn(usize, usize) -> bool,
+        mut compile: impl FnMut(usize) -> T,
+    ) -> Self {
+        let mut lowest: Vec<usize> = Vec::new();
+        let mut compiled = Vec::new();
+        let of = (0..n)
+            .map(|sa| {
+                lowest.iter().position(|&low| same(low, sa)).unwrap_or_else(|| {
+                    compiled.push(compile(sa));
+                    lowest.push(sa);
+                    lowest.len() - 1
+                })
+            })
+            .collect();
+        Classes { of, compiled }
+    }
+
+    /// The compiled operator of alternative `sa`'s class.
+    fn get(&self, sa: usize) -> &T {
+        &self.compiled[self.of[sa]]
+    }
+
+    /// The lowest alternative below `sa` in `sa`'s class whose inputs are
+    /// `sa`'s (`same_inputs`): `sa`'s output is a copy of its output.
+    fn donor(&self, sa: usize, mut same_inputs: impl FnMut(usize) -> bool) -> Option<usize> {
+        (0..sa).find(|&low| self.of[low] == self.of[sa] && same_inputs(low))
+    }
+}
+
+/// Whether `tuple` holds the same allocation under alternatives `i` and `j`,
+/// or is absent under both; with `retained`, whether its `retained` flags
+/// agree too.
+fn same_input(tuple: &TracedTuple, i: usize, j: usize, retained: bool) -> bool {
+    match (tuple.get(i), tuple.get(j)) {
+        (Some(a), Some(b)) => {
+            Arc::ptr_eq(&a.tuple, &b.tuple) && (!retained || a.retained == b.retained)
+        }
+        (None, None) => true,
+        _ => false,
+    }
+}
+
+/// [`same_input`] for every tuple of `trace`.
+fn same_column(trace: &OpTrace, i: usize, j: usize, retained: bool) -> bool {
+    trace.tuples.iter().all(|tuple| same_input(tuple, i, j, retained))
+}
 
 struct Tracer<'a> {
     db: &'a Database,
     sas: &'a [SchemaAlternative],
     next_id: u64,
     traces: BTreeMap<OpId, OpTrace>,
+    /// Variants the current operator copied from a lower alternative
+    /// instead of computing them.
+    shared: u64,
 }
 
 impl<'a> Tracer<'a> {
+    fn new(db: &'a Database, sas: &'a [SchemaAlternative]) -> Self {
+        Tracer { db, sas, next_id: 1, traces: BTreeMap::new(), shared: 0 }
+    }
+
     fn fresh_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -289,10 +411,13 @@ impl<'a> Tracer<'a> {
             }
             Operator::RelationNest { .. } => self.trace_relation_nest(node, &children[0]),
             Operator::GroupAggregation { .. } => self.trace_group_aggregation(node, &children[0]),
-            Operator::Union => self
-                .one_to_one(children[0].tuples.iter().chain(&children[1].tuples), |_, input| {
-                    Some((input.tuple.clone(), true))
-                })?,
+            Operator::Union => {
+                let classes = Classes::new(self.n_sas(), |_, _| true, |_| ());
+                let inputs = children[0].tuples.iter().chain(&children[1].tuples);
+                self.one_to_one(inputs, &classes, |(), input| {
+                    Some((Arc::clone(&input.tuple), true))
+                })?
+            }
             Operator::Difference => self.trace_difference(&children[0], &children[1])?,
             // Projection, renaming, tuple flatten, tuple nesting, per-tuple
             // aggregation, and dedup are structural 1:1 operators.
@@ -307,20 +432,23 @@ impl<'a> Tracer<'a> {
         // post-order recursion, so consumption order is deterministic.
         whynot_guard::consume_trace_tuples(trace.tuples.len() as u64)
             .map_err(AlgebraError::from)?;
-        record_trace_counters(&trace);
+        record_trace_counters(&trace, std::mem::take(&mut self.shared));
         self.traces.insert(node.id, trace);
         Ok(())
     }
 
     /// A 1:1 operator's output: one traced tuple per input tuple, whose
-    /// variant under each schema alternative is `step` applied to the input's
-    /// variant there — `(data, retained)`, or `None` if the tuple vanishes —
-    /// with the input tuple as its lineage. Checks the request's guard once
-    /// every 1024 input tuples.
-    fn one_to_one<'t>(
+    /// variant under each schema alternative is `step` applied to its class's
+    /// compiled operator and the input's variant there — `(data, retained)`,
+    /// or `None` if the tuple vanishes — with the input tuple as its lineage.
+    /// An alternative whose input is the same allocation as a lower
+    /// alternative's of its class copies that one's variant. Checks the
+    /// request's guard once every 1024 input tuples.
+    fn one_to_one<'t, T>(
         &mut self,
         inputs: impl IntoIterator<Item = &'t TracedTuple>,
-        mut step: impl FnMut(usize, &Variant) -> Option<(Tuple, bool)>,
+        classes: &Classes<T>,
+        mut step: impl FnMut(&T, &Variant) -> Option<(Arc<Tuple>, bool)>,
     ) -> AlgebraResult<Vec<TracedTuple>> {
         let n = self.n_sas();
         let mut tuples = Vec::new();
@@ -328,12 +456,24 @@ impl<'a> Tracer<'a> {
             if row & 1023 == 0 {
                 whynot_guard::checkpoint()?;
             }
-            let variants = (0..n)
-                .map(|sa| {
-                    let (tuple, retained) = step(sa, input.get(sa)?)?;
-                    Some(Variant { tuple, retained, inputs: vec![input.id] })
-                })
-                .collect();
+            let mut variants: Vec<Option<Variant>> = Vec::with_capacity(n);
+            for sa in 0..n {
+                let variant = match input.get(sa) {
+                    None => None,
+                    Some(variant) => {
+                        match classes.donor(sa, |low| same_input(input, low, sa, false)) {
+                            Some(donor) => {
+                                self.shared += u64::from(variants[donor].is_some());
+                                variants[donor].clone()
+                            }
+                            None => step(classes.get(sa), variant).map(|(tuple, retained)| {
+                                Variant { tuple, retained, inputs: Lineage::one(input.id) }
+                            }),
+                        }
+                    }
+                };
+                variants.push(variant);
+            }
             tuples.push(TracedTuple {
                 id: self.fresh_id(),
                 variants,
@@ -345,9 +485,10 @@ impl<'a> Tracer<'a> {
 
     /// Merges per-alternative output rows into traced tuples like an outer
     /// join (Figure 7, step 4): the rows of one key become one tuple, which
-    /// is `None` under the alternatives without a row. Fresh ids follow key
-    /// order.
-    fn merge<K: Ord>(&mut self, rows: Vec<Row<K>>) -> Vec<TracedTuple> {
+    /// is `None` under the alternatives without a row. Each `(sa, donor)` of
+    /// `shared` made no rows of its own: its variants are copies of the
+    /// donor's. Fresh ids follow key order.
+    fn merge<K: Ord>(&mut self, rows: Vec<Row<K>>, shared: &[(usize, usize)]) -> Vec<TracedTuple> {
         let n = self.n_sas();
         let mut merged: BTreeMap<K, TracedTuple> = BTreeMap::new();
         for (key, sa, variant, fallback) in rows {
@@ -362,17 +503,34 @@ impl<'a> Tracer<'a> {
                 tuple.fallback_variants[sa] = fallback;
             }
         }
-        merged.into_values().map(|tuple| TracedTuple { id: self.fresh_id(), ..tuple }).collect()
+        let mut tuples = Vec::with_capacity(merged.len());
+        for mut tuple in merged.into_values() {
+            for &(sa, donor) in shared {
+                tuple.variants[sa] = tuple.variants[donor].clone();
+                if !tuple.fallback_variants.is_empty() {
+                    tuple.fallback_variants[sa] = tuple.fallback_variants[donor].clone();
+                }
+                self.shared += u64::from(tuple.variants[sa].is_some());
+            }
+            tuple.id = self.fresh_id();
+            tuples.push(tuple);
+        }
+        tuples
     }
 
     /// Table access: every base tuple, retained and without lineage, under
-    /// every schema alternative.
+    /// every schema alternative — one handle on the relation's own tuple,
+    /// shared by all of them.
     fn trace_table_access(&mut self, table: &str) -> AlgebraResult<Vec<TracedTuple>> {
         let n = self.n_sas();
         let relation = self.db.relation(table)?;
         let tuples = relation.iter().map(|(value, _mult)| {
-            let tuple = value.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-            let variant = Variant { tuple, retained: true, inputs: Vec::new() };
+            let tuple = match value {
+                Value::Tuple(tuple) => Arc::clone(tuple),
+                _ => Arc::new(Tuple::empty()),
+            };
+            let variant = Variant { tuple, retained: true, inputs: Lineage::none() };
+            self.shared += n as u64 - 1;
             TracedTuple {
                 id: self.fresh_id(),
                 variants: vec![Some(variant); n],
@@ -385,100 +543,100 @@ impl<'a> Tracer<'a> {
     /// Structural 1:1 operators: apply the effective operator to each variant
     /// individually; `retained` is always true (these operators never prune).
     ///
-    /// The operator is compiled once per schema alternative into the
-    /// evaluator's [`RowTransform`]. If it does not compile under an
-    /// alternative (e.g. a tuple flatten whose input schema does not infer),
-    /// every variant vanishes under it; if it fails on one variant (e.g. a
-    /// tuple flatten meets a non-tuple value), that variant vanishes.
+    /// The operator is compiled once per class into the evaluator's
+    /// [`RowTransform`]. If it does not compile under an alternative (e.g. a
+    /// tuple flatten whose input schema does not infer), every variant
+    /// vanishes under it; if it fails on one variant (e.g. a tuple flatten
+    /// meets a non-tuple value), that variant vanishes.
     fn trace_structural(
         &mut self,
         node: &OpNode,
         child: &OpTrace,
     ) -> AlgebraResult<Vec<TracedTuple>> {
-        let transforms: Vec<Option<RowTransform>> = self
-            .sas
-            .iter()
-            .map(|sa| {
-                let effective =
-                    OpNode::new(node.id, sa.effective_operator(node), node.inputs.clone());
-                RowTransform::compile(&effective, self.db).ok()
-            })
-            .collect();
-        self.one_to_one(&child.tuples, |sa, input| {
-            Some((transforms[sa].as_ref()?.apply(&input.tuple).ok()?, true))
+        let db = self.db;
+        let transforms = Classes::of_operator(self.sas, node, |operator| {
+            let effective = OpNode::new(node.id, operator.clone(), node.inputs.clone());
+            RowTransform::compile(&effective, db).ok()
+        });
+        self.one_to_one(&child.tuples, &transforms, |transform, input| {
+            Some((Arc::new(transform.as_ref()?.apply(&input.tuple).ok()?), true))
         })
     }
 
     /// Selection: annotate instead of filter. `retained` records whether the
-    /// original (SA-substituted) predicate holds.
+    /// original (SA-substituted) predicate holds; the data is the input's.
     fn trace_selection(
         &mut self,
         node: &OpNode,
         child: &OpTrace,
     ) -> AlgebraResult<Vec<TracedTuple>> {
-        let predicates: Vec<Expr> = self
-            .sas
-            .iter()
-            .map(|sa| match sa.effective_operator(node) {
-                Operator::Selection { predicate } => predicate,
-                _ => Expr::lit(true),
-            })
-            .collect();
-        self.one_to_one(&child.tuples, |sa, input| {
-            Some((input.tuple.clone(), predicates[sa].eval_bool(&input.tuple)))
+        let predicates = Classes::of_operator(self.sas, node, |operator| match operator {
+            Operator::Selection { predicate } => predicate.clone(),
+            _ => Expr::lit(true),
+        });
+        self.one_to_one(&child.tuples, &predicates, |predicate, input| {
+            Some((Arc::clone(&input.tuple), predicate.eval_bool(&input.tuple)))
         })
     }
 
     /// Difference: annotate instead of remove. `retained` records whether no
     /// right tuple under the same alternative equals the variant, looked up
-    /// in one hash set of the right variants per alternative (`Tuple`'s hash
-    /// agrees with its numeric cross-variant equality, `2 = 2.0`).
+    /// in one hash set of the right variants per class of alternatives whose
+    /// right inputs are the same allocations (`Tuple`'s hash agrees with its
+    /// numeric cross-variant equality, `2 = 2.0`).
     fn trace_difference(
         &mut self,
         left: &OpTrace,
         right: &OpTrace,
     ) -> AlgebraResult<Vec<TracedTuple>> {
-        let subtracted: Vec<HashSet<&Tuple>> = (0..self.n_sas())
-            .map(|sa| right.tuples.iter().filter_map(|r| r.variant(sa)).collect())
-            .collect();
-        self.one_to_one(&left.tuples, |sa, input| {
-            Some((input.tuple.clone(), !subtracted[sa].contains(&input.tuple)))
+        let subtracted: Classes<HashSet<&Tuple>> = Classes::new(
+            self.n_sas(),
+            |i, j| same_column(right, i, j, false),
+            |sa| right.tuples.iter().filter_map(|r| r.variant(sa)).collect(),
+        );
+        self.one_to_one(&left.tuples, &subtracted, |subtracted, input| {
+            Some((Arc::clone(&input.tuple), !subtracted.contains(&*input.tuple)))
         })
     }
 
     /// Relation flatten, generalized to an outer flatten: per input tuple,
     /// each alternative's rows are merged by element position. Element
     /// multiplicities are not traced. The padding row of an empty collection
-    /// is retained only by an original outer flatten.
+    /// is retained only by an original outer flatten. An alternative whose
+    /// input is the same allocation as a lower alternative's of its class
+    /// copies that one's rows.
     fn trace_flatten(&mut self, node: &OpNode, child: &OpTrace) -> AlgebraResult<Vec<TracedTuple>> {
         let child_schema = output_type(&node.inputs[0], self.db)?;
         let Operator::Flatten { kind: original_kind, alias, .. } = &node.op else {
             unreachable!("trace_flatten called on non-flatten")
         };
-        // Per SA: the flatten of the attribute actually flattened.
-        let flattens: Vec<RowFlatten> = self
-            .sas
-            .iter()
-            .map(|sa| match sa.effective_operator(node) {
-                Operator::Flatten { attr, .. } => {
-                    RowFlatten::new(&attr, alias.as_deref(), &child_schema)
-                }
-                _ => unreachable!(),
-            })
-            .collect();
+        // Per class: the flatten of the attribute actually flattened.
+        let flattens = Classes::of_operator(self.sas, node, |operator| match operator {
+            Operator::Flatten { attr, .. } => {
+                RowFlatten::new(attr, alias.as_deref(), &child_schema)
+            }
+            _ => unreachable!(),
+        });
 
         let mut tuples = Vec::new();
+        let mut shared = Vec::new();
         for input in &child.tuples {
             let mut rows = Vec::new();
-            for (sa, flatten) in flattens.iter().enumerate() {
+            shared.clear();
+            for sa in 0..self.n_sas() {
                 let Some(tuple) = input.variant(sa) else { continue };
+                if let Some(donor) = flattens.donor(sa, |low| same_input(input, low, sa, false)) {
+                    shared.push((sa, donor));
+                    continue;
+                }
+                let flatten = flattens.get(sa);
                 let mut row = |position: usize, tuple: Tuple, retained: bool| {
-                    rows.push((
-                        position,
-                        sa,
-                        Variant { tuple, retained, inputs: vec![input.id] },
-                        None,
-                    ))
+                    let variant = Variant {
+                        tuple: Arc::new(tuple),
+                        retained,
+                        inputs: Lineage::one(input.id),
+                    };
+                    rows.push((position, sa, variant, None))
                 };
                 let elements = flatten.elements(tuple)?;
                 if elements.is_empty() {
@@ -488,7 +646,7 @@ impl<'a> Tracer<'a> {
                     row(position, element, true);
                 }
             }
-            tuples.extend(self.merge(rows));
+            tuples.extend(self.merge(rows, &shared));
         }
         Ok(tuples)
     }
@@ -498,8 +656,10 @@ impl<'a> Tracer<'a> {
     /// Each schema alternative's pairs come from `nrab_algebra::join` — the
     /// hash join on the equi conjuncts, else the nested loop — the same core
     /// the evaluator's join runs on. Pairs and padded tuples are then merged
-    /// across alternatives by their (left id, right id). Checks the request's
-    /// guard once per alternative.
+    /// across alternatives by their (left id, right id). An alternative whose
+    /// input columns are the same allocations as a lower alternative's of
+    /// its class makes no pass of its own and copies that one's variants.
+    /// Checks the request's guard once per alternative.
     fn trace_join(
         &mut self,
         node: &OpNode,
@@ -519,55 +679,70 @@ impl<'a> Tracer<'a> {
         };
         let keeps_left = matches!(original_kind, JoinKind::Left | JoinKind::Full);
         let keeps_right = matches!(original_kind, JoinKind::Right | JoinKind::Full);
+        let predicates = Classes::of_operator(self.sas, node, |operator| match operator {
+            Operator::Join { predicate, .. } => predicate.clone(),
+            _ => Expr::lit(true),
+        });
 
         let mut rows = Vec::new();
-        for (sa, alternative) in self.sas.iter().enumerate() {
+        let mut shared = Vec::new();
+        for sa in 0..self.n_sas() {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
             whynot_guard::faults::fault_point_dyn("trace_sa", || sa.to_string());
             whynot_guard::checkpoint()?;
-            let predicate = match alternative.effective_operator(node) {
-                Operator::Join { predicate, .. } => predicate,
-                _ => Expr::lit(true),
-            };
+            let same_inputs =
+                |low| same_column(left, low, sa, false) && same_column(right, low, sa, false);
+            if let Some(donor) = predicates.donor(sa, same_inputs) {
+                shared.push((sa, donor));
+                continue;
+            }
             let matches = join_matches(
                 &rows_of(left, sa),
                 &rows_of(right, sa),
-                &predicate,
+                predicates.get(sa),
                 &left_schema,
                 &right_schema,
             )?;
             let mut row = |key, tuple, retained, inputs| {
-                rows.push((key, sa, Variant { tuple, retained, inputs }, None))
+                rows.push((key, sa, Variant { tuple: Arc::new(tuple), retained, inputs }, None))
             };
             for pair in matches.pairs {
                 let (l, r) = (left.tuples[pair.left].id, right.tuples[pair.right].id);
-                row((Some(l), Some(r)), pair.combined, true, vec![l, r]);
+                row((Some(l), Some(r)), pair.combined, true, Lineage::two(l, r));
             }
             for (lt, matched) in left.tuples.iter().zip(matches.left_matched) {
                 let Some(tuple) = lt.variant(sa).filter(|_| !matched) else { continue };
                 let padded = tuple.concat(&Tuple::null_padded(&right_names))?;
-                row((Some(lt.id), None), padded, keeps_left, vec![lt.id]);
+                row((Some(lt.id), None), padded, keeps_left, Lineage::one(lt.id));
             }
             for (rt, matched) in right.tuples.iter().zip(matches.right_matched) {
                 let Some(tuple) = rt.variant(sa).filter(|_| !matched) else { continue };
                 let padded = Tuple::null_padded(&left_names).concat(tuple)?;
-                row((None, Some(rt.id)), padded, keeps_right, vec![rt.id]);
+                row((None, Some(rt.id)), padded, keeps_right, Lineage::one(rt.id));
             }
         }
-        Ok(self.merge(rows))
+        Ok(self.merge(rows, &shared))
     }
 
     /// Relation nesting: each schema alternative groups its tuples with the
     /// evaluator's [`RowNest`]; the groups are merged across alternatives by
-    /// group key (Figure 7, step 4).
+    /// group key (Figure 7, step 4). An alternative whose input column is
+    /// the same allocations as a lower alternative's of its class copies
+    /// that one's groups.
     fn trace_relation_nest(&mut self, node: &OpNode, child: &OpTrace) -> Vec<TracedTuple> {
+        let nests = Classes::of_operator(self.sas, node, |operator| match operator {
+            Operator::RelationNest { attrs, into } => RowNest::new(attrs, into),
+            _ => unreachable!("trace_relation_nest called on non-nest"),
+        });
         let mut rows = Vec::new();
-        for (sa, alternative) in self.sas.iter().enumerate() {
+        let mut shared = Vec::new();
+        for sa in 0..self.n_sas() {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
-            let nest = match alternative.effective_operator(node) {
-                Operator::RelationNest { attrs, into } => RowNest::new(&attrs, &into),
-                _ => unreachable!("trace_relation_nest called on non-nest"),
-            };
+            if let Some(donor) = nests.donor(sa, |low| same_column(child, low, sa, false)) {
+                shared.push((sa, donor));
+                continue;
+            }
+            let nest = nests.get(sa);
             // Per group: its nested collection and its members' ids.
             #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
             let mut groups: BTreeMap<Value, (BagBuilder, Vec<u64>)> = BTreeMap::new();
@@ -580,63 +755,74 @@ impl<'a> Tracer<'a> {
                 members.push(input.id);
             }
             rows.extend(groups.into_iter().map(|(key, (nested, members))| {
-                let tuple = nest.output(&key, nested.finish());
-                (key, sa, Variant { tuple, retained: true, inputs: members }, None)
+                let tuple = Arc::new(nest.output(&key, nested.finish()));
+                (key, sa, Variant { tuple, retained: true, inputs: members.into() }, None)
             }));
         }
-        self.merge(rows)
+        self.merge(rows, &shared)
     }
 
     /// Grouped aggregation: like relation nesting, but each group contributes
     /// aggregate values. Consistency is checked against the aggregates
     /// computed from all valid tuples and, as a fallback, from the tuples the
     /// immediately preceding operator retained (cf. the discussion of
-    /// aggregation tracing limitations in Section 5.5).
+    /// aggregation tracing limitations in Section 5.5). Because the fallback
+    /// reads the members' `retained` flags, an alternative copies a lower
+    /// one's groups only if those agree as well as the input allocations.
     fn trace_group_aggregation(&mut self, node: &OpNode, child: &OpTrace) -> Vec<TracedTuple> {
+        let aggregations = Classes::of_operator(self.sas, node, |operator| match operator {
+            Operator::GroupAggregation { group_by, aggs } => {
+                let group_syms: Vec<Sym> = group_by.iter().map(|a| Sym::intern(a)).collect();
+                (group_syms, aggs.clone())
+            }
+            _ => unreachable!("trace_group_aggregation called on non-aggregation"),
+        });
         let mut rows = Vec::new();
-        for (sa, alternative) in self.sas.iter().enumerate() {
+        let mut shared = Vec::new();
+        for sa in 0..self.n_sas() {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
-            let (group_by, aggs) = match alternative.effective_operator(node) {
-                Operator::GroupAggregation { group_by, aggs } => (group_by, aggs),
-                _ => unreachable!("trace_group_aggregation called on non-aggregation"),
-            };
-            let group_syms: Vec<Sym> = group_by.iter().map(|a| Sym::intern(a)).collect();
+            if let Some(donor) = aggregations.donor(sa, |low| same_column(child, low, sa, true)) {
+                shared.push((sa, donor));
+                continue;
+            }
+            let (group_syms, aggs) = aggregations.get(sa);
             // Per group: its members' ids and variants.
             #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
             let mut groups: BTreeMap<Value, Vec<(u64, &Variant)>> = BTreeMap::new();
             for input in &child.tuples {
                 let Some(variant) = input.get(sa) else { continue };
-                let key = variant.tuple.project(&group_syms).unwrap_or_else(|_| Tuple::empty());
+                let key = variant.tuple.project(group_syms).unwrap_or_else(|_| Tuple::empty());
                 groups.entry(Value::from_tuple(key)).or_default().push((input.id, variant));
             }
             for (key, members) in groups {
                 let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-                let all: Vec<&Tuple> = members.iter().map(|(_, v)| &v.tuple).collect();
+                let all: Vec<&Tuple> = members.iter().map(|(_, v)| &*v.tuple).collect();
                 let retained: Vec<&Tuple> =
-                    members.iter().filter(|(_, v)| v.retained).map(|(_, v)| &v.tuple).collect();
+                    members.iter().filter(|(_, v)| v.retained).map(|(_, v)| &*v.tuple).collect();
                 // The original query would produce the group from the
                 // retained members only; the group survives if any member
                 // was retained. The retained-members aggregate is kept as the
                 // fallback variant consulted by the consistency annotation
                 // (Section 5.5).
-                let fallback = aggregate_group(key_tuple.clone(), &aggs, &retained);
-                let tuple = aggregate_group(key_tuple, &aggs, &all);
-                let inputs = members.iter().map(|(id, _)| *id).collect();
+                let fallback = aggregate_group(key_tuple.clone(), aggs, &retained);
+                let tuple = Arc::new(aggregate_group(key_tuple, aggs, &all));
+                let inputs = members.iter().map(|(id, _)| *id).collect::<Vec<_>>().into();
                 let variant = Variant { tuple, retained: !retained.is_empty(), inputs };
-                rows.push((key, sa, variant, Some(fallback)));
+                rows.push((key, sa, variant, Some(Arc::new(fallback))));
             }
         }
-        self.merge(rows)
+        self.merge(rows, &shared)
     }
 }
 
 /// Records the per-operator trace counters when a profiling session is
 /// active.
-fn record_trace_counters(trace: &OpTrace) {
+fn record_trace_counters(trace: &OpTrace, shared: u64) {
     if !whynot_obs::enabled() {
         return;
     }
     whynot_obs::add("trace.tuples", trace.tuples.len() as u64);
+    whynot_obs::add("trace.variants_shared", shared);
     let (mut valid, mut retained) = (0u64, 0u64);
     for variant in trace.tuples.iter().flat_map(|t| t.variants.iter().flatten()) {
         valid += 1;
@@ -1009,9 +1195,11 @@ mod tests {
     }
 
     /// `π_x(R) − π_x(S)` traced under the original and an alternative that
-    /// projects `R.b` instead of `R.a`: the hash lookup flags the same
-    /// variants as a scan of every right tuple, `Int` 2 and `Float` 2.0
-    /// subtracting each other.
+    /// projects `b` instead of `a`, on the left and then on the right: the
+    /// hash lookup flags the same variants as a scan of every right tuple,
+    /// `Int` 2 and `Float` 2.0 subtracting each other. With the right side
+    /// substituted, the left variants are shared but the subtracted sets
+    /// differ, so `retained` must still be read per alternative.
     #[test]
     fn traced_difference_matches_a_scan_of_the_right_side() {
         use nrab_algebra::ProjColumn;
@@ -1042,28 +1230,78 @@ mod tests {
         let left_op = left.current_id();
         let plan = left.difference(x_of("s")).build().unwrap();
         let right_op = plan.root.inputs[1].id;
+        // SA 0 subtracts x = 2; SA 1 subtracts x = 2 and x = 2.0 with the
+        // left side substituted, and nothing (`b` is null) with the right.
+        for (substituted, expected) in [(left_op, [1, 2]), (right_op, [1, 0])] {
+            let sas = vec![
+                SchemaAlternative::original(BTreeMap::new()),
+                SchemaAlternative::new(
+                    1,
+                    vec![OpSubstitution::new(substituted, "a", "b")],
+                    BTreeMap::new(),
+                ),
+            ];
+            let result = trace_plan(&plan, &db, &sas).unwrap();
+            let right = result.trace(right_op).unwrap().trace;
+            let mut subtracted = [0, 0];
+            for tuple in result.root_trace().tuples() {
+                for (sa, count) in subtracted.iter_mut().enumerate() {
+                    let variant = tuple.traced.variant(sa).unwrap();
+                    let scanned = right.tuples.iter().any(|r| r.variant(sa) == Some(variant));
+                    assert_eq!(tuple.flags(sa).retained, !scanned);
+                    *count += usize::from(scanned);
+                }
+            }
+            assert_eq!(subtracted, expected, "substituted at operator {substituted}");
+        }
+    }
+
+    /// A grouped aggregation above a selection whose predicate one
+    /// alternative substitutes: both alternatives see the same member
+    /// allocations, but different retained members, so each gets its own
+    /// retained-members fallback and `retained` flag.
+    #[test]
+    fn grouped_aggregation_reads_each_alternatives_retained_members() {
+        let ty = TupleType::new([
+            ("name", NestedType::str()),
+            ("a", NestedType::int()),
+            ("b", NestedType::int()),
+        ])
+        .unwrap();
+        let row = |name: &str, a: i64, b: i64| {
+            Value::tuple([("name", Value::str(name)), ("a", Value::int(a)), ("b", Value::int(b))])
+        };
+        let mut db = Database::new();
+        db.add_relation(
+            "r",
+            ty,
+            Bag::from_values([row("x", 1, 7), row("x", 6, 8), row("y", 6, 1)]),
+        );
+        let selected = PlanBuilder::table("r").select(Expr::attr_cmp("a", CmpOp::Ge, 5i64));
+        let select = selected.current_id();
+        let count =
+            nrab_algebra::AggSpec::new(nrab_algebra::AggFunc::Count, Expr::attr("a"), "cnt");
+        let plan = selected.group_aggregate(vec!["name"], vec![count]).build().unwrap();
         let sas = vec![
             SchemaAlternative::original(BTreeMap::new()),
-            SchemaAlternative::new(
-                1,
-                vec![OpSubstitution::new(left_op, "a", "b")],
-                BTreeMap::new(),
-            ),
+            SchemaAlternative::new(1, vec![OpSubstitution::new(select, "a", "b")], BTreeMap::new()),
         ];
-
-        let result = trace_plan(&plan, &db, &sas).unwrap();
-        let right = result.trace(right_op).unwrap().trace;
-        let mut subtracted = [0, 0];
-        for tuple in result.root_trace().tuples() {
-            for (sa, count) in subtracted.iter_mut().enumerate() {
-                let variant = tuple.traced.variant(sa).unwrap();
-                let scanned = right.tuples.iter().any(|r| r.variant(sa) == Some(variant));
-                assert_eq!(tuple.flags(sa).retained, !scanned);
-                *count += usize::from(scanned);
-            }
-        }
-        // SA 0 subtracts x = 2; SA 1 subtracts x = 2 and x = 2.0.
-        assert_eq!(subtracted, [1, 2]);
+        let trace = trace_plan_generalized(&plan, &db, &sas).unwrap();
+        let root = &trace.traces[&plan.root.id];
+        let group = |name: &str| {
+            let name = Value::str(name);
+            root.tuples.iter().find(|t| t.variant(0).unwrap().get("name") == Some(&name)).unwrap()
+        };
+        let fallback_count =
+            |tuple: &TracedTuple, sa| tuple.fallback_variant(sa).unwrap().get("cnt").cloned();
+        // x: SA 0 retains (x, 6, 8), SA 1 both members; y: only SA 0.
+        let (x, y) = (group("x"), group("y"));
+        assert_eq!(fallback_count(x, 0), Some(Value::int(1)));
+        assert_eq!(fallback_count(x, 1), Some(Value::int(2)));
+        assert_eq!((x.get(0).unwrap().retained, x.get(1).unwrap().retained), (true, true));
+        assert_eq!(fallback_count(y, 0), Some(Value::int(1)));
+        assert_eq!(fallback_count(y, 1), Some(Value::int(0)));
+        assert_eq!((y.get(0).unwrap().retained, y.get(1).unwrap().retained), (true, false));
     }
 
     /// Under an armed guard whose zero deadline has passed, the chunked 1:1
@@ -1072,7 +1310,7 @@ mod tests {
     fn a_passed_deadline_trips_inside_the_tracer_loops() {
         let (db, plan) = join_example();
         let sas = vec![SchemaAlternative::original(BTreeMap::new())];
-        let mut tracer = Tracer { db: &db, sas: &sas, next_id: 1, traces: BTreeMap::new() };
+        let mut tracer = Tracer::new(&db, &sas);
         let [left, right] = [&plan.root.inputs[0], &plan.root.inputs[1]].map(|input| {
             tracer.trace_node(input).unwrap();
             tracer.traces.remove(&input.id).unwrap()
@@ -1081,7 +1319,9 @@ mod tests {
         let guard = whynot_guard::Guard::new(Some(0), None, None);
         let _armed = whynot_guard::arm(&guard);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let mapped = tracer.one_to_one(&left.tuples, |_, input| Some((input.tuple.clone(), true)));
+        let classes = Classes::new(sas.len(), |_, _| true, |_| ());
+        let mapped = tracer
+            .one_to_one(&left.tuples, &classes, |(), input| Some((input.tuple.clone(), true)));
         let joined = tracer.trace_join(&plan.root, &left, &right);
         for (loop_name, result) in [("one_to_one", mapped), ("trace_join", joined)] {
             assert!(

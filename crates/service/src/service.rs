@@ -20,9 +20,21 @@ use crate::report::ExplanationReport;
 use crate::stats::{self, ServiceStats};
 use crate::wire::{
     alternative_from_json, alternative_to_json, array, database_from_json, database_to_json, field,
-    list, nip_to_json, non_negative, optional, plan_from_json, plan_to_json, positive, string,
-    why_not_from_json, ENGINES,
+    known_fields, list, nip_to_json, non_negative, optional, plan_from_json, plan_to_json,
+    positive, string, why_not_from_json, ENGINES,
 };
+
+/// The fields of an explain request.
+const REQUEST_FIELDS: [&str; 8] = [
+    "db",
+    "plan",
+    "why_not",
+    "alternatives",
+    "engine",
+    "max_schema_alternatives",
+    "timeout_ms",
+    "max_trace_tuples",
+];
 
 /// A database reference: a catalog name or an inline database.
 #[derive(Debug, Clone)]
@@ -106,8 +118,16 @@ impl ExplainRequest {
     ///   "max_schema_alternatives": n, "timeout_ms": n, "max_trace_tuples": n}`
     ///
     /// Limits admit `0` (trip at the first check), a valid way to probe a
-    /// request's cost without paying it.
+    /// request's cost without paying it. Any other key is a decode error at
+    /// that key.
     pub fn from_json(json: &Json) -> ServiceResult<Self> {
+        Self::from_wire(json, &[])
+    }
+
+    /// [`ExplainRequest::from_json`] for a document that may also carry the
+    /// `envelope` keys (a top-level document's `op`).
+    fn from_wire(json: &Json, envelope: &[&str]) -> ServiceResult<Self> {
+        known_fields(json, |key| REQUEST_FIELDS.contains(&key) || envelope.contains(&key))?;
         Ok(ExplainRequest {
             db: field(json, "db", |db| {
                 Ok(match db {
@@ -387,13 +407,20 @@ impl ExplainService {
     ///   concurrently and returns `{"responses": [...]}` with per-item
     ///   `{"error": ...}` entries for requests that fail to decode or answer.
     /// * `"stats"`: returns the cumulative [`ServiceStats`].
+    ///
+    /// A key that the op does not define is a decode error at that key; a
+    /// batch item is an [`ExplainRequest`], so it has no `op`.
     pub fn handle_wire(&self, doc: &Json) -> ServiceResult<Json> {
         match optional(doc, "op", string)? {
             None | Some("explain") => {
-                self.explain(&ExplainRequest::from_json(doc)?).map(|r| r.to_json())
+                self.explain(&ExplainRequest::from_wire(doc, &["op"])?).map(|r| r.to_json())
             }
-            Some("stats") => Ok(self.stats().to_json()),
+            Some("stats") => {
+                known_fields(doc, |key| key == "op")?;
+                Ok(self.stats().to_json())
+            }
             Some("batch") => {
+                known_fields(doc, |key| key == "op" || key == "requests")?;
                 let decoded: Vec<ServiceResult<ExplainRequest>> = field(doc, "requests", array)?
                     .iter()
                     .enumerate()

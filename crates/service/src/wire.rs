@@ -94,6 +94,16 @@ pub(crate) fn optional<'a, T>(
     }
 }
 
+/// Rejects the first key of the object `json` that `known` does not admit,
+/// locating the error at that key: a misspelt optional field must fail the
+/// request, not leave it at its default.
+pub(crate) fn known_fields(json: &Json, known: impl Fn(&str) -> bool) -> ServiceResult<()> {
+    match object(json)?.iter().find(|(key, _)| !known(key)) {
+        Some((key, _)) => Err(ServiceError::decode(format!("unknown field `{key}`")).at(key)),
+        None => Ok(()),
+    }
+}
+
 /// Decodes every element of an array, locating an element's error at its
 /// index.
 pub(crate) fn list<'a, T>(
@@ -411,24 +421,39 @@ pub fn nip_from_json(json: &Json) -> ServiceResult<Nip> {
     Ok(match json {
         Json::Str(s) if s == "?" => Nip::Any,
         Json::Str(s) if s == "*" => Nip::Star,
-        Json::Object(fields) if fields.first().is_some_and(|(k, _)| k.starts_with('$')) => {
-            match fields[0].0.as_str() {
-                "$str" => Nip::Value(Value::str(field(json, "$str", string)?)),
-                "$value" => Nip::Value(field(json, "$value", value_from_json)?),
-                "$cmp" => Nip::Pred(
-                    field(json, "$cmp", |op| NIP_CMPS.decode(op))?,
-                    field(json, "bound", value_from_json)?,
-                ),
-                other => {
-                    return Err(ServiceError::decode(format!("unknown NIP tag `{other}`")).at(other))
-                }
-            }
-        }
-        Json::Object(fields) => Nip::Tuple(members(fields, |name, nip| {
-            Ok((intern_wire_name(name)?, nip_from_json(nip)?))
-        })?),
+        Json::Object(fields) => match fields.iter().find(|(k, _)| k.starts_with('$')) {
+            Some((tag, _)) => tagged_nip_from_json(json, fields, tag)?,
+            None => Nip::Tuple(members(fields, |name, nip| {
+                Ok((intern_wire_name(name)?, nip_from_json(nip)?))
+            })?),
+        },
         Json::Array(_) => Nip::Bag(list(json, nip_from_json)?),
         scalar => Nip::Value(value_from_json(scalar)?),
+    })
+}
+
+/// Decodes a NIP object whose first `$` key is `tag` — a tagged leaf, whose
+/// members may come in any order. An object that mixes a tag with other
+/// keys (or carries two tags) is neither a leaf nor a tuple NIP, and fails
+/// at its own path.
+fn tagged_nip_from_json(json: &Json, fields: &[(String, Json)], tag: &str) -> ServiceResult<Nip> {
+    let members: &[&str] = match tag {
+        "$str" | "$value" => &[tag],
+        "$cmp" => &["$cmp", "bound"],
+        other => return Err(ServiceError::decode(format!("unknown NIP tag `{other}`")).at(other)),
+    };
+    if let Some((key, _)) = fields.iter().find(|(k, _)| !members.contains(&k.as_str())) {
+        return Err(ServiceError::decode(format!(
+            "a NIP object with tag `{tag}` cannot also hold `{key}`"
+        )));
+    }
+    Ok(match tag {
+        "$str" => Nip::Value(Value::str(field(json, "$str", string)?)),
+        "$value" => Nip::Value(field(json, "$value", value_from_json)?),
+        _ => Nip::Pred(
+            field(json, "$cmp", |op| NIP_CMPS.decode(op))?,
+            field(json, "bound", value_from_json)?,
+        ),
     })
 }
 

@@ -258,3 +258,54 @@ fn a_wrong_optional_field_is_the_error_path() {
         assert_decode_error_at(&service, &with(&doc, &pointer, value), &pointer, &change);
     }
 }
+
+#[test]
+fn an_unknown_field_is_the_error_path() {
+    let service = ExplainService::new();
+    let doc = Json::parse(DOCUMENT).unwrap();
+    // A misspelt optional field fails instead of leaving its default.
+    let Json::Object(mut fields) = doc.clone() else { unreachable!("an object") };
+    fields.push(("timeout_m".to_string(), Json::Int(0)));
+    assert_decode_error_at(&service, &Json::Object(fields), "timeout_m", "add timeout_m");
+
+    let envelopes = [
+        (r#"{"op": "batch", "requests": [], "request": []}"#, "request"),
+        (r#"{"op": "stats", "verbose": true}"#, "verbose"),
+    ];
+    for (text, path) in envelopes {
+        let error = service.handle_wire(&Json::parse(text).unwrap()).expect_err(text).to_wire();
+        assert_eq!(error.get("kind").and_then(Json::as_str), Some("decode"), "{text}: {error}");
+        assert_eq!(error.get("path").and_then(Json::as_str), Some(path), "{text}: {error}");
+    }
+}
+
+/// A NIP object is a tagged leaf when any of its keys is a `$` tag, so a
+/// `$cmp` leaf decodes the same with its members in either order; a tag
+/// beside an attribute name fails at the object itself.
+#[test]
+fn a_nip_object_is_tagged_by_any_dollar_key() {
+    use nested_data::{Nip, NipCmp, Value};
+    use whynot_service::wire::nip_from_json;
+
+    let expected = Nip::Pred(NipCmp::Ne, Value::str("NY"));
+    for text in [r#"{"bound": "NY", "$cmp": "!="}"#, r#"{"$cmp": "!=", "bound": "NY"}"#] {
+        assert_eq!(nip_from_json(&Json::parse(text).unwrap()).unwrap(), expected, "{text}");
+    }
+
+    let service = ExplainService::new();
+    let doc = Json::parse(DOCUMENT).unwrap();
+    let reply = service.handle_wire(&doc).unwrap();
+    let reordered =
+        with(&doc, "why_not/total", Json::parse(r#"{"bound": 99, "$cmp": ">="}"#).unwrap());
+    assert_eq!(service.handle_wire(&reordered).unwrap().get("report"), reply.get("report"));
+    for mixed in [r#"{"$cmp": ">=", "bound": 99, "city": "NY"}"#, r#"{"city": "NY", "$str": "?"}"#]
+    {
+        let mixed = with(&doc, "why_not/total", Json::parse(mixed).unwrap());
+        assert_decode_error_at(
+            &service,
+            &mixed,
+            "why_not/total",
+            &format!("why_not/total: {mixed}"),
+        );
+    }
+}

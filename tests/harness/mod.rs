@@ -184,7 +184,7 @@ pub struct Output {
 /// A trace provider that keeps the generalized trace the engine asked for,
 /// and the schema alternatives it asked for it under.
 #[derive(Default)]
-struct Recorder(Option<(Arc<GeneralizedTrace>, Vec<SchemaAlternative>)>);
+pub struct Recorder(pub Option<(Arc<GeneralizedTrace>, Vec<SchemaAlternative>)>);
 
 impl TraceProvider for Recorder {
     fn generalized_trace(
