@@ -90,15 +90,20 @@ USAGE:
     whynot scenarios export <dir>
     whynot scenarios run <dir> [--name <NAME>] [--text] [--profile] [--profile-out FILE] [--folded-out FILE]
     whynot serve [--addr 127.0.0.1:7171] [--scenarios FAMILY[,FAMILY...]] [--threads N]
-                 [--workers N] [--queue N] [--max-body-bytes N]
-                 [--default-timeout-ms MS] [--keep-alive-secs S] [--retry-after-secs S]
+                 [--workers N] [--default-timeout-ms MS]
 
 `serve` starts the HTTP/1.1 front end (POST /v1/explain|batch|stats,
 GET /healthz; see docs/PROTOCOL.md). --scenarios preloads the named scenario
 families into the catalog so requests can address their databases and plans
 by scenario name (e.g. D1 or RUN). The server runs until stdin reaches
 end-of-file, then shuts down cleanly — drive it from a pipe or FIFO to
-control its lifetime (e.g. `mkfifo ctl; whynot serve < ctl`).
+control its lifetime (e.g. `mkfifo ctl; whynot serve < ctl`). --workers N
+(default 32) bounds concurrent connections; up to 64 more wait for a
+worker, and beyond that a connection gets 429 with Retry-After: 1.
+Request bodies are capped at 8 MiB (413) and an idle keep-alive
+connection is closed after 5 s. --default-timeout-ms MS is the deadline
+of a request that sets none itself (body timeout_ms, then the
+X-Whynot-Timeout-Ms header, take precedence).
 
 The question file holds {\"why_not\": ..., \"alternatives\": [...]} and may
 optionally inline \"db\" and \"plan\" (then the flags may be omitted).
@@ -395,17 +400,7 @@ fn cmd_stats(args: &[String]) -> ServiceResult<()> {
 fn cmd_serve(args: &[String]) -> ServiceResult<()> {
     let flags = Flags::parse(
         args,
-        &[
-            "addr",
-            "scenarios",
-            "threads",
-            "workers",
-            "queue",
-            "max-body-bytes",
-            "default-timeout-ms",
-            "keep-alive-secs",
-            "retry-after-secs",
-        ],
+        &["addr", "scenarios", "threads", "workers", "default-timeout-ms"],
         &[],
     )?;
     flags.apply_threads()?;
@@ -426,54 +421,30 @@ fn cmd_serve(args: &[String]) -> ServiceResult<()> {
     if let Some(addr) = flags.value("addr") {
         config.addr = addr.to_string();
     }
-    let parse_usize = |name: &str| -> ServiceResult<Option<usize>> {
-        flags
-            .value(name)
-            .map(|v| {
-                v.parse::<usize>().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                    ServiceError::decode(format!("--{name} needs a positive integer"))
-                })
-            })
-            .transpose()
-    };
-    if let Some(workers) = parse_usize("workers")? {
-        config.workers = workers;
+    if let Some(workers) = flags.value("workers") {
+        config.workers = workers
+            .parse()
+            .ok()
+            .filter(|n| *n >= 1)
+            .ok_or_else(|| ServiceError::decode("--workers needs a positive integer"))?;
     }
-    if let Some(queue) = parse_usize("queue")? {
-        config.queue_capacity = queue;
-    }
-    if let Some(max_body) = parse_usize("max-body-bytes")? {
-        config.max_body_bytes = max_body;
-    }
-    let parse_u64 = |name: &str| -> ServiceResult<Option<u64>> {
-        flags
-            .value(name)
-            .map(|v| {
-                v.parse::<u64>().map_err(|_| {
-                    ServiceError::decode(format!("--{name} needs a non-negative integer"))
-                })
-            })
-            .transpose()
-    };
-    config.default_timeout_ms = parse_u64("default-timeout-ms")?;
-    if let Some(secs) = parse_u64("keep-alive-secs")? {
-        config.keep_alive_secs = secs.max(1);
-    }
-    if let Some(secs) = parse_u64("retry-after-secs")? {
-        config.retry_after_secs = secs;
+    if let Some(timeout) = flags.value("default-timeout-ms") {
+        config.default_timeout_ms = Some(timeout.parse().map_err(|_| {
+            ServiceError::decode("--default-timeout-ms needs a non-negative integer")
+        })?);
     }
 
-    let handle = whynot_service::serve(std::sync::Arc::new(service), config.clone())
-        .map_err(ServiceError::Io)?;
+    let workers = config.workers;
+    let handle =
+        whynot_service::serve(std::sync::Arc::new(service), config).map_err(ServiceError::Io)?;
     // Stdout carries exactly one machine-readable line (CI greps it for the
     // address); the human-facing detail goes to stderr.
     println!("listening on {}", handle.addr());
     use std::io::Write as _;
     std::io::stdout().flush().ok();
     eprintln!(
-        "whynot serve: {} workers, queue {}, {} scenario(s) preloaded{}{}",
-        config.workers.max(1),
-        config.queue_capacity.max(1),
+        "whynot serve: {} workers, {} scenario(s) preloaded{}{}",
+        workers,
         preloaded.len(),
         if preloaded.is_empty() { "" } else { ": " },
         preloaded.join(", "),

@@ -1,10 +1,10 @@
 //! `whynot-serve`: a dependency-free HTTP/1.1 front end for the explanation
 //! service.
 //!
-//! The server is deliberately small: an accept loop, a **bounded** admission
-//! queue, and a fixed set of handler workers. It parses just enough HTTP to
-//! be a correct peer for real clients — the request line, headers,
-//! `Content-Length` framing, `Connection` keep-alive, and
+//! The server is deliberately small: an accept loop, one **bounded**
+//! admission channel, and a fixed set of handler workers. It parses just
+//! enough HTTP to be a correct peer for real clients — the request line,
+//! headers, `Content-Length` framing, `Connection` keep-alive, and
 //! `Expect: 100-continue` — and routes `POST /v1/explain|batch|stats`
 //! onto the existing wire dispatch ([`ExplainService::handle_wire`]), so the
 //! HTTP body *is* the wire document and answers are byte-identical to the
@@ -12,13 +12,19 @@
 //!
 //! # Admission control
 //!
-//! Accepted connections land in a queue of at most
-//! [`ServeConfig::queue_capacity`] pending connections. When the queue is
-//! full the acceptor **sheds** the connection immediately: it writes a
-//! complete `429 Too Many Requests` response with a `Retry-After` header and
-//! closes. Shedding at the door keeps the server's memory and latency bounded
-//! under overload — a client that waits in an unbounded queue past its own
-//! deadline gets the worst of both worlds (it waits *and* fails).
+//! The acceptor hands each connection to the workers through one
+//! `std::sync::mpsc::sync_channel` that buffers at most 64 connections not
+//! yet claimed by a worker. When the channel is full the acceptor **sheds**
+//! the connection immediately: it writes a complete `429 Too Many Requests`
+//! response with `Retry-After: 1` and closes. Shedding at the door keeps the
+//! server's memory and latency bounded under overload — a client that waits
+//! in an unbounded queue past its own deadline gets the worst of both worlds
+//! (it waits *and* fails). On shutdown the acceptor returns and drops the
+//! sender; the workers serve what is still buffered, then exit.
+//!
+//! The other limits are constants too: request bodies up to 8 MiB (larger
+//! ones get 413 without being read), and an idle keep-alive connection
+//! holds its worker for at most 5 s.
 //!
 //! # Per-request isolation
 //!
@@ -30,13 +36,14 @@
 //! requests are isolated behind `catch_unwind` (500, never a dead worker).
 //!
 //! The module also ships [`HttpClient`], a minimal std-only keep-alive
-//! client, used by the integration tests and the end-to-end benchmark.
+//! client, used by the integration tests and the end-to-end benchmark. It
+//! writes its requests with the same message writer as the server.
 
-use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -89,34 +96,26 @@ pub struct ServeConfig {
     /// Handler worker threads. Keep-alive connections occupy a worker while
     /// open, so this bounds concurrent *connections*, not just requests.
     pub workers: usize,
-    /// Admission queue bound: connections accepted but not yet claimed by a
-    /// worker. Beyond it, new connections are shed with 429.
-    pub queue_capacity: usize,
-    /// Largest accepted request body; larger ones get 413 without being read.
-    pub max_body_bytes: usize,
-    /// How long an idle keep-alive connection may hold a worker.
-    pub keep_alive_secs: u64,
     /// Deadline applied to requests that set none themselves (body and
     /// `X-Whynot-Timeout-Ms` header both take precedence).
     pub default_timeout_ms: Option<u64>,
-    /// `Retry-After` seconds advertised on shed (429) responses.
-    pub retry_after_secs: u64,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 32,
-            queue_capacity: 64,
-            max_body_bytes: 8 << 20,
-            keep_alive_secs: 5,
-            default_timeout_ms: None,
-            retry_after_secs: 1,
-        }
+        ServeConfig { addr: "127.0.0.1:0".to_string(), workers: 32, default_timeout_ms: None }
     }
 }
 
+/// Admission bound: connections accepted but not yet claimed by a worker.
+/// Beyond it, new connections are shed with 429.
+const QUEUE_CAPACITY: usize = 64;
+/// `Retry-After` seconds advertised on shed (429) responses.
+const RETRY_AFTER_SECS: u64 = 1;
+/// Largest accepted request body; larger ones get 413 without being read.
+const MAX_BODY_BYTES: usize = 8 << 20;
+/// How long an idle keep-alive connection may hold a worker.
+const KEEP_ALIVE: Duration = Duration::from_secs(5);
 /// Poll granularity for blocking socket reads: reads wake at this interval to
 /// check the shutdown flag and the keep-alive budget, so shutdown latency and
 /// idle-connection accounting are bounded independently of socket state.
@@ -131,7 +130,8 @@ const MAX_HEADERS: usize = 100;
 
 /// A running server: bound address plus the acceptor and worker threads.
 /// Dropping the handle (or calling [`ServerHandle::shutdown`]) stops the
-/// server and joins every thread; in-flight requests finish first.
+/// server and joins every thread; in-flight requests and connections still
+/// waiting for a worker are served first.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -143,9 +143,7 @@ pub struct ServerHandle {
 #[derive(Debug)]
 struct Shared {
     service: Arc<ExplainService>,
-    config: ServeConfig,
-    queue: Mutex<VecDeque<TcpStream>>,
-    queue_cv: Condvar,
+    default_timeout_ms: Option<u64>,
     stop: AtomicBool,
 }
 
@@ -164,14 +162,14 @@ impl ServerHandle {
     fn stop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Wake the acceptor out of its blocking `accept` by connecting once;
-        // it re-checks the stop flag per connection.
+        // it re-checks the stop flag per connection. Its return drops the
+        // admission sender, so the workers exit once the channel is drained;
+        // workers mid-connection notice the flag at their next read poll or
+        // request boundary.
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        // Wake workers blocked on the admission queue; workers mid-connection
-        // notice the flag at their next read poll or request boundary.
-        self.shared.queue_cv.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -191,22 +189,19 @@ pub fn serve(service: Arc<ExplainService>, config: ServeConfig) -> io::Result<Se
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
         service,
-        config: ServeConfig {
-            workers: config.workers.max(1),
-            queue_capacity: config.queue_capacity.max(1),
-            ..config
-        },
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
+        default_timeout_ms: config.default_timeout_ms,
         stop: AtomicBool::new(false),
     });
+    let (admit, admitted) = mpsc::sync_channel::<TcpStream>(QUEUE_CAPACITY);
+    let admitted = Arc::new(Mutex::new(admitted));
 
-    let workers = (0..shared.config.workers)
+    let workers = (0..config.workers.max(1))
         .map(|i| {
             let shared = Arc::clone(&shared);
+            let admitted = Arc::clone(&admitted);
             std::thread::Builder::new()
                 .name(format!("whynot-http-{i}"))
-                .spawn(move || worker_loop(&shared))
+                .spawn(move || worker_loop(&shared, &admitted))
                 .expect("spawn http worker")
         })
         .collect();
@@ -215,28 +210,22 @@ pub fn serve(service: Arc<ExplainService>, config: ServeConfig) -> io::Result<Se
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("whynot-http-accept".to_string())
-            .spawn(move || accept_loop(&shared, listener))
+            .spawn(move || accept_loop(&shared, listener, admit))
             .expect("spawn http acceptor")
     };
 
     Ok(ServerHandle { addr, shared, acceptor: Some(acceptor), workers })
 }
 
-fn accept_loop(shared: &Shared, listener: TcpListener) {
+fn accept_loop(shared: &Shared, listener: TcpListener, admit: SyncSender<TcpStream>) {
     for conn in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
-            break;
+            return;
         }
         let Ok(stream) = conn else { continue };
         HTTP_CONNECTIONS.add(1);
-        let mut queue = shared.queue.lock().expect("http queue poisoned");
-        if queue.len() >= shared.config.queue_capacity {
-            drop(queue);
-            shed(stream, shared.config.retry_after_secs);
-        } else {
-            queue.push_back(stream);
-            drop(queue);
-            shared.queue_cv.notify_one();
+        if let Err(TrySendError::Full(stream)) = admit.try_send(stream) {
+            shed(stream);
         }
     }
 }
@@ -244,36 +233,23 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
 /// Rejects a connection at the door: a complete 429 response with
 /// `Retry-After`, then close. The write is bounded so a dead client cannot
 /// stall the acceptor.
-fn shed(mut stream: TcpStream, retry_after_secs: u64) {
+fn shed(mut stream: TcpStream) {
     HTTP_SHED.add(1);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let body = http_error_json("admission queue full, retry later").to_compact();
-    let _ = write_response(
-        &mut stream,
-        429,
-        body.as_bytes(),
-        false,
-        &[("Retry-After", retry_after_secs.to_string())],
-    );
+    let body = http_error_json("admission queue full, retry later");
+    let retry_after = RETRY_AFTER_SECS.to_string();
+    let _ = write_response(&mut stream, 429, &body, false, &[("Retry-After", &retry_after)]);
 }
 
-fn worker_loop(shared: &Shared) {
+/// Serves connections from the admission channel until it is closed and
+/// drained. The receiver is shared: one idle worker waits in `recv`, the
+/// others wait for its lock.
+fn worker_loop(shared: &Shared, admitted: &Mutex<Receiver<TcpStream>>) {
     loop {
-        let conn = {
-            let mut queue = shared.queue.lock().expect("http queue poisoned");
-            loop {
-                if let Some(conn) = queue.pop_front() {
-                    break Some(conn);
-                }
-                if shared.stop.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = shared.queue_cv.wait(queue).expect("http queue poisoned");
-            }
-        };
-        match conn {
-            Some(stream) => serve_connection(shared, stream),
-            None => return,
+        let next = admitted.lock().expect("http admission poisoned").recv();
+        match next {
+            Ok(stream) => serve_connection(shared, stream),
+            Err(_) => return,
         }
     }
 }
@@ -313,12 +289,6 @@ struct Request {
     close: bool,
 }
 
-impl Request {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
-    }
-}
-
 fn serve_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
@@ -330,10 +300,9 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         match read_request(shared, &mut reader, &mut out) {
             Ok(Some(request)) => {
                 HTTP_REQUESTS.add(1);
-                let (status, body, close) = respond(shared, &request);
-                let keep = !close && !request.close && !shared.stop.load(Ordering::SeqCst);
-                let body = body.to_compact();
-                if write_response(&mut out, status, body.as_bytes(), keep, &[]).is_err() || !keep {
+                let (status, body) = respond(shared, &request);
+                let keep = !request.close && !shared.stop.load(Ordering::SeqCst);
+                if write_response(&mut out, status, &body, keep, &[]).is_err() || !keep {
                     return;
                 }
             }
@@ -341,8 +310,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             Ok(None) => return,
             Err(e) => {
                 HTTP_PARSE_ERRORS.add(1);
-                let body = http_error_json(&e.message).to_compact();
-                let _ = write_response(&mut out, e.status, body.as_bytes(), false, &[]);
+                let _ = write_response(&mut out, e.status, &http_error_json(e.message), false, &[]);
                 return;
             }
         }
@@ -397,15 +365,12 @@ fn read_request(
         if headers.len() >= MAX_HEADERS {
             return Err(HttpError::new(400, "too many headers"));
         }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::new(400, format!("malformed header line `{line}`")));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        let header = parse_header_line(&line)
+            .ok_or_else(|| HttpError::new(400, format!("malformed header line `{line}`")))?;
+        headers.push(header);
     }
 
-    let header = |name: &str| -> Option<&str> {
-        headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
-    };
+    let header = |name| header(&headers, name);
     let connection = header("connection").unwrap_or("").to_ascii_lowercase();
     let close = connection.contains("close") || (!http_11 && !connection.contains("keep-alive"));
 
@@ -432,20 +397,16 @@ fn read_request(
         }
         _ => 0,
     };
-    if body_len > shared.config.max_body_bytes {
+    if body_len > MAX_BODY_BYTES {
         return Err(HttpError::new(
             413,
-            format!(
-                "request body of {body_len} bytes exceeds the {} byte limit",
-                shared.config.max_body_bytes
-            ),
+            format!("request body of {body_len} bytes exceeds the {MAX_BODY_BYTES} byte limit"),
         ));
     }
 
     // The client may be waiting for permission before sending the body.
     if body_len > 0 && header("expect").is_some_and(|e| e.eq_ignore_ascii_case("100-continue")) {
-        let _ = out.write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
-        let _ = out.flush();
+        let _ = write_message(out, "HTTP/1.1 100 Continue", &[], None);
     }
 
     let mut body = vec![0u8; body_len];
@@ -467,7 +428,6 @@ fn read_line(
     allow_idle: bool,
 ) -> Result<Option<String>, HttpError> {
     let started = Instant::now();
-    let idle_budget = Duration::from_secs(shared.config.keep_alive_secs);
     let mut line: Vec<u8> = Vec::new();
     loop {
         let available = match reader.fill_buf() {
@@ -476,7 +436,7 @@ fn read_line(
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if line.is_empty() && allow_idle {
-                    if shared.stop.load(Ordering::SeqCst) || started.elapsed() >= idle_budget {
+                    if shared.stop.load(Ordering::SeqCst) || started.elapsed() >= KEEP_ALIVE {
                         return Ok(None);
                     }
                     continue;
@@ -554,32 +514,26 @@ fn read_exact_polled(
     Ok(())
 }
 
-/// Routes one request. Returns (status, response body, force-close).
-fn respond(shared: &Shared, request: &Request) -> (u16, Json, bool) {
+/// Routes one request to its status and response body.
+fn respond(shared: &Shared, request: &Request) -> (u16, Json) {
     let path = request.path.split('?').next().unwrap_or("");
     let method = request.method.as_str();
     match (method, path) {
-        ("GET", "/healthz") => (200, Json::object([("ok", Json::Bool(true))]), false),
+        ("GET", "/healthz") => (200, Json::object([("ok", Json::Bool(true))])),
         ("GET" | "POST", "/v1/stats") => {
-            let (status, body) = dispatch(shared, &Json::object([("op", Json::str("stats"))]));
-            (status, body, false)
+            dispatch(shared, &Json::object([("op", Json::str("stats"))]))
         }
         ("POST", "/v1/explain" | "/v1/batch") => {
             let op = if path == "/v1/batch" { "batch" } else { "explain" };
             match decode_wire_body(shared, request, op) {
-                Ok(doc) => {
-                    let (status, body) = dispatch(shared, &doc);
-                    (status, body, false)
-                }
-                Err(e) => {
-                    (status_for_kind(e.kind()), Json::object([("error", e.to_wire())]), false)
-                }
+                Ok(doc) => dispatch(shared, &doc),
+                Err(e) => (status_for_kind(e.kind()), Json::object([("error", e.to_wire())])),
             }
         }
         (_, "/healthz" | "/v1/stats" | "/v1/explain" | "/v1/batch") => {
-            (405, http_error_json(format!("method {method} not allowed on {path}")), false)
+            (405, http_error_json(format!("method {method} not allowed on {path}")))
         }
-        _ => (404, http_error_json(format!("unknown path `{path}`")), false),
+        _ => (404, http_error_json(format!("unknown path `{path}`"))),
     }
 }
 
@@ -611,13 +565,13 @@ fn decode_wire_body(shared: &Shared, request: &Request, op: &str) -> Result<Json
 
     // Header / server-default deadline, weakest-wins: a `timeout_ms` in the
     // body always stands.
-    let header_timeout = match request.header("x-whynot-timeout-ms") {
+    let header_timeout = match header(&request.headers, "x-whynot-timeout-ms") {
         None => None,
         Some(raw) => Some(raw.parse::<u64>().map_err(|_| {
             ServiceError::decode(format!("malformed X-Whynot-Timeout-Ms header `{raw}`"))
         })?),
     };
-    let fallback_timeout = header_timeout.or(shared.config.default_timeout_ms);
+    let fallback_timeout = header_timeout.or(shared.default_timeout_ms);
     if let Some(timeout_ms) = fallback_timeout {
         if op == "batch" {
             if let Some(i) = fields.iter().position(|(k, _)| k == "requests") {
@@ -662,7 +616,7 @@ fn dispatch(shared: &Shared, doc: &Json) -> (u16, Json) {
 
 /// Maps the service's stable error kinds onto HTTP statuses. Documented in
 /// `docs/PROTOCOL.md`; the integration tests pin the guard-trip rows.
-pub fn status_for_kind(kind: &str) -> u16 {
+fn status_for_kind(kind: &str) -> u16 {
     match kind {
         "json" | "decode" => 400,
         "unknown_catalog_entry" => 404,
@@ -690,30 +644,56 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one complete JSON response with explicit framing.
+/// Writes one complete JSON response; `extra_headers` follow `Connection`.
 fn write_response(
-    out: &mut TcpStream,
+    out: &mut impl Write,
     status: u16,
-    body: &[u8],
+    body: &Json,
     keep_alive: bool,
-    extra_headers: &[(&str, String)],
+    extra_headers: &[(&str, &str)],
 ) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        reason(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+    let mut headers = vec![("Connection", if keep_alive { "keep-alive" } else { "close" })];
+    headers.extend_from_slice(extra_headers);
+    let start_line = format!("HTTP/1.1 {status} {}", reason(status));
+    write_message(out, &start_line, &headers, Some(body.to_compact().as_bytes()))
+}
+
+/// Writes one HTTP message — server response or client request — with one
+/// `write_all`: the start line, `headers` in order, then, when there is a
+/// body, its `Content-Type: application/json` and `Content-Length` framing
+/// and the body itself. Sockets are unbuffered, so there is nothing to flush.
+fn write_message(
+    out: &mut impl Write,
+    start_line: &str,
+    headers: &[(&str, &str)],
+    body: Option<&[u8]>,
+) -> io::Result<()> {
+    let body_len = body.map_or(0, <[u8]>::len);
+    let mut message = Vec::with_capacity(start_line.len() + 64 * (headers.len() + 2) + body_len);
+    message.extend_from_slice(start_line.as_bytes());
+    message.extend_from_slice(b"\r\n");
+    for (name, value) in headers {
+        write!(message, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    out.write_all(head.as_bytes())?;
-    out.write_all(body)?;
-    out.flush()
+    if let Some(body) = body {
+        write!(message, "Content-Type: application/json\r\nContent-Length: {body_len}\r\n\r\n")?;
+        message.extend_from_slice(body);
+    } else {
+        message.extend_from_slice(b"\r\n");
+    }
+    out.write_all(&message)
+}
+
+/// The value of the first header named `name` (lowercase).
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+}
+
+/// Splits a `name: value` header line into its lowercased name and trimmed
+/// value; `None` for a line without a colon.
+fn parse_header_line(line: &str) -> Option<(String, String)> {
+    let (name, value) = line.split_once(':')?;
+    Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -734,7 +714,7 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// First header with the given (lowercase) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 }
 
@@ -784,20 +764,10 @@ impl HttpClient {
         body: Option<&str>,
         extra_headers: &[(&str, &str)],
     ) -> io::Result<HttpResponse> {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: whynot\r\n");
-        if let Some(body) = body {
-            head.push_str(&format!("Content-Length: {}\r\n", body.len()));
-            head.push_str("Content-Type: application/json\r\n");
-        }
-        for (name, value) in extra_headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str("\r\n");
-        self.writer.write_all(head.as_bytes())?;
-        if let Some(body) = body {
-            self.writer.write_all(body.as_bytes())?;
-        }
-        self.writer.flush()?;
+        let mut headers = vec![("Host", "whynot")];
+        headers.extend_from_slice(extra_headers);
+        let start_line = format!("{method} {path} HTTP/1.1");
+        write_message(&mut self.writer, &start_line, &headers, body.map(str::as_bytes))?;
         self.read_response()
     }
 
@@ -805,45 +775,32 @@ impl HttpClient {
         let status_line = self.read_line()?;
         let mut parts = status_line.splitn(3, ' ');
         let (Some(version), Some(code)) = (parts.next(), parts.next()) else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed status line `{status_line}`"),
-            ));
+            return Err(invalid_data(format!("malformed status line `{status_line}`")));
         };
         if !version.starts_with("HTTP/1.") {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected protocol `{version}`"),
-            ));
+            return Err(invalid_data(format!("unexpected protocol `{version}`")));
         }
-        let status: u16 = code.parse().map_err(|_| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("malformed status `{code}`"))
-        })?;
+        let status: u16 =
+            code.parse().map_err(|_| invalid_data(format!("malformed status `{code}`")))?;
         let mut headers = Vec::new();
         loop {
             let line = self.read_line()?;
             if line.is_empty() {
                 break;
             }
-            if let Some((name, value)) = line.split_once(':') {
-                headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-            }
+            // Unlike the server, the client skips a malformed header line.
+            headers.extend(parse_header_line(&line));
         }
         // Interim responses (100 Continue) precede the real one.
         if status == 100 {
             return self.read_response();
         }
-        let length: usize = headers
-            .iter()
-            .find(|(k, _)| k == "content-length")
-            .and_then(|(_, v)| v.parse().ok())
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "response without Content-Length")
-            })?;
+        let length: usize = header(&headers, "content-length")
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| invalid_data("response without Content-Length"))?;
         let mut body = vec![0u8; length];
         self.reader.read_exact(&mut body)?;
-        let body = String::from_utf8(body)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response body"))?;
+        let body = String::from_utf8(body).map_err(|_| invalid_data("non-UTF-8 response body"))?;
         Ok(HttpResponse { status, headers, body })
     }
 
@@ -858,6 +815,11 @@ impl HttpClient {
         }
         Ok(line)
     }
+}
+
+/// The client's error for a response it cannot read.
+fn invalid_data(message: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
 #[cfg(test)]
@@ -889,6 +851,36 @@ mod tests {
         let mut doc = Json::parse("{}").unwrap();
         apply_default_timeout(&mut doc, 99);
         assert_eq!(doc.get("timeout_ms").and_then(Json::as_i64), Some(99));
+    }
+
+    #[test]
+    fn write_message_frames_a_shed_response_and_a_client_post() {
+        let mut out = Vec::new();
+        write_response(&mut out, 429, &http_error_json("full"), false, &[("Retry-After", "1")])
+            .unwrap();
+        let body = r#"{"error":{"kind":"http","message":"full"}}"#;
+        let expected = format!(
+            "HTTP/1.1 429 Too Many Requests\r\nConnection: close\r\nRetry-After: 1\r\n\
+             Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
+
+        let mut out = Vec::new();
+        let headers = [("Host", "whynot"), ("X-Whynot-Timeout-Ms", "5")];
+        write_message(&mut out, "POST /v1/explain HTTP/1.1", &headers, Some(b"{}")).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "POST /v1/explain HTTP/1.1\r\nHost: whynot\r\nX-Whynot-Timeout-Ms: 5\r\n\
+             Content-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
+        );
+
+        let mut out = Vec::new();
+        write_message(&mut out, "GET /healthz HTTP/1.1", &[("Host", "whynot")], None).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "GET /healthz HTTP/1.1\r\nHost: whynot\r\n\r\n"
+        );
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! * [`stats`] — cumulative service metrics (the `stats` wire op) and the
 //!   wire encoding of `whynot-obs` profile reports.
 //! * [`http`] — `whynot-serve`: a dependency-free HTTP/1.1 front end routing
-//!   `POST /v1/explain|batch|stats` onto the wire dispatch, with a
-//!   bounded admission queue (429 + `Retry-After` shedding) and per-request
-//!   guard deadlines; plus the minimal keep-alive client the HTTP tests
+//!   `POST /v1/explain|batch|stats` onto the wire dispatch, with one
+//!   bounded admission channel (429 + `Retry-After` shedding) and
+//!   per-request guard deadlines; plus the minimal keep-alive client the HTTP tests
 //!   and the end-to-end benchmark drive it with.
 
 #![warn(missing_docs)]

@@ -649,73 +649,113 @@ pub fn operator_to_json(op: &Operator) -> Json {
     }
 }
 
-/// Decodes an operator.
+/// Decodes an operator. Each tag admits `op` and its own parameters; any
+/// other key is a decode error at that key.
 pub fn operator_from_json(json: &Json) -> ServiceResult<Operator> {
-    Ok(match field(json, "op", string)? {
-        "table" => Operator::TableAccess { table: field(json, "table", string)?.to_string() },
-        "project" => Operator::Projection {
-            columns: field(json, "columns", |columns| {
-                list(columns, |c| {
-                    Ok(ProjColumn {
-                        name: field(c, "name", name)?,
-                        expr: field(c, "expr", expr_from_json)?,
+    let (parameters, operator): (&[&str], _) = match field(json, "op", string)? {
+        "table" => {
+            (&["table"], Operator::TableAccess { table: field(json, "table", string)?.to_string() })
+        }
+        "project" => (
+            &["columns"],
+            Operator::Projection {
+                columns: field(json, "columns", |columns| {
+                    list(columns, |c| {
+                        known_fields(c, |key| ["name", "expr"].contains(&key))?;
+                        Ok(ProjColumn {
+                            name: field(c, "name", name)?,
+                            expr: field(c, "expr", expr_from_json)?,
+                        })
                     })
-                })
-            })?,
-        },
-        "rename" => Operator::Rename {
-            pairs: field(json, "pairs", |pairs| {
-                list(pairs, |p| Ok(RenamePair::new(field(p, "from", name)?, field(p, "to", name)?)))
-            })?,
-        },
-        "select" => Operator::Selection { predicate: field(json, "predicate", expr_from_json)? },
-        "join" => Operator::Join {
-            kind: field(json, "kind", |kind| JOIN_KINDS.decode(kind))?,
-            predicate: field(json, "predicate", expr_from_json)?,
-        },
-        "cross" => Operator::CrossProduct,
-        "tuple_flatten" => Operator::TupleFlatten {
-            source: field(json, "source", attr_path)?,
-            alias: optional(json, "alias", name)?,
-        },
-        "flatten" => Operator::Flatten {
-            kind: field(json, "kind", |kind| FLATTEN_KINDS.decode(kind))?,
-            attr: field(json, "attr", name)?,
-            alias: optional(json, "alias", name)?,
-        },
-        "tuple_nest" => Operator::TupleNest {
-            attrs: field(json, "attrs", names)?,
-            into: field(json, "into", name)?,
-        },
-        "relation_nest" => Operator::RelationNest {
-            attrs: field(json, "attrs", names)?,
-            into: field(json, "into", name)?,
-        },
-        "nest_agg" => Operator::NestAggregation {
-            func: field(json, "func", |func| AGG_FUNCS.decode(func))?,
-            attr: field(json, "attr", name)?,
-            field: optional(json, "field", name)?,
-            output: field(json, "output", name)?,
-        },
-        "group_agg" => Operator::GroupAggregation {
-            group_by: field(json, "group_by", names)?,
-            aggs: field(json, "aggs", |aggs| {
-                list(aggs, |a| {
-                    Ok(AggSpec::new(
-                        field(a, "func", |func| AGG_FUNCS.decode(func))?,
-                        field(a, "input", expr_from_json)?,
-                        field(a, "output", name)?,
-                    ))
-                })
-            })?,
-        },
-        "union" => Operator::Union,
-        "difference" => Operator::Difference,
-        "dedup" => Operator::Dedup,
+                })?,
+            },
+        ),
+        "rename" => (
+            &["pairs"],
+            Operator::Rename {
+                pairs: field(json, "pairs", |pairs| {
+                    list(pairs, |p| {
+                        known_fields(p, |key| ["from", "to"].contains(&key))?;
+                        Ok(RenamePair::new(field(p, "from", name)?, field(p, "to", name)?))
+                    })
+                })?,
+            },
+        ),
+        "select" => (
+            &["predicate"],
+            Operator::Selection { predicate: field(json, "predicate", expr_from_json)? },
+        ),
+        "join" => (
+            &["kind", "predicate"],
+            Operator::Join {
+                kind: field(json, "kind", |kind| JOIN_KINDS.decode(kind))?,
+                predicate: field(json, "predicate", expr_from_json)?,
+            },
+        ),
+        "cross" => (&[], Operator::CrossProduct),
+        "tuple_flatten" => (
+            &["source", "alias"],
+            Operator::TupleFlatten {
+                source: field(json, "source", attr_path)?,
+                alias: optional(json, "alias", name)?,
+            },
+        ),
+        "flatten" => (
+            &["kind", "attr", "alias"],
+            Operator::Flatten {
+                kind: field(json, "kind", |kind| FLATTEN_KINDS.decode(kind))?,
+                attr: field(json, "attr", name)?,
+                alias: optional(json, "alias", name)?,
+            },
+        ),
+        "tuple_nest" => (
+            &["attrs", "into"],
+            Operator::TupleNest {
+                attrs: field(json, "attrs", names)?,
+                into: field(json, "into", name)?,
+            },
+        ),
+        "relation_nest" => (
+            &["attrs", "into"],
+            Operator::RelationNest {
+                attrs: field(json, "attrs", names)?,
+                into: field(json, "into", name)?,
+            },
+        ),
+        "nest_agg" => (
+            &["func", "attr", "field", "output"],
+            Operator::NestAggregation {
+                func: field(json, "func", |func| AGG_FUNCS.decode(func))?,
+                attr: field(json, "attr", name)?,
+                field: optional(json, "field", name)?,
+                output: field(json, "output", name)?,
+            },
+        ),
+        "group_agg" => (
+            &["group_by", "aggs"],
+            Operator::GroupAggregation {
+                group_by: field(json, "group_by", names)?,
+                aggs: field(json, "aggs", |aggs| {
+                    list(aggs, |a| {
+                        known_fields(a, |key| ["func", "input", "output"].contains(&key))?;
+                        Ok(AggSpec::new(
+                            field(a, "func", |func| AGG_FUNCS.decode(func))?,
+                            field(a, "input", expr_from_json)?,
+                            field(a, "output", name)?,
+                        ))
+                    })
+                })?,
+            },
+        ),
+        "union" => (&[], Operator::Union),
+        "difference" => (&[], Operator::Difference),
+        "dedup" => (&[], Operator::Dedup),
         other => {
             return Err(ServiceError::decode(format!("unknown operator tag `{other}`")).at("op"))
         }
-    })
+    };
+    known_fields(json, |key| key == "op" || parameters.contains(&key))?;
+    Ok(operator)
 }
 
 fn node_to_json(node: &OpNode) -> Json {
@@ -727,6 +767,7 @@ fn node_to_json(node: &OpNode) -> Json {
 }
 
 fn node_from_json(json: &Json) -> ServiceResult<OpNode> {
+    known_fields(json, |key| ["id", "op", "inputs"].contains(&key))?;
     let id = field(json, "id", |id| {
         u32::try_from(non_negative(id)?).map_err(|_| expected("a 32-bit operator id", id))
     })?;
@@ -773,9 +814,11 @@ pub fn database_to_json(db: &Database) -> Json {
 
 /// Decodes a database, validating every row against its relation schema.
 pub fn database_from_json(json: &Json) -> ServiceResult<Database> {
+    known_fields(json, |key| key == "relations")?;
     let mut db = Database::new();
     field(json, "relations", |relations| {
         members(object(relations)?, |name, relation| {
+            known_fields(relation, |key| ["schema", "rows"].contains(&key))?;
             let schema = field(relation, "schema", tuple_type_from_json)?;
             let row_type = NestedType::Tuple(schema.clone());
             let rows = field(relation, "rows", |rows| {
@@ -811,6 +854,7 @@ pub fn alternative_to_json(alt: &AttributeAlternative) -> Json {
 
 /// Decodes an attribute alternative.
 pub fn alternative_from_json(json: &Json) -> ServiceResult<AttributeAlternative> {
+    known_fields(json, |key| ["relation", "from", "to"].contains(&key))?;
     Ok(AttributeAlternative::new(
         field(json, "relation", string)?,
         field(json, "from", attr_path)?,

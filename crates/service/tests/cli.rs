@@ -1,6 +1,7 @@
 //! The `whynot` binary end to end: `batch` answers its questions file through
 //! the wire `batch` op, so each entry is what the service answers for that
-//! question and a failing entry has the wire error shape.
+//! question and a failing entry has the wire error shape; `serve` rejects a
+//! flag it does not know.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -101,4 +102,21 @@ fn stats_counts_a_question_that_does_not_decode_as_an_error() {
     assert_eq!(requests.get("batch_requests").and_then(Json::as_i64), Some(1), "{document}");
     let cache = document.get("trace_cache").unwrap();
     assert_eq!(cache.get("misses").and_then(Json::as_i64), Some(1), "{document}");
+}
+
+/// The admission bound, body limit, keep-alive and `Retry-After` are
+/// constants of the server, so their former `serve` flags are unknown flags:
+/// the invocation fails before binding anything.
+#[test]
+fn serve_rejects_the_removed_tuning_flags() {
+    for flag in ["--queue", "--max-body-bytes", "--keep-alive-secs", "--retry-after-secs"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_whynot"))
+            .args(["serve", flag, "4"])
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        assert!(!output.status.success(), "{flag} must fail");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{flag}: {stderr}");
+    }
 }

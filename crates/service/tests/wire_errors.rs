@@ -122,6 +122,14 @@ fn without(doc: &Json, pointer: &str) -> Json {
     doc
 }
 
+/// `doc` with an extra `key` in the object at `pointer`.
+fn with_key(doc: &Json, pointer: &str, key: &str) -> Json {
+    let mut doc = doc.clone();
+    let Json::Object(fields) = at(&mut doc, pointer) else { panic!("`{pointer}` is no object") };
+    fields.push((key.to_string(), Json::Int(0)));
+    doc
+}
+
 /// `doc` with the field at `pointer` replaced by `value`.
 fn with(doc: &Json, pointer: &str, value: Json) -> Json {
     let mut doc = doc.clone();
@@ -277,6 +285,50 @@ fn an_unknown_field_is_the_error_path() {
         assert_eq!(error.get("kind").and_then(Json::as_str), Some("decode"), "{text}: {error}");
         assert_eq!(error.get("path").and_then(Json::as_str), Some(path), "{text}: {error}");
     }
+
+    // Below the request: the database, its relation objects, an alternative,
+    // every plan node and operator, and the objects inside operator lists.
+    // Objects keyed by data (tuples, `relations`) admit any key.
+    let mut objects: Vec<String> =
+        ["db", "db/relations/person", "db/relations/city", "alternatives/0"]
+            .map(String::from)
+            .to_vec();
+    for (pointer, tag) in plan_nodes(&doc) {
+        objects.extend([pointer.clone(), format!("{pointer}/op")]);
+        let (_, parameters) = OPERATOR_FIELDS.iter().find(|(t, _)| *t == tag).unwrap();
+        for parameter in parameters.iter().filter_map(|p| p.split_once("/0/")) {
+            objects.push(format!("{pointer}/op/{}/0", parameter.0));
+        }
+    }
+    objects.dedup();
+    for object in objects {
+        let path = format!("{object}/typo");
+        assert_decode_error_at(&service, &with_key(&doc, &object, "typo"), &path, &path);
+    }
+}
+
+/// The running example's plan with a misspelt optional flatten field: the
+/// alias is not silently left at its default.
+#[test]
+fn a_misspelt_operator_field_of_the_running_plan_is_the_error_path() {
+    let file = |name: &str| {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/data/running/");
+        Json::parse(&std::fs::read_to_string(format!("{path}{name}")).unwrap()).unwrap()
+    };
+    let flatten = "plan/inputs/0/inputs/0/inputs/0/op";
+    let Json::Object(mut doc) = file("question.json") else { panic!("question is an object") };
+    doc.extend([("db".to_string(), file("db.json")), ("plan".to_string(), file("plan.json"))]);
+    let mut doc = Json::Object(doc);
+    let service = ExplainService::new();
+    assert!(service.handle_wire(&doc).unwrap().get("report").is_some());
+    assert_eq!(at(&mut doc, flatten).get("op").and_then(Json::as_str), Some("flatten"));
+
+    let Json::Object(fields) = at(&mut doc, flatten) else { unreachable!("an object") };
+    fields.push(("alais".to_string(), Json::str("addr")));
+    let error = service.handle_wire(&doc).expect_err("a misspelt alias").to_wire();
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("decode"), "{error}");
+    let path = format!("{flatten}/alais");
+    assert_eq!(error.get("path").and_then(Json::as_str), Some(&*path), "{error}");
 }
 
 /// A NIP object is a tagged leaf when any of its keys is a `$` tag, so a
