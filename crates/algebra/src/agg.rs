@@ -5,6 +5,7 @@
 //! implemented here. An aggregation function folds the bag of values of one
 //! attribute (or expression) into a single value.
 
+use std::collections::HashSet;
 use std::fmt;
 
 use nested_data::Value;
@@ -51,12 +52,13 @@ impl AggFunc {
                 Value::Int(n as i64)
             }
             AggFunc::CountDistinct => {
-                let mut distinct: Vec<&Value> = Vec::new();
-                for v in values {
-                    if !v.is_null() && !distinct.contains(&v) {
-                        distinct.push(v);
-                    }
-                }
+                // `Value`'s `Hash` agrees with its `Eq`, also across `Int`
+                // and `Float`, so the set merges exactly the values `==`
+                // merges. Its only interior mutability is the lazily cached
+                // structural hash, which never changes that identity.
+                #[allow(clippy::mutable_key_type)]
+                let distinct: HashSet<&Value> =
+                    values.into_iter().filter(|v| !v.is_null()).collect();
                 Value::Int(distinct.len() as i64)
             }
             AggFunc::Sum => {
@@ -142,6 +144,12 @@ mod tests {
         // Neither count is ever ⊥, so callers need no ⊥ → 0 fallback.
         assert_eq!(AggFunc::CountDistinct.apply([].iter()), Value::Int(0));
         assert_eq!(AggFunc::CountDistinct.apply([Value::Null].iter()), Value::Int(0));
+        // `Int 2` and `Float 2.0` are one value, `⊥` is no value, and two
+        // `i64`s beyond 2⁵³ stay two although their `f64` widenings agree.
+        let mixed = [Value::int(2), Value::float(2.0), Value::Null, Value::int(2)];
+        assert_eq!(AggFunc::CountDistinct.apply(mixed.iter()), Value::Int(1));
+        let big = [Value::int(i64::MAX), Value::int(i64::MAX - 1), Value::int(i64::MAX)];
+        assert_eq!(AggFunc::CountDistinct.apply(big.iter()), Value::Int(2));
     }
 
     #[test]

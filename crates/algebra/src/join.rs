@@ -1,14 +1,10 @@
-//! The shared physical join core: a hash join used by both
-//! bag-semantics evaluation ([`crate::eval`]) and the generalized join
-//! tracing of `nrab-provenance`.
+//! The shared join core: a hash join used by both bag-semantics evaluation
+//! ([`crate::eval`]) and the generalized join tracing of `nrab-provenance`.
 //!
 //! Both consumers need the same primitive — given a left and a right sequence
 //! of (possibly absent) tuples and a join predicate, find every matching
-//! `(left, right)` pair plus per-side matched flags for outer-join padding —
-//! and until this module existed each had its own copy of the pairing logic
-//! (a nested loop in `eval`, a single-sided `BTreeMap` bucketing with a
-//! quadratic non-equi fallback in `trace_join`). [`join_matches`] is that one
-//! primitive:
+//! `(left, right)` pair plus per-side matched flags for outer-join padding.
+//! [`join_matches`] is that one primitive:
 //!
 //! 1. **Split** the conjunctive predicate into equi-join key pairs
 //!    (`left.a = right.b` equalities whose sides resolve to opposite input
@@ -24,11 +20,12 @@
 //!    still runs, preserving the duplicate-attribute semantics of the nested
 //!    loop).
 //!
-//! Predicates without a usable equality — and every join while
-//! [`with_hash_join`] has disabled the hash path — take the block
-//! nested-loop fallback. Build, probe and the fallback check the request's
-//! guard ([`whynot_guard::checkpoint`]) once every 1024 rows and return a
-//! trip as [`AlgebraError::Resource`](crate::AlgebraError::Resource).
+//! Predicates without a usable equality take the block nested loop,
+//! [`nested_loop_join`], which evaluates the whole predicate on every pair
+//! and is the reference the hash path is tested against. Build, probe and
+//! the nested loop check the request's guard ([`whynot_guard::checkpoint`])
+//! once every 1024 rows and return a trip as
+//! [`AlgebraError::Resource`](crate::AlgebraError::Resource).
 //!
 //! ## Key canonicalization
 //!
@@ -47,7 +44,6 @@
 //! them). Everything else — strings, booleans, nested tuples and bags — is
 //! compared by `Value` equality on both paths, so it is hashed as is.
 
-use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -57,41 +53,11 @@ use nested_data::{AttrPath, Tuple, TupleType, Value};
 use crate::error::AlgebraResult;
 use crate::expr::{CmpOp, Expr};
 
-thread_local! {
-    /// Thread-local hash-join enable flag (default: enabled). See
-    /// [`with_hash_join`].
-    static HASH_JOIN_ENABLED: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Whether the hash join is enabled on the current thread.
-fn hash_join_enabled() -> bool {
-    HASH_JOIN_ENABLED.with(Cell::get)
-}
-
-/// Runs `f` with the hash join enabled or disabled on the current
-/// thread, restoring the previous setting afterwards (also on panic).
-///
-/// Disabling forces every join back onto the block nested-loop path — the
-/// knob the join equivalence tests and the `join` bench group use to compare
-/// the two physical operators on identical plans.
-pub fn with_hash_join<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore {
-        previous: bool,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let previous = self.previous;
-            HASH_JOIN_ENABLED.with(|c| c.set(previous));
-        }
-    }
-    let _restore = Restore { previous: HASH_JOIN_ENABLED.with(|c| c.replace(enabled)) };
-    f()
-}
-
 /// One matched pair of a join, with the concatenated output tuple (the
 /// predicate was evaluated on exactly this tuple, and both consumers need
 /// it next — the evaluator to emit it, the tracer to store it as the pair's
 /// data variant).
+#[derive(Debug, PartialEq)]
 pub struct JoinPair {
     /// Index of the left row.
     pub left: usize,
@@ -104,6 +70,7 @@ pub struct JoinPair {
 /// The result of [`join_matches`]: every matching pair (ascending by left
 /// index, then by right index) and the per-side matched flags outer joins
 /// pad from.
+#[derive(Debug, PartialEq)]
 pub struct JoinMatches {
     /// Matched pairs in deterministic `(left, right)` order.
     pub pairs: Vec<JoinPair>,
@@ -179,13 +146,11 @@ fn collect_conjuncts<'e>(predicate: &'e Expr, out: &mut Vec<&'e Expr>) {
 }
 
 /// Computes every matching pair of a join plus the per-side matched flags,
-/// routing through the hash join when the predicate has equi structure (and
-/// the current thread has not disabled it via [`with_hash_join`]), and
-/// through the block nested loop otherwise.
-/// Each side is a sequence of rows; absent rows (`None` — e.g. tuples that
-/// are invalid under a schema alternative) never pair. The two physical
-/// paths produce identical matches by construction; the workspace
-/// join-equivalence suite pins this end to end.
+/// through the hash join when the predicate has equi structure and through
+/// [`nested_loop_join`] otherwise. Each side is a sequence of rows; absent
+/// rows (`None` — e.g. tuples that are invalid under a schema alternative)
+/// never pair. Both paths return the same matches; the tests compare the
+/// hash path against [`nested_loop_join`].
 pub fn join_matches(
     left: &[Option<&Tuple>],
     right: &[Option<&Tuple>],
@@ -193,20 +158,16 @@ pub fn join_matches(
     left_schema: &TupleType,
     right_schema: &TupleType,
 ) -> AlgebraResult<JoinMatches> {
-    let equi = hash_join_enabled()
-        .then(|| split_equi_join(predicate, left_schema, right_schema))
-        .flatten();
-    let matches_per_left = match &equi {
+    match split_equi_join(predicate, left_schema, right_schema) {
         Some(equi) => {
             whynot_obs::add("join.hash", 1);
-            hash_matches(left, right, equi)?
+            Ok(assemble_matches(hash_matches(left, right, &equi)?, left.len(), right.len()))
         }
         None => {
             whynot_obs::add("join.fallback", 1);
-            nested_loop_matches(left, right, predicate)?
+            nested_loop_join(left, right, predicate)
         }
-    };
-    Ok(assemble_matches(matches_per_left, left.len(), right.len()))
+    }
 }
 
 /// Folds per-left-row match lists into the [`JoinMatches`] result, in
@@ -339,13 +300,16 @@ fn hash_matches(
     Ok(matches_per_left)
 }
 
-/// The block nested-loop fallback for predicates without equi structure
-/// (range joins, cross products) and for joins forced off the hash path.
-fn nested_loop_matches(
+/// The block nested loop: evaluates the whole predicate on the
+/// concatenation of every pair of present rows. [`join_matches`] takes it
+/// for predicates without equi structure (range joins, cross products); the
+/// tests and the `join` bench group call it directly as the reference for
+/// the hash path.
+pub fn nested_loop_join(
     left: &[Option<&Tuple>],
     right: &[Option<&Tuple>],
     predicate: &Expr,
-) -> AlgebraResult<Vec<Vec<(usize, Tuple)>>> {
+) -> AlgebraResult<JoinMatches> {
     let mut matches_per_left = Vec::with_capacity(left.len());
     for (li, row) in left.iter().enumerate() {
         checkpoint_every_1024(li)?;
@@ -361,7 +325,7 @@ fn nested_loop_matches(
         }
         matches_per_left.push(matched);
     }
-    Ok(matches_per_left)
+    Ok(assemble_matches(matches_per_left, left.len(), right.len()))
 }
 
 #[cfg(test)]
@@ -389,8 +353,9 @@ mod tests {
         matches.pairs.iter().map(|p| (p.left, p.right)).collect()
     }
 
-    /// Runs the same join through the hash and nested-loop paths and asserts
-    /// the outcomes are identical.
+    /// Runs the same join through [`join_matches`] and the reference
+    /// [`nested_loop_join`] and asserts the outcomes are identical: the
+    /// pairs, their combined tuples and both matched vectors.
     fn assert_paths_agree(
         left: &[Tuple],
         right: &[Tuple],
@@ -399,17 +364,10 @@ mod tests {
         let (ls, rs) = schemas();
         let left_side: Vec<_> = left.iter().map(Some).collect();
         let right_side: Vec<_> = right.iter().map(Some).collect();
-        let hashed = join_matches(&left_side, &right_side, predicate, &ls, &rs).unwrap();
-        let looped =
-            with_hash_join(false, || join_matches(&left_side, &right_side, predicate, &ls, &rs))
-                .unwrap();
-        assert_eq!(pairs_of(&hashed), pairs_of(&looped));
-        assert_eq!(hashed.left_matched, looped.left_matched);
-        assert_eq!(hashed.right_matched, looped.right_matched);
-        for (h, l) in hashed.pairs.iter().zip(looped.pairs.iter()) {
-            assert_eq!(h.combined, l.combined);
-        }
-        pairs_of(&hashed)
+        let joined = join_matches(&left_side, &right_side, predicate, &ls, &rs).unwrap();
+        let reference = nested_loop_join(&left_side, &right_side, predicate).unwrap();
+        assert_eq!(joined, reference);
+        pairs_of(&joined)
     }
 
     #[test]
@@ -509,17 +467,6 @@ mod tests {
         assert!(split_equi_join(&pure, &ls, &rs).unwrap().residual.is_none());
     }
 
-    #[test]
-    fn with_hash_join_toggles_and_restores() {
-        assert!(hash_join_enabled());
-        with_hash_join(false, || {
-            assert!(!hash_join_enabled());
-            with_hash_join(true, || assert!(hash_join_enabled()));
-            assert!(!hash_join_enabled());
-        });
-        assert!(hash_join_enabled());
-    }
-
     /// A 600-key build with a mostly-miss probe side (only every 7th probe
     /// key has a bucket): the hash path must find exactly the nested loop's
     /// pairs.
@@ -534,8 +481,9 @@ mod tests {
         assert_eq!(pairs.len(), 86, "left keys 0, 7, .., 595 find their bucket");
     }
 
-    /// Under an armed guard whose zero deadline has passed, every physical
-    /// path returns the trip from inside its row loop as an error.
+    /// Under an armed guard whose zero deadline has passed, the hash path,
+    /// the nested loop `join_matches` falls back to and the reference
+    /// nested loop return the trip from inside their row loops as an error.
     #[test]
     fn a_passed_deadline_trips_inside_every_join_loop() {
         use crate::error::AlgebraError;
@@ -551,11 +499,12 @@ mod tests {
         let guard = whynot_guard::Guard::new(Some(0), None, None);
         let _armed = whynot_guard::arm(&guard);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let hashed = join_matches(&left_side, &right_side, &equi, &ls, &rs);
-        let nested = join_matches(&left_side, &right_side, &range, &ls, &rs);
-        let forced =
-            with_hash_join(false, || join_matches(&left_side, &right_side, &equi, &ls, &rs));
-        for (path, result) in [("hash", hashed), ("nested loop", nested), ("forced", forced)] {
+        let results = [
+            ("hash", join_matches(&left_side, &right_side, &equi, &ls, &rs)),
+            ("nested loop", join_matches(&left_side, &right_side, &range, &ls, &rs)),
+            ("reference", nested_loop_join(&left_side, &right_side, &equi)),
+        ];
+        for (path, result) in results {
             assert!(
                 matches!(
                     result,

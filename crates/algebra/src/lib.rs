@@ -41,7 +41,7 @@ pub use database::Database;
 pub use error::{AlgebraError, AlgebraResult};
 pub use eval::evaluate;
 pub use expr::{CmpOp, Expr};
-pub use join::{with_hash_join, JoinMatches};
+pub use join::JoinMatches;
 pub use operator::{AggSpec, FlattenKind, JoinKind, Operator, ProjColumn, RenamePair};
 pub use params::{OperatorParams, ParamChange, Reparameterization};
 pub use plan::{OpId, OpNode, QueryPlan};

@@ -263,14 +263,30 @@ fn dedup_is_idempotent() {
     }
 }
 
-/// The partitioned hash join is a pure physical optimization: for every join
-/// kind and predicate shape, forcing the nested loop produces the same bag,
-/// entry for entry — including joins whose keys mix `Int` and `Real` columns
-/// (the bucket canonicalization widens exactly like `=` does).
+/// The hash join is a pure physical optimization: for every predicate shape,
+/// `join_matches` finds exactly the pairs, combined tuples and matched flags
+/// of the reference nested loop. Keys are drawn from both sides of every
+/// canonicalization case — `Int` against `Real`, `-0.0`, NaN, `⊥`, and two
+/// `i64`s beyond 2⁵³ that `=` cannot tell apart — and some rows are absent,
+/// as invalid tuples are under a schema alternative.
 #[test]
 fn hash_join_matches_nested_loop() {
-    use nrab_algebra::with_hash_join;
+    use nested_data::Tuple;
+    use nrab_algebra::join::{join_matches, nested_loop_join};
 
+    const BIG: i64 = 1 << 60;
+    let keys = [
+        Value::int(0),
+        Value::int(1),
+        Value::int(2),
+        Value::float(1.0),
+        Value::float(2.0),
+        Value::float(-0.0),
+        Value::float(f64::NAN),
+        Value::Null,
+        Value::int(BIG),
+        Value::int(BIG + 1),
+    ];
     let mut rng = StdRng::seed_from_u64(0x6a6f_696e);
     let left_ty = TupleType::new([("k", NestedType::int()), ("x", NestedType::int())]).unwrap();
     let right_ty = TupleType::new([("j", NestedType::float()), ("y", NestedType::int())]).unwrap();
@@ -280,48 +296,32 @@ fn hash_join_matches_nested_loop() {
             Expr::cmp(Expr::attr("k"), CmpOp::Eq, Expr::attr("j")),
             Expr::cmp(Expr::attr("x"), CmpOp::Lt, Expr::attr("y")),
         ),
+        Expr::and(
+            Expr::cmp(Expr::attr("k"), CmpOp::Eq, Expr::attr("j")),
+            Expr::cmp(Expr::attr("y"), CmpOp::Eq, Expr::attr("x")),
+        ),
         Expr::cmp(Expr::attr("x"), CmpOp::Le, Expr::attr("y")),
     ];
+    let rows = |rng: &mut StdRng, key: &str, other: &str| -> Vec<Option<Tuple>> {
+        (0..rng.gen_range(0..12usize))
+            .map(|_| {
+                let tuple = Tuple::new([
+                    (key, rng.choose(&keys).clone()),
+                    (other, Value::int(rng.gen_range(0i64..6))),
+                ]);
+                (!rng.gen_bool(0.15)).then_some(tuple)
+            })
+            .collect()
+    };
     for _ in 0..CASES {
-        let mut db = Database::new();
-        // Integer keys on the left, float keys on the right: every match
-        // crosses the Int/Real boundary.
-        let left_rows = rng.gen_range(0..12usize);
-        let right_rows = rng.gen_range(0..12usize);
-        db.add_relation(
-            "l",
-            left_ty.clone(),
-            Bag::from_values((0..left_rows).map(|_| {
-                Value::tuple([
-                    ("k", Value::int(rng.gen_range(0i64..5))),
-                    ("x", Value::int(rng.gen_range(0i64..6))),
-                ])
-            })),
-        );
-        db.add_relation(
-            "r",
-            right_ty.clone(),
-            Bag::from_values((0..right_rows).map(|_| {
-                Value::tuple([
-                    ("j", Value::float(rng.gen_range(0i64..5) as f64)),
-                    ("y", Value::int(rng.gen_range(0i64..6))),
-                ])
-            })),
-        );
+        let left = rows(&mut rng, "k", "x");
+        let right = rows(&mut rng, "j", "y");
+        let left: Vec<Option<&Tuple>> = left.iter().map(Option::as_ref).collect();
+        let right: Vec<Option<&Tuple>> = right.iter().map(Option::as_ref).collect();
         for predicate in &predicates {
-            for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Right, JoinKind::Full] {
-                let plan = PlanBuilder::table("l")
-                    .join(PlanBuilder::table("r"), kind, predicate.clone())
-                    .build()
-                    .unwrap();
-                let hashed = evaluate(&plan, &db).unwrap();
-                let looped = with_hash_join(false, || evaluate(&plan, &db).unwrap());
-                assert_eq!(
-                    hashed.iter().collect::<Vec<_>>(),
-                    looped.iter().collect::<Vec<_>>(),
-                    "{kind:?} join over `{predicate}` diverges between hash and nested loop"
-                );
-            }
+            let joined = join_matches(&left, &right, predicate, &left_ty, &right_ty).unwrap();
+            let reference = nested_loop_join(&left, &right, predicate).unwrap();
+            assert_eq!(joined, reference, "`{predicate}` diverges between hash and nested loop");
         }
     }
 }

@@ -17,8 +17,8 @@
 //!   formalism.
 //! * **Crime comparison** (Section 6.4) — Why-Not vs. Conseil vs. RP on C1–C3.
 //!
-//! Besides the figures, two groups pair a physical fast path with the path
-//! it replaces in one process: [`join_group`] and [`parallel_group`]. The
+//! Besides the figures, two groups pair a fast path with its slower
+//! reference in one process: [`join_group`] and [`parallel_group`]. The
 //! `figures` binary is the single entry point (`cargo run --release -p
 //! whynot-bench --bin figures`); it measures through
 //! [`microbench::BenchGroup`] and merges one group per figure or pair into
@@ -38,7 +38,7 @@ pub mod microbench;
 use std::collections::BTreeSet;
 
 use nested_data::{Bag, Value};
-use nrab_algebra::{evaluate, OpId, QueryPlan};
+use nrab_algebra::{evaluate, OpId};
 use whynot_core::WhyNotEngine;
 use whynot_scenarios::{Scenario, ScenarioOutcome};
 
@@ -213,108 +213,74 @@ fn join_db(fact_n: i64, dim_n: i64, keys: i64) -> nrab_algebra::Database {
     db
 }
 
-/// The `fk = pk` equi-join predicate of the shared join workload.
-fn equi_join_predicate() -> nrab_algebra::Expr {
-    use nrab_algebra::{CmpOp, Expr};
-    Expr::cmp(Expr::attr("fk"), CmpOp::Eq, Expr::attr("pk"))
-}
-
-/// Builds `fact ⋈ dim` over the given predicate.
-fn join_plan_for(predicate: nrab_algebra::Expr) -> QueryPlan {
-    use nrab_algebra::{JoinKind, PlanBuilder};
-    PlanBuilder::table("fact")
-        .join(PlanBuilder::table("dim"), JoinKind::Inner, predicate)
-        .build()
-        .expect("join plan builds")
-}
-
-/// The `join` microbench group: the partitioned hash join of
-/// `nrab_algebra::join` against the block nested loop it replaced, over two
-/// wide flat relations (6 scalar attributes each) — a pure equi join, an
-/// equi join with a residual range conjunct, and a pure non-equi range join,
-/// each measured through the evaluator; plus the
-/// per-schema-alternative traced equi join (two SAs, the second substituting
-/// the probe key) through `trace_plan_generalized`.
+/// The `join` microbench group: the hash join of `nrab_algebra::join`
+/// against its reference, the block nested loop, called directly on the rows
+/// of two wide flat relations (6 scalar attributes each): a pure equi join,
+/// an equi join with a residual range conjunct, and a pure non-equi range
+/// join.
 ///
-/// Before measuring, the group *asserts* the equivalence contract: for every
-/// plan, the hash-join result and trace must be byte-identical to the forced
-/// nested loop (`with_hash_join(false, ..)`). Each hash case is measured as
-/// an interleaved pair with its `nested_loop` twin, the physical plan the
-/// evaluator executed before the shared join core existed. The non-equi range
-/// join has no hash structure, so it always takes the loop and is one case.
+/// Before measuring, the group asserts that `join_matches` returns exactly
+/// the pairs of `nested_loop_join` for every predicate. Each hash case is
+/// measured as an interleaved pair with its `nested_loop` twin. The non-equi
+/// range join has no hash structure, so `join_matches` takes the loop
+/// there and it is one case.
 pub fn join_group() {
+    use nested_data::{Tuple, TupleType};
     use nrab_algebra::expr::{CmpOp, Expr};
-    use nrab_algebra::{with_hash_join, JoinKind, PlanBuilder};
-    use nrab_provenance::{trace_plan_generalized, OpSubstitution, SchemaAlternative};
-    use std::collections::BTreeMap;
+    use nrab_algebra::join::{join_matches, nested_loop_join};
+    use nrab_algebra::{Database, JoinMatches};
+
+    /// One join input: the relation's rows, all present, and its schema.
+    type Side<'db> = (Vec<Option<&'db Tuple>>, &'db TupleType);
+    fn side<'db>(db: &'db Database, table: &str) -> Side<'db> {
+        let rows = db.relation(table).expect("bench relation").iter();
+        (rows.map(|(v, _)| v.as_tuple()).collect(), db.schema(table).expect("bench schema"))
+    }
+    fn join((left, left_ty): &Side<'_>, (right, right_ty): &Side<'_>, on: &Expr) -> JoinMatches {
+        join_matches(left, right, on, left_ty, right_ty).expect("join")
+    }
+    fn nested_loop((left, _): &Side<'_>, (right, _): &Side<'_>, on: &Expr) -> JoinMatches {
+        nested_loop_join(left, right, on).expect("nested loop")
+    }
 
     let mut group = BenchGroup::new("join");
 
-    // The evaluator workloads: 1500 × 1000 rows for the hash-eligible
-    // shapes (1.5M candidate pairs for the loop, one bucket probe per row
-    // for the hash join), a smaller 300 × 300 pair for the always-quadratic
-    // non-equi range join.
+    // 1500 × 1000 rows for the hash-eligible shapes (1.5M candidate pairs
+    // for the loop, one bucket probe per row for the hash join), a smaller
+    // 300 × 300 pair for the always-quadratic non-equi range join.
     let db = join_db(1500, 1000, 600);
-    let equi_plan = join_plan_for(equi_join_predicate());
-    let mixed_plan = join_plan_for(Expr::and(
-        equi_join_predicate(),
-        Expr::cmp(Expr::attr("fqty"), CmpOp::Lt, Expr::attr("dcap")),
-    ));
     let small_db = join_db(300, 300, 120);
-    let nonequi_plan = join_plan_for(Expr::and(
+    let (fact, dim) = (side(&db, "fact"), side(&db, "dim"));
+    let (small_fact, small_dim) = (side(&small_db, "fact"), side(&small_db, "dim"));
+    let equi = Expr::cmp(Expr::attr("fk"), CmpOp::Eq, Expr::attr("pk"));
+    let mixed =
+        Expr::and(equi.clone(), Expr::cmp(Expr::attr("fqty"), CmpOp::Lt, Expr::attr("dcap")));
+    let nonequi = Expr::and(
         Expr::cmp(Expr::attr("famount"), CmpOp::Le, Expr::attr("dscale")),
         Expr::cmp(Expr::attr("fqty"), CmpOp::Gt, Expr::attr("dprio")),
-    ));
+    );
 
-    // Byte-identity before measuring: both join paths produce the same
-    // canonical bag.
-    for (name, plan, db) in [
-        ("equi", &equi_plan, &db),
-        ("mixed", &mixed_plan, &db),
-        ("nonequi", &nonequi_plan, &small_db),
+    // Pair identity before measuring: both join paths find the same pairs,
+    // combined tuples and matched flags.
+    for (name, left, right, on) in [
+        ("equi", &fact, &dim, &equi),
+        ("mixed", &fact, &dim, &mixed),
+        ("nonequi", &small_fact, &small_dim, &nonequi),
     ] {
-        let looped = with_hash_join(false, || evaluate(plan, db).expect("loop eval"));
-        let hashed = evaluate(plan, db).expect("hash eval");
-        assert!(looped == hashed, "{name}: hash join must be byte-identical to the nested loop");
-        assert!(!hashed.is_empty(), "{name}: the benchmark join must produce rows");
+        let joined = join(left, right, on);
+        assert!(joined == nested_loop(left, right, on), "{name}: join must match the nested loop");
+        assert!(!joined.pairs.is_empty(), "{name}: the benchmark join must produce pairs");
     }
 
-    for (name, plan) in [("equi_join", &equi_plan), ("mixed_join", &mixed_plan)] {
+    for (name, on) in [("equi_join", &equi), ("mixed_join", &mixed)] {
         group.pair(
             &format!("{name}/nested_loop"),
-            || with_hash_join(false, || evaluate(plan, &db).expect("loop")),
+            || nested_loop(&fact, &dim, on),
             &format!("{name}/hash"),
-            || evaluate(plan, &db).expect("hash"),
+            || join(&fact, &dim, on),
         );
     }
-    group.bench("nonequi_join/nested_loop", || evaluate(&nonequi_plan, &small_db).expect("loop"));
-
-    // The traced equi join on a smaller fact/dim pair, under two schema
-    // alternatives: both build over the dimension key `pk`, and the second
-    // substitutes the fact-side probe key `fk` with `fqty`.
-    let trace_db = join_db(600, 400, 240);
-    let builder = PlanBuilder::table("fact").join(
-        PlanBuilder::table("dim"),
-        JoinKind::Inner,
-        equi_join_predicate(),
-    );
-    let join_op = builder.current_id();
-    let trace_plan = builder.build().expect("trace plan builds");
-    let sas = vec![
-        SchemaAlternative::original(BTreeMap::new()),
-        SchemaAlternative::new(
-            1,
-            vec![OpSubstitution::new(join_op, "fk", "fqty")],
-            BTreeMap::new(),
-        ),
-    ];
-    let trace = || trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("trace");
-    let loop_trace = || with_hash_join(false, trace);
-    assert!(
-        loop_trace() == trace(),
-        "traced equi join must be byte-identical to the nested-loop trace"
-    );
-    group.pair("equi_trace/nested_loop", loop_trace, "equi_trace/hash", trace);
+    group.bench("nonequi_join/nested_loop", || join(&small_fact, &small_dim, &nonequi));
 
     group.finish();
 }

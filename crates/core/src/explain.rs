@@ -269,36 +269,10 @@ fn build_explanation(plan: &QueryPlan, ranked: RankedCandidate) -> Explanation {
 mod tests {
     use super::*;
     use crate::error::WhyNotError;
-    use nested_data::{Bag, NestedType, Nip, TupleType, Value};
+    use nested_data::Nip;
+    use nested_datagen::person_database;
     use nrab_algebra::expr::{CmpOp, Expr};
-    use nrab_algebra::{Database, PlanBuilder};
-
-    fn person_db() -> Database {
-        let address =
-            TupleType::new([("city", NestedType::str()), ("year", NestedType::int())]).unwrap();
-        let person_ty = TupleType::new([
-            ("name", NestedType::str()),
-            ("address1", NestedType::Relation(address.clone())),
-            ("address2", NestedType::Relation(address)),
-        ])
-        .unwrap();
-        let addr = |city: &str, year: i64| {
-            Value::tuple([("city", Value::str(city)), ("year", Value::int(year))])
-        };
-        let peter = Value::tuple([
-            ("name", Value::str("Peter")),
-            ("address1", Value::bag([addr("NY", 2010), addr("LA", 2019), addr("LV", 2017)])),
-            ("address2", Value::bag([addr("LA", 2010), addr("SF", 2018)])),
-        ]);
-        let sue = Value::tuple([
-            ("name", Value::str("Sue")),
-            ("address1", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-            ("address2", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-        ]);
-        let mut db = Database::new();
-        db.add_relation("person", person_ty, Bag::from_values([peter, sue]));
-        db
-    }
+    use nrab_algebra::PlanBuilder;
 
     fn running_example() -> QueryPlan {
         PlanBuilder::table("person")
@@ -316,7 +290,7 @@ mod tests {
 
     #[test]
     fn full_engine_reproduces_example_1_and_19() {
-        let question = WhyNotQuestion::new(running_example(), person_db(), why_not());
+        let question = WhyNotQuestion::new(running_example(), person_database(), why_not());
         let answer = WhyNotEngine::rp()
             .explain(&question, &[AttributeAlternative::new("person", "address2", "address1")])
             .unwrap();
@@ -337,7 +311,7 @@ mod tests {
 
     #[test]
     fn rp_no_sa_finds_only_the_selection() {
-        let question = WhyNotQuestion::new(running_example(), person_db(), why_not());
+        let question = WhyNotQuestion::new(running_example(), person_database(), why_not());
         let answer = WhyNotEngine::rp_no_sa()
             .explain(&question, &[AttributeAlternative::new("person", "address2", "address1")])
             .unwrap();
@@ -350,7 +324,7 @@ mod tests {
         // LA is already in the result.
         let question = WhyNotQuestion::new(
             running_example(),
-            person_db(),
+            person_database(),
             Nip::tuple([("city", Nip::val("LA")), ("nList", Nip::Any)]),
         );
         assert!(WhyNotEngine::rp().explain(&question, &[]).is_err());
@@ -361,7 +335,7 @@ mod tests {
         // Sue's LA 2019 address survives the selection, so LA is not missing.
         let question = WhyNotQuestion::new(
             running_example(),
-            person_db(),
+            person_database(),
             Nip::tuple([("city", Nip::val("LA")), ("nList", Nip::bag([Nip::Any, Nip::Star]))]),
         );
         let err = WhyNotEngine::rp()

@@ -125,39 +125,12 @@ pub fn approximate_msrs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nested_data::{Bag, NestedType, Nip, TupleType, Value};
+    use nested_data::{Nip, Value};
+    use nested_datagen::person_database;
     use nrab_algebra::expr::{CmpOp, Expr};
-    use nrab_algebra::{Database, PlanBuilder};
+    use nrab_algebra::PlanBuilder;
     use nrab_provenance::{trace_plan, OpSubstitution};
     use std::collections::BTreeMap;
-
-    /// Running example: why is NY (with any names) missing?
-    fn person_db() -> Database {
-        let address =
-            TupleType::new([("city", NestedType::str()), ("year", NestedType::int())]).unwrap();
-        let person_ty = TupleType::new([
-            ("name", NestedType::str()),
-            ("address1", NestedType::Relation(address.clone())),
-            ("address2", NestedType::Relation(address)),
-        ])
-        .unwrap();
-        let addr = |city: &str, year: i64| {
-            Value::tuple([("city", Value::str(city)), ("year", Value::int(year))])
-        };
-        let peter = Value::tuple([
-            ("name", Value::str("Peter")),
-            ("address1", Value::bag([addr("NY", 2010), addr("LA", 2019), addr("LV", 2017)])),
-            ("address2", Value::bag([addr("LA", 2010), addr("SF", 2018)])),
-        ]);
-        let sue = Value::tuple([
-            ("name", Value::str("Sue")),
-            ("address1", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-            ("address2", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-        ]);
-        let mut db = Database::new();
-        db.add_relation("person", person_ty, Bag::from_values([peter, sue]));
-        db
-    }
 
     fn running_example() -> nrab_algebra::QueryPlan {
         PlanBuilder::table("person")
@@ -174,7 +147,7 @@ mod tests {
     }
 
     fn sas() -> Vec<SchemaAlternative> {
-        let db = person_db();
+        let db = person_database();
         let plan = running_example();
         let bt = crate::backtrace::schema_backtrace(&plan, &db, &why_not()).unwrap();
         let alternatives =
@@ -193,7 +166,7 @@ mod tests {
     #[test]
     fn example_19_explanations() {
         // E≈ = { {σ}, {F, σ} } (Example 19).
-        let db = person_db();
+        let db = person_database();
         let plan = running_example();
         let sas = sas();
         let trace = trace_plan(&plan, &db, &sas).unwrap();
@@ -212,7 +185,7 @@ mod tests {
 
     #[test]
     fn without_schema_alternatives_only_the_selection_is_blamed() {
-        let db = person_db();
+        let db = person_database();
         let plan = running_example();
         let all_sas = sas();
         let only_original = vec![all_sas[0].clone()];
@@ -226,7 +199,7 @@ mod tests {
     fn inconsistent_alternative_contributes_nothing() {
         // Why-not question that no reparameterization captured by the tracing
         // can satisfy (a city that exists nowhere in the data).
-        let db = person_db();
+        let db = person_database();
         let plan = running_example();
         let why_not = Nip::tuple([
             ("city", Nip::val("Atlantis")),
@@ -243,7 +216,7 @@ mod tests {
         // A why-not question satisfied purely by the schema alternative: ask
         // for LA with Peter in the list, which address1 provides (year 2019)
         // without touching the selection.
-        let db = person_db();
+        let db = person_database();
         let plan = running_example();
         let why_not = Nip::tuple([
             ("city", Nip::val("LA")),
@@ -279,7 +252,7 @@ mod tests {
     fn empty_plan_edge_case() {
         // A plan consisting only of a table access has no reparameterizable
         // operators and thus no explanations.
-        let db = person_db();
+        let db = person_database();
         let plan = PlanBuilder::table("person").build().unwrap();
         let sas = vec![SchemaAlternative::original(BTreeMap::new())];
         let trace = trace_plan(&plan, &db, &sas).unwrap();

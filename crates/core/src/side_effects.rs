@@ -94,37 +94,11 @@ mod tests {
     use super::*;
     use crate::alternatives::{enumerate_schema_alternatives, AttributeAlternative};
     use crate::backtrace::schema_backtrace;
-    use nested_data::{Bag, NestedType, Nip, TupleType, Value};
+    use nested_data::Nip;
+    use nested_datagen::person_database;
     use nrab_algebra::expr::{CmpOp, Expr};
     use nrab_algebra::{evaluate, Database, PlanBuilder};
     use nrab_provenance::trace_plan;
-
-    fn person_db() -> Database {
-        let address =
-            TupleType::new([("city", NestedType::str()), ("year", NestedType::int())]).unwrap();
-        let person_ty = TupleType::new([
-            ("name", NestedType::str()),
-            ("address1", NestedType::Relation(address.clone())),
-            ("address2", NestedType::Relation(address)),
-        ])
-        .unwrap();
-        let addr = |city: &str, year: i64| {
-            Value::tuple([("city", Value::str(city)), ("year", Value::int(year))])
-        };
-        let peter = Value::tuple([
-            ("name", Value::str("Peter")),
-            ("address1", Value::bag([addr("NY", 2010), addr("LA", 2019), addr("LV", 2017)])),
-            ("address2", Value::bag([addr("LA", 2010), addr("SF", 2018)])),
-        ]);
-        let sue = Value::tuple([
-            ("name", Value::str("Sue")),
-            ("address1", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-            ("address2", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-        ]);
-        let mut db = Database::new();
-        db.add_relation("person", person_ty, Bag::from_values([peter, sue]));
-        db
-    }
 
     fn setup() -> (
         nrab_algebra::QueryPlan,
@@ -133,7 +107,7 @@ mod tests {
         TraceResult,
         u64,
     ) {
-        let db = person_db();
+        let db = person_database();
         let plan = PlanBuilder::table("person")
             .inner_flatten("address2", None)
             .select(Expr::attr_cmp("year", CmpOp::Ge, 2019i64))

@@ -837,36 +837,9 @@ mod tests {
     use super::*;
     use crate::alternative::OpSubstitution;
     use nested_data::{Bag, NestedType, NipCmp, TupleType};
+    use nested_datagen::person_database;
     use nrab_algebra::expr::CmpOp;
     use nrab_algebra::{evaluate, PlanBuilder};
-
-    /// The person table of Figure 1a.
-    fn person_db() -> Database {
-        let address =
-            TupleType::new([("city", NestedType::str()), ("year", NestedType::int())]).unwrap();
-        let person_ty = TupleType::new([
-            ("name", NestedType::str()),
-            ("address1", NestedType::Relation(address.clone())),
-            ("address2", NestedType::Relation(address)),
-        ])
-        .unwrap();
-        let addr = |city: &str, year: i64| {
-            Value::tuple([("city", Value::str(city)), ("year", Value::int(year))])
-        };
-        let peter = Value::tuple([
-            ("name", Value::str("Peter")),
-            ("address1", Value::bag([addr("NY", 2010), addr("LA", 2019), addr("LV", 2017)])),
-            ("address2", Value::bag([addr("LA", 2010), addr("SF", 2018)])),
-        ]);
-        let sue = Value::tuple([
-            ("name", Value::str("Sue")),
-            ("address1", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-            ("address2", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-        ]);
-        let mut db = Database::new();
-        db.add_relation("person", person_ty, Bag::from_values([peter, sue]));
-        db
-    }
 
     fn running_example_plan() -> QueryPlan {
         PlanBuilder::table("person")
@@ -908,7 +881,7 @@ mod tests {
     }
 
     fn trace_example() -> TraceResult {
-        trace_plan(&running_example_plan(), &person_db(), &example_sas()).unwrap()
+        trace_plan(&running_example_plan(), &person_database(), &example_sas()).unwrap()
     }
 
     #[test]
@@ -1097,7 +1070,7 @@ mod tests {
 
     #[test]
     fn group_aggregation_tracing_checks_relaxed_and_retained_values() {
-        let db = person_db();
+        let db = person_database();
         // count addresses per person after a selection that keeps only year ≥ 2019.
         let plan = PlanBuilder::table("person")
             .inner_flatten("address1", None)
@@ -1338,7 +1311,7 @@ mod tests {
 
     #[test]
     fn tracing_requires_at_least_one_alternative() {
-        let db = person_db();
+        let db = person_database();
         let plan = running_example_plan();
         assert!(trace_plan(&plan, &db, &[]).is_err());
     }
@@ -1346,7 +1319,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one schema alternative per traced alternative")]
     fn annotation_rejects_a_different_number_of_alternatives() {
-        let db = person_db();
+        let db = person_database();
         let plan = running_example_plan();
         let base = Arc::new(trace_plan_generalized(&plan, &db, &example_sas()).unwrap());
         annotate_consistency(&base, &plan, &example_sas()[..1]);

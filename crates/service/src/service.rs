@@ -504,46 +504,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nested_data::{Bag, NestedType, TupleType, Value};
-    use nrab_algebra::expr::{CmpOp, Expr};
-    use nrab_algebra::PlanBuilder;
-
-    fn person_db() -> Database {
-        let address =
-            TupleType::new([("city", NestedType::str()), ("year", NestedType::int())]).unwrap();
-        let person_ty = TupleType::new([
-            ("name", NestedType::str()),
-            ("address1", NestedType::Relation(address.clone())),
-            ("address2", NestedType::Relation(address)),
-        ])
-        .unwrap();
-        let addr = |city: &str, year: i64| {
-            Value::tuple([("city", Value::str(city)), ("year", Value::int(year))])
-        };
-        let peter = Value::tuple([
-            ("name", Value::str("Peter")),
-            ("address1", Value::bag([addr("NY", 2010), addr("LA", 2019), addr("LV", 2017)])),
-            ("address2", Value::bag([addr("LA", 2010), addr("SF", 2018)])),
-        ]);
-        let sue = Value::tuple([
-            ("name", Value::str("Sue")),
-            ("address1", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-            ("address2", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-        ]);
-        let mut db = Database::new();
-        db.add_relation("person", person_ty, Bag::from_values([peter, sue]));
-        db
-    }
-
-    fn running_example_plan() -> QueryPlan {
-        PlanBuilder::table("person")
-            .inner_flatten("address2", None)
-            .select(Expr::attr_cmp("year", CmpOp::Ge, 2019i64))
-            .project_attrs(&["name", "city"])
-            .relation_nest(vec!["name"], "nList")
-            .build()
-            .unwrap()
-    }
+    use whynot_scenarios::running::running_example;
 
     fn ny_question() -> Nip {
         Nip::tuple([("city", Nip::val("NY")), ("nList", Nip::bag([Nip::Any, Nip::Star]))])
@@ -551,8 +512,9 @@ mod tests {
 
     fn service() -> ExplainService {
         let mut service = ExplainService::new();
-        service.catalog_mut().register_database("person_small", person_db());
-        service.catalog_mut().register_plan("running", running_example_plan());
+        let running = running_example();
+        service.catalog_mut().register_database("person_small", running.db);
+        service.catalog_mut().register_plan("running", running.plan);
         service
     }
 
@@ -625,9 +587,10 @@ mod tests {
     #[test]
     fn inline_and_named_payloads_share_cache_entries_by_content() {
         let service = service();
+        let running = running_example();
         let inline = ExplainRequest::new(
-            DbRef::Inline(Arc::new(person_db())),
-            PlanRef::Inline(Arc::new(running_example_plan())),
+            DbRef::Inline(Arc::new(running.db)),
+            PlanRef::Inline(Arc::new(running.plan)),
             ny_question(),
         );
         let first = service.explain(&inline).unwrap();
@@ -639,7 +602,7 @@ mod tests {
     #[test]
     fn inline_databases_share_cache_entries_by_structure() {
         let service = service();
-        let payload = database_to_json(&person_db()).to_compact();
+        let payload = database_to_json(&running_example().db).to_compact();
         // Each call decodes its own database, as two wire requests would.
         let hits = |payload: &str| {
             let db = database_from_json(&Json::parse(payload).unwrap()).unwrap();

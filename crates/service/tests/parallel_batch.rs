@@ -6,53 +6,16 @@
 
 use std::sync::Arc;
 
-use nested_data::{Bag, NestedType, Nip, TupleType, Value};
-use nrab_algebra::expr::{CmpOp, Expr};
-use nrab_algebra::{Database, PlanBuilder, QueryPlan};
+use nested_data::Nip;
 use whynot_core::AttributeAlternative;
+use whynot_scenarios::running::running_example;
 use whynot_service::service::{DbRef, ExplainRequest, ExplainService, PlanRef};
-
-fn person_db() -> Database {
-    let address =
-        TupleType::new([("city", NestedType::str()), ("year", NestedType::int())]).unwrap();
-    let person_ty = TupleType::new([
-        ("name", NestedType::str()),
-        ("address1", NestedType::Relation(address.clone())),
-        ("address2", NestedType::Relation(address)),
-    ])
-    .unwrap();
-    let addr = |city: &str, year: i64| {
-        Value::tuple([("city", Value::str(city)), ("year", Value::int(year))])
-    };
-    let peter = Value::tuple([
-        ("name", Value::str("Peter")),
-        ("address1", Value::bag([addr("NY", 2010), addr("LA", 2019), addr("LV", 2017)])),
-        ("address2", Value::bag([addr("LA", 2010), addr("SF", 2018)])),
-    ]);
-    let sue = Value::tuple([
-        ("name", Value::str("Sue")),
-        ("address1", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-        ("address2", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-    ]);
-    let mut db = Database::new();
-    db.add_relation("person", person_ty, Bag::from_values([peter, sue]));
-    db
-}
-
-fn running_example_plan() -> QueryPlan {
-    PlanBuilder::table("person")
-        .inner_flatten("address2", None)
-        .select(Expr::attr_cmp("year", CmpOp::Ge, 2019i64))
-        .project_attrs(&["name", "city"])
-        .relation_nest(vec!["name"], "nList")
-        .build()
-        .unwrap()
-}
 
 fn service() -> ExplainService {
     let mut service = ExplainService::new();
-    service.catalog_mut().register_database("person_small", person_db());
-    service.catalog_mut().register_plan("running", running_example_plan());
+    let running = running_example();
+    service.catalog_mut().register_database("person_small", running.db);
+    service.catalog_mut().register_plan("running", running.plan);
     service
 }
 
@@ -148,8 +111,9 @@ fn concurrent_batch_keeps_per_question_failures_in_order() {
 #[test]
 fn concurrent_inline_requests_share_one_computation() {
     let service = service();
-    let db = Arc::new(person_db());
-    let plan = Arc::new(running_example_plan());
+    let running = running_example();
+    let db = Arc::new(running.db);
+    let plan = Arc::new(running.plan);
     let requests: Vec<ExplainRequest> = (0..8)
         .map(|_| {
             ExplainRequest::new(

@@ -6,49 +6,12 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use nested_data::{Bag, NestedType, Nip, TupleType, Value};
-use nrab_algebra::expr::{CmpOp, Expr};
-use nrab_algebra::{Database, OpId, PlanBuilder, QueryPlan};
+use nested_data::Nip;
+use nrab_algebra::OpId;
 use whynot_core::{AttributeAlternative, WhyNotEngine, WhyNotQuestion};
+use whynot_scenarios::running::running_example;
 use whynot_service::json::Json;
 use whynot_service::service::{DbRef, ExplainRequest, ExplainService, PlanRef};
-
-fn person_db() -> Database {
-    let address =
-        TupleType::new([("city", NestedType::str()), ("year", NestedType::int())]).unwrap();
-    let person_ty = TupleType::new([
-        ("name", NestedType::str()),
-        ("address1", NestedType::Relation(address.clone())),
-        ("address2", NestedType::Relation(address)),
-    ])
-    .unwrap();
-    let addr = |city: &str, year: i64| {
-        Value::tuple([("city", Value::str(city)), ("year", Value::int(year))])
-    };
-    let peter = Value::tuple([
-        ("name", Value::str("Peter")),
-        ("address1", Value::bag([addr("NY", 2010), addr("LA", 2019), addr("LV", 2017)])),
-        ("address2", Value::bag([addr("LA", 2010), addr("SF", 2018)])),
-    ]);
-    let sue = Value::tuple([
-        ("name", Value::str("Sue")),
-        ("address1", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-        ("address2", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-    ]);
-    let mut db = Database::new();
-    db.add_relation("person", person_ty, Bag::from_values([peter, sue]));
-    db
-}
-
-fn running_example_plan() -> QueryPlan {
-    PlanBuilder::table("person")
-        .inner_flatten("address2", None)
-        .select(Expr::attr_cmp("year", CmpOp::Ge, 2019i64))
-        .project_attrs(&["name", "city"])
-        .relation_nest(vec!["name"], "nList")
-        .build()
-        .unwrap()
-}
 
 fn city_question(city: &str) -> Nip {
     Nip::tuple([("city", Nip::val(city)), ("nList", Nip::bag([Nip::Any, Nip::Star]))])
@@ -61,8 +24,9 @@ fn alternatives() -> Vec<AttributeAlternative> {
 #[test]
 fn batched_service_answers_match_direct_engine_calls_and_hit_the_cache() {
     let mut service = ExplainService::new();
-    service.catalog_mut().register_database("person_small", person_db());
-    service.catalog_mut().register_plan("running", running_example_plan());
+    let running = running_example();
+    service.catalog_mut().register_database("person_small", running.db);
+    service.catalog_mut().register_plan("running", running.plan);
 
     // NY twice (identical repeat), then SF (different missing answer, same
     // plan/db/alternatives).
@@ -87,8 +51,8 @@ fn batched_service_answers_match_direct_engine_calls_and_hit_the_cache() {
     // Same answers as the direct engine, question by question.
     for (city, response) in cities.iter().zip(&responses) {
         let response = response.as_ref().expect("batched question succeeds");
-        let question =
-            WhyNotQuestion::new(running_example_plan(), person_db(), city_question(city));
+        let running = running_example();
+        let question = WhyNotQuestion::new(running.plan, running.db, city_question(city));
         let direct = WhyNotEngine::rp().explain(&question, &alternatives()).unwrap();
         let direct_sets: Vec<Vec<OpId>> = direct
             .operator_sets()
@@ -122,8 +86,9 @@ fn wire_requests_round_trip_through_the_service() {
     // The same batch expressed in wire form, with the third question inlining
     // its payloads instead of using the catalog.
     let mut service = ExplainService::new();
-    service.catalog_mut().register_database("person_small", person_db());
-    service.catalog_mut().register_plan("running", running_example_plan());
+    let running = running_example();
+    service.catalog_mut().register_database("person_small", running.db);
+    service.catalog_mut().register_plan("running", running.plan);
 
     let named = Json::parse(
         r#"{
@@ -168,17 +133,19 @@ fn wire_requests_round_trip_through_the_service() {
 #[test]
 fn inline_requests_behave_like_named_requests() {
     let mut service = ExplainService::new();
-    service.catalog_mut().register_database("person_small", person_db());
-    service.catalog_mut().register_plan("running", running_example_plan());
+    let running = running_example();
+    service.catalog_mut().register_database("person_small", running.db);
+    service.catalog_mut().register_plan("running", running.plan);
     let named = ExplainRequest::new(
         DbRef::Named("person_small".into()),
         PlanRef::Named("running".into()),
         city_question("NY"),
     )
     .with_alternatives(alternatives());
+    let running = running_example();
     let inline = ExplainRequest::new(
-        DbRef::Inline(Arc::new(person_db())),
-        PlanRef::Inline(Arc::new(running_example_plan())),
+        DbRef::Inline(Arc::new(running.db)),
+        PlanRef::Inline(Arc::new(running.plan)),
         city_question("NY"),
     )
     .with_alternatives(alternatives());

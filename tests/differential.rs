@@ -1,45 +1,74 @@
-//! The differential contract of every physical execution choice, end to end:
-//! every case of the shared harness gives the same answer, generalized trace,
-//! and compact wire report with the hash join on and profiling active as the
-//! reference run with the hash join off, unprofiled. Under both, every
-//! case's lineage keeps the trace's lineage contract.
-//!
-//! The per-toggle suites (`join_equivalence`, `obs_equivalence`) check the
-//! configurations that turn on one toggle; this suite checks the one that
-//! turns on both, so the three together cover the 4-configuration product
-//! (hash join × profiling) once. Beside them, every case's `⟦Q⟧_D` and
-//! generalized trace are pinned by digest, so a change to the evaluator or
-//! the tracer itself shows too.
+//! The differential contract, end to end: every case of the shared harness
+//! gives the same answer, generalized trace, and compact wire report with
+//! profiling active as the unprofiled reference run, its profile records
+//! spans with the same signature on a rerun, and under both runs every
+//! case's annotation and lineage keep their contracts. Beside that, every
+//! case's `⟦Q⟧_D` and generalized trace are pinned by digest, so a change to
+//! the evaluator, the join core or the tracer itself shows too.
 
 mod harness;
 
 use std::fmt::Write;
 
-use harness::{Aspect, Cases, Config, Suite, REFERENCE};
+use harness::{join_database, join_plan, run, scenario_case, PROFILED, REFERENCE};
+use nested_data::{Tuple, Value};
+use nrab_algebra::join::{join_matches, nested_loop_join};
+use nrab_algebra::{evaluate, CmpOp, Expr, JoinKind};
 use nrab_provenance::annotate_consistency;
-
-/// The configuration that turns on both toggles.
-static EVERY_COMBINATION: Suite = Suite::new(|| vec![Config { hash_join: true, profiled: true }]);
+use whynot_scenarios::running;
 
 #[test]
 fn every_option_combination_matches_the_reference() {
-    for aspect in [
-        Aspect::Answer,
-        Aspect::Trace,
-        Aspect::Report,
-        Aspect::Annotation,
-        Aspect::Lineage,
-        Aspect::Profile,
-    ] {
-        EVERY_COMBINATION.assert_clean(aspect, Cases::All);
-    }
+    let differences = harness::differences();
+    assert!(differences.is_empty(), "differs from the reference:\n{}", differences.join("\n"));
+}
+
+/// Joining an `Int` key column against a `Real` one finds exactly the pairs
+/// of the reference nested loop, and under a full outer join keys that find
+/// a partner across the `Int`/`Real` boundary join while dangling keys pad.
+#[test]
+fn mixed_int_real_keys_join_identically() {
+    let db = join_database();
+    let predicate = Expr::cmp(Expr::attr("fk"), CmpOp::Eq, Expr::attr("pk"));
+    let rows = |table| -> Vec<Option<&Tuple>> {
+        db.relation(table).unwrap().iter().map(|(v, _)| v.as_tuple()).collect()
+    };
+    let (fact, dim) = (rows("fact"), rows("dim"));
+    let (fact_ty, dim_ty) = (db.schema("fact").unwrap(), db.schema("dim").unwrap());
+    let joined = join_matches(&fact, &dim, &predicate, fact_ty, dim_ty).expect("hash join");
+    assert_eq!(joined, nested_loop_join(&fact, &dim, &predicate).expect("nested loop"));
+
+    let (plan, _) = join_plan(JoinKind::Full, predicate);
+    let answer = evaluate(&plan, &db).expect("full join evaluates");
+    let has_row = |fk: i64, matched: bool| {
+        answer.iter().any(|(v, _)| {
+            let t = v.as_tuple().unwrap();
+            t.get("fk") == Some(&Value::int(fk))
+                && t.get("dname").is_some_and(|d| (d != &Value::Null) == matched)
+        })
+    };
+    // fk in 0..16 finds a dim row across the Int/Real boundary; fk in 16..24
+    // dangles and pads.
+    assert!(has_row(3, true));
+    assert!(has_row(20, false));
+}
+
+/// Profiling sessions are scoped per thread: a fresh session right after a
+/// profiled request starts from an empty collector.
+#[test]
+fn sessions_do_not_leak_spans() {
+    let case = scenario_case(running::running_example());
+    let (_, profile) = run(&case, PROFILED);
+    assert!(profile.expect("profiled").root.span_nodes() > 0);
+    let (_, empty) = whynot_obs::profile(|| ());
+    assert_eq!(empty.root.span_nodes(), 0, "{}", empty.signature());
 }
 
 /// `⟦Q⟧_D` of every harness case in `harness::scenarios()` order, pinned as
 /// an FNV-1a digest of the answer bag's `Debug` rendering (canonical entry
 /// order, every field and multiplicity, floats to the last bit). The
-/// suites above compare configurations of one evaluator with each other;
-/// this pins what that evaluator answers.
+/// differential test above compares two runs of one evaluator with each
+/// other; this pins what that evaluator answers.
 const ANSWER_DIGESTS: &[(&str, u64)] = &[
     ("RUN", 0x8622da745d9b2ef5),
     ("D1", 0xefb597f44da5d311),

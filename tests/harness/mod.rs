@@ -1,29 +1,25 @@
-//! The differential harness shared by the equivalence suites.
+//! The differential harness of `tests/differential.rs`.
 //!
 //! For every case in [`scenarios`], the query answer `⟦Q⟧_D`, the generalized
-//! trace, and the compact wire report must be **byte-identical** under a
-//! physical configuration — the hash join (`with_hash_join`) and profiling —
-//! to the reference run with the hash join off, unprofiled. The two toggles
-//! span a 4-configuration product, which the three suites
-//! (`join_equivalence`, `obs_equivalence` for profiling, and `differential`
-//! for both) cover between them. Each suite is a [`Suite`]: a list of
-//! configurations run once per test binary, whose findings its tests assert
-//! on by aspect and case kind. Under the reference and every suite
-//! configuration, every why-not case's annotation is also checked against
-//! [`reference_flags`], an independent per-tuple match annotation, and every
-//! case's lineage against the trace's lineage contract
-//! ([`lineage_mismatch`]).
+//! trace, and the compact wire report must be **byte-identical** under
+//! profiling to the unprofiled [`REFERENCE`] run ([`differences`]): a
+//! profiling session only observes. Under both runs, every why-not case's
+//! annotation is also checked against [`reference_flags`], an independent
+//! per-tuple match annotation, and every case's lineage against the trace's
+//! lineage contract ([`lineage_mismatch`]). Which join runs is no
+//! configuration: the join core takes the hash path wherever the predicate
+//! has an equality, and its own tests compare that path with the reference
+//! nested loop.
 
 #![allow(dead_code)]
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use nested_data::{Bag, NestedType, Nip, NipCmp, PrimitiveType, TupleType, Value};
 use nrab_algebra::{
-    evaluate, with_hash_join, CmpOp, Database, Expr, JoinKind, OpId, Operator, PlanBuilder,
-    QueryPlan,
+    evaluate, CmpOp, Database, Expr, JoinKind, OpId, Operator, PlanBuilder, QueryPlan,
 };
 use nrab_provenance::{
     annotate_consistency, trace_plan_generalized, GeneralizedTrace, OpSubstitution, SaFlags,
@@ -85,7 +81,7 @@ pub fn join_cases() -> Vec<Case> {
                 Expr::cmp(Expr::attr("fseq"), CmpOp::Lt, Expr::attr("dcap")),
             ),
         ),
-        // Pure non-equi: no hash structure, both paths take the loop.
+        // Pure non-equi: no hash structure, the join takes the nested loop.
         ("nonequi", Expr::cmp(Expr::attr("famount"), CmpOp::Le, Expr::attr("dscale"))),
     ];
     let mut cases = Vec::new();
@@ -163,14 +159,16 @@ pub fn join_plan(kind: JoinKind, predicate: Expr) -> (QueryPlan, OpId) {
     (builder.build().expect("join plan builds"), join_op)
 }
 
-/// One physical configuration.
+/// One run configuration: whether a profiling session observes the run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Config {
-    pub hash_join: bool,
     pub profiled: bool,
 }
 
-pub const REFERENCE: Config = Config { hash_join: false, profiled: false };
+pub const REFERENCE: Config = Config { profiled: false };
+
+/// The configuration [`differences`] compares with the [`REFERENCE`].
+pub const PROFILED: Config = Config { profiled: true };
 
 /// What a case produces under one configuration.
 pub struct Output {
@@ -243,162 +241,88 @@ pub fn run(case: &Case, config: Config) -> (Output, Option<ProfileReport>) {
             },
         }
     };
-    with_hash_join(config.hash_join, || {
-        if config.profiled {
-            let (output, profile) = whynot_obs::profile(compute);
-            (output, Some(profile))
-        } else {
-            (compute(), None)
-        }
-    })
-}
-
-/// What a comparison checks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Aspect {
-    /// The query answer `⟦Q⟧_D`.
-    Answer,
-    /// The generalized trace, and under profiling the trace-size counter.
-    Trace,
-    /// The compact wire report of a why-not case.
-    Report,
-    /// A why-not case's annotated flags, against [`reference_flags`].
-    Annotation,
-    /// The trace's lineage, against its contract ([`lineage_mismatch`]).
-    Lineage,
-    /// The profile: spans recorded, and the same signature on a rerun.
-    Profile,
-}
-
-/// Which cases an assertion covers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Cases {
-    /// Every case.
-    All,
-    /// The why-not questions over the paper scenarios.
-    Scenarios,
-    /// The join kind × predicate matrix.
-    Joins,
-}
-
-/// One difference from the reference.
-#[derive(Debug)]
-struct Finding {
-    aspect: Aspect,
-    scenario: bool,
-    message: String,
-}
-
-/// A list of configurations checked against the reference over every case,
-/// once per test binary however many tests assert on the findings.
-pub struct Suite {
-    configs: fn() -> Vec<Config>,
-    findings: OnceLock<Vec<Finding>>,
-}
-
-impl Suite {
-    pub const fn new(configs: fn() -> Vec<Config>) -> Self {
-        Suite { configs, findings: OnceLock::new() }
-    }
-
-    /// Asserts that no case in `cases` differs from the reference in
-    /// `aspect` under any of the suite's configurations.
-    pub fn assert_clean(&self, aspect: Aspect, cases: Cases) {
-        let findings = self.findings.get_or_init(|| differences(&(self.configs)()));
-        let failures: Vec<&str> = findings
-            .iter()
-            .filter(|f| f.aspect == aspect)
-            .filter(|f| match cases {
-                Cases::All => true,
-                Cases::Scenarios => f.scenario,
-                Cases::Joins => !f.scenario,
-            })
-            .map(|f| f.message.as_str())
-            .collect();
-        assert!(failures.is_empty(), "{aspect:?} differs:\n{}", failures.join("\n"));
+    if config.profiled {
+        let (output, profile) = whynot_obs::profile(compute);
+        (output, Some(profile))
+    } else {
+        (compute(), None)
     }
 }
 
-/// Every difference from the reference under `configs`, over every case.
-/// Cases are independent: they are spread over the machine's cores (every
-/// toggle is thread-local, so concurrent cases cannot see each other's).
-fn differences(configs: &[Config]) -> Vec<Finding> {
+/// Every difference from the reference over every case: a broken
+/// annotation or lineage contract under either run, and any answer, trace,
+/// report or profile of the [`PROFILED`] run that differs. Cases are
+/// independent: they are spread over the machine's cores (a profiling
+/// session belongs to its thread, so concurrent cases cannot see each
+/// other's).
+pub fn differences() -> Vec<String> {
     let cases = scenarios();
     let next = AtomicUsize::new(0);
-    let findings = Mutex::new(Vec::new());
+    let found = Mutex::new(Vec::new());
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
                 while let Some(case) = cases.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let found = compare(case, configs);
-                    findings.lock().unwrap().extend(found);
+                    let differences = compare(case);
+                    found.lock().unwrap().extend(differences);
                 }
             });
         }
     });
-    let mut findings = findings.into_inner().unwrap();
-    findings.sort_by(|a, b| a.message.cmp(&b.message));
-    findings
+    let mut found = found.into_inner().unwrap();
+    found.sort();
+    found
 }
 
-/// One case's differences from the reference under `configs`.
-fn compare(case: &Case, configs: &[Config]) -> Vec<Finding> {
+/// One case's differences from the reference.
+fn compare(case: &Case) -> Vec<String> {
     let name = case.name();
-    let scenario = matches!(case, Case::WhyNot { .. });
     let mut found = Vec::new();
-    let mut differ = |aspect: Aspect, message: String| {
-        found.push(Finding { aspect, scenario, message: format!("{name}: {message}") })
-    };
+    let mut differ = |message: String| found.push(format!("{name}: {message}"));
     let (reference, _) = run(case, REFERENCE);
     let plan: &QueryPlan = match case {
         Case::WhyNot { question, .. } => &question.plan,
         Case::Traced { plan, .. } => plan,
     };
-    // The contracts every output keeps on its own, under any configuration.
+    // The contracts every output keeps on its own, under either run.
     let contracts = |output: &Output| {
         let annotation = match case {
             Case::WhyNot { .. } => annotation_mismatch(plan, output),
             Case::Traced { .. } => None,
         };
-        let annotation = annotation.map(|message| (Aspect::Annotation, message));
-        annotation.into_iter().chain(lineage_mismatch(plan, output).map(|m| (Aspect::Lineage, m)))
+        annotation.into_iter().chain(lineage_mismatch(plan, output))
     };
-    for (aspect, message) in contracts(&reference) {
-        differ(aspect, format!("{message} under {REFERENCE:?}"));
+    for message in contracts(&reference) {
+        differ(format!("{message} under {REFERENCE:?}"));
     }
-    for &config in configs {
-        let (output, profile) = run(case, config);
-        for (aspect, message) in contracts(&output) {
-            differ(aspect, format!("{message} under {config:?}"));
-        }
-        if *output.answer != *reference.answer {
-            differ(Aspect::Answer, format!("answer differs under {config:?}"));
-        }
-        if output.trace != reference.trace {
-            differ(Aspect::Trace, format!("trace differs under {config:?}"));
-        }
-        if output.report != reference.report {
-            differ(Aspect::Report, format!("report differs under {config:?}"));
-        }
-        let Some(profile) = profile else { continue };
-        // Profiling only observes: the trace-size counter sees exactly the
-        // tuples the (one) trace holds, and the deterministic part of the
-        // profile is the same when the case runs again.
-        let counted = profile.root.counter_total("trace.total_tuples");
-        if counted != output.trace.tuple_count() as u64 {
-            differ(Aspect::Trace, format!("trace-size counter is {counted} under {config:?}"));
-        }
-        if profile.root.span_nodes() == 0 {
-            differ(Aspect::Profile, format!("no spans recorded under {config:?}"));
-        }
-        let (_, rerun) = run(case, config);
-        if rerun.map(|p| p.signature()) != Some(profile.signature()) {
-            differ(
-                Aspect::Profile,
-                format!("profile signature differs on a rerun under {config:?}"),
-            );
-        }
+    let (output, profile) = run(case, PROFILED);
+    let profile = profile.expect("a profiled run returns its profile");
+    for message in contracts(&output) {
+        differ(format!("{message} under {PROFILED:?}"));
+    }
+    if *output.answer != *reference.answer {
+        differ("answer differs under profiling".into());
+    }
+    if output.trace != reference.trace {
+        differ("trace differs under profiling".into());
+    }
+    if output.report != reference.report {
+        differ("report differs under profiling".into());
+    }
+    // Profiling only observes: the trace-size counter sees exactly the
+    // tuples the (one) trace holds, and the deterministic part of the
+    // profile is the same when the case runs again.
+    let counted = profile.root.counter_total("trace.total_tuples");
+    if counted != output.trace.tuple_count() as u64 {
+        differ(format!("trace-size counter is {counted}"));
+    }
+    if profile.root.span_nodes() == 0 {
+        differ("no spans recorded".into());
+    }
+    let (_, rerun) = run(case, PROFILED);
+    if rerun.map(|p| p.signature()) != Some(profile.signature()) {
+        differ("profile signature differs on a rerun".into());
     }
     found
 }
