@@ -10,7 +10,9 @@ mod harness;
 
 use std::fmt::Write;
 
-use harness::{join_database, join_plan, run, scenario_case, PROFILED, REFERENCE};
+use harness::{
+    assert_pinned, fnv1a, join_database, join_plan, run, scenario_case, PROFILED, REFERENCE,
+};
 use nested_data::{Tuple, Value};
 use nrab_algebra::join::{join_matches, nested_loop_join};
 use nrab_algebra::{evaluate, CmpOp, Expr, JoinKind};
@@ -19,7 +21,8 @@ use whynot_scenarios::running;
 
 #[test]
 fn every_option_combination_matches_the_reference() {
-    let differences = harness::differences();
+    let differences: Vec<&str> =
+        harness::differences().iter().map(|f| f.message.as_str()).collect();
     assert!(differences.is_empty(), "differs from the reference:\n{}", differences.join("\n"));
 }
 
@@ -110,38 +113,16 @@ const ANSWER_DIGESTS: &[(&str, u64)] = &[
     ("join Full/nonequi", 0xe075841336864734),
 ];
 
-/// FNV-1a over `text`.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
-
 #[test]
 fn every_answer_matches_its_pinned_digest() {
     let found: Vec<(String, u64)> = harness::scenarios()
         .iter()
         .map(|case| {
-            let (plan, db) = match case {
-                harness::Case::WhyNot { question, .. } => (&*question.plan, &*question.db),
-                harness::Case::Traced { plan, db, .. } => (plan, db),
-            };
-            let answer = nrab_algebra::evaluate(plan, db).expect("every harness plan evaluates");
+            let answer = evaluate(case.plan(), case.db()).expect("every harness plan evaluates");
             (case.name().to_string(), fnv1a(&format!("{answer:?}")))
         })
         .collect();
     assert_pinned("answers", found, ANSWER_DIGESTS);
-}
-
-/// Asserts that the `found` digests are the `pinned` ones, printing the
-/// found table (ready to paste) when they are not.
-fn assert_pinned(what: &str, found: Vec<(String, u64)>, pinned: &[(&str, u64)]) {
-    let pinned: Vec<(String, u64)> =
-        pinned.iter().map(|(name, digest)| (name.to_string(), *digest)).collect();
-    if found != pinned {
-        let lines: Vec<String> =
-            found.iter().map(|(name, digest)| format!("    ({name:?}, {digest:#018x}),")).collect();
-        panic!("{what} differ from the pinned digests; found:\n{}", lines.join("\n"));
-    }
 }
 
 /// The generalized trace of every harness case in `harness::scenarios()`
@@ -196,11 +177,7 @@ const TRACE_DIGESTS: &[(&str, u64)] = &[
 /// ids and fallback variant.
 fn render_trace(case: &harness::Case) -> String {
     let (output, _) = harness::run(case, REFERENCE);
-    let plan = match case {
-        harness::Case::WhyNot { question, .. } => &*question.plan,
-        harness::Case::Traced { plan, .. } => plan,
-    };
-    let annotated = annotate_consistency(&output.trace, plan, &output.sas);
+    let annotated = annotate_consistency(&output.trace, case.plan(), &output.sas);
     let mut text = String::new();
     for &op in output.trace.pre_order() {
         let trace = annotated.trace(op).expect("every operator is traced");

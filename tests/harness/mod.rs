@@ -1,4 +1,4 @@
-//! The differential harness of `tests/differential.rs`.
+//! The differential harness shared by the equivalence suites.
 //!
 //! For every case in [`scenarios`], the query answer `⟦Q⟧_D`, the generalized
 //! trace, and the compact wire report must be **byte-identical** under
@@ -6,16 +6,19 @@
 //! profiling session only observes. Under both runs, every why-not case's
 //! annotation is also checked against [`reference_flags`], an independent
 //! per-tuple match annotation, and every case's lineage against the trace's
-//! lineage contract ([`lineage_mismatch`]). Which join runs is no
-//! configuration: the join core takes the hash path wherever the predicate
-//! has an equality, and its own tests compare that path with the reference
-//! nested loop.
+//! lineage contract ([`lineage_mismatch`]). The differences are computed
+//! once per test binary; `tests/differential.rs` asserts all of them and
+//! `tests/obs_equivalence.rs` each profiling aspect on its own
+//! ([`assert_clean`]). Which join runs is no configuration: the join core
+//! takes the hash path wherever the predicate has an equality, and
+//! `tests/join_equivalence.rs` compares it with the reference nested loop on
+//! every join input the harness cases evaluate and trace.
 
 #![allow(dead_code)]
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use nested_data::{Bag, NestedType, Nip, NipCmp, PrimitiveType, TupleType, Value};
 use nrab_algebra::{
@@ -42,6 +45,20 @@ impl Case {
     pub fn name(&self) -> &str {
         match self {
             Case::WhyNot { name, .. } | Case::Traced { name, .. } => name,
+        }
+    }
+
+    pub fn plan(&self) -> &QueryPlan {
+        match self {
+            Case::WhyNot { question, .. } => &question.plan,
+            Case::Traced { plan, .. } => plan,
+        }
+    }
+
+    pub fn db(&self) -> &Database {
+        match self {
+            Case::WhyNot { question, .. } => &question.db,
+            Case::Traced { db, .. } => db,
         }
     }
 }
@@ -249,87 +266,139 @@ pub fn run(case: &Case, config: Config) -> (Output, Option<ProfileReport>) {
     }
 }
 
+/// What a difference from the reference is in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Aspect {
+    /// The query answer `⟦Q⟧_D`.
+    Answer,
+    /// The generalized trace, and under profiling the trace-size counter.
+    Trace,
+    /// The compact wire report of a why-not case.
+    Report,
+    /// A why-not case's annotated flags, against [`reference_flags`].
+    Annotation,
+    /// The trace's lineage, against its contract ([`lineage_mismatch`]).
+    Lineage,
+    /// The profile: spans recorded, and the same signature on a rerun.
+    Profile,
+}
+
+/// One difference from the reference.
+#[derive(Debug)]
+pub struct Finding {
+    pub aspect: Aspect,
+    pub message: String,
+}
+
 /// Every difference from the reference over every case: a broken
 /// annotation or lineage contract under either run, and any answer, trace,
-/// report or profile of the [`PROFILED`] run that differs. Cases are
-/// independent: they are spread over the machine's cores (a profiling
-/// session belongs to its thread, so concurrent cases cannot see each
-/// other's).
-pub fn differences() -> Vec<String> {
-    let cases = scenarios();
-    let next = AtomicUsize::new(0);
-    let found = Mutex::new(Vec::new());
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some(case) = cases.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let differences = compare(case);
-                    found.lock().unwrap().extend(differences);
-                }
-            });
-        }
-    });
-    let mut found = found.into_inner().unwrap();
-    found.sort();
-    found
+/// report or profile of the [`PROFILED`] run that differs. Computed once per
+/// test binary however many tests assert on it. Cases are independent: they
+/// are spread over the machine's cores (a profiling session belongs to its
+/// thread, so concurrent cases cannot see each other's).
+pub fn differences() -> &'static [Finding] {
+    static FOUND: OnceLock<Vec<Finding>> = OnceLock::new();
+    FOUND.get_or_init(|| {
+        let cases = scenarios();
+        let next = AtomicUsize::new(0);
+        let found = Mutex::new(Vec::new());
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    while let Some(case) = cases.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let differences = compare(case);
+                        found.lock().unwrap().extend(differences);
+                    }
+                });
+            }
+        });
+        let mut found = found.into_inner().unwrap();
+        found.sort_by(|a, b| a.message.cmp(&b.message));
+        found
+    })
+}
+
+/// Asserts that no case differs from the reference in `aspect`.
+pub fn assert_clean(aspect: Aspect) {
+    let failures: Vec<&str> =
+        differences().iter().filter(|f| f.aspect == aspect).map(|f| f.message.as_str()).collect();
+    assert!(failures.is_empty(), "{aspect:?} differs from the reference:\n{}", failures.join("\n"));
 }
 
 /// One case's differences from the reference.
-fn compare(case: &Case) -> Vec<String> {
+fn compare(case: &Case) -> Vec<Finding> {
     let name = case.name();
     let mut found = Vec::new();
-    let mut differ = |message: String| found.push(format!("{name}: {message}"));
-    let (reference, _) = run(case, REFERENCE);
-    let plan: &QueryPlan = match case {
-        Case::WhyNot { question, .. } => &question.plan,
-        Case::Traced { plan, .. } => plan,
+    let mut differ = |aspect, message: String| {
+        found.push(Finding { aspect, message: format!("{name}: {message}") })
     };
+    let (reference, _) = run(case, REFERENCE);
+    let plan = case.plan();
     // The contracts every output keeps on its own, under either run.
     let contracts = |output: &Output| {
         let annotation = match case {
             Case::WhyNot { .. } => annotation_mismatch(plan, output),
             Case::Traced { .. } => None,
         };
-        annotation.into_iter().chain(lineage_mismatch(plan, output))
+        let annotation = annotation.map(|message| (Aspect::Annotation, message));
+        annotation.into_iter().chain(lineage_mismatch(plan, output).map(|m| (Aspect::Lineage, m)))
     };
-    for message in contracts(&reference) {
-        differ(format!("{message} under {REFERENCE:?}"));
+    for (aspect, message) in contracts(&reference) {
+        differ(aspect, format!("{message} under {REFERENCE:?}"));
     }
     let (output, profile) = run(case, PROFILED);
     let profile = profile.expect("a profiled run returns its profile");
-    for message in contracts(&output) {
-        differ(format!("{message} under {PROFILED:?}"));
+    for (aspect, message) in contracts(&output) {
+        differ(aspect, format!("{message} under {PROFILED:?}"));
     }
     if *output.answer != *reference.answer {
-        differ("answer differs under profiling".into());
+        differ(Aspect::Answer, "answer differs under profiling".into());
     }
     if output.trace != reference.trace {
-        differ("trace differs under profiling".into());
+        differ(Aspect::Trace, "trace differs under profiling".into());
     }
     if output.report != reference.report {
-        differ("report differs under profiling".into());
+        differ(Aspect::Report, "report differs under profiling".into());
     }
     // Profiling only observes: the trace-size counter sees exactly the
     // tuples the (one) trace holds, and the deterministic part of the
     // profile is the same when the case runs again.
     let counted = profile.root.counter_total("trace.total_tuples");
     if counted != output.trace.tuple_count() as u64 {
-        differ(format!("trace-size counter is {counted}"));
+        differ(Aspect::Trace, format!("trace-size counter is {counted}"));
     }
     if profile.root.span_nodes() == 0 {
-        differ("no spans recorded".into());
+        differ(Aspect::Profile, "no spans recorded".into());
     }
     let (_, rerun) = run(case, PROFILED);
     if rerun.map(|p| p.signature()) != Some(profile.signature()) {
-        differ("profile signature differs on a rerun".into());
+        differ(Aspect::Profile, "profile signature differs on a rerun".into());
     }
     found
 }
 
+/// FNV-1a over `text`.
+pub fn fnv1a(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Asserts that the `found` digests are the `pinned` ones, printing the
+/// found table (ready to paste) when they are not.
+pub fn assert_pinned(what: &str, found: Vec<(String, u64)>, pinned: &[(&str, u64)]) {
+    let pinned: Vec<(String, u64)> =
+        pinned.iter().map(|(name, digest)| (name.to_string(), *digest)).collect();
+    if found != pinned {
+        let lines: Vec<String> =
+            found.iter().map(|(name, digest)| format!("    ({name:?}, {digest:#018x}),")).collect();
+        panic!("{what} differ from the pinned digests; found:\n{}", lines.join("\n"));
+    }
+}
+
 /// The first (operator, tuple, SA) whose annotated flags differ from
 /// [`reference_flags`], if any.
-fn annotation_mismatch(plan: &QueryPlan, output: &Output) -> Option<String> {
+pub fn annotation_mismatch(plan: &QueryPlan, output: &Output) -> Option<String> {
     let annotated = annotate_consistency(&output.trace, plan, &output.sas);
     for &op in output.trace.pre_order() {
         let Some(op_trace) = annotated.trace(op) else {
