@@ -115,6 +115,7 @@ def main():
     # loop, on the equi join. The mixed join is informational.
     join = cases("join")
     assert "nonequi_join/nested_loop" in join, f"join group lacks the non-equi case: {sorted(join)}"
+    assert "equi_join/evaluate" in join, f"join group lacks the evaluate case: {sorted(join)}"
     equi = speedup(join, "equi_join/nested_loop", "equi_join/hash")
     assert equi >= 1.5, f"equi_join: expected >= 1.5x over the nested loop, got {equi:.2f}x"
     speedup(join, "mixed_join/nested_loop", "mixed_join/hash")

@@ -25,7 +25,10 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use nested_data::{AttrPath, Bag, BagBuilder, NestedType, Sym, Tuple, TupleType, Value};
+use nested_data::{
+    AttrPath, Bag, BagBuilder, DataResult, NestedType, Shape, ShapeMemo, Splice, Sym, Tuple,
+    TupleType, Value,
+};
 
 use crate::agg::AggFunc;
 use crate::database::Database;
@@ -108,7 +111,8 @@ fn apply_operator_impl<'db>(
         | Operator::TupleFlatten { .. }
         | Operator::TupleNest { .. }
         | Operator::NestAggregation { .. } => {
-            RowTransform::compile(node, db)?.map_rows(&input()?)?
+            RowTransform::compile(&node.op, || output_type(&node.inputs[0], db))?
+                .map_rows(&input()?)?
         }
         Operator::Selection { predicate } => eval_selection(&input()?, predicate),
         Operator::Join { kind, predicate } => {
@@ -129,7 +133,7 @@ fn apply_operator_impl<'db>(
             eval_relation_nest(&input()?, &RowNest::new(attrs, into))
         }
         Operator::GroupAggregation { group_by, aggs } => {
-            eval_group_aggregation(&input()?, group_by, aggs)
+            eval_group_aggregation(&input()?, &RowAggregate::new(group_by, aggs))
         }
         Operator::Union => {
             let (left, right) = (input()?, input()?);
@@ -145,64 +149,97 @@ fn apply_operator_impl<'db>(
 
 /// A 1:1 operator (π, ρ, Fᵀ, νᵀ, γᵀ or δ) compiled once per application into
 /// its per-row transform: attribute names are interned and the schema-
-/// dependent parts resolved once, so applying it to a row does no schema
-/// inference. The evaluator maps every row of the input through it; the
+/// dependent parts resolved once, and the output shape is derived once per
+/// input shape, so applying it to a row does no schema inference and builds
+/// no shape. The evaluator maps every row of the input through it; the
 /// provenance tracer applies it to every traced variant.
 pub struct RowTransform(Kernel);
 
 enum Kernel {
-    /// π: each output column evaluated against the row.
-    Project(Vec<(Sym, Expr)>),
+    /// π: each output column evaluated against the row, into one shape.
+    Project { shape: Arc<Shape>, columns: Vec<Expr> },
     /// ρ: attributes renamed.
-    Rename(Vec<(Sym, Sym)>),
+    Rename { mapping: Vec<(Sym, Sym)>, renamed: ShapeMemo<Splice> },
     /// Fᵀ: the tuple value at `source` spliced into the row, or added under
-    /// `alias`. `padding` holds the source's attribute names when its type
-    /// is a tuple type, to pad a `⊥` source with.
-    TupleFlatten { source: AttrPath, alias: Option<Sym>, padding: Option<Vec<Sym>> },
-    /// νᵀ: `attrs` folded into the nested tuple `into`.
-    TupleNest { attrs: Vec<Sym>, into: Sym },
+    /// `alias`. `padding` is the all-`⊥` tuple of the source's attributes
+    /// when its type is a tuple type, to pad a `⊥` source with.
+    TupleFlatten {
+        source: AttrPath,
+        alias: Option<Sym>,
+        padding: Option<Tuple>,
+        added: ShapeMemo<Splice>,
+        spliced: ShapeMemo<DataResult<Splice>>,
+        padded: ShapeMemo<DataResult<Splice>>,
+    },
+    /// νᵀ: `attrs` folded into the nested tuple `into`. `nested` projects
+    /// the row onto `attrs`; `outer` drops them and adds `into`.
+    TupleNest {
+        attrs: Vec<Sym>,
+        into: Sym,
+        nested: ShapeMemo<DataResult<Splice>>,
+        outer: ShapeMemo<Splice>,
+    },
     /// γᵀ: the nested collection at `attr` (or its `field`) aggregated into
     /// `output`.
-    NestAggregation { func: AggFunc, attr: Sym, field: Option<Sym>, output: Sym },
+    NestAggregation {
+        func: AggFunc,
+        attr: Sym,
+        field: Option<Sym>,
+        output: Sym,
+        added: ShapeMemo<Splice>,
+    },
     /// δ: the identity on one row (the evaluator deduplicates the bag
     /// instead).
     Identity,
 }
 
 impl RowTransform {
-    /// Compiles `node`'s operator against its input schema.
+    /// Compiles `operator` for rows of its input schema. `input_schema` is
+    /// only called by the operators whose kernel depends on it (Fᵀ).
     ///
     /// Fails if the operator is not 1:1, or if a tuple flatten's input
     /// schema does not infer.
-    pub fn compile(node: &OpNode, db: &Database) -> AlgebraResult<RowTransform> {
-        let kernel = match &node.op {
-            Operator::Projection { columns } => Kernel::Project(
-                columns.iter().map(|c| (Sym::intern(&c.name), c.expr.clone())).collect(),
-            ),
-            Operator::Rename { pairs } => Kernel::Rename(
-                pairs.iter().map(|p| (Sym::intern(&p.from), Sym::intern(&p.to))).collect(),
-            ),
+    pub fn compile(
+        operator: &Operator,
+        input_schema: impl FnOnce() -> AlgebraResult<TupleType>,
+    ) -> AlgebraResult<RowTransform> {
+        let kernel = match operator {
+            Operator::Projection { columns } => Kernel::Project {
+                shape: Shape::new(columns.iter().map(|c| c.name.as_str())),
+                columns: columns.iter().map(|c| c.expr.clone()).collect(),
+            },
+            Operator::Rename { pairs } => Kernel::Rename {
+                mapping: pairs.iter().map(|p| (Sym::intern(&p.from), Sym::intern(&p.to))).collect(),
+                renamed: ShapeMemo::new(),
+            },
             Operator::TupleFlatten { source, alias } => {
-                let input_schema = output_type(&node.inputs[0], db)?;
-                let padding = match input_schema.resolve_path(source) {
-                    Ok(NestedType::Tuple(t)) => Some(t.attribute_syms().collect()),
+                let padding = match input_schema()?.resolve_path(source) {
+                    Ok(NestedType::Tuple(t)) => {
+                        Some(Tuple::null_padded(&t.attribute_syms().collect::<Vec<_>>()))
+                    }
                     _ => None,
                 };
                 Kernel::TupleFlatten {
                     source: source.clone(),
                     alias: alias.as_deref().map(Sym::intern),
                     padding,
+                    added: ShapeMemo::new(),
+                    spliced: ShapeMemo::new(),
+                    padded: ShapeMemo::new(),
                 }
             }
             Operator::TupleNest { attrs, into } => Kernel::TupleNest {
                 attrs: attrs.iter().map(|a| Sym::intern(a)).collect(),
                 into: Sym::intern(into),
+                nested: ShapeMemo::new(),
+                outer: ShapeMemo::new(),
             },
             Operator::NestAggregation { func, attr, field, output } => Kernel::NestAggregation {
                 func: *func,
                 attr: Sym::intern(attr),
                 field: field.as_deref().map(Sym::intern),
                 output: Sym::intern(output),
+                added: ShapeMemo::new(),
             },
             Operator::Dedup => Kernel::Identity,
             other => {
@@ -218,17 +255,22 @@ impl RowTransform {
     /// Applies the transform to one row.
     pub fn apply(&self, tuple: &Tuple) -> AlgebraResult<Tuple> {
         Ok(match &self.0 {
-            Kernel::Project(columns) => {
-                Tuple::new(columns.iter().map(|(name, expr)| (*name, expr.eval(tuple))))
+            Kernel::Project { shape, columns } => Tuple::with_shape(
+                Arc::clone(shape),
+                columns.iter().map(|expr| expr.eval(tuple)).collect::<Vec<_>>(),
+            ),
+            Kernel::Rename { mapping, renamed } => {
+                renamed.apply(tuple, &[], |shape| Splice::rename(shape, mapping))
             }
-            Kernel::Rename(mapping) => tuple.rename(mapping),
-            Kernel::TupleFlatten { source, alias, padding } => {
+            Kernel::TupleFlatten { source, alias, padding, added, spliced, padded } => {
                 let extracted = tuple.get_path(source).unwrap_or(Value::Null);
                 match (alias, extracted) {
-                    (Some(alias), extracted) => tuple.with_field(*alias, extracted),
-                    (None, Value::Tuple(inner)) => tuple.concat(&inner)?,
+                    (Some(alias), extracted) => {
+                        added.apply(tuple, &[extracted], |shape| Splice::extend(shape, &[*alias]))
+                    }
+                    (None, Value::Tuple(inner)) => spliced.concat(tuple, &inner)?,
                     (None, Value::Null) => match padding {
-                        Some(names) => tuple.concat(&Tuple::null_padded(names))?,
+                        Some(padding) => padded.concat(tuple, padding)?,
                         None => tuple.clone(),
                     },
                     (None, other) => {
@@ -242,11 +284,16 @@ impl RowTransform {
                     }
                 }
             }
-            Kernel::TupleNest { attrs, into } => {
-                let nested = tuple.project(attrs).unwrap_or_else(|_| Tuple::empty());
-                tuple.without(attrs).with_field(*into, Value::from_tuple(nested))
+            Kernel::TupleNest { attrs, into, nested, outer } => {
+                let inner = nested
+                    .try_apply(tuple, &[], |shape| Splice::project(shape, attrs))
+                    .unwrap_or_else(|_| Tuple::empty());
+                outer.apply(tuple, &[Value::from_tuple(inner)], |shape| {
+                    let without = Splice::without(shape, attrs);
+                    without.then(&Splice::extend(without.shape(), &[*into]))
+                })
             }
-            Kernel::NestAggregation { func, attr, field, output } => {
+            Kernel::NestAggregation { func, attr, field, output, added } => {
                 let values: Vec<Value> = match tuple.get(*attr) {
                     Some(Value::Bag(b)) => b
                         .iter_expanded()
@@ -260,7 +307,8 @@ impl RowTransform {
                         .collect(),
                     _ => Vec::new(),
                 };
-                tuple.with_field(*output, func.apply(values.iter()))
+                let aggregate = func.apply(values.iter());
+                added.apply(tuple, &[aggregate], |shape| Splice::extend(shape, &[*output]))
             }
             Kernel::Identity => tuple.clone(),
         })
@@ -273,7 +321,7 @@ impl RowTransform {
         rows.iter()
             .map(|(v, m)| {
                 let row = match (v.as_tuple(), &self.0) {
-                    (None, Kernel::Rename(_)) => v.clone(),
+                    (None, Kernel::Rename { .. }) => v.clone(),
                     (tuple, _) => Value::from_tuple(self.apply(tuple.unwrap_or(&empty))?),
                 };
                 Ok((row, *m))
@@ -287,27 +335,40 @@ impl RowTransform {
 /// generalized (always outer) flatten.
 pub struct RowFlatten {
     attr: Sym,
-    alias: Option<Sym>,
-    /// The element type's attribute names, to pad an empty collection with.
-    padding: Vec<Sym>,
-    /// Where a non-tuple element goes without an alias: `{attr}_value`.
-    value_field: Sym,
+    /// The name a non-concatenated element goes under: the alias, or for a
+    /// non-tuple element without one, `{attr}_value`.
+    added_name: Sym,
+    alias: bool,
+    /// The all-`⊥` tuple of the element type's attributes, to pad an empty
+    /// collection with.
+    padding: Tuple,
+    added: ShapeMemo<Splice>,
+    spliced: ShapeMemo<DataResult<Splice>>,
+    padded: ShapeMemo<DataResult<Splice>>,
 }
 
 impl RowFlatten {
     /// Compiles the flatten of `attr` (under `alias`, if any) for rows of
     /// `input_schema`.
     pub fn new(attr: &str, alias: Option<&str>, input_schema: &TupleType) -> RowFlatten {
-        let padding = match input_schema.attribute(attr) {
+        let padding: Vec<Sym> = match input_schema.attribute(attr) {
             Some(NestedType::Relation(t)) => t.attribute_syms().collect(),
             _ => Vec::new(),
         };
         RowFlatten {
             attr: Sym::intern(attr),
-            alias: alias.map(Sym::intern),
-            padding,
-            value_field: Sym::intern(&format!("{attr}_value")),
+            added_name: Sym::intern(&alias.map_or_else(|| format!("{attr}_value"), Into::into)),
+            alias: alias.is_some(),
+            padding: Tuple::null_padded(&padding),
+            added: ShapeMemo::new(),
+            spliced: ShapeMemo::new(),
+            padded: ShapeMemo::new(),
         }
+    }
+
+    /// The row with `value` added under the alias (or `{attr}_value`).
+    fn add(&self, tuple: &Tuple, value: Value) -> Tuple {
+        self.added.apply(tuple, &[value], |shape| Splice::extend(shape, &[self.added_name]))
     }
 
     /// One output row per distinct element of the row's nested collection,
@@ -318,13 +379,13 @@ impl RowFlatten {
         nested
             .iter()
             .map(|(element, m)| {
-                let row = match (self.alias, element) {
-                    (Some(alias), element) => tuple.with_field(alias, element.clone()),
-                    (None, Value::Tuple(inner)) => tuple.concat(inner)?,
-                    // Elements that are not tuples (e.g. bare strings) are
-                    // exposed under the attribute's own name suffixed with
-                    // `_value` so flattening plain lists still works.
-                    (None, other) => tuple.with_field(self.value_field, other.clone()),
+                let row = match element {
+                    Value::Tuple(inner) if !self.alias => self.spliced.concat(tuple, inner)?,
+                    // With an alias, the element goes under it. Elements
+                    // that are not tuples (e.g. bare strings) are exposed
+                    // without one under the attribute's own name suffixed
+                    // with `_value`, so flattening plain lists still works.
+                    element => self.add(tuple, element.clone()),
                 };
                 Ok((row, *m))
             })
@@ -335,8 +396,8 @@ impl RowFlatten {
     /// padded with `⊥`.
     pub fn pad(&self, tuple: &Tuple) -> AlgebraResult<Tuple> {
         Ok(match self.alias {
-            Some(alias) => tuple.with_field(alias, Value::Null),
-            None => tuple.concat(&Tuple::null_padded(&self.padding))?,
+            true => self.add(tuple, Value::Null),
+            false => self.padded.concat(tuple, &self.padding)?,
         })
     }
 }
@@ -347,43 +408,94 @@ impl RowFlatten {
 pub struct RowNest {
     attrs: Vec<Sym>,
     into: Sym,
+    key: ShapeMemo<Splice>,
+    element: ShapeMemo<DataResult<Splice>>,
+    output: ShapeMemo<Splice>,
 }
 
 impl RowNest {
     /// Compiles the nest of `attrs` into the nested collection `into`.
     pub fn new(attrs: &[String], into: &str) -> RowNest {
-        RowNest { attrs: attrs.iter().map(|a| Sym::intern(a)).collect(), into: Sym::intern(into) }
+        RowNest {
+            attrs: attrs.iter().map(|a| Sym::intern(a)).collect(),
+            into: Sym::intern(into),
+            key: ShapeMemo::new(),
+            element: ShapeMemo::new(),
+            output: ShapeMemo::new(),
+        }
     }
 
     /// The group a row belongs to: the row without the nested attributes.
     pub fn key(&self, tuple: &Tuple) -> Value {
-        Value::from_tuple(tuple.without(&self.attrs))
+        Value::from_tuple(self.key.apply(tuple, &[], |shape| Splice::without(shape, &self.attrs)))
     }
 
     /// The element a row adds to its group's nested collection, if any.
     pub fn element(&self, tuple: &Tuple) -> Option<Value> {
-        let projected = tuple.project(&self.attrs).ok()?;
+        let projected =
+            self.element.try_apply(tuple, &[], |shape| Splice::project(shape, &self.attrs)).ok()?;
         // Mirror Spark's behaviour (relied upon by scenario D2): rows whose
         // nested values are all null do not contribute an element to the
         // nested collection.
-        projected.fields().iter().any(|(_, v)| !v.is_null()).then(|| Value::from_tuple(projected))
+        projected.values().iter().any(|v| !v.is_null()).then(|| Value::from_tuple(projected))
     }
 
     /// A group's output row: its key extended by the nested collection.
     pub fn output(&self, key: &Value, nested: Bag) -> Tuple {
-        let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        key_tuple.with_field(self.into, Value::from_bag(nested))
+        let empty = Tuple::empty();
+        let key_tuple = key.as_tuple().unwrap_or(&empty);
+        self.output.apply(key_tuple, &[Value::from_bag(nested)], |shape| {
+            Splice::extend(shape, &[self.into])
+        })
     }
 }
 
-/// Folds one group into its output row: `key` extended by each aggregate
-/// over the group's `members`. Shared by the evaluator's grouped
-/// aggregation and the provenance tracer's.
-pub fn aggregate_group(key: Tuple, aggs: &[AggSpec], members: &[impl Borrow<Tuple>]) -> Tuple {
-    aggs.iter().fold(key, |row, agg| {
-        let values: Vec<Value> = members.iter().map(|t| agg.input.eval(t.borrow())).collect();
-        row.with_field(agg.output.as_str(), agg.func.apply(values.iter()))
-    })
+/// A grouped aggregation `γ` compiled once per application: the per-row
+/// group key and the per-group output row, shared by the evaluator and the
+/// provenance tracer.
+pub struct RowAggregate {
+    group_by: Vec<Sym>,
+    aggs: Vec<AggSpec>,
+    outputs: Vec<Sym>,
+    key: ShapeMemo<DataResult<Splice>>,
+    output: ShapeMemo<Splice>,
+}
+
+impl RowAggregate {
+    /// Compiles the aggregation `aggs` grouped by `group_by`.
+    pub fn new(group_by: &[String], aggs: &[AggSpec]) -> RowAggregate {
+        RowAggregate {
+            group_by: group_by.iter().map(|a| Sym::intern(a)).collect(),
+            aggs: aggs.to_vec(),
+            outputs: aggs.iter().map(|a| Sym::intern(&a.output)).collect(),
+            key: ShapeMemo::new(),
+            output: ShapeMemo::new(),
+        }
+    }
+
+    /// The group a row belongs to: the row projected onto the grouping
+    /// attributes, or the empty tuple if one is missing.
+    pub fn key(&self, tuple: &Tuple) -> Tuple {
+        self.key
+            .try_apply(tuple, &[], |shape| Splice::project(shape, &self.group_by))
+            .unwrap_or_else(|_| Tuple::empty())
+    }
+
+    /// Folds one group into its output row: `key` extended by each
+    /// aggregate over the group's `members`, in order (a later aggregate
+    /// replaces an earlier one of the same name).
+    pub fn output(&self, key: &Tuple, members: &[impl Borrow<Tuple>]) -> Tuple {
+        let values: Vec<Value> = self
+            .aggs
+            .iter()
+            .map(|agg| {
+                let inputs: Vec<Value> =
+                    members.iter().map(|t| agg.input.eval(t.borrow())).collect();
+                agg.func.apply(inputs.iter())
+            })
+            .collect();
+        self.output.apply(key, &values, |shape| Splice::extend(shape, &self.outputs))
+    }
 }
 
 fn eval_selection(rows: &[(Value, u64)], predicate: &Expr) -> Vec<(Value, u64)> {
@@ -416,20 +528,22 @@ fn eval_join(
         .into_iter()
         .map(|pair| (Value::from_tuple(pair.combined), left[pair.left].1 * right[pair.right].1))
         .collect();
+    let padded = ShapeMemo::new();
     if matches!(kind, JoinKind::Left | JoinKind::Full) {
         let padding = Tuple::null_padded(&right_schema.attribute_syms().collect::<Vec<Sym>>());
         for (li, lt) in left_side.iter().flatten().enumerate() {
             if !matches.left_matched[li] {
-                let padded = lt.concat(&padding).unwrap_or_else(|_| (*lt).clone());
+                let padded = padded.concat(lt, &padding).unwrap_or_else(|_| (*lt).clone());
                 out.push((Value::from_tuple(padded), left[li].1));
             }
         }
     }
     if matches!(kind, JoinKind::Right | JoinKind::Full) {
         let padding = Tuple::null_padded(&left_schema.attribute_syms().collect::<Vec<Sym>>());
+        let padded = ShapeMemo::new();
         for (ri, rt) in right_side.iter().flatten().enumerate() {
             if !matches.right_matched[ri] {
-                let padded = padding.concat(rt).unwrap_or_else(|_| (*rt).clone());
+                let padded = padded.concat(&padding, rt).unwrap_or_else(|_| (*rt).clone());
                 out.push((Value::from_tuple(padded), right[ri].1));
             }
         }
@@ -513,16 +627,10 @@ fn eval_relation_nest(rows: &[(Value, u64)], nest: &RowNest) -> Vec<(Value, u64)
         .collect()
 }
 
-fn eval_group_aggregation(
-    rows: &[(Value, u64)],
-    group_by: &[String],
-    aggs: &[AggSpec],
-) -> Vec<(Value, u64)> {
-    let group_syms: Vec<Sym> = group_by.iter().map(|a| Sym::intern(a)).collect();
+fn eval_group_aggregation(rows: &[(Value, u64)], aggregate: &RowAggregate) -> Vec<(Value, u64)> {
     let empty = Tuple::empty();
     let groups = group_rows(rows, |value, tuple| {
-        let key = tuple.project(&group_syms).unwrap_or_else(|_| Tuple::empty());
-        (Value::from_tuple(key), Some(value.clone()))
+        (Value::from_tuple(aggregate.key(tuple)), Some(value.clone()))
     });
     groups
         .into_iter()
@@ -531,8 +639,8 @@ fn eval_group_aggregation(
             let members = members.finish();
             let members: Vec<&Tuple> =
                 members.iter_expanded().map(|v| v.as_tuple().unwrap_or(&empty)).collect();
-            let key = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-            (Value::from_tuple(aggregate_group(key, aggs, &members)), 1)
+            let key = key.as_tuple().unwrap_or(&empty);
+            (Value::from_tuple(aggregate.output(key, &members)), 1)
         })
         .collect()
 }

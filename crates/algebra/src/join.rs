@@ -48,7 +48,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use nested_data::{AttrPath, Tuple, TupleType, Value};
+use nested_data::{AttrPath, ShapeMemo, Tuple, TupleType, Value};
 
 use crate::error::AlgebraResult;
 use crate::expr::{CmpOp, Expr};
@@ -277,6 +277,7 @@ fn hash_matches(
     };
     let _probe_span = whynot_obs::span("join.probe");
     whynot_obs::add("join.probe_rows", left.len() as u64);
+    let concat = ShapeMemo::new();
     let mut matches_per_left = Vec::with_capacity(left.len());
     for (li, row) in left.iter().enumerate() {
         checkpoint_every_1024(li)?;
@@ -285,7 +286,7 @@ fn hash_matches(
         if let (Some(lt), Some(candidates)) = (row, key.and_then(|k| buckets.get(&k))) {
             for &ri in candidates {
                 let rt = right[ri].expect("bucketed rows are present");
-                let Ok(combined) = lt.concat(rt) else { continue };
+                let Ok(combined) = concat.concat(lt, rt) else { continue };
                 let keep = match &equi.residual {
                     Some(residual) => residual.eval_bool(&combined),
                     None => true,
@@ -310,6 +311,7 @@ pub fn nested_loop_join(
     right: &[Option<&Tuple>],
     predicate: &Expr,
 ) -> AlgebraResult<JoinMatches> {
+    let concat = ShapeMemo::new();
     let mut matches_per_left = Vec::with_capacity(left.len());
     for (li, row) in left.iter().enumerate() {
         checkpoint_every_1024(li)?;
@@ -317,7 +319,7 @@ pub fn nested_loop_join(
         if let Some(lt) = row {
             for (ri, row) in right.iter().enumerate() {
                 let Some(rt) = row else { continue };
-                let Ok(combined) = lt.concat(rt) else { continue };
+                let Ok(combined) = concat.concat(lt, rt) else { continue };
                 if predicate.eval_bool(&combined) {
                     matched.push((ri, combined));
                 }

@@ -164,9 +164,10 @@ pub fn parallel_group() {
 
 /// Two wide flat relations (6 scalar attributes each) for [`join_group`]: a
 /// `fact` relation whose `fk` hits one of `keys` distinct values and a `dim`
-/// relation keyed by `pk`.
+/// relation keyed by `pk`. Each relation's tuples share one shape, as the
+/// data generators' do.
 fn join_db(fact_n: i64, dim_n: i64, keys: i64) -> nrab_algebra::Database {
-    use nested_data::{NestedType, TupleType};
+    use nested_data::{NestedType, Shape, TupleType};
     use nrab_algebra::Database;
 
     let fact_ty = TupleType::new([
@@ -187,8 +188,10 @@ fn join_db(fact_n: i64, dim_n: i64, keys: i64) -> nrab_algebra::Database {
         ("dtag", NestedType::str()),
     ])
     .expect("dim schema");
+    let fact_shape = Shape::new(["fk", "fseq", "fname", "fqty", "famount", "ftag"]);
+    let dim_shape = Shape::new(["pk", "dcap", "dname", "dprio", "dscale", "dtag"]);
     let fact_rows = Bag::from_values((0..fact_n).map(|i| {
-        Value::tuple([
+        fact_shape.value([
             ("fk", Value::int(i % keys)),
             ("fseq", Value::int(i)),
             ("fname", Value::str(format!("fact-{i}"))),
@@ -198,7 +201,7 @@ fn join_db(fact_n: i64, dim_n: i64, keys: i64) -> nrab_algebra::Database {
         ])
     }));
     let dim_rows = Bag::from_values((0..dim_n).map(|j| {
-        Value::tuple([
+        dim_shape.value([
             ("pk", Value::int(j % keys)),
             ("dcap", Value::int(j * 2)),
             ("dname", Value::str(format!("dim-{j}"))),
@@ -217,7 +220,8 @@ fn join_db(fact_n: i64, dim_n: i64, keys: i64) -> nrab_algebra::Database {
 /// against its reference, the block nested loop, called directly on the rows
 /// of two wide flat relations (6 scalar attributes each): a pure equi join,
 /// an equi join with a residual range conjunct, and a pure non-equi range
-/// join.
+/// join. `equi_join/evaluate` times `evaluate` of the equi join's plan, the
+/// canonical result bag of the joined 12-field rows included.
 ///
 /// Before measuring, the group asserts that `join_matches` returns exactly
 /// the pairs of `nested_loop_join` for every predicate. Each hash case is
@@ -228,7 +232,7 @@ pub fn join_group() {
     use nested_data::{Tuple, TupleType};
     use nrab_algebra::expr::{CmpOp, Expr};
     use nrab_algebra::join::{join_matches, nested_loop_join};
-    use nrab_algebra::{Database, JoinMatches};
+    use nrab_algebra::{Database, JoinKind, JoinMatches, PlanBuilder};
 
     /// One join input: the relation's rows, all present, and its schema.
     type Side<'db> = (Vec<Option<&'db Tuple>>, &'db TupleType);
@@ -281,6 +285,14 @@ pub fn join_group() {
         );
     }
     group.bench("nonequi_join/nested_loop", || join(&small_fact, &small_dim, &nonequi));
+
+    let plan = PlanBuilder::table("fact")
+        .join(PlanBuilder::table("dim"), JoinKind::Inner, equi.clone())
+        .build()
+        .expect("equi join plan");
+    let joined = join(&fact, &dim, &equi).pairs.len() as u64;
+    assert_eq!(evaluate(&plan, &db).expect("evaluate").total(), joined);
+    group.bench("equi_join/evaluate", || evaluate(&plan, &db).expect("evaluate"));
 
     group.finish();
 }

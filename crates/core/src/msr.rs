@@ -81,7 +81,7 @@ pub fn approximate_msrs(
             let extend_with_op = node.op.is_parameterized()
                 && op_trace.has_reparameterization_witness(sa_index, &contributing);
             // Line 13: can the missing answer's data also pass unchanged?
-            let all_ones = op_trace.has_all_ones_witness(sa_index, Some(&contributing));
+            let all_ones = op_trace.has_all_ones_witness(sa_index, Some(&contributing[..]));
 
             let is_last = position + 1 == ops.len();
             if !is_last {

@@ -13,7 +13,9 @@
 //! * homepage URLs are stored in the `note` collection, not in `url`
 //!   (scenario D5).
 
-use nested_data::{Bag, NestedType, TupleType, Value};
+use std::sync::Arc;
+
+use nested_data::{Bag, NestedType, Shape, TupleType, Value};
 use nrab_algebra::Database;
 use whynot_rng::Rng;
 
@@ -34,23 +36,51 @@ impl Default for DblpConfig {
     }
 }
 
-fn title_tuple(text: &str, bibtex: Option<&str>) -> Value {
-    Value::tuple([
-        ("text", Value::str(text)),
-        ("bibtex", bibtex.map(Value::str).unwrap_or(Value::Null)),
-    ])
+/// The shapes of the generated tuples, one per relation schema and nested
+/// tuple type, shared by every tuple built with it.
+struct Shapes {
+    proceedings: Arc<Shape>,
+    inproceedings: Arc<Shape>,
+    records: Arc<Shape>,
+    homepages: Arc<Shape>,
+    title: Arc<Shape>,
+    name: Arc<Shape>,
+    ref_key: Arc<Shape>,
+    value: Arc<Shape>,
 }
 
-fn name_bag(names: &[&str]) -> Value {
-    Value::bag(names.iter().map(|n| Value::tuple([("name", Value::str(*n))])))
-}
+impl Shapes {
+    fn new() -> Shapes {
+        Shapes {
+            proceedings: Shape::new(["key", "title", "booktitle", "year", "publisher", "series"]),
+            inproceedings: Shape::new(["key", "title", "author", "crossref", "year"]),
+            records: Shape::new(["author", "editor", "title", "booktitle", "year"]),
+            homepages: Shape::new(["author", "url", "note"]),
+            title: Shape::new(["text", "bibtex"]),
+            name: Shape::new(["name"]),
+            ref_key: Shape::new(["ref_key"]),
+            value: Shape::new(["value"]),
+        }
+    }
 
-fn ref_bag(keys: &[&str]) -> Value {
-    Value::bag(keys.iter().map(|k| Value::tuple([("ref_key", Value::str(*k))])))
-}
+    fn title(&self, text: &str, bibtex: Option<&str>) -> Value {
+        self.title.value([
+            ("text", Value::str(text)),
+            ("bibtex", bibtex.map(Value::str).unwrap_or(Value::Null)),
+        ])
+    }
 
-fn value_tuple(v: &str) -> Value {
-    Value::tuple([("value", Value::str(v))])
+    fn name_bag(&self, names: &[&str]) -> Value {
+        Value::bag(names.iter().map(|n| self.name.value([("name", Value::str(*n))])))
+    }
+
+    fn ref_bag(&self, keys: &[&str]) -> Value {
+        Value::bag(keys.iter().map(|k| self.ref_key.value([("ref_key", Value::str(*k))])))
+    }
+
+    fn value(&self, v: &str) -> Value {
+        self.value.value([("value", Value::str(v))])
+    }
 }
 
 /// Planted names used by the DBLP scenarios and their gold standards.
@@ -84,6 +114,7 @@ pub mod planted {
 /// facts are inserted afterwards.
 pub fn dblp_database(config: DblpConfig) -> Database {
     let mut db = Database::new();
+    let shapes = Shapes::new();
 
     // --- proceedings (P): key, title (written out), booktitle (acronym), year,
     //     publisher ⟨value⟩, series ⟨value⟩ --------------------------------
@@ -99,48 +130,48 @@ pub fn dblp_database(config: DblpConfig) -> Database {
     let venues = ["VLDB", "ICDE", "EDBT", "CIKM"];
     let mut proceedings = Bag::from_values((0..config.scale).map(|i| {
         let venue = venues[i % venues.len()];
-        Value::tuple([
+        shapes.proceedings.value([
             ("key", Value::str(format!("conf/{venue}/{i}"))),
             ("title", Value::str(format!("Proceedings of the {venue} Conference {i}"))),
             ("booktitle", Value::str(venue)),
             ("year", Value::int(2000 + (i % 20) as i64)),
-            ("publisher", value_tuple(if i % 3 == 0 { "Springer" } else { "IEEE" })),
-            ("series", value_tuple("LNCS")),
+            ("publisher", shapes.value(if i % 3 == 0 { "Springer" } else { "IEEE" })),
+            ("series", shapes.value("LNCS")),
         ])
     }));
     // D1: the SIGMOD proceedings (acronym only in booktitle).
     proceedings.insert(
-        Value::tuple([
+        shapes.proceedings.value([
             ("key", Value::str("conf/sigmod/2020")),
             ("title", Value::str(planted::D1_PROC_TITLE)),
             ("booktitle", Value::str(planted::D1_BOOKTITLE)),
             ("year", Value::int(2020)),
-            ("publisher", value_tuple("ACM Press")),
-            ("series", value_tuple("SIGMOD Series")),
+            ("publisher", shapes.value("ACM Press")),
+            ("series", shapes.value("SIGMOD Series")),
         ]),
         1,
     );
     // D4: the planted author's proceedings — "ACM" only in `series`, year 2010.
     proceedings.insert(
-        Value::tuple([
+        shapes.proceedings.value([
             ("key", Value::str("conf/acm/2010")),
             ("title", Value::str("Proceedings of the ACM Symposium 2010")),
             ("booktitle", Value::str("ACMSYMP")),
             ("year", Value::int(2010)),
-            ("publisher", value_tuple("Springer")),
-            ("series", value_tuple("ACM")),
+            ("publisher", shapes.value("Springer")),
+            ("series", shapes.value("ACM")),
         ]),
         1,
     );
     // D4: a 2015 proceedings that is *not* published through ACM.
     proceedings.insert(
-        Value::tuple([
+        shapes.proceedings.value([
             ("key", Value::str("conf/ieee/2015")),
             ("title", Value::str("Proceedings of the IEEE Workshop 2015")),
             ("booktitle", Value::str("IEEEW")),
             ("year", Value::int(2015)),
-            ("publisher", value_tuple("IEEE")),
-            ("series", value_tuple("IEEE Series")),
+            ("publisher", shapes.value("IEEE")),
+            ("series", shapes.value("IEEE Series")),
         ]),
         1,
     );
@@ -165,21 +196,21 @@ pub fn dblp_database(config: DblpConfig) -> Database {
         let venue = venues[i % venues.len()];
         let mut rng = row_rng(config.seed, 1, i as u64);
         let bibtex = if rng.gen_range(0..200) == 0 { Some("@inproceedings{...}") } else { None };
-        Value::tuple([
+        shapes.inproceedings.value([
             ("key", Value::str(format!("conf/{venue}/paper{i}"))),
-            ("title", title_tuple(&format!("A Study of Topic {i}"), bibtex)),
-            ("author", name_bag(&[filler_authors[i % filler_authors.len()]])),
-            ("crossref", ref_bag(&[&format!("conf/{venue}/{i}")])),
+            ("title", shapes.title(&format!("A Study of Topic {i}"), bibtex)),
+            ("author", shapes.name_bag(&[filler_authors[i % filler_authors.len()]])),
+            ("crossref", shapes.ref_bag(&[&format!("conf/{venue}/{i}")])),
             ("year", Value::int(2000 + (i % 20) as i64)),
         ])
     }));
     // D1: the missing SIGMOD paper.
     inproceedings.insert(
-        Value::tuple([
+        shapes.inproceedings.value([
             ("key", Value::str("conf/sigmod/2020/p42")),
-            ("title", title_tuple(planted::D1_PAPER, None)),
-            ("author", name_bag(&["Frank Moore", "Grace Kim"])),
-            ("crossref", ref_bag(&["conf/sigmod/2020"])),
+            ("title", shapes.title(planted::D1_PAPER, None)),
+            ("author", shapes.name_bag(&["Frank Moore", "Grace Kim"])),
+            ("crossref", shapes.ref_bag(&["conf/sigmod/2020"])),
             ("year", Value::int(2020)),
         ]),
         1,
@@ -188,22 +219,22 @@ pub fn dblp_database(config: DblpConfig) -> Database {
     // proceedings plus one paper at the non-ACM 2015 workshop.
     for p in 0..3 {
         inproceedings.insert(
-            Value::tuple([
+            shapes.inproceedings.value([
                 ("key", Value::str(format!("conf/acm/2010/p{p}"))),
-                ("title", title_tuple(&format!("Nested Provenance Techniques {p}"), None)),
-                ("author", name_bag(&[planted::D4_AUTHOR])),
-                ("crossref", ref_bag(&["conf/acm/2010"])),
+                ("title", shapes.title(&format!("Nested Provenance Techniques {p}"), None)),
+                ("author", shapes.name_bag(&[planted::D4_AUTHOR])),
+                ("crossref", shapes.ref_bag(&["conf/acm/2010"])),
                 ("year", Value::int(2010)),
             ]),
             1,
         );
     }
     inproceedings.insert(
-        Value::tuple([
+        shapes.inproceedings.value([
             ("key", Value::str("conf/ieee/2015/p1")),
-            ("title", title_tuple("A Workshop Note", None)),
-            ("author", name_bag(&[planted::D4_AUTHOR])),
-            ("crossref", ref_bag(&["conf/ieee/2015"])),
+            ("title", shapes.title("A Workshop Note", None)),
+            ("author", shapes.name_bag(&[planted::D4_AUTHOR])),
+            ("crossref", shapes.ref_bag(&["conf/ieee/2015"])),
             ("year", Value::int(2015)),
         ]),
         1,
@@ -219,11 +250,11 @@ pub fn dblp_database(config: DblpConfig) -> Database {
     // D2: the planted author with six articles, all of which lack a bibtex title.
     for p in 0..6 {
         authored.insert(
-            Value::tuple([
+            shapes.inproceedings.value([
                 ("key", Value::str(format!("journals/tods/ortiz{p}"))),
-                ("title", title_tuple(&format!("Answering Why-Not Questions, Part {p}"), None)),
-                ("author", name_bag(&[planted::D2_AUTHOR])),
-                ("crossref", ref_bag(&[])),
+                ("title", shapes.title(&format!("Answering Why-Not Questions, Part {p}"), None)),
+                ("author", shapes.name_bag(&[planted::D2_AUTHOR])),
+                ("crossref", shapes.ref_bag(&[])),
                 ("year", Value::int(2015 + p as i64)),
             ]),
             1,
@@ -242,7 +273,7 @@ pub fn dblp_database(config: DblpConfig) -> Database {
     .unwrap();
     let mut records = Bag::from_values((0..config.scale).map(|i| {
         let venue = venues[i % venues.len()];
-        Value::tuple([
+        shapes.records.value([
             ("author", Value::str(filler_authors[i % filler_authors.len()])),
             ("editor", Value::str("Harold Editor")),
             ("title", Value::str(format!("A Study of Topic {i}"))),
@@ -252,7 +283,7 @@ pub fn dblp_database(config: DblpConfig) -> Database {
     }));
     // D3: the planted person edited (but did not author) a VLDB 2012 volume.
     records.insert(
-        Value::tuple([
+        shapes.records.value([
             ("author", Value::str("Ivan Petrov")),
             ("editor", Value::str(planted::D3_EDITOR)),
             ("title", Value::str("Advanced Query Processing")),
@@ -271,24 +302,18 @@ pub fn dblp_database(config: DblpConfig) -> Database {
     ])
     .unwrap();
     let mut homepages = Bag::from_values((0..config.scale).map(|i| {
-        Value::tuple([
-            ("author", name_bag(&[filler_authors[i % filler_authors.len()]])),
-            (
-                "url",
-                Value::bag([Value::tuple([(
-                    "value",
-                    Value::str(format!("https://example.org/{i}")),
-                )])]),
-            ),
+        shapes.homepages.value([
+            ("author", shapes.name_bag(&[filler_authors[i % filler_authors.len()]])),
+            ("url", Value::bag([shapes.value(&format!("https://example.org/{i}"))])),
             ("note", Value::bag([])),
         ])
     }));
     // D5: the planted author's homepage lives in `note`; `url` is empty.
     homepages.insert(
-        Value::tuple([
-            ("author", name_bag(&[planted::D5_AUTHOR])),
+        shapes.homepages.value([
+            ("author", shapes.name_bag(&[planted::D5_AUTHOR])),
             ("url", Value::bag([])),
-            ("note", Value::bag([Value::tuple([("value", Value::str(planted::D5_URL))])])),
+            ("note", Value::bag([shapes.value(planted::D5_URL)])),
         ]),
         1,
     );
@@ -321,6 +346,27 @@ mod tests {
         assert!(!urls.contains(&Value::str(planted::D5_URL)));
         let notes = db.active_domain("homepages", "note").unwrap();
         assert!(notes.contains(&Value::str(planted::D5_URL)));
+    }
+
+    #[test]
+    fn each_relation_shares_one_shape() {
+        let db = dblp_database(DblpConfig { scale: 50, seed: 1 });
+        for relation in ["proceedings", "inproceedings", "authored", "records", "homepages"] {
+            let tuples: Vec<_> =
+                db.relation(relation).unwrap().iter().map(|(v, _)| v.as_tuple().unwrap()).collect();
+            assert!(
+                tuples.iter().all(|t| Arc::ptr_eq(t.shape(), tuples[0].shape())),
+                "{relation} has more than one shape"
+            );
+        }
+        // Nested tuples of one type share a shape too.
+        let titles: Vec<_> = db
+            .relation("inproceedings")
+            .unwrap()
+            .iter()
+            .map(|(v, _)| v.as_tuple().unwrap().get("title").unwrap().as_tuple().unwrap().clone())
+            .collect();
+        assert!(titles.iter().all(|t| Arc::ptr_eq(t.shape(), titles[0].shape())));
     }
 
     #[test]

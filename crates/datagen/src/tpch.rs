@@ -5,7 +5,9 @@
 //! additionally exposes a flat `flatlineitem` relation (order attributes
 //! joined onto every lineitem) used by the Q1F–Q13F scenarios.
 
-use nested_data::{Bag, NestedType, TupleType, Value};
+use std::sync::Arc;
+
+use nested_data::{Bag, NestedType, Shape, ShapeMemo, Splice, Sym, TupleType, Value};
 use nrab_algebra::Database;
 use whynot_rng::{Rng, StdRng};
 
@@ -82,6 +84,53 @@ fn nation_type() -> TupleType {
     TupleType::new([("n_nationkey", NestedType::int()), ("n_name", NestedType::str())]).unwrap()
 }
 
+/// The shapes of the generated tuples, one per relation schema (and the
+/// nested lineitem type), shared by every tuple built with it.
+struct Shapes {
+    customer: Arc<Shape>,
+    order: Arc<Shape>,
+    lineitem: Arc<Shape>,
+    nation: Arc<Shape>,
+}
+
+impl Shapes {
+    fn new() -> Shapes {
+        Shapes {
+            customer: Shape::new([
+                "c_custkey",
+                "c_name",
+                "c_acctbal",
+                "c_phone",
+                "c_address",
+                "c_comment",
+                "c_mktsegment",
+                "c_nationkey",
+            ]),
+            order: Shape::new([
+                "o_orderkey",
+                "o_custkey",
+                "o_orderdate",
+                "o_shippriority",
+                "o_orderpriority",
+                "o_comment",
+                "o_lineitems",
+            ]),
+            lineitem: Shape::new([
+                "l_orderkey",
+                "l_extendedprice",
+                "l_discount",
+                "l_tax",
+                "l_quantity",
+                "l_shipdate",
+                "l_commitdate",
+                "l_receiptdate",
+                "l_returnflag",
+            ]),
+            nation: Shape::new(["n_nationkey", "n_name"]),
+        }
+    }
+}
+
 struct LineitemSpec {
     price: f64,
     discount: f64,
@@ -93,8 +142,8 @@ struct LineitemSpec {
     returnflag: String,
 }
 
-fn lineitem_value(orderkey: i64, spec: &LineitemSpec) -> Value {
-    Value::tuple([
+fn lineitem_value(shapes: &Shapes, orderkey: i64, spec: &LineitemSpec) -> Value {
+    shapes.lineitem.value([
         ("l_orderkey", Value::int(orderkey)),
         ("l_extendedprice", Value::float(spec.price)),
         ("l_discount", Value::float(spec.discount)),
@@ -145,9 +194,9 @@ const SEGMENTS: [&str; 5] = ["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD",
 const PRIORITIES: [&str; 5] = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
 const NATIONS: [&str; 5] = ["GERMANY", "FRANCE", "BRAZIL", "JAPAN", "CANADA"];
 
-fn customer_value(rng: &mut StdRng, custkey: i64, segment: &str) -> Value {
+fn customer_value(shapes: &Shapes, rng: &mut StdRng, custkey: i64, segment: &str) -> Value {
     let nationkey = custkey % NATIONS.len() as i64;
-    Value::tuple([
+    shapes.customer.value([
         ("c_custkey", Value::int(custkey)),
         ("c_name", Value::str(format!("Customer#{custkey:09}"))),
         ("c_acctbal", Value::float(rng.gen_range(-999.0..9999.0))),
@@ -160,13 +209,14 @@ fn customer_value(rng: &mut StdRng, custkey: i64, segment: &str) -> Value {
 }
 
 fn order_value(
+    shapes: &Shapes,
     orderkey: i64,
     custkey: i64,
     orderdate: &str,
     priority: &str,
     items: &[Value],
 ) -> Value {
-    Value::tuple([
+    shapes.order.value([
         ("o_orderkey", Value::int(orderkey)),
         ("o_custkey", Value::int(custkey)),
         ("o_orderdate", Value::str(orderdate)),
@@ -179,11 +229,11 @@ fn order_value(
 
 /// One filler customer plus their orders, generated from a per-customer RNG
 /// so customers are independent under one seed.
-fn filler_customer(seed: u64, i: usize) -> (Value, Vec<Value>) {
+fn filler_customer(shapes: &Shapes, seed: u64, i: usize) -> (Value, Vec<Value>) {
     let custkey = 1000 + i as i64;
     let segment = SEGMENTS[i % SEGMENTS.len()];
     let mut rng = row_rng(seed, 0, i as u64);
-    let customer = customer_value(&mut rng, custkey, segment);
+    let customer = customer_value(shapes, &mut rng, custkey, segment);
     let order_count = rng.gen_range(1..=MAX_ORDERS_PER_CUSTOMER);
     let mut orders = Vec::with_capacity(order_count as usize);
     for k in 0..order_count {
@@ -191,10 +241,10 @@ fn filler_customer(seed: u64, i: usize) -> (Value, Vec<Value>) {
         let year = 1993 + rng.gen_range(0..5);
         let date = format!("{year}-{:02}-{:02}", rng.gen_range(1..=12), rng.gen_range(1..=28));
         let items: Vec<Value> = (0..rng.gen_range(1..=4))
-            .map(|_| lineitem_value(orderkey, &random_lineitem(&mut rng, 0)))
+            .map(|_| lineitem_value(shapes, orderkey, &random_lineitem(&mut rng, 0)))
             .collect();
         let priority = PRIORITIES[rng.gen_range(0..PRIORITIES.len())];
-        orders.push(order_value(orderkey, custkey, &date, priority, &items));
+        orders.push(order_value(shapes, orderkey, custkey, &date, priority, &items));
     }
     (customer, orders)
 }
@@ -207,8 +257,9 @@ pub fn tpch_nested_database(config: TpchConfig) -> Database {
     // Filler custkeys are 1000 + i; the planted Q3/Q10/Q13 customers start
     // at 60_000 and must stay unique.
     assert!(config.customers < 59_000, "scale would collide with planted customer keys");
+    let shapes = Shapes::new();
     let (customer_rows, order_rows): (Vec<Value>, Vec<Vec<Value>>) =
-        (0..config.customers).map(|i| filler_customer(config.seed, i)).unzip();
+        (0..config.customers).map(|i| filler_customer(&shapes, config.seed, i)).unzip();
     let mut customers = Bag::from_values(customer_rows);
     let mut orders = Bag::from_values(order_rows.into_iter().flatten());
 
@@ -242,7 +293,7 @@ pub fn tpch_nested_database(config: TpchConfig) -> Database {
         let orderkey = planted::Q3_ORDERKEY;
         let custkey = 60_000;
         customers.insert(
-            Value::tuple([
+            shapes.customer.value([
                 ("c_custkey", Value::int(custkey)),
                 ("c_name", Value::str("Customer#household")),
                 ("c_acctbal", Value::float(1234.5)),
@@ -254,9 +305,10 @@ pub fn tpch_nested_database(config: TpchConfig) -> Database {
             ]),
             1,
         );
-        let lineitems: Vec<Value> = items.iter().map(|s| lineitem_value(orderkey, s)).collect();
+        let lineitems: Vec<Value> =
+            items.iter().map(|s| lineitem_value(&shapes, orderkey, s)).collect();
         orders.insert(
-            Value::tuple([
+            shapes.order.value([
                 ("o_orderkey", Value::int(orderkey)),
                 ("o_custkey", Value::int(custkey)),
                 ("o_orderdate", Value::str("1995-03-01")),
@@ -274,7 +326,7 @@ pub fn tpch_nested_database(config: TpchConfig) -> Database {
     {
         let custkey = planted::Q10_CUSTKEY;
         customers.insert(
-            Value::tuple([
+            shapes.customer.value([
                 ("c_custkey", Value::int(custkey)),
                 ("c_name", Value::str("Customer#returned")),
                 ("c_acctbal", Value::float(8_000.0)),
@@ -309,9 +361,10 @@ pub fn tpch_nested_database(config: TpchConfig) -> Database {
                 returnflag: "R".into(),
             },
         ];
-        let lineitems: Vec<Value> = items.iter().map(|s| lineitem_value(orderkey, s)).collect();
+        let lineitems: Vec<Value> =
+            items.iter().map(|s| lineitem_value(&shapes, orderkey, s)).collect();
         orders.insert(
-            Value::tuple([
+            shapes.order.value([
                 ("o_orderkey", Value::int(orderkey)),
                 ("o_custkey", Value::int(custkey)),
                 ("o_orderdate", Value::str("1997-11-02")),
@@ -337,14 +390,14 @@ pub fn tpch_nested_database(config: TpchConfig) -> Database {
             returnflag: "R".into(),
         };
         orders.insert(
-            Value::tuple([
+            shapes.order.value([
                 ("o_orderkey", Value::int(orderkey2)),
                 ("o_custkey", Value::int(custkey)),
                 ("o_orderdate", Value::str("1998-02-15")),
                 ("o_shippriority", Value::str("0")),
                 ("o_orderpriority", Value::str("3-MEDIUM")),
                 ("o_comment", Value::str("standard order")),
-                ("o_lineitems", Value::bag([lineitem_value(orderkey2, &late)])),
+                ("o_lineitems", Value::bag([lineitem_value(&shapes, orderkey2, &late)])),
             ]),
             1,
         );
@@ -352,7 +405,7 @@ pub fn tpch_nested_database(config: TpchConfig) -> Database {
 
     // Q13: a customer without any orders at all (lost by the erroneous inner join).
     customers.insert(
-        Value::tuple([
+        shapes.customer.value([
             ("c_custkey", Value::int(planted::Q13_CUSTKEY)),
             ("c_name", Value::str("Customer#noorders")),
             ("c_acctbal", Value::float(0.0)),
@@ -368,7 +421,9 @@ pub fn tpch_nested_database(config: TpchConfig) -> Database {
     let mut nation = Bag::new();
     for (i, name) in NATIONS.iter().enumerate() {
         nation.insert(
-            Value::tuple([("n_nationkey", Value::int(i as i64)), ("n_name", Value::str(*name))]),
+            shapes
+                .nation
+                .value([("n_nationkey", Value::int(i as i64)), ("n_name", Value::str(*name))]),
             1,
         );
     }
@@ -386,15 +441,20 @@ pub fn tpch_nested_database(config: TpchConfig) -> Database {
 pub fn tpch_flat_database(config: TpchConfig) -> Database {
     let nested = tpch_nested_database(config);
     let mut flat = Bag::new();
+    let (o_lineitems, l_orderkey) = (Sym::intern("o_lineitems"), Sym::intern("l_orderkey"));
+    // One splice per layout, so the flat rows share one shape.
+    let (order_attrs, item_attrs, joined) = (ShapeMemo::new(), ShapeMemo::new(), ShapeMemo::new());
     for (order, mult) in nested.relation("nestedOrders").unwrap().iter() {
         let order_tuple = order.as_tuple().unwrap();
-        let order_attrs = order_tuple.without(&["o_lineitems"]);
-        if let Some(Value::Bag(items)) = order_tuple.get("o_lineitems") {
+        let order_attrs =
+            order_attrs.apply(order_tuple, &[], |shape| Splice::without(shape, &[o_lineitems]));
+        if let Some(Value::Bag(items)) = order_tuple.get(o_lineitems) {
             for (item, item_mult) in items.iter() {
                 if let Some(item_tuple) = item.as_tuple() {
-                    let combined = order_attrs
-                        .concat(&item_tuple.without(&["l_orderkey"]))
-                        .expect("disjoint attribute names");
+                    let item_attrs = item_attrs
+                        .apply(item_tuple, &[], |shape| Splice::without(shape, &[l_orderkey]));
+                    let combined =
+                        joined.concat(&order_attrs, &item_attrs).expect("disjoint attribute names");
                     flat.insert(Value::from_tuple(combined), mult * item_mult);
                 }
             }

@@ -1,6 +1,8 @@
 //! Synthetic Twitter-like data (scenarios T1–T4 and T_ASD, Table 5 / Table 10).
 
-use nested_data::{Bag, NestedType, TupleType, Value};
+use std::sync::Arc;
+
+use nested_data::{Bag, NestedType, Shape, TupleType, Value};
 use nrab_algebra::Database;
 use whynot_rng::Rng;
 
@@ -93,8 +95,45 @@ pub fn tweet_type() -> TupleType {
     .unwrap()
 }
 
+/// The shapes of the generated tuples, one per relation schema and nested
+/// tuple type, shared by every tuple built with it.
+struct Shapes {
+    tweet: Arc<Shape>,
+    status: Arc<Shape>,
+    entities: Arc<Shape>,
+    text: Arc<Shape>,
+    url: Arc<Shape>,
+    mention: Arc<Shape>,
+    place: Arc<Shape>,
+    user: Arc<Shape>,
+}
+
+impl Shapes {
+    fn new() -> Shapes {
+        Shapes {
+            tweet: Shape::new([
+                "id",
+                "text",
+                "entities",
+                "place",
+                "user",
+                "retweet_status",
+                "quoted_status",
+            ]),
+            status: Shape::new(["id", "text", "count"]),
+            entities: Shape::new(["hashtags", "media", "urls", "mentioned_user"]),
+            text: Shape::new(["text"]),
+            url: Shape::new(["url"]),
+            mention: Shape::new(["id", "name"]),
+            place: Shape::new(["country"]),
+            user: Shape::new(["id", "name", "location", "lang", "followers_count"]),
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn tweet(
+    shapes: &Shapes,
     id: i64,
     text: &str,
     hashtags: &[&str],
@@ -107,40 +146,45 @@ fn tweet(
     quoted: Option<(&str, i64)>,
 ) -> Value {
     let status = |s: Option<(&str, i64)>| match s {
-        Some((text, count)) => Value::tuple([
+        Some((text, count)) => shapes.status.value([
             ("id", Value::int(id * 10)),
             ("text", Value::str(text)),
             ("count", Value::int(count)),
         ]),
         None => Value::Null,
     };
-    Value::tuple([
+    let url = |u: &&str| shapes.url.value([("url", Value::str(*u))]);
+    shapes.tweet.value([
         ("id", Value::int(id)),
         ("text", Value::str(text)),
         (
             "entities",
-            Value::tuple([
+            shapes.entities.value([
                 (
                     "hashtags",
-                    Value::bag(hashtags.iter().map(|h| Value::tuple([("text", Value::str(*h))]))),
+                    Value::bag(
+                        hashtags.iter().map(|h| shapes.text.value([("text", Value::str(*h))])),
+                    ),
                 ),
-                (
-                    "media",
-                    Value::bag(media.iter().map(|m| Value::tuple([("url", Value::str(*m))]))),
-                ),
-                ("urls", Value::bag(urls.iter().map(|u| Value::tuple([("url", Value::str(*u))])))),
+                ("media", Value::bag(media.iter().map(url))),
+                ("urls", Value::bag(urls.iter().map(url))),
                 (
                     "mentioned_user",
                     Value::bag(mentioned.iter().map(|(mid, name)| {
-                        Value::tuple([("id", Value::int(*mid)), ("name", Value::str(*name))])
+                        shapes
+                            .mention
+                            .value([("id", Value::int(*mid)), ("name", Value::str(*name))])
                     })),
                 ),
             ]),
         ),
-        ("place", Value::tuple([("country", country.map(Value::str).unwrap_or(Value::Null))])),
+        (
+            "place",
+            shapes.place.value([("country", country.map(Value::str).unwrap_or(Value::Null))]),
+        ),
         (
             "user",
-            Value::tuple([
+            shapes.user.value([
                 ("id", Value::int(user.0)),
                 ("name", Value::str(user.1)),
                 ("location", Value::str(user.2)),
@@ -157,6 +201,7 @@ fn tweet(
 /// generated with per-index RNGs; the planted scenario tweets are inserted
 /// afterwards.
 pub fn twitter_database(config: TwitterConfig) -> Database {
+    let shapes = Shapes::new();
     let topics = ["coffee", "rustlang", "databases", "UEFA final tonight", "music"];
     let countries = ["Germany", "France", "Brazil", "Japan"];
     let mut tweets = Bag::from_values((0..config.scale).map(|i| {
@@ -164,6 +209,7 @@ pub fn twitter_database(config: TwitterConfig) -> Database {
         let country = countries[i % countries.len()];
         let has_media = row_rng(config.seed, 0, i as u64).gen_bool(0.4);
         tweet(
+            &shapes,
             i as i64,
             &format!("tweet about {topic} number {i}"),
             &[topics[i % topics.len()]],
@@ -181,6 +227,7 @@ pub fn twitter_database(config: TwitterConfig) -> Database {
     // entities.urls, entities.media is empty.
     tweets.insert(
         tweet(
+            &shapes,
             1_000_001,
             planted::T1_TEXT,
             &["NBA"],
@@ -198,6 +245,7 @@ pub fn twitter_database(config: TwitterConfig) -> Database {
     // country is only in user.location.
     tweets.insert(
         tweet(
+            &shapes,
             1_000_002,
             "BTS dropped a new album and it is amazing",
             &["BTS"],
@@ -215,6 +263,7 @@ pub fn twitter_database(config: TwitterConfig) -> Database {
     // entities.urls instead of entities.media.
     tweets.insert(
         tweet(
+            &shapes,
             1_000_003,
             "great provenance talk by @nested_data_nerd",
             &[planted::T3_HASHTAG],
@@ -231,6 +280,7 @@ pub fn twitter_database(config: TwitterConfig) -> Database {
     // The mentioned user's own tweet (join partner for T3).
     tweets.insert(
         tweet(
+            &shapes,
             1_000_004,
             "slides from my talk",
             &["slides"],
@@ -247,6 +297,7 @@ pub fn twitter_database(config: TwitterConfig) -> Database {
     // T4: a UEFA tweet whose author is located in England; place.country is null.
     tweets.insert(
         tweet(
+            &shapes,
             1_000_005,
             "Uefa champions league night! #LiverpoolFC",
             &[planted::T4_HASHTAG],
@@ -264,6 +315,7 @@ pub fn twitter_database(config: TwitterConfig) -> Database {
     // a recorded country but without "Uefa" in the text.
     tweets.insert(
         tweet(
+            &shapes,
             1_000_008,
             "match day at Anfield #LiverpoolFC",
             &[planted::T4_HASHTAG],
@@ -281,6 +333,7 @@ pub fn twitter_database(config: TwitterConfig) -> Database {
     // quoted tweets instead.
     tweets.insert(
         tweet(
+            &shapes,
             1_000_006,
             "RT: one small step",
             &["history"],
@@ -297,6 +350,7 @@ pub fn twitter_database(config: TwitterConfig) -> Database {
     // A quoted tweet so the erroneous T_ASD query still returns something.
     tweets.insert(
         tweet(
+            &shapes,
             1_000_007,
             "quoting an interesting thread",
             &["threads"],

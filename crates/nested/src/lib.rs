@@ -21,7 +21,10 @@
 //!   side-effect component of the MSR partial order (Definition 9).
 //!
 //! The representation is a shared-immutable value layer: attribute names are
-//! interned symbols ([`Sym`]), compound values live behind `Arc`s (so
+//! interned symbols ([`Sym`]), a tuple stores only its values behind a
+//! [`Shape`] of field names shared by every tuple of its layout (kernels
+//! derive output shapes once per input shape, as [`Splice`]s kept in a
+//! [`ShapeMemo`]), compound values live behind `Arc`s (so
 //! `Value::clone` is O(1) and subtrees are shared structurally, with
 //! copy-on-write mutation), and bags are built through [`BagBuilder`]
 //! (hash-deduplicated, canonicalized once). None of this is observable in the
@@ -39,6 +42,7 @@ pub mod bag;
 pub mod error;
 pub mod nip;
 pub mod path;
+pub mod shape;
 pub mod sym;
 pub mod tree;
 pub mod tuple;
@@ -49,6 +53,7 @@ pub use bag::{Bag, BagBuilder};
 pub use error::{DataError, DataResult};
 pub use nip::{Nip, NipCmp};
 pub use path::AttrPath;
+pub use shape::{Shape, ShapeMemo, Splice};
 pub use sym::Sym;
 pub use tree::{tree_distance, ValueTree};
 pub use tuple::Tuple;

@@ -42,7 +42,6 @@ impl ValueTree {
                 label: "⟨⟩".to_string(),
                 children: t
                     .fields()
-                    .iter()
                     .map(|(name, v)| match v {
                         Value::Tuple(_) | Value::Bag(_) => ValueTree {
                             label: name.as_str().to_string(),

@@ -1,101 +1,108 @@
-//! Tuple values with named, ordered fields.
+//! Tuple values: a shared [`Shape`] of field names plus the values.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
-use crate::error::{DataError, DataResult};
+use crate::error::DataResult;
+use crate::path::AttrPath;
+use crate::shape::{Shape, Splice};
 use crate::sym::Sym;
 use crate::types::TupleType;
 use crate::value::Value;
 
 /// A tuple value `⟨A₁ : v₁, ..., Aₙ : vₙ⟩`.
 ///
-/// Field order is preserved (it determines the display order and the default
-/// output schema), but equality, ordering, and hashing are *name-based*: two
-/// tuples with the same name→value mapping are equal regardless of field
-/// order, which is what the algebra's bag semantics require.
+/// A tuple stores its values in field order behind a shared [`Shape`] that
+/// holds the names, so a field costs one [`Value`]. Field order is preserved
+/// (it determines the display order and the default output schema), but
+/// equality, ordering, and hashing are *name-based*: two tuples with the same
+/// name→value mapping are equal regardless of field order, which is what the
+/// algebra's bag semantics require. Tuples of the same shape compare by
+/// walking their values along the shape's canonical permutation, with no
+/// name comparisons.
 ///
-/// Attribute names are interned [`Sym`]s, so looking a field up by an already
-/// interned symbol is a linear scan of integer compares, and copying a tuple's
-/// field names never allocates. The name-based structural hash is computed
-/// lazily and cached, so hash-canonicalized bag construction hashes each
-/// (possibly `Arc`-shared) tuple at most once.
-#[derive(Clone, Default)]
+/// The name-based structural hash is computed lazily and cached, so
+/// hash-canonicalized bag construction hashes each (possibly `Arc`-shared)
+/// tuple at most once.
 pub struct Tuple {
-    fields: Vec<(Sym, Value)>,
+    shape: Arc<Shape>,
+    values: Box<[Value]>,
     /// Lazily computed structural hash over the canonical (name-sorted)
-    /// fields. Tuples are immutable (every "mutation" builds a new tuple), so
-    /// the cache never goes stale; cloning carries it along.
-    hash: OnceLock<u64>,
-}
-
-/// Maximum arity for which canonical iteration runs on a stack-allocated
-/// index buffer; wider tuples fall back to a heap-allocated sort.
-const INLINE_ARITY: usize = 16;
-
-/// Fills `idx[..fields.len()]` with field indices in canonical (name-sorted)
-/// order; stable insertion sort, so duplicate names keep declaration order
-/// exactly like the previous `sort_by_key` canonicalization.
-fn canonical_idx(fields: &[(Sym, Value)], idx: &mut [u8; INLINE_ARITY]) {
-    let n = fields.len();
-    for (i, slot) in idx.iter_mut().enumerate().take(n) {
-        *slot = i as u8;
-    }
-    for i in 1..n {
-        let mut j = i;
-        while j > 0 && fields[idx[j - 1] as usize].0 > fields[idx[j] as usize].0 {
-            idx.swap(j - 1, j);
-            j -= 1;
-        }
-    }
+    /// fields; 0 means not yet computed. Tuples are immutable (every
+    /// "mutation" builds a new tuple), so the cache never goes stale;
+    /// cloning carries it along. `Relaxed` suffices: the hash is a pure
+    /// function of the tuple and publishes no other data, so a thread that
+    /// misses another's store only computes the same value again.
+    hash: AtomicU64,
 }
 
 impl Tuple {
-    /// Builds a tuple from `(name, value)` pairs.
+    /// Builds a tuple from `(name, value)` pairs, with a shape of its own.
+    /// Code that builds many tuples of one layout shares a [`Shape`] through
+    /// [`Tuple::with_shape`] instead.
     pub fn new<I, S>(fields: I) -> Self
     where
         I: IntoIterator<Item = (S, Value)>,
         S: Into<Sym>,
     {
-        Tuple::from_field_vec(fields.into_iter().map(|(n, v)| (n.into(), v)).collect())
+        let (names, values): (Vec<Sym>, Vec<Value>) =
+            fields.into_iter().map(|(n, v)| (n.into(), v)).unzip();
+        Tuple::with_shape(Shape::new(names), values)
     }
 
-    fn from_field_vec(fields: Vec<(Sym, Value)>) -> Self {
-        Tuple { fields, hash: OnceLock::new() }
+    /// A tuple of `shape` holding `values` in its stored order.
+    ///
+    /// # Panics
+    ///
+    /// If the number of values is not the shape's arity.
+    pub fn with_shape(shape: Arc<Shape>, values: impl Into<Box<[Value]>>) -> Self {
+        let values = values.into();
+        assert_eq!(values.len(), shape.arity(), "a tuple holds one value per field of its shape");
+        Tuple { shape, values, hash: AtomicU64::new(0) }
     }
 
     /// The empty tuple `⟨⟩`.
     pub fn empty() -> Self {
-        Tuple::from_field_vec(Vec::new())
+        Tuple::with_shape(Shape::empty(), Vec::new())
+    }
+
+    /// The tuple's shape: its field names.
+    pub fn shape(&self) -> &Arc<Shape> {
+        &self.shape
+    }
+
+    /// The values in field order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
     }
 
     /// The `(name, value)` pairs in field order.
-    pub fn fields(&self) -> &[(Sym, Value)] {
-        &self.fields
+    pub fn fields(&self) -> impl ExactSizeIterator<Item = (Sym, &Value)> + '_ {
+        self.shape.names().iter().copied().zip(self.values.iter())
     }
 
     /// Number of fields.
     pub fn arity(&self) -> usize {
-        self.fields.len()
+        self.values.len()
     }
 
     /// Whether the tuple has no fields.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.values.is_empty()
     }
 
     /// The attribute names in field order, without allocating.
     pub fn attribute_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.fields.iter().map(|(n, _)| n.as_str())
+        self.shape.names().iter().map(|n| n.as_str())
     }
 
-    /// Looks up a field by name. Pass a [`Sym`] on hot paths so the lookup is
-    /// a scan of integer compares; `&str` arguments are interned first.
+    /// Looks up a field by name through the shape's lookup. Pass a [`Sym`]
+    /// on hot paths; `&str` arguments are interned first.
     pub fn get(&self, name: impl Into<Sym>) -> Option<&Value> {
-        let sym = name.into();
-        self.fields.iter().find(|(n, _)| *n == sym).map(|(_, v)| v)
+        self.shape.position(name.into()).map(|i| &self.values[i])
     }
 
     /// Looks up a field by name, erroring if absent. The error (with its list
@@ -103,19 +110,7 @@ impl Tuple {
     /// probing optional fields through this method stays cheap.
     pub fn get_required(&self, name: impl Into<Sym>) -> DataResult<&Value> {
         let sym = name.into();
-        match self.get(sym) {
-            Some(v) => Ok(v),
-            None => Err(self.unknown_attribute(sym)),
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn unknown_attribute(&self, sym: Sym) -> DataError {
-        DataError::UnknownAttribute {
-            attribute: sym.as_str().to_string(),
-            available: self.attribute_names().collect(),
-        }
+        self.get(sym).ok_or_else(|| self.shape.unknown_attribute(sym))
     }
 
     /// Whether the tuple contains a field called `name`.
@@ -126,89 +121,44 @@ impl Tuple {
     /// Projects the tuple onto the given attributes (the paper's `t.L`),
     /// preserving the requested order.
     pub fn project<S: Into<Sym> + Copy>(&self, names: &[S]) -> DataResult<Tuple> {
-        let mut fields = Vec::with_capacity(names.len());
-        for name in names {
-            let sym = (*name).into();
-            fields.push((sym, self.get_required(sym)?.clone()));
-        }
-        Ok(Tuple::from_field_vec(fields))
+        Ok(Splice::project(&self.shape, &syms(names))?.apply(&self.values, &[]))
     }
 
     /// Concatenates two tuples (the paper's `t ◦ t'`). Field names must be
     /// disjoint.
     pub fn concat(&self, other: &Tuple) -> DataResult<Tuple> {
-        let mut fields = Vec::with_capacity(self.fields.len() + other.fields.len());
-        fields.extend_from_slice(&self.fields);
-        for (name, value) in &other.fields {
-            if self.contains(*name) {
-                return Err(DataError::DuplicateAttribute(name.as_str().to_string()));
-            }
-            fields.push((*name, value.clone()));
-        }
-        Ok(Tuple::from_field_vec(fields))
+        Ok(Splice::concat(&self.shape, &other.shape)?.apply(&self.values, &other.values))
     }
 
-    /// Returns a copy with the listed attributes removed. Names are converted
-    /// to symbols once per call (on the stack for up to 8 names), so the
-    /// per-field filter is pure integer compares.
+    /// Returns a copy with the listed attributes removed.
     pub fn without<S: Into<Sym> + Copy>(&self, names: &[S]) -> Tuple {
-        let Some(&first) = names.first() else { return self.clone() };
-        let mut inline = [first.into(); 8];
-        let heap: Vec<Sym>;
-        let syms: &[Sym] = if names.len() <= inline.len() {
-            for (slot, name) in inline.iter_mut().zip(names.iter()) {
-                *slot = (*name).into();
-            }
-            &inline[..names.len()]
-        } else {
-            heap = names.iter().map(|n| (*n).into()).collect();
-            &heap
-        };
-        Tuple::from_field_vec(
-            self.fields.iter().filter(|(n, _)| !syms.contains(n)).cloned().collect(),
-        )
+        Splice::without(&self.shape, &syms(names)).apply(&self.values, &[])
     }
 
     /// Returns a copy with an additional field appended (replacing any
     /// existing field of the same name).
     pub fn with_field(&self, name: impl Into<Sym>, value: Value) -> Tuple {
-        let name = name.into();
-        let mut fields: Vec<(Sym, Value)> =
-            self.fields.iter().filter(|(n, _)| *n != name).cloned().collect();
-        fields.push((name, value));
-        Tuple::from_field_vec(fields)
+        Splice::extend(&self.shape, &[name.into()]).apply(&self.values, &[value])
     }
 
     /// Renames fields according to `(old, new)` pairs; unmentioned fields keep
     /// their names.
     pub fn rename(&self, mapping: &[(Sym, Sym)]) -> Tuple {
-        Tuple::from_field_vec(
-            self.fields
-                .iter()
-                .map(|(name, value)| {
-                    let new_name = mapping
-                        .iter()
-                        .find(|(old, _)| old == name)
-                        .map(|(_, new)| *new)
-                        .unwrap_or(*name);
-                    (new_name, value.clone())
-                })
-                .collect(),
-        )
+        Splice::rename(&self.shape, mapping).apply(&self.values, &[])
     }
 
     /// A tuple with the same attribute names whose values are all `⊥`
     /// (used to pad outer joins and outer flattens).
     pub fn null_padded<S: Into<Sym> + Copy>(names: &[S]) -> Tuple {
-        Tuple::from_field_vec(names.iter().map(|n| ((*n).into(), Value::Null)).collect())
+        Tuple::with_shape(Shape::new(syms(names)), vec![Value::Null; names.len()])
     }
 
     /// Navigates an attribute path starting at this tuple, mirroring
     /// [`Value::get_path`] without first wrapping the tuple in a [`Value`].
-    pub fn get_path(&self, path: &crate::path::AttrPath) -> DataResult<Value> {
-        match path.head() {
+    pub fn get_path(&self, path: &AttrPath) -> DataResult<Value> {
+        match path.segments().split_first() {
             None => Ok(Value::from_tuple(self.clone())),
-            Some(head) => self.get_required(head)?.get_path(&path.tail()),
+            Some((head, rest)) => self.get_required(*head)?.get_segments(rest),
         }
     }
 
@@ -218,65 +168,77 @@ impl Tuple {
         if self.arity() != ty.arity() {
             return false;
         }
-        self.fields
-            .iter()
-            .all(|(name, value)| ty.attribute(*name).map(|t| value.conforms_to(t)).unwrap_or(false))
-    }
-
-    /// Calls `f` with each `(name, value)` pair in canonical (name-sorted)
-    /// order, without allocating for tuples up to `INLINE_ARITY` fields.
-    fn for_each_canonical(&self, mut f: impl FnMut(Sym, &Value)) {
-        let n = self.fields.len();
-        if n <= INLINE_ARITY {
-            let mut idx = [0u8; INLINE_ARITY];
-            canonical_idx(&self.fields, &mut idx);
-            for &i in &idx[..n] {
-                let (name, value) = &self.fields[i as usize];
-                f(*name, value);
-            }
-        } else {
-            for (name, value) in self.canonical() {
-                f(name, value);
-            }
-        }
+        self.fields()
+            .all(|(name, value)| ty.attribute(name).map(|t| value.conforms_to(t)).unwrap_or(false))
     }
 
     /// The cached name-based structural hash. Equal tuples (same name→value
     /// mapping, any field order) have equal structural hashes.
     pub fn structural_hash(&self) -> u64 {
-        *self.hash.get_or_init(|| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            self.for_each_canonical(|name, value| {
-                name.hash(&mut h);
-                value.hash(&mut h);
-            });
-            h.finish()
-        })
+        let cached = self.hash.load(AtomicOrdering::Relaxed);
+        if cached != 0 {
+            return cached;
+        }
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let names = self.shape.names();
+        for &i in self.shape.canonical() {
+            names[i as usize].hash(&mut h);
+            self.values[i as usize].hash(&mut h);
+        }
+        let hash = h.finish();
+        self.hash.store(hash, AtomicOrdering::Relaxed);
+        hash
     }
 
-    /// Canonicalized `(name, value)` pairs sorted by name; basis for
-    /// order-insensitive equality, ordering, and hashing of tuples too wide
-    /// for the inline path.
-    fn canonical(&self) -> Vec<(Sym, &Value)> {
-        let mut fields: Vec<(Sym, &Value)> = self.fields.iter().map(|(n, v)| (*n, v)).collect();
-        fields.sort_by_key(|a| a.0);
-        fields
+    /// The cached structural hash, if computed.
+    fn cached_hash(&self) -> Option<u64> {
+        Some(self.hash.load(AtomicOrdering::Relaxed)).filter(|h| *h != 0)
+    }
+}
+
+/// `names` as symbols.
+fn syms<S: Into<Sym> + Copy>(names: &[S]) -> Vec<Sym> {
+    names.iter().map(|n| (*n).into()).collect()
+}
+
+impl Clone for Tuple {
+    fn clone(&self) -> Self {
+        Tuple {
+            shape: Arc::clone(&self.shape),
+            values: self.values.clone(),
+            hash: AtomicU64::new(self.hash.load(AtomicOrdering::Relaxed)),
+        }
+    }
+}
+
+impl Default for Tuple {
+    fn default() -> Self {
+        Tuple::empty()
     }
 }
 
 impl fmt::Debug for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Tuple").field("fields", &self.fields).finish()
+        struct Fields<'a>(&'a Tuple);
+        impl fmt::Debug for Fields<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.fields()).finish()
+            }
+        }
+        f.debug_struct("Tuple").field("fields", &Fields(self)).finish()
     }
 }
 
 impl PartialEq for Tuple {
     fn eq(&self, other: &Self) -> bool {
         // Different cached structural hashes prove inequality without a walk.
-        if let (Some(a), Some(b)) = (self.hash.get(), other.hash.get()) {
+        if let (Some(a), Some(b)) = (self.cached_hash(), other.cached_hash()) {
             if a != b {
                 return false;
             }
+        }
+        if Shape::same(&self.shape, &other.shape) {
+            return self.values == other.values;
         }
         self.cmp(other) == Ordering::Equal
     }
@@ -291,28 +253,29 @@ impl PartialOrd for Tuple {
 }
 
 impl Ord for Tuple {
-    /// Name-based canonical order, identical to comparing the name-sorted
-    /// `(name, value)` vectors lexicographically (then by arity), but
-    /// allocation-free for tuples up to `INLINE_ARITY` fields.
+    /// Name-based canonical order: comparing the name-sorted `(name, value)`
+    /// sequences lexicographically, then by arity. Tuples of the same shape
+    /// compare their values along the canonical permutation only.
     fn cmp(&self, other: &Self) -> Ordering {
-        let (na, nb) = (self.fields.len(), other.fields.len());
-        if na <= INLINE_ARITY && nb <= INLINE_ARITY {
-            let mut ia = [0u8; INLINE_ARITY];
-            let mut ib = [0u8; INLINE_ARITY];
-            canonical_idx(&self.fields, &mut ia);
-            canonical_idx(&other.fields, &mut ib);
-            for k in 0..na.min(nb) {
-                let (sa, va) = &self.fields[ia[k] as usize];
-                let (sb, vb) = &other.fields[ib[k] as usize];
-                match sa.cmp(sb).then_with(|| va.cmp(vb)) {
+        let (ca, cb) = (self.shape.canonical(), other.shape.canonical());
+        if Shape::same(&self.shape, &other.shape) {
+            for &i in ca {
+                match self.values[i as usize].cmp(&other.values[i as usize]) {
                     Ordering::Equal => continue,
-                    other => return other,
+                    unequal => return unequal,
                 }
             }
-            na.cmp(&nb)
-        } else {
-            self.canonical().cmp(&other.canonical())
+            return Ordering::Equal;
         }
+        let (na, nb) = (self.shape.names(), other.shape.names());
+        for (&i, &j) in ca.iter().zip(cb) {
+            let (i, j) = (i as usize, j as usize);
+            match na[i].cmp(&nb[j]).then_with(|| self.values[i].cmp(&other.values[j])) {
+                Ordering::Equal => continue,
+                unequal => return unequal,
+            }
+        }
+        ca.len().cmp(&cb.len())
     }
 }
 
@@ -325,7 +288,7 @@ impl Hash for Tuple {
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "⟨")?;
-        for (i, (name, value)) in self.fields.iter().enumerate() {
+        for (i, (name, value)) in self.fields().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -416,6 +379,38 @@ mod tests {
         assert!(padded.conforms_to(&ty));
         assert!(addr("NY", 2010).conforms_to(&ty));
         assert!(!Tuple::new([("city", Value::str("NY"))]).conforms_to(&ty));
+    }
+
+    #[test]
+    fn a_field_costs_one_value() {
+        use std::mem::size_of;
+        // Shape handle, boxed values, cached hash; the names live in the
+        // shared shape.
+        assert_eq!(size_of::<Tuple>(), 32);
+        assert_eq!(size_of::<Value>(), 24);
+        let shape = Shape::new(["city", "year"]);
+        let a = Tuple::with_shape(Arc::clone(&shape), vec![Value::str("NY"), Value::int(2010)]);
+        let b = Tuple::with_shape(Arc::clone(&shape), vec![Value::str("LA"), Value::int(2019)]);
+        assert!(Arc::ptr_eq(a.shape(), b.shape()));
+        assert_eq!(size_of_val(a.values()), 2 * size_of::<Value>());
+    }
+
+    #[test]
+    fn derived_tuples_keep_field_order_and_name_lookup() {
+        let t = addr("NY", 2010).with_field("zip", Value::int(10001));
+        assert_eq!(t.attribute_names().collect::<Vec<_>>(), vec!["city", "year", "zip"]);
+        assert_eq!(t.get("zip"), Some(&Value::int(10001)));
+        let swapped = Tuple::new([
+            ("zip", Value::int(10001)),
+            ("year", Value::int(2010)),
+            ("city", Value::str("NY")),
+        ]);
+        assert_eq!(t, swapped);
+        assert_eq!(t.structural_hash(), swapped.structural_hash());
+        assert_eq!(
+            format!("{t:?}"),
+            r#"Tuple { fields: [("city", Str("NY")), ("year", Int(2010)), ("zip", Int(10001))] }"#
+        );
     }
 
     #[test]

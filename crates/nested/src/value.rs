@@ -21,6 +21,7 @@ use std::sync::Arc;
 use crate::bag::{Bag, BagBuilder};
 use crate::error::{DataError, DataResult};
 use crate::path::AttrPath;
+use crate::sym::Sym;
 use crate::tuple::Tuple;
 use crate::types::{NestedType, PrimitiveType, TupleType};
 
@@ -176,7 +177,7 @@ impl Value {
                 let mut fields = Vec::with_capacity(t.arity());
                 for (name, value) in t.fields() {
                     let ty = value.infer_type().unwrap_or(NestedType::Prim(PrimitiveType::Str));
-                    fields.push((*name, ty));
+                    fields.push((name, ty));
                 }
                 Some(NestedType::Tuple(TupleType::from_fields(fields)))
             }
@@ -220,26 +221,25 @@ impl Value {
     /// source-attribute constraints like `address2.city = NY` are interpreted:
     /// "the cities appearing inside `address2`").
     pub fn get_path(&self, path: &AttrPath) -> DataResult<Value> {
-        if path.is_empty() {
-            return Ok(self.clone());
-        }
+        self.get_segments(path.segments())
+    }
+
+    /// [`Value::get_path`] over the path's remaining segments.
+    pub(crate) fn get_segments(&self, segments: &[Sym]) -> DataResult<Value> {
+        let Some((head, rest)) = segments.split_first() else { return Ok(self.clone()) };
         match self {
             Value::Null => Ok(Value::Null),
-            Value::Tuple(t) => {
-                let head = path.head().expect("non-empty path");
-                let inner = t.get_required(head)?;
-                inner.get_path(&path.tail())
-            }
+            Value::Tuple(t) => t.get_required(*head)?.get_segments(rest),
             Value::Bag(b) => {
                 let mut builder = BagBuilder::with_capacity(b.distinct());
                 for (element, mult) in b.iter() {
-                    let v = element.get_path(path)?;
+                    let v = element.get_segments(segments)?;
                     builder.add(v, *mult);
                 }
                 Ok(Value::from_bag(builder.finish()))
             }
             other => Err(DataError::PathMismatch {
-                path: path.to_string(),
+                path: AttrPath::new(segments.iter().copied()).to_string(),
                 found: other.kind().to_string(),
             }),
         }
@@ -248,16 +248,19 @@ impl Value {
     /// Whether this value, or any value nested inside it along `path`,
     /// equals `needle`. Bags along the way are searched existentially.
     pub fn contains_at_path(&self, path: &AttrPath, needle: &Value) -> bool {
-        if path.is_empty() {
+        self.contains_at_segments(path.segments(), needle)
+    }
+
+    fn contains_at_segments(&self, segments: &[Sym], needle: &Value) -> bool {
+        let Some((head, rest)) = segments.split_first() else {
             return self.contains_value(needle);
-        }
+        };
         match self {
             Value::Null => false,
-            Value::Tuple(t) => match t.get(path.head().expect("non-empty path")) {
-                Some(inner) => inner.contains_at_path(&path.tail(), needle),
-                None => false,
-            },
-            Value::Bag(b) => b.iter().any(|(v, _)| v.contains_at_path(path, needle)),
+            Value::Tuple(t) => {
+                t.get(*head).is_some_and(|inner| inner.contains_at_segments(rest, needle))
+            }
+            Value::Bag(b) => b.iter().any(|(v, _)| v.contains_at_segments(segments, needle)),
             _ => false,
         }
     }
@@ -276,7 +279,7 @@ impl Value {
     /// tree-edit-distance costs.
     pub fn node_count(&self) -> usize {
         match self {
-            Value::Tuple(t) => 1 + t.fields().iter().map(|(_, v)| v.node_count()).sum::<usize>(),
+            Value::Tuple(t) => 1 + t.values().iter().map(Value::node_count).sum::<usize>(),
             Value::Bag(b) => {
                 1 + b.iter().map(|(v, m)| v.node_count() * (*m as usize)).sum::<usize>()
             }

@@ -141,7 +141,6 @@ fn interned_tuples_are_observation_equivalent_to_string_tuples() {
             .as_tuple()
             .unwrap()
             .fields()
-            .iter()
             .map(|(n, val)| (n.as_str().to_string(), val.clone()))
             .collect();
         fields.sort_by(|a, b| a.0.cmp(&b.0));
@@ -203,8 +202,8 @@ fn shared_values_are_indistinguishable_from_deep_copies() {
         // Shared: the same Arc twice. Rebuilt: structurally equal deep copies.
         let shared = Value::bag([inner.clone(), inner.clone()]);
         let rebuilt = Value::bag([
-            Value::tuple(inner.as_tuple().unwrap().fields().iter().map(|(n, v)| (*n, v.clone()))),
-            Value::tuple(inner.as_tuple().unwrap().fields().iter().map(|(n, v)| (*n, v.clone()))),
+            Value::tuple(inner.as_tuple().unwrap().fields().map(|(n, v)| (n, v.clone()))),
+            Value::tuple(inner.as_tuple().unwrap().fields().map(|(n, v)| (n, v.clone()))),
         ]);
         assert_eq!(shared, rebuilt);
         assert_eq!(shared.cmp(&rebuilt), std::cmp::Ordering::Equal);
@@ -216,5 +215,95 @@ fn shared_values_are_indistinguishable_from_deep_copies() {
         assert_eq!(hash_of(&shared), hash_of(&rebuilt));
         assert_eq!(shared.to_string(), rebuilt.to_string());
         assert_eq!(shared.node_count(), rebuilt.node_count());
+    }
+}
+
+/// A tuple over a random subset of a small name pool (names may repeat),
+/// as `(name, value)` pairs in random order.
+fn random_fields(rng: &mut StdRng) -> Vec<(&'static str, Value)> {
+    const NAMES: [&str; 5] = ["e", "a", "d", "b", "c"];
+    let n = rng.gen_range(0..=5usize);
+    (0..n)
+        .map(|_| {
+            let value = match rng.gen_range(0..6usize) {
+                0 => Value::float(rng.gen_range(-2i64..2) as f64),
+                1 => flat_tuple(rng),
+                _ => primitive(rng),
+            };
+            (*rng.choose(&NAMES), value)
+        })
+        .collect()
+}
+
+/// The fields in a random order.
+fn permuted(rng: &mut StdRng, fields: &[(&'static str, Value)]) -> Vec<(&'static str, Value)> {
+    let mut permuted = fields.to_vec();
+    for i in (1..permuted.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        permuted.swap(i, j);
+    }
+    permuted
+}
+
+/// The tuple order, equality and structural hash tuples had when every
+/// field stored its own name: name-sorted (stable) `(name, value)` pairs
+/// compared lexicographically, then by arity, and hashed name, value, ….
+fn reference_key(t: &nested_data::Tuple) -> Vec<(nested_data::Sym, Value)> {
+    let mut fields: Vec<_> = t.fields().map(|(n, v)| (n, v.clone())).collect();
+    fields.sort_by_key(|(name, _)| *name);
+    fields
+}
+
+fn reference_hash(t: &nested_data::Tuple) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for (name, value) in reference_key(t) {
+        name.hash(&mut h);
+        value.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// Tuples compare, test equality and hash exactly like the reference,
+/// whether they share one shape allocation, have equal shapes in distinct
+/// allocations, permuted fields, or different name sets.
+#[test]
+fn shaped_tuples_agree_with_the_name_keyed_reference() {
+    use nested_data::{Shape, Tuple};
+    use std::sync::Arc;
+    let check = |a: &Tuple, b: &Tuple| {
+        let reference = reference_key(a).cmp(&reference_key(b));
+        assert_eq!(a.cmp(b), reference, "a={a} b={b}");
+        assert_eq!(b.cmp(a), reference.reverse(), "a={a} b={b}");
+        assert_eq!(a == b, reference.is_eq(), "a={a} b={b}");
+        assert_eq!(a.structural_hash(), reference_hash(a));
+        if a == b {
+            assert_eq!(a.structural_hash(), b.structural_hash());
+        }
+    };
+    let with_own_shape = |fields: &[(&'static str, Value)]| {
+        let shape = Shape::new(fields.iter().map(|(n, _)| *n));
+        Tuple::with_shape(shape, fields.iter().map(|(_, v)| v.clone()).collect::<Vec<_>>())
+    };
+    let mut rng = StdRng::seed_from_u64(0x7368_6170);
+    for _ in 0..4 * CASES {
+        let fields = random_fields(&mut rng);
+        let a = Tuple::new(fields.clone());
+        // Equal tuples: the same shape allocation, an equal shape in another
+        // allocation, and the fields permuted.
+        let shared = Tuple::with_shape(Arc::clone(a.shape()), a.values().to_vec());
+        assert!(Arc::ptr_eq(a.shape(), shared.shape()));
+        let distinct = with_own_shape(&fields);
+        assert!(!Arc::ptr_eq(a.shape(), distinct.shape()));
+        let shuffled = with_own_shape(&permuted(&mut rng, &fields));
+        for twin in [&shared, &distinct, &shuffled] {
+            check(&a, twin);
+        }
+        // Same shape, other values; then other name sets.
+        let values: Vec<Value> = (0..a.arity()).map(|_| primitive(&mut rng)).collect();
+        check(&a, &Tuple::with_shape(Arc::clone(a.shape()), values));
+        let other = random_fields(&mut rng);
+        check(&a, &Tuple::new(other.clone()));
+        check(&shuffled, &with_own_shape(&permuted(&mut rng, &other)));
     }
 }

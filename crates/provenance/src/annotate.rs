@@ -334,12 +334,20 @@ impl TraceResult {
         })
     }
 
-    /// The identifiers of all traced tuples (at any operator) that lie in the
-    /// lineage of a valid and consistent *output* tuple under alternative
-    /// `sa`. This is the "in the lineage of a consistent output tuple" test of
-    /// Algorithm 4, line 8.
-    pub fn contributing_ids(&self, sa: usize) -> BTreeSet<u64> {
-        let mut contributing = BTreeSet::new();
+    /// Which traced tuples (at any operator) lie in the lineage of a valid
+    /// and consistent *output* tuple under alternative `sa`, indexed by
+    /// tuple id (ids are handed out densely from 1; an id past the end is
+    /// not contributing). This is the "in the lineage of a consistent output
+    /// tuple" test of Algorithm 4, line 8.
+    pub fn contributing_ids(&self, sa: usize) -> Vec<bool> {
+        let mut contributing: Vec<bool> = Vec::new();
+        let mark = |contributing: &mut Vec<bool>, id: u64| {
+            let id = usize::try_from(id).expect("tuple ids fit in memory");
+            if id >= contributing.len() {
+                contributing.resize(id + 1, false);
+            }
+            contributing[id] = true;
+        };
         for (position, op_id) in self.base.pre_order.iter().enumerate() {
             let Some(trace) = self.trace(*op_id) else { continue };
             for tuple in trace.tuples() {
@@ -347,11 +355,13 @@ impl TraceResult {
                     let f = tuple.flags(sa);
                     f.valid && f.consistent
                 } else {
-                    contributing.contains(&tuple.traced.id)
+                    is_marked(&contributing, tuple.traced.id)
                 };
                 if selected {
-                    contributing.insert(tuple.traced.id);
-                    contributing.extend(tuple.traced.input_ids(sa).iter().copied());
+                    mark(&mut contributing, tuple.traced.id);
+                    for id in tuple.traced.input_ids(sa) {
+                        mark(&mut contributing, *id);
+                    }
                 }
             }
         }
@@ -366,17 +376,13 @@ impl TraceResult {
         // "tainted" marker along the lineage edges. Tuple ids are handed out
         // densely from 1, so the markers are a vector indexed by id.
         let mut tainted: Vec<bool> = Vec::new();
-        let is_tainted = |tainted: &[bool], id: u64| {
-            usize::try_from(id).ok().and_then(|id| tainted.get(id)).copied().unwrap_or(false)
-        };
         for op_id in self.base.pre_order.iter().rev() {
             let Some(op_trace) = self.trace(*op_id) else { continue };
             let op_counts = ops.map(|set| set.contains(op_id)).unwrap_or(true);
             for tuple in op_trace.tuples() {
                 let flags = tuple.flags(sa);
                 let own_taint = op_counts && flags.valid && !flags.retained;
-                if own_taint
-                    || tuple.traced.input_ids(sa).iter().any(|id| is_tainted(&tainted, *id))
+                if own_taint || tuple.traced.input_ids(sa).iter().any(|id| is_marked(&tainted, *id))
                 {
                     let id = usize::try_from(tuple.traced.id).expect("tuple ids fit in memory");
                     if id >= tainted.len() {
@@ -388,7 +394,7 @@ impl TraceResult {
         }
         self.root_trace()
             .tuples()
-            .filter(|t| t.flags(sa).valid && is_tainted(&tainted, t.traced.id))
+            .filter(|t| t.flags(sa).valid && is_marked(&tainted, t.traced.id))
             .map(|t| t.traced.id)
             .collect()
     }
@@ -406,6 +412,11 @@ impl TraceResult {
                 .collect()
         })
     }
+}
+
+/// Whether tuple `id` is marked in a vector indexed by tuple id.
+fn is_marked(marks: &[bool], id: u64) -> bool {
+    usize::try_from(id).ok().and_then(|id| marks.get(id)).copied().unwrap_or(false)
 }
 
 /// One operator's traced tuples paired with one question's flags.
@@ -435,18 +446,18 @@ impl<'a> AnnotatedOp<'a> {
 
     /// Whether any tuple needs a reparameterization of this operator under
     /// alternative `sa` *and* contributes to a consistent output tuple
-    /// (`contributing` is the id set computed by
+    /// (`contributing` is the id vector computed by
     /// [`TraceResult::contributing_ids`]).
-    pub fn has_reparameterization_witness(&self, sa: usize, contributing: &BTreeSet<u64>) -> bool {
+    pub fn has_reparameterization_witness(&self, sa: usize, contributing: &[bool]) -> bool {
         self.tuples()
-            .any(|t| t.flags(sa).needs_reparameterization() && contributing.contains(&t.traced.id))
+            .any(|t| t.flags(sa).needs_reparameterization() && is_marked(contributing, t.traced.id))
     }
 
     /// Whether any tuple has all annotations set under alternative `sa`
     /// (optionally restricted to tuples contributing to a consistent output).
-    pub fn has_all_ones_witness(&self, sa: usize, contributing: Option<&BTreeSet<u64>>) -> bool {
+    pub fn has_all_ones_witness(&self, sa: usize, contributing: Option<&[bool]>) -> bool {
         self.tuples().any(|t| {
-            t.flags(sa).all_ones() && contributing.map(|c| c.contains(&t.traced.id)).unwrap_or(true)
+            t.flags(sa).all_ones() && contributing.is_none_or(|c| is_marked(c, t.traced.id))
         })
     }
 }
@@ -551,15 +562,16 @@ mod tests {
 
         assert!(result.has_consistent_output(0));
         let contributing = result.contributing_ids(0);
-        assert_eq!(contributing, BTreeSet::from([5, 3, 1]));
+        let marked: Vec<usize> = (0..contributing.len()).filter(|&id| contributing[id]).collect();
+        assert_eq!(marked, vec![1, 3, 5]);
 
         // The selection (op 1) has a reparameterization witness (tuple 3).
         assert!(result.trace(1).unwrap().has_reparameterization_witness(0, &contributing));
         // The root does not (its consistent tuple is retained).
         assert!(!result.trace(2).unwrap().has_reparameterization_witness(0, &contributing));
         // All-ones witness exists at the root and at op 0.
-        assert!(result.trace(2).unwrap().has_all_ones_witness(0, Some(&contributing)));
-        assert!(result.trace(0).unwrap().has_all_ones_witness(0, Some(&contributing)));
+        assert!(result.trace(2).unwrap().has_all_ones_witness(0, Some(&contributing[..])));
+        assert!(result.trace(0).unwrap().has_all_ones_witness(0, Some(&contributing[..])));
 
         // Tuple 5 descends from the non-retained tuple 3; tuple 6 is fully
         // retained. Only the selection drops anything.

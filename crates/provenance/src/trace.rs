@@ -42,11 +42,12 @@
 //! order, and in key order within a merge, so the trace is a pure function of
 //! the plan, the database and the schema alternatives.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use nested_data::{BagBuilder, Nip, NipCmp, Sym, Tuple, Value};
-use nrab_algebra::eval::{aggregate_group, RowFlatten, RowNest, RowTransform};
+use nested_data::{BagBuilder, Nip, NipCmp, ShapeMemo, Sym, Tuple, Value};
+use nrab_algebra::eval::{RowAggregate, RowFlatten, RowNest, RowTransform};
 use nrab_algebra::expr::Expr;
 use nrab_algebra::join::join_matches;
 use nrab_algebra::schema::output_type;
@@ -175,21 +176,39 @@ impl ConsistencyCheck<'_> {
 }
 
 /// A consistency NIP prepared for matching many tuples.
-#[derive(PartialEq)]
 enum ResolvedNip<'a> {
     /// A tuple NIP's fields, constrained ones before `?`: most tuples
     /// violate the NIP, and a violated field rejects them before the `?`
-    /// fields (which only require presence) are looked up.
-    Fields(Vec<(Sym, &'a Nip)>),
+    /// fields (which only require presence) are looked up. `positions`
+    /// holds the fields' stored positions, resolved once per tuple shape.
+    Fields { fields: Vec<(Sym, &'a Nip)>, positions: ShapeMemo<Vec<Option<usize>>> },
     /// Any other NIP shape, matched against the whole tuple.
     Whole(&'a Nip),
+}
+
+impl PartialEq for ResolvedNip<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (ResolvedNip::Fields { fields: a, .. }, ResolvedNip::Fields { fields: b, .. }) => {
+                a == b
+            }
+            (ResolvedNip::Whole(a), ResolvedNip::Whole(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl ResolvedNip<'_> {
     fn matches(&self, tuple: &Arc<Tuple>) -> bool {
         match self {
-            ResolvedNip::Fields(fields) => {
-                fields.iter().all(|(name, nip)| tuple.get(*name).is_some_and(|v| nip.matches(v)))
+            ResolvedNip::Fields { fields, positions } => {
+                let shape = tuple.shape();
+                let resolve = || fields.iter().map(|(name, _)| shape.position(*name)).collect();
+                positions.with(shape, None, resolve, |positions: &Vec<Option<usize>>| {
+                    fields.iter().zip(positions).all(|((_, nip), position)| {
+                        position.is_some_and(|i| nip.matches(&tuple.values()[i]))
+                    })
+                })
             }
             ResolvedNip::Whole(nip) => nip.matches(&Value::Tuple(Arc::clone(tuple))),
         }
@@ -233,7 +252,10 @@ fn consistency_check<'a>(
     let mut fields: Vec<(Sym, &'a Nip)> =
         fields.iter().map(|(name, field)| (*name, relaxed(name, field))).collect();
     fields.sort_by_key(|(_, field)| matches!(field, Nip::Any));
-    ConsistencyCheck { nip: Some(ResolvedNip::Fields(fields)), fallback }
+    ConsistencyCheck {
+        nip: Some(ResolvedNip::Fields { fields, positions: ShapeMemo::new() }),
+        fallback,
+    }
 }
 
 /// Computes one operator's flags for a question: `valid` and `retained` read
@@ -544,19 +566,20 @@ impl<'a> Tracer<'a> {
     /// individually; `retained` is always true (these operators never prune).
     ///
     /// The operator is compiled once per class into the evaluator's
-    /// [`RowTransform`]. If it does not compile under an alternative (e.g. a
-    /// tuple flatten whose input schema does not infer), every variant
-    /// vanishes under it; if it fails on one variant (e.g. a tuple flatten
-    /// meets a non-tuple value), that variant vanishes.
+    /// [`RowTransform`], against the input schema inferred at most once per
+    /// operator. If it does not compile under an alternative (e.g. a tuple
+    /// flatten whose input schema does not infer), every variant vanishes
+    /// under it; if it fails on one variant (e.g. a tuple flatten meets a
+    /// non-tuple value), that variant vanishes.
     fn trace_structural(
         &mut self,
         node: &OpNode,
         child: &OpTrace,
     ) -> AlgebraResult<Vec<TracedTuple>> {
-        let db = self.db;
+        let input_schema = OnceCell::new();
+        let infer = || input_schema.get_or_init(|| output_type(&node.inputs[0], self.db)).clone();
         let transforms = Classes::of_operator(self.sas, node, |operator| {
-            let effective = OpNode::new(node.id, operator.clone(), node.inputs.clone());
-            RowTransform::compile(&effective, db).ok()
+            RowTransform::compile(operator, infer).ok()
         });
         self.one_to_one(&child.tuples, &transforms, |transform, input| {
             Some((Arc::new(transform.as_ref()?.apply(&input.tuple).ok()?), true))
@@ -671,8 +694,9 @@ impl<'a> Tracer<'a> {
         }
         let left_schema = output_type(&node.inputs[0], self.db)?;
         let right_schema = output_type(&node.inputs[1], self.db)?;
-        let left_names: Vec<Sym> = left_schema.attribute_syms().collect();
-        let right_names: Vec<Sym> = right_schema.attribute_syms().collect();
+        let left_padding = Tuple::null_padded(&left_schema.attribute_syms().collect::<Vec<_>>());
+        let right_padding = Tuple::null_padded(&right_schema.attribute_syms().collect::<Vec<_>>());
+        let (left_padded, right_padded) = (ShapeMemo::new(), ShapeMemo::new());
         let original_kind = match &node.op {
             Operator::Join { kind, .. } => *kind,
             _ => JoinKind::Inner,
@@ -712,12 +736,12 @@ impl<'a> Tracer<'a> {
             }
             for (lt, matched) in left.tuples.iter().zip(matches.left_matched) {
                 let Some(tuple) = lt.variant(sa).filter(|_| !matched) else { continue };
-                let padded = tuple.concat(&Tuple::null_padded(&right_names))?;
+                let padded = left_padded.concat(tuple, &right_padding)?;
                 row((Some(lt.id), None), padded, keeps_left, Lineage::one(lt.id));
             }
             for (rt, matched) in right.tuples.iter().zip(matches.right_matched) {
                 let Some(tuple) = rt.variant(sa).filter(|_| !matched) else { continue };
-                let padded = Tuple::null_padded(&left_names).concat(tuple)?;
+                let padded = right_padded.concat(&left_padding, tuple)?;
                 row((None, Some(rt.id)), padded, keeps_right, Lineage::one(rt.id));
             }
         }
@@ -771,10 +795,7 @@ impl<'a> Tracer<'a> {
     /// one's groups only if those agree as well as the input allocations.
     fn trace_group_aggregation(&mut self, node: &OpNode, child: &OpTrace) -> Vec<TracedTuple> {
         let aggregations = Classes::of_operator(self.sas, node, |operator| match operator {
-            Operator::GroupAggregation { group_by, aggs } => {
-                let group_syms: Vec<Sym> = group_by.iter().map(|a| Sym::intern(a)).collect();
-                (group_syms, aggs.clone())
-            }
+            Operator::GroupAggregation { group_by, aggs } => RowAggregate::new(group_by, aggs),
             _ => unreachable!("trace_group_aggregation called on non-aggregation"),
         });
         let mut rows = Vec::new();
@@ -785,17 +806,17 @@ impl<'a> Tracer<'a> {
                 shared.push((sa, donor));
                 continue;
             }
-            let (group_syms, aggs) = aggregations.get(sa);
+            let aggregate = aggregations.get(sa);
             // Per group: its members' ids and variants.
             #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
             let mut groups: BTreeMap<Value, Vec<(u64, &Variant)>> = BTreeMap::new();
             for input in &child.tuples {
                 let Some(variant) = input.get(sa) else { continue };
-                let key = variant.tuple.project(group_syms).unwrap_or_else(|_| Tuple::empty());
-                groups.entry(Value::from_tuple(key)).or_default().push((input.id, variant));
+                let key = Value::from_tuple(aggregate.key(&variant.tuple));
+                groups.entry(key).or_default().push((input.id, variant));
             }
             for (key, members) in groups {
-                let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
+                let key_tuple = key.as_tuple().expect("group keys are tuples");
                 let all: Vec<&Tuple> = members.iter().map(|(_, v)| &*v.tuple).collect();
                 let retained: Vec<&Tuple> =
                     members.iter().filter(|(_, v)| v.retained).map(|(_, v)| &*v.tuple).collect();
@@ -804,8 +825,8 @@ impl<'a> Tracer<'a> {
                 // was retained. The retained-members aggregate is kept as the
                 // fallback variant consulted by the consistency annotation
                 // (Section 5.5).
-                let fallback = aggregate_group(key_tuple.clone(), aggs, &retained);
-                let tuple = Arc::new(aggregate_group(key_tuple, aggs, &all));
+                let fallback = aggregate.output(key_tuple, &retained);
+                let tuple = Arc::new(aggregate.output(key_tuple, &all));
                 let inputs = members.iter().map(|(id, _)| *id).collect::<Vec<_>>().into();
                 let variant = Variant { tuple, retained: !retained.is_empty(), inputs };
                 rows.push((key, sa, variant, Some(Arc::new(fallback))));
@@ -984,11 +1005,11 @@ mod tests {
             .tuples()
             .find(|t| t.traced.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
             .unwrap();
-        assert!(contributing.contains(&sue.traced.id));
+        assert!(contributing[sue.traced.id as usize]);
         // Peter's tuple cannot contribute to the NY answer under S1...
-        assert!(!contributing.contains(&peter.traced.id));
+        assert!(!contributing.get(peter.traced.id as usize).copied().unwrap_or(false));
         // ...but it can under S2 (address1 holds NY 2010).
-        assert!(result.contributing_ids(1).contains(&peter.traced.id));
+        assert!(result.contributing_ids(1)[peter.traced.id as usize]);
     }
 
     #[test]

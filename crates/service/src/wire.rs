@@ -29,7 +29,11 @@
 //! them, and CI greps that file so every wire op, error kind, operator and
 //! expression tag, and enum name stays documented.
 
-use nested_data::{AttrPath, Bag, NestedType, Nip, NipCmp, PrimitiveType, Sym, TupleType, Value};
+use std::sync::Arc;
+
+use nested_data::{
+    AttrPath, Bag, NestedType, Nip, NipCmp, PrimitiveType, Shape, Sym, Tuple, TupleType, Value,
+};
 use nrab_algebra::expr::{ArithOp, CmpOp, Expr};
 use nrab_algebra::{
     AggFunc, AggSpec, Database, FlattenKind, JoinKind, OpNode, Operator, ProjColumn, QueryPlan,
@@ -308,7 +312,7 @@ pub fn value_to_json(value: &Value) -> Json {
         Value::Float(f) => Json::Float(*f),
         Value::Str(s) => Json::str(&**s),
         Value::Tuple(t) => Json::Object(
-            t.fields().iter().map(|(n, v)| (n.as_str().to_string(), value_to_json(v))).collect(),
+            t.fields().map(|(n, v)| (n.as_str().to_string(), value_to_json(v))).collect(),
         ),
         Value::Bag(b) => {
             let mut items = Vec::with_capacity(b.total() as usize);
@@ -322,16 +326,54 @@ pub fn value_to_json(value: &Value) -> Json {
 
 /// Decodes a nested value.
 pub fn value_from_json(json: &Json) -> ServiceResult<Value> {
+    decode_value(json, &mut ShapeHints::default())
+}
+
+/// The shape of the last object decoded at one position of a value tree,
+/// and the hints below it. An object whose keys are the last one's reuses
+/// its shape, so the rows of a relation, and the nested tuples at each of
+/// their fields, share one shape per layout instead of one per tuple.
+#[derive(Default)]
+struct ShapeHints {
+    shape: Option<Arc<Shape>>,
+    fields: Vec<ShapeHints>,
+    elements: Option<Box<ShapeHints>>,
+}
+
+fn decode_value(json: &Json, hints: &mut ShapeHints) -> ServiceResult<Value> {
     Ok(match json {
         Json::Null => Value::Null,
         Json::Bool(b) => Value::Bool(*b),
         Json::Int(i) => Value::Int(*i),
         Json::Float(f) => Value::Float(*f),
         Json::Str(s) => Value::str(s.as_str()),
-        Json::Object(fields) => Value::tuple(members(fields, |name, v| {
-            Ok((intern_wire_name(name)?, value_from_json(v)?))
-        })?),
-        Json::Array(_) => Value::from_bag(Bag::from_values(list(json, value_from_json)?)),
+        Json::Object(fields) => {
+            let reuse = hints.shape.as_ref().is_some_and(|shape| {
+                shape.arity() == fields.len()
+                    && shape.names().iter().zip(fields).all(|(name, (key, _))| name == key)
+            });
+            if !reuse {
+                hints.fields.clear();
+                hints.fields.resize_with(fields.len(), ShapeHints::default);
+            }
+            let mut names = Vec::new();
+            let mut values = Vec::with_capacity(fields.len());
+            for ((key, value), hint) in fields.iter().zip(&mut hints.fields) {
+                if !reuse {
+                    names.push(intern_wire_name(key).map_err(|e| e.at(key))?);
+                }
+                values.push(decode_value(value, hint).map_err(|e| e.at(key))?);
+            }
+            if !reuse {
+                hints.shape = Some(Shape::new(names));
+            }
+            let shape = Arc::clone(hints.shape.as_ref().expect("set above"));
+            Value::from_tuple(Tuple::with_shape(shape, values))
+        }
+        Json::Array(_) => {
+            let elements = hints.elements.get_or_insert_with(Default::default);
+            Value::from_bag(Bag::from_values(list(json, |item| decode_value(item, elements))?))
+        }
     })
 }
 
@@ -821,9 +863,10 @@ pub fn database_from_json(json: &Json) -> ServiceResult<Database> {
             known_fields(relation, |key| ["schema", "rows"].contains(&key))?;
             let schema = field(relation, "schema", tuple_type_from_json)?;
             let row_type = NestedType::Tuple(schema.clone());
+            let mut hints = ShapeHints::default();
             let rows = field(relation, "rows", |rows| {
                 list(rows, |row| {
-                    let value = value_from_json(row)?;
+                    let value = decode_value(row, &mut hints)?;
                     if !value.conforms_to(&row_type) {
                         return Err(ServiceError::decode(format!(
                             "row does not conform to relation schema {schema}"
